@@ -62,8 +62,14 @@ pub const MUTANTS: &[Mutant] = &[
     Mutant {
         name: "digit_key_slot_alias",
         host: "hiding-lcp-core",
-        site: "digit-key packing aliases digits past slot 2 onto slot 2",
+        site: "digit-key packing and the dense memo index alias digits past slot 2 onto slot 2",
         expected_killers: &["memo_digit_slots"],
+    },
+    Mutant {
+        name: "class_ignores_alphabet",
+        host: "hiding-lcp-core",
+        site: "skeleton classes are shared across blocks with different alphabets",
+        expected_killers: &["classes_respect_alphabet"],
     },
     Mutant {
         name: "interner_always_fresh",

@@ -51,6 +51,7 @@ pub const ALL: &[(&str, fn())] = &[
     ("delta_mixed_blocks_resync", delta_mixed_blocks_resync),
     ("delta_budget_resume_parity", delta_budget_resume_parity),
     ("memo_digit_slots", memo_digit_slots),
+    ("classes_respect_alphabet", classes_respect_alphabet),
     ("short_circuit_count", short_circuit_count),
     ("parallel_chunk_census", parallel_chunk_census),
     ("interner_identity", interner_identity),
@@ -130,6 +131,25 @@ impl Decoder for StrictDiff {
             let l = &view.node(arc.to).label;
             !l.is_empty() && l != mine
         }))
+    }
+}
+
+/// Accepts iff the node's own certificate is `0` — sensitive to which
+/// certificate a digit names, not just to which digits are equal.
+pub struct ZeroCenter;
+
+impl Decoder for ZeroCenter {
+    fn name(&self) -> String {
+        "zero-center".into()
+    }
+    fn radius(&self) -> usize {
+        1
+    }
+    fn id_mode(&self) -> IdMode {
+        IdMode::Anonymous
+    }
+    fn decide(&self, view: &View) -> Verdict {
+        Verdict::from(*view.center_label() == Certificate::from_byte(0))
     }
 }
 
@@ -402,15 +422,65 @@ pub fn delta_budget_resume_parity() {
     assert!(!state.report.interrupted);
 }
 
-/// A star's center ball has four nodes, so its digit keys use slots
-/// beyond 2 — aliased slots collide distinct labelings onto one memo
-/// entry and the tally drifts from the brute force.
+/// A star's center ball has four nodes, so its memo indices and digit
+/// keys use slots beyond 2 — aliased slots collide distinct labelings onto
+/// one entry. Three letters make the collisions verdict-relevant: the
+/// dense verdict table's tally drifts from the brute force, and the
+/// neighborhood scan's digit-keyed interner merges distinct views.
 pub fn memo_digit_slots() {
     let star = Instance::canonical(generators::star(3));
-    let universe = Universe::all_labelings_of(star.clone(), bits(), Coverage::Exhaustive)
-        .expect("16 labelings fit");
-    let expected = expected_tally(&LocalDiff, &exhaustive_items(&star, &bits()));
+    let trits: Vec<Certificate> = (0..3).map(Certificate::from_byte).collect();
+    let universe = Universe::all_labelings_of(star.clone(), trits.clone(), Coverage::Exhaustive)
+        .expect("81 labelings fit");
+    let expected = expected_tally(&LocalDiff, &exhaustive_items(&star, &trits));
     assert_tally_parity(&LocalDiff, &universe, &expected);
+    assert_nbhd_matches_unkeyed(&universe);
+}
+
+/// Skeleton classes are per alphabet: two blocks of one graph whose
+/// alphabets differ map equal ball digits to different certificates, so
+/// neither the verdict memo nor the interner's front cache may share a
+/// class between them.
+pub fn classes_respect_alphabet() {
+    let c4 = Instance::canonical(generators::cycle(4));
+    let two_blocks = |alphabets: [Vec<Certificate>; 2]| {
+        let blocks = alphabets
+            .into_iter()
+            .map(|alphabet| Block::new(c4.clone(), LabelSource::All { alphabet }))
+            .collect();
+        Universe::new(blocks, Coverage::Sampled).expect("32 labelings fit")
+    };
+    // The same letters in the other order: digit 0 is `0` in one block and
+    // `1` in the other, which a center-label decoder tells apart.
+    let flipped = vec![Certificate::from_byte(1), Certificate::from_byte(0)];
+    let mut items = exhaustive_items(&c4, &bits());
+    items.extend(exhaustive_items(&c4, &flipped));
+    let expected = expected_tally(&ZeroCenter, &items);
+    assert_tally_parity(&ZeroCenter, &two_blocks([bits(), flipped]), &expected);
+    // A different second letter: equal digits stamp different views.
+    let zero_two = vec![Certificate::from_byte(0), Certificate::from_byte(2)];
+    assert_nbhd_matches_unkeyed(&two_blocks([bits(), zero_two]));
+}
+
+/// Asserts the engine-swept Lemma 3.1 graph of an all-`All` universe
+/// equals the one built from the same labeled instances materialized as
+/// `Fixed` blocks, where no odometer digits exist and every view is
+/// interned by full hash.
+fn assert_nbhd_matches_unkeyed(universe: &Universe) {
+    let swept = NbhdGraph::from_sweep(&YesMan, IdMode::Anonymous, universe, |_| true).verdict;
+    let labeled = (0..universe.len())
+        .map(|i| {
+            let item = universe.item(i);
+            item.instance.clone().with_labeling(item.labeling)
+        })
+        .collect();
+    let built = NbhdGraph::build(&YesMan, IdMode::Anonymous, labeled, |_| true);
+    assert_eq!(
+        swept.views(),
+        built.views(),
+        "digit-keyed interning merged or split views"
+    );
+    assert_eq!(swept.edge_count(), built.edge_count());
 }
 
 /// A short-circuited sweep reports `stop_at + 1` items checked: the

@@ -239,7 +239,7 @@ pub struct ExecEvidence {
     pub cache_hits: usize,
     /// Skeletons computed (cache population) plus uncached extractions.
     pub cache_misses: usize,
-    /// Node verdicts served from the per-thread digit-key memo (delta
+    /// Node verdicts served from the per-thread verdict memo (delta
     /// path only; 0 for checks without a [`PropertyCheck::verdict_decoder`]).
     pub memo_hits: usize,
     /// Node verdicts computed by actually running the decoder on the delta

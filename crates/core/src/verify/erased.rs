@@ -19,7 +19,7 @@
 //! hiding over one scheme), maintaining that vector once per member would
 //! waste the fusion win — so members carry an optional *channel key*
 //! ([`DynPropertyCheck::with_channel`]): members with equal keys share one
-//! delta-maintained vector and one digit-key memo. The key is the
+//! delta-maintained vector and one verdict memo. The key is the
 //! decoder's object identity (its address), which is conservative by
 //! construction: two members only share a channel when the caller handed
 //! them literally the same decoder, and a member with no explicit key gets
@@ -278,7 +278,7 @@ impl<'a> DynPropertyCheck<'a> {
 
     /// Joins this member to `decoder`'s verdict channel: members built
     /// `with_channel` on the *same decoder object* share one
-    /// delta-maintained verdict vector and digit-key memo in a panel (see
+    /// delta-maintained verdict vector and verdict memo in a panel (see
     /// the module docs). The caller asserts the member's
     /// [`PropertyCheck::verdict_decoder`] behaves identically to
     /// `decoder` — trivially true when it *is* `decoder`.

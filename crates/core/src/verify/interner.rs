@@ -3,10 +3,11 @@
 //! The delta-stepping executor (see `executor.rs`) visits `|Σ|^n`
 //! labelings per block, but the *distinct* radius-r views a node ever sees
 //! is tiny: a view is determined by its skeleton class (the unlabeled
-//! canonical form, shared across nodes and blocks) plus the `|ball|`
-//! certificate digits stamped onto it. [`ViewInterner`] hash-conses views
-//! into dense `u32` ids so checks can store and compare ids instead of
-//! cloning and re-hashing whole [`View`]s, and [`digit_key`] packs the
+//! canonical form plus the block's alphabet, shared across nodes and
+//! blocks) and the `|ball|` certificate digits stamped onto it.
+//! [`ViewInterner`] hash-conses views into dense `u32` ids so checks can
+//! store and compare ids instead of cloning and re-hashing whole
+//! [`View`]s, and [`digit_key`] packs the
 //! `(class, digits)` identity into a `u128` so the common case skips view
 //! stamping entirely — the id is found by one integer-keyed map probe.
 //!
@@ -37,9 +38,9 @@ pub const DIGIT_KEY_MAX_NODES: usize = 12;
 /// corresponding original node, in the skeleton's canonical node order.
 ///
 /// Because the class id pins the skeleton (and hence the number of view
-/// nodes and which original node fills each slot), two equal keys denote
-/// stamped views that are equal, and two distinct stampings of the same
-/// class differ in some digit byte. Returns `None` when the identity does
+/// nodes and which original node fills each slot) and the alphabet the
+/// digits index, two equal keys denote stamped views that are equal, and
+/// two distinct stampings of the same class differ in some digit byte. Returns `None` when the identity does
 /// not fit (more than [`DIGIT_KEY_MAX_NODES`] view nodes, or an alphabet
 /// beyond 256 symbols) — callers then fall back to interning the stamped
 /// view by full hash.

@@ -15,7 +15,7 @@
 //!   built once;
 //! * **verdict channels** — members that declared the same decoder via
 //!   [`DynPropertyCheck::with_channel`] share one delta-maintained
-//!   verdict vector and one digit-key memo, so the decoder runs once per
+//!   verdict vector and one verdict memo, so the decoder runs once per
 //!   changed ball per item instead of once per member.
 //!
 //! # Per-member short-circuit, budget, and resume

@@ -50,9 +50,9 @@ pub enum SweepCounter {
     /// Sum of orbit multiplicities over inspected representatives — for
     /// a complete quotient walk this re-adds up to the full universe.
     OrbitMultiplicity = 3,
-    /// Digit-key verdict-memo hits (per-worker, scheduling-dependent).
+    /// Verdict-memo hits (per-worker, scheduling-dependent).
     MemoHits = 4,
-    /// Digit-key verdict-memo misses (decoder actually ran).
+    /// Verdict-memo misses (decoder actually ran).
     MemoMisses = 5,
     /// Node-verdict decisions requested from the delta driver — every
     /// one lands in exactly one of the memo counters, which the

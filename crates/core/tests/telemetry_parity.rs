@@ -269,7 +269,7 @@ mod enabled {
     }
 
     /// Delta-stepping channel accounting: every verdict decision either
-    /// hit or missed the digit-key memo, and each walked item was either
+    /// hit or missed the verdict memo, and each walked item was either
     /// refreshed or read back.
     #[test]
     fn memo_and_refresh_counters_tile_the_decision_stream() {
