@@ -2,7 +2,7 @@
 //!
 //! [`MUTANTS`] lists every seeded mutant in the production crates — name,
 //! host crate, mutated site, and the probes expected to kill it. The
-//! catalog is the human-readable coverage contract; [`run_battery`]
+//! catalog is the human-readable coverage contract; `run_battery`
 //! (compiled only under `--cfg conformance_mutants`, like the mutants
 //! themselves) is its enforcement: activate each mutant, replay the whole
 //! probe list, and demand at least one probe panics. A surviving mutant
@@ -80,13 +80,13 @@ pub const MUTANTS: &[Mutant] = &[
     Mutant {
         name: "checked_off_by_one",
         host: "hiding-lcp-core",
-        site: "short-circuited sweep reports stop_at items checked",
+        site: "shared reduce reports stop_at items checked for a short-circuited member",
         expected_killers: &["short_circuit_count"],
     },
     Mutant {
         name: "chunk_claim_overlap",
         host: "hiding-lcp-core",
-        site: "parallel cursor advances one less than the processed chunk",
+        site: "shared parallel walk's cursor advances one less than the processed chunk",
         expected_killers: &["parallel_chunk_census"],
     },
     Mutant {

@@ -6,7 +6,7 @@
 //! both the production code *and* the oracle would get wrong together if
 //! the shared view layer drifted). The test suites run every probe on the
 //! clean build via [`ALL`]; the mutation battery
-//! ([`crate::catalog::run_battery`]) replays the same list against each
+//! (`crate::catalog::run_battery`) replays the same list against each
 //! seeded mutant and demands at least one probe panics.
 //!
 //! Probes must therefore be deterministic, self-contained and quick: the

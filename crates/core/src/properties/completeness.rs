@@ -164,10 +164,6 @@ pub fn completeness_member<'a>(
 /// The caller is responsible for passing only instances whose graphs lie
 /// in the LCP's promise class (completeness quantifies over yes-instances
 /// only).
-///
-/// Runs as a one-member fused panel (see [`crate::verify::sweep_panel`])
-/// — observationally identical to the plain sweep, which the panel
-/// differential suite asserts.
 pub fn check_completeness<D, P, I>(decoder: &D, prover: &P, instances: I) -> CompletenessReport
 where
     D: Decoder + ?Sized,
@@ -179,11 +175,8 @@ where
     // coverage over instances is whatever the caller sampled.
     let universe = Universe::instances_only(instances, Coverage::Sampled)
         .expect("one item per materialized instance fits usize");
-    let check = CompletenessCheck { decoder, prover };
-    let member = DynPropertyCheck::new(PropertyTag::Completeness, "completeness", check);
     SweepSession::over(&universe)
-        .run_panel(std::slice::from_ref(&member))
-        .into_member_report::<CompletenessReport>(0)
+        .run(&CompletenessCheck { decoder, prover })
         .verdict
 }
 

@@ -223,10 +223,6 @@ where
 /// [`Universe::coverage`] rather than asserted by the caller. The verdict
 /// comes with the neighborhood graph (for witness extraction) and the
 /// sweep's execution evidence.
-///
-/// Runs as a one-member fused panel (see [`crate::verify::sweep_panel`])
-/// — observationally identical to the plain sweep, which the panel
-/// differential suite asserts.
 pub fn verify_hiding<D, F>(
     decoder: &D,
     universe: &Universe,
@@ -238,10 +234,7 @@ where
     F: Fn(&Graph) -> bool,
 {
     let check = HidingCheck::new(decoder, universe, k, is_yes);
-    let member = DynPropertyCheck::new(PropertyTag::Hiding, "hiding", check);
-    SweepSession::over(universe)
-        .run_panel(std::slice::from_ref(&member))
-        .into_member_report(0)
+    SweepSession::over(universe).run(&check)
 }
 
 #[cfg(test)]

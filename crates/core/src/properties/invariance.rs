@@ -1,7 +1,7 @@
 //! Empirical anonymity and order-invariance checks (paper, Section 2.2).
 //!
 //! Because the runtime canonicalizes views to the decoder's declared
-//! [`IdMode`](crate::view::IdMode), a decoder *cannot* depend on more
+//! [`IdMode`], a decoder *cannot* depend on more
 //! identifier information than declared. These checks run the other
 //! direction: they certify that a decoder's observable behavior on a given
 //! instance really is invariant under identifier permutations

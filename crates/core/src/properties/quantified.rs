@@ -215,10 +215,6 @@ where
 
 /// Builds `V(D, ·)` over `universe` on the engine and classifies its views
 /// by extractability, returning both with the sweep's execution evidence.
-///
-/// Runs as a one-member fused panel (see [`crate::verify::sweep_panel`])
-/// — observationally identical to the plain sweep, which the panel
-/// differential suite asserts.
 pub fn verify_extractability<D, F>(
     decoder: &D,
     universe: &Universe,
@@ -230,10 +226,7 @@ where
     F: Fn(&Graph) -> bool,
 {
     let check = QuantifiedCheck::new(decoder, universe, k, is_yes);
-    let member = DynPropertyCheck::new(PropertyTag::Quantified, "quantified", check);
-    SweepSession::over(universe)
-        .run_panel(std::slice::from_ref(&member))
-        .into_member_report(0)
+    SweepSession::over(universe).run(&check)
 }
 
 #[cfg(test)]

@@ -186,20 +186,15 @@ pub fn check_strong_exhaustive<D: Decoder + ?Sized>(
     instance: &Instance,
     alphabet: &[Certificate],
 ) -> Result<usize, StrongViolation> {
-    let check = StrongCheck { decoder, language };
-    match Universe::all_labelings_of(instance.clone(), alphabet.to_vec(), Coverage::Exhaustive) {
-        Ok(universe) => SweepSession::over(&universe).run(&check).verdict,
-        // |alphabet|^n overflows the flat index space; iterate lazily
-        // instead, which a violation can still end early.
-        Err(_) => {
-            LazySweep::of(instance, Coverage::Exhaustive)
-                .run(
-                    &check,
-                    all_labelings(instance.graph().node_count(), alphabet),
-                )
-                .verdict
-        }
-    }
+    check_strong_exhaustive_with(
+        decoder,
+        language,
+        instance,
+        alphabet,
+        ExecMode::Auto,
+        &SweepBudget::unlimited(),
+    )
+    .verdict
 }
 
 /// [`check_strong_exhaustive`] with explicit execution control: the sweep
@@ -208,10 +203,6 @@ pub fn check_strong_exhaustive<D: Decoder + ?Sized>(
 /// and any caught inspection panics. An exhausted budget yields a partial
 /// verdict with [`Coverage::Sampled`] — explicitly *not* a proof of
 /// strong soundness.
-///
-/// Runs as a one-member fused panel (see
-/// [`crate::verify::sweep_panel`]) — observationally identical to the
-/// plain budgeted sweep, which the panel differential suite asserts.
 pub fn check_strong_exhaustive_with<D: Decoder + ?Sized>(
     decoder: &D,
     language: &KCol,
@@ -220,22 +211,19 @@ pub fn check_strong_exhaustive_with<D: Decoder + ?Sized>(
     mode: ExecMode,
     budget: &SweepBudget,
 ) -> VerificationReport<Result<usize, StrongViolation>> {
+    let check = StrongCheck { decoder, language };
     match Universe::all_labelings_of(instance.clone(), alphabet.to_vec(), Coverage::Exhaustive) {
-        Ok(universe) => {
-            let check = StrongCheck { decoder, language };
-            let member = DynPropertyCheck::new(PropertyTag::Strong, "strong", check);
-            SweepSession::over(&universe)
-                .mode(mode)
-                .budget(*budget)
-                .run_panel(std::slice::from_ref(&member))
-                .into_member_report(0)
-        }
+        Ok(universe) => SweepSession::over(&universe)
+            .mode(mode)
+            .budget(*budget)
+            .run(&check),
         // |alphabet|^n overflows the flat index space; iterate lazily
-        // instead (necessarily sequential, still budgeted).
+        // instead (necessarily sequential, still budgeted), which a
+        // violation can still end early.
         Err(_) => LazySweep::of(instance, Coverage::Exhaustive)
             .budget(*budget)
             .run(
-                &StrongCheck { decoder, language },
+                &check,
                 all_labelings(instance.graph().node_count(), alphabet),
             ),
     }

@@ -1,17 +1,17 @@
-//! Resilience primitives for the sweep executor: structured per-item
+//! Resilience primitives for the sweep engine: structured per-item
 //! errors, execution budgets, and resume tokens.
 //!
-//! These three types turn the executor from "all or nothing" into a
-//! machine that degrades explicitly:
+//! These types turn the engine from "all or nothing" into a machine that
+//! degrades explicitly:
 //!
 //! * [`SweepError`] — a [`super::PropertyCheck::inspect`] call (or the
-//!   item decode feeding it) panicked. The executor catches the unwind,
+//!   item decode feeding it) panicked. The engine catches the unwind,
 //!   records the offending flat index and panic payload, and keeps
 //!   sweeping; the report's coverage downgrades to
 //!   [`super::Coverage::Sampled`] because the erroring items were not
 //!   actually verified.
 //! * [`SweepBudget`] — a wall-clock deadline and/or an item cap for one
-//!   executor call. A budget that expires mid-sweep ends it with an
+//!   engine call. A budget that expires mid-sweep ends it with an
 //!   `interrupted` report (again [`super::Coverage::Sampled`] — an
 //!   interrupted `Exhaustive` sweep proves nothing universal) instead of
 //!   running unbounded.
@@ -19,10 +19,13 @@
 //!   sweep: the next unvisited index plus the partials and errors
 //!   recorded so far. Because inspection is pure and the visited set is
 //!   always the contiguous prefix `[0, next_index)`, feeding the token
-//!   back into [`super::resume_sweep`] and letting it finish yields the
-//!   *same verdict, partials and checked count* as one uninterrupted
-//!   sweep — bit-identical resume, asserted by the engine parity suite.
+//!   back into [`super::SweepSession::resume`] and letting it finish
+//!   yields the *same verdict, partials and checked count* as one
+//!   uninterrupted sweep — bit-identical resume, asserted by the engine
+//!   parity suite. [`PanelResumeToken`] is the panel counterpart, one
+//!   [`MemberFrontier`] per member.
 
+use super::erased::ErasedPartial;
 use std::any::Any;
 use std::time::Duration;
 
@@ -59,7 +62,7 @@ impl SweepError {
     }
 }
 
-/// Execution limits for one executor call.
+/// Execution limits for one engine call.
 ///
 /// Both limits are per-call: a resumed sweep gets a fresh deadline and a
 /// fresh item allowance. [`SweepBudget::unlimited`] (the default) imposes
@@ -119,7 +122,7 @@ impl SweepBudget {
     }
 
     /// Tells the attached telemetry recorder (if any) that this budget
-    /// interrupted a sweep. The executor calls this exactly once per
+    /// interrupted a sweep. The engine calls this exactly once per
     /// interrupted pass, so `budget_interruptions` counts interruptions,
     /// not polls.
     pub(super) fn note_interruption(&self, recorder: Option<&dyn super::SweepRecorder>) {
@@ -131,11 +134,11 @@ impl SweepBudget {
 
 /// The continuation of an interrupted sweep.
 ///
-/// Holds the executor's whole interim state: the next unvisited flat
+/// Holds the engine's whole interim state: the next unvisited flat
 /// index (the visited set is always the prefix `[0, next_index)`) plus
 /// every partial and error recorded so far. Pass it to
-/// [`super::resume_sweep`] to continue; the chain of calls reproduces an
-/// uninterrupted sweep's report exactly.
+/// [`super::SweepSession::resume`] to continue; the chain of calls
+/// reproduces an uninterrupted sweep's report exactly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResumeToken<P> {
     /// First flat index not yet visited.
@@ -158,23 +161,26 @@ impl<P> ResumeToken<P> {
 }
 
 /// The continuation of an interrupted fused panel
-/// ([`super::sweep_panel_budgeted`]).
+/// ([`super::SweepSession::run_panel_budgeted`]).
 ///
 /// One shared `next_index` describes the enumeration frontier — as with
 /// [`ResumeToken`], the visited set is always the contiguous prefix
 /// `[0, next_index)` — while each member keeps its own
 /// [`MemberFrontier`]: its recorded partials and errors, plus its
 /// short-circuit index if it already dropped out of the walk. Feeding the
-/// token to [`super::resume_panel`] continues every still-active member
-/// from the shared frontier; members that stopped are carried through
-/// untouched, so the resumed chain reproduces an uninterrupted panel's
-/// per-member reports exactly.
+/// token to [`super::SweepSession::resume_panel`] continues every
+/// still-active member from the shared frontier; members that stopped are
+/// carried through untouched, so the resumed chain reproduces an
+/// uninterrupted panel's per-member reports exactly.
+///
+/// `P` is the members' partial type: type-erased for a panel; the engine
+/// runs a typed sweep on the same shape with one member.
 #[derive(Debug)]
-pub struct PanelResumeToken {
+pub struct PanelResumeToken<P = ErasedPartial> {
     /// First flat index not yet visited by the panel walk.
     pub next_index: usize,
     /// Per-member state, in panel member order.
-    pub members: Vec<MemberFrontier>,
+    pub members: Vec<MemberFrontier<P>>,
 }
 
 impl PanelResumeToken {
@@ -183,27 +189,22 @@ impl PanelResumeToken {
     pub fn start(members: usize) -> PanelResumeToken {
         PanelResumeToken {
             next_index: 0,
-            members: (0..members)
-                .map(|_| MemberFrontier {
-                    stop_at: None,
-                    partials: Vec::new(),
-                    errors: Vec::new(),
-                })
-                .collect(),
+            members: (0..members).map(|_| MemberFrontier::new()).collect(),
         }
     }
 }
 
 /// One panel member's interim state inside a [`PanelResumeToken`].
 #[derive(Debug)]
-pub struct MemberFrontier {
+pub struct MemberFrontier<P = ErasedPartial> {
     /// The member's short-circuit index: `Some(s)` when its lowest
     /// deciding item was `s` (the member inspects nothing past it on
     /// resume and reports `checked = s + 1`), `None` while still active.
     pub stop_at: Option<usize>,
     /// Partials the member recorded in `[0, next_index)`, sorted by
-    /// index, type-erased (clones of the member's concrete partials).
-    pub partials: Vec<(usize, super::erased::ErasedPartial)>,
+    /// index (for a panel, type-erased clones of the member's concrete
+    /// partials).
+    pub partials: Vec<(usize, P)>,
     /// Errors the member recorded in `[0, next_index)`, sorted by index.
     pub errors: Vec<SweepError>,
 }

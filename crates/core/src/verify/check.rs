@@ -132,10 +132,10 @@ pub trait PropertyCheck: Sync {
 }
 
 /// A shared reference runs as the check it points to. This is what lets
-/// one owned check back several executor calls — e.g. the shard merge
-/// path, which replays per-shard fragments through panel members built
-/// over `&check` while keeping the checks (and their interners) alive
-/// outside the member list.
+/// one owned check back several engine calls: a typed sweep runs the
+/// engine with `&check` as its one member, and panel members built over
+/// `&check` keep the checks (and their interners) alive outside the
+/// member list.
 impl<C: PropertyCheck> PropertyCheck for &C {
     type Partial = C::Partial;
     type Verdict = C::Verdict;
@@ -195,9 +195,9 @@ pub struct SweepOutcome {
     /// many extra items worker threads touched before noticing the stop.
     ///
     /// **Panel semantics.** In a fused panel
-    /// ([`super::sweep_panel`](crate::verify::sweep_panel)) the count is
-    /// *per member*: a member that short-circuited at its lowest index
-    /// `s_m` receives `checked = s_m + 1` — exactly what its own
+    /// ([`SweepSession::run_panel`](super::SweepSession::run_panel)) the
+    /// count is *per member*: a member that short-circuited at its lowest
+    /// index `s_m` receives `checked = s_m + 1` — exactly what its own
     /// single-check sweep would report — while a member that never
     /// short-circuited receives the panel walk's end (the universe size,
     /// or the interruption point). Members therefore see *different*

@@ -111,8 +111,8 @@ trait ErasedCheck: Sync {
 
 /// The generic-to-erased adapter. Partial downcasts cannot fail: every
 /// box handed back to a member was produced by that member's own
-/// `inspect`, which the panel executor guarantees by keying partials by
-/// member index.
+/// `inspect`, which the engine guarantees by keying partials by member
+/// index.
 struct ErasedMember<C: PropertyCheck> {
     check: C,
     summarize: Option<Summarizer<C::Verdict>>,

@@ -1,22 +1,12 @@
-//! The sweep executor: runs a [`PropertyCheck`] over a [`Universe`],
-//! sequentially or on worker threads, with identical observable results.
+//! The walk's building blocks: execution options, the skeleton cache,
+//! the odometer walker, and delta-evaluated verdicts.
 //!
-//! # Determinism contract
-//!
-//! For any check and universe, [`sweep_with`] returns the same verdict,
-//! the same `checked` count and the same partials (hence the same witness)
-//! under every [`ExecMode`]. The parallel path guarantees this by:
-//!
-//! 1. claiming fixed-size chunks of the index space from an atomic cursor
-//!    (which items run on which thread varies — it doesn't matter);
-//! 2. folding every short-circuiting index into an atomic minimum
-//!    (`fetch_min`), never a "first to finish" race;
-//! 3. after joining, discarding partials above the final minimum and
-//!    sorting the rest by index.
-//!
-//! Since [`PropertyCheck::inspect`] is a pure function of the item, the
-//! surviving set equals exactly what the sequential loop records, and
-//! `checked` is defined as `min_short_circuit_index + 1` either way.
+//! The one sweep engine ([`super::panel`]) drives these per item; this
+//! module owns what a single step needs — how to reach an item, how to
+//! stamp its views, and how to keep the decoder's verdicts current —
+//! plus the options ([`ExecMode`], [`SweepOpts`]) and the typed result
+//! types ([`BudgetedSweep`], [`SweepFragment`]) every sweep is configured
+//! and answered with.
 //!
 //! # Hot path: odometer stepping and delta evaluation
 //!
@@ -28,72 +18,49 @@
 //! certificate allocation. Nothing is allocated per item.
 //!
 //! When the check opts in via [`PropertyCheck::verdict_decoder`], node
-//! verdicts are *delta-evaluated* on top: the executor precomputes, per
-//! block, the radius-r ball around each node (by inverting the skeleton
-//! cache's canonical node orders — `u ∈ ball(v)` iff `v` appears in `u`'s
-//! skeleton), and when digit `v` steps it re-runs the decoder only for
-//! nodes in `ball(v)`, patching a per-thread verdict vector. This is sound
-//! because a node's verdict is a function of its radius-r view alone (the
-//! LCP model), and the view of `u` reads exactly the certificates of the
-//! nodes in `u`'s skeleton. A per-thread memo short-cuts repeated local
-//! configurations without even stamping the view: a node's `(skeleton
-//! class, ball digits)` identity indexes a dense one-byte-per-entry table
-//! of its class (the ball digits read as a base-`|alphabet|` number).
-//! Classes whose table would exceed [`MEMO_TABLE_CAP`] entries are not
-//! memoized.
+//! verdicts are *delta-evaluated* on top: a [`DeltaDriver`] precomputes,
+//! per block, the radius-r ball around each node (by inverting the
+//! skeleton cache's canonical node orders — `u ∈ ball(v)` iff `v` appears
+//! in `u`'s skeleton), and when digit `v` steps, [`refresh_verdicts`]
+//! re-runs the decoder only for nodes in `ball(v)`, patching a
+//! per-thread verdict vector. This is sound because a node's verdict is a
+//! function of its radius-r view alone (the LCP model), and the view of
+//! `u` reads exactly the certificates of the nodes in `u`'s skeleton. A
+//! per-thread memo short-cuts repeated local configurations without even
+//! stamping the view: a node's `(skeleton class, ball digits)` identity
+//! indexes a dense one-byte-per-entry table of its class (the ball digits
+//! read as a base-`|alphabet|` number). Classes whose table would exceed
+//! [`MEMO_TABLE_CAP`] entries are not memoized.
 //!
 //! The index-decoded path survives as [`SweepStrategy::DecodeOracle`]; the
-//! `engine_parity` suite proves the two strategies observationally
-//! identical. All of this is invisible to reports and resume tokens —
-//! determinism is unchanged because the stepped labeling at index `i`
-//! equals the decoded labeling at index `i` exactly.
-//!
-//! # Resilience
-//!
-//! Three failure modes degrade explicitly instead of aborting (see
-//! [`super::budget`]):
-//!
-//! * every item inspection runs under `catch_unwind`, so a panicking
-//!   decoder becomes a [`SweepError`] naming the item, not a poisoned
-//!   sweep — worker threads never die of a check panic (a panic mid-patch
-//!   leaves the thread's verdict scratch marked invalid, so the next item
-//!   recomputes from the odometer state, which engine code alone
-//!   maintains);
-//! * [`sweep_budgeted`] accepts a [`SweepBudget`]; an expired budget ends
-//!   the call with `interrupted` set, the report's coverage downgraded to
-//!   [`Coverage::Sampled`], and a [`ResumeToken`];
-//! * [`resume_sweep`] continues from a token. The visited set is always
-//!   the contiguous prefix `[0, next_index)` — the parallel path checks
-//!   the deadline *before* claiming a chunk and every claimed chunk runs
-//!   to completion, so no holes — which is what makes a resumed chain
-//!   reproduce the uninterrupted report bit-for-bit.
+//! `engine_parity` suite proves the strategies observationally identical.
+//! All of this is invisible to reports and resume tokens — the stepped
+//! labeling at index `i` equals the decoded labeling at index `i`
+//! exactly.
 //!
 //! # Skeleton cache
 //!
-//! Before the sweep, the executor computes one [`ViewSkeleton`] per node
-//! per requested `(radius, id_mode)` configuration per block. During the
-//! sweep, [`ItemCtx::view`] stamps the item's labeling onto the cached
+//! Before the walk, the engine computes one [`ViewSkeleton`] per node per
+//! requested `(radius, id_mode)` configuration per block. During the
+//! walk, [`ItemCtx::view`] stamps the item's labeling onto the cached
 //! skeleton instead of re-canonicalizing — the cache is read-only and
 //! lock-free while workers run. For an all-labelings block this turns
 //! `|alphabet|^n` BFS canonicalizations per node into one. Skeletons with
 //! equal protos in blocks with equal alphabets additionally share a *class
 //! id* (assigned in build order, hence deterministic), the anchor of every
 //! digit-indexed memo.
+//!
+//! [`PropertyCheck::verdict_decoder`]: super::PropertyCheck::verdict_decoder
 
-use super::budget::{ResumeToken, SweepBudget, SweepError};
-use super::check::{ExecEvidence, PropertyCheck, SweepOutcome, VerificationReport};
-use super::session::{LazySweep, SweepSession};
-use super::symmetry::QuotientPlan;
-use super::telemetry::{MetricsRecorder, SweepCounter, SweepPhase, SweepRecorder, WorkerTally};
-use super::universe::{Block, Coverage, LabelSource, Universe, UniverseItem};
+use super::budget::{ResumeToken, SweepError};
+use super::check::VerificationReport;
+use super::telemetry::WorkerTally;
+use super::universe::{LabelSource, Universe, UniverseItem};
 use crate::decoder::{Decoder, Verdict};
-use crate::instance::{Instance, LabeledInstance};
 use crate::label::{Certificate, Labeling};
 use crate::view::{IdMode, View, ViewSkeleton};
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 /// How to drive the sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,9 +102,10 @@ pub enum SweepStrategy {
     DecodeOracle,
     /// Delta stepping restricted to canonical orbit representatives under
     /// the symmetries the check declares via
-    /// [`PropertyCheck::symmetry_class`]: non-canonical items are stepped
-    /// over without inspection, and each representative carries its orbit
-    /// size in [`ItemCtx::multiplicity`]. Observationally identical to
+    /// [`PropertyCheck::symmetry_class`](super::PropertyCheck::symmetry_class):
+    /// non-canonical items are stepped over without inspection, and each
+    /// representative carries its orbit size in
+    /// [`ItemCtx::multiplicity`]. Observationally identical to
     /// [`SweepStrategy::DeltaStepping`] (verdicts, witnesses, `checked`);
     /// checks declaring no symmetry fall back to the full walk.
     Quotient,
@@ -266,8 +234,9 @@ impl SkeletonCache {
     }
 }
 
-/// Handed to [`PropertyCheck::inspect`]: view extraction for the item's
-/// block, backed by the shared skeleton cache.
+/// Handed to [`PropertyCheck::inspect`](super::PropertyCheck::inspect):
+/// view extraction for the item's block, backed by the shared skeleton
+/// cache.
 pub struct ItemCtx<'a> {
     block: usize,
     cache: &'a SkeletonCache,
@@ -279,7 +248,8 @@ pub struct ItemCtx<'a> {
 
 impl<'a> ItemCtx<'a> {
     /// Assembles a context for one item of `block`. Engine-internal: the
-    /// fused panel executor builds contexts against its unioned cache.
+    /// engine builds contexts against its unioned cache.
+    #[inline]
     pub(super) fn new(
         block: usize,
         cache: &'a SkeletonCache,
@@ -302,7 +272,7 @@ impl<'a> ItemCtx<'a> {
 impl ItemCtx<'_> {
     /// The item's own view of node `v` (the item's labeling, stamped onto
     /// the block's cached skeleton when `(radius, id_mode)` was requested
-    /// via [`PropertyCheck::view_configs`]).
+    /// via [`PropertyCheck::view_configs`](super::PropertyCheck::view_configs)).
     pub fn view(&self, item: &UniverseItem<'_>, v: usize, radius: usize, id_mode: IdMode) -> View {
         self.view_with(item, item.labeling, v, radius, id_mode)
     }
@@ -345,11 +315,11 @@ impl ItemCtx<'_> {
     /// The cached skeleton identity of node `v` under `(radius,
     /// id_mode)`: the skeleton's class id (its proto and the block's
     /// alphabet) plus its canonical node order (which original nodes the
-    /// view reads, in stamping order). `None`
-    /// when the configuration was not requested via
-    /// [`PropertyCheck::view_configs`]. Feed into
-    /// [`digit_key`](super::interner::digit_key) with the item's digits to
-    /// get a compact identity of the stamped view.
+    /// view reads, in stamping order). `None` when the configuration was
+    /// not requested via
+    /// [`PropertyCheck::view_configs`](super::PropertyCheck::view_configs).
+    /// Feed into [`digit_key`](super::interner::digit_key) with the item's
+    /// digits to get a compact identity of the stamped view.
     pub fn skeleton_key(
         &self,
         v: usize,
@@ -397,405 +367,11 @@ impl ItemCtx<'_> {
 pub struct BudgetedSweep<V, P> {
     /// The report. When `report.interrupted` is set, the verdict covers
     /// only the visited prefix and `report.coverage` is
-    /// [`Coverage::Sampled`].
+    /// [`Coverage::Sampled`](super::Coverage::Sampled).
     pub report: VerificationReport<V>,
     /// `Some` exactly when the sweep was interrupted; feed it to
-    /// [`resume_sweep`] to continue.
+    /// [`SweepSession::resume`](super::SweepSession::resume) to continue.
     pub resume: Option<ResumeToken<P>>,
-}
-
-/// Sweeps `check` over `universe` in [`ExecMode::Auto`].
-#[deprecated(note = "use `SweepSession::over(universe).run(check)`")]
-pub fn sweep<C: PropertyCheck>(check: &C, universe: &Universe) -> VerificationReport<C::Verdict> {
-    SweepSession::over(universe).run(check)
-}
-
-/// Sweeps `check` over `universe` in the given mode. See the module docs
-/// for the determinism contract.
-#[deprecated(note = "use `SweepSession::over(universe).mode(mode).run(check)`")]
-pub fn sweep_with<C: PropertyCheck>(
-    check: &C,
-    universe: &Universe,
-    mode: ExecMode,
-) -> VerificationReport<C::Verdict> {
-    SweepSession::over(universe).mode(mode).run(check)
-}
-
-/// [`sweep_with`] under explicit engine options — for parity testing and
-/// benchmarking the enumeration strategies against each other. Every
-/// option combination produces the same report fields except the cache and
-/// memo counters.
-#[deprecated(note = "use `SweepSession::over(universe).mode(mode).opts(opts).run(check)`")]
-pub fn sweep_with_opts<C: PropertyCheck>(
-    check: &C,
-    universe: &Universe,
-    mode: ExecMode,
-    opts: SweepOpts,
-) -> VerificationReport<C::Verdict> {
-    SweepSession::over(universe)
-        .mode(mode)
-        .opts(opts)
-        .run(check)
-}
-
-/// [`sweep_with_opts`] with a telemetry recorder attached: the engine
-/// streams counters, phase timings and spans into `recorder` as it runs
-/// (see [`super::telemetry`]). Without the `telemetry` feature the
-/// recorder is inert and this is exactly [`sweep_with_opts`].
-#[deprecated(note = "use `SweepSession::over(universe).metrics(recorder).run(check)`")]
-pub fn sweep_recorded<C: PropertyCheck>(
-    check: &C,
-    universe: &Universe,
-    mode: ExecMode,
-    opts: SweepOpts,
-    recorder: &MetricsRecorder,
-) -> VerificationReport<C::Verdict> {
-    SweepSession::over(universe)
-        .mode(mode)
-        .opts(opts)
-        .metrics(recorder)
-        .run(check)
-}
-
-/// Sweeps `check` over `universe` under an execution budget. An expired
-/// budget ends the call early: the report is flagged `interrupted`, its
-/// coverage is downgraded to [`Coverage::Sampled`], and
-/// [`BudgetedSweep::resume`] carries the continuation.
-#[deprecated(note = "use `SweepSession::over(universe).budget(budget).run_budgeted(check)`")]
-pub fn sweep_budgeted<C: PropertyCheck>(
-    check: &C,
-    universe: &Universe,
-    mode: ExecMode,
-    budget: &SweepBudget,
-) -> BudgetedSweep<C::Verdict, C::Partial>
-where
-    C::Partial: Clone,
-{
-    SweepSession::over(universe)
-        .mode(mode)
-        .budget(*budget)
-        .run_budgeted(check)
-}
-
-/// [`sweep_budgeted`] under explicit engine options.
-#[deprecated(
-    note = "use `SweepSession::over(universe).budget(budget).opts(opts).run_budgeted(check)`"
-)]
-pub fn sweep_budgeted_with_opts<C: PropertyCheck>(
-    check: &C,
-    universe: &Universe,
-    mode: ExecMode,
-    budget: &SweepBudget,
-    opts: SweepOpts,
-) -> BudgetedSweep<C::Verdict, C::Partial>
-where
-    C::Partial: Clone,
-{
-    SweepSession::over(universe)
-        .mode(mode)
-        .budget(*budget)
-        .opts(opts)
-        .run_budgeted(check)
-}
-
-/// Continues an interrupted sweep from its [`ResumeToken`], under a fresh
-/// budget. The chain of budgeted calls visits exactly the indices an
-/// uninterrupted sweep would and reproduces its verdict, partials and
-/// `checked` count.
-#[deprecated(note = "use `SweepSession::over(universe).budget(budget).resume(check, token)`")]
-pub fn resume_sweep<C: PropertyCheck>(
-    check: &C,
-    universe: &Universe,
-    mode: ExecMode,
-    budget: &SweepBudget,
-    token: ResumeToken<C::Partial>,
-) -> BudgetedSweep<C::Verdict, C::Partial>
-where
-    C::Partial: Clone,
-{
-    SweepSession::over(universe)
-        .mode(mode)
-        .budget(*budget)
-        .resume(check, token)
-}
-
-/// [`resume_sweep`] under explicit engine options.
-#[deprecated(
-    note = "use `SweepSession::over(universe).budget(budget).opts(opts).resume(check, token)`"
-)]
-pub fn resume_sweep_with_opts<C: PropertyCheck>(
-    check: &C,
-    universe: &Universe,
-    mode: ExecMode,
-    budget: &SweepBudget,
-    token: ResumeToken<C::Partial>,
-    opts: SweepOpts,
-) -> BudgetedSweep<C::Verdict, C::Partial>
-where
-    C::Partial: Clone,
-{
-    SweepSession::over(universe)
-        .mode(mode)
-        .budget(*budget)
-        .opts(opts)
-        .resume(check, token)
-}
-
-/// The cloning tokenizer the budgeted entry points pass to
-/// [`run_resumable`] (they carry the `C::Partial: Clone` bound; the
-/// unbudgeted [`SweepSession::run`] passes a `None`-returning closure and
-/// imposes no bound).
-pub(super) fn tokenize<P: Clone>(
-    partials: &[(usize, P)],
-    errors: &[SweepError],
-    next_index: usize,
-) -> Option<ResumeToken<P>> {
-    Some(ResumeToken {
-        next_index,
-        partials: partials.to_vec(),
-        errors: errors.to_vec(),
-    })
-}
-
-/// What one capped executor pass over the universe produced: the merged,
-/// sorted, retention-filtered walk state plus the walk's counters. This is
-/// the shared middle of [`run_resumable`] (which reduces it into a report)
-/// and [`run_fragment`] (which hands it to the shard merge un-reduced).
-struct SweepPassState<P> {
-    /// Recorded partials (token-merged, sorted by index, nothing past the
-    /// short-circuit).
-    partials: Vec<(usize, P)>,
-    /// Caught inspection errors, sorted by index.
-    errors: Vec<SweepError>,
-    /// Lowest short-circuiting index (`usize::MAX` = none).
-    stop_at: usize,
-    /// First index not visited by the walk.
-    next: usize,
-    threads: usize,
-    cache_hits: usize,
-    cache_misses: usize,
-    memo_hits: usize,
-    memo_misses: usize,
-}
-
-/// One capped pass: cache build, engine assembly, the walk over
-/// `[token.next_index, min(next_index + max_items, limit))`, counter
-/// flushing, and the token merge + retention. `limit` is the exclusive
-/// end cap — the universe size for a whole sweep, the shard's `hi` for a
-/// fragment. Emits every recorder event of a sweep except the enclosing
-/// span and the reduce phase, which the callers own.
-#[allow(clippy::too_many_arguments)] // the args are the sweep's state, not a config
-fn run_pass<C: PropertyCheck>(
-    check: &C,
-    universe: &Universe,
-    mode: ExecMode,
-    budget: &SweepBudget,
-    token: ResumeToken<C::Partial>,
-    opts: SweepOpts,
-    recorder: Option<&dyn SweepRecorder>,
-    limit: usize,
-    start: Instant,
-) -> SweepPassState<C::Partial> {
-    let deadline = budget.deadline.map(|d| start + d);
-    let oracle = opts.strategy == SweepStrategy::DecodeOracle;
-    let decoder = if oracle {
-        None
-    } else {
-        check.verdict_decoder()
-    };
-    let mut configs = check.view_configs();
-    if let Some(d) = decoder {
-        // The delta path stamps the decoder's views off the cache; make
-        // sure its configuration is cached even if the check forgot to
-        // list it.
-        configs.push((d.radius(), d.id_mode()));
-    }
-    let phase_start = recorder.map(|r| r.now_micros());
-    let cache = SkeletonCache::build(universe, configs);
-    if let (Some(r), Some(t0)) = (recorder, phase_start) {
-        r.record_phase(SweepPhase::CacheBuild, r.now_micros().saturating_sub(t0));
-    }
-    let hits = AtomicUsize::new(0);
-    let misses = AtomicUsize::new(cache.populated);
-    let memo_hits = AtomicUsize::new(0);
-    let memo_misses = AtomicUsize::new(0);
-    let driver =
-        decoder.map(|d| DeltaDriver::build(d, universe, &cache, |b| check.uses_verdicts(b)));
-    let quotient = (opts.strategy == SweepStrategy::Quotient)
-        .then(|| QuotientPlan::build(universe, |alphabet| check.symmetry_class(alphabet)))
-        .flatten();
-    let engine = Engine {
-        check,
-        universe,
-        cache: &cache,
-        driver,
-        quotient,
-        hits: &hits,
-        misses: &misses,
-        memo_hits: &memo_hits,
-        memo_misses: &memo_misses,
-        memo_on: opts.memo,
-        oracle,
-        recorder,
-    };
-    let begin = token.next_index.min(limit);
-    // `max_items` is enforced by clamping the sweep's end index, which
-    // makes it exact — and identical — in every execution mode.
-    let end = match budget.max_items {
-        Some(m) => begin.saturating_add(m).min(limit),
-        None => limit,
-    };
-    let threads = resolve_threads(mode, end.saturating_sub(begin));
-
-    let walk_start = recorder.map(|r| r.now_micros());
-    let outcome = if threads > 1 {
-        run_parallel(&engine, threads, begin, end, deadline)
-    } else {
-        run_sequential(&engine, begin, end, deadline)
-    };
-    if let (Some(r), Some(t0)) = (recorder, walk_start) {
-        r.record_phase(SweepPhase::Walk, r.now_micros().saturating_sub(t0));
-    }
-    if let Some(r) = recorder {
-        r.add(SweepCounter::PanicsCaught, outcome.errors.len() as u64);
-        r.add(SweepCounter::CacheHits, hits.load(Ordering::Relaxed) as u64);
-        r.add(
-            SweepCounter::CacheMisses,
-            misses.load(Ordering::Relaxed) as u64,
-        );
-        r.add(
-            SweepCounter::MemoHits,
-            memo_hits.load(Ordering::Relaxed) as u64,
-        );
-        r.add(
-            SweepCounter::MemoMisses,
-            memo_misses.load(Ordering::Relaxed) as u64,
-        );
-        if let Some(plan) = &engine.quotient {
-            r.add(SweepCounter::QuotientBlocks, plan.active_blocks());
-        }
-    }
-
-    let mut partials = token.partials;
-    partials.extend(outcome.partials);
-    partials.sort_by_key(|&(i, _)| i);
-    let mut errors = token.errors;
-    errors.extend(outcome.errors);
-    errors.sort_by_key(|e| e.item_index);
-
-    let short_circuited = outcome.stop_at != usize::MAX;
-    if short_circuited {
-        partials.retain(|&(i, _)| i <= outcome.stop_at);
-        errors.retain(|e| e.item_index <= outcome.stop_at);
-    }
-    SweepPassState {
-        partials,
-        errors,
-        stop_at: outcome.stop_at,
-        next: outcome.next,
-        threads,
-        cache_hits: hits.load(Ordering::Relaxed),
-        cache_misses: misses.load(Ordering::Relaxed),
-        memo_hits: memo_hits.load(Ordering::Relaxed),
-        memo_misses: memo_misses.load(Ordering::Relaxed),
-    }
-}
-
-/// The shared engine behind every whole-universe entry point (today that
-/// means [`SweepSession`]; the deprecated free functions shim onto it).
-/// `make_token` builds the continuation when the sweep is interrupted; see
-/// [`tokenize`]. When a recorder is attached, phase timings are measured
-/// by the *recorder's* clock (never ambient time) and the engine
-/// additionally emits sweep/block/chunk spans.
-#[allow(clippy::too_many_arguments)] // the args are the sweep's state, not a config
-pub(super) fn run_resumable<C: PropertyCheck>(
-    check: &C,
-    universe: &Universe,
-    mode: ExecMode,
-    budget: &SweepBudget,
-    token: ResumeToken<C::Partial>,
-    opts: SweepOpts,
-    recorder: Option<&dyn SweepRecorder>,
-    make_token: impl Fn(&[(usize, C::Partial)], &[SweepError], usize) -> Option<ResumeToken<C::Partial>>,
-) -> BudgetedSweep<C::Verdict, C::Partial> {
-    let start = Instant::now();
-    if let Some(r) = recorder {
-        r.span_enter("sweep");
-    }
-    let n = universe.len();
-    let pass = run_pass(
-        check, universe, mode, budget, token, opts, recorder, n, start,
-    );
-    let short_circuited = pass.stop_at != usize::MAX;
-    // `checked` keeps sequential semantics: the visited set is the prefix
-    // [0, next), so this is simply how far the prefix reaches.
-    let checked = if short_circuited {
-        pass.stop_at + 1
-    } else {
-        pass.next
-    };
-    #[cfg(conformance_mutants)]
-    let checked = if crate::mutants::active("checked_off_by_one") && short_circuited {
-        checked - 1
-    } else {
-        checked
-    };
-    let interrupted = !short_circuited && pass.next < n;
-    let resume = if interrupted {
-        make_token(&pass.partials, &pass.errors, pass.next)
-    } else {
-        None
-    };
-    // An interrupted or error-bearing sweep visited (or verified) only
-    // part of the universe: whatever it concludes is evidence from a
-    // sample, never a universal statement.
-    let coverage = if interrupted || !pass.errors.is_empty() {
-        Coverage::Sampled
-    } else {
-        universe.coverage()
-    };
-
-    if interrupted {
-        budget.note_interruption(recorder);
-    }
-    let sweep_outcome = SweepOutcome {
-        checked,
-        universe_size: n,
-        short_circuited,
-    };
-    let reduce_start = recorder.map(|r| r.now_micros());
-    let verdict = check.reduce(universe, pass.partials, &sweep_outcome);
-    if let (Some(r), Some(t0)) = (recorder, reduce_start) {
-        r.record_phase(SweepPhase::Reduce, r.now_micros().saturating_sub(t0));
-    }
-    let interner = check.interner_report();
-    if let (Some(r), Some(report)) = (recorder, &interner) {
-        report.record_into(r);
-    }
-    if let Some(r) = recorder {
-        r.span_exit("sweep");
-    }
-    BudgetedSweep {
-        report: VerificationReport {
-            verdict,
-            evidence: ExecEvidence {
-                checked,
-                universe_size: n,
-                short_circuited,
-                interrupted,
-                coverage,
-                errors: pass.errors,
-                cache_hits: pass.cache_hits,
-                cache_misses: pass.cache_misses,
-                memo_hits: pass.memo_hits,
-                memo_misses: pass.memo_misses,
-                elapsed: start.elapsed(),
-                threads: pass.threads,
-                interner,
-            },
-        },
-        resume,
-    }
 }
 
 /// One shard's slice of a sweep: the un-reduced walk state over the
@@ -842,316 +418,6 @@ impl<P> SweepFragment<P> {
     }
 }
 
-/// Runs one shard's pass over `[lo, hi)` without reducing: the fragment
-/// carries everything the merge needs. A budget applies to this call
-/// alone (`max_items` caps this shard's items; `deadline` is wall-clock
-/// from this call), and a budget stop inside the range marks a budget
-/// interruption exactly as a whole-universe sweep would.
-#[allow(clippy::too_many_arguments)] // the args are the sweep's state, not a config
-pub(super) fn run_fragment<C: PropertyCheck>(
-    check: &C,
-    universe: &Universe,
-    mode: ExecMode,
-    budget: &SweepBudget,
-    token: ResumeToken<C::Partial>,
-    opts: SweepOpts,
-    recorder: Option<&dyn SweepRecorder>,
-    lo: usize,
-    hi: usize,
-) -> SweepFragment<C::Partial> {
-    let start = Instant::now();
-    if let Some(r) = recorder {
-        r.span_enter("sweep");
-    }
-    let hi = hi.min(universe.len());
-    let mut token = token;
-    if token.next_index < lo {
-        token.next_index = lo;
-    }
-    let pass = run_pass(
-        check, universe, mode, budget, token, opts, recorder, hi, start,
-    );
-    if pass.stop_at == usize::MAX && pass.next < hi {
-        budget.note_interruption(recorder);
-    }
-    if let Some(r) = recorder {
-        r.span_exit("sweep");
-    }
-    SweepFragment {
-        lo,
-        hi,
-        next: pass.next,
-        stop_at: (pass.stop_at != usize::MAX).then_some(pass.stop_at),
-        partials: pass.partials,
-        errors: pass.errors,
-    }
-}
-
-/// Sweeps `check` over labelings pulled lazily from `labelings`, all on
-/// the same `instance`.
-///
-/// Unlike [`sweep`], nothing is materialized: items are drawn one at a
-/// time and the sweep stops *pulling* at the first short-circuiting item.
-/// A stateful source — e.g. labelings drawn from a caller's RNG — is
-/// therefore advanced exactly `checked` times, matching the pre-engine
-/// sampling loops, and memory stays `O(1)` in the stream length.
-///
-/// The sweep is necessarily sequential (the source is a stateful
-/// iterator), but the view-skeleton cache is still built once for
-/// `instance` and shared by every item. Because the stream length is
-/// unknown until exhausted, the report's `universe_size` equals the number
-/// of items drawn, and [`PropertyCheck::reduce`] receives a synthetic
-/// one-block universe describing the bare `instance` — lazy sweeps suit
-/// checks whose `reduce` depends only on the partials and the
-/// [`SweepOutcome`], which is every check in this crate.
-#[deprecated(note = "use `LazySweep::of(instance, coverage).run(check, labelings)`")]
-pub fn sweep_lazy<C: PropertyCheck>(
-    check: &C,
-    instance: &Instance,
-    labelings: impl IntoIterator<Item = Labeling>,
-    coverage: Coverage,
-) -> VerificationReport<C::Verdict> {
-    LazySweep::of(instance, coverage).run(check, labelings)
-}
-
-/// [`sweep_lazy`] under a [`SweepBudget`]. An expired budget stops
-/// *drawing* (a stateful source is never advanced past the limit); the
-/// report is flagged `interrupted` with [`Coverage::Sampled`], and
-/// `checked` says how many items were drawn — a caller can resume by
-/// skipping that many items of a replayed source.
-#[deprecated(note = "use `LazySweep::of(instance, coverage).budget(budget).run(check, labelings)`")]
-pub fn sweep_lazy_budgeted<C: PropertyCheck>(
-    check: &C,
-    instance: &Instance,
-    labelings: impl IntoIterator<Item = Labeling>,
-    coverage: Coverage,
-    budget: &SweepBudget,
-) -> VerificationReport<C::Verdict> {
-    LazySweep::of(instance, coverage)
-        .budget(*budget)
-        .run(check, labelings)
-}
-
-/// The engine behind [`LazySweep::run`]: draws labelings one at a time,
-/// stops pulling at the first short-circuit or budget expiry.
-pub(super) fn run_lazy<C: PropertyCheck>(
-    check: &C,
-    instance: &Instance,
-    labelings: impl IntoIterator<Item = Labeling>,
-    coverage: Coverage,
-    budget: &SweepBudget,
-) -> VerificationReport<C::Verdict> {
-    let start = Instant::now();
-    let deadline = budget.deadline.map(|d| start + d);
-    // invariant: one `Unlabeled` block contributes exactly one item, far
-    // from overflowing the flat index space.
-    let universe = Universe::new(
-        vec![Block::new(instance.clone(), LabelSource::Unlabeled)],
-        coverage,
-    )
-    .expect("a single bare instance cannot overflow");
-    let cache = SkeletonCache::build(&universe, check.view_configs());
-    let hits = AtomicUsize::new(0);
-    let misses = AtomicUsize::new(cache.populated);
-    let shared = universe.blocks()[0].instance();
-    let mut partials = Vec::new();
-    let mut errors = Vec::new();
-    let mut checked = 0usize;
-    let mut short_circuited = false;
-    let mut interrupted = false;
-    for labeling in labelings {
-        if budget.max_items.is_some_and(|m| checked >= m)
-            || deadline.is_some_and(|d| Instant::now() >= d)
-        {
-            interrupted = true;
-            break;
-        }
-        let item = UniverseItem {
-            index: checked,
-            block: 0,
-            instance: shared,
-            labeling: &labeling,
-            digits: None,
-        };
-        checked += 1;
-        let ctx = ItemCtx {
-            block: 0,
-            cache: &cache,
-            hits: &hits,
-            misses: &misses,
-            memo: true,
-            multiplicity: 1,
-        };
-        match catch_unwind(AssertUnwindSafe(|| check.inspect(&item, &ctx))) {
-            Ok(Some(partial)) => {
-                let stop = check.short_circuits(&partial);
-                partials.push((item.index, partial));
-                if stop {
-                    short_circuited = true;
-                    break;
-                }
-            }
-            Ok(None) => {}
-            Err(payload) => errors.push(SweepError::from_panic(item.index, payload)),
-        }
-    }
-    finish_lazy(
-        check,
-        &universe,
-        partials,
-        errors,
-        checked,
-        short_circuited,
-        interrupted,
-        &hits,
-        &misses,
-        start,
-    )
-}
-
-/// Sweeps `check` over labeled instances pulled lazily from `items`.
-///
-/// The streaming counterpart of a `Fixed`-per-block universe (one instance
-/// per item, e.g. the identifier variants of the invariance checks): draws
-/// stop at the first short-circuiting item, so a stateful source advances
-/// exactly `checked` times and memory stays `O(1)` in the stream length.
-/// Each item's view skeletons are computed on arrival — the same
-/// per-variant cost the eager universe pays. As with [`sweep_lazy`], the
-/// report's `universe_size` equals the number of items drawn and
-/// [`PropertyCheck::reduce`] receives a synthetic universe (here an empty
-/// one, as there is no single shared instance).
-#[deprecated(note = "use `LazySweep::labeled(coverage).run_labeled(check, items)`")]
-pub fn sweep_lazy_labeled<C: PropertyCheck>(
-    check: &C,
-    items: impl IntoIterator<Item = LabeledInstance>,
-    coverage: Coverage,
-) -> VerificationReport<C::Verdict> {
-    LazySweep::labeled(coverage).run_labeled(check, items)
-}
-
-/// The engine behind [`LazySweep::run_labeled`]: draws labeled instances
-/// one at a time, each with its own one-item skeleton cache. An expired
-/// budget stops *drawing*, exactly as [`run_lazy`] does.
-pub(super) fn run_lazy_labeled<C: PropertyCheck>(
-    check: &C,
-    items: impl IntoIterator<Item = LabeledInstance>,
-    coverage: Coverage,
-    budget: &SweepBudget,
-) -> VerificationReport<C::Verdict> {
-    let start = Instant::now();
-    let deadline = budget.deadline.map(|d| start + d);
-    let configs = check.view_configs();
-    // invariant: zero blocks sum to zero items — overflow is impossible.
-    let reduce_universe =
-        Universe::new(Vec::new(), coverage).expect("an empty universe cannot overflow");
-    let hits = AtomicUsize::new(0);
-    let misses = AtomicUsize::new(0);
-    let mut partials = Vec::new();
-    let mut errors = Vec::new();
-    let mut checked = 0usize;
-    let mut short_circuited = false;
-    let mut interrupted = false;
-    for li in items {
-        if budget.max_items.is_some_and(|m| checked >= m)
-            || deadline.is_some_and(|d| Instant::now() >= d)
-        {
-            interrupted = true;
-            break;
-        }
-        let (instance, labeling) = li.into_parts();
-        // invariant: one `Unlabeled` block contributes exactly one item,
-        // far from overflowing the flat index space.
-        let mini = Universe::new(vec![Block::new(instance, LabelSource::Unlabeled)], coverage)
-            .expect("a single bare instance cannot overflow");
-        let cache = SkeletonCache::build(&mini, configs.clone());
-        misses.fetch_add(cache.populated, Ordering::Relaxed);
-        let item = UniverseItem {
-            index: checked,
-            block: 0,
-            instance: mini.blocks()[0].instance(),
-            labeling: &labeling,
-            digits: None,
-        };
-        checked += 1;
-        let ctx = ItemCtx {
-            block: 0,
-            cache: &cache,
-            hits: &hits,
-            misses: &misses,
-            memo: true,
-            multiplicity: 1,
-        };
-        match catch_unwind(AssertUnwindSafe(|| check.inspect(&item, &ctx))) {
-            Ok(Some(partial)) => {
-                let stop = check.short_circuits(&partial);
-                partials.push((item.index, partial));
-                if stop {
-                    short_circuited = true;
-                    break;
-                }
-            }
-            Ok(None) => {}
-            Err(payload) => errors.push(SweepError::from_panic(item.index, payload)),
-        }
-    }
-    finish_lazy(
-        check,
-        &reduce_universe,
-        partials,
-        errors,
-        checked,
-        short_circuited,
-        interrupted,
-        &hits,
-        &misses,
-        start,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn finish_lazy<C: PropertyCheck>(
-    check: &C,
-    universe: &Universe,
-    partials: Vec<(usize, C::Partial)>,
-    errors: Vec<SweepError>,
-    checked: usize,
-    short_circuited: bool,
-    interrupted: bool,
-    hits: &AtomicUsize,
-    misses: &AtomicUsize,
-    start: Instant,
-) -> VerificationReport<C::Verdict> {
-    let coverage = if interrupted || !errors.is_empty() {
-        Coverage::Sampled
-    } else {
-        universe.coverage()
-    };
-    let outcome = SweepOutcome {
-        checked,
-        universe_size: checked,
-        short_circuited,
-    };
-    let verdict = check.reduce(universe, partials, &outcome);
-    VerificationReport {
-        verdict,
-        evidence: ExecEvidence {
-            checked,
-            universe_size: checked,
-            short_circuited,
-            interrupted,
-            coverage,
-            errors,
-            cache_hits: hits.load(Ordering::Relaxed),
-            cache_misses: misses.load(Ordering::Relaxed),
-            memo_hits: 0,
-            memo_misses: 0,
-            elapsed: start.elapsed(),
-            threads: 1,
-            interner: check.interner_report(),
-        },
-    }
-}
-
 pub(super) fn resolve_threads(mode: ExecMode, items: usize) -> usize {
     if !cfg!(feature = "parallel") || items < PARALLEL_THRESHOLD {
         return 1;
@@ -1163,33 +429,6 @@ pub(super) fn resolve_threads(mode: ExecMode, items: usize) -> usize {
             .map(|p| p.get().min(items))
             .unwrap_or(1),
     }
-}
-
-/// What one executor pass over `[begin, end)` produced.
-struct PassOutcome<P> {
-    partials: Vec<(usize, P)>,
-    errors: Vec<SweepError>,
-    /// Lowest short-circuiting index (`usize::MAX` = none).
-    stop_at: usize,
-    /// First index not visited: `end` on natural completion, earlier when
-    /// the deadline fired. Everything below it was inspected.
-    next: usize,
-}
-
-/// Immutable per-sweep state shared by every worker thread.
-struct Engine<'e, C: PropertyCheck> {
-    check: &'e C,
-    universe: &'e Universe,
-    cache: &'e SkeletonCache,
-    driver: Option<DeltaDriver<'e>>,
-    quotient: Option<QuotientPlan>,
-    hits: &'e AtomicUsize,
-    misses: &'e AtomicUsize,
-    memo_hits: &'e AtomicUsize,
-    memo_misses: &'e AtomicUsize,
-    memo_on: bool,
-    oracle: bool,
-    recorder: Option<&'e dyn SweepRecorder>,
 }
 
 /// The delta-evaluation plan for a check with a
@@ -1424,25 +663,6 @@ fn dense_index(order: &[usize], digits: &[usize], radix: usize) -> usize {
         .fold(0, |index, &orig| index * radix + digits[orig])
 }
 
-/// A worker thread's mutable state.
-struct WorkerState {
-    walker: Walker,
-    scratch: VerdictScratch,
-    memo: VerdictMemo,
-    tally: WorkerTally,
-}
-
-impl WorkerState {
-    fn new(memo_on: bool) -> WorkerState {
-        WorkerState {
-            walker: Walker::default(),
-            scratch: VerdictScratch::default(),
-            memo: VerdictMemo::new(memo_on),
-            tally: WorkerTally::default(),
-        }
-    }
-}
-
 /// One node's verdict: the class's dense memo table first (when the memo
 /// is enabled and the class is under the cap), decoder run on the stamped
 /// view otherwise.
@@ -1560,290 +780,4 @@ pub(super) fn refresh_verdicts(
         }
     }
     scratch.pos = Some((block, offset));
-}
-
-impl<C: PropertyCheck> Engine<'_, C> {
-    /// Inspects item `i` via the delta-stepping walker (or the decode
-    /// oracle when so configured), under panic isolation.
-    ///
-    /// `AssertUnwindSafe` is justified because `inspect` is required to be
-    /// a pure function of the item, and the walker's odometer state is
-    /// only mutated by engine code *before* the guarded region — a panic
-    /// inside the decoder or the check invalidates the verdict scratch but
-    /// leaves the odometer consistent.
-    fn run_item(
-        &self,
-        state: &mut WorkerState,
-        i: usize,
-    ) -> Result<Option<C::Partial>, SweepError> {
-        state.tally.walk();
-        if self.oracle {
-            state.tally.inspect(1);
-            return self.inspect_decoded(i);
-        }
-        let (block, offset) = self.universe.locate(i);
-        let stepped = state.walker.advance_to(self.universe, block, offset);
-        let mut multiplicity = 1u64;
-        if let Some(plan) = &self.quotient {
-            // Quotient strategy: only canonical orbit representatives are
-            // inspected. A skipped item still cost one odometer step, so
-            // the walker stays consistent and `checked` keeps counting
-            // every index; the verdict scratch goes stale, which the next
-            // representative repairs with a full recompute.
-            match plan.classify(block, &state.walker.digits) {
-                Some(m) => multiplicity = m,
-                None => {
-                    state.tally.orbit_skip();
-                    return Ok(None);
-                }
-            }
-        }
-        state.tally.inspect(multiplicity);
-        let instance = self.universe.blocks()[block].instance();
-        let ctx = ItemCtx {
-            block,
-            cache: self.cache,
-            hits: self.hits,
-            misses: self.misses,
-            memo: self.memo_on,
-            multiplicity,
-        };
-        let use_verdicts = self
-            .driver
-            .as_ref()
-            .is_some_and(|d| d.verdict_blocks[block]);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let WorkerState {
-                walker,
-                scratch,
-                memo,
-                tally,
-            } = state;
-            if use_verdicts {
-                let driver = self.driver.as_ref().expect("checked above");
-                refresh_verdicts(
-                    driver, self.cache, block, offset, walker, scratch, memo, tally, stepped,
-                );
-                let item = UniverseItem {
-                    index: i,
-                    block,
-                    instance,
-                    labeling: &walker.labeling,
-                    digits: Some(&walker.digits),
-                };
-                self.check
-                    .inspect_with_verdicts(&item, &scratch.verdicts, &ctx)
-            } else {
-                let item = UniverseItem {
-                    index: i,
-                    block,
-                    instance,
-                    labeling: &walker.labeling,
-                    digits: (!walker.digits.is_empty()).then_some(walker.digits.as_slice()),
-                };
-                self.check.inspect(&item, &ctx)
-            }
-        }));
-        result.map_err(|payload| SweepError::from_panic(i, payload))
-    }
-
-    /// The decode-from-index oracle: materializes item `i` independently
-    /// and runs the plain `inspect`.
-    fn inspect_decoded(&self, i: usize) -> Result<Option<C::Partial>, SweepError> {
-        catch_unwind(AssertUnwindSafe(|| {
-            let buf = self.universe.item(i);
-            let ctx = ItemCtx {
-                block: buf.block,
-                cache: self.cache,
-                hits: self.hits,
-                misses: self.misses,
-                memo: self.memo_on,
-                multiplicity: 1,
-            };
-            self.check.inspect(&buf.as_item(), &ctx)
-        }))
-        .map_err(|payload| SweepError::from_panic(i, payload))
-    }
-
-    /// Folds a worker's local memo counters into the sweep totals and
-    /// its telemetry tally into the attached recorder (if any).
-    fn flush_memo(&self, state: &WorkerState) {
-        self.memo_hits.fetch_add(state.memo.hits, Ordering::Relaxed);
-        self.memo_misses
-            .fetch_add(state.memo.misses, Ordering::Relaxed);
-        state.tally.flush(self.recorder);
-    }
-}
-
-fn run_sequential<C: PropertyCheck>(
-    engine: &Engine<'_, C>,
-    begin: usize,
-    end: usize,
-    deadline: Option<Instant>,
-) -> PassOutcome<C::Partial> {
-    let mut state = WorkerState::new(engine.memo_on);
-    let mut partials = Vec::new();
-    let mut errors = Vec::new();
-    let mut stop_at = usize::MAX;
-    let mut next = end;
-    // Span bookkeeping (recorder-only): the sequential walk visits
-    // blocks in order, so one `locate` per item — paid only when a
-    // recorder is attached — detects every block transition.
-    let mut span_block: Option<usize> = None;
-    for i in begin..end {
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            next = i;
-            break;
-        }
-        if let Some(r) = engine.recorder {
-            let (block, _) = engine.universe.locate(i);
-            if span_block != Some(block) {
-                if let Some(b) = span_block {
-                    r.span_exit(&format!("block:{b}"));
-                }
-                r.span_enter(&format!("block:{block}"));
-                span_block = Some(block);
-            }
-        }
-        match engine.run_item(&mut state, i) {
-            Ok(Some(partial)) => {
-                let stop = engine.check.short_circuits(&partial);
-                partials.push((i, partial));
-                if stop {
-                    stop_at = i;
-                    next = i + 1;
-                    break;
-                }
-            }
-            Ok(None) => {}
-            Err(err) => errors.push(err),
-        }
-    }
-    if let (Some(r), Some(b)) = (engine.recorder, span_block) {
-        r.span_exit(&format!("block:{b}"));
-    }
-    engine.flush_memo(&state);
-    PassOutcome {
-        partials,
-        errors,
-        stop_at,
-        next,
-    }
-}
-
-#[cfg(feature = "parallel")]
-fn run_parallel<C: PropertyCheck>(
-    engine: &Engine<'_, C>,
-    threads: usize,
-    begin: usize,
-    end: usize,
-    deadline: Option<Instant>,
-) -> PassOutcome<C::Partial> {
-    let span = end - begin;
-    // Chunks small enough that threads converge quickly on a low
-    // short-circuit index, but with a floor: every chunk boundary costs
-    // the claiming worker one odometer resync (a full decode plus, on the
-    // delta path, a full verdict recompute), so tiny chunks would erase
-    // the delta win.
-    let chunk = (span / (threads * 8)).clamp(16, 1024);
-    let cursor = AtomicUsize::new(begin);
-    // Lowest short-circuiting index seen so far (usize::MAX = none).
-    let stop_at = AtomicUsize::new(usize::MAX);
-
-    let mut partials: Vec<(usize, C::Partial)> = Vec::new();
-    let mut errors: Vec<SweepError> = Vec::new();
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut state = WorkerState::new(engine.memo_on);
-                    let mut local: Vec<(usize, C::Partial)> = Vec::new();
-                    let mut local_errors: Vec<SweepError> = Vec::new();
-                    loop {
-                        // The deadline is checked before claiming, and a
-                        // claimed chunk always runs to completion — so
-                        // the visited set stays the contiguous prefix
-                        // [begin, cursor) and a ResumeToken can describe
-                        // it with one index.
-                        if deadline.is_some_and(|d| Instant::now() >= d) {
-                            break;
-                        }
-                        let claim = chunk;
-                        #[cfg(conformance_mutants)]
-                        let claim = if crate::mutants::active("chunk_claim_overlap") {
-                            chunk - 1
-                        } else {
-                            claim
-                        };
-                        let start = cursor.fetch_add(claim, Ordering::Relaxed);
-                        // The cursor only grows, so once a claimed chunk
-                        // lies entirely past the stop index, all later
-                        // claims will too.
-                        if start >= end || start > stop_at.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        if let Some(r) = engine.recorder {
-                            r.span_enter(&format!("chunk:{start}"));
-                        }
-                        for i in start..(start + chunk).min(end) {
-                            if i > stop_at.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            match engine.run_item(&mut state, i) {
-                                Ok(Some(partial)) => {
-                                    let stop = engine.check.short_circuits(&partial);
-                                    local.push((i, partial));
-                                    if stop {
-                                        stop_at.fetch_min(i, Ordering::Relaxed);
-                                        break;
-                                    }
-                                }
-                                Ok(None) => {}
-                                Err(err) => local_errors.push(err),
-                            }
-                        }
-                        if let Some(r) = engine.recorder {
-                            r.span_exit(&format!("chunk:{start}"));
-                        }
-                    }
-                    engine.flush_memo(&state);
-                    (local, local_errors)
-                })
-            })
-            .collect();
-        for worker in workers {
-            // invariant: check panics are caught per item by `run_item`,
-            // so a worker can only die of a bug in the executor itself —
-            // propagate that loudly.
-            let (local, local_errors) = worker.join().expect("sweep worker panicked");
-            partials.extend(local);
-            errors.extend(local_errors);
-        }
-    });
-    let stop = stop_at.load(Ordering::Relaxed);
-    // Natural termination bumps the cursor past `end`; a deadline stop
-    // leaves it at the first unclaimed index. Claimed chunks always
-    // complete, so everything below this index was inspected.
-    let next = if stop != usize::MAX {
-        end
-    } else {
-        cursor.load(Ordering::Relaxed).min(end)
-    };
-    PassOutcome {
-        partials,
-        errors,
-        stop_at: stop,
-        next,
-    }
-}
-
-#[cfg(not(feature = "parallel"))]
-fn run_parallel<C: PropertyCheck>(
-    engine: &Engine<'_, C>,
-    _threads: usize,
-    begin: usize,
-    end: usize,
-    deadline: Option<Instant>,
-) -> PassOutcome<C::Partial> {
-    run_sequential(engine, begin, end, deadline)
 }

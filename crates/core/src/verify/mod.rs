@@ -24,6 +24,11 @@
 //!   [`crate::view::ViewSkeleton`] cache so each node's view is
 //!   canonicalized once per block instead of once per labeling
 //!   ([`LazySweep`] is the streaming counterpart for iterator sources);
+//! * one engine walks the odometer for every entry point: a typed sweep
+//!   is the engine over its one check, a fused panel the engine over
+//!   type-erased [`DynPropertyCheck`] members, and both share one pass,
+//!   one sequential and one parallel walk, one reduce and one shard
+//!   merge;
 //! * every sweep returns a [`VerificationReport`]: the verdict plus how
 //!   many instances were checked, cache hits/misses, wall-clock time and
 //!   thread count;
@@ -48,14 +53,10 @@
 //!   div/mod decoding, and checks exposing a
 //!   [`PropertyCheck::verdict_decoder`] get *delta-evaluated* verdicts:
 //!   only nodes whose radius-r ball contains the changed digit are
-//!   re-decided, with a digit-keyed memo ([`interner`]) short-cutting
+//!   re-decided, with a dense per-class verdict memo short-cutting
 //!   repeated local configurations. The decode-from-index oracle survives
 //!   as [`SweepStrategy::DecodeOracle`] and the `engine_parity` suite
 //!   proves the two paths observationally identical.
-//!
-//! The pre-builder free functions (`sweep`, `sweep_with`, the
-//! `sweep_panel*` set, …) survive as `#[deprecated]` shims over
-//! [`SweepSession`] and [`LazySweep`].
 //!
 //! The concrete properties live where they always did (in
 //! [`crate::properties`] and [`crate::nbhd`]); what moved here is the
@@ -78,21 +79,10 @@ pub mod universe;
 pub use budget::{MemberFrontier, PanelResumeToken, ResumeToken, SweepBudget, SweepError};
 pub use check::{ExecEvidence, PropertyCheck, SweepOutcome, VerificationReport};
 pub use erased::{DynPropertyCheck, ErasedPartial, ErasedVerdict, PanelVerdict, PropertyTag};
-#[allow(deprecated)]
-pub use executor::{
-    resume_sweep, resume_sweep_with_opts, sweep, sweep_budgeted, sweep_budgeted_with_opts,
-    sweep_lazy, sweep_lazy_budgeted, sweep_lazy_labeled, sweep_recorded, sweep_with,
-    sweep_with_opts,
-};
 pub use executor::{
     BudgetedSweep, ExecMode, ItemCtx, SweepFragment, SweepOpts, SweepStrategy, PARALLEL_THRESHOLD,
 };
 pub use interner::{digit_key, InternerReport, ViewId, ViewInterner};
-#[allow(deprecated)]
-pub use panel::{
-    resume_panel, resume_panel_with_opts, sweep_panel, sweep_panel_budgeted,
-    sweep_panel_budgeted_with_opts, sweep_panel_recorded, sweep_panel_with, sweep_panel_with_opts,
-};
 pub use panel::{BudgetedPanel, PanelFragment, PanelMemberReport, PanelReport};
 pub use plan::{
     AuditMemberReport, AuditPanelReport, AuditPlan, AuditReport, BlockGated, FaultSpec,
@@ -527,6 +517,29 @@ mod tests {
         )
         .expect_err("a torn fragment must be rejected");
         assert!(err.contains("torn"), "{err}");
+        // Records outside the fragment's own walk, or out of index order.
+        let mut stray = frag_of(ShardSpec::new(1, 2));
+        stray.partials.insert(0, (3, false));
+        let err = merge_fragments(
+            &check,
+            &universe,
+            ExecMode::Sequential,
+            vec![frag_of(ShardSpec::new(0, 2)), stray],
+            None,
+        )
+        .expect_err("a partial outside its fragment must be rejected");
+        assert!(err.contains("outside"), "{err}");
+        let mut repeated = frag_of(ShardSpec::new(0, 2));
+        repeated.partials.push((0, false));
+        let err = merge_fragments(
+            &check,
+            &universe,
+            ExecMode::Sequential,
+            vec![repeated, frag_of(ShardSpec::new(1, 2))],
+            None,
+        )
+        .expect_err("a repeated partial index must be rejected");
+        assert!(err.contains("out of order"), "{err}");
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! The fused panel executor: one odometer enumeration, every member
-//! check.
+//! The sweep engine: one odometer walk over a universe, evaluating every
+//! member check per item.
 //!
-//! A full audit of one certification scheme asks several property
-//! questions over the *same* universe — soundness, strong soundness and
-//! hiding all quantify over every labeling of the same instances. Run as
-//! individual sweeps, each pays the full enumeration, skeleton-cache
-//! build, and (on the delta path) verdict maintenance again.
-//! [`sweep_panel`] fuses them: it walks the universe once and evaluates
-//! every [`DynPropertyCheck`] member per item, sharing
+//! Every sweep runs here. A typed [`SweepSession::run`] is the engine over
+//! one member of the check's own type; a fused
+//! [`SweepSession::run_panel`] is the engine over [`DynPropertyCheck`]
+//! members. The engine is generic over the member type, so a typed sweep
+//! pays no erasure (no boxed partials, no vtable call per item), and a
+//! panel shares between its members
 //!
 //! * **the walk** — one [odometer](super::executor) step per item,
 //!   regardless of member count;
@@ -18,6 +17,13 @@
 //!   verdict vector and one verdict memo, so the decoder runs once per
 //!   changed ball per item instead of once per member.
 //!
+//! One pass (channel setup, cache build, delta drivers, quotient plans,
+//! the walk, the token merge) feeds three endings: a whole-range run
+//! reduces it into reports, a fragment hands it un-reduced to the shard
+//! merge, and the merge reduces a tiling of fragments. All three end in
+//! the same per-member reduce, which also closes the lazy draw loop
+//! behind [`super::LazySweep`].
+//!
 //! # Per-member short-circuit, budget, and resume
 //!
 //! Each member keeps its own frontier. A member whose partial
@@ -25,46 +31,64 @@
 //! the remaining members continue; the enumeration ends when every member
 //! has stopped or the universe is exhausted. Counts keep sequential
 //! semantics per member (see [`SweepOutcome::checked`]): a member that
-//! stopped at its lowest deciding index `s` reports `checked = s + 1`,
-//! exactly what its own single-check sweep would, which is what lets the
-//! property entry points run through one-member panels unchanged.
+//! stopped at its lowest deciding index `s` reports `checked = s + 1`.
 //!
-//! Budgets behave as in [`super::sweep_budgeted`]: the deadline is
-//! checked between items (sequential) or chunk claims (parallel), so the
-//! visited set is always the contiguous prefix `[0, next)`; an
-//! interrupted panel hands back a [`PanelResumeToken`] carrying the
-//! shared frontier plus every member's partials and stop index, and the
-//! resumed chain reproduces the uninterrupted panel bit-for-bit (the
-//! panel differential suite asserts this).
+//! An expired [`SweepBudget`] ends the call: the deadline is checked
+//! between items (sequential) or chunk claims (parallel), so the visited
+//! set is always the contiguous prefix `[0, next)`; an interrupted call
+//! hands back a continuation carrying the shared frontier plus every
+//! member's partials and stop index, and the resumed chain reproduces the
+//! uninterrupted call bit-for-bit.
 //!
 //! # Determinism
 //!
-//! The single-sweep contract lifts member-wise: for any member list,
-//! universe and options, every [`ExecMode`] produces identical member
-//! verdicts, `checked` counts and witnesses. The parallel path reuses the
-//! same machinery — atomic chunk cursor, per-member `fetch_min` stop
-//! folding, post-join filtering — with the stop horizon being the
-//! *maximum* over member stops (an item is only skippable when every
-//! member is past it).
+//! For any member list, universe and options, every [`ExecMode`] produces
+//! identical member verdicts, `checked` counts and witnesses. The
+//! parallel walk guarantees this by
+//!
+//! 1. claiming fixed-size chunks of the index space from an atomic cursor
+//!    (which items run on which thread varies — it doesn't matter);
+//! 2. folding every member's short-circuiting index into an atomic
+//!    minimum (`fetch_min`), never a "first to finish" race, with the walk
+//!    horizon being the *maximum* over member stops (an item is only
+//!    skippable when every member is past it);
+//! 3. after joining, discarding each member's partials above its final
+//!    stop and sorting the rest by index.
+//!
+//! Since [`PropertyCheck::inspect`] is a pure function of the item, the
+//! surviving set equals exactly what the sequential loop records.
+//!
+//! # Resilience
+//!
+//! Every inspection runs under `catch_unwind` ([`guarded`]), so a
+//! panicking check becomes a [`SweepError`] naming the item and the
+//! member, never a poisoned walk or a dead worker thread. A panic
+//! mid-patch leaves that channel's verdict scratch marked invalid, so the
+//! next item recomputes from the odometer state, which engine code alone
+//! maintains.
+//!
+//! [`SweepSession::run`]: super::SweepSession::run
+//! [`SweepSession::run_panel`]: super::SweepSession::run_panel
 
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use super::budget::{MemberFrontier, PanelResumeToken, SweepBudget, SweepError};
+use super::budget::{MemberFrontier, PanelResumeToken, ResumeToken, SweepBudget, SweepError};
 use super::check::{ExecEvidence, PropertyCheck, SweepOutcome, VerificationReport};
-use super::erased::{DynPropertyCheck, ErasedPartial, PanelVerdict, PropertyTag};
+use super::erased::{DynPropertyCheck, ErasedPartial, ErasedVerdict, PanelVerdict, PropertyTag};
 use super::executor::{
-    refresh_verdicts, resolve_threads, DeltaDriver, ExecMode, ItemCtx, SkeletonCache, SweepOpts,
-    SweepStrategy, VerdictMemo, VerdictScratch, Walker,
+    refresh_verdicts, resolve_threads, DeltaDriver, ExecMode, ItemCtx, SkeletonCache,
+    SweepFragment, SweepOpts, SweepStrategy, VerdictMemo, VerdictScratch, Walker,
 };
-use super::session::SweepSession;
 use super::symmetry::QuotientPlan;
-use super::telemetry::{MetricsRecorder, SweepCounter, SweepPhase, SweepRecorder, WorkerTally};
-use super::universe::{Coverage, Universe, UniverseItem};
+use super::telemetry::{SweepCounter, SweepPhase, SweepRecorder, WorkerTally};
+use super::universe::{Block, Coverage, LabelSource, Universe, UniverseItem};
 use crate::decoder::Decoder;
+use crate::instance::Instance;
+use crate::label::Labeling;
 use crate::view::IdMode;
-use std::any::Any;
 
 /// One member's slice of a [`PanelReport`].
 #[derive(Debug)]
@@ -105,34 +129,31 @@ pub struct PanelReport {
 }
 
 impl PanelReport {
-    /// Converts member `index` into the [`VerificationReport`] its own
-    /// single-check sweep would have produced: member-level counts and
-    /// coverage, panel-level cache/memo/clock/thread evidence. Panics if
-    /// `V` is not the member's verdict type.
-    pub fn into_member_report<V: Any>(mut self, index: usize) -> VerificationReport<V> {
-        let member = self.members.remove(index);
-        let verdict = member
-            .verdict
-            .downcast::<V>()
-            .expect("member verdict downcasts to its concrete type");
-        VerificationReport {
-            verdict,
-            evidence: ExecEvidence {
-                checked: member.checked,
-                universe_size: self.evidence.universe_size,
-                short_circuited: member.short_circuited,
-                interrupted: member.interrupted,
-                coverage: member.coverage,
-                errors: member.errors,
-                cache_hits: self.evidence.cache_hits,
-                cache_misses: self.evidence.cache_misses,
-                memo_hits: self.evidence.memo_hits,
-                memo_misses: self.evidence.memo_misses,
-                elapsed: self.evidence.elapsed,
-                threads: self.evidence.threads,
-                interner: self.evidence.interner,
-            },
-        }
+    /// Tags and summarizes the engine's per-member reports.
+    pub(super) fn assemble(
+        checks: &[DynPropertyCheck<'_>],
+        members: Vec<VerificationReport<ErasedVerdict>>,
+        evidence: ExecEvidence,
+    ) -> PanelReport {
+        let members = checks
+            .iter()
+            .zip(members)
+            .map(|(check, report)| {
+                let (passed, detail) = check.summarize(&*report.verdict);
+                let label = check.label().to_string();
+                PanelMemberReport {
+                    tag: check.tag(),
+                    label: label.clone(),
+                    verdict: PanelVerdict::new(check.tag(), label, passed, detail, report.verdict),
+                    checked: report.evidence.checked,
+                    short_circuited: report.evidence.short_circuited,
+                    interrupted: report.evidence.interrupted,
+                    coverage: report.evidence.coverage,
+                    errors: report.evidence.errors,
+                }
+            })
+            .collect();
+        PanelReport { members, evidence }
     }
 }
 
@@ -143,129 +164,453 @@ pub struct BudgetedPanel {
     /// verdicts cover only the visited prefix.
     pub report: PanelReport,
     /// `Some` exactly when the walk was interrupted; feed it to
-    /// [`resume_panel`] to continue.
+    /// [`SweepSession::resume_panel`](super::SweepSession::resume_panel)
+    /// to continue.
     pub resume: Option<PanelResumeToken>,
 }
 
-/// Fuses `checks` into one walk over `universe` in [`ExecMode::Auto`].
-#[deprecated(note = "use `SweepSession::over(universe).run_panel(checks)`")]
-pub fn sweep_panel(checks: &[DynPropertyCheck<'_>], universe: &Universe) -> PanelReport {
-    SweepSession::over(universe).run_panel(checks)
+/// One shard's slice of a fused panel: the un-reduced per-member walk
+/// state over the contiguous index range `[lo, hi)`. Produced by
+/// [`SweepSession::run_panel_fragment`](super::SweepSession::run_panel_fragment),
+/// consumed by
+/// [`merge_panel_fragments`](super::shard::merge_panel_fragments).
+///
+/// `P` is the members' partial type: type-erased for a panel; the engine
+/// produces a typed sweep's [`SweepFragment`] on the same shape with one
+/// member.
+#[derive(Debug)]
+pub struct PanelFragment<P = ErasedPartial> {
+    /// Range start (inclusive flat index).
+    pub lo: usize,
+    /// Range end (exclusive flat index).
+    pub hi: usize,
+    /// First index in `[lo, hi)` not visited; `hi` when the walk covered
+    /// the whole range (or every member stopped inside it).
+    pub next: usize,
+    /// Per-member frontiers, in member order: each member's local stop
+    /// index, partials and errors.
+    pub members: Vec<MemberFrontier<P>>,
 }
 
-/// [`sweep_panel`] in an explicit execution mode.
-#[deprecated(note = "use `SweepSession::over(universe).mode(mode).run_panel(checks)`")]
-pub fn sweep_panel_with(
-    checks: &[DynPropertyCheck<'_>],
-    universe: &Universe,
-    mode: ExecMode,
-) -> PanelReport {
-    SweepSession::over(universe).mode(mode).run_panel(checks)
+impl<P> PanelFragment<P> {
+    /// Whether the fragment's range is fully decided: the walk reached
+    /// `hi`, or every member short-circuited inside the range.
+    pub fn is_complete(&self) -> bool {
+        self.next >= self.hi || self.members.iter().all(|m| m.stop_at.is_some())
+    }
+
+    /// The continuation of an incomplete (budget-interrupted) fragment.
+    /// Feed it to
+    /// [`SweepSession::resume_panel_fragment`](super::SweepSession::resume_panel_fragment)
+    /// on a session with the same shard to finish the range.
+    pub fn into_resume_token(self) -> PanelResumeToken<P> {
+        PanelResumeToken {
+            next_index: self.next,
+            members: self.members,
+        }
+    }
 }
 
-/// [`sweep_panel_with`] under explicit engine options.
-#[deprecated(note = "use `SweepSession::over(universe).mode(mode).opts(opts).run_panel(checks)`")]
-pub fn sweep_panel_with_opts(
-    checks: &[DynPropertyCheck<'_>],
-    universe: &Universe,
-    mode: ExecMode,
-    opts: SweepOpts,
-) -> PanelReport {
-    SweepSession::over(universe)
-        .mode(mode)
-        .opts(opts)
-        .run_panel(checks)
+/// What the engine needs of a member beyond [`PropertyCheck`]: the key of
+/// the verdict channel it shares with other members.
+pub(super) trait Member: PropertyCheck {
+    /// Members with equal keys share one verdict channel; `None` gets a
+    /// private one.
+    fn channel_key(&self) -> Option<usize> {
+        None
+    }
 }
 
-/// [`sweep_panel_with_opts`] with a telemetry recorder attached: the
-/// fused walk streams counters, phase timings and panel/block/chunk
-/// spans into `recorder` (see [`super::telemetry`]). Without the
-/// `telemetry` feature the recorder is inert and this is exactly
-/// [`sweep_panel_with_opts`].
-#[deprecated(note = "use `SweepSession::over(universe).metrics(recorder).run_panel(checks)`")]
-pub fn sweep_panel_recorded(
-    checks: &[DynPropertyCheck<'_>],
-    universe: &Universe,
-    mode: ExecMode,
-    opts: SweepOpts,
-    recorder: &MetricsRecorder,
-) -> PanelReport {
-    SweepSession::over(universe)
-        .mode(mode)
-        .opts(opts)
-        .metrics(recorder)
-        .run_panel(checks)
+/// A typed sweep's one member.
+impl<C: PropertyCheck> Member for &C {}
+
+impl Member for DynPropertyCheck<'_> {
+    fn channel_key(&self) -> Option<usize> {
+        DynPropertyCheck::channel_key(self)
+    }
 }
 
-/// [`sweep_panel_with`] under an execution budget; an expired budget ends
-/// the walk with an `interrupted` report and a [`PanelResumeToken`].
-#[deprecated(note = "use `SweepSession::over(universe).budget(budget).run_panel_budgeted(checks)`")]
-pub fn sweep_panel_budgeted(
-    checks: &[DynPropertyCheck<'_>],
-    universe: &Universe,
-    mode: ExecMode,
-    budget: &SweepBudget,
-) -> BudgetedPanel {
-    SweepSession::over(universe)
-        .mode(mode)
-        .budget(*budget)
-        .run_panel_budgeted(checks)
+/// The engine's per-member walk record: its short-circuit index (`None`
+/// while it is still active) plus its partials and errors, each sorted by
+/// item index.
+impl<P> MemberFrontier<P> {
+    pub(super) fn new() -> MemberFrontier<P> {
+        MemberFrontier {
+            stop_at: None,
+            partials: Vec::new(),
+            errors: Vec::new(),
+        }
+    }
+
+    /// Files one guarded inspection of item `i`; returns whether its
+    /// partial short-circuits the member.
+    #[inline]
+    fn file<C: PropertyCheck<Partial = P>>(
+        &mut self,
+        check: &C,
+        i: usize,
+        result: Result<Option<P>, SweepError>,
+    ) -> bool {
+        match result {
+            Ok(Some(partial)) => {
+                let stop = check.short_circuits(&partial);
+                self.partials.push((i, partial));
+                stop
+            }
+            Ok(None) => false,
+            Err(err) => {
+                self.errors.push(err);
+                false
+            }
+        }
+    }
+
+    /// Sorts the records by index and drops everything past the member's
+    /// stop, restoring the sequential walk's invariants.
+    pub(super) fn settle(&mut self) {
+        self.partials.sort_by_key(|&(i, _)| i);
+        self.errors.sort_by_key(|e| e.item_index);
+        if let Some(s) = self.stop_at {
+            self.partials.retain(|&(i, _)| i <= s);
+            self.errors.retain(|e| e.item_index <= s);
+        }
+    }
 }
 
-/// [`sweep_panel_budgeted`] under explicit engine options.
-#[deprecated(
-    note = "use `SweepSession::over(universe).budget(budget).opts(opts).run_panel_budgeted(checks)`"
-)]
-pub fn sweep_panel_budgeted_with_opts(
-    checks: &[DynPropertyCheck<'_>],
-    universe: &Universe,
-    mode: ExecMode,
-    budget: &SweepBudget,
-    opts: SweepOpts,
-) -> BudgetedPanel {
-    SweepSession::over(universe)
-        .mode(mode)
-        .budget(*budget)
-        .opts(opts)
-        .run_panel_budgeted(checks)
+/// A typed token is the one member's record; it only ever describes a
+/// member that has not stopped (a stopped sweep is complete).
+impl<P> From<ResumeToken<P>> for PanelResumeToken<P> {
+    fn from(t: ResumeToken<P>) -> Self {
+        PanelResumeToken {
+            next_index: t.next_index,
+            members: vec![MemberFrontier {
+                stop_at: None,
+                partials: t.partials,
+                errors: t.errors,
+            }],
+        }
+    }
 }
 
-/// Continues an interrupted panel from its token under a fresh budget.
-/// The chain of budgeted calls reproduces an uninterrupted panel's
-/// per-member reports exactly.
-#[deprecated(
-    note = "use `SweepSession::over(universe).budget(budget).resume_panel(checks, token)`"
-)]
-pub fn resume_panel(
-    checks: &[DynPropertyCheck<'_>],
-    universe: &Universe,
-    mode: ExecMode,
-    budget: &SweepBudget,
-    token: PanelResumeToken,
-) -> BudgetedPanel {
-    SweepSession::over(universe)
-        .mode(mode)
-        .budget(*budget)
-        .resume_panel(checks, token)
+impl<P> From<PanelResumeToken<P>> for ResumeToken<P> {
+    fn from(mut t: PanelResumeToken<P>) -> Self {
+        let f = t.members.pop().expect("a typed token has one member");
+        ResumeToken {
+            next_index: t.next_index,
+            partials: f.partials,
+            errors: f.errors,
+        }
+    }
 }
 
-/// [`resume_panel`] under explicit engine options.
-#[deprecated(
-    note = "use `SweepSession::over(universe).budget(budget).opts(opts).resume_panel(checks, token)`"
-)]
-pub fn resume_panel_with_opts(
-    checks: &[DynPropertyCheck<'_>],
+impl<P> From<SweepFragment<P>> for PanelFragment<P> {
+    fn from(f: SweepFragment<P>) -> Self {
+        PanelFragment {
+            lo: f.lo,
+            hi: f.hi,
+            next: f.next,
+            members: vec![MemberFrontier {
+                stop_at: f.stop_at,
+                partials: f.partials,
+                errors: f.errors,
+            }],
+        }
+    }
+}
+
+impl<P> From<PanelFragment<P>> for SweepFragment<P> {
+    fn from(mut f: PanelFragment<P>) -> Self {
+        let m = f.members.pop().expect("a typed fragment has one member");
+        SweepFragment {
+            lo: f.lo,
+            hi: f.hi,
+            next: f.next,
+            stop_at: m.stop_at,
+            partials: m.partials,
+            errors: m.errors,
+        }
+    }
+}
+
+/// One engine call's settings, as the session resolved them.
+#[derive(Clone, Copy)]
+pub(super) struct Walk<'a> {
+    pub(super) universe: &'a Universe,
+    pub(super) mode: ExecMode,
+    pub(super) opts: SweepOpts,
+    pub(super) budget: SweepBudget,
+    pub(super) recorder: Option<&'a dyn SweepRecorder>,
+    /// The span enclosing the call: `"sweep"` for typed sweeps, `"panel"`
+    /// for panels.
+    pub(super) span: &'static str,
+}
+
+/// A whole-range call's result: one report per member, the walk-level
+/// evidence, and the continuation when the budget interrupted the walk
+/// (and the caller asked for one).
+pub(super) struct Run<V, P> {
+    pub(super) members: Vec<VerificationReport<V>>,
+    pub(super) evidence: ExecEvidence,
+    pub(super) resume: Option<PanelResumeToken<P>>,
+}
+
+/// A reduce's output: one report per member plus the walk-level evidence.
+pub(super) type Reduced<V> = (Vec<VerificationReport<V>>, ExecEvidence);
+
+/// Clones a member's partial into a continuation.
+pub(super) type Keep<C> = fn(&C, &<C as PropertyCheck>::Partial) -> <C as PropertyCheck>::Partial;
+
+/// The walk counters the reduce copies into the evidence. A live walk
+/// loads them from its atomics; the shard merge and the lazy draw loop
+/// pass their own (the merge has no walk: zeros — those counters are
+/// observed, not stable, so the stable report rendering never reads them).
+#[derive(Default)]
+pub(super) struct WalkStats {
+    pub(super) threads: usize,
+    pub(super) cache_hits: usize,
+    pub(super) cache_misses: usize,
+    pub(super) memo_hits: usize,
+    pub(super) memo_misses: usize,
+}
+
+/// Runs `checks` over the session's range from `token` and reduces every
+/// member. `keep` builds the continuation when the budget interrupts the
+/// walk; without it none is built (and partials need not be clonable).
+pub(super) fn run<C: Member>(
+    walk: &Walk<'_>,
+    checks: &[C],
+    token: PanelResumeToken<C::Partial>,
+    keep: Option<Keep<C>>,
+) -> Run<C::Verdict, C::Partial> {
+    let start = Instant::now();
+    let universe = walk.universe;
+    let n = universe.len();
+    if checks.is_empty() {
+        let stats = WalkStats {
+            threads: 1,
+            ..WalkStats::default()
+        };
+        let (members, evidence) = reduce(
+            checks,
+            universe,
+            n,
+            Vec::new(),
+            0,
+            false,
+            stats,
+            None,
+            start,
+        );
+        return Run {
+            members,
+            evidence,
+            resume: None,
+        };
+    }
+    if let Some(r) = walk.recorder {
+        r.span_enter(walk.span);
+    }
+    let pass = pass(walk, checks, token, n, start);
+    let interrupted = !all_stopped(&pass.members) && pass.next < n;
+    let resume = keep.filter(|_| interrupted).map(|keep| PanelResumeToken {
+        next_index: pass.next,
+        members: checks
+            .iter()
+            .zip(&pass.members)
+            .map(|(check, f)| MemberFrontier {
+                stop_at: f.stop_at,
+                partials: f
+                    .partials
+                    .iter()
+                    .map(|(i, p)| (*i, keep(check, p)))
+                    .collect(),
+                errors: f.errors.clone(),
+            })
+            .collect(),
+    });
+    if interrupted {
+        walk.budget.note_interruption(walk.recorder);
+    }
+    let (members, evidence) = reduce(
+        checks,
+        universe,
+        n,
+        pass.members,
+        pass.next,
+        interrupted,
+        pass.stats,
+        walk.recorder,
+        start,
+    );
+    if let Some(r) = walk.recorder {
+        r.span_exit(walk.span);
+    }
+    Run {
+        members,
+        evidence,
+        resume,
+    }
+}
+
+/// Runs one shard's pass over `[lo, hi)` without reducing: the fragment
+/// carries everything the merge needs. A budget applies to this call
+/// alone (`max_items` caps this shard's items; `deadline` is wall-clock
+/// from this call), and a budget stop inside the range counts as a budget
+/// interruption.
+pub(super) fn fragment<C: Member>(
+    walk: &Walk<'_>,
+    checks: &[C],
+    mut token: PanelResumeToken<C::Partial>,
+    lo: usize,
+    hi: usize,
+) -> PanelFragment<C::Partial> {
+    let hi = hi.min(walk.universe.len());
+    if checks.is_empty() {
+        return PanelFragment {
+            lo,
+            hi,
+            next: hi,
+            members: Vec::new(),
+        };
+    }
+    let start = Instant::now();
+    if let Some(r) = walk.recorder {
+        r.span_enter(walk.span);
+    }
+    token.next_index = token.next_index.max(lo);
+    let pass = pass(walk, checks, token, hi, start);
+    if !all_stopped(&pass.members) && pass.next < hi {
+        walk.budget.note_interruption(walk.recorder);
+    }
+    if let Some(r) = walk.recorder {
+        r.span_exit(walk.span);
+    }
+    PanelFragment {
+        lo,
+        hi,
+        next: pass.next,
+        members: pass.members,
+    }
+}
+
+/// Whether every member short-circuited (an empty member list never
+/// does).
+fn all_stopped<P>(members: &[MemberFrontier<P>]) -> bool {
+    !members.is_empty() && members.iter().all(|f| f.stop_at.is_some())
+}
+
+/// A member's `checked` count with sequential semantics: how far its
+/// visited prefix reaches.
+fn member_checked(stop_at: Option<usize>, next: usize) -> usize {
+    match stop_at {
+        #[cfg(conformance_mutants)]
+        Some(s) if crate::mutants::active("checked_off_by_one") => s,
+        Some(s) => s + 1,
+        None => next,
+    }
+}
+
+/// The per-member reduce shared by whole-range runs, the shard merge and
+/// the lazy draw loop: folds each member's records (sorted, retention
+/// filtered, `stop_at` the member's global stop) into its verdict, then
+/// assembles each member's report and the walk-level evidence. `n` is the
+/// universe size the reports state (the draw count for a lazy sweep).
+#[allow(clippy::too_many_arguments)] // the args are the walk's state, not a config
+pub(super) fn reduce<C: PropertyCheck>(
+    checks: &[C],
     universe: &Universe,
-    mode: ExecMode,
-    budget: &SweepBudget,
-    token: PanelResumeToken,
-    opts: SweepOpts,
-) -> BudgetedPanel {
-    SweepSession::over(universe)
-        .mode(mode)
-        .budget(*budget)
-        .opts(opts)
-        .resume_panel(checks, token)
+    n: usize,
+    members: Vec<MemberFrontier<C::Partial>>,
+    next: usize,
+    interrupted: bool,
+    stats: WalkStats,
+    recorder: Option<&dyn SweepRecorder>,
+    start: Instant,
+) -> Reduced<C::Verdict> {
+    let coverage = |sampled: bool| {
+        if sampled {
+            Coverage::Sampled
+        } else {
+            universe.coverage()
+        }
+    };
+    let short_circuited = all_stopped(&members);
+    let walk_checked = match members.iter().filter_map(|f| f.stop_at).max() {
+        Some(s) if short_circuited => s + 1,
+        _ => next,
+    };
+    let mut errors: Vec<SweepError> = members
+        .iter()
+        .flat_map(|f| f.errors.iter().cloned())
+        .collect();
+    errors.sort_by_key(|e| e.item_index);
+
+    let reduce_start = recorder.map(|r| r.now_micros());
+    let verdicts: Vec<_> = checks
+        .iter()
+        .zip(members)
+        .map(|(check, f)| {
+            let outcome = SweepOutcome {
+                checked: member_checked(f.stop_at, next),
+                universe_size: n,
+                short_circuited: f.stop_at.is_some(),
+            };
+            let verdict = check.reduce(universe, f.partials, &outcome);
+            (verdict, outcome, f.errors)
+        })
+        .collect();
+    if let (Some(r), Some(t0)) = (recorder, reduce_start) {
+        r.record_phase(SweepPhase::Reduce, r.now_micros().saturating_sub(t0));
+    }
+    let interner = checks.iter().find_map(|check| check.interner_report());
+    if let (Some(r), Some(report)) = (recorder, &interner) {
+        report.record_into(r);
+    }
+
+    let evidence = ExecEvidence {
+        checked: walk_checked,
+        universe_size: n,
+        short_circuited,
+        interrupted,
+        coverage: coverage(interrupted || !errors.is_empty()),
+        errors,
+        cache_hits: stats.cache_hits,
+        cache_misses: stats.cache_misses,
+        memo_hits: stats.memo_hits,
+        memo_misses: stats.memo_misses,
+        elapsed: start.elapsed(),
+        threads: stats.threads,
+        interner,
+    };
+    let reports = verdicts
+        .into_iter()
+        .map(|(verdict, outcome, errors)| {
+            let interrupted = interrupted && !outcome.short_circuited;
+            VerificationReport {
+                verdict,
+                evidence: ExecEvidence {
+                    checked: outcome.checked,
+                    short_circuited: outcome.short_circuited,
+                    interrupted,
+                    coverage: coverage(interrupted || !errors.is_empty()),
+                    errors,
+                    ..evidence.clone()
+                },
+            }
+        })
+        .collect();
+    (reports, evidence)
+}
+
+/// The engine's per-item step: one inspection under panic isolation.
+///
+/// `AssertUnwindSafe` is justified because `inspect` is required to be a
+/// pure function of the item, and the walker's odometer state is only
+/// mutated by engine code *before* the guarded region — a panic inside
+/// the decoder or the check invalidates the verdict scratch but leaves
+/// the odometer consistent.
+fn guarded<P>(i: usize, inspect: impl FnOnce() -> Option<P>) -> Result<Option<P>, SweepError> {
+    catch_unwind(AssertUnwindSafe(inspect)).map_err(|payload| SweepError::from_panic(i, payload))
 }
 
 /// The member's recorded stop index for a short-circuit at item `i`.
@@ -277,43 +622,85 @@ fn stop_index(i: usize) -> usize {
     i
 }
 
-/// Immutable per-panel state shared by every worker thread.
-struct PanelEngine<'e> {
-    checks: &'e [DynPropertyCheck<'e>],
+/// Each member's stop index (`usize::MAX` = still active), as a walk
+/// keeps them: plain cells on the sequential walk, atomics folded with
+/// `fetch_min` on the parallel one.
+trait Stops {
+    /// Whether member `m` still inspects item `i`.
+    fn active(&self, m: usize, i: usize) -> bool;
+    /// Records member `m`'s short-circuit at item `i`.
+    fn stop(&self, m: usize, i: usize);
+}
+
+// The walks are generic over the member type and so compile in the
+// caller's crate; `#[inline]` lets these per-item checks follow them.
+impl Stops for [Cell<usize>] {
+    #[inline]
+    fn active(&self, m: usize, _i: usize) -> bool {
+        self[m].get() == usize::MAX
+    }
+
+    #[inline]
+    fn stop(&self, m: usize, i: usize) {
+        self[m].set(stop_index(i));
+    }
+}
+
+impl Stops for [AtomicUsize] {
+    #[inline]
+    fn active(&self, m: usize, i: usize) -> bool {
+        i <= self[m].load(Ordering::Relaxed)
+    }
+
+    #[inline]
+    fn stop(&self, m: usize, i: usize) {
+        self[m].fetch_min(stop_index(i), Ordering::Relaxed);
+    }
+}
+
+/// Immutable per-walk state shared by every worker thread.
+struct Engine<'e, C> {
+    checks: &'e [C],
     universe: &'e Universe,
     cache: &'e SkeletonCache,
     /// One delta driver per verdict channel.
     drivers: Vec<DeltaDriver<'e>>,
-    /// Member index → its verdict channel, if it has one.
-    member_channel: Vec<Option<usize>>,
+    /// One plan per member, in member order.
+    plans: Vec<MemberPlan>,
     hits: &'e AtomicUsize,
     misses: &'e AtomicUsize,
     memo_hits: &'e AtomicUsize,
     memo_misses: &'e AtomicUsize,
     memo_on: bool,
     oracle: bool,
-    /// Member index -> its symmetry-quotient plan, when the panel runs
-    /// under [`SweepStrategy::Quotient`] and the member opted in.
-    quotients: Vec<Option<QuotientPlan>>,
     recorder: Option<&'e dyn SweepRecorder>,
+}
+
+/// How the walk treats one member.
+struct MemberPlan {
+    /// `channel[b]`: the verdict channel the member reads on block `b`,
+    /// `None` where it runs the plain `inspect`.
+    channel: Vec<Option<usize>>,
+    /// The member's symmetry-quotient plan, when the walk runs under
+    /// [`SweepStrategy::Quotient`] and the member opted in.
+    quotient: Option<QuotientPlan>,
 }
 
 /// A worker thread's mutable state: one odometer walker feeding one
 /// verdict scratch + memo per channel, plus the thread's telemetry
-/// tally. Panel tallies count *member evaluations*: each (item, active
-/// member) pair is one walk, resolving to one inspect or one orbit
-/// skip — so `items_inspected + items_orbit_skipped == items_walked`
-/// holds member-summed, and a one-member panel tallies exactly like the
-/// single-check executor.
-struct PanelWorker {
+/// tally. Tallies count *member evaluations*: each (item, active member)
+/// pair is one walk, resolving to one inspect or one orbit skip — so
+/// `items_inspected + items_orbit_skipped == items_walked` holds
+/// member-summed, and a one-member walk tallies one walk per item.
+struct Worker {
     walker: Walker,
     channels: Vec<(VerdictScratch, VerdictMemo)>,
     tally: WorkerTally,
 }
 
-impl PanelWorker {
-    fn new(channels: usize, memo_on: bool) -> PanelWorker {
-        PanelWorker {
+impl Worker {
+    fn new(channels: usize, memo_on: bool) -> Worker {
+        Worker {
             walker: Walker::default(),
             channels: (0..channels)
                 .map(|_| (VerdictScratch::default(), VerdictMemo::new(memo_on)))
@@ -322,7 +709,9 @@ impl PanelWorker {
         }
     }
 
-    fn flush(&self, engine: &PanelEngine<'_>) {
+    /// Folds the worker's memo counters into the walk totals and its
+    /// telemetry tally into the attached recorder (if any).
+    fn flush<C>(&self, engine: &Engine<'_, C>) {
         for (_, memo) in &self.channels {
             engine.memo_hits.fetch_add(memo.hits, Ordering::Relaxed);
             engine.memo_misses.fetch_add(memo.misses, Ordering::Relaxed);
@@ -331,17 +720,19 @@ impl PanelWorker {
     }
 }
 
-impl PanelEngine<'_> {
-    /// Advances the walker to item `i` and evaluates every member for
-    /// which `active` holds, under per-member panic isolation. A verdict
-    /// channel is refreshed at most once per item — the first member to
-    /// need it pays the delta patch, the rest read it back.
-    fn run_item(
+impl<C: PropertyCheck> Engine<'_, C> {
+    /// Advances the walker to item `i` (or decodes it, on the oracle
+    /// strategy) and inspects every member still active at `i`, filing
+    /// each guarded result into the member's record and its stop into
+    /// `stops`. A verdict channel is refreshed at most once per item — the
+    /// first member to need it pays the delta patch, the rest read it
+    /// back.
+    fn run_item<S: Stops + ?Sized>(
         &self,
-        worker: &mut PanelWorker,
+        worker: &mut Worker,
         i: usize,
-        active: &mut dyn FnMut(usize) -> bool,
-        record: &mut dyn FnMut(usize, Result<Option<ErasedPartial>, SweepError>),
+        stops: &S,
+        records: &mut [MemberFrontier<C::Partial>],
     ) {
         if self.oracle {
             let buf = self.universe.item(i);
@@ -353,39 +744,39 @@ impl PanelEngine<'_> {
                 self.memo_on,
                 1,
             );
-            for m in 0..self.checks.len() {
-                if !active(m) {
+            for (m, (check, record)) in self.checks.iter().zip(records).enumerate() {
+                if !stops.active(m, i) {
                     continue;
                 }
                 worker.tally.walk();
                 worker.tally.inspect(1);
-                let r = catch_unwind(AssertUnwindSafe(|| {
-                    self.checks[m].inspect(&buf.as_item(), &ctx)
-                }))
-                .map_err(|p| SweepError::from_panic(i, p));
-                record(m, r);
+                let result = guarded(i, || check.inspect(&buf.as_item(), &ctx));
+                if record.file(check, i, result) {
+                    stops.stop(m, i);
+                }
             }
             return;
         }
         let (block, offset) = self.universe.locate(i);
-        let PanelWorker {
+        let Worker {
             walker,
             channels,
             tally,
         } = worker;
         let stepped = walker.advance_to(self.universe, block, offset);
-        let instance = self.universe.blocks()[block].instance();
-        for m in 0..self.checks.len() {
-            if !active(m) {
+        let members = self.checks.iter().zip(&self.plans).zip(records);
+        for (m, ((check, plan), record)) in members.enumerate() {
+            if !stops.active(m, i) {
                 continue;
             }
             tally.walk();
             // Quotient strategy: a member whose plan rejects this item as a
-            // non-canonical orbit member skips it entirely -- its verdict
-            // channel refreshes lazily at its next canonical item.
+            // non-canonical orbit member skips it entirely; the odometer
+            // still stepped, and its verdict channel refreshes lazily at
+            // its next canonical item.
             let mut multiplicity = 1u64;
-            if let Some(plan) = &self.quotients[m] {
-                match plan.classify(block, &walker.digits) {
+            if let Some(quotient) = &plan.quotient {
+                match quotient.classify(block, &walker.digits) {
                     Some(mult) => multiplicity = mult,
                     None => {
                         tally.orbit_skip();
@@ -402,23 +793,9 @@ impl PanelEngine<'_> {
                 self.memo_on,
                 multiplicity,
             );
-            let check = &self.checks[m];
-            let channel = self.member_channel[m];
-            #[cfg(conformance_mutants)]
-            let channel = match channel {
-                Some(c)
-                    if self.drivers.len() > 1 && crate::mutants::active("panel_channel_swap") =>
-                {
-                    Some((c + 1) % self.drivers.len())
-                }
-                other => other,
-            };
-            let use_verdicts = channel.is_some_and(|c| {
-                check.uses_verdicts(block) && self.drivers[c].verdict_blocks[block]
-            });
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                if use_verdicts {
-                    let c = channel.expect("use_verdicts implies a channel");
+            let instance = self.universe.blocks()[block].instance();
+            let result = guarded(i, || match plan.channel[block] {
+                Some(c) => {
                     let (scratch, memo) = &mut channels[c];
                     refresh_verdicts(
                         &self.drivers[c],
@@ -439,7 +816,8 @@ impl PanelEngine<'_> {
                         digits: Some(&walker.digits),
                     };
                     check.inspect_with_verdicts(&item, &scratch.verdicts, &ctx)
-                } else {
+                }
+                None => {
                     let item = UniverseItem {
                         index: i,
                         block,
@@ -449,262 +827,48 @@ impl PanelEngine<'_> {
                     };
                     check.inspect(&item, &ctx)
                 }
-            }))
-            .map_err(|p| SweepError::from_panic(i, p));
-            record(m, r);
+            });
+            if record.file(check, i, result) {
+                stops.stop(m, i);
+            }
         }
     }
 }
 
-/// What one panel pass over `[begin, end)` produced.
-struct PanelPass {
-    /// Per-member partials recorded by this pass.
-    partials: Vec<Vec<(usize, ErasedPartial)>>,
-    /// Per-member errors recorded by this pass.
-    errors: Vec<Vec<SweepError>>,
-    /// Per-member lowest short-circuiting index (`usize::MAX` = none),
-    /// token-inherited stops included.
-    stop_at: Vec<usize>,
+/// One capped pass's output: each member's merged, settled record plus
+/// the walk's counters.
+struct Pass<P> {
+    members: Vec<MemberFrontier<P>>,
     /// First index not visited by the walk.
     next: usize,
+    stats: WalkStats,
 }
 
-/// The shared engine behind every whole-universe panel entry point (today
-/// that means [`SweepSession`]; the deprecated free functions shim onto
-/// it). `recorder` attaches telemetry (the audit plan passes one through
-/// here to keep budgets and recording composable); phase timings use the
-/// recorder's clock.
-pub(super) fn run_panel(
-    checks: &[DynPropertyCheck<'_>],
-    universe: &Universe,
-    mode: ExecMode,
-    budget: &SweepBudget,
-    token: PanelResumeToken,
-    opts: SweepOpts,
-    recorder: Option<&dyn SweepRecorder>,
-) -> BudgetedPanel {
-    let start = Instant::now();
-    let n = universe.len();
-    let nmem = checks.len();
-    if nmem == 0 {
-        return BudgetedPanel {
-            report: PanelReport {
-                members: Vec::new(),
-                evidence: ExecEvidence {
-                    checked: 0,
-                    universe_size: n,
-                    short_circuited: false,
-                    interrupted: false,
-                    coverage: universe.coverage(),
-                    errors: Vec::new(),
-                    cache_hits: 0,
-                    cache_misses: 0,
-                    memo_hits: 0,
-                    memo_misses: 0,
-                    elapsed: start.elapsed(),
-                    threads: 1,
-                    interner: None,
-                },
-            },
-            resume: None,
-        };
-    }
-    if let Some(r) = recorder {
-        r.span_enter("panel");
-    }
-    let pass = run_panel_pass(
-        checks, universe, mode, budget, token, opts, recorder, n, start,
-    );
-    let all_stopped = pass.stop_at.iter().all(|&s| s != usize::MAX);
-    let next = pass.next;
-    let interrupted = !all_stopped && next < n;
-    let resume = if interrupted {
-        Some(PanelResumeToken {
-            next_index: next,
-            members: (0..nmem)
-                .map(|m| MemberFrontier {
-                    stop_at: (pass.stop_at[m] != usize::MAX).then_some(pass.stop_at[m]),
-                    partials: pass.partials[m]
-                        .iter()
-                        .map(|(i, p)| (*i, checks[m].clone_partial(p)))
-                        .collect(),
-                    errors: pass.errors[m].clone(),
-                })
-                .collect(),
-        })
-    } else {
-        None
-    };
-    if interrupted {
-        budget.note_interruption(recorder);
-    }
-    let stats = PanelWalkStats {
-        threads: pass.threads,
-        cache_hits: pass.cache_hits,
-        cache_misses: pass.cache_misses,
-        memo_hits: pass.memo_hits,
-        memo_misses: pass.memo_misses,
-    };
-    let report = reduce_panel(
-        checks,
-        universe,
-        pass.partials,
-        pass.errors,
-        &pass.stop_at,
-        next,
-        interrupted,
-        stats,
-        recorder,
-        start,
-    );
-    if let Some(r) = recorder {
-        r.span_exit("panel");
-    }
-    BudgetedPanel { report, resume }
-}
-
-/// One shard's slice of a fused panel: the un-reduced per-member walk
-/// state over the contiguous index range `[lo, hi)`. Produced by
-/// [`SweepSession::run_panel_fragment`](super::SweepSession::run_panel_fragment),
-/// consumed by
-/// [`merge_panel_fragments`](super::shard::merge_panel_fragments).
-#[derive(Debug)]
-pub struct PanelFragment {
-    /// Range start (inclusive flat index).
-    pub lo: usize,
-    /// Range end (exclusive flat index).
-    pub hi: usize,
-    /// First index in `[lo, hi)` not visited; `hi` when the walk covered
-    /// the whole range (or every member stopped inside it).
-    pub next: usize,
-    /// Per-member frontiers, in member order: each member's local stop
-    /// index, partials and errors.
-    pub members: Vec<MemberFrontier>,
-}
-
-impl PanelFragment {
-    /// Whether the fragment's range is fully decided: the walk reached
-    /// `hi`, or every member short-circuited inside the range.
-    pub fn is_complete(&self) -> bool {
-        self.next >= self.hi || self.members.iter().all(|m| m.stop_at.is_some())
-    }
-
-    /// The continuation of an incomplete (budget-interrupted) fragment.
-    /// Feed it to
-    /// [`SweepSession::resume_panel_fragment`](super::SweepSession::resume_panel_fragment)
-    /// on a session with the same shard to finish the range.
-    pub fn into_resume_token(self) -> PanelResumeToken {
-        PanelResumeToken {
-            next_index: self.next,
-            members: self.members,
-        }
-    }
-}
-
-/// Runs one shard's panel pass over `[lo, hi)` without reducing. Budget
-/// semantics match [`run_fragment`](super::executor): `max_items` caps
-/// this shard's items, `deadline` is wall-clock from this call, and a
-/// budget stop inside the range counts as a budget interruption.
-#[allow(clippy::too_many_arguments)] // the args are the walk's state, not a config
-pub(super) fn run_panel_fragment(
-    checks: &[DynPropertyCheck<'_>],
-    universe: &Universe,
-    mode: ExecMode,
-    budget: &SweepBudget,
-    token: PanelResumeToken,
-    opts: SweepOpts,
-    recorder: Option<&dyn SweepRecorder>,
-    lo: usize,
-    hi: usize,
-) -> PanelFragment {
-    let hi = hi.min(universe.len());
-    let nmem = checks.len();
-    if nmem == 0 {
-        return PanelFragment {
-            lo,
-            hi,
-            next: hi,
-            members: Vec::new(),
-        };
-    }
-    let start = Instant::now();
-    if let Some(r) = recorder {
-        r.span_enter("panel");
-    }
-    let mut token = token;
-    if token.next_index < lo {
-        token.next_index = lo;
-    }
-    let pass = run_panel_pass(
-        checks, universe, mode, budget, token, opts, recorder, hi, start,
-    );
-    let all_stopped = pass.stop_at.iter().all(|&s| s != usize::MAX);
-    if !all_stopped && pass.next < hi {
-        budget.note_interruption(recorder);
-    }
-    if let Some(r) = recorder {
-        r.span_exit("panel");
-    }
-    let members = pass
-        .stop_at
-        .iter()
-        .zip(pass.partials.into_iter().zip(pass.errors))
-        .map(|(&stop, (partials, errors))| MemberFrontier {
-            stop_at: (stop != usize::MAX).then_some(stop),
-            partials,
-            errors,
-        })
-        .collect();
-    PanelFragment {
-        lo,
-        hi,
-        next: pass.next,
-        members,
-    }
-}
-
-/// The merged, retention-filtered state of one panel pass plus the walk's
-/// counters: the shared middle of [`run_panel`] and
-/// [`run_panel_fragment`].
-struct PanelPassState {
-    /// Per-member partials (token-merged, sorted, nothing past the
-    /// member's stop).
-    partials: Vec<Vec<(usize, ErasedPartial)>>,
-    /// Per-member errors, sorted by item index.
-    errors: Vec<Vec<SweepError>>,
-    /// Per-member lowest short-circuiting index (`usize::MAX` = none).
-    stop_at: Vec<usize>,
-    /// First index not visited by the walk.
-    next: usize,
-    threads: usize,
-    cache_hits: usize,
-    cache_misses: usize,
-    memo_hits: usize,
-    memo_misses: usize,
-}
-
-/// One capped panel pass: channel setup, cache build, the walk over
+/// One capped pass: channel setup, cache build, the walk over
 /// `[token.next_index, min(next_index + max_items, limit))`, counter
 /// flushing, and the token merge + per-member retention. Emits every
-/// recorder event of a panel except the enclosing span and the reduce
+/// recorder event of a call except the enclosing span and the reduce
 /// phase, which the callers own.
-#[allow(clippy::too_many_arguments)] // the args are the walk's state, not a config
-fn run_panel_pass(
-    checks: &[DynPropertyCheck<'_>],
-    universe: &Universe,
-    mode: ExecMode,
-    budget: &SweepBudget,
-    token: PanelResumeToken,
-    opts: SweepOpts,
-    recorder: Option<&dyn SweepRecorder>,
+fn pass<C: Member>(
+    walk: &Walk<'_>,
+    checks: &[C],
+    token: PanelResumeToken<C::Partial>,
     limit: usize,
     start: Instant,
-) -> PanelPassState {
+) -> Pass<C::Partial> {
+    let Walk {
+        universe,
+        mode,
+        opts,
+        budget,
+        recorder,
+        ..
+    } = *walk;
     let nmem = checks.len();
     assert_eq!(
         token.members.len(),
         nmem,
-        "panel resume token describes a different member list"
+        "resume token describes a different member list"
     );
     let deadline = budget.deadline.map(|d| start + d);
     let oracle = opts.strategy == SweepStrategy::DecodeOracle;
@@ -725,23 +889,21 @@ fn run_panel_pass(
             let Some(d) = check.verdict_decoder() else {
                 continue;
             };
-            let channel = match check.channel_key() {
-                Some(key) => match keyed.iter().find(|&&(k, _)| k == key) {
-                    Some(&(_, c)) => c,
-                    None => {
-                        let c = decoders.len();
-                        decoders.push(d);
-                        keyed.push((key, c));
-                        c
-                    }
-                },
-                None => {
-                    let c = decoders.len();
-                    decoders.push(d);
-                    c
+            let shared = check
+                .channel_key()
+                .and_then(|key| keyed.iter().find(|&&(k, _)| k == key).map(|&(_, c)| c));
+            let channel = shared.unwrap_or_else(|| {
+                let c = decoders.len();
+                decoders.push(d);
+                if let Some(key) = check.channel_key() {
+                    keyed.push((key, c));
                 }
-            };
+                c
+            });
             member_channel[m] = Some(channel);
+            // The delta path stamps the decoder's views off the cache;
+            // make sure its configuration is cached even if the check
+            // forgot to list it.
             configs.push((d.radius(), d.id_mode()));
         }
     }
@@ -749,70 +911,92 @@ fn run_panel_pass(
     if let (Some(r), Some(t0)) = (recorder, cache_start) {
         r.record_phase(SweepPhase::CacheBuild, r.now_micros().saturating_sub(t0));
     }
+    let blocks = universe.blocks().len();
+    let reads_verdicts: Vec<Vec<bool>> = checks
+        .iter()
+        .zip(&member_channel)
+        .map(|(check, channel)| match channel {
+            Some(_) => (0..blocks).map(|b| check.uses_verdicts(b)).collect(),
+            None => Vec::new(),
+        })
+        .collect();
     let drivers: Vec<DeltaDriver<'_>> = decoders
         .iter()
         .enumerate()
         .map(|(c, &d)| {
             DeltaDriver::build(d, universe, &cache, |b| {
-                checks
-                    .iter()
-                    .enumerate()
-                    .any(|(m, check)| member_channel[m] == Some(c) && check.uses_verdicts(b))
+                (0..nmem).any(|m| member_channel[m] == Some(c) && reads_verdicts[m][b])
             })
+        })
+        .collect();
+    let plans: Vec<MemberPlan> = checks
+        .iter()
+        .zip(member_channel.iter().zip(&reads_verdicts))
+        .map(|(check, (&channel, reads))| {
+            let channel = match channel {
+                Some(c) => {
+                    #[cfg(conformance_mutants)]
+                    let c = if drivers.len() > 1 && crate::mutants::active("panel_channel_swap") {
+                        (c + 1) % drivers.len()
+                    } else {
+                        c
+                    };
+                    (0..blocks)
+                        .map(|b| (reads[b] && drivers[c].verdict_blocks[b]).then_some(c))
+                        .collect()
+                }
+                None => vec![None; blocks],
+            };
+            let quotient = (opts.strategy == SweepStrategy::Quotient)
+                .then(|| QuotientPlan::build(universe, |alphabet| check.symmetry_class(alphabet)))
+                .flatten();
+            MemberPlan { channel, quotient }
         })
         .collect();
     let hits = AtomicUsize::new(0);
     let misses = AtomicUsize::new(cache.populated);
     let memo_hits = AtomicUsize::new(0);
     let memo_misses = AtomicUsize::new(0);
-    let quotients: Vec<Option<QuotientPlan>> = if opts.strategy == SweepStrategy::Quotient {
-        checks
-            .iter()
-            .map(|check| QuotientPlan::build(universe, |alphabet| check.symmetry_class(alphabet)))
-            .collect()
-    } else {
-        (0..nmem).map(|_| None).collect()
-    };
-    let engine = PanelEngine {
+    let engine = Engine {
         checks,
         universe,
         cache: &cache,
         drivers,
-        member_channel,
+        plans,
         hits: &hits,
         misses: &misses,
         memo_hits: &memo_hits,
         memo_misses: &memo_misses,
         memo_on: opts.memo,
         oracle,
-        quotients,
         recorder,
     };
 
     let begin = token.next_index.min(limit);
+    // `max_items` is enforced by clamping the walk's end index, which
+    // makes it exact — and identical — in every execution mode.
     let end = match budget.max_items {
         Some(m) => begin.saturating_add(m).min(limit),
         None => limit,
     };
     let threads = resolve_threads(mode, end.saturating_sub(begin));
-    let init_stop: Vec<usize> = token
-        .members
-        .iter()
-        .map(|f| f.stop_at.unwrap_or(usize::MAX))
-        .collect();
+    // The walk extends the token's records in place: this pass's items
+    // all lie past the token's.
+    let mut members = token.members;
+    let errors_before: usize = members.iter().map(|f| f.errors.len()).sum();
 
     let walk_start = recorder.map(|r| r.now_micros());
-    let pass = if threads > 1 {
-        run_panel_parallel(&engine, threads, begin, end, deadline, init_stop)
+    let (stops, next) = if threads > 1 {
+        run_parallel(&engine, threads, begin, end, deadline, &mut members)
     } else {
-        run_panel_sequential(&engine, begin, end, deadline, init_stop)
+        run_sequential(&engine, begin, end, deadline, &mut members)
     };
     if let (Some(r), Some(t0)) = (recorder, walk_start) {
         r.record_phase(SweepPhase::Walk, r.now_micros().saturating_sub(t0));
     }
     if let Some(r) = recorder {
-        let new_errors: usize = pass.errors.iter().map(|e| e.len()).sum();
-        r.add(SweepCounter::PanicsCaught, new_errors as u64);
+        let errors: usize = members.iter().map(|f| f.errors.len()).sum();
+        r.add(SweepCounter::PanicsCaught, (errors - errors_before) as u64);
         r.add(SweepCounter::CacheHits, hits.load(Ordering::Relaxed) as u64);
         r.add(
             SweepCounter::CacheMisses,
@@ -827,185 +1011,58 @@ fn run_panel_pass(
             memo_misses.load(Ordering::Relaxed) as u64,
         );
         let quotient_blocks: u64 = engine
-            .quotients
+            .plans
             .iter()
-            .flatten()
-            .map(|plan| plan.active_blocks())
+            .filter_map(|plan| plan.quotient.as_ref())
+            .map(|quotient| quotient.active_blocks())
             .sum();
         if quotient_blocks > 0 {
             r.add(SweepCounter::QuotientBlocks, quotient_blocks);
         }
     }
 
-    // Merge token state in front of this pass's records, then restore
-    // the per-member sequential invariants: index order, nothing past
-    // the member's stop.
-    let mut member_partials = pass.partials;
-    let mut member_errors = pass.errors;
-    for (m, frontier) in token.members.into_iter().enumerate() {
-        let mut merged = frontier.partials;
-        merged.append(&mut member_partials[m]);
-        member_partials[m] = merged;
-        let mut merged_errors = frontier.errors;
-        merged_errors.append(&mut member_errors[m]);
-        member_errors[m] = merged_errors;
+    // Settling restores the per-member sequential invariants.
+    for (record, stop) in members.iter_mut().zip(stops) {
+        record.stop_at = (stop != usize::MAX).then_some(stop);
+        record.settle();
     }
-    for m in 0..nmem {
-        member_partials[m].sort_by_key(|&(i, _)| i);
-        member_errors[m].sort_by_key(|e| e.item_index);
-        let stop = pass.stop_at[m];
-        if stop != usize::MAX {
-            member_partials[m].retain(|&(i, _)| i <= stop);
-            member_errors[m].retain(|e| e.item_index <= stop);
-        }
-    }
-
-    PanelPassState {
-        partials: member_partials,
-        errors: member_errors,
-        stop_at: pass.stop_at,
-        next: pass.next,
-        threads,
-        cache_hits: hits.load(Ordering::Relaxed),
-        cache_misses: misses.load(Ordering::Relaxed),
-        memo_hits: memo_hits.load(Ordering::Relaxed),
-        memo_misses: memo_misses.load(Ordering::Relaxed),
-    }
-}
-
-/// The walk counters [`reduce_panel`] copies into the panel evidence. A
-/// live walk loads them from its atomics; the shard merge has no walk of
-/// its own and passes zeros (those counters are observed, not stable, so
-/// the stable report rendering never reads them).
-pub(super) struct PanelWalkStats {
-    pub(super) threads: usize,
-    pub(super) cache_hits: usize,
-    pub(super) cache_misses: usize,
-    pub(super) memo_hits: usize,
-    pub(super) memo_misses: usize,
-}
-
-/// The per-member reduce + evidence assembly shared by [`run_panel`] and
-/// the shard merge: folds each member's partials (already sorted and
-/// retention-filtered, with `stop_at` the member's global stop) into its
-/// verdict and assembles the [`PanelReport`]. The member lists and stop
-/// semantics are exactly those of the single-process panel, which is what
-/// makes a merged report structurally identical to an unsharded one.
-#[allow(clippy::too_many_arguments)] // the args are the walk's state, not a config
-pub(super) fn reduce_panel(
-    checks: &[DynPropertyCheck<'_>],
-    universe: &Universe,
-    member_partials: Vec<Vec<(usize, ErasedPartial)>>,
-    member_errors: Vec<Vec<SweepError>>,
-    stop_at: &[usize],
-    next: usize,
-    interrupted: bool,
-    stats: PanelWalkStats,
-    recorder: Option<&dyn SweepRecorder>,
-    start: Instant,
-) -> PanelReport {
-    let n = universe.len();
-    let nmem = checks.len();
-    let all_stopped = stop_at.iter().all(|&s| s != usize::MAX);
-    let mut panel_errors: Vec<SweepError> = member_errors
-        .iter()
-        .flat_map(|errs| errs.iter().cloned())
-        .collect();
-    panel_errors.sort_by_key(|e| e.item_index);
-    let coverage = if interrupted || !panel_errors.is_empty() {
-        Coverage::Sampled
-    } else {
-        universe.coverage()
-    };
-    let panel_checked = if all_stopped {
-        stop_at.iter().copied().max().unwrap_or(0) + 1
-    } else {
-        next
-    };
-
-    let reduce_start = recorder.map(|r| r.now_micros());
-    let mut members = Vec::with_capacity(nmem);
-    for (m, (partials_m, errors_m)) in member_partials.into_iter().zip(member_errors).enumerate() {
-        let check = &checks[m];
-        let stopped = stop_at[m] != usize::MAX;
-        let checked = if stopped { stop_at[m] + 1 } else { next };
-        let member_interrupted = interrupted && !stopped;
-        let member_coverage = if member_interrupted || !errors_m.is_empty() {
-            Coverage::Sampled
-        } else {
-            universe.coverage()
-        };
-        let outcome = SweepOutcome {
-            checked,
-            universe_size: n,
-            short_circuited: stopped,
-        };
-        let value = check.reduce(universe, partials_m, &outcome);
-        let (passed, detail) = check.summarize(&*value);
-        members.push(PanelMemberReport {
-            tag: check.tag(),
-            label: check.label().to_string(),
-            verdict: PanelVerdict::new(
-                check.tag(),
-                check.label().to_string(),
-                passed,
-                detail,
-                value,
-            ),
-            checked,
-            short_circuited: stopped,
-            interrupted: member_interrupted,
-            coverage: member_coverage,
-            errors: errors_m,
-        });
-    }
-
-    if let (Some(r), Some(t0)) = (recorder, reduce_start) {
-        r.record_phase(SweepPhase::Reduce, r.now_micros().saturating_sub(t0));
-    }
-    let interner = checks.iter().find_map(|check| check.interner_report());
-    if let (Some(r), Some(report)) = (recorder, &interner) {
-        report.record_into(r);
-    }
-
-    PanelReport {
+    Pass {
         members,
-        evidence: ExecEvidence {
-            checked: panel_checked,
-            universe_size: n,
-            short_circuited: all_stopped,
-            interrupted,
-            coverage,
-            errors: panel_errors,
-            cache_hits: stats.cache_hits,
-            cache_misses: stats.cache_misses,
-            memo_hits: stats.memo_hits,
-            memo_misses: stats.memo_misses,
-            elapsed: start.elapsed(),
-            threads: stats.threads,
-            interner,
+        next,
+        stats: WalkStats {
+            threads,
+            cache_hits: hits.load(Ordering::Relaxed),
+            cache_misses: misses.load(Ordering::Relaxed),
+            memo_hits: memo_hits.load(Ordering::Relaxed),
+            memo_misses: memo_misses.load(Ordering::Relaxed),
         },
     }
 }
 
-fn run_panel_sequential(
-    engine: &PanelEngine<'_>,
+/// The initial stop of each member (`usize::MAX` = still active).
+fn stops_of<P>(records: &[MemberFrontier<P>]) -> impl Iterator<Item = usize> + '_ {
+    records.iter().map(|f| f.stop_at.unwrap_or(usize::MAX))
+}
+
+/// The sequential walk over `[begin, end)`, appending to each member's
+/// record: returns each member's final stop (`usize::MAX` = none) and the
+/// first index not visited.
+fn run_sequential<C: PropertyCheck>(
+    engine: &Engine<'_, C>,
     begin: usize,
     end: usize,
     deadline: Option<Instant>,
-    mut stop_at: Vec<usize>,
-) -> PanelPass {
-    let nmem = engine.checks.len();
-    let mut worker = PanelWorker::new(engine.drivers.len(), engine.memo_on);
-    let mut partials: Vec<Vec<(usize, ErasedPartial)>> = (0..nmem).map(|_| Vec::new()).collect();
-    let mut errors: Vec<Vec<SweepError>> = (0..nmem).map(|_| Vec::new()).collect();
+    records: &mut [MemberFrontier<C::Partial>],
+) -> (Vec<usize>, usize) {
+    let mut worker = Worker::new(engine.drivers.len(), engine.memo_on);
+    let stop_at: Vec<Cell<usize>> = stops_of(records).map(Cell::new).collect();
     let mut next = end;
-    let mut newly_stopped: Vec<usize> = Vec::new();
-    // Span bookkeeping (recorder-only), as in the single-check executor:
-    // one extra `locate` per item detects block transitions.
+    // Span bookkeeping (recorder-only): the sequential walk visits blocks
+    // in order, so one `locate` per item — paid only when a recorder is
+    // attached — detects every block transition.
     let mut span_block: Option<usize> = None;
     for i in begin..end {
-        if stop_at.iter().all(|&s| s != usize::MAX) {
+        if stop_at.iter().all(|s| s.get() != usize::MAX) {
             break;
         }
         if deadline.is_some_and(|d| Instant::now() >= d) {
@@ -1022,57 +1079,35 @@ fn run_panel_sequential(
                 span_block = Some(block);
             }
         }
-        newly_stopped.clear();
-        {
-            let checks = engine.checks;
-            let stops = &mut newly_stopped;
-            let parts = &mut partials;
-            let errs = &mut errors;
-            let stop_view = &stop_at;
-            let mut active = |m: usize| stop_view[m] == usize::MAX;
-            let mut record = |m: usize, r: Result<Option<ErasedPartial>, SweepError>| match r {
-                Ok(Some(p)) => {
-                    let stop = checks[m].short_circuits(&p);
-                    parts[m].push((i, p));
-                    if stop {
-                        stops.push(m);
-                    }
-                }
-                Ok(None) => {}
-                Err(e) => errs[m].push(e),
-            };
-            engine.run_item(&mut worker, i, &mut active, &mut record);
-        }
-        for &m in &newly_stopped {
-            stop_at[m] = stop_index(i);
-        }
+        engine.run_item(&mut worker, i, &stop_at[..], records);
     }
     if let (Some(r), Some(b)) = (engine.recorder, span_block) {
         r.span_exit(&format!("block:{b}"));
     }
     worker.flush(engine);
-    PanelPass {
-        partials,
-        errors,
-        stop_at,
-        next,
-    }
+    (stop_at.into_iter().map(Cell::into_inner).collect(), next)
 }
 
+/// The parallel walk over `[begin, end)` on `threads` workers; same
+/// output as [`run_sequential`].
 #[cfg(feature = "parallel")]
-fn run_panel_parallel(
-    engine: &PanelEngine<'_>,
+fn run_parallel<C: PropertyCheck>(
+    engine: &Engine<'_, C>,
     threads: usize,
     begin: usize,
     end: usize,
     deadline: Option<Instant>,
-    init_stop: Vec<usize>,
-) -> PanelPass {
-    let nmem = engine.checks.len();
+    records: &mut [MemberFrontier<C::Partial>],
+) -> (Vec<usize>, usize) {
     let span = end - begin;
+    // Chunks small enough that threads converge quickly on a low
+    // short-circuit index, but with a floor: every chunk boundary costs
+    // the claiming worker one odometer resync (a full decode plus, on the
+    // delta path, a full verdict recompute), so tiny chunks would erase
+    // the delta win.
     let chunk = (span / (threads * 8)).clamp(16, 1024);
     let cursor = AtomicUsize::new(begin);
-    let stop_at: Vec<AtomicUsize> = init_stop.into_iter().map(AtomicUsize::new).collect();
+    let stop_at: Vec<AtomicUsize> = stops_of(records).map(AtomicUsize::new).collect();
     // An item is skippable only when every member is past it: the walk's
     // horizon is the maximum member stop, unbounded while any member is
     // still active.
@@ -1088,25 +1123,36 @@ fn run_panel_parallel(
         h
     };
 
-    let mut partials: Vec<Vec<(usize, ErasedPartial)>> = (0..nmem).map(|_| Vec::new()).collect();
-    let mut errors: Vec<Vec<SweepError>> = (0..nmem).map(|_| Vec::new()).collect();
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut worker = PanelWorker::new(engine.drivers.len(), engine.memo_on);
-                    let mut local: Vec<Vec<(usize, ErasedPartial)>> =
-                        (0..nmem).map(|_| Vec::new()).collect();
-                    let mut local_errors: Vec<Vec<SweepError>> =
-                        (0..nmem).map(|_| Vec::new()).collect();
+                    let mut worker = Worker::new(engine.drivers.len(), engine.memo_on);
+                    let mut local: Vec<MemberFrontier<C::Partial>> = engine
+                        .checks
+                        .iter()
+                        .map(|_| MemberFrontier::new())
+                        .collect();
                     loop {
-                        // Deadline before claiming; claimed chunks run to
-                        // completion — the visited set stays a contiguous
-                        // prefix, as in the single-check executor.
+                        // The deadline is checked before claiming, and a
+                        // claimed chunk always runs to completion — so
+                        // the visited set stays the contiguous prefix
+                        // [begin, cursor) and a continuation can describe
+                        // it with one index.
                         if deadline.is_some_and(|d| Instant::now() >= d) {
                             break;
                         }
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                        let claim = chunk;
+                        #[cfg(conformance_mutants)]
+                        let claim = if crate::mutants::active("chunk_claim_overlap") {
+                            chunk - 1
+                        } else {
+                            claim
+                        };
+                        let start = cursor.fetch_add(claim, Ordering::Relaxed);
+                        // The cursor only grows, so once a claimed chunk
+                        // lies entirely past the horizon, all later claims
+                        // will too.
                         if start >= end || start > horizon(&stop_at) {
                             break;
                         }
@@ -1117,66 +1163,141 @@ fn run_panel_parallel(
                             if i > horizon(&stop_at) {
                                 break;
                             }
-                            let stops = &stop_at;
-                            let mut active = |m: usize| i <= stops[m].load(Ordering::Relaxed);
-                            let mut record =
-                                |m: usize, r: Result<Option<ErasedPartial>, SweepError>| match r {
-                                    Ok(Some(p)) => {
-                                        let stop = engine.checks[m].short_circuits(&p);
-                                        local[m].push((i, p));
-                                        if stop {
-                                            stops[m].fetch_min(stop_index(i), Ordering::Relaxed);
-                                        }
-                                    }
-                                    Ok(None) => {}
-                                    Err(e) => local_errors[m].push(e),
-                                };
-                            engine.run_item(&mut worker, i, &mut active, &mut record);
+                            engine.run_item(&mut worker, i, &stop_at[..], &mut local);
                         }
                         if let Some(r) = engine.recorder {
                             r.span_exit(&format!("chunk:{start}"));
                         }
                     }
                     worker.flush(engine);
-                    (local, local_errors)
+                    local
                 })
             })
             .collect();
         for w in workers {
-            // invariant: member panics are caught per item by `run_item`,
+            // invariant: member panics are caught per item by `guarded`,
             // so a worker can only die of an engine bug — propagate.
-            let (local, local_errors) = w.join().expect("panel worker panicked");
-            for (m, mut p) in local.into_iter().enumerate() {
-                partials[m].append(&mut p);
-            }
-            for (m, mut e) in local_errors.into_iter().enumerate() {
-                errors[m].append(&mut e);
+            let local = w.join().expect("sweep worker panicked");
+            for (record, mut l) in records.iter_mut().zip(local) {
+                record.partials.append(&mut l.partials);
+                record.errors.append(&mut l.errors);
             }
         }
     });
     let stops: Vec<usize> = stop_at.iter().map(|s| s.load(Ordering::Relaxed)).collect();
-    let all_stopped = stops.iter().all(|&s| s != usize::MAX);
-    let next = if all_stopped {
+    // Natural termination bumps the cursor past `end`; a deadline stop
+    // leaves it at the first unclaimed index. Claimed chunks always
+    // complete, so everything below this index was inspected.
+    let next = if stops.iter().all(|&s| s != usize::MAX) {
         end
     } else {
         cursor.load(Ordering::Relaxed).min(end)
     };
-    PanelPass {
-        partials,
-        errors,
-        stop_at: stops,
-        next,
-    }
+    (stops, next)
 }
 
 #[cfg(not(feature = "parallel"))]
-fn run_panel_parallel(
-    engine: &PanelEngine<'_>,
+fn run_parallel<C: PropertyCheck>(
+    engine: &Engine<'_, C>,
     _threads: usize,
     begin: usize,
     end: usize,
     deadline: Option<Instant>,
-    init_stop: Vec<usize>,
-) -> PanelPass {
-    run_panel_sequential(engine, begin, end, deadline, init_stop)
+    records: &mut [MemberFrontier<C::Partial>],
+) -> (Vec<usize>, usize) {
+    run_sequential(engine, begin, end, deadline, records)
+}
+
+/// The lazy draw loop behind [`LazySweep`](super::LazySweep): pulls items
+/// one at a time and inspects each with the engine's guarded step,
+/// stopping the pull at the first short-circuit or budget expiry — so a
+/// stateful source advances exactly `checked` times and memory stays
+/// `O(1)` in the stream length.
+///
+/// Items whose instance is `None` are labelings of `fixed`, whose
+/// skeleton cache is built once; an item carrying its own instance gets a
+/// one-item cache on arrival. Because the stream length is unknown until
+/// exhausted, the report's `universe_size` is the draw count, and
+/// [`PropertyCheck::reduce`] receives a synthetic universe: the bare
+/// `fixed` instance, or an empty universe without one.
+pub(super) fn draw<C: PropertyCheck>(
+    check: &C,
+    fixed: Option<&Instance>,
+    items: impl IntoIterator<Item = (Option<Instance>, Labeling)>,
+    coverage: Coverage,
+    budget: &SweepBudget,
+) -> VerificationReport<C::Verdict> {
+    let start = Instant::now();
+    let deadline = budget.deadline.map(|d| start + d);
+    let configs = check.view_configs();
+    let bare = |instance: Instance| {
+        // invariant: one `Unlabeled` block contributes exactly one item,
+        // far from overflowing the flat index space.
+        let universe = Universe::new(vec![Block::new(instance, LabelSource::Unlabeled)], coverage)
+            .expect("a single bare instance cannot overflow");
+        let cache = SkeletonCache::build(&universe, configs.clone());
+        (universe, cache)
+    };
+    let mut current = fixed.map(|instance| bare(instance.clone()));
+    let hits = AtomicUsize::new(0);
+    let misses = AtomicUsize::new(current.as_ref().map_or(0, |(_, cache)| cache.populated));
+    let mut record = MemberFrontier::new();
+    let mut drawn = 0usize;
+    let mut interrupted = false;
+    for (instance, labeling) in items {
+        if budget.max_items.is_some_and(|m| drawn >= m)
+            || deadline.is_some_and(|d| Instant::now() >= d)
+        {
+            interrupted = true;
+            break;
+        }
+        if let Some(instance) = instance {
+            let (universe, cache) = bare(instance);
+            misses.fetch_add(cache.populated, Ordering::Relaxed);
+            current = Some((universe, cache));
+        }
+        let (universe, cache) = current
+            .as_ref()
+            .expect("items without an instance are labelings of the fixed one");
+        let item = UniverseItem {
+            index: drawn,
+            block: 0,
+            instance: universe.blocks()[0].instance(),
+            labeling: &labeling,
+            digits: None,
+        };
+        let ctx = ItemCtx::new(0, cache, &hits, &misses, true, 1);
+        drawn += 1;
+        if record.file(
+            check,
+            item.index,
+            guarded(item.index, || check.inspect(&item, &ctx)),
+        ) {
+            record.stop_at = Some(item.index);
+            break;
+        }
+    }
+    let universe = match (fixed, current) {
+        (Some(_), Some((universe, _))) => universe,
+        // invariant: zero blocks sum to zero items — overflow is impossible.
+        _ => Universe::new(Vec::new(), coverage).expect("an empty universe cannot overflow"),
+    };
+    let stats = WalkStats {
+        threads: 1,
+        cache_hits: hits.load(Ordering::Relaxed),
+        cache_misses: misses.load(Ordering::Relaxed),
+        ..WalkStats::default()
+    };
+    let (mut reports, _) = reduce(
+        std::slice::from_ref(check),
+        &universe,
+        drawn,
+        vec![record],
+        drawn,
+        interrupted,
+        stats,
+        None,
+        start,
+    );
+    reports.pop().expect("one member, one report")
 }

@@ -3,8 +3,9 @@
 //! An [`AuditPlan`] names *what* to audit — a decoder, a language, an
 //! instance family, a subset of the seven properties — and [`AuditPlan::run`]
 //! decides *how*: properties quantifying over the same universe shape are
-//! fused into one [`super::sweep_panel`] walk, so the full battery pays for
-//! each enumeration once instead of once per property. The shapes are:
+//! fused into one [`super::SweepSession::run_panel`] walk, so the full
+//! battery pays for each enumeration once instead of once per property.
+//! The shapes are:
 //!
 //! * **labelings** — every labeling of every instance. Soundness, strong
 //!   soundness, hiding and quantified extractability all walk this shape;
@@ -43,13 +44,13 @@ use crate::prover::Prover;
 use crate::verify::SweepStrategy;
 use crate::verify::{
     Block, Coverage, DynPropertyCheck, ExecMode, InternerReport, ItemCtx, LabelSource,
-    MetricsRecorder, MetricsSnapshot, PanelReport, PanelResumeToken, PropertyCheck, PropertyTag,
-    SweepBudget, SweepOpts, SweepOutcome, SweepRecorder, SymmetrySpec, Universe, UniverseItem,
+    MetricsRecorder, MetricsSnapshot, PanelReport, PropertyCheck, PropertyTag, SweepBudget,
+    SweepOpts, SweepOutcome, SweepRecorder, SymmetrySpec, Universe, UniverseItem,
 };
 
 use super::budget::{MemberFrontier, SweepError};
 use super::erased::ErasedPartial;
-use super::panel::{run_panel, PanelFragment};
+use super::panel::PanelFragment;
 use super::session::SweepSession;
 use super::shard::{merge_panel_fragments, ShardSpec};
 #[cfg(feature = "telemetry")]
@@ -793,18 +794,19 @@ impl<'a> AuditPlan<'a> {
         }
     }
 
+    /// A session over `universe` with the plan's mode, options and
+    /// recorder.
+    fn session<'s>(&'s self, universe: &'s Universe) -> SweepSession<'s> {
+        let session = SweepSession::over(universe).mode(self.mode).opts(self.opts);
+        match self.attached() {
+            Some(r) => session.recorder(r),
+            None => session,
+        }
+    }
+
     /// Runs one unbudgeted panel with the plan's recorder attached.
     fn exec_panel(&self, members: &[DynPropertyCheck<'_>], universe: &Universe) -> PanelReport {
-        run_panel(
-            members,
-            universe,
-            self.mode,
-            &SweepBudget::unlimited(),
-            PanelResumeToken::start(members.len()),
-            self.opts,
-            self.attached(),
-        )
-        .report
+        self.session(universe).run_panel(members)
     }
 
     /// Compiles the plan into panels grouped by universe shape and
@@ -917,22 +919,14 @@ impl<'a> AuditPlan<'a> {
         let before = self.snapshot_before();
         let panel = match self.budget {
             Some(budget) => {
-                let run = run_panel(
-                    &members,
-                    universe,
-                    self.mode,
-                    &budget,
-                    PanelResumeToken::start(members.len()),
-                    self.opts,
-                    self.attached(),
-                );
-                if run.report.evidence.interrupted {
+                let panel = self.session(universe).budget(budget).run_panel(&members);
+                if panel.evidence.interrupted {
                     report.notes.push(
                         "labelings panel interrupted by budget; verdicts cover the visited prefix"
                             .into(),
                     );
                 }
-                run.report
+                panel
             }
             None => self.exec_panel(&members, universe),
         };
@@ -1355,6 +1349,12 @@ impl<'a> AuditPlan<'a> {
                         None => (rest, None),
                     };
                     let item = parse_usize("item index", item)?;
+                    if item >= universe.len() {
+                        return Err(format!(
+                            "shard report partial at item {item} lies outside the {}-item universe",
+                            universe.len()
+                        ));
+                    }
                     let partial = checks.reconstruct_partial(kind, universe, item, payload)?;
                     members
                         .last_mut()

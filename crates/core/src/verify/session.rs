@@ -1,9 +1,6 @@
 //! [`SweepSession`]: the single construction site for every sweep.
 //!
-//! The executor grew ~19 parallel entry points (`sweep`, `sweep_with`,
-//! `sweep_budgeted_with_opts`, the `sweep_panel*` mirror set, …) before
-//! this module existed; adding the shard dimension would have doubled the
-//! count again. `SweepSession` folds every axis — execution mode, strategy
+//! `SweepSession` folds every axis of a run — execution mode, strategy
 //! options, budget, telemetry recorder, shard — into one builder:
 //!
 //! ```ignore
@@ -15,8 +12,12 @@
 //!     .run(&check);
 //! ```
 //!
-//! The old free functions survive as `#[deprecated]` shims over this
-//! builder, so the two surfaces cannot drift.
+//! Every `run*`/`resume*` method is the one sweep engine
+//! ([`super::panel`]): the typed methods run it over the one check (its
+//! own type, no erasure) and map the result back to a
+//! [`VerificationReport`] / [`ResumeToken`] / [`SweepFragment`]; the
+//! panel methods run it over the [`DynPropertyCheck`] members.
+//! [`LazySweep`] is the streaming counterpart for iterator sources.
 //!
 //! # Sharding
 //!
@@ -50,8 +51,8 @@
 use super::budget::{PanelResumeToken, ResumeToken, SweepBudget};
 use super::check::{PropertyCheck, VerificationReport};
 use super::erased::DynPropertyCheck;
-use super::executor::{self, BudgetedSweep, ExecMode, SweepFragment, SweepOpts};
-use super::panel::{self, BudgetedPanel, PanelFragment, PanelReport};
+use super::executor::{BudgetedSweep, ExecMode, SweepFragment, SweepOpts};
+use super::panel::{self, BudgetedPanel, Keep, Member, PanelFragment, PanelReport, Run, Walk};
 use super::shard::ShardSpec;
 use super::telemetry::{MetricsRecorder, SweepRecorder};
 use super::universe::{Coverage, Universe};
@@ -151,21 +152,65 @@ impl<'a> SweepSession<'a> {
         }
     }
 
-    /// A fresh token starting at this session's range start.
-    fn start_token<P>(&self, lo: usize) -> ResumeToken<P> {
-        ResumeToken {
-            next_index: lo,
-            partials: Vec::new(),
-            errors: Vec::new(),
+    /// The engine settings for one call enclosed in `span`.
+    fn walk(&self, span: &'static str, budget: SweepBudget) -> Walk<'a> {
+        Walk {
+            universe: self.universe,
+            mode: self.mode,
+            opts: self.opts,
+            budget,
+            recorder: self.recorder,
+            span,
         }
     }
 
-    /// On a sharded session, a resume token that has reached the shard's
-    /// `hi` is spent — drop it so resume chains terminate at the shard
-    /// boundary instead of spinning on an empty range.
-    fn clip_resume<V, P>(&self, out: &mut BudgetedSweep<V, P>, hi: usize) {
-        if self.shard.is_some() && out.resume.as_ref().is_some_and(|t| t.next_index >= hi) {
-            out.resume = None;
+    /// One whole-range engine call from `token`. On a sharded session a
+    /// continuation that has reached the shard's `hi` is spent: it is
+    /// dropped so resume chains terminate at the shard boundary instead
+    /// of spinning on an empty range.
+    fn call<C: Member>(
+        &self,
+        span: &'static str,
+        checks: &[C],
+        token: PanelResumeToken<C::Partial>,
+        keep: Option<Keep<C>>,
+    ) -> Run<C::Verdict, C::Partial> {
+        let (_, hi) = self.range();
+        let budget = self.clamped_budget(token.next_index, hi);
+        let mut run = panel::run(&self.walk(span, budget), checks, token, keep);
+        if self.shard.is_some() && run.resume.as_ref().is_some_and(|t| t.next_index >= hi) {
+            run.resume = None;
+        }
+        run
+    }
+
+    /// The engine over `check` alone, mapped back to the typed result.
+    fn typed<'c, C: PropertyCheck>(
+        &self,
+        check: &'c C,
+        token: ResumeToken<C::Partial>,
+        keep: Option<Keep<&'c C>>,
+    ) -> BudgetedSweep<C::Verdict, C::Partial> {
+        let mut run = self.call("sweep", std::slice::from_ref(&check), token.into(), keep);
+        BudgetedSweep {
+            report: run.members.pop().expect("one member, one report"),
+            resume: run.resume.map(ResumeToken::from),
+        }
+    }
+
+    /// A fresh typed token starting at this session's range start.
+    fn start_token<P>(&self) -> ResumeToken<P> {
+        ResumeToken {
+            next_index: self.range().0,
+            ..ResumeToken::start()
+        }
+    }
+
+    /// A fresh panel token starting at this session's range start.
+    fn start_panel_token(&self, members: usize) -> PanelResumeToken {
+        PanelResumeToken {
+            next_index: self.range().0,
+            ..PanelResumeToken::start(members)
         }
     }
 
@@ -173,19 +218,7 @@ impl<'a> SweepSession<'a> {
     /// bookkeeping (no resume token is built). With an unlimited budget
     /// and no shard this is the classic exhaustive sweep.
     pub fn run<C: PropertyCheck>(&self, check: &C) -> VerificationReport<C::Verdict> {
-        let (lo, hi) = self.range();
-        let budget = self.clamped_budget(lo, hi);
-        executor::run_resumable(
-            check,
-            self.universe,
-            self.mode,
-            &budget,
-            self.start_token(lo),
-            self.opts,
-            self.recorder,
-            |_, _, _| None,
-        )
-        .report
+        self.typed(check, self.start_token(), None).report
     }
 
     /// Sweeps `check` and keeps the resume token when the budget (or the
@@ -195,20 +228,7 @@ impl<'a> SweepSession<'a> {
     where
         C::Partial: Clone,
     {
-        let (lo, hi) = self.range();
-        let budget = self.clamped_budget(lo, hi);
-        let mut out = executor::run_resumable(
-            check,
-            self.universe,
-            self.mode,
-            &budget,
-            self.start_token(lo),
-            self.opts,
-            self.recorder,
-            executor::tokenize,
-        );
-        self.clip_resume(&mut out, hi);
-        out
+        self.resume(check, self.start_token())
     }
 
     /// Continues an interrupted sweep from `token`. The combined chain of
@@ -221,37 +241,13 @@ impl<'a> SweepSession<'a> {
     where
         C::Partial: Clone,
     {
-        let (_, hi) = self.range();
-        let budget = self.clamped_budget(token.next_index, hi);
-        let mut out = executor::run_resumable(
-            check,
-            self.universe,
-            self.mode,
-            &budget,
-            token,
-            self.opts,
-            self.recorder,
-            executor::tokenize,
-        );
-        self.clip_resume(&mut out, hi);
-        out
+        self.typed(check, token, Some(|_, p| p.clone()))
     }
 
     /// Walks the session's range and returns the raw [`SweepFragment`] —
     /// the shard-merge input — instead of reducing to a verdict.
     pub fn run_fragment<C: PropertyCheck>(&self, check: &C) -> SweepFragment<C::Partial> {
-        let (lo, hi) = self.range();
-        executor::run_fragment(
-            check,
-            self.universe,
-            self.mode,
-            &self.budget,
-            self.start_token(lo),
-            self.opts,
-            self.recorder,
-            lo,
-            hi,
-        )
+        self.resume_fragment(check, self.start_token())
     }
 
     /// Continues an interrupted fragment walk from `token` (built with
@@ -263,44 +259,20 @@ impl<'a> SweepSession<'a> {
         token: ResumeToken<C::Partial>,
     ) -> SweepFragment<C::Partial> {
         let (lo, hi) = self.range();
-        executor::run_fragment(
-            check,
-            self.universe,
-            self.mode,
-            &self.budget,
-            token,
-            self.opts,
-            self.recorder,
-            lo,
-            hi,
-        )
+        let walk = self.walk("sweep", self.budget);
+        panel::fragment(&walk, std::slice::from_ref(&check), token.into(), lo, hi).into()
     }
 
     /// Fuses `checks` into one walk over the session's range.
     pub fn run_panel(&self, checks: &[DynPropertyCheck<'_>]) -> PanelReport {
-        self.run_panel_budgeted(checks).report
+        self.fused(checks, self.start_panel_token(checks.len()), None)
+            .report
     }
 
     /// [`run_panel`](SweepSession::run_panel) keeping the panel resume
     /// token when the walk is interrupted.
     pub fn run_panel_budgeted(&self, checks: &[DynPropertyCheck<'_>]) -> BudgetedPanel {
-        let (lo, hi) = self.range();
-        let budget = self.clamped_budget(lo, hi);
-        let mut token = PanelResumeToken::start(checks.len());
-        token.next_index = lo;
-        let mut out = panel::run_panel(
-            checks,
-            self.universe,
-            self.mode,
-            &budget,
-            token,
-            self.opts,
-            self.recorder,
-        );
-        if self.shard.is_some() && out.resume.as_ref().is_some_and(|t| t.next_index >= hi) {
-            out.resume = None;
-        }
-        out
+        self.resume_panel(checks, self.start_panel_token(checks.len()))
     }
 
     /// Continues an interrupted panel from `token`.
@@ -309,40 +281,27 @@ impl<'a> SweepSession<'a> {
         checks: &[DynPropertyCheck<'_>],
         token: PanelResumeToken,
     ) -> BudgetedPanel {
-        let (_, hi) = self.range();
-        let budget = self.clamped_budget(token.next_index, hi);
-        let mut out = panel::run_panel(
-            checks,
-            self.universe,
-            self.mode,
-            &budget,
-            token,
-            self.opts,
-            self.recorder,
-        );
-        if self.shard.is_some() && out.resume.as_ref().is_some_and(|t| t.next_index >= hi) {
-            out.resume = None;
+        self.fused(checks, token, Some(|check, p| check.clone_partial(p)))
+    }
+
+    /// The engine over the panel's members, tagged into a panel report.
+    fn fused<'c>(
+        &self,
+        checks: &[DynPropertyCheck<'c>],
+        token: PanelResumeToken,
+        keep: Option<Keep<DynPropertyCheck<'c>>>,
+    ) -> BudgetedPanel {
+        let run = self.call("panel", checks, token, keep);
+        BudgetedPanel {
+            report: PanelReport::assemble(checks, run.members, run.evidence),
+            resume: run.resume,
         }
-        out
     }
 
     /// Walks the session's range and returns the raw [`PanelFragment`] —
     /// the panel shard-merge input — instead of reducing members.
     pub fn run_panel_fragment(&self, checks: &[DynPropertyCheck<'_>]) -> PanelFragment {
-        let (lo, hi) = self.range();
-        let mut token = PanelResumeToken::start(checks.len());
-        token.next_index = lo;
-        panel::run_panel_fragment(
-            checks,
-            self.universe,
-            self.mode,
-            &self.budget,
-            token,
-            self.opts,
-            self.recorder,
-            lo,
-            hi,
-        )
+        self.resume_panel_fragment(checks, self.start_panel_token(checks.len()))
     }
 
     /// Continues an interrupted panel fragment walk from `token` (built
@@ -353,17 +312,8 @@ impl<'a> SweepSession<'a> {
         token: PanelResumeToken,
     ) -> PanelFragment {
         let (lo, hi) = self.range();
-        panel::run_panel_fragment(
-            checks,
-            self.universe,
-            self.mode,
-            &self.budget,
-            token,
-            self.opts,
-            self.recorder,
-            lo,
-            hi,
-        )
+        let walk = self.walk("panel", self.budget);
+        panel::fragment(&walk, checks, token, lo, hi)
     }
 }
 
@@ -432,7 +382,8 @@ impl<'a> LazySweep<'a> {
             "LazySweep::run needs a fixed instance; build with LazySweep::of \
              (LazySweep::labeled sources fire with run_labeled)",
         );
-        executor::run_lazy(check, instance, labelings, self.coverage, &self.budget)
+        let items = labelings.into_iter().map(|labeling| (None, labeling));
+        panel::draw(check, Some(instance), items, self.coverage, &self.budget)
     }
 
     /// Sweeps `check` over labeled instances pulled from `items`.
@@ -441,6 +392,10 @@ impl<'a> LazySweep<'a> {
         check: &C,
         items: impl IntoIterator<Item = LabeledInstance>,
     ) -> VerificationReport<C::Verdict> {
-        executor::run_lazy_labeled(check, items, self.coverage, &self.budget)
+        let items = items.into_iter().map(|li| {
+            let (instance, labeling) = li.into_parts();
+            (Some(instance), labeling)
+        });
+        panel::draw(check, None, items, self.coverage, &self.budget)
     }
 }

@@ -36,13 +36,13 @@
 //! [`SweepStrategy`]: super::SweepStrategy
 //! [`SweepStrategy::Quotient`]: super::SweepStrategy::Quotient
 
-use super::budget::SweepError;
-use super::check::{ExecEvidence, PropertyCheck, SweepOutcome, VerificationReport};
+use super::budget::MemberFrontier;
+use super::check::{PropertyCheck, VerificationReport};
 use super::erased::DynPropertyCheck;
 use super::executor::{resolve_threads, ExecMode, SweepFragment};
-use super::panel::{reduce_panel, PanelFragment, PanelReport, PanelWalkStats};
-use super::telemetry::{SweepCounter, SweepPhase, SweepRecorder};
-use super::universe::{Coverage, Universe};
+use super::panel::{reduce, PanelFragment, PanelReport, Reduced, WalkStats};
+use super::telemetry::{SweepCounter, SweepRecorder};
+use super::universe::Universe;
 use std::time::Instant;
 
 /// One of `of` contiguous shards of a universe's flat index space.
@@ -202,46 +202,128 @@ pub fn run_shards<T>(
     })
 }
 
-/// Checks that `fragments` (any order) tile `[0, n)` exactly and are all
-/// complete; returns them sorted by range start. `what` names the
-/// fragment kind in error messages.
-fn validate_tiling<F>(
-    mut fragments: Vec<F>,
+/// Checks that `fragments` (any order) tile `[0, n)` exactly, are all
+/// complete, describe `members` members each, and record only items
+/// their own walk visited: every partial, error and stop index lies in
+/// the fragment's `[lo, next)`, and partial and error indices strictly
+/// increase within a member. Returns the fragments sorted by range start.
+fn validate_tiling<P>(
+    mut fragments: Vec<PanelFragment<P>>,
     n: usize,
-    what: &str,
-    range_of: impl Fn(&F) -> (usize, usize),
-    complete: impl Fn(&F) -> bool,
-) -> Result<Vec<F>, String> {
+    members: usize,
+) -> Result<Vec<PanelFragment<P>>, String> {
     if fragments.is_empty() {
-        return Err(format!("no {what}s to merge"));
+        return Err("no fragments to merge".to_string());
     }
-    fragments.sort_by_key(|f| range_of(f).0);
+    fragments.sort_by_key(|f| f.lo);
     let mut expect = 0usize;
     for f in &fragments {
-        let (lo, hi) = range_of(f);
+        let (lo, hi) = (f.lo, f.hi);
         if lo != expect {
             return Err(if lo > expect {
-                format!("{what}s leave a gap: [{expect}, {lo}) is uncovered")
+                format!("fragments leave a gap: [{expect}, {lo}) is uncovered")
             } else {
-                format!("{what}s overlap: [{lo}, {expect}) is covered twice")
+                format!("fragments overlap: [{lo}, {expect}) is covered twice")
             });
         }
         if hi < lo {
-            return Err(format!("{what} range [{lo}, {hi}) is inverted"));
+            return Err(format!("fragment range [{lo}, {hi}) is inverted"));
         }
-        if !complete(f) {
+        if !f.is_complete() {
             return Err(format!(
-                "{what} over [{lo}, {hi}) is torn: its walk did not finish the range"
+                "fragment over [{lo}, {hi}) is torn: its walk did not finish the range"
             ));
+        }
+        if f.members.len() != members {
+            return Err(format!(
+                "fragment over [{lo}, {hi}) describes {} members, expected {members}",
+                f.members.len()
+            ));
+        }
+        for (m, member) in f.members.iter().enumerate() {
+            let recorded = |what: &str, indices: &mut dyn Iterator<Item = usize>| {
+                let mut prev: Option<usize> = None;
+                for i in indices {
+                    if i < lo || i >= f.next {
+                        return Err(format!(
+                            "fragment over [{lo}, {hi}) records a member {m} {what} at item {i}, \
+                             outside its walked range [{lo}, {})",
+                            f.next
+                        ));
+                    }
+                    if let Some(p) = prev.filter(|&p| i <= p) {
+                        return Err(format!(
+                            "fragment over [{lo}, {hi}) records member {m} {what}s out of \
+                             order: item {i} after item {p}"
+                        ));
+                    }
+                    prev = Some(i);
+                }
+                Ok(())
+            };
+            recorded("partial", &mut member.partials.iter().map(|&(i, _)| i))?;
+            recorded("error", &mut member.errors.iter().map(|e| e.item_index))?;
+            recorded("stop", &mut member.stop_at.into_iter())?;
         }
         expect = hi;
     }
     if expect != n {
         return Err(format!(
-            "{what}s cover [0, {expect}) but the universe has {n} items"
+            "fragments cover [0, {expect}) but the universe has {n} items"
         ));
     }
     Ok(fragments)
+}
+
+/// The one merge behind [`merge_fragments`] and [`merge_panel_fragments`]:
+/// validates the tiling, composes each member's short-circuit frontier
+/// (the global stop is the minimum over shards — exactly the `fetch_min`
+/// rule worker threads obey within one process), applies the walk's
+/// retention rule, and runs the reduce a single-process walk would have
+/// run. The walk counters (cache/memo hits) are reported as zero — they
+/// are observed, not stable, and the stable rendering never reads them.
+fn merge<C: PropertyCheck>(
+    checks: &[C],
+    universe: &Universe,
+    mode: ExecMode,
+    fragments: Vec<PanelFragment<C::Partial>>,
+    recorder: Option<&dyn SweepRecorder>,
+) -> Result<Reduced<C::Verdict>, String> {
+    let start = Instant::now();
+    let n = universe.len();
+    let fragments = validate_tiling(fragments, n, checks.len())?;
+    if let Some(r) = recorder {
+        r.add(SweepCounter::ShardMerges, 1);
+        r.span_enter("merge");
+    }
+    let mut members: Vec<MemberFrontier<C::Partial>> =
+        checks.iter().map(|_| MemberFrontier::new()).collect();
+    // Fragments are sorted by disjoint ranges and internally sorted, so
+    // concatenation preserves index order.
+    for f in fragments {
+        for (merged, frontier) in members.iter_mut().zip(f.members) {
+            merged.stop_at = match (merged.stop_at, frontier.stop_at) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
+            };
+            merged.partials.extend(frontier.partials);
+            merged.errors.extend(frontier.errors);
+        }
+    }
+    for member in &mut members {
+        member.settle();
+    }
+    let stats = WalkStats {
+        threads: resolve_threads(mode, n),
+        ..WalkStats::default()
+    };
+    let merged = reduce(
+        checks, universe, n, members, n, false, stats, recorder, start,
+    );
+    if let Some(r) = recorder {
+        r.span_exit("merge");
+    }
+    Ok(merged)
 }
 
 /// Merges single-check shard fragments into the report a single-process
@@ -261,87 +343,23 @@ pub fn merge_fragments<C: PropertyCheck>(
     fragments: Vec<SweepFragment<C::Partial>>,
     recorder: Option<&dyn SweepRecorder>,
 ) -> Result<VerificationReport<C::Verdict>, String> {
-    let start = Instant::now();
-    let n = universe.len();
-    let fragments = validate_tiling(
+    let fragments = fragments.into_iter().map(PanelFragment::from).collect();
+    let (mut reports, _) = merge(
+        std::slice::from_ref(&check),
+        universe,
+        mode,
         fragments,
-        n,
-        "fragment",
-        |f| (f.lo, f.hi),
-        SweepFragment::is_complete,
+        recorder,
     )?;
-    if let Some(r) = recorder {
-        r.add(SweepCounter::ShardMerges, 1);
-        r.span_enter("merge");
-    }
-    let stop = fragments.iter().filter_map(|f| f.stop_at).min();
-    let mut partials: Vec<(usize, C::Partial)> = Vec::new();
-    let mut errors: Vec<SweepError> = Vec::new();
-    // Fragments are sorted by disjoint ranges and internally sorted, so
-    // concatenation preserves index order.
-    for f in fragments {
-        partials.extend(f.partials);
-        errors.extend(f.errors);
-    }
-    if let Some(s) = stop {
-        partials.retain(|&(i, _)| i <= s);
-        errors.retain(|e| e.item_index <= s);
-    }
-    let short_circuited = stop.is_some();
-    let checked = match stop {
-        Some(s) => s + 1,
-        None => n,
-    };
-    let coverage = if errors.is_empty() {
-        universe.coverage()
-    } else {
-        Coverage::Sampled
-    };
-    let outcome = SweepOutcome {
-        checked,
-        universe_size: n,
-        short_circuited,
-    };
-    let reduce_start = recorder.map(|r| r.now_micros());
-    let verdict = check.reduce(universe, partials, &outcome);
-    if let (Some(r), Some(t0)) = (recorder, reduce_start) {
-        r.record_phase(SweepPhase::Reduce, r.now_micros().saturating_sub(t0));
-    }
-    let interner = check.interner_report();
-    if let (Some(r), Some(report)) = (recorder, &interner) {
-        report.record_into(r);
-    }
-    if let Some(r) = recorder {
-        r.span_exit("merge");
-    }
-    Ok(VerificationReport {
-        verdict,
-        evidence: ExecEvidence {
-            checked,
-            universe_size: n,
-            short_circuited,
-            interrupted: false,
-            coverage,
-            errors,
-            cache_hits: 0,
-            cache_misses: 0,
-            memo_hits: 0,
-            memo_misses: 0,
-            elapsed: start.elapsed(),
-            threads: resolve_threads(mode, n),
-            interner,
-        },
-    })
+    Ok(reports.pop().expect("one member, one report"))
 }
 
 /// Merges panel shard fragments into the report a single-process fused
 /// panel over the whole universe would produce. Validation, frontier
 /// composition and retention follow [`merge_fragments`], applied per
-/// member; the reduce is the very [`reduce_panel`] the live panel runs,
-/// so member verdicts, `checked` counts and coverage are structurally
-/// identical to the unsharded report. The walk counters (cache/memo hits)
-/// are reported as zero — they are observed, not stable, and the stable
-/// rendering never reads them.
+/// member; the reduce is the very one the live panel runs, so member
+/// verdicts, `checked` counts and coverage are structurally identical to
+/// the unsharded report.
 pub fn merge_panel_fragments(
     checks: &[DynPropertyCheck<'_>],
     universe: &Universe,
@@ -349,73 +367,8 @@ pub fn merge_panel_fragments(
     fragments: Vec<PanelFragment>,
     recorder: Option<&dyn SweepRecorder>,
 ) -> Result<PanelReport, String> {
-    let start = Instant::now();
-    let n = universe.len();
-    let nmem = checks.len();
-    let fragments = validate_tiling(
-        fragments,
-        n,
-        "panel fragment",
-        |f| (f.lo, f.hi),
-        PanelFragment::is_complete,
-    )?;
-    for f in &fragments {
-        if f.members.len() != nmem {
-            return Err(format!(
-                "panel fragment over [{}, {}) describes {} members, expected {nmem}",
-                f.lo,
-                f.hi,
-                f.members.len()
-            ));
-        }
-    }
-    if let Some(r) = recorder {
-        r.add(SweepCounter::ShardMerges, 1);
-        r.span_enter("merge");
-    }
-    let mut member_partials: Vec<Vec<(usize, super::erased::ErasedPartial)>> =
-        (0..nmem).map(|_| Vec::new()).collect();
-    let mut member_errors: Vec<Vec<SweepError>> = (0..nmem).map(|_| Vec::new()).collect();
-    let mut stop_at = vec![usize::MAX; nmem];
-    for f in fragments {
-        for (m, frontier) in f.members.into_iter().enumerate() {
-            if let Some(s) = frontier.stop_at {
-                stop_at[m] = stop_at[m].min(s);
-            }
-            member_partials[m].extend(frontier.partials);
-            member_errors[m].extend(frontier.errors);
-        }
-    }
-    for m in 0..nmem {
-        if stop_at[m] != usize::MAX {
-            let s = stop_at[m];
-            member_partials[m].retain(|&(i, _)| i <= s);
-            member_errors[m].retain(|e| e.item_index <= s);
-        }
-    }
-    let stats = PanelWalkStats {
-        threads: resolve_threads(mode, n),
-        cache_hits: 0,
-        cache_misses: 0,
-        memo_hits: 0,
-        memo_misses: 0,
-    };
-    let report = reduce_panel(
-        checks,
-        universe,
-        member_partials,
-        member_errors,
-        &stop_at,
-        n,
-        false,
-        stats,
-        recorder,
-        start,
-    );
-    if let Some(r) = recorder {
-        r.span_exit("merge");
-    }
-    Ok(report)
+    let (reports, evidence) = merge(checks, universe, mode, fragments, recorder)?;
+    Ok(PanelReport::assemble(checks, reports, evidence))
 }
 
 /// Sums per-shard stable-counter lists (name → value, any order) into one

@@ -3,11 +3,11 @@
 //!
 //! # Recorder contract
 //!
-//! * **Attachment is opt-in.** The recorded entry points
-//!   ([`sweep_recorded`](super::sweep_recorded),
-//!   [`sweep_panel_recorded`](super::sweep_panel_recorded),
-//!   [`AuditPlan::telemetry`](super::AuditPlan::telemetry)) thread a
-//!   recorder through the engine; every other entry point runs with no
+//! * **Attachment is opt-in.** A session with a recorder
+//!   ([`SweepSession::metrics`](super::SweepSession::metrics),
+//!   [`SweepSession::recorder`](super::SweepSession::recorder)) or an
+//!   audit plan with one ([`AuditPlan::telemetry`](super::AuditPlan::telemetry))
+//!   threads it through the engine; every other call runs with no
 //!   recorder and pays nothing beyond per-item stack-local `u64`
 //!   increments (see [`WorkerTally`]).
 //! * **No ambient time.** Every timestamp flows through the recorder's
@@ -472,7 +472,7 @@ impl MetricsSnapshot {
 /// A worker thread's stack-local counter tally.
 ///
 /// The hot loop bumps plain `u64` fields — no atomics, no branches on
-/// "is a recorder attached" — and [`WorkerTally::flush`] folds the
+/// "is a recorder attached" — and `WorkerTally::flush` folds the
 /// totals into the recorder once per worker, mirroring the verdict
 /// memo's flush. Without the `telemetry` feature the struct is
 /// zero-sized and every method compiles to nothing, which is how the

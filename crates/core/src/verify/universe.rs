@@ -60,7 +60,8 @@ pub enum Coverage {
 #[derive(Debug, Clone)]
 pub enum LabelSource {
     /// Every function `V -> alphabet`, enumerated in the same odometer
-    /// order as [`all_labelings`] (node 0 is the least-significant digit).
+    /// order as [`all_labelings`](crate::prover::all_labelings) (node 0 is
+    /// the least-significant digit).
     All {
         /// The certificate alphabet.
         alphabet: Vec<Certificate>,

@@ -174,7 +174,7 @@ fn dsatur_step(
 
 /// Whether `g` is k-colorable, i.e. `g ∈ G(k-col)`.
 ///
-/// Decided by [`dsatur_k_colorable`] for `k ≤ 128` (the hot path behind
+/// Decided by DSATUR branch and bound for `k ≤ 128` (the hot path behind
 /// hiding verdicts on accepting neighborhood graphs), falling back to the
 /// lexicographic search beyond that.
 pub fn is_k_colorable(g: &Graph, k: usize) -> bool {

@@ -31,6 +31,11 @@ use hiding_lcp_core::verify::{
 };
 use std::time::Duration;
 
+/// The largest `--max-n` the Lemma 3.1 family is built for: it enumerates
+/// every port assignment of every connected graph, and K5 alone has
+/// (4!)^5 = 7,962,624 of them, past `Universe::lemma31`'s cap.
+const MAX_N: usize = 4;
+
 struct Args {
     decoder: String,
     max_n: usize,
@@ -71,9 +76,9 @@ fn usage() -> ! {
          \x20            [--shard i/N] [--shard-out FILE] [--shards-from DIR]\n\
          \n\
          Audits one of the paper's LCPs over the Lemma 3.1 family up to N nodes\n\
-         (default: even-cycle, N=4, all seven properties) and prints the fused-panel\n\
-         report as JSON. --strategy quotient sweeps only canonical orbit\n\
-         representatives (same verdicts, less wall-clock). --trace-out writes a\n\
+         (1 <= N <= 4; default: even-cycle, N=4, all seven properties) and prints\n\
+         the fused-panel report as JSON. --strategy quotient sweeps only canonical\n\
+         orbit representatives (same verdicts, less wall-clock). --trace-out writes a\n\
          Chrome trace_event file (open in chrome://tracing or Perfetto);\n\
          --metrics-out writes the counter/phase snapshot. --stable zeroes\n\
          scheduling-dependent fields so reports byte-compare across runs.\n\
@@ -172,6 +177,14 @@ fn parse_args() -> Args {
     }
     if budget.deadline.is_some() || budget.max_items.is_some() {
         args.budget = Some(budget);
+    }
+    if !(1..=MAX_N).contains(&args.max_n) {
+        eprintln!(
+            "audit: --max-n {} is out of range: the Lemma 3.1 family is built for \
+             1 to {MAX_N} nodes",
+            args.max_n
+        );
+        usage()
     }
     args
 }
