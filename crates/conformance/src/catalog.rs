@@ -215,6 +215,12 @@ pub const MUTANTS: &[Mutant] = &[
         site: "counter merge folds only the first shard's stable counters",
         expected_killers: &["shard_counter_sums"],
     },
+    Mutant {
+        name: "shard_replay_trusted",
+        host: "hiding-lcp-core",
+        site: "shard merge keeps a report's listed records without comparing them to the replay",
+        expected_killers: &["shard_forged_record_rejected"],
+    },
 ];
 
 /// The catalog must agree with the probe battery: every expected killer

@@ -24,7 +24,7 @@ use hiding_lcp_core::network::{FaultPlan, FaultRates};
 use hiding_lcp_core::properties::completeness::check_completeness;
 use hiding_lcp_core::properties::erasure::{erase_and_run, random_erasure_trials};
 use hiding_lcp_core::properties::hiding::{
-    check_hiding, verify_hiding, HidingVerdict, UniverseCoverage,
+    check_hiding, verify_hiding, HidingCheck, HidingVerdict, UniverseCoverage,
 };
 use hiding_lcp_core::properties::invariance::InvarianceCheck;
 use hiding_lcp_core::properties::soundness::{SoundnessCheck, SoundnessViolation};
@@ -70,6 +70,7 @@ pub const ALL: &[(&str, fn())] = &[
     ("panel_member_frontiers", panel_member_frontiers),
     ("shard_merge_byte_identical", shard_merge_byte_identical),
     ("shard_counter_sums", shard_counter_sums),
+    ("shard_forged_record_rejected", shard_forged_record_rejected),
     ("orbit_partition_weighted", orbit_partition_weighted),
     ("telemetry_quotient_partition", telemetry_quotient_partition),
     ("telemetry_span_balance", telemetry_span_balance),
@@ -570,6 +571,23 @@ pub fn hiding_partial_inconclusive() {
         HidingVerdict::Inconclusive,
         "a sampled universe cannot certify non-hiding"
     );
+    // Nor can an exhaustive universe the sweep was interrupted in.
+    let c4 = Instance::canonical(generators::cycle(4));
+    let all = Universe::new(
+        vec![Block::new(c4, LabelSource::All { alphabet: bits() })],
+        Coverage::Exhaustive,
+    )
+    .expect("16 labelings fit");
+    let check = HidingCheck::new(&LocalDiff, &all, 2, bipartite::is_bipartite);
+    let cut = SweepSession::over(&all)
+        .budget(SweepBudget::unlimited().with_max_items(4))
+        .run(&check);
+    assert!(cut.evidence.interrupted, "4 of 16 labelings visited");
+    assert_eq!(
+        cut.verdict.1,
+        HidingVerdict::Inconclusive,
+        "an interrupted sweep cannot certify non-hiding"
+    );
 }
 
 /// Equal adjacent accepting views are a self-loop — the length-1 odd walk
@@ -902,6 +920,56 @@ pub fn shard_merge_byte_identical() {
             .expect("clean shard reports tile the universe");
         assert_eq!(single, merged.to_stable_json(), "{shards}-way split");
     }
+}
+
+/// A shard report whose scan record was moved onto a no-instance item,
+/// then re-sealed with a valid checksum, must fail the merge: the merge
+/// replays every listed item, and the Lemma 3.1 scan never records a
+/// no-instance. A merge that trusted the listing would accept it.
+pub fn shard_forged_record_rejected() {
+    let family = || InstanceSet::Explicit {
+        instances: vec![
+            Instance::canonical(generators::cycle(4)),
+            Instance::canonical(generators::path(3)),
+            Instance::canonical(generators::cycle(3)),
+        ],
+        coverage: Coverage::Sampled,
+    };
+    let plan = || AuditPlan::new(&LocalDiff, 2, family(), bits()).seed(11);
+    let mut reports: Vec<String> = ShardSpec::partition(2)
+        .into_iter()
+        .map(|s| plan().run_shard(s))
+        .collect();
+    plan()
+        .run_with_shards(&reports)
+        .expect("clean shard reports merge");
+    // Items [0, 16) label C4, [16, 24) P3 and [24, 32) the triangle, so
+    // the second report covers P3 and the triangle. Its last scan record
+    // (a P3 labeling) moves onto item 24.
+    let mut lines: Vec<String> = reports[1].lines().map(String::from).collect();
+    lines.pop(); // the checksum trailer
+    let scan = lines
+        .iter()
+        .position(|l| l.starts_with("member 2 scan"))
+        .expect("the panel's third member is the scan");
+    let last = scan
+        + lines[scan + 1..]
+            .iter()
+            .take_while(|l| l.starts_with("p "))
+            .count();
+    assert!(last > scan, "the P3 labelings leave scan records");
+    lines[last] = "p 24".to_string();
+    let body: String = lines.iter().map(|l| format!("{l}\n")).collect();
+    let fnv1a64 = |bytes: &[u8]| {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |hash, &b| {
+            (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    };
+    reports[1] = format!("{body}end shardreport {:016x}\n", fnv1a64(body.as_bytes()));
+    let err = plan()
+        .run_with_shards(&reports)
+        .expect_err("a forged scan record must not merge");
+    assert!(err.contains("member 2") && err.contains("item 24"), "{err}");
 }
 
 /// The shard counter merge folds *every* shard's stable counters:

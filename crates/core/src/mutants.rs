@@ -61,6 +61,8 @@
 //!   successor's first item, so adjacent shard ranges overlap by one.
 //! * `shard_merge_drop_counters` — the shard-report merge folds only the
 //!   first shard's stable counters, dropping every other shard's work.
+//! * `shard_replay_trusted` — the shard-report merge keeps a report's
+//!   listed records without comparing them to their replay.
 
 use std::sync::RwLock;
 

@@ -37,16 +37,6 @@ pub struct NbhdScan {
     accepts: Vec<bool>,
 }
 
-impl NbhdScan {
-    /// Per-node acceptance flags, in node order. This is the portable half
-    /// of a scan: view ids are run-local interner handles, so a scan
-    /// crossing a process boundary ships only its accepts and the merging
-    /// side re-interns views via [`NbhdSweep::reconstruct_scan`].
-    pub(crate) fn accepts(&self) -> &[bool] {
-        &self.accepts
-    }
-}
-
 /// The Lemma 3.1 construction as a [`PropertyCheck`]: inspection scans one
 /// labeled yes-instance (no-instances yield no partial), and the reduce
 /// step replays the exact two-pass insertion order of
@@ -95,26 +85,6 @@ impl<'a, D: Decoder + ?Sized> NbhdSweep<'a, D> {
     /// the view.
     pub fn interner_stats(&self) -> (usize, usize) {
         self.interner.stats()
-    }
-
-    /// Rebuilds a [`NbhdScan`] from a serialized shard report: `accepts`
-    /// crossed the process boundary verbatim, while the view ids (run-local
-    /// interner handles) are re-derived by stamping every node's view of
-    /// `li` and interning it into *this* sweep's table. Reduce only ever
-    /// orders on item order, so re-interned ids are fully equivalent to the
-    /// originals.
-    pub(crate) fn reconstruct_scan(&self, li: &LabeledInstance, accepts: Vec<bool>) -> NbhdScan {
-        let radius = self.decoder.radius();
-        let n = li.graph().node_count();
-        assert_eq!(
-            accepts.len(),
-            n,
-            "shard scan acceptance flags must cover every node"
-        );
-        let view_ids = (0..n)
-            .map(|v| self.interner.intern(li.view(v, radius, self.id_mode)))
-            .collect();
-        NbhdScan { view_ids, accepts }
     }
 
     /// The id of node `v`'s view in the graph's id mode: digit-key front

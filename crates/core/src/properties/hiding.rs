@@ -107,7 +107,7 @@ pub fn check_hiding(nbhd: &NbhdGraph, k: usize, coverage: UniverseCoverage) -> H
 
 /// The hiding property as a sweepable check: the Lemma 3.1 scan feeding
 /// the Lemma 3.2 colorability test, with the coverage read off the
-/// universe's type.
+/// universe's type, and partial whenever the sweep stopped short of it.
 pub struct HidingCheck<'a, D: ?Sized> {
     sweep: NbhdSweep<'a, D>,
     k: usize,
@@ -125,12 +125,6 @@ impl<'a, D: Decoder + ?Sized> HidingCheck<'a, D> {
             sweep: NbhdSweep::new(decoder, IdMode::Anonymous, universe, is_yes),
             k,
         }
-    }
-
-    /// The underlying Lemma 3.1 sweep, for shard-report reconstruction
-    /// (see [`NbhdSweep::reconstruct_scan`]).
-    pub(crate) fn sweep(&self) -> &NbhdSweep<'a, D> {
-        &self.sweep
     }
 }
 
@@ -181,7 +175,12 @@ impl<D: Decoder + ?Sized> PropertyCheck for HidingCheck<'_, D> {
         outcome: &SweepOutcome,
     ) -> (NbhdGraph, HidingVerdict) {
         let nbhd = self.sweep.reduce(universe, partials, outcome);
-        let verdict = check_hiding(&nbhd, self.k, universe.coverage().into());
+        let coverage = if outcome.checked < outcome.universe_size {
+            UniverseCoverage::Partial
+        } else {
+            universe.coverage().into()
+        };
+        let verdict = check_hiding(&nbhd, self.k, coverage);
         (nbhd, verdict)
     }
 }
@@ -203,19 +202,25 @@ where
         PropertyTag::Hiding,
         "hiding",
         HidingCheck::new(decoder, universe, k, is_yes),
-        |(_, v): &(NbhdGraph, HidingVerdict)| match v {
-            HidingVerdict::Hiding { .. } => (Some(true), "V(D, .) is not k-colorable".into()),
-            HidingVerdict::NotHiding { .. } => (
-                Some(false),
-                "V(D, .) is k-colorable over an exhaustive universe".into(),
-            ),
-            HidingVerdict::Inconclusive => (
-                None,
-                "V(D, .) k-colorable but the universe was partial".into(),
-            ),
-        },
+        |(_, v): &(NbhdGraph, HidingVerdict)| hiding_line(v),
     )
     .with_channel(decoder)
+}
+
+/// A hiding verdict's audit line: `passed` and its detail text. The
+/// summary of [`hiding_member`] and of the audit plan's hiding line.
+pub(crate) fn hiding_line(verdict: &HidingVerdict) -> (Option<bool>, String) {
+    match verdict {
+        HidingVerdict::Hiding { .. } => (Some(true), "V(D, .) is not k-colorable".into()),
+        HidingVerdict::NotHiding { .. } => (
+            Some(false),
+            "V(D, .) is k-colorable over an exhaustive universe".into(),
+        ),
+        HidingVerdict::Inconclusive => (
+            None,
+            "V(D, .) k-colorable but the universe was partial".into(),
+        ),
+    }
 }
 
 /// Checks hiding of `decoder` on the engine: sweeps `universe`, builds

@@ -122,12 +122,6 @@ impl<'a, D: Decoder + ?Sized> QuantifiedCheck<'a, D> {
             k,
         }
     }
-
-    /// The underlying Lemma 3.1 sweep, for shard-report reconstruction
-    /// (see [`NbhdSweep::reconstruct_scan`]).
-    pub(crate) fn sweep(&self) -> &NbhdSweep<'a, D> {
-        &self.sweep
-    }
 }
 
 impl<D: Decoder + ?Sized> PropertyCheck for QuantifiedCheck<'_, D> {
@@ -199,18 +193,23 @@ where
         PropertyTag::Quantified,
         "quantified",
         QuantifiedCheck::new(decoder, universe, k, is_yes),
-        |(nbhd, map): &(NbhdGraph, ExtractabilityMap)| {
-            (
-                None,
-                format!(
-                    "{} of {} views unextractable",
-                    map.unextractable_views(),
-                    nbhd.view_count()
-                ),
-            )
-        },
+        |(nbhd, map): &(NbhdGraph, ExtractabilityMap)| quantified_line(nbhd, map),
     )
     .with_channel(decoder)
+}
+
+/// The quantified audit line of `nbhd` classified by `map`: informational
+/// (`passed` is `None`) with the unextractable-view count. The summary of
+/// [`quantified_member`] and of the audit plan's quantified line.
+pub(crate) fn quantified_line(nbhd: &NbhdGraph, map: &ExtractabilityMap) -> (Option<bool>, String) {
+    (
+        None,
+        format!(
+            "{} of {} views unextractable",
+            map.unextractable_views(),
+            nbhd.view_count()
+        ),
+    )
 }
 
 /// Builds `V(D, ·)` over `universe` on the engine and classifies its views

@@ -540,6 +540,19 @@ mod tests {
         )
         .expect_err("a repeated partial index must be rejected");
         assert!(err.contains("out of order"), "{err}");
+        // A walk frontier past the range would admit records of the next
+        // shard's range twice.
+        let mut overrun = frag_of(ShardSpec::new(0, 2));
+        overrun.next = overrun.hi + 1;
+        let err = merge_fragments(
+            &check,
+            &universe,
+            ExecMode::Sequential,
+            vec![overrun, frag_of(ShardSpec::new(1, 2))],
+            None,
+        )
+        .expect_err("a frontier outside the range must be rejected");
+        assert!(err.contains("malformed"), "{err}");
     }
 
     #[test]

@@ -844,33 +844,23 @@ struct Pass<P> {
     stats: WalkStats,
 }
 
-/// One capped pass: channel setup, cache build, the walk over
-/// `[token.next_index, min(next_index + max_items, limit))`, counter
-/// flushing, and the token merge + per-member retention. Emits every
-/// recorder event of a call except the enclosing span and the reduce
-/// phase, which the callers own.
-fn pass<C: Member>(
+/// Builds the engine for `checks` over the walk's universe (verdict
+/// channels, skeleton cache, delta drivers, quotient plans) and runs `body`
+/// on it. The one construction site of [`Engine`]: the walk ([`pass`]) and
+/// the shard replay ([`replay`]) step items through the engine it builds.
+/// Records the cache-build phase when the walk has a recorder.
+fn with_engine<C: Member, R>(
     walk: &Walk<'_>,
     checks: &[C],
-    token: PanelResumeToken<C::Partial>,
-    limit: usize,
-    start: Instant,
-) -> Pass<C::Partial> {
+    body: impl FnOnce(&Engine<'_, C>) -> R,
+) -> R {
     let Walk {
         universe,
-        mode,
         opts,
-        budget,
         recorder,
         ..
     } = *walk;
     let nmem = checks.len();
-    assert_eq!(
-        token.members.len(),
-        nmem,
-        "resume token describes a different member list"
-    );
-    let deadline = budget.deadline.map(|d| start + d);
     let oracle = opts.strategy == SweepStrategy::DecodeOracle;
     let cache_start = recorder.map(|r| r.now_micros());
 
@@ -957,7 +947,7 @@ fn pass<C: Member>(
     let misses = AtomicUsize::new(cache.populated);
     let memo_hits = AtomicUsize::new(0);
     let memo_misses = AtomicUsize::new(0);
-    let engine = Engine {
+    body(&Engine {
         checks,
         universe,
         cache: &cache,
@@ -970,73 +960,132 @@ fn pass<C: Member>(
         memo_on: opts.memo,
         oracle,
         recorder,
-    };
+    })
+}
 
-    let begin = token.next_index.min(limit);
-    // `max_items` is enforced by clamping the walk's end index, which
-    // makes it exact — and identical — in every execution mode.
-    let end = match budget.max_items {
-        Some(m) => begin.saturating_add(m).min(limit),
-        None => limit,
-    };
-    let threads = resolve_threads(mode, end.saturating_sub(begin));
-    // The walk extends the token's records in place: this pass's items
-    // all lie past the token's.
-    let mut members = token.members;
-    let errors_before: usize = members.iter().map(|f| f.errors.len()).sum();
+/// One capped pass: the engine, the walk over
+/// `[token.next_index, min(next_index + max_items, limit))`, counter
+/// flushing, and the token merge + per-member retention. Emits every
+/// recorder event of a call except the enclosing span and the reduce
+/// phase, which the callers own.
+fn pass<C: Member>(
+    walk: &Walk<'_>,
+    checks: &[C],
+    token: PanelResumeToken<C::Partial>,
+    limit: usize,
+    start: Instant,
+) -> Pass<C::Partial> {
+    let Walk {
+        mode,
+        budget,
+        recorder,
+        ..
+    } = *walk;
+    assert_eq!(
+        token.members.len(),
+        checks.len(),
+        "resume token describes a different member list"
+    );
+    let deadline = budget.deadline.map(|d| start + d);
+    with_engine(walk, checks, |engine| {
+        let begin = token.next_index.min(limit);
+        // `max_items` is enforced by clamping the walk's end index, which
+        // makes it exact — and identical — in every execution mode.
+        let end = match budget.max_items {
+            Some(m) => begin.saturating_add(m).min(limit),
+            None => limit,
+        };
+        let threads = resolve_threads(mode, end.saturating_sub(begin));
+        // The walk extends the token's records in place: this pass's items
+        // all lie past the token's.
+        let mut members = token.members;
+        let errors_before: usize = members.iter().map(|f| f.errors.len()).sum();
 
-    let walk_start = recorder.map(|r| r.now_micros());
-    let (stops, next) = if threads > 1 {
-        run_parallel(&engine, threads, begin, end, deadline, &mut members)
-    } else {
-        run_sequential(&engine, begin, end, deadline, &mut members)
-    };
-    if let (Some(r), Some(t0)) = (recorder, walk_start) {
-        r.record_phase(SweepPhase::Walk, r.now_micros().saturating_sub(t0));
-    }
-    if let Some(r) = recorder {
-        let errors: usize = members.iter().map(|f| f.errors.len()).sum();
-        r.add(SweepCounter::PanicsCaught, (errors - errors_before) as u64);
-        r.add(SweepCounter::CacheHits, hits.load(Ordering::Relaxed) as u64);
-        r.add(
-            SweepCounter::CacheMisses,
-            misses.load(Ordering::Relaxed) as u64,
-        );
-        r.add(
-            SweepCounter::MemoHits,
-            memo_hits.load(Ordering::Relaxed) as u64,
-        );
-        r.add(
-            SweepCounter::MemoMisses,
-            memo_misses.load(Ordering::Relaxed) as u64,
-        );
-        let quotient_blocks: u64 = engine
-            .plans
-            .iter()
-            .filter_map(|plan| plan.quotient.as_ref())
-            .map(|quotient| quotient.active_blocks())
-            .sum();
-        if quotient_blocks > 0 {
-            r.add(SweepCounter::QuotientBlocks, quotient_blocks);
+        let walk_start = recorder.map(|r| r.now_micros());
+        let (stops, next) = if threads > 1 {
+            run_parallel(engine, threads, begin, end, deadline, &mut members)
+        } else {
+            run_sequential(engine, begin, end, deadline, &mut members)
+        };
+        if let (Some(r), Some(t0)) = (recorder, walk_start) {
+            r.record_phase(SweepPhase::Walk, r.now_micros().saturating_sub(t0));
         }
-    }
-
-    // Settling restores the per-member sequential invariants.
-    for (record, stop) in members.iter_mut().zip(stops) {
-        record.stop_at = (stop != usize::MAX).then_some(stop);
-        record.settle();
-    }
-    Pass {
-        members,
-        next,
-        stats: WalkStats {
+        let stats = WalkStats {
             threads,
-            cache_hits: hits.load(Ordering::Relaxed),
-            cache_misses: misses.load(Ordering::Relaxed),
-            memo_hits: memo_hits.load(Ordering::Relaxed),
-            memo_misses: memo_misses.load(Ordering::Relaxed),
-        },
-    }
+            cache_hits: engine.hits.load(Ordering::Relaxed),
+            cache_misses: engine.misses.load(Ordering::Relaxed),
+            memo_hits: engine.memo_hits.load(Ordering::Relaxed),
+            memo_misses: engine.memo_misses.load(Ordering::Relaxed),
+        };
+        if let Some(r) = recorder {
+            let errors: usize = members.iter().map(|f| f.errors.len()).sum();
+            r.add(SweepCounter::PanicsCaught, (errors - errors_before) as u64);
+            r.add(SweepCounter::CacheHits, stats.cache_hits as u64);
+            r.add(SweepCounter::CacheMisses, stats.cache_misses as u64);
+            r.add(SweepCounter::MemoHits, stats.memo_hits as u64);
+            r.add(SweepCounter::MemoMisses, stats.memo_misses as u64);
+            let quotient_blocks: u64 = engine
+                .plans
+                .iter()
+                .filter_map(|plan| plan.quotient.as_ref())
+                .map(|quotient| quotient.active_blocks())
+                .sum();
+            if quotient_blocks > 0 {
+                r.add(SweepCounter::QuotientBlocks, quotient_blocks);
+            }
+        }
+
+        // Settling restores the per-member sequential invariants.
+        for (record, stop) in members.iter_mut().zip(stops) {
+            record.stop_at = (stop != usize::MAX).then_some(stop);
+            record.settle();
+        }
+        Pass {
+            members,
+            next,
+            stats,
+        }
+    })
+}
+
+/// Re-derives what walks recorded: for each item list (ascending), a fresh
+/// worker runs the engine's per-item step on exactly those items, every
+/// member active at the start, and files what each member records —
+/// partials, errors and short-circuit stop. A walk over a range holding
+/// those items records the same at them, because a member's record at an
+/// item is a function of the item alone ([`PropertyCheck::inspect`]'s
+/// contract; the delta patch, verdict memo and quotient classification
+/// preserve it). The engine is built once for all lists, without a
+/// recorder.
+pub(super) fn replay<C: Member>(
+    walk: &Walk<'_>,
+    checks: &[C],
+    lists: &[Vec<usize>],
+) -> Vec<Vec<MemberFrontier<C::Partial>>> {
+    let walk = Walk {
+        recorder: None,
+        ..*walk
+    };
+    with_engine(&walk, checks, |engine| {
+        lists
+            .iter()
+            .map(|items| {
+                let mut worker = Worker::new(engine.drivers.len(), engine.memo_on);
+                let stops: Vec<Cell<usize>> =
+                    checks.iter().map(|_| Cell::new(usize::MAX)).collect();
+                let mut records: Vec<MemberFrontier<C::Partial>> =
+                    checks.iter().map(|_| MemberFrontier::new()).collect();
+                for &i in items {
+                    engine.run_item(&mut worker, i, &stops[..], &mut records);
+                }
+                for (record, stop) in records.iter_mut().zip(stops) {
+                    let stop = stop.into_inner();
+                    record.stop_at = (stop != usize::MAX).then_some(stop);
+                }
+                records
+            })
+            .collect()
+    })
 }
 
 /// The initial stop of each member (`usize::MAX` = still active).

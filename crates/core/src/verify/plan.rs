@@ -8,11 +8,15 @@
 //! The shapes are:
 //!
 //! * **labelings** — every labeling of every instance. Soundness, strong
-//!   soundness, hiding and quantified extractability all walk this shape;
-//!   they become one panel sharing one verdict channel (same decoder
-//!   object) and one skeleton cache. Soundness only quantifies over
-//!   no-instances, so its member is wrapped in [`BlockGated`], which
-//!   silences it on yes-instance blocks.
+//!   soundness, hiding and quantified extractability all walk this shape
+//!   as one panel sharing one verdict channel (same decoder object) and
+//!   one skeleton cache. Soundness only quantifies over no-instances, so
+//!   its member is wrapped in [`BlockGated`], which silences it on
+//!   yes-instance blocks. Hiding and quantified are two reductions of the
+//!   same Lemma 3.1 graph `V(D, n)`, so the panel carries one
+//!   [`NbhdSweep`] member for both; after the walk the plan derives the
+//!   hiding line (Lemma 3.2 on the coverage the scan achieved) and the
+//!   quantified line from its graph.
 //! * **instances** — one unlabeled item per yes-instance; the prover's
 //!   labeling is judged inside inspection (completeness).
 //! * **erasure** — seeded f-erasures of one honest labeling.
@@ -23,6 +27,26 @@
 //! panel-backed per rate). The result is an [`AuditReport`] that renders
 //! to JSON via [`AuditReport::to_json`] — the `audit` binary is a thin
 //! CLI shell around this module.
+//!
+//! # Shard reports
+//!
+//! [`AuditPlan::run_shard`] renders one shard of the labelings walk as a
+//! `shardreport v2` text report: the plan's fingerprint (`decoder`, `k`,
+//! `seed`, `universe` size, `strategy`), the `shard`, its `range` and how
+//! far its walk got (`next`); then per member a `member <m> <label>
+//! <stop|->` line and the items where it recorded a partial (`p <item>`)
+//! or caught a panic (`e <item>`); then the shard's stable `counter`
+//! lines. The trailer `end shardreport <checksum>` seals every preceding
+//! byte with its FNV-1a 64 hash, so a torn or corrupted report fails whole.
+//!
+//! A report ships item indices, never records. A partial is a pure
+//! function of its item, so [`AuditPlan::run_with_shards`] re-derives
+//! every record by replaying the listed items through the engine's own
+//! per-item step under the merging plan's strategy, and rejects a report
+//! whose replay differs from its listing: that catches any record the
+//! walk could not have made. A record the report leaves out is never
+//! replayed, so the merge cannot see it; the checksum catches an
+//! accidental omission.
 
 use std::time::Duration;
 
@@ -30,33 +54,29 @@ use crate::decoder::Decoder;
 use crate::instance::{Instance, LabeledInstance};
 use crate::label::Certificate;
 use crate::language::KCol;
-use crate::nbhd::{NbhdGraph, NbhdScan, NbhdSweep};
+use crate::nbhd::{NbhdGraph, NbhdSweep};
 use crate::network::{degradation_sweep, DegradationReport};
 use crate::properties::completeness::completeness_member;
 use crate::properties::erasure::{erased_labeling, erasure_member};
-use crate::properties::hiding::{check_hiding, HidingCheck, HidingVerdict};
+use crate::properties::hiding::{check_hiding, hiding_line};
 use crate::properties::invariance::{anonymity_universe, invariance_member};
-use crate::properties::quantified::{ExtractabilityMap, QuantifiedCheck};
+use crate::properties::quantified::{quantified_line, ExtractabilityMap};
 use crate::properties::soundness::{SoundnessCheck, SoundnessViolation};
-use crate::properties::strong::{StrongCheck, StrongViolation};
+use crate::properties::strong::strong_member;
 use crate::prover::Prover;
-#[cfg(feature = "telemetry")]
-use crate::verify::SweepStrategy;
 use crate::verify::{
     Block, Coverage, DynPropertyCheck, ExecMode, InternerReport, ItemCtx, LabelSource,
     MetricsRecorder, MetricsSnapshot, PanelReport, PropertyCheck, PropertyTag, SweepBudget,
-    SweepOpts, SweepOutcome, SweepRecorder, SymmetrySpec, Universe, UniverseItem,
+    SweepOpts, SweepOutcome, SweepRecorder, SweepStrategy, SymmetrySpec, Universe, UniverseItem,
 };
 
-use super::budget::{MemberFrontier, SweepError};
-use super::erased::ErasedPartial;
+use super::budget::MemberFrontier;
 use super::panel::PanelFragment;
 use super::session::SweepSession;
 use super::shard::{merge_panel_fragments, ShardSpec};
 #[cfg(feature = "telemetry")]
 use super::telemetry::diff;
 use crate::view::IdMode;
-use hiding_lcp_graph::Graph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -127,457 +147,6 @@ impl<C: PropertyCheck> PropertyCheck for BlockGated<C> {
     ) -> Self::Verdict {
         self.check.reduce(universe, partials, outcome)
     }
-}
-
-/// Hiding and quantified extractability are two reductions of the *same*
-/// Lemma 3.1 neighborhood graph. When a plan wants both, fusing them as
-/// separate panel members would still intern every yes-instance view and
-/// replay the accepting instances twice — the scan dominates both checks,
-/// so the panel would save almost nothing. This member carries one
-/// [`NbhdSweep`] and reduces it once into the pair of analyses; the audit
-/// summary splits the pair back into the two canonical report lines.
-struct NbhdAnalyses<'a> {
-    sweep: NbhdSweep<'a, dyn Decoder + 'a>,
-    k: usize,
-}
-
-impl PropertyCheck for NbhdAnalyses<'_> {
-    type Partial = NbhdScan;
-    type Verdict = (NbhdGraph, HidingVerdict, ExtractabilityMap);
-
-    fn view_configs(&self) -> Vec<(usize, IdMode)> {
-        self.sweep.view_configs()
-    }
-
-    fn inspect(&self, item: &UniverseItem<'_>, ctx: &ItemCtx<'_>) -> Option<NbhdScan> {
-        self.sweep.inspect(item, ctx)
-    }
-
-    fn verdict_decoder(&self) -> Option<&dyn Decoder> {
-        self.sweep.verdict_decoder()
-    }
-
-    fn uses_verdicts(&self, block: usize) -> bool {
-        self.sweep.uses_verdicts(block)
-    }
-
-    fn inspect_with_verdicts(
-        &self,
-        item: &UniverseItem<'_>,
-        verdicts: &[crate::decoder::Verdict],
-        ctx: &ItemCtx<'_>,
-    ) -> Option<NbhdScan> {
-        self.sweep.inspect_with_verdicts(item, verdicts, ctx)
-    }
-
-    fn symmetry_class(&self, alphabet: &[Certificate]) -> Option<SymmetrySpec> {
-        self.sweep.symmetry_class(alphabet)
-    }
-
-    fn interner_report(&self) -> Option<InternerReport> {
-        self.sweep.interner_report()
-    }
-
-    fn reduce(
-        &self,
-        universe: &Universe,
-        partials: Vec<(usize, NbhdScan)>,
-        outcome: &SweepOutcome,
-    ) -> Self::Verdict {
-        let nbhd = self.sweep.reduce(universe, partials, outcome);
-        let verdict = check_hiding(&nbhd, self.k, universe.coverage().into());
-        let map = ExtractabilityMap::new(&nbhd, self.k);
-        (nbhd, verdict, map)
-    }
-}
-
-/// The two audit lines a [`NbhdAnalyses`] verdict stands for, with the
-/// same `passed`/`detail` text the standalone members produce.
-fn nbhd_analyses_lines(
-    (nbhd, verdict, map): &(NbhdGraph, HidingVerdict, ExtractabilityMap),
-) -> [(PropertyTag, &'static str, Option<bool>, String); 2] {
-    let (hiding_passed, hiding_detail) = match verdict {
-        HidingVerdict::Hiding { .. } => (Some(true), "V(D, .) is not k-colorable".to_string()),
-        HidingVerdict::NotHiding { .. } => (
-            Some(false),
-            "V(D, .) is k-colorable over an exhaustive universe".to_string(),
-        ),
-        HidingVerdict::Inconclusive => (
-            None,
-            "V(D, .) k-colorable but the universe was partial".to_string(),
-        ),
-    };
-    [
-        (PropertyTag::Hiding, "hiding", hiding_passed, hiding_detail),
-        (
-            PropertyTag::Quantified,
-            "quantified",
-            None,
-            format!(
-                "{} of {} views unextractable",
-                map.unextractable_views(),
-                nbhd.view_count()
-            ),
-        ),
-    ]
-}
-
-/// The wire shape of one labelings-panel member's partials in a shard
-/// report. Partials are reconstructed, not shipped whole: every concrete
-/// partial is derivable from its item index plus a small payload, so a
-/// report stays a few text lines even when the universe is huge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MemberKind {
-    /// [`SoundnessViolation`] — the item index alone (the labeling is
-    /// re-decoded from the universe).
-    Sound,
-    /// [`StrongViolation`] — item index plus the accepting node list.
-    Strong,
-    /// [`NbhdScan`] — item index plus per-node acceptance bits. View ids
-    /// are run-local interner handles and never cross the process
-    /// boundary; the merging side re-interns
-    /// ([`NbhdSweep::reconstruct_scan`]).
-    Scan,
-}
-
-impl MemberKind {
-    fn wire(self) -> &'static str {
-        match self {
-            MemberKind::Sound => "sound",
-            MemberKind::Strong => "strong",
-            MemberKind::Scan => "scan",
-        }
-    }
-
-    fn parse(s: &str) -> Result<MemberKind, String> {
-        match s {
-            "sound" => Ok(MemberKind::Sound),
-            "strong" => Ok(MemberKind::Strong),
-            "scan" => Ok(MemberKind::Scan),
-            other => Err(format!("unknown shard member kind `{other}`")),
-        }
-    }
-}
-
-/// Which Lemma 3.1 member the plan's labelings panel carries.
-enum NbhdMember<'p> {
-    /// Hiding and quantified both wanted: one shared scan.
-    Both(NbhdAnalyses<'p>),
-    Hiding(HidingCheck<'p, dyn Decoder + 'p>),
-    Quantified(QuantifiedCheck<'p, dyn Decoder + 'p>),
-}
-
-/// The labelings panel's concrete checks, owned separately from the
-/// erased member list. [`LabelingsMembers::members`] borrows them (via
-/// the blanket `&C: PropertyCheck` impl), so the shard-merge path can
-/// keep the checks around after the fragments come back and reconstruct
-/// typed partials for the very instances whose `reduce` will run. The
-/// ordinary [`AuditPlan::run`] path builds its panel through the same
-/// constructor, so a merged report cannot drift from a live one.
-struct LabelingsMembers<'p> {
-    decoder: &'p dyn Decoder,
-    soundness: Option<BlockGated<SoundnessCheck<'p, dyn Decoder + 'p>>>,
-    strong: Option<StrongCheck<'p, dyn Decoder + 'p>>,
-    nbhd: Option<NbhdMember<'p>>,
-    /// Member index of the fused hiding+quantified pair, when both were
-    /// wanted (the audit summary splits its line back in two).
-    shared_nbhd: Option<usize>,
-}
-
-impl<'p> LabelingsMembers<'p> {
-    fn build(
-        plan: &'p AuditPlan<'_>,
-        universe: &Universe,
-        is_yes: &[bool],
-    ) -> LabelingsMembers<'p> {
-        let k = plan.language.k();
-        let soundness = plan.wants(PropertyTag::Soundness).then(|| BlockGated {
-            check: SoundnessCheck {
-                decoder: plan.decoder,
-            },
-            active: is_yes.iter().map(|yes| !yes).collect(),
-        });
-        let strong = plan.wants(PropertyTag::Strong).then_some(StrongCheck {
-            decoder: plan.decoder,
-            language: &plan.language,
-        });
-        let prior = usize::from(soundness.is_some()) + usize::from(strong.is_some());
-        let mut shared_nbhd = None;
-        let is_yes_graph = |g: &Graph| plan.language.is_yes_graph(g);
-        let nbhd = if plan.wants(PropertyTag::Hiding) && plan.wants(PropertyTag::Quantified) {
-            // Both properties reduce the same neighborhood graph: run the
-            // scan once as a combined member and split its line later.
-            shared_nbhd = Some(prior);
-            Some(NbhdMember::Both(NbhdAnalyses {
-                sweep: NbhdSweep::new(plan.decoder, IdMode::Anonymous, universe, is_yes_graph),
-                k,
-            }))
-        } else if plan.wants(PropertyTag::Hiding) {
-            Some(NbhdMember::Hiding(HidingCheck::new(
-                plan.decoder,
-                universe,
-                k,
-                is_yes_graph,
-            )))
-        } else if plan.wants(PropertyTag::Quantified) {
-            Some(NbhdMember::Quantified(QuantifiedCheck::new(
-                plan.decoder,
-                universe,
-                k,
-                is_yes_graph,
-            )))
-        } else {
-            None
-        };
-        LabelingsMembers {
-            decoder: plan.decoder,
-            soundness,
-            strong,
-            nbhd,
-            shared_nbhd,
-        }
-    }
-
-    /// Wire kinds, in member order.
-    fn kinds(&self) -> Vec<MemberKind> {
-        let mut kinds = Vec::new();
-        if self.soundness.is_some() {
-            kinds.push(MemberKind::Sound);
-        }
-        if self.strong.is_some() {
-            kinds.push(MemberKind::Strong);
-        }
-        if self.nbhd.is_some() {
-            kinds.push(MemberKind::Scan);
-        }
-        kinds
-    }
-
-    /// The erased panel members, borrowing the owned checks. Labels,
-    /// summaries and verdict channels match the standalone member
-    /// constructors (`strong_member` & co.) exactly — the audit lines
-    /// must not depend on which path built the panel.
-    fn members(&self) -> Vec<DynPropertyCheck<'_>> {
-        let mut members: Vec<DynPropertyCheck<'_>> = Vec::new();
-        if let Some(check) = &self.soundness {
-            members.push(
-                DynPropertyCheck::with_summary(
-                    PropertyTag::Soundness,
-                    "soundness",
-                    check,
-                    |v: &Result<usize, SoundnessViolation>| match v {
-                        Ok(_) => (Some(true), "no unanimous accept on a no-instance".into()),
-                        Err(_) => (Some(false), "unanimously accepted labeling found".into()),
-                    },
-                )
-                .with_channel(self.decoder),
-            );
-        }
-        if let Some(check) = &self.strong {
-            members.push(
-                DynPropertyCheck::with_summary(
-                    PropertyTag::Strong,
-                    "strong",
-                    check,
-                    |v: &Result<usize, StrongViolation>| match v {
-                        Ok(n) => (
-                            Some(true),
-                            format!("every accepting set in {n} labelings induces G(L)"),
-                        ),
-                        Err(_) => (
-                            Some(false),
-                            "accepting set induces a non-member of G(L)".into(),
-                        ),
-                    },
-                )
-                .with_channel(self.decoder),
-            );
-        }
-        match &self.nbhd {
-            Some(NbhdMember::Both(check)) => members.push(
-                DynPropertyCheck::with_summary(
-                    PropertyTag::Hiding,
-                    "hiding+quantified",
-                    check,
-                    |v: &(NbhdGraph, HidingVerdict, ExtractabilityMap)| {
-                        let [(_, _, passed, detail), _] = nbhd_analyses_lines(v);
-                        (passed, detail)
-                    },
-                )
-                .with_channel(self.decoder),
-            ),
-            Some(NbhdMember::Hiding(check)) => members.push(
-                DynPropertyCheck::with_summary(
-                    PropertyTag::Hiding,
-                    "hiding",
-                    check,
-                    |(_, v): &(NbhdGraph, HidingVerdict)| match v {
-                        HidingVerdict::Hiding { .. } => {
-                            (Some(true), "V(D, .) is not k-colorable".into())
-                        }
-                        HidingVerdict::NotHiding { .. } => (
-                            Some(false),
-                            "V(D, .) is k-colorable over an exhaustive universe".into(),
-                        ),
-                        HidingVerdict::Inconclusive => (
-                            None,
-                            "V(D, .) k-colorable but the universe was partial".into(),
-                        ),
-                    },
-                )
-                .with_channel(self.decoder),
-            ),
-            Some(NbhdMember::Quantified(check)) => members.push(
-                DynPropertyCheck::with_summary(
-                    PropertyTag::Quantified,
-                    "quantified",
-                    check,
-                    |(nbhd, map): &(NbhdGraph, ExtractabilityMap)| {
-                        (
-                            None,
-                            format!(
-                                "{} of {} views unextractable",
-                                map.unextractable_views(),
-                                nbhd.view_count()
-                            ),
-                        )
-                    },
-                )
-                .with_channel(self.decoder),
-            ),
-            None => {}
-        }
-        members
-    }
-
-    /// The neighborhood sweep behind whichever scan member the plan
-    /// carries, for re-interning shipped scans.
-    fn nbhd_sweep(&self) -> Option<&NbhdSweep<'p, dyn Decoder + 'p>> {
-        match self.nbhd.as_ref()? {
-            NbhdMember::Both(a) => Some(&a.sweep),
-            NbhdMember::Hiding(h) => Some(h.sweep()),
-            NbhdMember::Quantified(q) => Some(q.sweep()),
-        }
-    }
-
-    /// Rebuilds one typed partial from its wire payload.
-    fn reconstruct_partial(
-        &self,
-        kind: MemberKind,
-        universe: &Universe,
-        item: usize,
-        payload: Option<&str>,
-    ) -> Result<ErasedPartial, String> {
-        match kind {
-            MemberKind::Sound => Ok(Box::new(SoundnessViolation {
-                labeling: universe.labeled_instance(item).into_parts().1,
-            })),
-            MemberKind::Strong => {
-                let payload = payload.ok_or_else(|| {
-                    format!("strong partial at item {item} lacks its accepting list")
-                })?;
-                let accepting = if payload == "-" {
-                    Vec::new()
-                } else {
-                    payload
-                        .split(',')
-                        .map(|t| {
-                            t.parse::<usize>()
-                                .map_err(|_| format!("bad accepting node `{t}` at item {item}"))
-                        })
-                        .collect::<Result<Vec<_>, _>>()?
-                };
-                Ok(Box::new(StrongViolation {
-                    labeling: universe.labeled_instance(item).into_parts().1,
-                    accepting,
-                }))
-            }
-            MemberKind::Scan => {
-                let payload = payload.ok_or_else(|| {
-                    format!("scan partial at item {item} lacks its acceptance bits")
-                })?;
-                let accepts = payload
-                    .chars()
-                    .map(|c| match c {
-                        '0' => Ok(false),
-                        '1' => Ok(true),
-                        other => Err(format!("bad acceptance bit `{other}` at item {item}")),
-                    })
-                    .collect::<Result<Vec<bool>, _>>()?;
-                let li = universe.labeled_instance(item);
-                if accepts.len() != li.graph().node_count() {
-                    return Err(format!(
-                        "scan at item {item} carries {} bits, instance has {} nodes",
-                        accepts.len(),
-                        li.graph().node_count()
-                    ));
-                }
-                let sweep = self.nbhd_sweep().ok_or_else(|| {
-                    "scan partial but the plan wants no neighborhood member".to_string()
-                })?;
-                Ok(Box::new(sweep.reconstruct_scan(&li, accepts)))
-            }
-        }
-    }
-}
-
-/// Renders one typed partial as its wire payload line.
-fn serialize_partial(kind: MemberKind, item: usize, partial: &ErasedPartial) -> String {
-    match kind {
-        MemberKind::Sound => format!("p {item}\n"),
-        MemberKind::Strong => {
-            let v = partial
-                .downcast_ref::<StrongViolation>()
-                .expect("strong member partial is a StrongViolation");
-            if v.accepting.is_empty() {
-                format!("p {item} -\n")
-            } else {
-                let list: Vec<String> = v.accepting.iter().map(ToString::to_string).collect();
-                format!("p {item} {}\n", list.join(","))
-            }
-        }
-        MemberKind::Scan => {
-            let scan = partial
-                .downcast_ref::<NbhdScan>()
-                .expect("scan member partial is an NbhdScan");
-            let bits: String = scan
-                .accepts()
-                .iter()
-                .map(|&b| if b { '1' } else { '0' })
-                .collect();
-            format!("p {item} {bits}\n")
-        }
-    }
-}
-
-/// Escapes a free-form string onto one wire line.
-fn wire_escape(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('\n', "\\n")
-        .replace('\r', "\\r")
-}
-
-/// Inverse of [`wire_escape`]; unknown escapes pass through verbatim.
-fn wire_unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('\\') => out.push('\\'),
-            Some(other) => {
-                out.push('\\');
-                out.push(other);
-            }
-            None => out.push('\\'),
-        }
-    }
-    out
 }
 
 /// The instance family an [`AuditPlan`] quantifies over.
@@ -911,8 +480,7 @@ impl<'a> AuditPlan<'a> {
     }
 
     fn run_labelings_panel(&self, universe: &Universe, is_yes: &[bool], report: &mut AuditReport) {
-        let checks = LabelingsMembers::build(self, universe, is_yes);
-        let members = checks.members();
+        let (members, scan) = self.labelings_members(universe, is_yes);
         if members.is_empty() {
             return;
         }
@@ -930,12 +498,91 @@ impl<'a> AuditPlan<'a> {
             }
             None => self.exec_panel(&members, universe),
         };
-        let mut summary = summarize_panel("labelings", &panel);
-        if let Some(index) = checks.shared_nbhd {
-            split_nbhd_member(&mut summary, &panel, index);
-        }
-        report.panels.push(summary);
+        report.panels.push(self.labelings_summary(&panel, scan));
         self.push_panel_telemetry("labelings", before, report);
+    }
+
+    /// The labelings panel: soundness gated onto no-instances, strong
+    /// soundness, and one Lemma 3.1 scan when hiding or quantified is
+    /// wanted, all on the decoder's one verdict channel. Returns the
+    /// members and the scan's member index. The live walk, the shard walk
+    /// and the shard merge all build the panel here.
+    fn labelings_members(
+        &self,
+        universe: &Universe,
+        is_yes: &[bool],
+    ) -> (Vec<DynPropertyCheck<'_>>, Option<usize>) {
+        let mut members = Vec::new();
+        if self.wants(PropertyTag::Soundness) {
+            let gated = BlockGated {
+                check: SoundnessCheck {
+                    decoder: self.decoder,
+                },
+                active: is_yes.iter().map(|yes| !yes).collect(),
+            };
+            members.push(
+                DynPropertyCheck::with_summary(
+                    PropertyTag::Soundness,
+                    "soundness",
+                    gated,
+                    |v: &Result<usize, SoundnessViolation>| match v {
+                        Ok(_) => (Some(true), "no unanimous accept on a no-instance".into()),
+                        Err(_) => (Some(false), "unanimously accepted labeling found".into()),
+                    },
+                )
+                .with_channel(self.decoder),
+            );
+        }
+        if self.wants(PropertyTag::Strong) {
+            members.push(strong_member(self.decoder, &self.language));
+        }
+        let mut scan = None;
+        if self.wants(PropertyTag::Hiding) || self.wants(PropertyTag::Quantified) {
+            let is_yes_graph = |g: &_| self.language.is_yes_graph(g);
+            let sweep = NbhdSweep::new(self.decoder, IdMode::Anonymous, universe, is_yes_graph);
+            scan = Some(members.len());
+            members.push(
+                DynPropertyCheck::new(PropertyTag::Custom, "scan", sweep)
+                    .with_channel(self.decoder),
+            );
+        }
+        (members, scan)
+    }
+
+    /// The labelings panel's report: the scan member's line becomes the
+    /// wanted hiding and quantified lines, both read off the scan's
+    /// `V(D, n)`. Hiding applies Lemma 3.2 on the coverage the scan
+    /// achieved, so an interrupted or erroring scan cannot conclude "not
+    /// hiding".
+    fn labelings_summary(&self, panel: &PanelReport, scan: Option<usize>) -> AuditPanelReport {
+        let mut summary = summarize_panel("labelings", panel);
+        let Some(index) = scan else {
+            return summary;
+        };
+        let nbhd = panel.members[index]
+            .verdict
+            .get::<NbhdGraph>()
+            .expect("the scan member's verdict is V(D, n)");
+        let k = self.language.k();
+        let base = summary.members.remove(index);
+        let line = |tag: PropertyTag, (passed, detail): (Option<bool>, String)| AuditMemberReport {
+            property: tag.as_str().into(),
+            label: tag.as_str().into(),
+            passed,
+            detail,
+            ..base.clone()
+        };
+        let mut lines = Vec::new();
+        if self.wants(PropertyTag::Hiding) {
+            let verdict = check_hiding(nbhd, k, base.coverage.into());
+            lines.push(line(PropertyTag::Hiding, hiding_line(&verdict)));
+        }
+        if self.wants(PropertyTag::Quantified) {
+            let map = ExtractabilityMap::new(nbhd, k);
+            lines.push(line(PropertyTag::Quantified, quantified_line(nbhd, &map)));
+        }
+        summary.members.splice(index..index, lines);
+        summary
     }
 
     fn run_completeness_panel(
@@ -1078,7 +725,8 @@ impl<'a> AuditPlan<'a> {
     }
 
     /// Runs this plan's labelings panel over one shard's index range and
-    /// renders the resulting fragment as a portable text shard report.
+    /// renders the resulting fragment as a `shardreport v2` text report
+    /// (format in the module docs).
     ///
     /// Only the labelings walk is sharded — it is the combinatorial
     /// shape; the remaining panels are linear in the family and the
@@ -1087,17 +735,13 @@ impl<'a> AuditPlan<'a> {
     /// describes the whole range (`max_items` bounds each pass, the
     /// deadline each process's passes individually).
     ///
-    /// The report ships reconstruction *payloads*, not verdicts:
-    /// recorded partials are reduced only after
-    /// [`AuditPlan::run_with_shards`] reassembles the fragments, so a
-    /// merged report is the same reduction over the same partials as a
-    /// single-process run — byte-identical stable JSON.
+    /// Partials are reduced only after [`AuditPlan::run_with_shards`]
+    /// reassembles the fragments, so a merged report is the same reduction
+    /// as a single-process run — byte-identical stable JSON.
     pub fn run_shard(&self, shard: ShardSpec) -> String {
         let universe = self.labelings_universe();
         let is_yes = self.yes_mask(&universe);
-        let checks = LabelingsMembers::build(self, &universe, &is_yes);
-        let members = checks.members();
-        let kinds = checks.kinds();
+        let (members, _) = self.labelings_members(&universe, &is_yes);
         #[cfg(feature = "telemetry")]
         let recorder = MetricsRecorder::new();
         #[cfg(feature = "telemetry")]
@@ -1122,25 +766,23 @@ impl<'a> AuditPlan<'a> {
                 break; // deadline too tight to advance; ship the torn range
             }
         }
-        let mut out = String::new();
-        out.push_str("shardreport v1\n");
-        out.push_str(&format!("decoder {}\n", wire_escape(&self.decoder.name())));
-        out.push_str(&format!("k {}\n", self.language.k()));
-        out.push_str(&format!("seed {}\n", self.seed));
-        out.push_str(&format!("universe {}\n", universe.len()));
+        let mut out = String::from("shardreport v2\n");
+        for (key, value) in self.fingerprint(&universe) {
+            out.push_str(&format!("{key} {value}\n"));
+        }
         out.push_str(&format!("shard {}\n", shard.label()));
         out.push_str(&format!("range {} {}\n", fragment.lo, fragment.hi));
         out.push_str(&format!("next {}\n", fragment.next));
-        for (m, frontier) in fragment.members.iter().enumerate() {
+        for (m, (check, frontier)) in members.iter().zip(&fragment.members).enumerate() {
             let stop = frontier
                 .stop_at
                 .map_or_else(|| "-".to_string(), |s| s.to_string());
-            out.push_str(&format!("member {m} {} {stop}\n", kinds[m].wire()));
-            for (item, partial) in &frontier.partials {
-                out.push_str(&serialize_partial(kinds[m], *item, partial));
+            out.push_str(&format!("member {m} {} {stop}\n", check.label()));
+            for (item, _) in &frontier.partials {
+                out.push_str(&format!("p {item}\n"));
             }
             for e in &frontier.errors {
-                out.push_str(&format!("e {} {}\n", e.item_index, wire_escape(&e.payload)));
+                out.push_str(&format!("e {}\n", e.item_index));
             }
         }
         #[cfg(feature = "telemetry")]
@@ -1149,22 +791,27 @@ impl<'a> AuditPlan<'a> {
                 out.push_str(&format!("counter {} {}\n", row.name, row.delta().max(0)));
             }
         }
-        out.push_str("end shardreport\n");
+        out.push_str(&format!(
+            "end shardreport {:016x}\n",
+            fnv1a64(out.as_bytes())
+        ));
         out
     }
 
     /// Merges shard reports (from [`AuditPlan::run_shard`], any order)
-    /// into the full audit: the labelings panel is reassembled from the
-    /// shipped fragments and reduced once, then the remaining panels run
-    /// locally exactly as [`AuditPlan::run`] would. Fails — rather than
-    /// guessing — on fingerprint mismatches (different decoder, k, seed
-    /// or universe size), torn reports, and ranges that don't tile the
-    /// universe.
+    /// into the full audit: each report is checked and replayed (see the
+    /// module docs), the labelings panel is reduced once over the replayed
+    /// fragments, and the remaining panels run locally exactly as
+    /// [`AuditPlan::run`] would. Fails — rather than guessing — on another
+    /// report version, a checksum or fingerprint mismatch, an index outside
+    /// the universe, a listing its replay does not reproduce, and ranges
+    /// that don't tile the universe.
     ///
     /// With a recorder attached, the labelings telemetry section carries
     /// the *sum* of the shards' stable counters
     /// ([`super::shard::sum_stable_counters`]): stable counters are
-    /// per-item, so their shard sums equal a single process's counts.
+    /// per-item, so their shard sums equal a single process's counts. The
+    /// replay runs unrecorded.
     pub fn run_with_shards(&self, shard_reports: &[String]) -> Result<AuditReport, String> {
         let mut report = self.fresh_report();
         if let Some(r) = self.attached() {
@@ -1191,26 +838,33 @@ impl<'a> AuditPlan<'a> {
         shard_reports: &[String],
         report: &mut AuditReport,
     ) -> Result<(), String> {
-        let checks = LabelingsMembers::build(self, universe, is_yes);
-        let members = checks.members();
+        let (members, scan) = self.labelings_members(universe, is_yes);
         if members.is_empty() {
             return Ok(());
         }
-        let kinds = checks.kinds();
-        let mut fragments = Vec::with_capacity(shard_reports.len());
-        let mut per_shard_counters = Vec::with_capacity(shard_reports.len());
-        for text in shard_reports {
-            let (fragment, counters) = self.parse_shard_report(text, universe, &checks, &kinds)?;
-            fragments.push(fragment);
-            per_shard_counters.push(counters);
+        let listings = shard_reports
+            .iter()
+            .map(|text| self.parse_shard_report(text, universe, &members))
+            .collect::<Result<Vec<_>, _>>()?;
+        let items: Vec<Vec<usize>> = listings.iter().map(ShardListing::items).collect();
+        let replayed = SweepSession::over(universe)
+            .opts(self.opts)
+            .replay_panel(&members, &items);
+        let mut fragments = Vec::with_capacity(listings.len());
+        let mut per_shard_counters = Vec::with_capacity(listings.len());
+        for (listing, records) in listings.into_iter().zip(replayed) {
+            listing.check_replay(&members, &records)?;
+            fragments.push(PanelFragment {
+                lo: listing.lo,
+                hi: listing.hi,
+                next: listing.next,
+                members: records,
+            });
+            per_shard_counters.push(listing.counters);
         }
         let panel =
             merge_panel_fragments(&members, universe, self.mode, fragments, self.attached())?;
-        let mut summary = summarize_panel("labelings", &panel);
-        if let Some(index) = checks.shared_nbhd {
-            split_nbhd_member(&mut summary, &panel, index);
-        }
-        report.panels.push(summary);
+        report.panels.push(self.labelings_summary(&panel, scan));
         #[cfg(feature = "telemetry")]
         if self.telemetry.is_some() {
             report.telemetry.push(PanelTelemetry {
@@ -1229,150 +883,95 @@ impl<'a> AuditPlan<'a> {
         Ok(())
     }
 
-    /// Parses one shard report against this plan's fingerprint and
-    /// reconstructs its typed partials.
+    /// The header lines that tie a shard report to this plan: decoder,
+    /// k, seed, universe size and sweep strategy.
+    fn fingerprint(&self, universe: &Universe) -> [(&'static str, String); 5] {
+        [
+            ("decoder", wire_escape(&self.decoder.name())),
+            ("k", self.language.k().to_string()),
+            ("seed", self.seed.to_string()),
+            ("universe", universe.len().to_string()),
+            ("strategy", strategy_name(self.opts.strategy).to_string()),
+        ]
+    }
+
+    /// Parses one shard report: its version, its checksum, this plan's
+    /// fingerprint, and the items each of `members` recorded, every index
+    /// bounds-checked against the universe.
     fn parse_shard_report(
         &self,
         text: &str,
         universe: &Universe,
-        checks: &LabelingsMembers<'_>,
-        kinds: &[MemberKind],
-    ) -> Result<(PanelFragment, Vec<(String, u64)>), String> {
-        let parse_usize = |what: &str, s: &str| {
+        members: &[DynPropertyCheck<'_>],
+    ) -> Result<ShardListing, String> {
+        let version = text.lines().next().unwrap_or_default();
+        if version != "shardreport v2" {
+            return Err(format!(
+                "shard report starts `{version}`, but this build merges `shardreport v2` only"
+            ));
+        }
+        let n = universe.len();
+        let number = |what: &str, s: &str| {
             s.parse::<usize>()
                 .map_err(|_| format!("bad {what} `{s}` in shard report"))
         };
-        let mut lines = text.lines();
-        if lines.next() != Some("shardreport v1") {
-            return Err("shard report lacks the `shardreport v1` header".to_string());
-        }
-        let mut range = None;
-        let mut next = None;
-        let mut members: Vec<MemberFrontier> = Vec::new();
-        let mut counters: Vec<(String, u64)> = Vec::new();
-        let mut ended = false;
-        for line in lines {
-            if ended {
-                return Err("shard report continues past `end shardreport`".to_string());
+        let mut lines = sealed_body(text)?.lines().skip(1);
+        for (key, want) in self.fingerprint(universe) {
+            let got = header_field(&mut lines, key)?;
+            if got != want {
+                return Err(format!(
+                    "shard report has {key} `{got}`, this plan has {key} `{want}`"
+                ));
             }
+        }
+        header_field(&mut lines, "shard")?; // informational; the range line is authoritative
+        let range = header_field(&mut lines, "range")?;
+        let (lo, hi) = range
+            .split_once(' ')
+            .ok_or_else(|| format!("bad range `{range}` in shard report"))?;
+        let (lo, hi) = (number("range lo", lo)?, number("range hi", hi)?);
+        let next = number("next", header_field(&mut lines, "next")?)?;
+
+        let mut listed: Vec<Listed> = Vec::with_capacity(members.len());
+        let mut counters: Vec<(String, u64)> = Vec::new();
+        for line in lines {
             let (tag, rest) = line.split_once(' ').unwrap_or((line, ""));
+            // Every item index is checked against the universe before the
+            // replay decodes it.
+            let item = |m: usize, what: &str, s: &str| {
+                let i = number("item index", s)?;
+                if i < n {
+                    Ok(i)
+                } else {
+                    Err(format!(
+                        "shard report member {m} lists a {what} at item {i}, outside the \
+                         {n}-item universe"
+                    ))
+                }
+            };
             match tag {
-                "decoder" => {
-                    let name = wire_unescape(rest);
-                    if name != self.decoder.name() {
-                        return Err(format!(
-                            "shard report audits decoder `{name}`, this plan audits `{}`",
-                            self.decoder.name()
-                        ));
-                    }
-                }
-                "k" => {
-                    if parse_usize("k", rest)? != self.language.k() {
-                        return Err(format!(
-                            "shard report has k={rest}, this plan has k={}",
-                            self.language.k()
-                        ));
-                    }
-                }
-                "seed" => {
-                    let seed = rest
-                        .parse::<u64>()
-                        .map_err(|_| format!("bad seed `{rest}` in shard report"))?;
-                    if seed != self.seed {
-                        return Err(format!(
-                            "shard report has seed {seed}, this plan has seed {}",
-                            self.seed
-                        ));
-                    }
-                }
-                "universe" => {
-                    if parse_usize("universe size", rest)? != universe.len() {
-                        return Err(format!(
-                            "shard report walked a universe of {rest} items, this plan's has {}",
-                            universe.len()
-                        ));
-                    }
-                }
-                "shard" => {} // informational; the range line is authoritative
-                "range" => {
-                    let (lo, hi) = rest
-                        .split_once(' ')
-                        .ok_or_else(|| format!("bad range line `{line}`"))?;
-                    range = Some((parse_usize("range lo", lo)?, parse_usize("range hi", hi)?));
-                }
-                "next" => next = Some(parse_usize("next", rest)?),
                 "member" => {
-                    let mut parts = rest.splitn(3, ' ');
-                    let (index, kind, stop) = match (parts.next(), parts.next(), parts.next()) {
-                        (Some(i), Some(k), Some(s)) => (i, k, s),
-                        _ => return Err(format!("bad member line `{line}`")),
-                    };
-                    if parse_usize("member index", index)? != members.len() {
+                    let m = listed.len();
+                    let (head, stop) = rest.rsplit_once(' ').unwrap_or_default();
+                    if members.get(m).map(|c| format!("{m} {}", c.label())) != Some(head.into()) {
                         return Err(format!(
-                            "shard report member `{index}` out of order (expected {})",
+                            "shard report line `{line}` is not member {m} of this plan's \
+                             {}-member panel",
                             members.len()
                         ));
                     }
-                    if members.len() >= kinds.len() {
-                        return Err(format!(
-                            "shard report describes more members than this plan's panel ({})",
-                            kinds.len()
-                        ));
-                    }
-                    let kind = MemberKind::parse(kind)?;
-                    let want = kinds[members.len()];
-                    if want != kind {
-                        return Err(format!(
-                            "shard report member {index} is `{}`, this plan expects `{}`",
-                            kind.wire(),
-                            want.wire()
-                        ));
-                    }
-                    let stop_at = if stop == "-" {
-                        None
-                    } else {
-                        Some(parse_usize("stop index", stop)?)
-                    };
-                    members.push(MemberFrontier {
-                        stop_at,
-                        partials: Vec::new(),
-                        errors: Vec::new(),
+                    listed.push(match stop {
+                        "-" => Vec::new(),
+                        s => vec![("stop", item(m, "stop", s)?)],
                     });
                 }
-                "p" => {
-                    if members.is_empty() {
-                        return Err("shard report partial before any member line".to_string());
-                    }
-                    let kind = kinds[members.len() - 1];
-                    let (item, payload) = match rest.split_once(' ') {
-                        Some((item, payload)) => (item, Some(payload)),
-                        None => (rest, None),
-                    };
-                    let item = parse_usize("item index", item)?;
-                    if item >= universe.len() {
-                        return Err(format!(
-                            "shard report partial at item {item} lies outside the {}-item universe",
-                            universe.len()
-                        ));
-                    }
-                    let partial = checks.reconstruct_partial(kind, universe, item, payload)?;
-                    members
-                        .last_mut()
-                        .expect("member line precedes partials")
-                        .partials
-                        .push((item, partial));
-                }
-                "e" => {
-                    let Some(frontier) = members.last_mut() else {
-                        return Err("shard report error before any member line".to_string());
-                    };
-                    let (item, payload) = rest
-                        .split_once(' ')
-                        .ok_or_else(|| format!("bad error line `{line}`"))?;
-                    frontier.errors.push(SweepError {
-                        item_index: parse_usize("item index", item)?,
-                        payload: wire_unescape(payload),
-                    });
+                "p" | "e" => {
+                    let m = listed.len().checked_sub(1).ok_or_else(|| {
+                        format!("shard report line `{line}` precedes every member line")
+                    })?;
+                    let what = if tag == "p" { "partial" } else { "error" };
+                    let i = item(m, what, rest)?;
+                    listed[m].push((what, i));
                 }
                 "counter" => {
                     let (name, value) = rest
@@ -1383,32 +982,145 @@ impl<'a> AuditPlan<'a> {
                         .map_err(|_| format!("bad counter value `{value}` in shard report"))?;
                     counters.push((name.to_string(), value));
                 }
-                "end" => ended = true,
-                "" => {}
                 _ => return Err(format!("unknown shard report line `{line}`")),
             }
         }
-        if !ended {
-            return Err("shard report is torn: no `end shardreport` trailer".to_string());
-        }
-        let (lo, hi) = range.ok_or_else(|| "shard report lacks a range line".to_string())?;
-        let next = next.ok_or_else(|| "shard report lacks a next line".to_string())?;
-        if members.len() != kinds.len() {
+        if listed.len() != members.len() {
             return Err(format!(
                 "shard report describes {} members, this plan's panel has {}",
-                members.len(),
-                kinds.len()
+                listed.len(),
+                members.len()
             ));
         }
-        Ok((
-            PanelFragment {
-                lo,
-                hi,
-                next,
-                members,
-            },
+        Ok(ShardListing {
+            lo,
+            hi,
+            next,
+            members: listed,
             counters,
-        ))
+        })
+    }
+}
+
+/// Escapes a free-form string onto one wire line.
+fn wire_escape(s: &str) -> String {
+    s.replace('\\', "\\\\")
+        .replace('\n', "\\n")
+        .replace('\r', "\\r")
+}
+
+/// The FNV-1a 64 hash that seals a shard report. Each step XORs in a byte
+/// and multiplies by an odd constant, a bijection on the state, so any
+/// one changed byte changes the hash.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A shard report without its trailer, once the trailer checks out: the
+/// last line must be `end shardreport <checksum>`, the checksum the
+/// FNV-1a 64 of every preceding byte in 16 lowercase hex digits.
+fn sealed_body(text: &str) -> Result<&str, String> {
+    let torn = || {
+        "shard report is torn: it does not end in an `end shardreport <checksum>` line".to_string()
+    };
+    let sealed = text.strip_suffix('\n').ok_or_else(torn)?;
+    let at = sealed.rfind('\n').map_or(0, |i| i + 1);
+    let checksum = sealed[at..]
+        .strip_prefix("end shardreport ")
+        .ok_or_else(torn)?;
+    let body = &text[..at];
+    let want = format!("{:016x}", fnv1a64(body.as_bytes()));
+    if checksum != want {
+        return Err(format!(
+            "shard report checksum mismatch: the trailer says `{checksum}`, the content hashes \
+             to `{want}`"
+        ));
+    }
+    Ok(body)
+}
+
+/// The value of a shard report's next header line, which must read
+/// `<key> <value>`.
+fn header_field<'t>(
+    lines: &mut impl Iterator<Item = &'t str>,
+    key: &str,
+) -> Result<&'t str, String> {
+    let line = lines.next().unwrap_or_default();
+    line.strip_prefix(key)
+        .and_then(|rest| rest.strip_prefix(' '))
+        .ok_or_else(|| format!("shard report lacks its `{key}` line (found `{line}`)"))
+}
+
+/// One parsed shard report: its range, how far its walk got, what each
+/// member recorded, and its stable counters.
+struct ShardListing {
+    lo: usize,
+    hi: usize,
+    next: usize,
+    members: Vec<Listed>,
+    counters: Vec<(String, u64)>,
+}
+
+/// One member's records by item index, as a report lists them or as the
+/// replay re-derives them: its stop, then its partials and its errors,
+/// each in item order.
+type Listed = Vec<(&'static str, usize)>;
+
+/// The records of a walked or replayed member, as a report lists them.
+fn listed(record: &MemberFrontier) -> Listed {
+    let partials = record.partials.iter().map(|&(i, _)| ("partial", i));
+    let errors = record.errors.iter().map(|e| ("error", e.item_index));
+    let stop = record.stop_at.map(|s| ("stop", s));
+    stop.into_iter().chain(partials).chain(errors).collect()
+}
+
+impl ShardListing {
+    /// The ascending union of every item the report lists.
+    fn items(&self) -> Vec<usize> {
+        let mut items: Vec<usize> = self.members.iter().flatten().map(|&(_, i)| i).collect();
+        items.sort_unstable();
+        items.dedup();
+        items
+    }
+
+    /// Fails unless the replay of this report's items re-derived exactly
+    /// the records it lists, naming the report's range, the member and the
+    /// first record where they part.
+    fn check_replay(
+        &self,
+        members: &[DynPropertyCheck<'_>],
+        replayed: &[MemberFrontier],
+    ) -> Result<(), String> {
+        #[cfg(conformance_mutants)]
+        if crate::mutants::active("shard_replay_trusted") {
+            return Ok(());
+        }
+        let members = members.iter().zip(&self.members).zip(replayed);
+        for (m, ((check, listing), record)) in members.enumerate() {
+            let replay = listed(record);
+            let Some(r) =
+                (0..=listing.len().max(replay.len())).find(|&r| listing.get(r) != replay.get(r))
+            else {
+                continue;
+            };
+            let say = |side: &Listed| {
+                side.get(r).map_or("nothing more".into(), |(what, i)| {
+                    format!("a {what} at item {i}")
+                })
+            };
+            return Err(format!(
+                "shard report over [{}, {}) fails its replay: member {m} ({}) lists {}, the \
+                 replay records {}",
+                self.lo,
+                self.hi,
+                check.label(),
+                say(listing),
+                say(&replay)
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -1514,8 +1226,8 @@ pub const STABLE_COUNTER_ALLOWLIST: &[&str] = &[
     "verdict_refreshes",
 ];
 
-/// The wire name of a sweep strategy, as rendered in telemetry sections.
-#[cfg(feature = "telemetry")]
+/// The wire name of a sweep strategy, as rendered in telemetry sections
+/// and shard reports.
 fn strategy_name(strategy: SweepStrategy) -> &'static str {
     match strategy {
         SweepStrategy::DeltaStepping => "delta-stepping",
@@ -1744,32 +1456,6 @@ fn summarize_panel(shape: &str, panel: &PanelReport) -> AuditPanelReport {
             })
             .collect(),
     }
-}
-
-/// Replaces the combined hiding+quantified member line at `index` with
-/// the two canonical lines, so an [`AuditReport`] reads identically
-/// whether the plan shared the neighborhood scan or ran two members. An
-/// errored member (no verdict value) keeps its fused line — the error
-/// count belongs to the one scan that actually ran.
-fn split_nbhd_member(summary: &mut AuditPanelReport, panel: &PanelReport, index: usize) {
-    let Some(verdict) = panel.members[index]
-        .verdict
-        .get::<(NbhdGraph, HidingVerdict, ExtractabilityMap)>()
-    else {
-        return;
-    };
-    let base = summary.members[index].clone();
-    let lines =
-        nbhd_analyses_lines(verdict).map(|(tag, label, passed, detail)| AuditMemberReport {
-            property: tag.as_str().into(),
-            label: label.into(),
-            passed,
-            detail,
-            ..base.clone()
-        });
-    let [hiding, quantified] = lines;
-    summary.members[index] = hiding;
-    summary.members.insert(index + 1, quantified);
 }
 
 /// JSON string literal with the mandatory escapes.
@@ -2009,20 +1695,88 @@ mod tests {
             .into_iter()
             .map(|s| plan().run_shard(s))
             .collect();
-        let torn = vec![
-            reports[0].clone(),
-            reports[1].replace("end shardreport\n", ""),
-        ];
+        let trailer = reports[1]
+            .trim_end()
+            .rfind('\n')
+            .expect("a body precedes the trailer");
+        let torn = vec![reports[0].clone(), reports[1][..=trailer].to_string()];
         let err = plan().run_with_shards(&torn).unwrap_err();
         assert!(err.contains("torn"), "{err}");
         let err = plan().seed(8).run_with_shards(&reports).unwrap_err();
         assert!(err.contains("seed"), "{err}");
+        // The replay classifies under the merging plan's strategy, so a
+        // report walked under another one cannot merge.
+        let err = plan()
+            .opts(SweepOpts::oracle())
+            .run_with_shards(&reports)
+            .unwrap_err();
+        assert!(err.contains("strategy"), "{err}");
+        let v1 = vec![
+            reports[0].replacen("shardreport v2", "shardreport v1", 1),
+            reports[1].clone(),
+        ];
+        let err = plan().run_with_shards(&v1).unwrap_err();
+        assert!(err.contains("shardreport v1"), "{err}");
         // The same shard twice leaves a gap and an overlap in the tiling.
         let twice = vec![reports[0].clone(), reports[0].clone()];
         plan().run_with_shards(&twice).unwrap_err();
         // Missing a shard leaves the tail of the universe uncovered.
         let half = vec![reports[0].clone()];
         plan().run_with_shards(&half).unwrap_err();
+    }
+
+    /// Every truncation of a valid shard report, and an XOR-0x01 flip at
+    /// every byte offset, fails the merge: an error, never a merge and
+    /// never a panic. The checksum catches what the parser cannot.
+    #[test]
+    fn corrupted_shard_reports_never_merge() {
+        let plan = || AuditPlan::new(&LocalDiff, 2, family(), bits()).seed(7);
+        let reports: Vec<String> = ShardSpec::partition(2)
+            .into_iter()
+            .map(|s| plan().run_shard(s))
+            .collect();
+        plan()
+            .run_with_shards(&reports)
+            .expect("clean shard reports merge");
+        for (r, report) in reports.iter().enumerate() {
+            let bytes = report.as_bytes();
+            let truncations = (0..bytes.len()).map(|cut| bytes[..cut].to_vec());
+            let flips = (0..bytes.len()).map(|at| {
+                let mut flipped = bytes.to_vec();
+                flipped[at] ^= 0x01;
+                flipped
+            });
+            for (case, corrupt) in truncations.chain(flips).enumerate() {
+                let mut set = reports.clone();
+                set[r] = String::from_utf8(corrupt).expect("reports are ASCII");
+                assert!(
+                    plan().run_with_shards(&set).is_err(),
+                    "report {r}, corruption {case} merged:\n{}",
+                    set[r]
+                );
+            }
+        }
+    }
+
+    /// A budget that stops the walk short of an exhaustive universe
+    /// leaves hiding inconclusive: a colorable `V(D, n)` over a prefix
+    /// refutes nothing.
+    #[test]
+    fn budget_interrupted_hiding_is_inconclusive() {
+        let plan = || {
+            AuditPlan::new(&LocalDiff, 2, InstanceSet::Lemma31 { max_n: 3 }, bits())
+                .properties([PropertyTag::Hiding])
+        };
+        let full = plan().run();
+        assert_eq!(full.panels[0].members[0].passed, Some(false), "revealing");
+        let cut = plan()
+            .budget(SweepBudget::unlimited().with_max_items(20))
+            .run();
+        let hiding = &cut.panels[0].members[0];
+        assert_eq!(hiding.property, "hiding");
+        assert!(hiding.interrupted && hiding.checked == 20);
+        assert_eq!(hiding.coverage, Coverage::Sampled);
+        assert_eq!(hiding.passed, None, "{}", hiding.detail);
     }
 
     /// Stable JSON pins wall-clock and per-process counters, so repeated

@@ -48,7 +48,7 @@
 //! across shards. Both are pinned by `budget` doc-tests and the
 //! `engine_parity` interrupted-shard property.
 
-use super::budget::{PanelResumeToken, ResumeToken, SweepBudget};
+use super::budget::{MemberFrontier, PanelResumeToken, ResumeToken, SweepBudget};
 use super::check::{PropertyCheck, VerificationReport};
 use super::erased::DynPropertyCheck;
 use super::executor::{BudgetedSweep, ExecMode, SweepFragment, SweepOpts};
@@ -314,6 +314,18 @@ impl<'a> SweepSession<'a> {
         let (lo, hi) = self.range();
         let walk = self.walk("panel", self.budget);
         panel::fragment(&walk, checks, token, lo, hi)
+    }
+
+    /// Re-derives the panel records a walk left at each ascending list of
+    /// items, under the session's strategy, with no recorder and no budget
+    /// (see [`panel::replay`]). The shard merge checks shard reports
+    /// against it.
+    pub(super) fn replay_panel(
+        &self,
+        checks: &[DynPropertyCheck<'_>],
+        lists: &[Vec<usize>],
+    ) -> Vec<Vec<MemberFrontier>> {
+        panel::replay(&self.walk("panel", self.budget), checks, lists)
     }
 }
 

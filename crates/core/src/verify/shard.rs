@@ -25,6 +25,13 @@
 //! multiplicity is a function of the item alone, so weighted partials
 //! compose by concatenation.
 //!
+//! Across processes no fragment is shipped whole. A shard report lists
+//! the item indices of its records, and the merging process rebuilds the
+//! fragment by replaying exactly those items through the engine's per-item
+//! step, rejecting the report unless the replay reproduces every listed
+//! record (see [`AuditPlan::run_with_shards`](super::AuditPlan::run_with_shards)).
+//! The fragments merged here are the replayed ones.
+//!
 //! # Coordinator
 //!
 //! [`run_shards`] owns dispatch and retry: each shard is handed to a
@@ -226,8 +233,11 @@ fn validate_tiling<P>(
                 format!("fragments overlap: [{lo}, {expect}) is covered twice")
             });
         }
-        if hi < lo {
-            return Err(format!("fragment range [{lo}, {hi}) is inverted"));
+        if hi < lo || !(lo..=hi).contains(&f.next) {
+            return Err(format!(
+                "fragment range [{lo}, {hi}) with walk frontier {} is malformed",
+                f.next
+            ));
         }
         if !f.is_complete() {
             return Err(format!(

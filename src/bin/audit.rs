@@ -186,6 +186,18 @@ fn parse_args() -> Args {
         );
         usage()
     }
+    // Revealing certificates are one-byte colors.
+    if let Some(k) = args.decoder.strip_prefix("revealing:") {
+        if !k.parse::<usize>().is_ok_and(|k| (1..=255).contains(&k)) {
+            eprintln!("audit: --decoder revealing:{k} is out of range: k runs from 1 to 255");
+            usage()
+        }
+    }
+    // Also rejects NaN and the infinities, which JSON cannot carry.
+    if let Some(rate) = args.fault_rates.iter().find(|r| !(0.0..=1.0).contains(*r)) {
+        eprintln!("audit: --fault-rates {rate} is out of range: a rate runs from 0 to 1");
+        usage()
+    }
     args
 }
 

@@ -1,5 +1,6 @@
 //! End-to-end checks of the built `audit` binary: flag validation, shard
-//! report hardening, and the 2-shard byte-identity contract.
+//! report hardening, and the sharded byte-identity contract (strategies and
+//! a crashed child included).
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -39,47 +40,96 @@ fn max_n_outside_the_buildable_family_is_a_usage_error() {
     }
 }
 
+#[test]
+fn bad_flag_values_are_usage_errors() {
+    // Each row must exit 2 with a message, never panic: revealing
+    // certificates are one-byte colors, and a fault rate is a
+    // probability that the JSON report has to carry.
+    let rows: &[&[&str]] = &[
+        &["--decoder", "revealing:0"],
+        &["--decoder", "revealing:300"],
+        &["--decoder", "revealing:99999999999"],
+        &["--decoder", "revealing:two"],
+        &["--decoder", "nope"],
+        &["--fault-rates", "nan"],
+        &["--fault-rates", "inf"],
+        &["--fault-rates", "0.1,1.5"],
+        &["--fault-rates", "-0.5"],
+        &["--strategy", "fastest"],
+        &["--threads", "x"],
+        &["--shard", "2/2"],
+        &["--shards", "0"],
+    ];
+    for row in rows {
+        let out = audit(&[&["--max-n", "1"], *row].concat());
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{row:?}: {err}");
+        assert!(!err.contains("panicked"), "{row:?}: {err}");
+    }
+    for (flag, value, range) in [
+        ("--decoder", "revealing:0", "1 to 255"),
+        ("--fault-rates", "nan", "0 to 1"),
+    ] {
+        let err = stderr(&audit(&["--max-n", "1", flag, value]));
+        assert!(
+            err.contains(range),
+            "{flag} {value} must name the range: {err}"
+        );
+    }
+}
+
 /// Writes the two shard reports of the `degree-one`, `--max-n 3` audit
 /// into `dir` (`[0, 640)` and `[640, 1280)` of its 1,280 labelings).
-fn write_shard_reports(dir: &Path) -> (PathBuf, PathBuf) {
+fn write_shard_reports(dir: &Path, extra: &[&str]) -> (PathBuf, PathBuf) {
     let paths = (dir.join("shard-0.txt"), dir.join("shard-1.txt"));
     for (spec, path) in [("0/2", &paths.0), ("1/2", &paths.1)] {
-        let out = audit(&[
-            "--decoder",
-            "degree-one",
-            "--max-n",
-            "3",
-            "--shard",
-            spec,
-            "--shard-out",
-            path.to_str().expect("utf-8 path"),
-        ]);
+        let path = path.to_str().expect("utf-8 path");
+        let args = ["--decoder", "degree-one", "--max-n", "3", "--shard", spec];
+        let out = audit(&[&args[..], extra, &["--shard-out", path]].concat());
         assert!(out.status.success(), "shard {spec}: {}", stderr(&out));
     }
     (paths.0, paths.1)
 }
 
-/// Inserts `line` right after the first line of `path` that starts with
-/// `after`.
-fn insert_after(path: &Path, after: &str, line: &str) {
+/// FNV-1a 64, the shard report checksum.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Rewrites the shard report at `path` through `edit`, which sees its
+/// lines without the trailer, and seals the result with a fresh checksum,
+/// as a deliberate forger would.
+fn reseal(path: &Path, edit: impl FnOnce(&mut Vec<String>)) {
     let text = std::fs::read_to_string(path).expect("shard report");
-    let mut out = String::new();
-    let mut done = false;
-    for l in text.lines() {
-        out.push_str(l);
-        out.push('\n');
-        if !done && l.starts_with(after) {
-            out.push_str(line);
-            out.push('\n');
-            done = true;
-        }
-    }
-    assert!(
-        done,
-        "no line starting with `{after}` in {}",
-        path.display()
-    );
-    std::fs::write(path, out).expect("rewrite shard report");
+    let mut lines: Vec<String> = text.lines().map(String::from).collect();
+    let trailer = lines.pop().expect("a trailer line");
+    assert!(trailer.starts_with("end shardreport "), "{trailer}");
+    edit(&mut lines);
+    let mut body: String = lines.iter().map(|l| format!("{l}\n")).collect();
+    body.push_str(&format!(
+        "end shardreport {:016x}\n",
+        fnv1a64(body.as_bytes())
+    ));
+    std::fs::write(path, body).expect("rewrite shard report");
+}
+
+/// The index of the first line starting with `prefix`.
+fn line_index(lines: &[String], prefix: &str) -> usize {
+    lines
+        .iter()
+        .position(|l| l.starts_with(prefix))
+        .unwrap_or_else(|| panic!("no line starting with `{prefix}`"))
+}
+
+/// Inserts `line` right after the first line of `path` that starts with
+/// `after`, and reseals the report.
+fn insert_after(path: &Path, after: &str, line: &str) {
+    reseal(path, |lines| {
+        let at = line_index(lines, after) + 1;
+        lines.insert(at, line.to_string());
+    });
 }
 
 fn merge(dir: &Path) -> Output {
@@ -94,57 +144,127 @@ fn merge(dir: &Path) -> Output {
     ])
 }
 
+/// Asserts that merging `dir` fails with exit 2 and a message naming
+/// every one of `names`.
+fn assert_merge_rejected(dir: &Path, names: &[&str]) {
+    let out = merge(dir);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    for name in names {
+        assert!(err.contains(name), "the error must name `{name}`: {err}");
+    }
+}
+
 #[test]
 fn shard_merge_rejects_partials_outside_the_shard_range() {
     let dir = fresh_dir("tamper");
-    let (_, second) = write_shard_reports(&dir);
+    let (_, second) = write_shard_reports(&dir, &[]);
     let clean = merge(&dir);
     assert_ne!(clean.status.code(), Some(2), "{}", stderr(&clean));
-    let header = std::fs::read_to_string(&second).expect("shard report");
-    assert!(header.contains("range 640 1280"), "{header}");
+    let pristine = std::fs::read_to_string(&second).expect("shard report");
+    assert!(pristine.contains("range 640 1280"), "{pristine}");
 
     // An item past the universe must be rejected before it is decoded.
-    let pristine = header.clone();
-    insert_after(&second, "member 0 ", "p 99999 1");
-    let out = merge(&dir);
-    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
-    assert!(stderr(&out).contains("99999"), "{}", stderr(&out));
+    insert_after(&second, "member 0 ", "p 99999");
+    assert_merge_rejected(&dir, &["member 0", "item 99999"]);
 
     // An in-universe item outside this report's own range must not merge:
     // it would flip the strong verdict.
     std::fs::write(&second, &pristine).expect("restore shard report");
-    insert_after(&second, "member 1 strong", "p 5 -");
-    let out = merge(&dir);
-    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
-    assert!(stderr(&out).contains("item 5"), "{}", stderr(&out));
+    insert_after(&second, "member 1 strong", "p 5");
+    assert_merge_rejected(&dir, &["member 1", "item 5"]);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Re-sealed reports whose records the walk could not have made fail the
+/// merge's replay. Item 700 is a labeled triangle, a no-instance.
+#[test]
+fn shard_merge_rejects_forged_records() {
+    let dir = fresh_dir("forged");
+    let (first, second) = write_shard_reports(&dir, &[]);
+    let pristine = [&first, &second].map(|p| std::fs::read_to_string(p).expect("shard report"));
+    let restore = || {
+        for (path, text) in [&first, &second].into_iter().zip(&pristine) {
+            std::fs::write(path, text).expect("restore shard report");
+        }
+    };
+
+    // A scan record moved from the first report onto item 700: the scan
+    // never records a no-instance.
+    reseal(&first, |lines| {
+        let at = line_index(lines, "member 2 scan") + 1;
+        assert!(lines[at].starts_with("p "), "a scan record: {}", lines[at]);
+        lines.remove(at);
+    });
+    insert_after(&second, "member 2 scan", "p 700");
+    assert_merge_rejected(&dir, &["member 2", "item 700"]);
+
+    // A strong-soundness violation at item 700, which would flip strong.
+    restore();
+    insert_after(&second, "member 1 strong", "p 700");
+    assert_merge_rejected(&dir, &["member 1", "item 700"]);
+
+    // Reports walked under another strategy: the replay classifies orbits
+    // under the merging plan's.
+    restore();
+    write_shard_reports(&dir, &["--strategy", "quotient"]);
+    assert_merge_rejected(&dir, &["strategy"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `audit --stable` with `args` plus `--out` into `dir/name`, and
+/// returns the exit code, the report bytes and the standard error.
+fn stable_run(
+    dir: &Path,
+    name: &str,
+    args: &[&str],
+    env: &[(&str, &Path)],
+) -> (Option<i32>, Vec<u8>, String) {
+    let path = dir.join(name);
+    let out = Command::new(env!("CARGO_BIN_EXE_audit"))
+        .args(args)
+        .args(["--stable", "--out", path.to_str().expect("utf-8 path")])
+        .envs(env.iter().copied())
+        .output()
+        .expect("the audit binary runs");
+    let report = std::fs::read(&path).unwrap_or_default();
+    assert!(!report.is_empty(), "{name}: {}", stderr(&out));
+    (out.status.code(), report, stderr(&out))
 }
 
 #[test]
 fn two_shards_merge_byte_identical_to_one_process() {
     let dir = fresh_dir("bytes");
-    let single = dir.join("single.json");
-    let merged = dir.join("merged.json");
-    let base = [
-        "--decoder",
-        "degree-one",
-        "--max-n",
-        "4",
-        "--stable",
-        "--out",
+    let token = dir.join("crash.token");
+    // The merge replays the listed items under the plan's strategy, so
+    // every strategy must merge back to the unsharded bytes; so must a
+    // run whose first child crashes once (exit 17 after writing a torn
+    // report) and is retried.
+    let cases: [(&[&str], bool); 4] = [
+        (&["--max-n", "4"], false),
+        (&["--max-n", "3", "--strategy", "oracle"], false),
+        (&["--max-n", "3", "--strategy", "quotient"], false),
+        (&["--max-n", "3"], true),
     ];
-    let one = audit(&[&base[..], &[single.to_str().expect("utf-8 path")]].concat());
-    let two = audit(
-        &[
-            &base[..],
-            &[merged.to_str().expect("utf-8 path"), "--shards", "2"],
-        ]
-        .concat(),
-    );
-    assert_eq!(one.status.code(), two.status.code(), "{}", stderr(&two));
-    let single = std::fs::read(&single).expect("single-process report");
-    let merged = std::fs::read(&merged).expect("merged report");
-    assert!(!single.is_empty());
-    assert!(single == merged, "2-shard --stable report differs");
+    for (flags, crash) in cases {
+        let args = [&["--decoder", "degree-one"], flags].concat();
+        let one = stable_run(&dir, "single.json", &args, &[]);
+        let sharded = [&args[..], &["--shards", "2"]].concat();
+        let env: &[_] = if crash {
+            &[("AUDIT_SHARD_CRASH", token.as_path())]
+        } else {
+            &[]
+        };
+        let two = stable_run(&dir, "merged.json", &sharded, env);
+        if crash {
+            assert!(token.exists(), "the crash hook fired: {}", two.2);
+            assert!(two.2.contains("1 retries"), "{}", two.2);
+        }
+        assert_eq!(one.0, two.0, "{flags:?}: {}", two.2);
+        assert!(
+            one.1 == two.1,
+            "{flags:?}: the 2-shard --stable report differs"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
