@@ -162,6 +162,18 @@ pub const MUTANTS: &[Mutant] = &[
         expected_killers: &["orbit_partition_weighted"],
     },
     Mutant {
+        name: "copy_keeps_last_block",
+        host: "hiding-lcp-core",
+        site: "a port-isomorphism class walks its last block and jumps the lower-index ones",
+        expected_killers: &["copy_blocks_match_full_walk"],
+    },
+    Mutant {
+        name: "copy_weight_off_by_one",
+        host: "hiding-lcp-core",
+        site: "a class's walked block weighs one block less than the class holds",
+        expected_killers: &["copy_blocks_match_full_walk"],
+    },
+    Mutant {
         name: "orbit_drop_generator",
         host: "hiding-lcp-graph",
         site: "port_automorphisms omits one group element",

@@ -81,6 +81,26 @@ pub fn all_labelings(n: usize, alphabet: &[Certificate]) -> Vec<Labeling> {
     }
 }
 
+/// The instances of the Lemma 3.1 family in the flat order the
+/// production universe documents: each connected graph on `1..=max_n`
+/// nodes in the graph enumerator's order, under each of its port
+/// assignments in enumeration order, with canonical identifiers. Crossed
+/// with every labeling in odometer order ([`all_labelings`]) they are the
+/// full family, nothing skipped, which [`LabelingsWalk`] walks.
+pub fn lemma31_instances(max_n: usize) -> Vec<Instance> {
+    let mut instances = Vec::new();
+    for g in hiding_lcp_graph::generators::connected_graphs_up_to(max_n) {
+        let n = g.node_count();
+        for ports in hiding_lcp_graph::ports::all_port_assignments(&g, 100_000) {
+            instances.push(
+                Instance::new(g.clone(), ports, IdAssignment::canonical(n))
+                    .expect("enumerated port assignments fit their graph"),
+            );
+        }
+    }
+    instances
+}
+
 /// Whether `g` admits a proper `k`-coloring, by enumerating all `k^n`
 /// assignments. Deliberately *not* the graph crate's DSATUR search.
 pub fn k_colorable(g: &Graph, k: usize) -> bool {
@@ -235,6 +255,61 @@ pub fn strong<D: Decoder + ?Sized>(
     Ok(checked)
 }
 
+/// An audit's labelings panel by definition, walked over every item.
+pub struct LabelingsWalk {
+    /// How many items the walk visited.
+    pub items: usize,
+    /// The first item of a no-instance (no proper `k`-coloring) that
+    /// every node accepts, with its labeling: where soundness stops.
+    pub soundness_stop: Option<(usize, Labeling)>,
+    /// The first item whose accepting set induces a graph with no proper
+    /// `k`-coloring, with its labeling: where strong soundness stops.
+    pub strong_stop: Option<(usize, Labeling)>,
+    /// `V(D, ·)` over the `k`-colorable instances.
+    pub views: ViewGraph,
+}
+
+impl LabelingsWalk {
+    /// Walks every labeling over `alphabet` of every instance, in order
+    /// (e.g. [`lemma31_instances`]), deciding every node by definition.
+    pub fn new<D: Decoder + ?Sized>(
+        decoder: &D,
+        k: usize,
+        instances: &[Instance],
+        alphabet: &[Certificate],
+    ) -> Self {
+        let mut walk = LabelingsWalk {
+            items: 0,
+            soundness_stop: None,
+            strong_stop: None,
+            views: ViewGraph::empty(),
+        };
+        for instance in instances {
+            let g = instance.graph();
+            let yes = k_colorable(g, k);
+            for labeling in all_labelings(g.node_count(), alphabet) {
+                let i = walk.items;
+                walk.items += 1;
+                let verdicts = run_by_definition(decoder, instance, &labeling);
+                let accepting: Vec<usize> = (0..verdicts.len())
+                    .filter(|&v| verdicts[v].is_accept())
+                    .collect();
+                if walk.soundness_stop.is_none() && !yes && accepting.len() == verdicts.len() {
+                    walk.soundness_stop = Some((i, labeling.clone()));
+                }
+                if walk.strong_stop.is_none() && !k_colorable(&induced(g, &accepting), k) {
+                    walk.strong_stop = Some((i, labeling.clone()));
+                }
+                if yes {
+                    walk.views
+                        .add(decoder.radius(), instance, &labeling, &verdicts);
+                }
+            }
+        }
+        walk
+    }
+}
+
 /// The accepting neighborhood graph `V(D, ·)` by definition (paper,
 /// Section 3): one vertex per distinct accepting view (in the extractor's
 /// anonymous mode, first-seen order), one edge per pair of adjacent
@@ -257,48 +332,61 @@ impl ViewGraph {
         items: &[LabeledInstance],
         is_yes: F,
     ) -> ViewGraph {
-        let radius = decoder.radius();
-        let mut views: Vec<View> = Vec::new();
-        let mut edges: Vec<(usize, usize)> = Vec::new();
-        let mut self_loops: Vec<bool> = Vec::new();
+        let mut graph = ViewGraph::empty();
         for li in items.iter().filter(|li| is_yes(li.graph())) {
             let verdicts = run_by_definition(decoder, li.instance(), li.labeling());
-            // Index of each accepting node's anonymous view, interning by
-            // linear search (these graphs are tiny by construction).
-            let idx_of: Vec<Option<usize>> = li
-                .graph()
-                .nodes()
-                .map(|v| {
-                    verdicts[v].is_accept().then(|| {
-                        let view = li.view(v, radius, IdMode::Anonymous);
-                        match views.iter().position(|w| *w == view) {
-                            Some(i) => i,
-                            None => {
-                                views.push(view);
-                                self_loops.push(false);
-                                views.len() - 1
-                            }
+            graph.add(decoder.radius(), li.instance(), li.labeling(), &verdicts);
+        }
+        graph
+    }
+
+    fn empty() -> ViewGraph {
+        ViewGraph {
+            views: Vec::new(),
+            edges: Vec::new(),
+            self_loops: Vec::new(),
+        }
+    }
+
+    /// Adds one labeled yes-instance, given its node verdicts: its
+    /// accepting views and the edges between them.
+    fn add(
+        &mut self,
+        radius: usize,
+        instance: &Instance,
+        labeling: &Labeling,
+        verdicts: &[Verdict],
+    ) {
+        // Index of each accepting node's anonymous view, interning by
+        // linear search (these graphs are tiny by construction).
+        let idx_of: Vec<Option<usize>> = instance
+            .graph()
+            .nodes()
+            .map(|v| {
+                verdicts[v].is_accept().then(|| {
+                    let view = instance.view(labeling, v, radius, IdMode::Anonymous);
+                    match self.views.iter().position(|w| *w == view) {
+                        Some(i) => i,
+                        None => {
+                            self.views.push(view);
+                            self.self_loops.push(false);
+                            self.views.len() - 1
                         }
-                    })
+                    }
                 })
-                .collect();
-            for (u, v) in li.graph().edges() {
-                if let (Some(a), Some(b)) = (idx_of[u], idx_of[v]) {
-                    if a == b {
-                        self_loops[a] = true;
-                    } else {
-                        let e = (a.min(b), a.max(b));
-                        if !edges.contains(&e) {
-                            edges.push(e);
-                        }
+            })
+            .collect();
+        for (u, v) in instance.graph().edges() {
+            if let (Some(a), Some(b)) = (idx_of[u], idx_of[v]) {
+                if a == b {
+                    self.self_loops[a] = true;
+                } else {
+                    let e = (a.min(b), a.max(b));
+                    if !self.edges.contains(&e) {
+                        self.edges.push(e);
                     }
                 }
             }
-        }
-        ViewGraph {
-            views,
-            edges,
-            self_loops,
         }
     }
 

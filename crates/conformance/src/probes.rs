@@ -13,6 +13,7 @@
 //! battery runs the whole list once per mutant.
 
 use crate::oracle;
+use hiding_lcp_certs::{degree_one, even_cycle, revealing};
 use hiding_lcp_core::decoder::{Decoder, Verdict};
 use hiding_lcp_core::instance::{Instance, LabeledInstance};
 use hiding_lcp_core::label::{Certificate, Labeling};
@@ -24,17 +25,19 @@ use hiding_lcp_core::network::{FaultPlan, FaultRates};
 use hiding_lcp_core::properties::completeness::check_completeness;
 use hiding_lcp_core::properties::erasure::{erase_and_run, random_erasure_trials};
 use hiding_lcp_core::properties::hiding::{
-    check_hiding, verify_hiding, HidingCheck, HidingVerdict, UniverseCoverage,
+    check_hiding, hiding_member, verify_hiding, HidingCheck, HidingVerdict, UniverseCoverage,
 };
 use hiding_lcp_core::properties::invariance::InvarianceCheck;
 use hiding_lcp_core::properties::soundness::{SoundnessCheck, SoundnessViolation};
-use hiding_lcp_core::properties::strong::check_strong_exhaustive;
+use hiding_lcp_core::properties::strong::{
+    check_strong_exhaustive, strong_member, StrongViolation,
+};
 use hiding_lcp_core::prover::Prover;
 use hiding_lcp_core::verify::{
-    sum_stable_counters, AuditPlan, Block, Coverage, DynPropertyCheck, ExecMode, InstanceSet,
-    ItemCtx, LabelSource, LazySweep, MetricsRecorder, PropertyCheck, PropertyTag, ShardSpec,
-    SweepBudget, SweepOpts, SweepOutcome, SweepSession, SymmetrySpec, Universe, UniverseItem,
-    ViewInterner,
+    sum_stable_counters, AuditPlan, Block, BlockGated, Coverage, DynPropertyCheck, ExecMode,
+    InstanceSet, ItemCtx, LabelSource, LazySweep, MetricsRecorder, PropertyCheck, PropertyTag,
+    ShardSpec, SweepBudget, SweepOpts, SweepOutcome, SweepSession, SymmetrySpec, Universe,
+    UniverseItem, ViewInterner,
 };
 use hiding_lcp_core::view::{IdMode, View};
 use hiding_lcp_graph::algo::{bipartite, coloring};
@@ -72,6 +75,7 @@ pub const ALL: &[(&str, fn())] = &[
     ("shard_counter_sums", shard_counter_sums),
     ("shard_forged_record_rejected", shard_forged_record_rejected),
     ("orbit_partition_weighted", orbit_partition_weighted),
+    ("copy_blocks_match_full_walk", copy_blocks_match_full_walk),
     ("telemetry_quotient_partition", telemetry_quotient_partition),
     ("telemetry_span_balance", telemetry_span_balance),
     ("coloring_matches_bruteforce", coloring_matches_bruteforce),
@@ -1134,6 +1138,149 @@ fn orbit_partition_weighted() {
         full.checked, quot.checked,
         "quotient changed the checked count"
     );
+}
+
+/// Walking one block per port-isomorphism class changes nothing a full
+/// walk decides. For every audit decoder over the Lemma 3.1 family at
+/// n ≤ 3, revealing:2 also at n ≤ 4, and the accept-all decoder (which
+/// violates soundness on the first triangle), the production labelings
+/// panel (soundness gated onto no-instances, strong soundness, the
+/// hiding scan) must match the oracle's walk over every graph, port
+/// assignment and labeling: the same verdicts, `checked` counts and stop
+/// indices, and the same `V(D, n)` views in first-seen order, edge count
+/// and self-loops. The multiplicities the walk hands out must sum to the
+/// family size.
+fn copy_blocks_match_full_walk() {
+    struct Weights;
+    impl PropertyCheck for Weights {
+        type Partial = u64;
+        type Verdict = u64;
+        fn inspect(&self, _item: &UniverseItem<'_>, ctx: &ItemCtx<'_>) -> Option<u64> {
+            Some(ctx.multiplicity())
+        }
+        fn symmetry_class(&self, _alphabet: &[Certificate]) -> Option<SymmetrySpec> {
+            Some(SymmetrySpec {
+                automorphisms: true,
+                alphabet_classes: None,
+            })
+        }
+        fn reduce(
+            &self,
+            _universe: &Universe,
+            partials: Vec<(usize, u64)>,
+            _outcome: &SweepOutcome,
+        ) -> u64 {
+            partials.into_iter().map(|(_, m)| m).sum()
+        }
+    }
+
+    let revealing = revealing::RevealingDecoder::new(2);
+    let cases: [(&dyn Decoder, Vec<Certificate>, usize); 5] = [
+        (
+            &degree_one::DegreeOneDecoder,
+            degree_one::adversary_alphabet(),
+            3,
+        ),
+        (
+            &even_cycle::EvenCycleDecoder,
+            even_cycle::adversary_alphabet(),
+            3,
+        ),
+        (&revealing, revealing::adversary_alphabet(2), 3),
+        (&revealing, revealing::adversary_alphabet(2), 4),
+        (&YesMan, bits(), 3),
+    ];
+    let k = 2;
+    let language = KCol::new(k);
+    for (decoder, alphabet, max_n) in cases {
+        let what = format!("{} at n <= {max_n}", decoder.name());
+        let walk =
+            oracle::LabelingsWalk::new(decoder, k, &oracle::lemma31_instances(max_n), &alphabet);
+        let universe = Universe::lemma31(max_n, alphabet.clone()).expect("small family fits");
+        assert_eq!(universe.len(), walk.items, "{what}: family size");
+        // A member stopped at item `s` has checked `s + 1` items, with the
+        // stop's labeling as its witness.
+        let expect_stop = |member: &str,
+                           checked: usize,
+                           found: Option<&Labeling>,
+                           stop: &Option<(usize, Labeling)>| {
+            let want = stop.as_ref().map_or(walk.items, |(s, _)| s + 1);
+            assert_eq!(checked, want, "{what}: {member} checked");
+            assert_eq!(
+                found,
+                stop.as_ref().map(|(_, l)| l),
+                "{what}: {member} witness"
+            );
+        };
+        for opts in [SweepOpts::default(), SweepOpts::quotient()] {
+            let no_instances = universe
+                .blocks()
+                .iter()
+                .map(|b| !language.is_yes_graph(b.instance().graph()))
+                .collect();
+            let soundness = BlockGated {
+                check: SoundnessCheck { decoder },
+                active: no_instances,
+            };
+            let members = [
+                DynPropertyCheck::new(PropertyTag::Soundness, "soundness", soundness)
+                    .with_channel(decoder),
+                strong_member(decoder, &language),
+                hiding_member(decoder, &universe, k, |g| language.is_yes_graph(g)),
+            ];
+            let panel = SweepSession::over(&universe).opts(opts).run_panel(&members);
+            let [sound, strong, hiding] = &panel.members[..] else {
+                unreachable!("three members")
+            };
+            let sound_witness = sound
+                .verdict
+                .get::<Result<usize, SoundnessViolation>>()
+                .expect("soundness verdict type");
+            expect_stop(
+                "soundness",
+                sound.checked,
+                sound_witness.as_ref().err().map(|v| &v.labeling),
+                &walk.soundness_stop,
+            );
+            let strong_witness = strong
+                .verdict
+                .get::<Result<usize, StrongViolation>>()
+                .expect("strong verdict type");
+            expect_stop(
+                "strong",
+                strong.checked,
+                strong_witness.as_ref().err().map(|v| &v.labeling),
+                &walk.strong_stop,
+            );
+            let (nbhd, verdict) = hiding
+                .verdict
+                .get::<(NbhdGraph, HidingVerdict)>()
+                .expect("hiding verdict type");
+            let views = &walk.views;
+            assert_eq!(nbhd.views(), &views.views[..], "{what}: V(D, n) views");
+            assert_eq!(
+                nbhd.edge_count(),
+                views.edges.len(),
+                "{what}: V(D, n) edges"
+            );
+            assert_eq!(
+                nbhd.self_loop_views().len(),
+                views.self_loops.iter().filter(|&&l| l).count(),
+                "{what}: V(D, n) self-loops"
+            );
+            assert_eq!(
+                verdict.is_hiding(),
+                views.hiding(k),
+                "{what}: hiding verdict"
+            );
+
+            let weights = SweepSession::over(&universe).opts(opts).run(&Weights);
+            assert_eq!(
+                weights.verdict, walk.items as u64,
+                "{what}: multiplicities sum to the family size"
+            );
+        }
+    }
 }
 
 /// A quotient sweep's telemetry counters must tile the labeling space:

@@ -52,6 +52,10 @@
 //!   nontrivial orbit by one member.
 //! * `orbit_reject_inverted` — the canonical-representative test keeps
 //!   the non-minimal orbit members and skips the minimum.
+//! * `copy_keeps_last_block` — a port-isomorphism class of blocks walks
+//!   its last block instead of its first, jumping the lower-index ones.
+//! * `copy_weight_off_by_one` — a class's walked block weighs one block
+//!   less than the class holds.
 //! * `telemetry_counter_drop` — the metrics recorder silently drops
 //!   `items_orbit_skipped` increments, breaking the quotient partition
 //!   identity inspected + skipped = walked.

@@ -104,8 +104,12 @@ pub trait PropertyCheck: Sync {
     ///
     /// Contract: for every declared symmetry `g` and every item `L`, the
     /// check must produce an equivalent partial (and identical
-    /// short-circuit decision) on `g · L` as on `L`. Checks that cannot
-    /// vouch for this return `None` (the default) and keep the full walk.
+    /// short-circuit decision) on `g · L` as on `L`. Declaring
+    /// [`SymmetrySpec::automorphisms`] also covers port-preserving
+    /// isomorphisms between blocks, which every strategy but
+    /// [`super::SweepStrategy::DecodeOracle`] uses to walk one block per
+    /// class. Checks that cannot vouch for this return `None` (the
+    /// default) and keep the full walk.
     ///
     /// [`verdict_decoder`]: PropertyCheck::verdict_decoder
     /// [`inspect`]: PropertyCheck::inspect
@@ -239,7 +243,7 @@ pub struct ExecEvidence {
     pub cache_hits: usize,
     /// Skeletons computed (cache population) plus uncached extractions.
     pub cache_misses: usize,
-    /// Node verdicts served from the per-thread verdict memo (delta
+    /// Node verdicts served from the shared verdict memo (delta
     /// path only; 0 for checks without a [`PropertyCheck::verdict_decoder`]).
     pub memo_hits: usize,
     /// Node verdicts computed by actually running the decoder on the delta

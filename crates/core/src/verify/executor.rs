@@ -26,11 +26,12 @@
 //! per-thread verdict vector. This is sound because a node's verdict is a
 //! function of its radius-r view alone (the LCP model), and the view of
 //! `u` reads exactly the certificates of the nodes in `u`'s skeleton. A
-//! per-thread memo short-cuts repeated local configurations without even
-//! stamping the view: a node's `(skeleton class, ball digits)` identity
-//! indexes a dense one-byte-per-entry table of its class (the ball digits
-//! read as a base-`|alphabet|` number). Classes whose table would exceed
-//! [`MEMO_TABLE_CAP`] entries are not memoized.
+//! memo short-cuts repeated local configurations without even stamping
+//! the view: a node's `(skeleton class, ball digits)` identity indexes a
+//! dense one-byte-per-entry table of its class (the ball digits read as a
+//! base-`|alphabet|` number). The tables live in the channel's
+//! [`DeltaDriver`], so every worker reads and fills the same ones. Classes
+//! whose table would exceed [`MEMO_TABLE_CAP`] entries are not memoized.
 //!
 //! The index-decoded path survives as [`SweepStrategy::DecodeOracle`]; the
 //! `engine_parity` suite proves the strategies observationally identical.
@@ -60,7 +61,8 @@ use crate::decoder::{Decoder, Verdict};
 use crate::label::{Certificate, Labeling};
 use crate::view::{IdMode, View, ViewSkeleton};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// How to drive the sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,6 +92,13 @@ pub const PARALLEL_THRESHOLD: usize = 64;
 /// exceeds it runs the decoder on every verdict decision.
 const MEMO_TABLE_CAP: usize = 1 << 16;
 
+/// A verdict-table entry no worker has decided yet.
+const UNDECIDED: u8 = 0;
+/// A verdict-table entry holding [`Verdict::Accept`].
+const ACCEPTED: u8 = 1;
+/// A verdict-table entry holding [`Verdict::Reject`].
+const REJECTED: u8 = 2;
+
 /// How the executor enumerates items within a chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SweepStrategy {
@@ -97,8 +106,11 @@ pub enum SweepStrategy {
     /// hot path (see the module docs).
     #[default]
     DeltaStepping,
-    /// Independent div/mod index decoding with full per-item inspection —
-    /// the reference oracle the parity suite compares against.
+    /// Independent div/mod index decoding with full per-item inspection
+    /// of every block — the reference oracle the parity suite compares
+    /// against. The only strategy that also walks the port-isomorphic
+    /// copies every other strategy jumps over (see
+    /// [`ItemCtx::multiplicity`]).
     DecodeOracle,
     /// Delta stepping restricted to canonical orbit representatives under
     /// the symmetries the check declares via
@@ -157,7 +169,7 @@ pub(super) struct SkeletonCache {
     /// Requested `(radius, id_mode)` configurations.
     configs: Vec<(usize, IdMode)>,
     /// `per_block[b][c][v]` = skeleton of node `v` in block `b` under
-    /// configuration `c`.
+    /// configuration `c`; empty for a copy block the walk jumps over.
     pub(super) per_block: Vec<Vec<Vec<ViewSkeleton>>>,
     /// `class_of[b][c][v]` = dense id of the skeleton's proto paired with
     /// block `b`'s alphabet: equal pairs (across nodes *and* blocks) share
@@ -171,7 +183,13 @@ pub(super) struct SkeletonCache {
 }
 
 impl SkeletonCache {
-    pub(super) fn build(universe: &Universe, mut configs: Vec<(usize, IdMode)>) -> SkeletonCache {
+    /// Computes the skeletons of every block `walked` admits; the others
+    /// (the copies a walk jumps over) get none.
+    pub(super) fn build(
+        universe: &Universe,
+        mut configs: Vec<(usize, IdMode)>,
+        walked: impl Fn(usize) -> bool,
+    ) -> SkeletonCache {
         configs.dedup();
         configs.sort_unstable_by_key(|&(r, m)| (r, m as u8));
         configs.dedup();
@@ -184,7 +202,12 @@ impl SkeletonCache {
         let per_block: Vec<Vec<Vec<ViewSkeleton>>> = universe
             .blocks()
             .iter()
-            .map(|block| {
+            .enumerate()
+            .map(|(b, block)| {
+                if !walked(b) {
+                    class_of.push(Vec::new());
+                    return Vec::new();
+                }
                 let alphabet = match block.labels() {
                     LabelSource::All { alphabet } => {
                         let next = u32::try_from(alphabets.len()).expect("alphabet count fits u32");
@@ -303,11 +326,15 @@ impl ItemCtx<'_> {
         self.memo
     }
 
-    /// How many universe items this item stands for: 1 on every strategy
-    /// except [`SweepStrategy::Quotient`], where a canonical orbit
-    /// representative carries its exact orbit size. Counting checks
-    /// multiply per-item tallies by this to stay bit-exact against the
-    /// full walk.
+    /// How many universe items this item stands for. An item of a block
+    /// with port-isomorphic copies stands for itself and its image in
+    /// every copy the walk jumps over (see
+    /// [`SymmetrySpec::automorphisms`](super::SymmetrySpec::automorphisms));
+    /// under [`SweepStrategy::Quotient`] a canonical orbit representative
+    /// also carries its in-block orbit size, and the two multiply. Always
+    /// 1 under [`SweepStrategy::DecodeOracle`] and for checks that declare
+    /// no automorphisms. Counting checks multiply per-item tallies by this
+    /// to stay bit-exact against the full walk.
     pub fn multiplicity(&self) -> u64 {
         self.multiplicity
     }
@@ -444,6 +471,13 @@ pub(super) struct DeltaDriver<'a> {
     /// `memo_slots[b][v]` = where node `v` of block `b` memoizes its
     /// verdict. Empty for blocks outside the verdict fast path.
     memo_slots: Vec<Vec<MemoSlot>>,
+    /// `tables[class]` = the class's dense verdict table, allocated on the
+    /// class's first lookup by any worker and shared by all of them. Two
+    /// workers racing on one entry both run the decoder on the same view
+    /// and store the same verdict, so the race is benign. Entries are read
+    /// and written `Relaxed`: each holds a whole verdict and publishes no
+    /// other data (the `OnceLock` publishes the table itself).
+    tables: Vec<OnceLock<Box<[AtomicU8]>>>,
     /// Whether block `b` gets the verdict fast path: an `All`-labeled
     /// block the check actually reads verdicts on.
     pub(super) verdict_blocks: Vec<bool>,
@@ -502,7 +536,7 @@ impl<'a> DeltaDriver<'a> {
                 balls
             })
             .collect();
-        let memo_slots = universe
+        let memo_slots: Vec<Vec<MemoSlot>> = universe
             .blocks()
             .iter()
             .enumerate()
@@ -526,13 +560,29 @@ impl<'a> DeltaDriver<'a> {
                 _ => Vec::new(),
             })
             .collect();
+        let classes = memo_slots
+            .iter()
+            .flatten()
+            .map(|slot| slot.class as usize + 1)
+            .max()
+            .unwrap_or(0);
         DeltaDriver {
             decoder,
             config,
             balls,
             memo_slots,
+            tables: (0..classes).map(|_| OnceLock::new()).collect(),
             verdict_blocks,
         }
+    }
+
+    /// The dense table of `slot`'s class, allocated on first touch.
+    fn table(&self, slot: MemoSlot) -> &[AtomicU8] {
+        self.tables[slot.class as usize].get_or_init(|| {
+            std::iter::repeat_with(|| AtomicU8::new(UNDECIDED))
+                .take(slot.entries)
+                .collect()
+        })
     }
 }
 
@@ -609,13 +659,10 @@ pub(super) struct VerdictScratch {
     pending: Vec<usize>,
 }
 
-/// Per-thread verdict memo (lock-free: each worker owns one): one dense
-/// table per skeleton class under [`MEMO_TABLE_CAP`], allocated on the
-/// class's first lookup.
+/// One worker's use of a channel's verdict memo: whether it is on, and
+/// the worker's hit and miss counts. The tables themselves live in the
+/// channel's [`DeltaDriver`].
 pub(super) struct VerdictMemo {
-    /// `tables[class][index]`, `None` = not decided yet. Empty until the
-    /// class is first looked up.
-    tables: Vec<Vec<Option<Verdict>>>,
     enabled: bool,
     pub(super) hits: usize,
     pub(super) misses: usize,
@@ -624,24 +671,10 @@ pub(super) struct VerdictMemo {
 impl VerdictMemo {
     pub(super) fn new(enabled: bool) -> VerdictMemo {
         VerdictMemo {
-            tables: Vec::new(),
             enabled,
             hits: 0,
             misses: 0,
         }
-    }
-
-    /// The dense table of `slot`'s class, allocated on first touch.
-    fn table(&mut self, slot: MemoSlot) -> &mut [Option<Verdict>] {
-        let class = slot.class as usize;
-        if class >= self.tables.len() {
-            self.tables.resize_with(class + 1, Vec::new);
-        }
-        let table = &mut self.tables[class];
-        if table.is_empty() {
-            *table = vec![None; slot.entries];
-        }
-        table
     }
 }
 
@@ -686,13 +719,24 @@ fn node_verdict(
         };
         if slot.entries > 0 {
             let index = dense_index(skel.original_nodes(), digits, slot.radix);
-            let entry = &mut memo.table(slot)[index];
-            if let Some(verdict) = *entry {
-                memo.hits += 1;
-                return verdict;
+            let entry = &driver.table(slot)[index];
+            match entry.load(Ordering::Relaxed) {
+                ACCEPTED => {
+                    memo.hits += 1;
+                    return Verdict::Accept;
+                }
+                REJECTED => {
+                    memo.hits += 1;
+                    return Verdict::Reject;
+                }
+                _ => {}
             }
             let verdict = driver.decoder.decide(&skel.stamp(labeling));
-            *entry = Some(verdict);
+            let code = match verdict {
+                Verdict::Accept => ACCEPTED,
+                Verdict::Reject => REJECTED,
+            };
+            entry.store(code, Ordering::Relaxed);
             memo.misses += 1;
             return verdict;
         }
@@ -780,4 +824,67 @@ pub(super) fn refresh_verdicts(
         }
     }
     scratch.pos = Some((block, offset));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::instance::Instance;
+    use crate::verify::Coverage;
+    use hiding_lcp_graph::generators;
+
+    /// Accepts every view.
+    struct AcceptAll;
+
+    impl Decoder for AcceptAll {
+        fn name(&self) -> String {
+            "accept-all".into()
+        }
+        fn radius(&self) -> usize {
+            1
+        }
+        fn id_mode(&self) -> IdMode {
+            IdMode::Anonymous
+        }
+        fn decide(&self, _view: &View) -> Verdict {
+            Verdict::Accept
+        }
+    }
+
+    #[test]
+    fn workers_share_the_verdict_tables() {
+        let alphabet = (0..2).map(Certificate::from_byte).collect();
+        let universe = Universe::all_labelings_of(
+            Instance::canonical(generators::cycle(4)),
+            alphabet,
+            Coverage::Exhaustive,
+        )
+        .expect("16 labelings fit");
+        let decoder = AcceptAll;
+        let cache = SkeletonCache::build(&universe, vec![(1, IdMode::Anonymous)], |_| true);
+        let driver = DeltaDriver::build(&decoder, &universe, &cache, |_| true);
+        let mut walker = Walker::default();
+        walker.advance_to(&universe, 0, 5);
+        let mut first = VerdictMemo::new(true);
+        let mut second = VerdictMemo::new(true);
+        for memo in [&mut first, &mut second] {
+            for u in 0..4 {
+                node_verdict(
+                    &driver,
+                    &cache,
+                    0,
+                    u,
+                    &walker.labeling,
+                    &walker.digits,
+                    memo,
+                );
+            }
+        }
+        assert!(first.misses > 0, "the first worker fills the tables");
+        assert_eq!(
+            (second.hits, second.misses),
+            (4, 0),
+            "a second worker reads every verdict the first one stored"
+        );
+    }
 }

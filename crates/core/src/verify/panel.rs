@@ -82,7 +82,7 @@ use super::executor::{
     refresh_verdicts, resolve_threads, DeltaDriver, ExecMode, ItemCtx, SkeletonCache,
     SweepFragment, SweepOpts, SweepStrategy, VerdictMemo, VerdictScratch, Walker,
 };
-use super::symmetry::QuotientPlan;
+use super::symmetry::{BlockClasses, QuotientPlan};
 use super::telemetry::{SweepCounter, SweepPhase, SweepRecorder, WorkerTally};
 use super::universe::{Block, Coverage, LabelSource, Universe, UniverseItem};
 use crate::decoder::Decoder;
@@ -667,6 +667,9 @@ struct Engine<'e, C> {
     drivers: Vec<DeltaDriver<'e>>,
     /// One plan per member, in member order.
     plans: Vec<MemberPlan>,
+    /// The between-block classes: which blocks the walk jumps over as
+    /// port-isomorphic copies, and what each walked block weighs.
+    classes: BlockClasses,
     hits: &'e AtomicUsize,
     misses: &'e AtomicUsize,
     memo_hits: &'e AtomicUsize,
@@ -687,8 +690,9 @@ struct MemberPlan {
 }
 
 /// A worker thread's mutable state: one odometer walker feeding one
-/// verdict scratch + memo per channel, plus the thread's telemetry
-/// tally. Tallies count *member evaluations*: each (item, active member)
+/// verdict scratch + memo counters per channel (the memo tables live in
+/// the channel's `DeltaDriver`, shared by all workers), plus the thread's
+/// telemetry tally. Tallies count *member evaluations*: each (item, active member)
 /// pair is one walk, resolving to one inspect or one orbit skip — so
 /// `items_inspected + items_orbit_skipped == items_walked` holds
 /// member-summed, and a one-member walk tallies one walk per item.
@@ -726,14 +730,19 @@ impl<C: PropertyCheck> Engine<'_, C> {
     /// each guarded result into the member's record and its stop into
     /// `stops`. A verdict channel is refreshed at most once per item — the
     /// first member to need it pays the delta patch, the rest read it
-    /// back.
+    /// back. Returns the next index to visit: `i + 1`, or the end of a
+    /// copy block (capped at `end`) when `i` lies in one. A copy records
+    /// nothing its class's first block does not already record at a lower
+    /// index, so its items are jumped, each counted as walked and skipped
+    /// for every active member.
     fn run_item<S: Stops + ?Sized>(
         &self,
         worker: &mut Worker,
         i: usize,
+        end: usize,
         stops: &S,
         records: &mut [MemberFrontier<C::Partial>],
-    ) {
+    ) -> usize {
         if self.oracle {
             let buf = self.universe.item(i);
             let ctx = ItemCtx::new(
@@ -755,9 +764,18 @@ impl<C: PropertyCheck> Engine<'_, C> {
                     stops.stop(m, i);
                 }
             }
-            return;
+            return i + 1;
         }
         let (block, offset) = self.universe.locate(i);
+        if self.classes.is_copy(block) {
+            let next = (i - offset + self.universe.blocks()[block].len()).min(end);
+            let active = (0..self.checks.len())
+                .filter(|&m| stops.active(m, i))
+                .count();
+            worker.tally.jump(((next - i) * active) as u64);
+            return next;
+        }
+        let weight = self.classes.weight(block);
         let Worker {
             walker,
             channels,
@@ -774,10 +792,10 @@ impl<C: PropertyCheck> Engine<'_, C> {
             // non-canonical orbit member skips it entirely; the odometer
             // still stepped, and its verdict channel refreshes lazily at
             // its next canonical item.
-            let mut multiplicity = 1u64;
+            let mut multiplicity = weight;
             if let Some(quotient) = &plan.quotient {
                 match quotient.classify(block, &walker.digits) {
-                    Some(mult) => multiplicity = mult,
+                    Some(mult) => multiplicity = weight * mult,
                     None => {
                         tally.orbit_skip();
                         continue;
@@ -832,6 +850,7 @@ impl<C: PropertyCheck> Engine<'_, C> {
                 stops.stop(m, i);
             }
         }
+        i + 1
     }
 }
 
@@ -844,11 +863,12 @@ struct Pass<P> {
     stats: WalkStats,
 }
 
-/// Builds the engine for `checks` over the walk's universe (verdict
-/// channels, skeleton cache, delta drivers, quotient plans) and runs `body`
-/// on it. The one construction site of [`Engine`]: the walk ([`pass`]) and
-/// the shard replay ([`replay`]) step items through the engine it builds.
-/// Records the cache-build phase when the walk has a recorder.
+/// Builds the engine for `checks` over the walk's universe (between-block
+/// classes, verdict channels, skeleton cache, delta drivers, quotient
+/// plans) and runs `body` on it. The one construction site of [`Engine`]:
+/// the walk ([`pass`]) and the shard replay ([`replay`]) step items
+/// through the engine it builds. Records the cache-build phase when the
+/// walk has a recorder.
 fn with_engine<C: Member, R>(
     walk: &Walk<'_>,
     checks: &[C],
@@ -863,6 +883,25 @@ fn with_engine<C: Member, R>(
     let nmem = checks.len();
     let oracle = opts.strategy == SweepStrategy::DecodeOracle;
     let cache_start = recorder.map(|r| r.now_micros());
+
+    // Between-block classes: a block is a copy of a lower-index
+    // port-isomorphic block only when every member declares
+    // automorphisms over its alphabet and treats both blocks alike (a
+    // gate such as `BlockGated`'s mask is caller data, reported through
+    // `uses_verdicts`). Copies get no skeletons, balls, memo slots or
+    // quotient groups. The decode oracle stays the full walk.
+    let classes = if oracle {
+        BlockClasses::none(universe)
+    } else {
+        BlockClasses::build(universe, |alphabet, first, b| {
+            checks.iter().all(|check| {
+                check.uses_verdicts(first) == check.uses_verdicts(b)
+                    && check
+                        .symmetry_class(alphabet)
+                        .is_some_and(|spec| spec.automorphisms)
+            })
+        })
+    };
 
     // Verdict channels: members with equal channel keys share a slot;
     // members with a decoder but no key get a private slot; the decode
@@ -897,7 +936,7 @@ fn with_engine<C: Member, R>(
             configs.push((d.radius(), d.id_mode()));
         }
     }
-    let cache = SkeletonCache::build(universe, configs);
+    let cache = SkeletonCache::build(universe, configs, |b| !classes.is_copy(b));
     if let (Some(r), Some(t0)) = (recorder, cache_start) {
         r.record_phase(SweepPhase::CacheBuild, r.now_micros().saturating_sub(t0));
     }
@@ -915,7 +954,8 @@ fn with_engine<C: Member, R>(
         .enumerate()
         .map(|(c, &d)| {
             DeltaDriver::build(d, universe, &cache, |b| {
-                (0..nmem).any(|m| member_channel[m] == Some(c) && reads_verdicts[m][b])
+                !classes.is_copy(b)
+                    && (0..nmem).any(|m| member_channel[m] == Some(c) && reads_verdicts[m][b])
             })
         })
         .collect();
@@ -938,7 +978,11 @@ fn with_engine<C: Member, R>(
                 None => vec![None; blocks],
             };
             let quotient = (opts.strategy == SweepStrategy::Quotient)
-                .then(|| QuotientPlan::build(universe, |alphabet| check.symmetry_class(alphabet)))
+                .then(|| {
+                    QuotientPlan::build(universe, &classes, |alphabet| {
+                        check.symmetry_class(alphabet)
+                    })
+                })
                 .flatten();
             MemberPlan { channel, quotient }
         })
@@ -953,6 +997,7 @@ fn with_engine<C: Member, R>(
         cache: &cache,
         drivers,
         plans,
+        classes,
         hits: &hits,
         misses: &misses,
         memo_hits: &memo_hits,
@@ -1056,18 +1101,27 @@ fn pass<C: Member>(
 /// item is a function of the item alone ([`PropertyCheck::inspect`]'s
 /// contract; the delta patch, verdict memo and quotient classification
 /// preserve it). The engine is built once for all lists, without a
-/// recorder.
+/// recorder. Fails with the first listed item that lies in a copy block:
+/// the walk jumps over those and never records there.
 pub(super) fn replay<C: Member>(
     walk: &Walk<'_>,
     checks: &[C],
     lists: &[Vec<usize>],
-) -> Vec<Vec<MemberFrontier<C::Partial>>> {
+) -> Result<Vec<Vec<MemberFrontier<C::Partial>>>, usize> {
     let walk = Walk {
         recorder: None,
         ..*walk
     };
     with_engine(&walk, checks, |engine| {
-        lists
+        let universe = engine.universe;
+        if let Some(&i) = lists
+            .iter()
+            .flatten()
+            .find(|&&i| engine.classes.is_copy(universe.locate(i).0))
+        {
+            return Err(i);
+        }
+        let replayed = lists
             .iter()
             .map(|items| {
                 let mut worker = Worker::new(engine.drivers.len(), engine.memo_on);
@@ -1076,7 +1130,7 @@ pub(super) fn replay<C: Member>(
                 let mut records: Vec<MemberFrontier<C::Partial>> =
                     checks.iter().map(|_| MemberFrontier::new()).collect();
                 for &i in items {
-                    engine.run_item(&mut worker, i, &stops[..], &mut records);
+                    engine.run_item(&mut worker, i, i + 1, &stops[..], &mut records);
                 }
                 for (record, stop) in records.iter_mut().zip(stops) {
                     let stop = stop.into_inner();
@@ -1084,7 +1138,8 @@ pub(super) fn replay<C: Member>(
                 }
                 records
             })
-            .collect()
+            .collect();
+        Ok(replayed)
     })
 }
 
@@ -1110,7 +1165,8 @@ fn run_sequential<C: PropertyCheck>(
     // in order, so one `locate` per item — paid only when a recorder is
     // attached — detects every block transition.
     let mut span_block: Option<usize> = None;
-    for i in begin..end {
+    let mut i = begin;
+    while i < end {
         if stop_at.iter().all(|s| s.get() != usize::MAX) {
             break;
         }
@@ -1128,7 +1184,7 @@ fn run_sequential<C: PropertyCheck>(
                 span_block = Some(block);
             }
         }
-        engine.run_item(&mut worker, i, &stop_at[..], records);
+        i = engine.run_item(&mut worker, i, end, &stop_at[..], records);
     }
     if let (Some(r), Some(b)) = (engine.recorder, span_block) {
         r.span_exit(&format!("block:{b}"));
@@ -1208,11 +1264,10 @@ fn run_parallel<C: PropertyCheck>(
                         if let Some(r) = engine.recorder {
                             r.span_enter(&format!("chunk:{start}"));
                         }
-                        for i in start..(start + chunk).min(end) {
-                            if i > horizon(&stop_at) {
-                                break;
-                            }
-                            engine.run_item(&mut worker, i, &stop_at[..], &mut local);
+                        let stop = (start + chunk).min(end);
+                        let mut i = start;
+                        while i < stop && i <= horizon(&stop_at) {
+                            i = engine.run_item(&mut worker, i, stop, &stop_at[..], &mut local);
                         }
                         if let Some(r) = engine.recorder {
                             r.span_exit(&format!("chunk:{start}"));
@@ -1284,7 +1339,7 @@ pub(super) fn draw<C: PropertyCheck>(
         // far from overflowing the flat index space.
         let universe = Universe::new(vec![Block::new(instance, LabelSource::Unlabeled)], coverage)
             .expect("a single bare instance cannot overflow");
-        let cache = SkeletonCache::build(&universe, configs.clone());
+        let cache = SkeletonCache::build(&universe, configs.clone(), |_| true);
         (universe, cache)
     };
     let mut current = fixed.map(|instance| bare(instance.clone()));

@@ -849,7 +849,8 @@ impl<'a> AuditPlan<'a> {
         let items: Vec<Vec<usize>> = listings.iter().map(ShardListing::items).collect();
         let replayed = SweepSession::over(universe)
             .opts(self.opts)
-            .replay_panel(&members, &items);
+            .replay_panel(&members, &items)
+            .map_err(|i| copy_item_error(&listings, &members, universe, i))?;
         let mut fragments = Vec::with_capacity(listings.len());
         let mut per_shard_counters = Vec::with_capacity(listings.len());
         for (listing, records) in listings.into_iter().zip(replayed) {
@@ -1051,6 +1052,39 @@ fn header_field<'t>(
     line.strip_prefix(key)
         .and_then(|rest| rest.strip_prefix(' '))
         .ok_or_else(|| format!("shard report lacks its `{key}` line (found `{line}`)"))
+}
+
+/// The merge error for a report that lists a record at item `i`, which
+/// lies in a copy block the walk jumps over (see
+/// [`SymmetrySpec::automorphisms`]), so no walk records there: names the
+/// first report and member that list it.
+fn copy_item_error(
+    listings: &[ShardListing],
+    members: &[DynPropertyCheck<'_>],
+    universe: &Universe,
+    i: usize,
+) -> String {
+    let (listing, m, what) = listings
+        .iter()
+        .flat_map(|listing| {
+            let members = listing.members.iter().enumerate();
+            members.flat_map(move |(m, listed)| {
+                listed
+                    .iter()
+                    .filter(move |&&(_, at)| at == i)
+                    .map(move |&(what, _)| (listing, m, what))
+            })
+        })
+        .next()
+        .expect("the replay rejects only listed items");
+    let (block, _) = universe.locate(i);
+    format!(
+        "shard report over [{}, {}) lists a record no walk makes: member {m} ({}) lists a \
+         {what} at item {i}, in block {block}, a port-isomorphic copy the walk jumps over",
+        listing.lo,
+        listing.hi,
+        members[m].label()
+    )
 }
 
 /// One parsed shard report: its range, how far its walk got, what each
@@ -1534,6 +1568,55 @@ mod tests {
                 Instance::canonical(generators::cycle(5)),
             ],
             coverage: Coverage::Sampled,
+        }
+    }
+
+    /// A copy block is jumped only when every member treats it as it
+    /// treats its class's first block. Soundness gated onto the second
+    /// of two port-isomorphic triangles must find the accept-all
+    /// violation there; a walk blind to the mask would jump the second
+    /// block as a copy of the gated-off first one and report a pass.
+    #[test]
+    fn gated_copy_block_is_walked() {
+        struct AcceptAll;
+        impl Decoder for AcceptAll {
+            fn name(&self) -> String {
+                "accept-all".into()
+            }
+            fn radius(&self) -> usize {
+                1
+            }
+            fn id_mode(&self) -> IdMode {
+                IdMode::Anonymous
+            }
+            fn decide(&self, _view: &View) -> Verdict {
+                Verdict::Accept
+            }
+        }
+        let triangle = || {
+            Block::new(
+                Instance::canonical(generators::cycle(3)),
+                LabelSource::All { alphabet: bits() },
+            )
+        };
+        let universe = Universe::new(vec![triangle(), triangle()], Coverage::Exhaustive).unwrap();
+        let gated = BlockGated {
+            check: SoundnessCheck {
+                decoder: &AcceptAll,
+            },
+            active: vec![false, true],
+        };
+        for opts in [
+            SweepOpts::default(),
+            SweepOpts::quotient(),
+            SweepOpts::oracle(),
+        ] {
+            let report = SweepSession::over(&universe).opts(opts).run(&gated);
+            assert!(
+                report.verdict.is_err(),
+                "{opts:?}: the second block violates"
+            );
+            assert_eq!(report.checked, 9, "{opts:?}: the second block's first item");
         }
     }
 

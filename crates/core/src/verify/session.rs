@@ -318,13 +318,14 @@ impl<'a> SweepSession<'a> {
 
     /// Re-derives the panel records a walk left at each ascending list of
     /// items, under the session's strategy, with no recorder and no budget
-    /// (see [`panel::replay`]). The shard merge checks shard reports
-    /// against it.
+    /// (see [`panel::replay`]); fails with the first listed item the walk
+    /// jumps over as part of a copy block. The shard merge checks shard
+    /// reports against it.
     pub(super) fn replay_panel(
         &self,
         checks: &[DynPropertyCheck<'_>],
         lists: &[Vec<usize>],
-    ) -> Vec<Vec<MemberFrontier>> {
+    ) -> Result<Vec<Vec<MemberFrontier>>, usize> {
         panel::replay(&self.walk("panel", self.budget), checks, lists)
     }
 }

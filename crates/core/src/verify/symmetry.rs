@@ -35,11 +35,27 @@
 //! cannot be smaller (else it would be an earlier violation), so the
 //! quotient walk stops at the same index with the same witness and the
 //! same `checked` count.
+//!
+//! # Between-block classes
+//!
+//! The same invariance also holds *between* blocks: a port-preserving
+//! isomorphism `φ` from one block's instance onto another's maps every
+//! labeling `L` of the first to the labeling `L ∘ φ⁻¹` of the second
+//! with the same anonymous views node for node. [`BlockClasses`] keys every
+//! `All`-labeled block by its alphabet plus [`port_code`], and the engine
+//! walks only the lowest-index block of each class, weighting its items
+//! by the class size. The first violator of a full walk is never in a
+//! jumped block: its image in the class's first block lies at a lower flat
+//! index and records the same. Unlike the in-block quotient this needs no
+//! per-item classification, so delta stepping inside a kept block is
+//! untouched and every strategy but the decode oracle runs it.
 
 use super::universe::{LabelSource, Universe};
+use crate::instance::Instance;
 use crate::label::Certificate;
 use hiding_lcp_graph::algo::automorphism;
 use std::cmp::Ordering;
+use std::collections::HashMap;
 
 /// What a [`super::PropertyCheck`] declares invariant on an `All`-labeled
 /// block, given that block's certificate alphabet. Returned by
@@ -49,7 +65,15 @@ use std::cmp::Ordering;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SymmetrySpec {
     /// The verdict is invariant under relabeling along port-preserving
-    /// automorphisms of the block's instance.
+    /// automorphisms of the block's instance, and along port-preserving
+    /// isomorphisms between blocks: an item and its image in another
+    /// block over the same alphabet give equivalent partials and the same
+    /// short-circuit decision. Identifiers play no part in either map, so
+    /// only a check that ignores them may declare this. The engine then
+    /// walks one block per port-isomorphism class, provided the check
+    /// also treats the two blocks alike through
+    /// [`uses_verdicts`](super::PropertyCheck::uses_verdicts), which is
+    /// where a check that gates blocks by caller data must say so.
     pub automorphisms: bool,
     /// Class partition of the alphabet (index-aligned): permutations of
     /// certificates *within* a class preserve the verdict. `None` claims
@@ -70,18 +94,20 @@ pub(super) struct QuotientPlan {
 }
 
 impl QuotientPlan {
-    /// Builds the plan from the check's per-block symmetry declarations.
+    /// Builds the plan from the check's per-block symmetry declarations,
+    /// for the blocks the walk visits (copies in `classes` get no group).
     /// Returns `None` when no block has a usable (non-trivial, under-cap)
     /// group — the sweep then runs exactly as plain delta stepping.
     pub(super) fn build(
         universe: &Universe,
+        classes: &BlockClasses,
         mut spec_of: impl FnMut(&[Certificate]) -> Option<SymmetrySpec>,
     ) -> Option<QuotientPlan> {
         let mut blocks = Vec::with_capacity(universe.blocks().len());
         let mut any = false;
-        for block in universe.blocks() {
+        for (b, block) in universe.blocks().iter().enumerate() {
             let group = match block.labels() {
-                LabelSource::All { alphabet } => spec_of(alphabet)
+                LabelSource::All { alphabet } if !classes.is_copy(b) => spec_of(alphabet)
                     .and_then(|spec| BlockGroup::build(block.instance(), alphabet.len(), &spec)),
                 _ => None,
             };
@@ -113,6 +139,127 @@ impl QuotientPlan {
         (0..self.blocks.len())
             .filter(|&b| self.is_active(b))
             .count() as u64
+    }
+}
+
+/// The port-order BFS code of a connected instance, or `None` for a
+/// disconnected or empty graph. From a start node, a breadth-first search
+/// visits each node's neighbours in port order and numbers nodes as it
+/// discovers them; the code lists, node by node in discovery order, the
+/// node's degree followed by its neighbours' discovery indices in port
+/// order. The instance's code is the minimum over start nodes. Two
+/// connected instances have equal codes iff a port-preserving isomorphism
+/// maps one onto the other: the searches from matching start nodes
+/// discover matching nodes, and equal codes make the discovery order
+/// itself such an isomorphism. Identifiers are not read.
+pub(super) fn port_code(instance: &Instance) -> Option<Vec<usize>> {
+    let ports = instance.ports();
+    let n = instance.graph().node_count();
+    let mut best: Option<Vec<usize>> = None;
+    let mut index = vec![usize::MAX; n];
+    let mut order = Vec::with_capacity(n);
+    let mut code = Vec::new();
+    for start in 0..n {
+        index.fill(usize::MAX);
+        order.clear();
+        code.clear();
+        index[start] = 0;
+        order.push(start);
+        let mut head = 0;
+        while let Some(&u) = order.get(head) {
+            head += 1;
+            let degree = ports.degree(u);
+            code.push(degree);
+            for p in 1..=degree {
+                // invariant: degrees fit in u16 (`PortAssignment::port_to`).
+                let w = ports.neighbor_at(u, p as u16);
+                if index[w] == usize::MAX {
+                    index[w] = order.len();
+                    order.push(w);
+                }
+                code.push(index[w]);
+            }
+        }
+        if order.len() < n {
+            return None;
+        }
+        if best.as_ref().is_none_or(|b| code < *b) {
+            best = Some(code.clone());
+        }
+    }
+    best
+}
+
+/// The between-block classes of one walk (see the module docs): which
+/// `All`-labeled blocks are port-isomorphic copies of a lower-index block
+/// over the same alphabet, and how many blocks each walked block stands
+/// for.
+pub(super) struct BlockClasses {
+    /// `weight[b]`: the class size on a class's first block, 1 on a block
+    /// with no copies, 0 on a copy, which the walk jumps over.
+    weight: Vec<u64>,
+}
+
+impl BlockClasses {
+    /// No block is a copy: the decode oracle's full walk.
+    pub(super) fn none(universe: &Universe) -> BlockClasses {
+        BlockClasses {
+            weight: vec![1; universe.blocks().len()],
+        }
+    }
+
+    /// Groups the `All`-labeled blocks by alphabet and [`port_code`]. A
+    /// block joins the class of the lowest-index block with its key only
+    /// if `admit(alphabet, first, block)` holds; otherwise it is walked on
+    /// its own.
+    pub(super) fn build(
+        universe: &Universe,
+        mut admit: impl FnMut(&[Certificate], usize, usize) -> bool,
+    ) -> BlockClasses {
+        let mut weight = vec![1u64; universe.blocks().len()];
+        let mut first: HashMap<(&[Certificate], Vec<usize>), usize> = HashMap::new();
+        for (b, block) in universe.blocks().iter().enumerate() {
+            let LabelSource::All { alphabet } = block.labels() else {
+                continue;
+            };
+            let Some(code) = port_code(block.instance()) else {
+                continue;
+            };
+            let key = (alphabet.as_slice(), code);
+            let Some(&kept) = first.get(&key) else {
+                first.insert(key, b);
+                continue;
+            };
+            if !admit(alphabet, kept, b) {
+                continue;
+            }
+            #[cfg(conformance_mutants)]
+            if crate::mutants::active("copy_keeps_last_block") {
+                weight[b] = weight[kept] + 1;
+                weight[kept] = 0;
+                first.insert(key, b);
+                continue;
+            }
+            weight[kept] += 1;
+            weight[b] = 0;
+        }
+        #[cfg(conformance_mutants)]
+        if crate::mutants::active("copy_weight_off_by_one") {
+            for w in weight.iter_mut().filter(|w| **w > 1) {
+                *w -= 1;
+            }
+        }
+        BlockClasses { weight }
+    }
+
+    /// Whether the walk jumps over block `b`.
+    pub(super) fn is_copy(&self, b: usize) -> bool {
+        self.weight[b] == 0
+    }
+
+    /// How many blocks block `b`'s items stand for.
+    pub(super) fn weight(&self, b: usize) -> u64 {
+        self.weight[b]
     }
 }
 
@@ -292,7 +439,10 @@ mod tests {
     }
 
     fn plan_with(universe: &Universe, spec: SymmetrySpec) -> QuotientPlan {
-        QuotientPlan::build(universe, |_| Some(spec.clone())).expect("non-trivial group")
+        QuotientPlan::build(universe, &BlockClasses::none(universe), |_| {
+            Some(spec.clone())
+        })
+        .expect("non-trivial group")
     }
 
     #[test]
@@ -387,12 +537,16 @@ mod tests {
     #[test]
     fn trivial_symmetry_yields_no_plan() {
         let universe = symmetric_cycle_universe(4, 2);
-        assert!(QuotientPlan::build(&universe, |_| None).is_none());
-        assert!(QuotientPlan::build(&universe, |_| Some(SymmetrySpec {
-            automorphisms: false,
-            alphabet_classes: None,
-        }))
-        .is_none());
+        assert!(QuotientPlan::build(&universe, &BlockClasses::none(&universe), |_| None).is_none());
+        assert!(
+            QuotientPlan::build(&universe, &BlockClasses::none(&universe), |_| Some(
+                SymmetrySpec {
+                    automorphisms: false,
+                    alphabet_classes: None,
+                }
+            ))
+            .is_none()
+        );
     }
 
     #[test]
@@ -405,11 +559,122 @@ mod tests {
             Coverage::Exhaustive,
         )
         .unwrap();
-        assert!(QuotientPlan::build(&universe, |_| Some(SymmetrySpec {
-            automorphisms: true,
-            alphabet_classes: None,
-        }))
-        .is_none());
+        assert!(
+            QuotientPlan::build(&universe, &BlockClasses::none(&universe), |_| Some(
+                SymmetrySpec {
+                    automorphisms: true,
+                    alphabet_classes: None,
+                }
+            ))
+            .is_none()
+        );
+    }
+
+    /// Whether some node bijection maps `a` onto `b` port for port, by
+    /// trying every permutation of the nodes.
+    fn port_isomorphic(a: &Instance, b: &Instance) -> bool {
+        let n = a.graph().node_count();
+        if n != b.graph().node_count() {
+            return false;
+        }
+        let (pa, pb) = (a.ports(), b.ports());
+        permutations_of(&(0..n).collect::<Vec<_>>())
+            .iter()
+            .any(|perm| {
+                (0..n).all(|v| {
+                    let d = pa.degree(v);
+                    d == pb.degree(perm[v])
+                        && (1..=d as u16)
+                            .all(|p| perm[pa.neighbor_at(v, p)] == pb.neighbor_at(perm[v], p))
+                })
+            })
+    }
+
+    fn admit_all(_: &[Certificate], _: usize, _: usize) -> bool {
+        true
+    }
+
+    #[test]
+    fn lemma31_blocks_fall_into_124_port_classes() {
+        let universe = Universe::lemma31(4, vec![Certificate::from_byte(0)]).unwrap();
+        let classes = BlockClasses::build(&universe, admit_all);
+        let blocks = universe.blocks();
+        assert_eq!(blocks.len(), 1502);
+        let kept: Vec<usize> = (0..blocks.len()).filter(|&b| !classes.is_copy(b)).collect();
+        assert_eq!(kept.len(), 124);
+        let k4 = |b: &&usize| blocks[**b].instance().graph().edge_count() == 6;
+        assert_eq!(kept.iter().filter(k4).count(), 60);
+        let weights: u64 = kept.iter().map(|&b| classes.weight(b)).sum();
+        assert_eq!(weights, 1502, "class weights cover every block");
+    }
+
+    #[test]
+    fn port_code_agrees_with_brute_force_isomorphism() {
+        let universe = Universe::lemma31(4, vec![Certificate::from_byte(0)]).unwrap();
+        let instances: Vec<&Instance> = universe.blocks().iter().map(|b| b.instance()).collect();
+        // Port isomorphism is an equivalence, so a block's brute-force
+        // class is the first class whose representative it maps onto.
+        let mut reps: Vec<usize> = Vec::new();
+        let mut class = Vec::with_capacity(instances.len());
+        for (b, inst) in instances.iter().enumerate() {
+            let c = match reps
+                .iter()
+                .position(|&r| port_isomorphic(instances[r], inst))
+            {
+                Some(c) => c,
+                None => {
+                    reps.push(b);
+                    reps.len() - 1
+                }
+            };
+            class.push(c);
+        }
+        assert_eq!(reps.len(), 124);
+        let codes: Vec<Vec<usize>> = instances
+            .iter()
+            .map(|inst| port_code(inst).expect("Lemma 3.1 graphs are connected"))
+            .collect();
+        for a in 0..instances.len() {
+            for b in a + 1..instances.len() {
+                assert_eq!(
+                    codes[a] == codes[b],
+                    class[a] == class[b],
+                    "blocks {a} and {b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn blocks_over_different_alphabets_never_merge() {
+        let triangle = || Instance::canonical(generators::cycle(3));
+        let alphabet = |k: u8| LabelSource::All {
+            alphabet: (0..k).map(Certificate::from_byte).collect(),
+        };
+        let universe = Universe::new(
+            vec![
+                Block::new(triangle(), alphabet(2)),
+                Block::new(triangle(), alphabet(3)),
+                Block::new(triangle(), alphabet(2)),
+                Block::new(triangle(), LabelSource::Unlabeled),
+            ],
+            Coverage::Exhaustive,
+        )
+        .unwrap();
+        let classes = BlockClasses::build(&universe, admit_all);
+        let weights: Vec<u64> = (0..4).map(|b| classes.weight(b)).collect();
+        assert_eq!(weights, [2, 1, 0, 1]);
+        let refused = BlockClasses::build(&universe, |_, _, _| false);
+        assert!((0..4).all(|b| refused.weight(b) == 1));
+    }
+
+    #[test]
+    fn disconnected_instances_get_no_code() {
+        let mut g = hiding_lcp_graph::Graph::new(4);
+        g.add_edge(0, 1).unwrap();
+        g.add_edge(2, 3).unwrap();
+        assert_eq!(port_code(&Instance::canonical(g)), None);
+        assert!(port_code(&Instance::canonical(generators::path(3))).is_some());
     }
 
     #[test]

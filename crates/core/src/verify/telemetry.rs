@@ -40,17 +40,19 @@ pub use hiding_lcp_telemetry::{ManualClock, MetricsSnapshot};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum SweepCounter {
-    /// Universe indices the walk passed over (stepped or decoded),
-    /// including quotient-skipped ones.
+    /// Universe indices the walk passed over (stepped, decoded or jumped),
+    /// including skipped ones.
     ItemsWalked = 0,
     /// Items actually handed to the check's `inspect`.
     ItemsInspected = 1,
-    /// Items stepped over as non-canonical under the quotient strategy.
+    /// Items stepped over without inspection: non-canonical under the
+    /// quotient strategy, or in a port-isomorphic copy block.
     OrbitSkipped = 2,
-    /// Sum of orbit multiplicities over inspected representatives — for
-    /// a complete quotient walk this re-adds up to the full universe.
+    /// Sum of multiplicities over inspected items — for a complete walk
+    /// this re-adds up to the full universe.
     OrbitMultiplicity = 3,
-    /// Verdict-memo hits (per-worker, scheduling-dependent).
+    /// Verdict-memo hits (scheduling-dependent: two workers racing on
+    /// one entry both miss).
     MemoHits = 4,
     /// Verdict-memo misses (decoder actually ran).
     MemoMisses = 5,
@@ -510,6 +512,14 @@ impl WorkerTally {
         self.orbit_skipped += 1;
     }
 
+    /// `n` items of a copy block jumped over: each counts as walked and
+    /// orbit-skipped.
+    #[inline]
+    pub(super) fn jump(&mut self, n: u64) {
+        self.walked += n;
+        self.orbit_skipped += n;
+    }
+
     /// `n` node-verdict decisions requested from the delta driver.
     #[inline]
     pub(super) fn decisions(&mut self, n: u64) {
@@ -555,6 +565,8 @@ impl WorkerTally {
     pub(super) fn inspect(&mut self, _multiplicity: u64) {}
     #[inline]
     pub(super) fn orbit_skip(&mut self) {}
+    #[inline]
+    pub(super) fn jump(&mut self, _n: u64) {}
     #[inline]
     pub(super) fn decisions(&mut self, _n: u64) {}
     #[inline]

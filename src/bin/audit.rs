@@ -77,8 +77,11 @@ fn usage() -> ! {
          \n\
          Audits one of the paper's LCPs over the Lemma 3.1 family up to N nodes\n\
          (1 <= N <= 4; default: even-cycle, N=4, all seven properties) and prints\n\
-         the fused-panel report as JSON. --strategy quotient sweeps only canonical\n\
-         orbit representatives (same verdicts, less wall-clock). --trace-out writes a\n\
+         the fused-panel report as JSON. Every strategy but oracle walks one block\n\
+         per port-isomorphism class of the family, weighted by the class size;\n\
+         oracle walks every block (same report, ~10x the wall-clock at N=4).\n\
+         --strategy quotient also sweeps only canonical orbit representatives\n\
+         within a block (same verdicts, less wall-clock). --trace-out writes a\n\
          Chrome trace_event file (open in chrome://tracing or Perfetto);\n\
          --metrics-out writes the counter/phase snapshot. --stable zeroes\n\
          scheduling-dependent fields so reports byte-compare across runs.\n\

@@ -212,6 +212,20 @@ fn shard_merge_rejects_forged_records() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Item 700 lies in a triangle block that is a port-isomorphic copy of
+/// an earlier one, so the walk jumps over it and no report can list a
+/// record there. The merge must reject such a listing before replaying
+/// it: a copy has no skeletons, so its replay would panic into a caught
+/// error, and a listed error would merge as a silent coverage downgrade.
+#[test]
+fn shard_merge_rejects_records_in_copy_blocks() {
+    let dir = fresh_dir("copy");
+    let (_, second) = write_shard_reports(&dir, &[]);
+    insert_after(&second, "member 0 soundness", "e 700");
+    assert_merge_rejected(&dir, &["member 0", "item 700", "copy"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Runs `audit --stable` with `args` plus `--out` into `dir/name`, and
 /// returns the exit code, the report bytes and the standard error.
 fn stable_run(
@@ -266,5 +280,55 @@ fn two_shards_merge_byte_identical_to_one_process() {
             "{flags:?}: the 2-shard --stable report differs"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Only the decode oracle walks every block; every other strategy jumps
+/// the port-isomorphic copies. The reports must not tell them apart.
+#[test]
+fn jumping_copy_blocks_keeps_the_oracle_bytes() {
+    let dir = fresh_dir("oracle");
+    for decoder in ["degree-one", "even-cycle", "revealing:2"] {
+        let args = ["--decoder", decoder, "--max-n", "3"];
+        let jumped = stable_run(&dir, "jumped.json", &args, &[]);
+        let oracle = [&args[..], &["--strategy", "oracle"]].concat();
+        let full = stable_run(&dir, "full.json", &oracle, &[]);
+        assert_eq!(jumped.0, full.0, "{decoder}: {}", jumped.2);
+        assert!(jumped.1 == full.1, "{decoder}: the --stable reports differ");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The degree-one audit at n <= 4 walks 74,780 of its 932,530 labelings:
+/// the 124 port-isomorphism classes' first blocks. The three members
+/// (soundness, strong, scan) each count every labeling as walked, and
+/// the multiplicities re-add to the same total.
+#[test]
+fn copy_blocks_move_only_the_inspection_counters() {
+    let dir = fresh_dir("metrics");
+    let metrics = dir.join("metrics.json");
+    let out = audit(&[
+        "--decoder",
+        "degree-one",
+        "--max-n",
+        "4",
+        "--metrics-out",
+        metrics.to_str().expect("utf-8 path"),
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let json = std::fs::read_to_string(&metrics).expect("metrics file");
+    let counter = |name: &str| {
+        let at = json.find(&format!("\"{name}\": ")).expect(name) + name.len() + 4;
+        let digits: String = json[at..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse::<u64>().expect(name)
+    };
+    assert_eq!(counter("items_inspected"), 224_377);
+    assert_eq!(counter("items_walked"), 2_797_627);
+    assert_eq!(counter("orbit_multiplicity"), 2_797_627);
+    assert_eq!(counter("verdict_refreshes"), 74_780);
+    assert_eq!(counter("verdict_readbacks"), 74_780);
     let _ = std::fs::remove_dir_all(&dir);
 }
