@@ -126,6 +126,12 @@ pub const MUTANTS: &[Mutant] = &[
         expected_killers: &["hiding_selfloop_walk"],
     },
     Mutant {
+        name: "witness_remap_off_by_one",
+        host: "hiding-lcp-core",
+        site: "V(D, n) witnesses renumbered one instance past the one they name",
+        expected_killers: &["nbhd_witnesses_recheck"],
+    },
+    Mutant {
         name: "fault_salt_reuse",
         host: "hiding-lcp-core",
         site: "duplication decisions reuse the drop salt",

@@ -19,7 +19,7 @@ use hiding_lcp_core::instance::{Instance, LabeledInstance};
 use hiding_lcp_core::label::{Certificate, Labeling};
 use hiding_lcp_core::language::KCol;
 use hiding_lcp_core::lower::PortObliviousCycleDecoder;
-use hiding_lcp_core::nbhd::NbhdGraph;
+use hiding_lcp_core::nbhd::{NbhdGraph, NbhdSweep};
 use hiding_lcp_core::network::degradation::degradation_sweep;
 use hiding_lcp_core::network::{FaultPlan, FaultRates};
 use hiding_lcp_core::properties::completeness::check_completeness;
@@ -60,6 +60,7 @@ pub const ALL: &[(&str, fn())] = &[
     ("interner_identity", interner_identity),
     ("hiding_partial_inconclusive", hiding_partial_inconclusive),
     ("hiding_selfloop_walk", hiding_selfloop_walk),
+    ("nbhd_witnesses_recheck", nbhd_witnesses_recheck),
     ("invariance_checks_node0", invariance_checks_node0),
     ("erasure_counts_rejections", erasure_counts_rejections),
     (
@@ -604,25 +605,134 @@ pub fn hiding_selfloop_walk() {
     let ports = hiding_lcp_graph::ports::cycle_symmetric(&g);
     let instance = Instance::new(g, ports, IdAssignment::canonical(4)).expect("valid C4 instance");
     let li = instance.with_labeling(Labeling::empty(4));
-    // Both Lemma 3.1 paths must find the loop: the incremental `extend`
-    // step and the engine sweep behind `build`.
-    let mut nbhd = NbhdGraph::empty(1, IdMode::Anonymous);
-    nbhd.extend(&YesMan, vec![li.clone()], bipartite::is_bipartite);
-    let swept = NbhdGraph::build(
+    // The engine sweep behind `build` must find the loop.
+    let nbhd = NbhdGraph::build(
         &YesMan,
         IdMode::Anonymous,
         vec![li],
         bipartite::is_bipartite,
     );
-    assert_eq!(
-        nbhd.self_loop_views(),
-        swept.self_loop_views(),
-        "extend and sweep disagree about self-loops"
-    );
     assert_eq!(nbhd.view_count(), 1, "all C4 views are identical");
     assert_eq!(nbhd.self_loop_views(), vec![0]);
     let verdict = check_hiding(&nbhd, 2, UniverseCoverage::Partial);
     assert_eq!(verdict, HidingVerdict::Hiding { odd_walk: vec![0] });
+}
+
+/// Every witness of the engine-built `V(D, n)` rechecks against the
+/// instance it names: a view witness re-derives its view and the decoder
+/// accepts there by definition; an edge or self-loop witness is an edge of
+/// its instance between the right views. `instances()` holds exactly the
+/// named instances, and the graph, its witnesses and its instances are
+/// equal under the delta, oracle and quotient strategies.
+pub fn nbhd_witnesses_recheck() {
+    let cases: [(&dyn Decoder, Vec<Certificate>, usize); 3] = [
+        (
+            &degree_one::DegreeOneDecoder,
+            degree_one::adversary_alphabet(),
+            4,
+        ),
+        (
+            &even_cycle::EvenCycleDecoder,
+            even_cycle::adversary_alphabet(),
+            3,
+        ),
+        (
+            &revealing::RevealingDecoder::new(2),
+            revealing::adversary_alphabet(2),
+            3,
+        ),
+    ];
+    for (decoder, alphabet, max_n) in cases {
+        let name = decoder.name();
+        let universe = Universe::lemma31(max_n, alphabet).expect("the n <= 4 family fits");
+        let [delta, oracle, quotient] = [
+            SweepOpts::default(),
+            SweepOpts::oracle(),
+            SweepOpts::quotient(),
+        ]
+        .map(|opts| {
+            let check = NbhdSweep::new(
+                decoder,
+                IdMode::Anonymous,
+                &universe,
+                bipartite::is_bipartite,
+            );
+            SweepSession::over(&universe).opts(opts).run(&check).verdict
+        });
+        recheck_witnesses(&name, decoder, &delta);
+        for other in [&oracle, &quotient] {
+            assert_same_witnesses(&name, &delta, other);
+        }
+    }
+}
+
+/// Rechecks every witness of `nbhd` against the instance it names.
+fn recheck_witnesses(name: &str, decoder: &dyn Decoder, nbhd: &NbhdGraph) {
+    let (radius, mode) = (nbhd.radius(), nbhd.id_mode());
+    let instances = nbhd.instances();
+    let mut named = vec![false; instances.len()];
+    let mut edge_views = |i: usize, (u, v): (usize, usize)| {
+        let li = &instances[i];
+        assert!(
+            li.graph().has_edge(u, v),
+            "{name}: witness {u}-{v} is no edge"
+        );
+        named[i] = true;
+        let at = |x: usize| {
+            nbhd.index_of(&li.view(x, radius, mode))
+                .expect("an accepting view")
+        };
+        (at(u), at(v))
+    };
+    for a in 0..nbhd.view_count() {
+        for b in nbhd.neighbors(a).filter(|&b| a < b) {
+            let (i, edge) = nbhd.edge_witness(a, b).expect("every edge has a witness");
+            let (x, y) = edge_views(i, edge);
+            assert!(
+                (x, y) == (a, b) || (x, y) == (b, a),
+                "{name}: edge ({a}, {b}) is witnessed between views ({x}, {y})"
+            );
+        }
+        if let Some((i, edge)) = nbhd.self_loop_witness(a) {
+            assert_eq!(edge_views(i, edge), (a, a), "{name}: self-loop {a}");
+        }
+    }
+    for a in 0..nbhd.view_count() {
+        let (i, v) = nbhd.view_witness(a);
+        let li = &instances[i];
+        named[i] = true;
+        assert_eq!(
+            &li.view(v, radius, mode),
+            nbhd.view(a),
+            "{name}: view {a} is not the view at node {v} of instance {i}"
+        );
+        let verdicts = oracle::run_by_definition(decoder, li.instance(), li.labeling());
+        assert!(
+            verdicts[v].is_accept(),
+            "{name}: view {a}'s witness rejects"
+        );
+    }
+    assert!(
+        named.iter().all(|&n| n),
+        "{name}: instances() keeps an instance no witness names"
+    );
+    assert!(instances.len() <= nbhd.retained_count());
+}
+
+/// Asserts two constructions of `V(D, n)` agree view for view, witness for
+/// witness and instance for instance.
+fn assert_same_witnesses(name: &str, a: &NbhdGraph, b: &NbhdGraph) {
+    assert_eq!(a.views(), b.views(), "{name}: views differ");
+    assert_eq!(a.instances(), b.instances(), "{name}: instances differ");
+    for i in 0..a.view_count() {
+        assert_eq!(a.view_witness(i), b.view_witness(i), "{name}: view {i}");
+        let nbrs: Vec<usize> = a.neighbors(i).collect();
+        assert_eq!(nbrs, b.neighbors(i).collect::<Vec<_>>(), "{name}: view {i}");
+        for j in nbrs {
+            assert_eq!(a.edge_witness(i, j), b.edge_witness(i, j), "{name}: edge");
+        }
+        assert_eq!(a.self_loop_witness(i), b.self_loop_witness(i), "{name}");
+    }
 }
 
 /// Invariance inspection must include node 0: an identifier variant that

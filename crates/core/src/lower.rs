@@ -62,16 +62,25 @@ pub struct Refutation {
 
 /// Attempts to realize the views of `walk` (an odd cycle in `nbhd`) as a
 /// `G_bad` instance via Lemma 5.1, drawing reference views from all nodes
-/// of the retained yes-instances.
+/// of `nbhd`'s witnessing instances ([`NbhdGraph::instances`]; [`refute`]
+/// draws them from every retained yes-instance).
 ///
 /// Only meaningful for [`IdMode::Full`] neighborhood graphs.
 pub fn try_realize_walk(nbhd: &NbhdGraph, walk: &[usize]) -> Option<Realization> {
+    realize_walk_over(nbhd, walk, nbhd.instances())
+}
+
+/// [`try_realize_walk`] with reference views from every node of `instances`.
+fn realize_walk_over(
+    nbhd: &NbhdGraph,
+    walk: &[usize],
+    instances: &[LabeledInstance],
+) -> Option<Realization> {
     if nbhd.id_mode() != IdMode::Full {
         return None;
     }
     let views: Vec<View> = walk.iter().map(|&i| nbhd.view(i).clone()).collect();
-    let pool: Vec<View> = nbhd
-        .instances()
+    let pool: Vec<View> = instances
         .iter()
         .flat_map(|li| {
             li.graph()
@@ -107,13 +116,17 @@ where
     F: Fn(&Graph) -> bool,
 {
     let two_col = KCol::new(2);
-    let nbhd = NbhdGraph::build(decoder, id_mode, universe, is_yes);
+    let retained: Vec<LabeledInstance> = universe
+        .into_iter()
+        .filter(|li| is_yes(li.graph()))
+        .collect();
+    let nbhd = NbhdGraph::build(decoder, id_mode, retained.clone(), |_| true);
     let Some(odd_walk) = nbhd.odd_cycle() else {
         return RefutationOutcome::NoHidingWitness;
     };
     // Route 1: realize the odd cycle as G_bad (Lemma 5.1).
     if odd_walk.len() >= 3 {
-        if let Some(realization) = try_realize_walk(&nbhd, &odd_walk) {
+        if let Some(realization) = realize_walk_over(&nbhd, &odd_walk, &retained) {
             let instance = realization.labeled.instance().clone();
             let labeling = realization.labeled.labeling().clone();
             if let Err(violation) = strong_holds_for(decoder, &two_col, &instance, &labeling) {

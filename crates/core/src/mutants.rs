@@ -40,6 +40,8 @@
 //!   accepting node before inducing the subgraph.
 //! * `nbhd_selfloop_dropped` — the neighborhood graph forgets self-loops
 //!   (equal adjacent accepting views), the length-1 odd walks.
+//! * `witness_remap_off_by_one` — the neighborhood graph renumbers each
+//!   witness one instance past the one it names, cyclically.
 //! * `fault_salt_reuse` — duplication decisions reuse the drop salt, so
 //!   the two fault kinds fire on exactly the same messages.
 //! * `degradation_salt_swap` — honest and adversarial degradation trials

@@ -7,7 +7,8 @@
 //! iterating over labeled yes-instances; [`NbhdGraph::build`] is that
 //! algorithm over a caller-supplied instance universe, and
 //! [`sources`] produces the universes (exhaustive for small n, or the
-//! paper's seeded figures).
+//! paper's seeded figures). The one construction is the engine sweep
+//! [`NbhdSweep`].
 //!
 //! Lemma 3.2 then characterizes hiding: `D` hides a k-coloring iff
 //! `V(D, n)` is not k-colorable — i.e. iff [`NbhdGraph::odd_cycle`]
@@ -15,7 +16,7 @@
 
 pub mod sources;
 
-use crate::decoder::{run, Decoder, Verdict};
+use crate::decoder::{Decoder, Verdict};
 use crate::instance::LabeledInstance;
 use crate::verify::{
     digit_key, Coverage, InternerReport, ItemCtx, PropertyCheck, SweepOutcome, SweepSession,
@@ -39,9 +40,10 @@ pub struct NbhdScan {
 
 /// The Lemma 3.1 construction as a [`PropertyCheck`]: inspection scans one
 /// labeled yes-instance (no-instances yield no partial), and the reduce
-/// step replays the exact two-pass insertion order of
-/// [`NbhdGraph::extend`], so the engine-built graph is identical —
-/// views, edges, witnesses and all — to the sequential construction.
+/// step builds [`NbhdGraph`] in two passes over the retained partials in
+/// item order: accepting views first, then the compatibility edges of
+/// every retained item. Each view, edge and self-loop keeps its first
+/// witness in that order.
 ///
 /// Views are hash-consed through an owned [`ViewInterner`]: within one
 /// sweep every distinct view is stamped and stored once, and on the
@@ -190,16 +192,25 @@ impl<D: Decoder + ?Sized> PropertyCheck for NbhdSweep<'_, D> {
     ) -> NbhdGraph {
         // Resolve ids once; `at[id]` = the view's NbhdGraph index, filled
         // in deterministic insertion order below (ids themselves are
-        // run-specific and never ordered on).
+        // run-specific and never ordered on). Until the end, witnesses
+        // name retained positions: indices into `partials`.
         let table = self.interner.snapshot();
         let mut at: Vec<Option<usize>> = vec![None; table.len()];
-        let mut nbhd = NbhdGraph::empty(self.decoder.radius(), self.id_mode);
-        // Pass 1, replaying `extend`: retained instances in item order,
-        // nodes in order, accepting views dedup-inserted.
-        let mut scans: Vec<NbhdScan> = Vec::with_capacity(partials.len());
-        for (item_idx, scan) in partials {
-            let inst_idx = nbhd.instances.len();
-            nbhd.instances.push(universe.labeled_instance(item_idx));
+        let mut nbhd = NbhdGraph {
+            radius: self.decoder.radius(),
+            id_mode: self.id_mode,
+            views: Vec::new(),
+            index: HashMap::new(),
+            adj: Vec::new(),
+            view_witness: Vec::new(),
+            edge_witness: HashMap::new(),
+            self_loops: HashMap::new(),
+            instances: Vec::new(),
+            retained: partials.len(),
+        };
+        // Pass 1: retained items in item order, nodes in order, accepting
+        // views dedup-inserted.
+        for (pos, (_, scan)) in partials.iter().enumerate() {
             for (v, &id) in scan.view_ids.iter().enumerate() {
                 if !scan.accepts[v] || at[id as usize].is_some() {
                     continue;
@@ -210,36 +221,78 @@ impl<D: Decoder + ?Sized> PropertyCheck for NbhdSweep<'_, D> {
                 nbhd.index.insert(view.clone(), idx);
                 nbhd.views.push(view.clone());
                 nbhd.adj.push(BTreeSet::new());
-                nbhd.view_witness.push((inst_idx, v));
+                nbhd.view_witness.push((pos, v));
             }
-            scans.push(scan);
         }
         // Pass 2: yes-instance-compatibility edges over all retained
-        // instances, in the same order and with the same first-witness
-        // (`or_insert`) policy as `extend`.
-        for (inst_idx, scan) in scans.iter().enumerate() {
-            for (u, v) in nbhd.instances[inst_idx].graph().edges() {
+        // items, read off each item's block graph. Both endpoint views
+        // must lie in AViews; the witnessing nodes need not accept in the
+        // witnessing item, so a later item's view can activate an edge of
+        // an earlier one.
+        for (pos, (item, scan)) in partials.iter().enumerate() {
+            let block = &universe.blocks()[universe.locate(*item).0];
+            for (u, v) in block.instance().graph().edges() {
                 let a = at[scan.view_ids[u] as usize];
                 let b = at[scan.view_ids[v] as usize];
                 if let (Some(a), Some(b)) = (a, b) {
                     if a == b {
-                        nbhd.self_loops.entry(a).or_insert((inst_idx, (u, v)));
+                        #[cfg(conformance_mutants)]
+                        if crate::mutants::active("nbhd_selfloop_dropped") {
+                            continue;
+                        }
+                        nbhd.self_loops.entry(a).or_insert((pos, (u, v)));
                     } else {
                         nbhd.adj[a].insert(b);
                         nbhd.adj[b].insert(a);
                         nbhd.edge_witness
                             .entry((a.min(b), a.max(b)))
-                            .or_insert((inst_idx, (u, v)));
+                            .or_insert((pos, (u, v)));
                     }
                 }
             }
         }
+        // Materialize only the named positions, in item order, and
+        // renumber every witness into that list.
+        let mut named: Vec<usize> = nbhd.view_witness.iter().map(|w| w.0).collect();
+        named.extend(
+            nbhd.edge_witness
+                .values()
+                .chain(nbhd.self_loops.values())
+                .map(|w| w.0),
+        );
+        named.sort_unstable();
+        named.dedup();
+        let rank = |pos: usize| {
+            let rank = named.binary_search(&pos).expect("every witness is named");
+            #[cfg(conformance_mutants)]
+            if crate::mutants::active("witness_remap_off_by_one") {
+                return (rank + 1) % named.len();
+            }
+            rank
+        };
+        for w in &mut nbhd.view_witness {
+            w.0 = rank(w.0);
+        }
+        for w in nbhd
+            .edge_witness
+            .values_mut()
+            .chain(nbhd.self_loops.values_mut())
+        {
+            w.0 = rank(w.0);
+        }
+        nbhd.instances = named
+            .iter()
+            .map(|&pos| universe.labeled_instance(partials[pos].0))
+            .collect();
         nbhd
     }
 }
 
-/// The accepting neighborhood graph, with full provenance: every view and
-/// every edge remembers a witnessing instance.
+/// The accepting neighborhood graph, with full provenance: every view,
+/// edge and self-loop remembers a witnessing instance. Of the labeled
+/// yes-instances it swept, the graph keeps the witnessing ones
+/// ([`NbhdGraph::instances`]) and a count of all
+/// ([`NbhdGraph::retained_count`]).
 ///
 /// # Example
 ///
@@ -274,10 +327,10 @@ pub struct NbhdGraph {
     views: Vec<View>,
     index: HashMap<View, usize>,
     adj: Vec<BTreeSet<usize>>,
-    /// For each view: (instance index, node) where it was accepted.
+    /// For each view: (index into `instances`, node) where it is accepted.
     view_witness: Vec<(usize, usize)>,
-    /// For each edge (a < b): (instance index, edge endpoints) realizing
-    /// yes-instance compatibility.
+    /// For each edge (a < b): (index into `instances`, edge endpoints)
+    /// realizing yes-instance compatibility.
     edge_witness: HashMap<(usize, usize), (usize, (usize, usize))>,
     /// Views that are yes-instance-compatible **with themselves**: two
     /// adjacent nodes of a yes-instance share this exact view. A self-loop
@@ -285,8 +338,11 @@ pub struct NbhdGraph {
     /// have to give one view two different colors), so by Lemma 3.2 it
     /// immediately certifies hiding.
     self_loops: HashMap<usize, (usize, (usize, usize))>,
-    /// The retained labeled yes-instances.
+    /// The witnessing instances: every retained labeled yes-instance some
+    /// witness names, in item order.
     instances: Vec<LabeledInstance>,
+    /// How many labeled yes-instances the construction retained.
+    retained: usize,
 }
 
 impl NbhdGraph {
@@ -322,8 +378,7 @@ impl NbhdGraph {
     /// the neighborhood graph together with the sweep's
     /// [`VerificationReport`] evidence — instances checked, view-cache
     /// hits, elapsed time, thread count. [`NbhdGraph::build`] is this with
-    /// the evidence discarded; [`NbhdGraph::extend`] remains the
-    /// incremental sequential step for growing universes.
+    /// the evidence discarded.
     pub fn from_sweep<D, F>(
         decoder: &D,
         id_mode: IdMode,
@@ -336,93 +391,6 @@ impl NbhdGraph {
     {
         let check = NbhdSweep::new(decoder, id_mode, universe, is_yes);
         SweepSession::over(universe).run(&check)
-    }
-
-    /// An empty neighborhood graph, ready for [`NbhdGraph::extend`].
-    pub fn empty(radius: usize, id_mode: IdMode) -> Self {
-        NbhdGraph {
-            radius,
-            id_mode,
-            views: Vec::new(),
-            index: HashMap::new(),
-            adj: Vec::new(),
-            view_witness: Vec::new(),
-            edge_witness: HashMap::new(),
-            self_loops: HashMap::new(),
-            instances: Vec::new(),
-        }
-    }
-
-    /// Incrementally grows the universe (the monotone step of Lemma 3.1:
-    /// AViews and the compatibility relation only ever grow with n). New
-    /// instances are filtered by `is_yes`; accepting views are added; and
-    /// the compatibility edges are refreshed over **all** retained
-    /// instances, because a newly accepted view can activate an edge of an
-    /// older instance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `decoder.radius()` differs from the graph's radius.
-    pub fn extend<D, F>(&mut self, decoder: &D, instances: Vec<LabeledInstance>, is_yes: F)
-    where
-        D: Decoder + ?Sized,
-        F: Fn(&Graph) -> bool,
-    {
-        assert_eq!(decoder.radius(), self.radius, "radius mismatch");
-        let first_new = self.instances.len();
-        self.instances
-            .extend(instances.into_iter().filter(|li| is_yes(li.graph())));
-        // Pass 1 over the new instances: accepting views.
-        for inst_idx in first_new..self.instances.len() {
-            let li = &self.instances[inst_idx];
-            let verdicts = run(decoder, li);
-            for v in li.graph().nodes() {
-                if !verdicts[v].is_accept() {
-                    continue;
-                }
-                let view = li.view(v, self.radius, self.id_mode);
-                if !self.index.contains_key(&view) {
-                    let idx = self.views.len();
-                    self.index.insert(view.clone(), idx);
-                    self.views.push(view);
-                    self.adj.push(BTreeSet::new());
-                    self.view_witness.push((inst_idx, v));
-                }
-            }
-        }
-        // Pass 2 over ALL instances: yes-instance-compatibility edges.
-        // Note the definition only requires both endpoint views to lie in
-        // AViews — the witnessing nodes need not accept in the witnessing
-        // instance, and older instances can contribute fresh edges once
-        // new views exist.
-        for inst_idx in 0..self.instances.len() {
-            let li = self.instances[inst_idx].clone();
-            for (u, v) in li.graph().edges() {
-                let a = self
-                    .index
-                    .get(&li.view(u, self.radius, self.id_mode))
-                    .copied();
-                let b = self
-                    .index
-                    .get(&li.view(v, self.radius, self.id_mode))
-                    .copied();
-                if let (Some(a), Some(b)) = (a, b) {
-                    if a == b {
-                        #[cfg(conformance_mutants)]
-                        if crate::mutants::active("nbhd_selfloop_dropped") {
-                            continue;
-                        }
-                        self.self_loops.entry(a).or_insert((inst_idx, (u, v)));
-                    } else {
-                        self.adj[a].insert(b);
-                        self.adj[b].insert(a);
-                        self.edge_witness
-                            .entry((a.min(b), a.max(b)))
-                            .or_insert((inst_idx, (u, v)));
-                    }
-                }
-            }
-        }
     }
 
     /// The verification radius `r`.
@@ -474,17 +442,28 @@ impl NbhdGraph {
         self.adj.get(a).is_some_and(|s| s.contains(&b))
     }
 
-    /// The retained labeled yes-instances.
+    /// The witnessing instances: each retained labeled yes-instance some
+    /// witness names, once, in item order. The witness accessors index
+    /// into this slice; [`NbhdGraph::retained_count`] counts all retained.
     pub fn instances(&self) -> &[LabeledInstance] {
         &self.instances
     }
 
-    /// The instance+node where view `i` was first accepted.
-    pub fn view_witness(&self, i: usize) -> (usize, usize) {
-        self.view_witness[i]
+    /// How many labeled yes-instances the sweep retained: walked items
+    /// that passed `is_yes` (a strategy that jumps copy blocks walks fewer).
+    pub fn retained_count(&self) -> usize {
+        self.retained
     }
 
-    /// The instance and graph edge witnessing compatibility of `{a, b}`.
+    /// `(i, v)`: view `index` is accepted at node `v` of
+    /// [`instances`](Self::instances)`()[i]`, its first such node in item order.
+    pub fn view_witness(&self, index: usize) -> (usize, usize) {
+        self.view_witness[index]
+    }
+
+    /// `(i, (u, v))`: `{u, v}` is the first edge in item order whose
+    /// endpoint views are `a` and `b` (either way round), an edge of
+    /// [`instances`](Self::instances)`()[i]`. `None` if `{a, b}` is no edge.
     pub fn edge_witness(&self, a: usize, b: usize) -> Option<(usize, (usize, usize))> {
         self.edge_witness.get(&(a.min(b), a.max(b))).copied()
     }
@@ -496,7 +475,9 @@ impl NbhdGraph {
         out
     }
 
-    /// The witness of a self-loop at view `i`.
+    /// The witness of a self-loop at view `i`: `(j, (u, v))`, the first edge
+    /// in item order whose endpoints both have view `i`, an edge of
+    /// [`instances`](Self::instances)`()[j]`. `None` without a self-loop.
     pub fn self_loop_witness(&self, i: usize) -> Option<(usize, (usize, usize))> {
         self.self_loops.get(&i).copied()
     }
@@ -646,6 +627,7 @@ mod tests {
         });
         assert_eq!(nbhd.view_count(), 0);
         assert_eq!(nbhd.instances().len(), 0);
+        assert_eq!(nbhd.retained_count(), 0);
     }
 
     #[test]
@@ -746,6 +728,8 @@ mod tests {
 
     #[test]
     fn incremental_extension_matches_batch_build() {
+        // Growing the universe one instance at a time and rebuilding over
+        // each prefix ends at the batch build's graph.
         let universe = vec![
             two_colored_cycle(4),
             two_colored_cycle(6),
@@ -754,9 +738,28 @@ mod tests {
         let batch = NbhdGraph::build(&LocalDiff, IdMode::Anonymous, universe.clone(), |g| {
             bipartite::is_bipartite(g)
         });
-        let mut incremental = NbhdGraph::empty(1, IdMode::Anonymous);
-        for li in universe {
-            incremental.extend(&LocalDiff, vec![li], bipartite::is_bipartite);
+        let mut incremental = NbhdGraph::build(
+            &LocalDiff,
+            IdMode::Anonymous,
+            Vec::new(),
+            bipartite::is_bipartite,
+        );
+        for end in 1..=universe.len() {
+            let grown = NbhdGraph::build(
+                &LocalDiff,
+                IdMode::Anonymous,
+                universe[..end].to_vec(),
+                bipartite::is_bipartite,
+            );
+            assert!(
+                grown.view_count() >= incremental.view_count(),
+                "AViews only grow"
+            );
+            assert!(
+                grown.edge_count() >= incremental.edge_count(),
+                "edges only grow"
+            );
+            incremental = grown;
         }
         assert_eq!(incremental.view_count(), batch.view_count());
         assert_eq!(incremental.edge_count(), batch.edge_count());
@@ -774,12 +777,8 @@ mod tests {
     #[test]
     fn extension_activates_old_instances_edges() {
         // An instance where only one endpoint of an edge accepts: the edge
-        // is absent until a later instance makes the other view accepting.
-        // LocalDiff on P2 labeled (0, 0): both reject; labeled (0, 1):
-        // both accept. Use a custom decoder accepting only label 1 -- so
-        // P2 (1, 0) has exactly one accepting node, and only after a
-        // second instance (1, 1)... LocalDiff suffices with a subtler
-        // setup; keep it simple with TableDecoder.
+        // is absent until a richer acceptance set over a grown universe
+        // makes the other view accepting.
         let inst = Instance::canonical(generators::path(2));
         let li_a = inst.clone().with_labeling(Labeling::new(vec![
             Certificate::from_byte(0),
@@ -787,7 +786,7 @@ mod tests {
         ]));
         let view_of_zero = li_a.view(0, 1, IdMode::Anonymous);
         let view_of_one = li_a.view(1, 1, IdMode::Anonymous);
-        // A decoder that initially accepts only node 0's view.
+        // A decoder that accepts only node 0's view.
         let only_zero = TableDecoder::new(
             "only-zero",
             1,
@@ -795,12 +794,12 @@ mod tests {
             [view_of_zero.clone()],
             Verdict::Reject,
         );
-        let mut nbhd = NbhdGraph::empty(1, IdMode::Anonymous);
-        nbhd.extend(&only_zero, vec![li_a.clone()], |_| true);
+        let nbhd = NbhdGraph::build(&only_zero, IdMode::Anonymous, vec![li_a.clone()], |_| true);
         assert_eq!(nbhd.view_count(), 1);
         assert_eq!(nbhd.edge_count(), 0, "partner view not accepting yet");
-        // Extend with a decoder accepting both views (simulating a richer
-        // acceptance set): the OLD instance's edge must now appear.
+        // A decoder accepting both views (simulating a richer acceptance
+        // set) over the grown universe: the OLD instance's edge must now
+        // appear.
         let both = TableDecoder::new(
             "both",
             1,
@@ -808,9 +807,77 @@ mod tests {
             [view_of_zero, view_of_one],
             Verdict::Reject,
         );
-        nbhd.extend(&both, vec![li_a], |_| true);
+        let nbhd = NbhdGraph::build(&both, IdMode::Anonymous, vec![li_a.clone(), li_a], |_| true);
         assert_eq!(nbhd.view_count(), 2);
         assert_eq!(nbhd.edge_count(), 1, "old edge activated by the new view");
+    }
+
+    #[test]
+    fn an_earlier_instance_witnesses_an_edge_a_later_one_activates() {
+        // The decoder reads identifiers, the graph's views do not: on P2
+        // labeled (0, 1) it accepts the node with id 1 only. Instance A
+        // (ids 1, 2) accepts node 0; instance B (ids 2, 1) accepts node 1,
+        // whose anonymous view equals A's rejecting node 1. So A's edge
+        // joins two accepting views although A accepts one endpoint.
+        struct OddId;
+        impl Decoder for OddId {
+            fn name(&self) -> String {
+                "odd-id".into()
+            }
+            fn radius(&self) -> usize {
+                1
+            }
+            fn id_mode(&self) -> IdMode {
+                IdMode::Full
+            }
+            fn decide(&self, view: &View) -> Verdict {
+                Verdict::from(view.center_id() == Some(1))
+            }
+        }
+        let labeled = |ids: Vec<u64>| {
+            Instance::with_ids(
+                generators::path(2),
+                hiding_lcp_graph::IdAssignment::from_ids(ids, 64).unwrap(),
+            )
+            .unwrap()
+            .with_labeling(Labeling::new(vec![
+                Certificate::from_byte(0),
+                Certificate::from_byte(1),
+            ]))
+        };
+        let (a, b) = (labeled(vec![1, 2]), labeled(vec![2, 1]));
+        let alone = NbhdGraph::build(&OddId, IdMode::Anonymous, vec![a.clone()], |_| true);
+        assert_eq!((alone.view_count(), alone.edge_count()), (1, 0));
+        let nbhd = NbhdGraph::build(
+            &OddId,
+            IdMode::Anonymous,
+            vec![a.clone(), b.clone()],
+            |_| true,
+        );
+        assert_eq!(nbhd.view_count(), 2);
+        assert_eq!(nbhd.retained_count(), 2);
+        // View 1 is first accepted in B; the edge's first witness is A.
+        assert_eq!(nbhd.instances(), &[a, b][..]);
+        assert_eq!(nbhd.view_witness(0), (0, 0));
+        assert_eq!(nbhd.view_witness(1), (1, 1));
+        assert_eq!(nbhd.edge_witness(0, 1), Some((0, (0, 1))));
+    }
+
+    #[test]
+    fn only_witnessing_instances_are_kept() {
+        // Three copies of one 2-colored C4: the first witnesses every view
+        // and edge, the other two are counted, not kept.
+        let universe = vec![two_colored_cycle(4); 3];
+        let nbhd = NbhdGraph::build(
+            &LocalDiff,
+            IdMode::Anonymous,
+            universe.clone(),
+            bipartite::is_bipartite,
+        );
+        assert_eq!(nbhd.retained_count(), 3);
+        assert_eq!(nbhd.instances(), &universe[..1]);
+        assert_eq!(nbhd.view_witness(0).0, 0);
+        assert_eq!(nbhd.edge_witness(0, 1).map(|w| w.0), Some(0));
     }
 
     #[test]

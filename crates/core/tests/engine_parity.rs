@@ -140,13 +140,15 @@ fn mixed_universe(n: usize) -> Universe {
 
 /// Structural equality of two neighborhood graphs — `NbhdGraph` has no
 /// `PartialEq`, so compare every observable: views (in insertion order),
-/// adjacency, self-loops and all witnesses.
+/// adjacency, self-loops, all witnesses, the witnessing instances and the
+/// retained count.
 fn assert_nbhd_eq(a: &NbhdGraph, b: &NbhdGraph) -> Result<(), TestCaseError> {
     prop_assert_eq!(a.view_count(), b.view_count());
     prop_assert_eq!(a.views(), b.views());
     prop_assert_eq!(a.edge_count(), b.edge_count());
     prop_assert_eq!(a.self_loop_views(), b.self_loop_views());
-    prop_assert_eq!(a.instances().len(), b.instances().len());
+    prop_assert_eq!(a.retained_count(), b.retained_count());
+    prop_assert_eq!(a.instances(), b.instances());
     for i in 0..a.view_count() {
         prop_assert_eq!(a.view_witness(i), b.view_witness(i));
         let na: Vec<usize> = a.neighbors(i).collect();

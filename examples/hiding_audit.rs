@@ -23,7 +23,7 @@ fn audit(name: &str, nbhd: &NbhdGraph) {
         nbhd.view_count(),
         nbhd.edge_count(),
         nbhd.self_loop_views().len(),
-        nbhd.instances().len()
+        nbhd.retained_count()
     );
     match nbhd.odd_cycle() {
         Some(walk) if walk.len() == 1 => {

@@ -139,7 +139,7 @@ fn main() {
         "V(D, ·): {} views, {} edges over {} bipartite 6-cycles",
         nbhd.view_count(),
         nbhd.edge_count(),
-        nbhd.instances().len()
+        nbhd.retained_count()
     );
     // The odd cycle of pentagon-member views: centers with ids 1..=5,
     // each seeing exactly its two pentagon neighbors.

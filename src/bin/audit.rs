@@ -36,6 +36,11 @@ use std::time::Duration;
 /// (4!)^5 = 7,962,624 of them, past `Universe::lemma31`'s cap.
 const MAX_N: usize = 4;
 
+/// The largest `--threads`: every worker is an OS thread with its own
+/// stack, and far past the host's cores a thread count only costs memory
+/// (100,000 aborts the process when the stack guard pages run out).
+const MAX_THREADS: usize = 1024;
+
 struct Args {
     decoder: String,
     max_n: usize,
@@ -77,9 +82,11 @@ fn usage() -> ! {
          \n\
          Audits one of the paper's LCPs over the Lemma 3.1 family up to N nodes\n\
          (1 <= N <= 4; default: even-cycle, N=4, all seven properties) and prints\n\
-         the fused-panel report as JSON. Every strategy but oracle walks one block\n\
-         per port-isomorphism class of the family, weighted by the class size;\n\
-         oracle walks every block (same report, ~10x the wall-clock at N=4).\n\
+         the fused-panel report as JSON, walking with T worker threads\n\
+         (1 <= T <= {MAX_THREADS}; default: one per core). Every strategy but oracle\n\
+         walks one block per port-isomorphism class of the family, weighted by\n\
+         the class size; oracle walks every block (same report, ~10x the\n\
+         wall-clock at N=4).\n\
          --strategy quotient also sweeps only canonical orbit representatives\n\
          within a block (same verdicts, less wall-clock). --trace-out writes a\n\
          Chrome trace_event file (open in chrome://tracing or Perfetto);\n\
@@ -126,7 +133,12 @@ fn parse_args() -> Args {
         stable: false,
     };
     let mut budget = SweepBudget::unlimited();
-    let mut it = std::env::args().skip(1);
+    let mut it = std::env::args_os().skip(1).map(|arg| {
+        arg.into_string().unwrap_or_else(|raw| {
+            eprintln!("audit: argument {raw:?} is not valid UTF-8");
+            usage()
+        })
+    });
     while let Some(flag) = it.next() {
         let mut value = |flag: &str| it.next().unwrap_or_else(|| usage_missing(flag));
         match flag.as_str() {
@@ -180,6 +192,14 @@ fn parse_args() -> Args {
     }
     if budget.deadline.is_some() || budget.max_items.is_some() {
         args.budget = Some(budget);
+    }
+    if let ExecMode::Parallel(t) = args.mode {
+        if !(1..=MAX_THREADS).contains(&t) {
+            eprintln!(
+                "audit: --threads {t} is out of range: a thread count runs from 1 to {MAX_THREADS}"
+            );
+            usage()
+        }
     }
     if !(1..=MAX_N).contains(&args.max_n) {
         eprintln!(

@@ -712,7 +712,7 @@ fn e16() {
     let full = workloads::degree_one_nbhd();
     // The witness universe uses canonical-id P4s; evaluate on one of its
     // own hidden-pendant instances.
-    let li_full = full.instances()[1].clone();
+    let li_full = workloads::degree_one_universe().swap_remove(1);
     let f_full = ExtractabilityMap::new(&full, 2).hidden_fraction(&full, &li_full);
     println!("{:<12} {:>24.3} {:>24.3}", "degree-one", f_single, f_full);
 
@@ -737,7 +737,7 @@ fn e16() {
     );
     let f_single = ExtractabilityMap::new(&single, 2).hidden_fraction(&single, &li);
     let full = workloads::even_cycle_nbhd();
-    let li_full = full.instances()[0].clone();
+    let li_full = workloads::even_cycle_universe().swap_remove(0);
     let f_full = ExtractabilityMap::new(&full, 2).hidden_fraction(&full, &li_full);
     println!("{:<12} {:>24.3} {:>24.3}", "even-cycle", f_single, f_full);
 
@@ -800,11 +800,11 @@ fn e18() {
         "hiding witnesses are universe phenomena: Lemma 4.1 needs several accepted labelings, Lemma 4.2 only one",
     );
     use hiding_lcp::core::nbhd::NbhdGraph;
-    // Degree-one: feed P4's accepting labelings (canonical ports) one by
-    // one until an odd closed walk appears.
+    // Degree-one: grow a prefix of P4's accepting labelings (canonical
+    // ports) one labeling at a time, rebuilding V(D,.) over it, until an
+    // odd closed walk appears.
     let g = generators::path(4);
-    let mut count = 0;
-    let mut nbhd = NbhdGraph::empty(1, IdMode::Anonymous);
+    let mut prefix = Vec::new();
     'outer: for ports in hiding_lcp::graph::ports::all_port_assignments(&g, 100) {
         let inst = Instance::new(
             g.clone(),
@@ -813,10 +813,11 @@ fn e18() {
         )
         .unwrap();
         for labeling in degree_one::accepting_labelings(&inst) {
-            count += 1;
-            nbhd.extend(
+            prefix.push(inst.clone().with_labeling(labeling));
+            let nbhd = NbhdGraph::build(
                 &degree_one::DegreeOneDecoder,
-                vec![inst.clone().with_labeling(labeling)],
+                IdMode::Anonymous,
+                prefix.clone(),
                 bipartite::is_bipartite,
             );
             if nbhd.odd_cycle().is_some() {
@@ -824,6 +825,7 @@ fn e18() {
             }
         }
     }
+    let count = prefix.len();
     println!("degree-one   : odd closed walk first appears after {count} accepted labelings of P4");
     // Even-cycle: the self-loop port assignment needs exactly one.
     let g = generators::cycle(4);
@@ -834,9 +836,9 @@ fn e18() {
     .unwrap();
     let inst = Instance::new(g, ports, hiding_lcp::graph::IdAssignment::canonical(4)).unwrap();
     let labeling = even_cycle::certify_with_polarity(&inst, 0).unwrap();
-    let mut nbhd = NbhdGraph::empty(1, IdMode::Anonymous);
-    nbhd.extend(
+    let nbhd = NbhdGraph::build(
         &even_cycle::EvenCycleDecoder,
+        IdMode::Anonymous,
         vec![inst.with_labeling(labeling)],
         bipartite::is_bipartite,
     );

@@ -2,10 +2,16 @@
 //! report hardening, and the sharded byte-identity contract (strategies and
 //! a crashed child included).
 
+use hiding_lcp::core::verify::ShardSpec;
+use proptest::prelude::*;
+use proptest::rand::rngs::StdRng;
+use proptest::rand::Rng;
+use std::ffi::OsStr;
+use std::os::unix::ffi::OsStrExt;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-fn audit(args: &[&str]) -> Output {
+fn audit<S: AsRef<OsStr>>(args: &[S]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_audit"))
         .args(args)
         .output()
@@ -57,24 +63,144 @@ fn bad_flag_values_are_usage_errors() {
         &["--fault-rates", "-0.5"],
         &["--strategy", "fastest"],
         &["--threads", "x"],
+        &["--threads", "0"],
+        &["--threads", "100000"],
         &["--shard", "2/2"],
         &["--shards", "0"],
     ];
+    // A value that is not UTF-8 names itself instead of panicking.
+    let raw = OsStr::from_bytes(b"\xff");
+    let rows = rows
+        .iter()
+        .map(|row| row.iter().map(OsStr::new).collect::<Vec<_>>())
+        .chain([vec![OsStr::new("--decoder"), raw]]);
     for row in rows {
-        let out = audit(&[&["--max-n", "1"], *row].concat());
+        let out = audit(&[&[OsStr::new("--max-n"), OsStr::new("1")], &row[..]].concat());
         let err = stderr(&out);
         assert_eq!(out.status.code(), Some(2), "{row:?}: {err}");
         assert!(!err.contains("panicked"), "{row:?}: {err}");
     }
+    let err = stderr(&audit(&[OsStr::new("--decoder"), raw]));
+    assert!(err.contains("\\xFF"), "the bad argument is named: {err}");
     for (flag, value, range) in [
         ("--decoder", "revealing:0", "1 to 255"),
         ("--fault-rates", "nan", "0 to 1"),
+        ("--threads", "0", "1 to 1024"),
     ] {
         let err = stderr(&audit(&["--max-n", "1", flag, value]));
         assert!(
             err.contains(range),
             "{flag} {value} must name the range: {err}"
         );
+    }
+}
+
+/// The value-taking flags that name no output file.
+const VALUE_FLAGS: [&str; 14] = [
+    "--decoder",
+    "--max-n",
+    "--properties",
+    "--threads",
+    "--strategy",
+    "--budget-ms",
+    "--budget-items",
+    "--fault-rates",
+    "--fault-trials",
+    "--seed",
+    "--shard",
+    "--shards",
+    "--shard-retries",
+    "--shards-from",
+];
+
+/// Raw argument bytes that reach every parser branch: arbitrary bytes
+/// (mostly not UTF-8; never NUL, which no argument can hold), decimal
+/// numbers from one digit to past `u64`, printable ASCII, and `i/N`-shaped
+/// pairs of decimals.
+#[derive(Debug, Clone, Copy)]
+struct RawArg;
+
+impl Strategy for RawArg {
+    type Value = Vec<u8>;
+
+    fn sample(&self, rng: &mut StdRng) -> Vec<u8> {
+        let decimal = |rng: &mut StdRng, max_digits: usize| -> Vec<u8> {
+            let digits = rng.random_range(1..=max_digits);
+            (0..digits).map(|_| rng.random_range(b'0'..=b'9')).collect()
+        };
+        let len = rng.random_range(0..=8usize);
+        match rng.random_range(0..4u8) {
+            0 => (0..len).map(|_| rng.random_range(1..=255u8)).collect(),
+            1 => decimal(rng, 21),
+            2 => (0..len).map(|_| rng.random_range(b' '..=b'~')).collect(),
+            _ => {
+                let mut pair = decimal(rng, 3);
+                pair.push(b'/');
+                pair.extend(decimal(rng, 3));
+                pair
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `ShardSpec::parse` never panics, and every spec it accepts prints a
+    /// label that parses back to the same spec.
+    #[test]
+    fn shard_spec_parse_round_trips(raw in RawArg) {
+        let text = String::from_utf8_lossy(&raw);
+        if let Ok(spec) = ShardSpec::parse(&text) {
+            prop_assert_eq!(ShardSpec::parse(&spec.label()), Ok(spec));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Any raw bytes after any value-taking flag end in a verdict (exit 0
+    /// or 1) or a usage error (exit 2), never a panic; and `--threads` is
+    /// a usage error exactly when its value is not a count from 1 to 1024.
+    #[test]
+    fn random_flag_values_exit_cleanly(values in collection::vec(RawArg, Just(VALUE_FLAGS.len()))) {
+        for (flag, raw) in VALUE_FLAGS.iter().zip(values) {
+            let number = std::str::from_utf8(&raw)
+                .ok()
+                .and_then(|s| s.parse::<usize>().ok());
+            // A coordinator spawns one child per shard and retries each:
+            // keep both counts small.
+            let raw = match number {
+                Some(n) if matches!(*flag, "--shards" | "--shard-retries") => {
+                    (n % 3).to_string().into_bytes()
+                }
+                _ => raw,
+            };
+            let out = audit(&[
+                OsStr::new("--decoder"),
+                OsStr::new("degree-one"),
+                OsStr::new("--max-n"),
+                OsStr::new("1"),
+                OsStr::new(flag),
+                OsStr::from_bytes(&raw),
+            ]);
+            let err = stderr(&out);
+            let shown = String::from_utf8_lossy(&raw);
+            prop_assert!(
+                matches!(out.status.code(), Some(0..=2)),
+                "{} {:?}: {} {}", flag, shown, out.status, err
+            );
+            prop_assert!(!err.contains("panicked"), "{} {:?}: {}", flag, shown, err);
+            if *flag == "--threads" {
+                let in_range = number.is_some_and(|t| (1..=1024).contains(&t));
+                prop_assert_eq!(
+                    out.status.code() == Some(2),
+                    !in_range,
+                    "--threads {:?}: {}", shown, err
+                );
+            }
+        }
     }
 }
 

@@ -40,7 +40,7 @@ fn degree_one_exhaustive_trees_n5() {
         // The "chair": a path of 4 with one extra leaf at position 1.
         Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (1, 4)]).unwrap(),
     ];
-    let mut nbhd = NbhdGraph::empty(1, IdMode::Anonymous);
+    let mut universe = Vec::new();
     for g in trees {
         for ports in hiding_lcp::graph::ports::all_port_assignments(&g, 1_000) {
             let inst = Instance::new(
@@ -49,12 +49,15 @@ fn degree_one_exhaustive_trees_n5() {
                 hiding_lcp::graph::IdAssignment::canonical(5),
             )
             .unwrap();
-            let batch = sources::with_all_labelings(&inst, &alphabet, None);
-            nbhd.extend(&degree_one::DegreeOneDecoder, batch, |g| {
-                bipartite::is_bipartite(g) && g.min_degree() == Some(1)
-            });
+            universe.extend(sources::with_all_labelings(&inst, &alphabet, None));
         }
     }
+    let nbhd = NbhdGraph::build(
+        &degree_one::DegreeOneDecoder,
+        IdMode::Anonymous,
+        universe,
+        |g| bipartite::is_bipartite(g) && g.min_degree() == Some(1),
+    );
     assert!(
         nbhd.odd_cycle().is_some(),
         "hiding survives the n = 5 tree sweep"
