@@ -21,11 +21,11 @@
 //! routine runs the same sweep with a live `MetricsRecorder` attached;
 //! its ratio against `sequential` lands as the `recorder_overhead` field
 //! and, per size, in a `telemetry` section alongside the stable sweep
-//! counters one sequential walk fires. A `sharded-s{1,2,4}-t{t}` ladder
-//! (the universe split into S in-process fragments, each walked at t
-//! threads, then recombined with `merge_fragments`) prices the shard
-//! seam; the `sharded-s2-t1 / parallel-t1` ratio at the largest size
-//! lands as the `shard_merge_overhead` field.
+//! counters one sequential walk fires. The parity check also splits the
+//! sweep into 2 and 4 in-process fragments recombined with
+//! `merge_fragments`; the shard seam itself is timed across a real
+//! process boundary by audit-bench's `lemma31-degree-one-shards2`
+//! workload, not here.
 //!
 //! ```text
 //! cargo bench -p hiding-lcp-bench --bench engine_sweep
@@ -90,21 +90,19 @@ fn sweep_nbhd(universe: &Universe, mode: ExecMode, opts: SweepOpts) -> NbhdGraph
         .0
 }
 
-/// The sweep split into `shards` in-process fragments (each walked with
-/// `mode` over its contiguous odometer range) and recombined with
-/// [`merge_fragments`] — the cost of the shard seam itself, without the
-/// subprocess spawn/serialize overhead the `audit` coordinator adds on
-/// top. `shards = 1` isolates the fragment path's fixed price.
-fn sweep_nbhd_sharded(universe: &Universe, shards: usize, mode: ExecMode) -> NbhdGraph {
+/// The sweep split into `shards` in-process fragments (each walked
+/// sequentially over its contiguous odometer range) and recombined with
+/// [`merge_fragments`]: the parity check's sharded reference.
+fn sweep_nbhd_sharded(universe: &Universe, shards: usize) -> NbhdGraph {
     let decoder = RevealingDecoder::new(2);
     let check = HidingCheck::new(&decoder, universe, 2, bipartite::is_bipartite);
+    let mode = ExecMode::Sequential;
     let fragments = ShardSpec::partition(shards)
         .into_iter()
         .map(|spec| {
             SweepSession::over(universe)
                 .mode(mode)
-                .shard(spec)
-                .run_fragment(&check)
+                .run_fragment(&check, spec)
         })
         .collect();
     merge_fragments(&check, universe, mode, fragments, None)
@@ -228,8 +226,8 @@ fn bench_sizes(
         let par = sweep_nbhd(&universe, ExecMode::Parallel(threads), SweepOpts::default());
         let dec = sweep_nbhd(&universe, ExecMode::Sequential, oracle);
         let quo = sweep_nbhd(&universe, ExecMode::Sequential, SweepOpts::quotient());
-        let sh2 = sweep_nbhd_sharded(&universe, 2, ExecMode::Sequential);
-        let sh4 = sweep_nbhd_sharded(&universe, 4, ExecMode::Sequential);
+        let sh2 = sweep_nbhd_sharded(&universe, 2);
+        let sh4 = sweep_nbhd_sharded(&universe, 4);
         for other in [&par, &dec, &quo, &sh2, &sh4] {
             assert_eq!(
                 seq.view_count(),
@@ -304,27 +302,6 @@ fn bench_sizes(
             "quotient".into(),
             Box::new(routine(ExecMode::Sequential, SweepOpts::quotient())),
         ));
-        // The shard ladder, crossed with the thread ladder: the universe
-        // split into S fragments (each walked at t threads) and merged
-        // in-process. Against `parallel-t{t}` this prices the shard seam;
-        // `sharded-s1` isolates the fragment path's fixed cost.
-        for &s in &[1usize, 2, 4] {
-            for &t in &ladder {
-                routines.push((
-                    format!("sharded-s{s}-t{t}"),
-                    Box::new({
-                        let universe = &universe;
-                        move || {
-                            drop(black_box(sweep_nbhd_sharded(
-                                black_box(universe),
-                                s,
-                                ExecMode::Parallel(t),
-                            )))
-                        }
-                    }),
-                ));
-            }
-        }
         let mut g = c.benchmark_group(format!("engine-sweep-n{max_n}"));
         g.sample_size(if max_n >= 8 { 15 } else { 20 });
         g.bench_interleaved(routines);
@@ -339,16 +316,6 @@ fn overhead_ratio(results: &[BenchResult], group: &str) -> Option<f64> {
     let plain = report::median(results, &format!("{group}/sequential"))?;
     let recorded = report::median(results, &format!("{group}/sequential-recorded"))?;
     Some(recorded as f64 / plain as f64)
-}
-
-/// `sharded-s2-t1 / parallel-t1` median ratio for one size group: what
-/// splitting the walk into two fragments and merging them costs relative
-/// to the identical unsharded single-thread walk.
-#[allow(clippy::cast_precision_loss)]
-fn shard_overhead_ratio(results: &[BenchResult], group: &str) -> Option<f64> {
-    let unsharded = report::median(results, &format!("{group}/parallel-t1"))?;
-    let sharded = report::median(results, &format!("{group}/sharded-s2-t1"))?;
-    Some(sharded as f64 / unsharded as f64)
 }
 
 fn write_json(
@@ -375,15 +342,6 @@ fn write_json(
     // fixed per-sweep cost is most amortized.
     if let Some(ratio) = groups.iter().rev().find_map(|g| overhead_ratio(results, g)) {
         doc.scalar("recorder_overhead", format!("{ratio:.3}"));
-    }
-    // Headline shard-seam price, same convention: the largest size, where
-    // the per-fragment fixed cost is most amortized.
-    if let Some(ratio) = groups
-        .iter()
-        .rev()
-        .find_map(|g| shard_overhead_ratio(results, g))
-    {
-        doc.scalar("shard_merge_overhead", format!("{ratio:.3}"));
     }
     doc.section("benches", &report::bench_rows(results));
     let scaling: Vec<String> = groups
@@ -496,13 +454,6 @@ fn smoke() -> i32 {
             println!("smoke: recorder overhead {ratio:.3}x (ceiling 1.05x) -> {verdict}");
         }
         None => println!("smoke: no recorded/plain pair at n = 6; skipping the overhead gate"),
-    }
-    // Informational: the in-process shard seam's price at n = 6. The
-    // byte-equality contract is CI's shard-smoke job; timing-wise the seam
-    // is not gated, only recorded.
-    match shard_overhead_ratio(&c.results, "engine-sweep-n6") {
-        Some(ratio) => println!("smoke: 2-shard merge overhead {ratio:.3}x (recorded, not gated)"),
-        None => println!("smoke: no sharded/unsharded pair at n = 6"),
     }
     for name in [
         "engine-sweep-n6/sequential",

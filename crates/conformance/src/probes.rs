@@ -34,10 +34,10 @@ use hiding_lcp_core::properties::strong::{
 };
 use hiding_lcp_core::prover::Prover;
 use hiding_lcp_core::verify::{
-    sum_stable_counters, AuditPlan, Block, BlockGated, Coverage, DynPropertyCheck, ExecMode,
-    InstanceSet, ItemCtx, LabelSource, LazySweep, MetricsRecorder, PropertyCheck, PropertyTag,
-    ShardSpec, SweepBudget, SweepOpts, SweepOutcome, SweepSession, SymmetrySpec, Universe,
-    UniverseItem, ViewInterner,
+    merge_fragments, sum_stable_counters, AuditPlan, Block, BlockGated, Coverage, DynPropertyCheck,
+    ExecMode, InstanceSet, ItemCtx, LabelSource, LazySweep, MetricsRecorder, PropertyCheck,
+    PropertyTag, ShardSpec, SweepBudget, SweepOpts, SweepOutcome, SweepSession, SymmetrySpec,
+    Universe, UniverseItem, ViewInterner,
 };
 use hiding_lcp_core::view::{IdMode, View};
 use hiding_lcp_graph::algo::{bipartite, coloring};
@@ -401,9 +401,10 @@ pub fn delta_mixed_blocks_resync() {
     }
 }
 
-/// A budget-interrupted, resumed delta sweep must land on the identical
-/// tally as the uninterrupted brute-force reference — every resume
-/// re-enters the odometer mid-stream.
+/// A budget-interrupted delta sweep, its stopped fragment walked on to
+/// the end and merged, must land on the identical tally as the
+/// uninterrupted brute-force reference — every resume re-enters the
+/// odometer mid-stream.
 pub fn delta_budget_resume_parity() {
     let c6 = Instance::canonical(generators::cycle(6));
     let universe = Universe::all_labelings_of(c6.clone(), bits(), Coverage::Exhaustive)
@@ -416,16 +417,24 @@ pub fn delta_budget_resume_parity() {
         .mode(ExecMode::Sequential)
         .budget(budget)
         .opts(SweepOpts::default());
-    let mut state = session.run_budgeted(&tally);
+    let mut fragment = session.run_fragment(&tally, ShardSpec::new(0, 1));
     let mut slices = 1;
-    while let Some(token) = state.resume.take() {
-        state = session.resume(&tally, token);
+    while !fragment.is_complete() {
+        fragment = session.resume_fragment(&tally, fragment);
         slices += 1;
         assert!(slices <= universe.len() + 2, "resume chain must terminate");
     }
+    let report = merge_fragments(
+        &tally,
+        &universe,
+        ExecMode::Sequential,
+        vec![fragment],
+        None,
+    )
+    .expect("a finished chain covers the universe");
     let expected = expected_tally(&LocalDiff, &exhaustive_items(&c6, &bits()));
-    assert_eq!(state.report.verdict, expected);
-    assert!(!state.report.interrupted);
+    assert_eq!(report.verdict, expected);
+    assert!(!report.interrupted);
 }
 
 /// A star's center ball has four nodes, so its memo indices and digit

@@ -22,8 +22,8 @@ use hiding_lcp_core::properties::soundness::{SoundnessCheck, SoundnessViolation}
 use hiding_lcp_core::properties::strong::{StrongCheck, StrongViolation};
 use hiding_lcp_core::prover::Prover;
 use hiding_lcp_core::verify::{
-    Coverage, DynPropertyCheck, ExecMode, LazySweep, PropertyTag, SweepBudget, SweepOpts,
-    SweepSession, Universe, VerificationReport,
+    merge_panel_fragments, Coverage, DynPropertyCheck, ExecMode, LazySweep, PropertyTag, ShardSpec,
+    SweepBudget, SweepOpts, SweepSession, Universe, VerificationReport,
 };
 use hiding_lcp_graph::algo::bipartite;
 use hiding_lcp_graph::{generators, IdAssignment};
@@ -770,9 +770,9 @@ proptest! {
         }
     }
 
-    /// A budget-sliced panel chain, resumed to completion, reproduces the
-    /// uninterrupted panel bit-for-bit — per member and per channel — in
-    /// every mode, under both strategies.
+    /// A budget-sliced panel fragment chain, resumed to completion and
+    /// merged, reproduces the uninterrupted panel bit-for-bit — per member
+    /// and per channel — in every mode, under both strategies.
     #[test]
     fn budgeted_panel_resume_round_trip(c1 in 0u8..64, c2 in 0u8..64, step in 1usize..17) {
         let d1 = PortObliviousCycleDecoder::from_code(c1);
@@ -791,14 +791,16 @@ proptest! {
                     .mode(mode)
                     .budget(budget)
                     .opts(opts);
-                let mut state = session.run_panel_budgeted(&members);
+                let mut fragment = session.run_panel_fragment(&members, ShardSpec::new(0, 1));
                 let mut slices = 1usize;
-                while let Some(token) = state.resume.take() {
-                    state = session.resume_panel(&members, token);
+                while !fragment.is_complete() {
+                    fragment = session.resume_panel_fragment(&members, fragment);
                     slices += 1;
                     prop_assert!(slices <= universe.len() + 2, "resume chain must terminate");
                 }
-                let resumed = state.report;
+                let resumed =
+                    merge_panel_fragments(&members, &universe, mode, vec![fragment], None)
+                        .expect("a finished chain covers the universe");
                 prop_assert_eq!(whole.evidence.checked, resumed.evidence.checked);
                 prop_assert_eq!(whole.evidence.short_circuited, resumed.evidence.short_circuited);
                 prop_assert!(!resumed.evidence.interrupted);

@@ -1,5 +1,6 @@
 //! Resilience primitives for the sweep engine: structured per-item
-//! errors, execution budgets, and resume tokens.
+//! errors, execution budgets, and the per-member walk record a stopped
+//! walk hands back.
 //!
 //! These types turn the engine from "all or nothing" into a machine that
 //! degrades explicitly:
@@ -15,15 +16,15 @@
 //!   `interrupted` report (again [`super::Coverage::Sampled`] — an
 //!   interrupted `Exhaustive` sweep proves nothing universal) instead of
 //!   running unbounded.
-//! * [`ResumeToken`] — everything needed to continue an interrupted
-//!   sweep: the next unvisited index plus the partials and errors
-//!   recorded so far. Because inspection is pure and the visited set is
-//!   always the contiguous prefix `[0, next_index)`, feeding the token
-//!   back into [`super::SweepSession::resume`] and letting it finish
-//!   yields the *same verdict, partials and checked count* as one
-//!   uninterrupted sweep — bit-identical resume, asserted by the engine
-//!   parity suite. [`PanelResumeToken`] is the panel counterpart, one
-//!   [`MemberFrontier`] per member.
+//! * [`MemberFrontier`] — one member's record inside a
+//!   [`super::PanelFragment`], the engine's only stopped-walk type. A
+//!   fragment whose walk the budget stopped has `next < hi`; because
+//!   inspection is pure and the visited set is always the contiguous
+//!   prefix `[lo, next)`, continuing it with
+//!   [`super::SweepSession::resume_fragment`] (or the panel counterpart)
+//!   and merging the finished fragments yields the *same verdict,
+//!   partials and checked count* as one uninterrupted sweep, asserted by
+//!   the engine parity suite.
 
 use super::erased::ErasedPartial;
 use std::any::Any;
@@ -64,29 +65,29 @@ impl SweepError {
 
 /// Execution limits for one engine call.
 ///
-/// Both limits are per-call: a resumed sweep gets a fresh deadline and a
-/// fresh item allowance. [`SweepBudget::unlimited`] (the default) imposes
-/// neither, which is what [`super::SweepSession::run`] uses.
+/// Both limits are per-call: a resumed fragment gets a fresh deadline and
+/// a fresh item allowance. [`SweepBudget::unlimited`] (the default)
+/// imposes neither.
 ///
 /// # Per-shard semantics
 ///
-/// A budget attached to a sharded session
-/// ([`super::SweepSession::shard`], or the `audit --shards N`
-/// coordinator) governs *each shard's calls independently* — there is no
-/// cross-shard accounting:
+/// A budget on a fragment walk
+/// ([`super::SweepSession::run_fragment`], or each child of the
+/// `audit --shards N` coordinator) bounds *that shard's one walk* — there
+/// is no cross-shard accounting:
 ///
-/// * `max_items` caps the items visited by one call **within one
-///   shard's range**; `N` shards budgeted at `max_items = m` may visit
-///   up to `N * m` items in total per pass.
+/// * `max_items` caps the items one call visits **within the shard's
+///   range**; `N` shards budgeted at `max_items = m` visit up to `N * m`
+///   items in total.
 /// * `deadline` is wall-clock **per call, per process**. Shards running
 ///   concurrently each get the full allowance; a stalled shard times out
 ///   on its own clock without charging its siblings.
 /// * Merging ([`super::merge_fragments`] /
 ///   [`super::merge_panel_fragments`]) never consults the budget: a
-///   shard interrupted mid-range must be resumed (or re-dispatched) to
-///   the end of its range before its fragment can merge. The
-///   `engine_parity` suite pins that an interrupted-then-resumed shard
-///   chain merges into the exact uninterrupted report.
+///   fragment the budget stopped (`next < hi`) is torn and does not merge
+///   until it is resumed to the end of its range. The `engine_parity`
+///   suite pins that an interrupted-then-resumed shard chain merges into
+///   the exact uninterrupted report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepBudget {
     /// Wall-clock limit for this call. Checked between items (sequential)
@@ -132,80 +133,18 @@ impl SweepBudget {
     }
 }
 
-/// The continuation of an interrupted sweep.
-///
-/// Holds the engine's whole interim state: the next unvisited flat
-/// index (the visited set is always the prefix `[0, next_index)`) plus
-/// every partial and error recorded so far. Pass it to
-/// [`super::SweepSession::resume`] to continue; the chain of calls
-/// reproduces an uninterrupted sweep's report exactly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResumeToken<P> {
-    /// First flat index not yet visited.
-    pub next_index: usize,
-    /// Partials recorded in `[0, next_index)`, sorted by index.
-    pub partials: Vec<(usize, P)>,
-    /// Errors recorded in `[0, next_index)`, sorted by index.
-    pub errors: Vec<SweepError>,
-}
-
-impl<P> ResumeToken<P> {
-    /// The token a fresh (never-started) sweep resumes from.
-    pub fn start() -> ResumeToken<P> {
-        ResumeToken {
-            next_index: 0,
-            partials: Vec::new(),
-            errors: Vec::new(),
-        }
-    }
-}
-
-/// The continuation of an interrupted fused panel
-/// ([`super::SweepSession::run_panel_budgeted`]).
-///
-/// One shared `next_index` describes the enumeration frontier — as with
-/// [`ResumeToken`], the visited set is always the contiguous prefix
-/// `[0, next_index)` — while each member keeps its own
-/// [`MemberFrontier`]: its recorded partials and errors, plus its
-/// short-circuit index if it already dropped out of the walk. Feeding the
-/// token to [`super::SweepSession::resume_panel`] continues every
-/// still-active member from the shared frontier; members that stopped are
-/// carried through untouched, so the resumed chain reproduces an
-/// uninterrupted panel's per-member reports exactly.
-///
-/// `P` is the members' partial type: type-erased for a panel; the engine
-/// runs a typed sweep on the same shape with one member.
-#[derive(Debug)]
-pub struct PanelResumeToken<P = ErasedPartial> {
-    /// First flat index not yet visited by the panel walk.
-    pub next_index: usize,
-    /// Per-member state, in panel member order.
-    pub members: Vec<MemberFrontier<P>>,
-}
-
-impl PanelResumeToken {
-    /// The token a fresh (never-started) panel of `members` members
-    /// resumes from.
-    pub fn start(members: usize) -> PanelResumeToken {
-        PanelResumeToken {
-            next_index: 0,
-            members: (0..members).map(|_| MemberFrontier::new()).collect(),
-        }
-    }
-}
-
-/// One panel member's interim state inside a [`PanelResumeToken`].
+/// One member's walk record inside a [`super::PanelFragment`].
 #[derive(Debug)]
 pub struct MemberFrontier<P = ErasedPartial> {
     /// The member's short-circuit index: `Some(s)` when its lowest
-    /// deciding item was `s` (the member inspects nothing past it on
-    /// resume and reports `checked = s + 1`), `None` while still active.
+    /// deciding item was `s` (the member inspects nothing past it when
+    /// the fragment is resumed, and reports `checked = s + 1`), `None`
+    /// while still active.
     pub stop_at: Option<usize>,
-    /// Partials the member recorded in `[0, next_index)`, sorted by
-    /// index (for a panel, type-erased clones of the member's concrete
-    /// partials).
+    /// Partials the member recorded in the fragment's `[lo, next)`,
+    /// sorted by index.
     pub partials: Vec<(usize, P)>,
-    /// Errors the member recorded in `[0, next_index)`, sorted by index.
+    /// Errors the member recorded in `[lo, next)`, sorted by index.
     pub errors: Vec<SweepError>,
 }
 

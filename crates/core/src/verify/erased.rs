@@ -83,8 +83,8 @@ impl PropertyTag {
 }
 
 /// Object-safe mirror of [`PropertyCheck`] with boxed payloads, plus the
-/// two operations panels need beyond it: cloning a partial (for resume
-/// tokens) and summarizing a verdict (for reports).
+/// one operation panels need beyond it: summarizing a verdict (for
+/// reports).
 trait ErasedCheck: Sync {
     fn view_configs(&self) -> Vec<(usize, IdMode)>;
     fn inspect(&self, item: &UniverseItem<'_>, ctx: &ItemCtx<'_>) -> Option<ErasedPartial>;
@@ -99,7 +99,6 @@ trait ErasedCheck: Sync {
     fn short_circuits(&self, partial: &ErasedPartial) -> bool;
     fn symmetry_class(&self, alphabet: &[Certificate]) -> Option<SymmetrySpec>;
     fn interner_report(&self) -> Option<InternerReport>;
-    fn clone_partial(&self, partial: &ErasedPartial) -> ErasedPartial;
     fn reduce(
         &self,
         universe: &Universe,
@@ -124,7 +123,7 @@ type Summarizer<V> = fn(&V) -> (Option<bool>, String);
 impl<C> ErasedCheck for ErasedMember<C>
 where
     C: PropertyCheck,
-    C::Partial: Any + Clone,
+    C::Partial: Any,
     C::Verdict: Any + Send,
 {
     fn view_configs(&self) -> Vec<(usize, IdMode)> {
@@ -171,13 +170,6 @@ where
         self.check.interner_report()
     }
 
-    fn clone_partial(&self, partial: &ErasedPartial) -> ErasedPartial {
-        let partial = partial
-            .downcast_ref::<C::Partial>()
-            .expect("panel partial belongs to this member");
-        Box::new(partial.clone())
-    }
-
     fn reduce(
         &self,
         universe: &Universe,
@@ -209,7 +201,7 @@ where
 
 /// A type-erased property check: one member of a fused panel.
 ///
-/// Wraps any [`PropertyCheck`] whose partial is `Clone + 'static` and
+/// Wraps any [`PropertyCheck`] whose partial is `'static` and
 /// whose verdict is `Send + 'static` — which is every checker in this
 /// crate. Also implements [`PropertyCheck`] itself (with boxed payloads),
 /// so a wrapped member can run on the plain sweep entry points; the panel
@@ -237,7 +229,7 @@ impl<'a> DynPropertyCheck<'a> {
     pub fn new<C>(tag: PropertyTag, label: impl Into<String>, check: C) -> DynPropertyCheck<'a>
     where
         C: PropertyCheck + 'a,
-        C::Partial: Any + Clone,
+        C::Partial: Any,
         C::Verdict: Any + Send,
     {
         DynPropertyCheck {
@@ -262,7 +254,7 @@ impl<'a> DynPropertyCheck<'a> {
     ) -> DynPropertyCheck<'a>
     where
         C: PropertyCheck + 'a,
-        C::Partial: Any + Clone,
+        C::Partial: Any,
         C::Verdict: Any + Send,
     {
         DynPropertyCheck {
@@ -303,10 +295,6 @@ impl<'a> DynPropertyCheck<'a> {
     /// The member's verdict-channel key, if it joined a shared channel.
     pub fn channel_key(&self) -> Option<usize> {
         self.channel_key
-    }
-
-    pub(super) fn clone_partial(&self, partial: &ErasedPartial) -> ErasedPartial {
-        self.inner.clone_partial(partial)
     }
 
     pub(super) fn summarize(&self, verdict: &dyn Any) -> (Option<bool>, String) {

@@ -4,9 +4,8 @@
 //! The one sweep engine ([`super::panel`]) drives these per item; this
 //! module owns what a single step needs — how to reach an item, how to
 //! stamp its views, and how to keep the decoder's verdicts current —
-//! plus the options ([`ExecMode`], [`SweepOpts`]) and the typed result
-//! types ([`BudgetedSweep`], [`SweepFragment`]) every sweep is configured
-//! and answered with.
+//! plus the options ([`ExecMode`], [`SweepOpts`]) every sweep is
+//! configured with.
 //!
 //! # Hot path: odometer stepping and delta evaluation
 //!
@@ -35,7 +34,7 @@
 //!
 //! The index-decoded path survives as [`SweepStrategy::DecodeOracle`]; the
 //! `engine_parity` suite proves the strategies observationally identical.
-//! All of this is invisible to reports and resume tokens — the stepped
+//! All of this is invisible to reports and fragments — the stepped
 //! labeling at index `i` equals the decoded labeling at index `i`
 //! exactly.
 //!
@@ -53,8 +52,6 @@
 //!
 //! [`PropertyCheck::verdict_decoder`]: super::PropertyCheck::verdict_decoder
 
-use super::budget::{ResumeToken, SweepError};
-use super::check::VerificationReport;
 use super::telemetry::WorkerTally;
 use super::universe::{LabelSource, Universe, UniverseItem};
 use crate::decoder::{Decoder, Verdict};
@@ -386,62 +383,6 @@ impl ItemCtx<'_> {
                 .decide(&self.view(item, v, radius, id_mode))
                 .is_accept()
         })
-    }
-}
-
-/// A budgeted sweep's result: the (possibly partial) report, plus the
-/// continuation when the budget interrupted the sweep.
-pub struct BudgetedSweep<V, P> {
-    /// The report. When `report.interrupted` is set, the verdict covers
-    /// only the visited prefix and `report.coverage` is
-    /// [`Coverage::Sampled`](super::Coverage::Sampled).
-    pub report: VerificationReport<V>,
-    /// `Some` exactly when the sweep was interrupted; feed it to
-    /// [`SweepSession::resume`](super::SweepSession::resume) to continue.
-    pub resume: Option<ResumeToken<P>>,
-}
-
-/// One shard's slice of a sweep: the un-reduced walk state over the
-/// contiguous index range `[lo, hi)`. Produced by
-/// [`SweepSession::run_fragment`](super::SweepSession::run_fragment) and
-/// consumed by [`merge_fragments`](super::shard::merge_fragments), which
-/// validates that a set of fragments tiles the universe exactly and then
-/// runs the one reduce a single-process sweep would have run.
-#[derive(Debug)]
-pub struct SweepFragment<P> {
-    /// Range start (inclusive flat index).
-    pub lo: usize,
-    /// Range end (exclusive flat index).
-    pub hi: usize,
-    /// First index in `[lo, hi)` not visited; `hi` when the walk covered
-    /// the whole range.
-    pub next: usize,
-    /// Lowest short-circuiting index, when one fired inside the range.
-    pub stop_at: Option<usize>,
-    /// Recorded partials, sorted by index, nothing past `stop_at`.
-    pub partials: Vec<(usize, P)>,
-    /// Caught inspection errors, sorted by index.
-    pub errors: Vec<SweepError>,
-}
-
-impl<P> SweepFragment<P> {
-    /// Whether the fragment's range is fully decided: the walk reached
-    /// `hi`, or a short-circuit decided the remainder of the range.
-    pub fn is_complete(&self) -> bool {
-        self.stop_at.is_some() || self.next >= self.hi
-    }
-
-    /// The continuation of an incomplete (budget-interrupted) fragment.
-    /// Feed it to
-    /// [`SweepSession::resume_fragment`](super::SweepSession::resume_fragment)
-    /// on a session with the same shard to finish the range; the chained
-    /// fragment equals the uninterrupted one exactly.
-    pub fn into_resume_token(self) -> ResumeToken<P> {
-        ResumeToken {
-            next_index: self.next,
-            partials: self.partials,
-            errors: self.errors,
-        }
     }
 }
 

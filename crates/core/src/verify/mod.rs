@@ -16,9 +16,9 @@
 //!   plus a [`PropertyCheck::reduce`] fold, with optional short-circuiting;
 //! * [`SweepSession`] is the single construction site for every run: one
 //!   builder carrying execution mode, strategy options ([`SweepOpts`]),
-//!   budget, telemetry recorder and shard, fired with
+//!   budget and telemetry recorder, fired with
 //!   [`run`](SweepSession::run) / [`run_panel`](SweepSession::run_panel)
-//!   and friends — sequentially, or on worker threads when the default-on
+//!   and the fragment walks — sequentially, or on worker threads when the default-on
 //!   `parallel` feature is enabled — with bit-identical verdicts,
 //!   witnesses and counts in either mode, and a shared
 //!   [`crate::view::ViewSkeleton`] cache so each node's view is
@@ -34,19 +34,19 @@
 //!   thread count;
 //! * execution is resilient ([`budget`]): a panicking check surfaces as a
 //!   structured [`SweepError`] naming the item instead of poisoning the
-//!   sweep, a [`SweepBudget`] bounds a call by wall-clock deadline
+//!   sweep, and a [`SweepBudget`] bounds a call by wall-clock deadline
 //!   and/or item count (degrading the report to an explicit
-//!   [`Coverage::Sampled`] partial verdict), and
-//!   [`resume`](SweepSession::resume) continues from a deterministic
-//!   [`ResumeToken`] such that the chain reproduces the uninterrupted
-//!   report bit-for-bit;
-//! * work shards across processes ([`shard`]): a [`ShardSpec`] restricts a
-//!   session to one of `N` contiguous ranges of the index space, fragments
+//!   [`Coverage::Sampled`] partial verdict);
+//! * work shards across processes ([`shard`]): a fragment walk
 //!   ([`SweepSession::run_fragment`] /
-//!   [`run_panel_fragment`](SweepSession::run_panel_fragment)) carry the
-//!   un-reduced walk state, and [`merge_fragments`] /
-//!   [`merge_panel_fragments`] recombine them into the exact
-//!   single-process report, with [`run_shards`] owning dispatch and retry;
+//!   [`run_panel_fragment`](SweepSession::run_panel_fragment)) covers one
+//!   [`ShardSpec`]'s contiguous range of the index space and returns a
+//!   [`PanelFragment`], the un-reduced walk state and the engine's only
+//!   stopped-walk type: a walk the budget stopped has `next < hi`, and
+//!   [`SweepSession::resume_fragment`] walks on from there;
+//!   [`merge_fragments`] / [`merge_panel_fragments`] recombine complete
+//!   fragments into the exact single-process report, with [`run_shards`]
+//!   owning dispatch and retry;
 //! * the hot path is allocation-free: within a chunk, labelings are
 //!   enumerated by *odometer stepping* (one digit of the mixed-radix
 //!   counter per item, into reused per-thread scratch) rather than per-item
@@ -76,14 +76,12 @@ mod symmetry;
 pub mod telemetry;
 pub mod universe;
 
-pub use budget::{MemberFrontier, PanelResumeToken, ResumeToken, SweepBudget, SweepError};
+pub use budget::{MemberFrontier, SweepBudget, SweepError};
 pub use check::{ExecEvidence, PropertyCheck, SweepOutcome, VerificationReport};
 pub use erased::{DynPropertyCheck, ErasedPartial, ErasedVerdict, PanelVerdict, PropertyTag};
-pub use executor::{
-    BudgetedSweep, ExecMode, ItemCtx, SweepFragment, SweepOpts, SweepStrategy, PARALLEL_THRESHOLD,
-};
+pub use executor::{ExecMode, ItemCtx, SweepOpts, SweepStrategy, PARALLEL_THRESHOLD};
 pub use interner::{digit_key, InternerReport, ViewId, ViewInterner};
-pub use panel::{BudgetedPanel, PanelFragment, PanelMemberReport, PanelReport};
+pub use panel::{PanelFragment, PanelMemberReport, PanelReport};
 pub use plan::{
     AuditMemberReport, AuditPanelReport, AuditPlan, AuditReport, BlockGated, FaultSpec,
     InstanceSet, PanelTelemetry, ALL_PROPERTIES,
@@ -245,6 +243,9 @@ mod tests {
         assert_eq!(report.coverage, Coverage::Exhaustive);
     }
 
+    /// The one shard that is the whole universe.
+    const WHOLE: ShardSpec = ShardSpec { index: 0, of: 1 };
+
     #[test]
     fn max_items_interrupts_with_a_resume_token() {
         let universe = small_universe();
@@ -252,23 +253,25 @@ mod tests {
             stop_on_all_ones: false,
         };
         let session = SweepSession::over(&universe).mode(ExecMode::Sequential);
-        let first = session
-            .budget(SweepBudget::unlimited().with_max_items(10))
-            .run_budgeted(&check);
-        assert!(first.report.interrupted);
-        assert_eq!(first.report.checked, 10);
-        assert_eq!(first.report.coverage, Coverage::Sampled);
-        let token = first.resume.expect("interrupted sweep yields a token");
-        assert_eq!(token.next_index, 10);
+        let budgeted = session.budget(SweepBudget::unlimited().with_max_items(10));
+        let report = budgeted.run(&check);
+        assert!(report.interrupted);
+        assert_eq!(report.checked, 10);
+        assert_eq!(report.coverage, Coverage::Sampled);
+        let first = budgeted.run_fragment(&check, WHOLE);
+        assert!(!first.is_complete(), "an interrupted walk stops short");
+        assert_eq!(first.next, 10);
         // Finish with no budget: the chained result matches one
         // uninterrupted sweep exactly.
-        let rest = session.resume(&check, token);
-        assert!(rest.resume.is_none());
-        assert!(!rest.report.interrupted);
-        assert_eq!(rest.report.coverage, Coverage::Exhaustive);
+        let rest = session.resume_fragment(&check, first);
+        assert!(rest.is_complete());
+        let merged = merge_fragments(&check, &universe, ExecMode::Sequential, vec![rest], None)
+            .expect("a finished fragment covers the universe");
+        assert!(!merged.interrupted);
+        assert_eq!(merged.coverage, Coverage::Exhaustive);
         let full = session.run(&check);
-        assert_eq!(rest.report.verdict, full.verdict);
-        assert_eq!(rest.report.checked, full.checked);
+        assert_eq!(merged.verdict, full.verdict);
+        assert_eq!(merged.checked, full.checked);
     }
 
     #[test]
@@ -281,16 +284,21 @@ mod tests {
         let full = session.run(&check);
         for step in [1usize, 3, 7, 32] {
             let stepped = session.budget(SweepBudget::unlimited().with_max_items(step));
-            let mut state = stepped.run_budgeted(&check);
-            while let Some(token) = state.resume.take() {
-                state = stepped.resume(&check, token);
+            let mut fragment = stepped.run_fragment(&check, WHOLE);
+            while !fragment.is_complete() {
+                fragment = stepped.resume_fragment(&check, fragment);
             }
-            assert_eq!(state.report.verdict, full.verdict, "step {step}");
-            assert_eq!(state.report.checked, full.checked, "step {step}");
-            assert_eq!(
-                state.report.short_circuited, full.short_circuited,
-                "step {step}"
-            );
+            let merged = merge_fragments(
+                &check,
+                &universe,
+                ExecMode::Sequential,
+                vec![fragment],
+                None,
+            )
+            .expect("a finished fragment covers the universe");
+            assert_eq!(merged.verdict, full.verdict, "step {step}");
+            assert_eq!(merged.checked, full.checked, "step {step}");
+            assert_eq!(merged.short_circuited, full.short_circuited, "step {step}");
         }
     }
 
@@ -353,15 +361,24 @@ mod tests {
         let check = CountConstant {
             stop_on_all_ones: false,
         };
-        let out = SweepSession::over(&universe)
+        let session = SweepSession::over(&universe)
             .mode(ExecMode::Sequential)
-            .budget(SweepBudget::unlimited().with_deadline(std::time::Duration::ZERO))
-            .run_budgeted(&check);
-        assert!(out.report.interrupted);
-        assert_eq!(out.report.checked, 0);
-        let token = out.resume.expect("token");
-        assert_eq!(token.next_index, 0);
-        assert!(token.partials.is_empty());
+            .budget(SweepBudget::unlimited().with_deadline(std::time::Duration::ZERO));
+        let report = session.run(&check);
+        assert!(report.interrupted);
+        assert_eq!(report.checked, 0);
+        let fragment = session.run_fragment(&check, WHOLE);
+        assert_eq!(fragment.next, 0);
+        assert!(fragment.members[0].partials.is_empty());
+        let err = merge_fragments(
+            &check,
+            &universe,
+            ExecMode::Sequential,
+            vec![fragment],
+            None,
+        )
+        .expect_err("a walk that never started does not merge");
+        assert!(err.contains("torn") && err.contains("item 0"), "{err}");
     }
 
     /// Records exactly one partial, at a fixed index, and stops there.
@@ -404,8 +421,7 @@ mod tests {
                 .map(|spec| {
                     SweepSession::over(&universe)
                         .mode(ExecMode::Sequential)
-                        .shard(spec)
-                        .run_fragment(&check)
+                        .run_fragment(&check, spec)
                 })
                 .collect();
             let merged = merge_fragments(&check, &universe, ExecMode::Sequential, fragments, None)
@@ -433,12 +449,13 @@ mod tests {
             .map(|spec| {
                 SweepSession::over(&universe)
                     .mode(ExecMode::Sequential)
-                    .shard(spec)
-                    .run_fragment(&check)
+                    .run_fragment(&check, spec)
             })
             .collect();
-        assert_eq!(fragments[0].stop_at, Some(7));
-        assert!(fragments[1..].iter().all(|f| f.stop_at.is_none()));
+        assert_eq!(fragments[0].members[0].stop_at, Some(7));
+        assert!(fragments[1..]
+            .iter()
+            .all(|f| f.members[0].stop_at.is_none()));
         let merged = merge_fragments(&check, &universe, ExecMode::Sequential, fragments, None)
             .expect("fragments tile the universe");
         assert_eq!(merged.verdict, full.verdict);
@@ -453,23 +470,31 @@ mod tests {
             stop_on_all_ones: false,
         };
         let spec = ShardSpec::new(0, 2);
-        let session = SweepSession::over(&universe)
-            .mode(ExecMode::Sequential)
-            .shard(spec);
-        let whole = session.run_fragment(&check);
+        let session = SweepSession::over(&universe).mode(ExecMode::Sequential);
+        let whole = session.run_fragment(&check, spec);
         assert!(whole.is_complete());
         // Walk the same range 3 items at a time; the chained fragment
         // must equal the uninterrupted one exactly.
         let stepped = session.budget(SweepBudget::unlimited().with_max_items(3));
-        let mut frag = stepped.run_fragment(&check);
+        let mut frag = stepped.run_fragment(&check, spec);
         while !frag.is_complete() {
-            frag = stepped.resume_fragment(&check, frag.into_resume_token());
+            frag = stepped.resume_fragment(&check, frag);
         }
         assert_eq!(frag.lo, whole.lo);
         assert_eq!(frag.hi, whole.hi);
         assert_eq!(frag.next, whole.next);
-        assert_eq!(frag.stop_at, whole.stop_at);
-        assert_eq!(frag.partials, whole.partials);
+        assert_eq!(frag.members[0].stop_at, whole.members[0].stop_at);
+        assert_eq!(frag.members[0].partials, whole.members[0].partials);
+        let rest = session.run_fragment(&check, ShardSpec::new(1, 2));
+        let merged = merge_fragments(
+            &check,
+            &universe,
+            ExecMode::Sequential,
+            vec![frag, rest],
+            None,
+        )
+        .expect("the finished chain and its sibling tile the universe");
+        assert_eq!(merged.verdict, session.run(&check).verdict);
     }
 
     #[test]
@@ -481,8 +506,7 @@ mod tests {
         let frag_of = |spec: ShardSpec| {
             SweepSession::over(&universe)
                 .mode(ExecMode::Sequential)
-                .shard(spec)
-                .run_fragment(&check)
+                .run_fragment(&check, spec)
         };
         // Gap: shard 1 of 4 missing.
         let gappy: Vec<_> = [0usize, 2, 3]
@@ -504,9 +528,8 @@ mod tests {
         // Torn: shard 0 of 2 interrupted mid-range by a budget.
         let torn = SweepSession::over(&universe)
             .mode(ExecMode::Sequential)
-            .shard(ShardSpec::new(0, 2))
             .budget(SweepBudget::unlimited().with_max_items(3))
-            .run_fragment(&check);
+            .run_fragment(&check, ShardSpec::new(0, 2));
         assert!(!torn.is_complete());
         let err = merge_fragments(
             &check,
@@ -517,9 +540,10 @@ mod tests {
         )
         .expect_err("a torn fragment must be rejected");
         assert!(err.contains("torn"), "{err}");
+        assert!(err.contains("stopped at item 3"), "{err}");
         // Records outside the fragment's own walk, or out of index order.
         let mut stray = frag_of(ShardSpec::new(1, 2));
-        stray.partials.insert(0, (3, false));
+        stray.members[0].partials.insert(0, (3, false));
         let err = merge_fragments(
             &check,
             &universe,
@@ -530,7 +554,7 @@ mod tests {
         .expect_err("a partial outside its fragment must be rejected");
         assert!(err.contains("outside"), "{err}");
         let mut repeated = frag_of(ShardSpec::new(0, 2));
-        repeated.partials.push((0, false));
+        repeated.members[0].partials.push((0, false));
         let err = merge_fragments(
             &check,
             &universe,
@@ -556,26 +580,20 @@ mod tests {
     }
 
     #[test]
-    fn sharded_session_run_reports_a_sample_of_the_universe() {
+    fn a_lone_last_shard_fragment_never_merges_into_a_report() {
         let universe = small_universe();
         let check = CountConstant {
             stop_on_all_ones: false,
         };
-        let report = SweepSession::over(&universe)
+        let last = SweepSession::over(&universe)
             .mode(ExecMode::Sequential)
-            .shard(ShardSpec::new(0, 2))
-            .run(&check);
-        // One shard alone is a sample: 16 of 32 items, flagged as such.
-        assert_eq!(report.checked, 16);
-        assert_eq!(report.universe_size, 32);
-        assert!(report.interrupted);
-        assert_eq!(report.coverage, Coverage::Sampled);
-        // And a budgeted run's resume chain ends at the shard boundary.
-        let out = SweepSession::over(&universe)
-            .mode(ExecMode::Sequential)
-            .shard(ShardSpec::new(0, 2))
-            .budget(SweepBudget::unlimited().with_max_items(16))
-            .run_budgeted(&check);
-        assert!(out.resume.is_none(), "spent shard token must be dropped");
+            .run_fragment(&check, ShardSpec::new(1, 2));
+        assert_eq!((last.lo, last.hi), (16, 32));
+        assert!(last.is_complete());
+        // One shard alone covers half the universe: the merge must name
+        // the uncovered half instead of reporting it as walked.
+        let err = merge_fragments(&check, &universe, ExecMode::Sequential, vec![last], None)
+            .expect_err("a lone last shard leaves a gap");
+        assert!(err.contains("gap") && err.contains("[0, 16)"), "{err}");
     }
 }

@@ -18,13 +18,13 @@
 //!   changed ball per item instead of once per member.
 //!
 //! One pass (channel setup, cache build, delta drivers, quotient plans,
-//! the walk, the token merge) feeds three endings: a whole-range run
+//! the walk, the record merge) feeds three endings: a whole-universe run
 //! reduces it into reports, a fragment hands it un-reduced to the shard
 //! merge, and the merge reduces a tiling of fragments. All three end in
 //! the same per-member reduce, which also closes the lazy draw loop
 //! behind [`super::LazySweep`].
 //!
-//! # Per-member short-circuit, budget, and resume
+//! # Per-member short-circuit, budget, and stopped walks
 //!
 //! Each member keeps its own frontier. A member whose partial
 //! short-circuits *drops out of the walk* — later items skip it — while
@@ -35,10 +35,11 @@
 //!
 //! An expired [`SweepBudget`] ends the call: the deadline is checked
 //! between items (sequential) or chunk claims (parallel), so the visited
-//! set is always the contiguous prefix `[0, next)`; an interrupted call
-//! hands back a continuation carrying the shared frontier plus every
-//! member's partials and stop index, and the resumed chain reproduces the
-//! uninterrupted call bit-for-bit.
+//! set is always a contiguous prefix. A whole-universe run reports the
+//! prefix as interrupted; a fragment walk hands back a [`PanelFragment`]
+//! with `next < hi`, carrying the shared frontier plus every member's
+//! partials and stop index. Walking on from that fragment and merging
+//! reproduces the uninterrupted call bit-for-bit.
 //!
 //! # Determinism
 //!
@@ -75,13 +76,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use super::budget::{MemberFrontier, PanelResumeToken, ResumeToken, SweepBudget, SweepError};
+use super::budget::{MemberFrontier, SweepBudget, SweepError};
 use super::check::{ExecEvidence, PropertyCheck, SweepOutcome, VerificationReport};
 use super::erased::{DynPropertyCheck, ErasedPartial, ErasedVerdict, PanelVerdict, PropertyTag};
 use super::executor::{
-    refresh_verdicts, resolve_threads, DeltaDriver, ExecMode, ItemCtx, SkeletonCache,
-    SweepFragment, SweepOpts, SweepStrategy, VerdictMemo, VerdictScratch, Walker,
+    refresh_verdicts, resolve_threads, DeltaDriver, ExecMode, ItemCtx, SkeletonCache, SweepOpts,
+    SweepStrategy, VerdictMemo, VerdictScratch, Walker,
 };
+use super::shard::ShardSpec;
 use super::symmetry::{BlockClasses, QuotientPlan};
 use super::telemetry::{SweepCounter, SweepPhase, SweepRecorder, WorkerTally};
 use super::universe::{Block, Coverage, LabelSource, Universe, UniverseItem};
@@ -157,27 +159,24 @@ impl PanelReport {
     }
 }
 
-/// A budgeted panel's result: the (possibly partial) report plus the
-/// continuation when the budget interrupted the walk.
-pub struct BudgetedPanel {
-    /// The report. When `report.evidence.interrupted` is set, member
-    /// verdicts cover only the visited prefix.
-    pub report: PanelReport,
-    /// `Some` exactly when the walk was interrupted; feed it to
-    /// [`SweepSession::resume_panel`](super::SweepSession::resume_panel)
-    /// to continue.
-    pub resume: Option<PanelResumeToken>,
-}
-
-/// One shard's slice of a fused panel: the un-reduced per-member walk
-/// state over the contiguous index range `[lo, hi)`. Produced by
-/// [`SweepSession::run_panel_fragment`](super::SweepSession::run_panel_fragment),
+/// The engine's one stopped-walk type: the un-reduced per-member walk
+/// state over the contiguous index range `[lo, hi)` of one shard.
+/// Produced by
+/// [`SweepSession::run_panel_fragment`](super::SweepSession::run_panel_fragment)
+/// and [`SweepSession::run_fragment`](super::SweepSession::run_fragment),
 /// consumed by
-/// [`merge_panel_fragments`](super::shard::merge_panel_fragments).
+/// [`merge_panel_fragments`](super::shard::merge_panel_fragments) and
+/// [`merge_fragments`](super::shard::merge_fragments).
 ///
-/// `P` is the members' partial type: type-erased for a panel; the engine
-/// produces a typed sweep's [`SweepFragment`] on the same shape with one
-/// member.
+/// A walk the budget stopped early returns a fragment with `next < hi`;
+/// [`SweepSession::resume_panel_fragment`](super::SweepSession::resume_panel_fragment)
+/// (or [`resume_fragment`](super::SweepSession::resume_fragment)) walks
+/// on from `next`, and a chain of such calls ends in the fragment one
+/// uninterrupted walk of the range returns. The merge accepts only
+/// complete fragments.
+///
+/// `P` is the members' partial type: type-erased for a panel; a typed
+/// sweep's fragment has one member of the check's own partial type.
 #[derive(Debug)]
 pub struct PanelFragment<P = ErasedPartial> {
     /// Range start (inclusive flat index).
@@ -193,21 +192,22 @@ pub struct PanelFragment<P = ErasedPartial> {
 }
 
 impl<P> PanelFragment<P> {
+    /// A fragment of `members` members whose walk has not started:
+    /// `shard`'s range of an `n`-item universe, `next = lo`.
+    pub(super) fn open(shard: ShardSpec, n: usize, members: usize) -> PanelFragment<P> {
+        let (lo, hi) = shard.range(n);
+        PanelFragment {
+            lo,
+            hi,
+            next: lo,
+            members: (0..members).map(|_| MemberFrontier::new()).collect(),
+        }
+    }
+
     /// Whether the fragment's range is fully decided: the walk reached
     /// `hi`, or every member short-circuited inside the range.
     pub fn is_complete(&self) -> bool {
         self.next >= self.hi || self.members.iter().all(|m| m.stop_at.is_some())
-    }
-
-    /// The continuation of an incomplete (budget-interrupted) fragment.
-    /// Feed it to
-    /// [`SweepSession::resume_panel_fragment`](super::SweepSession::resume_panel_fragment)
-    /// on a session with the same shard to finish the range.
-    pub fn into_resume_token(self) -> PanelResumeToken<P> {
-        PanelResumeToken {
-            next_index: self.next,
-            members: self.members,
-        }
     }
 }
 
@@ -277,61 +277,6 @@ impl<P> MemberFrontier<P> {
     }
 }
 
-/// A typed token is the one member's record; it only ever describes a
-/// member that has not stopped (a stopped sweep is complete).
-impl<P> From<ResumeToken<P>> for PanelResumeToken<P> {
-    fn from(t: ResumeToken<P>) -> Self {
-        PanelResumeToken {
-            next_index: t.next_index,
-            members: vec![MemberFrontier {
-                stop_at: None,
-                partials: t.partials,
-                errors: t.errors,
-            }],
-        }
-    }
-}
-
-impl<P> From<PanelResumeToken<P>> for ResumeToken<P> {
-    fn from(mut t: PanelResumeToken<P>) -> Self {
-        let f = t.members.pop().expect("a typed token has one member");
-        ResumeToken {
-            next_index: t.next_index,
-            partials: f.partials,
-            errors: f.errors,
-        }
-    }
-}
-
-impl<P> From<SweepFragment<P>> for PanelFragment<P> {
-    fn from(f: SweepFragment<P>) -> Self {
-        PanelFragment {
-            lo: f.lo,
-            hi: f.hi,
-            next: f.next,
-            members: vec![MemberFrontier {
-                stop_at: f.stop_at,
-                partials: f.partials,
-                errors: f.errors,
-            }],
-        }
-    }
-}
-
-impl<P> From<PanelFragment<P>> for SweepFragment<P> {
-    fn from(mut f: PanelFragment<P>) -> Self {
-        let m = f.members.pop().expect("a typed fragment has one member");
-        SweepFragment {
-            lo: f.lo,
-            hi: f.hi,
-            next: f.next,
-            stop_at: m.stop_at,
-            partials: m.partials,
-            errors: m.errors,
-        }
-    }
-}
-
 /// One engine call's settings, as the session resolved them.
 #[derive(Clone, Copy)]
 pub(super) struct Walk<'a> {
@@ -345,20 +290,8 @@ pub(super) struct Walk<'a> {
     pub(super) span: &'static str,
 }
 
-/// A whole-range call's result: one report per member, the walk-level
-/// evidence, and the continuation when the budget interrupted the walk
-/// (and the caller asked for one).
-pub(super) struct Run<V, P> {
-    pub(super) members: Vec<VerificationReport<V>>,
-    pub(super) evidence: ExecEvidence,
-    pub(super) resume: Option<PanelResumeToken<P>>,
-}
-
 /// A reduce's output: one report per member plus the walk-level evidence.
 pub(super) type Reduced<V> = (Vec<VerificationReport<V>>, ExecEvidence);
-
-/// Clones a member's partial into a continuation.
-pub(super) type Keep<C> = fn(&C, &<C as PropertyCheck>::Partial) -> <C as PropertyCheck>::Partial;
 
 /// The walk counters the reduce copies into the evidence. A live walk
 /// loads them from its atomics; the shard merge and the lazy draw loop
@@ -373,15 +306,9 @@ pub(super) struct WalkStats {
     pub(super) memo_misses: usize,
 }
 
-/// Runs `checks` over the session's range from `token` and reduces every
-/// member. `keep` builds the continuation when the budget interrupts the
-/// walk; without it none is built (and partials need not be clonable).
-pub(super) fn run<C: Member>(
-    walk: &Walk<'_>,
-    checks: &[C],
-    token: PanelResumeToken<C::Partial>,
-    keep: Option<Keep<C>>,
-) -> Run<C::Verdict, C::Partial> {
+/// Runs `checks` over the whole universe and reduces every member. A
+/// budget stop reports the visited prefix as interrupted.
+pub(super) fn run<C: Member>(walk: &Walk<'_>, checks: &[C]) -> Reduced<C::Verdict> {
     let start = Instant::now();
     let universe = walk.universe;
     let n = universe.len();
@@ -390,7 +317,7 @@ pub(super) fn run<C: Member>(
             threads: 1,
             ..WalkStats::default()
         };
-        let (members, evidence) = reduce(
+        return reduce(
             checks,
             universe,
             n,
@@ -401,37 +328,17 @@ pub(super) fn run<C: Member>(
             None,
             start,
         );
-        return Run {
-            members,
-            evidence,
-            resume: None,
-        };
     }
     if let Some(r) = walk.recorder {
         r.span_enter(walk.span);
     }
-    let pass = pass(walk, checks, token, n, start);
+    let fresh = checks.iter().map(|_| MemberFrontier::new()).collect();
+    let pass = pass(walk, checks, fresh, 0, n, start);
     let interrupted = !all_stopped(&pass.members) && pass.next < n;
-    let resume = keep.filter(|_| interrupted).map(|keep| PanelResumeToken {
-        next_index: pass.next,
-        members: checks
-            .iter()
-            .zip(&pass.members)
-            .map(|(check, f)| MemberFrontier {
-                stop_at: f.stop_at,
-                partials: f
-                    .partials
-                    .iter()
-                    .map(|(i, p)| (*i, keep(check, p)))
-                    .collect(),
-                errors: f.errors.clone(),
-            })
-            .collect(),
-    });
     if interrupted {
         walk.budget.note_interruption(walk.recorder);
     }
-    let (members, evidence) = reduce(
+    let reduced = reduce(
         checks,
         universe,
         n,
@@ -445,40 +352,39 @@ pub(super) fn run<C: Member>(
     if let Some(r) = walk.recorder {
         r.span_exit(walk.span);
     }
-    Run {
-        members,
-        evidence,
-        resume,
-    }
+    reduced
 }
 
-/// Runs one shard's pass over `[lo, hi)` without reducing: the fragment
-/// carries everything the merge needs. A budget applies to this call
-/// alone (`max_items` caps this shard's items; `deadline` is wall-clock
-/// from this call), and a budget stop inside the range counts as a budget
-/// interruption.
+/// Walks `fragment` on from its `next` to its `hi` without reducing: the
+/// returned fragment carries everything the merge needs. A budget applies
+/// to this call alone (`max_items` caps the items it visits; `deadline`
+/// is wall-clock from this call), and a budget stop inside the range
+/// counts as a budget interruption.
 pub(super) fn fragment<C: Member>(
     walk: &Walk<'_>,
     checks: &[C],
-    mut token: PanelResumeToken<C::Partial>,
-    lo: usize,
-    hi: usize,
+    fragment: PanelFragment<C::Partial>,
 ) -> PanelFragment<C::Partial> {
+    let PanelFragment {
+        lo,
+        hi,
+        next,
+        members,
+    } = fragment;
     let hi = hi.min(walk.universe.len());
     if checks.is_empty() {
         return PanelFragment {
             lo,
             hi,
             next: hi,
-            members: Vec::new(),
+            members,
         };
     }
     let start = Instant::now();
     if let Some(r) = walk.recorder {
         r.span_enter(walk.span);
     }
-    token.next_index = token.next_index.max(lo);
-    let pass = pass(walk, checks, token, hi, start);
+    let pass = pass(walk, checks, members, next.max(lo), hi, start);
     if !all_stopped(&pass.members) && pass.next < hi {
         walk.budget.note_interruption(walk.recorder);
     }
@@ -1009,14 +915,15 @@ fn with_engine<C: Member, R>(
 }
 
 /// One capped pass: the engine, the walk over
-/// `[token.next_index, min(next_index + max_items, limit))`, counter
-/// flushing, and the token merge + per-member retention. Emits every
-/// recorder event of a call except the enclosing span and the reduce
-/// phase, which the callers own.
+/// `[from, min(from + max_items, limit))` appended to `members`' records,
+/// counter flushing, and the per-member retention. Emits every recorder
+/// event of a call except the enclosing span and the reduce phase, which
+/// the callers own.
 fn pass<C: Member>(
     walk: &Walk<'_>,
     checks: &[C],
-    token: PanelResumeToken<C::Partial>,
+    mut members: Vec<MemberFrontier<C::Partial>>,
+    from: usize,
     limit: usize,
     start: Instant,
 ) -> Pass<C::Partial> {
@@ -1027,13 +934,13 @@ fn pass<C: Member>(
         ..
     } = *walk;
     assert_eq!(
-        token.members.len(),
+        members.len(),
         checks.len(),
-        "resume token describes a different member list"
+        "fragment describes a different member list"
     );
     let deadline = budget.deadline.map(|d| start + d);
     with_engine(walk, checks, |engine| {
-        let begin = token.next_index.min(limit);
+        let begin = from.min(limit);
         // `max_items` is enforced by clamping the walk's end index, which
         // makes it exact — and identical — in every execution mode.
         let end = match budget.max_items {
@@ -1041,9 +948,8 @@ fn pass<C: Member>(
             None => limit,
         };
         let threads = resolve_threads(mode, end.saturating_sub(begin));
-        // The walk extends the token's records in place: this pass's items
-        // all lie past the token's.
-        let mut members = token.members;
+        // The walk extends the records in place: this pass's items all lie
+        // past the ones they hold.
         let errors_before: usize = members.iter().map(|f| f.errors.len()).sum();
 
         let walk_start = recorder.map(|r| r.now_micros());

@@ -33,11 +33,13 @@
 //! [`AuditPlan::run_shard`] renders one shard of the labelings walk as a
 //! `shardreport v2` text report: the plan's fingerprint (`decoder`, `k`,
 //! `seed`, `universe` size, `strategy`), the `shard`, its `range` and how
-//! far its walk got (`next`); then per member a `member <m> <label>
-//! <stop|->` line and the items where it recorded a partial (`p <item>`)
-//! or caught a panic (`e <item>`); then the shard's stable `counter`
-//! lines. The trailer `end shardreport <checksum>` seals every preceding
-//! byte with its FNV-1a 64 hash, so a torn or corrupted report fails whole.
+//! far its walk got (`next`, below the range's end when a budget stopped
+//! the walk, and the merge rejects such a report as torn); then per
+//! member a `member <m> <label> <stop|->` line and the items where it
+//! recorded a partial (`p <item>`) or caught a panic (`e <item>`); then
+//! the shard's stable `counter` lines. The trailer `end shardreport
+//! <checksum>` seals every preceding byte with its FNV-1a 64 hash, so a
+//! torn or corrupted report fails whole.
 //!
 //! A report ships item indices, never records. A partial is a pure
 //! function of its item, so [`AuditPlan::run_with_shards`] re-derives
@@ -265,7 +267,9 @@ impl<'a> AuditPlan<'a> {
 
     /// Bounds the labelings panel (the combinatorial one) by `budget`. An
     /// interrupted audit downgrades those members to sampled coverage and
-    /// records a note.
+    /// records a note. Under [`AuditPlan::run_shard`] the budget bounds
+    /// the shard's one walk, and a report the budget stopped does not
+    /// merge.
     pub fn budget(mut self, budget: SweepBudget) -> Self {
         self.budget = Some(budget);
         self
@@ -730,10 +734,11 @@ impl<'a> AuditPlan<'a> {
     ///
     /// Only the labelings walk is sharded — it is the combinatorial
     /// shape; the remaining panels are linear in the family and the
-    /// merging process recomputes them locally. A budgeted plan resumes
-    /// itself until the shard's range completes, so one report always
-    /// describes the whole range (`max_items` bounds each pass, the
-    /// deadline each process's passes individually).
+    /// merging process recomputes them locally. A budget bounds the
+    /// shard's one walk (`max_items` its items, the deadline its
+    /// wall-clock). A walk the budget stopped writes `next` below the
+    /// range's `hi`, and [`AuditPlan::run_with_shards`] rejects that
+    /// report as torn.
     ///
     /// Partials are reduced only after [`AuditPlan::run_with_shards`]
     /// reassembles the fragments, so a merged report is the same reduction
@@ -749,8 +754,7 @@ impl<'a> AuditPlan<'a> {
         #[allow(unused_mut)]
         let mut session = SweepSession::over(&universe)
             .mode(self.mode)
-            .opts(self.opts)
-            .shard(shard);
+            .opts(self.opts);
         if let Some(budget) = self.budget {
             session = session.budget(budget);
         }
@@ -758,14 +762,7 @@ impl<'a> AuditPlan<'a> {
         {
             session = session.metrics(&recorder);
         }
-        let mut fragment = session.run_panel_fragment(&members);
-        while !fragment.is_complete() {
-            let stalled = fragment.next;
-            fragment = session.resume_panel_fragment(&members, fragment.into_resume_token());
-            if fragment.next == stalled {
-                break; // deadline too tight to advance; ship the torn range
-            }
-        }
+        let fragment = session.run_panel_fragment(&members, shard);
         let mut out = String::from("shardreport v2\n");
         for (key, value) in self.fingerprint(&universe) {
             out.push_str(&format!("{key} {value}\n"));

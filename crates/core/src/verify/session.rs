@@ -1,7 +1,7 @@
 //! [`SweepSession`]: the single construction site for every sweep.
 //!
 //! `SweepSession` folds every axis of a run — execution mode, strategy
-//! options, budget, telemetry recorder, shard — into one builder:
+//! options, budget, telemetry recorder — into one builder:
 //!
 //! ```ignore
 //! let report = SweepSession::over(&universe)
@@ -12,56 +12,51 @@
 //!     .run(&check);
 //! ```
 //!
-//! Every `run*`/`resume*` method is the one sweep engine
-//! ([`super::panel`]): the typed methods run it over the one check (its
-//! own type, no erasure) and map the result back to a
-//! [`VerificationReport`] / [`ResumeToken`] / [`SweepFragment`]; the
-//! panel methods run it over the [`DynPropertyCheck`] members.
+//! Every firing method is the one sweep engine ([`super::panel`]): the
+//! typed methods run it over the one check (its own type, no erasure),
+//! the panel methods over the [`DynPropertyCheck`] members.
 //! [`LazySweep`] is the streaming counterpart for iterator sources.
 //!
-//! # Sharding
-//!
-//! [`SweepSession::shard`] restricts the walk to the shard's contiguous
-//! odometer range `[lo, hi)` of the flat index space (see
-//! [`ShardSpec::range`]). Two run shapes exist on a sharded session:
+//! # Two run shapes
 //!
 //! * [`run`](SweepSession::run) / [`run_panel`](SweepSession::run_panel)
-//!   treat the shard range as the whole job and produce a normal report.
-//!   When `hi < universe.len()` the report is flagged `interrupted` with
-//!   [`Coverage::Sampled`] — correct, since one shard *is* a sample of
-//!   the universe. Resume tokens never walk past the shard's `hi`.
+//!   walk the whole universe and reduce it into a report. A budget that
+//!   stops the walk flags the report `interrupted` with
+//!   [`Coverage::Sampled`](super::Coverage::Sampled).
 //! * [`run_fragment`](SweepSession::run_fragment) /
-//!   [`run_panel_fragment`](SweepSession::run_panel_fragment) produce the
-//!   raw [`SweepFragment`] / [`PanelFragment`] — partials, errors and
-//!   short-circuit frontier over `[lo, hi)` — which
-//!   [`super::shard::merge_fragments`] and
+//!   [`run_panel_fragment`](SweepSession::run_panel_fragment) walk one
+//!   shard's contiguous range `[lo, hi)` (see [`ShardSpec::range`]) and
+//!   return the raw [`PanelFragment`] — partials, errors and
+//!   short-circuit frontier — which [`super::shard::merge_fragments`] and
 //!   [`super::shard::merge_panel_fragments`] recombine into a report
-//!   bit-identical to the unsharded run. This is the path the `audit`
-//!   shard coordinator uses.
+//!   bit-identical to the unsharded run. A fragment the budget stopped
+//!   has `next < hi`;
+//!   [`resume_fragment`](SweepSession::resume_fragment) /
+//!   [`resume_panel_fragment`](SweepSession::resume_panel_fragment) walk
+//!   on from there. This is the path the `audit` shard children use.
 //!
 //! # Budget semantics under shards
 //!
-//! [`SweepBudget::max_items`] is a per-*call* cap: on a sharded session it
-//! caps items walked within this shard's range (and is additionally
-//! clamped so the walk never leaves the range). [`SweepBudget::deadline`]
-//! is wall-clock from the start of the call — per process, not split
-//! across shards. Both are pinned by `budget` doc-tests and the
-//! `engine_parity` interrupted-shard property.
+//! [`SweepBudget::max_items`] is a per-*call* cap: on a fragment walk it
+//! caps the items walked within the shard's range.
+//! [`SweepBudget::deadline`] is wall-clock from the start of the call —
+//! per process, not split across shards. Both are pinned by the
+//! `engine_parity` per-shard budget test and interrupted-shard property.
 
-use super::budget::{MemberFrontier, PanelResumeToken, ResumeToken, SweepBudget};
+use super::budget::{MemberFrontier, SweepBudget};
 use super::check::{PropertyCheck, VerificationReport};
 use super::erased::DynPropertyCheck;
-use super::executor::{BudgetedSweep, ExecMode, SweepFragment, SweepOpts};
-use super::panel::{self, BudgetedPanel, Keep, Member, PanelFragment, PanelReport, Run, Walk};
+use super::executor::{ExecMode, SweepOpts};
+use super::panel::{self, PanelFragment, PanelReport, Walk};
 use super::shard::ShardSpec;
 use super::telemetry::{MetricsRecorder, SweepRecorder};
 use super::universe::{Coverage, Universe};
 use crate::instance::{Instance, LabeledInstance};
 use crate::label::Labeling;
 
-/// A configured sweep over one universe: mode, strategy options, budget,
-/// recorder and shard, assembled by chaining and fired by a `run_*`
-/// method. Copy, so one session can fire several runs.
+/// A configured sweep over one universe: mode, strategy options, budget
+/// and recorder, assembled by chaining and fired by a `run_*` or
+/// `resume_*` method. Copy, so one session can fire several runs.
 #[derive(Clone, Copy)]
 pub struct SweepSession<'a> {
     universe: &'a Universe,
@@ -69,13 +64,12 @@ pub struct SweepSession<'a> {
     opts: SweepOpts,
     budget: SweepBudget,
     recorder: Option<&'a dyn SweepRecorder>,
-    shard: Option<ShardSpec>,
 }
 
 impl<'a> SweepSession<'a> {
     /// Starts a session over `universe` with the defaults every shim
     /// historically used: [`ExecMode::Auto`], default [`SweepOpts`],
-    /// unlimited budget, no recorder, no shard.
+    /// unlimited budget, no recorder.
     pub fn over(universe: &'a Universe) -> SweepSession<'a> {
         SweepSession {
             universe,
@@ -83,7 +77,6 @@ impl<'a> SweepSession<'a> {
             opts: SweepOpts::default(),
             budget: SweepBudget::unlimited(),
             recorder: None,
-            shard: None,
         }
     }
 
@@ -100,7 +93,7 @@ impl<'a> SweepSession<'a> {
     }
 
     /// Sets the execution budget (default unlimited). See the module docs
-    /// for how `max_items` and `deadline` behave on a sharded session.
+    /// for how `max_items` and `deadline` behave on a fragment walk.
     pub fn budget(mut self, budget: SweepBudget) -> Self {
         self.budget = budget;
         self
@@ -118,202 +111,73 @@ impl<'a> SweepSession<'a> {
         self.recorder(recorder)
     }
 
-    /// Restricts the walk to `shard`'s contiguous range of the flat index
-    /// space. See the module docs for the two sharded run shapes.
-    pub fn shard(mut self, shard: ShardSpec) -> Self {
-        self.shard = Some(shard);
-        self
-    }
-
-    /// The index range this session walks: the shard's range, or the whole
-    /// universe.
-    pub fn range(&self) -> (usize, usize) {
-        let n = self.universe.len();
-        match self.shard {
-            Some(s) => s.range(n),
-            None => (0, n),
-        }
-    }
-
-    /// The budget actually handed to the engine for a walk starting at
-    /// `from`: unchanged when unsharded; on a sharded session `max_items`
-    /// is clamped so the walk cannot leave `[from, hi)`.
-    fn clamped_budget(&self, from: usize, hi: usize) -> SweepBudget {
-        if self.shard.is_none() {
-            return self.budget;
-        }
-        let span = hi.saturating_sub(from);
-        SweepBudget {
-            deadline: self.budget.deadline,
-            max_items: Some(match self.budget.max_items {
-                Some(m) => m.min(span),
-                None => span,
-            }),
-        }
-    }
-
     /// The engine settings for one call enclosed in `span`.
-    fn walk(&self, span: &'static str, budget: SweepBudget) -> Walk<'a> {
+    fn walk(&self, span: &'static str) -> Walk<'a> {
         Walk {
             universe: self.universe,
             mode: self.mode,
             opts: self.opts,
-            budget,
+            budget: self.budget,
             recorder: self.recorder,
             span,
         }
     }
 
-    /// One whole-range engine call from `token`. On a sharded session a
-    /// continuation that has reached the shard's `hi` is spent: it is
-    /// dropped so resume chains terminate at the shard boundary instead
-    /// of spinning on an empty range.
-    fn call<C: Member>(
-        &self,
-        span: &'static str,
-        checks: &[C],
-        token: PanelResumeToken<C::Partial>,
-        keep: Option<Keep<C>>,
-    ) -> Run<C::Verdict, C::Partial> {
-        let (_, hi) = self.range();
-        let budget = self.clamped_budget(token.next_index, hi);
-        let mut run = panel::run(&self.walk(span, budget), checks, token, keep);
-        if self.shard.is_some() && run.resume.as_ref().is_some_and(|t| t.next_index >= hi) {
-            run.resume = None;
-        }
-        run
-    }
-
-    /// The engine over `check` alone, mapped back to the typed result.
-    fn typed<'c, C: PropertyCheck>(
-        &self,
-        check: &'c C,
-        token: ResumeToken<C::Partial>,
-        keep: Option<Keep<&'c C>>,
-    ) -> BudgetedSweep<C::Verdict, C::Partial> {
-        let mut run = self.call("sweep", std::slice::from_ref(&check), token.into(), keep);
-        BudgetedSweep {
-            report: run.members.pop().expect("one member, one report"),
-            resume: run.resume.map(ResumeToken::from),
-        }
-    }
-
-    /// A fresh typed token starting at this session's range start.
-    fn start_token<P>(&self) -> ResumeToken<P> {
-        ResumeToken {
-            next_index: self.range().0,
-            ..ResumeToken::start()
-        }
-    }
-
-    /// A fresh panel token starting at this session's range start.
-    fn start_panel_token(&self, members: usize) -> PanelResumeToken {
-        PanelResumeToken {
-            next_index: self.range().0,
-            ..PanelResumeToken::start(members)
-        }
-    }
-
-    /// Sweeps `check` over the session's range, ignoring interruption
-    /// bookkeeping (no resume token is built). With an unlimited budget
-    /// and no shard this is the classic exhaustive sweep.
+    /// Sweeps `check` over the whole universe. With an unlimited budget
+    /// this is the classic exhaustive sweep; a budget stop reports the
+    /// visited prefix as interrupted.
     pub fn run<C: PropertyCheck>(&self, check: &C) -> VerificationReport<C::Verdict> {
-        self.typed(check, self.start_token(), None).report
+        let (mut reports, _) = panel::run(&self.walk("sweep"), std::slice::from_ref(&check));
+        reports.pop().expect("one member, one report")
     }
 
-    /// Sweeps `check` and keeps the resume token when the budget (or the
-    /// shard boundary) interrupts the walk. Requires `Clone` partials —
-    /// the token carries a copy of the frontier.
-    pub fn run_budgeted<C: PropertyCheck>(&self, check: &C) -> BudgetedSweep<C::Verdict, C::Partial>
-    where
-        C::Partial: Clone,
-    {
-        self.resume(check, self.start_token())
-    }
-
-    /// Continues an interrupted sweep from `token`. The combined chain of
-    /// runs reproduces the uninterrupted report bit-for-bit.
-    pub fn resume<C: PropertyCheck>(
+    /// Walks `shard`'s range and returns the raw one-member
+    /// [`PanelFragment`] — the shard-merge input — instead of reducing to
+    /// a verdict. A budget stop returns it with `next < hi`.
+    pub fn run_fragment<C: PropertyCheck>(
         &self,
         check: &C,
-        token: ResumeToken<C::Partial>,
-    ) -> BudgetedSweep<C::Verdict, C::Partial>
-    where
-        C::Partial: Clone,
-    {
-        self.typed(check, token, Some(|_, p| p.clone()))
+        shard: ShardSpec,
+    ) -> PanelFragment<C::Partial> {
+        self.resume_fragment(check, PanelFragment::open(shard, self.universe.len(), 1))
     }
 
-    /// Walks the session's range and returns the raw [`SweepFragment`] —
-    /// the shard-merge input — instead of reducing to a verdict.
-    pub fn run_fragment<C: PropertyCheck>(&self, check: &C) -> SweepFragment<C::Partial> {
-        self.resume_fragment(check, self.start_token())
-    }
-
-    /// Continues an interrupted fragment walk from `token` (built with
-    /// [`SweepFragment::into_resume_token`]). A fragment chain over
-    /// `[lo, hi)` is bit-identical to one uninterrupted fragment walk.
+    /// Walks `fragment` on from its `next` to its `hi`. A chain of calls
+    /// over `[lo, hi)` ends in the fragment one uninterrupted walk of the
+    /// range returns.
     pub fn resume_fragment<C: PropertyCheck>(
         &self,
         check: &C,
-        token: ResumeToken<C::Partial>,
-    ) -> SweepFragment<C::Partial> {
-        let (lo, hi) = self.range();
-        let walk = self.walk("sweep", self.budget);
-        panel::fragment(&walk, std::slice::from_ref(&check), token.into(), lo, hi).into()
+        fragment: PanelFragment<C::Partial>,
+    ) -> PanelFragment<C::Partial> {
+        panel::fragment(&self.walk("sweep"), std::slice::from_ref(&check), fragment)
     }
 
-    /// Fuses `checks` into one walk over the session's range.
+    /// Fuses `checks` into one walk over the whole universe.
     pub fn run_panel(&self, checks: &[DynPropertyCheck<'_>]) -> PanelReport {
-        self.fused(checks, self.start_panel_token(checks.len()), None)
-            .report
+        let (members, evidence) = panel::run(&self.walk("panel"), checks);
+        PanelReport::assemble(checks, members, evidence)
     }
 
-    /// [`run_panel`](SweepSession::run_panel) keeping the panel resume
-    /// token when the walk is interrupted.
-    pub fn run_panel_budgeted(&self, checks: &[DynPropertyCheck<'_>]) -> BudgetedPanel {
-        self.resume_panel(checks, self.start_panel_token(checks.len()))
-    }
-
-    /// Continues an interrupted panel from `token`.
-    pub fn resume_panel(
+    /// Walks `shard`'s range with `checks` fused and returns the raw
+    /// [`PanelFragment`] — the panel shard-merge input — instead of
+    /// reducing members. A budget stop returns it with `next < hi`.
+    pub fn run_panel_fragment(
         &self,
         checks: &[DynPropertyCheck<'_>],
-        token: PanelResumeToken,
-    ) -> BudgetedPanel {
-        self.fused(checks, token, Some(|check, p| check.clone_partial(p)))
+        shard: ShardSpec,
+    ) -> PanelFragment {
+        let fragment = PanelFragment::open(shard, self.universe.len(), checks.len());
+        self.resume_panel_fragment(checks, fragment)
     }
 
-    /// The engine over the panel's members, tagged into a panel report.
-    fn fused<'c>(
-        &self,
-        checks: &[DynPropertyCheck<'c>],
-        token: PanelResumeToken,
-        keep: Option<Keep<DynPropertyCheck<'c>>>,
-    ) -> BudgetedPanel {
-        let run = self.call("panel", checks, token, keep);
-        BudgetedPanel {
-            report: PanelReport::assemble(checks, run.members, run.evidence),
-            resume: run.resume,
-        }
-    }
-
-    /// Walks the session's range and returns the raw [`PanelFragment`] —
-    /// the panel shard-merge input — instead of reducing members.
-    pub fn run_panel_fragment(&self, checks: &[DynPropertyCheck<'_>]) -> PanelFragment {
-        self.resume_panel_fragment(checks, self.start_panel_token(checks.len()))
-    }
-
-    /// Continues an interrupted panel fragment walk from `token` (built
-    /// with [`PanelFragment::into_resume_token`]).
+    /// Walks the panel `fragment` on from its `next` to its `hi`.
     pub fn resume_panel_fragment(
         &self,
         checks: &[DynPropertyCheck<'_>],
-        token: PanelResumeToken,
+        fragment: PanelFragment,
     ) -> PanelFragment {
-        let (lo, hi) = self.range();
-        let walk = self.walk("panel", self.budget);
-        panel::fragment(&walk, checks, token, lo, hi)
+        panel::fragment(&self.walk("panel"), checks, fragment)
     }
 
     /// Re-derives the panel records a walk left at each ascending list of
@@ -326,7 +190,7 @@ impl<'a> SweepSession<'a> {
         checks: &[DynPropertyCheck<'_>],
         lists: &[Vec<usize>],
     ) -> Result<Vec<Vec<MemberFrontier>>, usize> {
-        panel::replay(&self.walk("panel", self.budget), checks, lists)
+        panel::replay(&self.walk("panel"), checks, lists)
     }
 }
 

@@ -5,12 +5,16 @@
 //! # Partitioning
 //!
 //! [`ShardSpec`] names one of `N` contiguous ranges of the flat odometer
-//! index space. Because the executor's visited set is always a contiguous
-//! prefix of its range and every [`SweepStrategy`] is a pure function of
-//! the item index, shard `i`'s walk over `[lo, hi)` records exactly the
-//! partials a single-process walk records while passing through that
-//! range — the whole sharding story rides the existing resume-token
-//! machinery, no new walk semantics.
+//! index space, and a fragment walk
+//! ([`SweepSession::run_fragment`](super::SweepSession::run_fragment) /
+//! [`run_panel_fragment`](super::SweepSession::run_panel_fragment))
+//! takes it as an argument. Because the executor's visited set is always
+//! a contiguous prefix of its range and every [`SweepStrategy`] is a pure
+//! function of the item index, shard `i`'s walk over `[lo, hi)` records
+//! exactly the partials a single-process walk records while passing
+//! through that range. A walk the budget stopped is the same
+//! [`PanelFragment`] with `next < hi`: resuming it continues the range,
+//! and the merge rejects it as torn until it is complete.
 //!
 //! # Merge
 //!
@@ -46,7 +50,7 @@
 use super::budget::MemberFrontier;
 use super::check::{PropertyCheck, VerificationReport};
 use super::erased::DynPropertyCheck;
-use super::executor::{resolve_threads, ExecMode, SweepFragment};
+use super::executor::{resolve_threads, ExecMode};
 use super::panel::{reduce, PanelFragment, PanelReport, Reduced, WalkStats};
 use super::telemetry::{SweepCounter, SweepRecorder};
 use super::universe::Universe;
@@ -241,7 +245,9 @@ fn validate_tiling<P>(
         }
         if !f.is_complete() {
             return Err(format!(
-                "fragment over [{lo}, {hi}) is torn: its walk did not finish the range"
+                "fragment over [{lo}, {hi}) is torn: its walk stopped at item {} and did not \
+                 finish the range",
+                f.next
             ));
         }
         if f.members.len() != members {
@@ -336,11 +342,14 @@ fn merge<C: PropertyCheck>(
     Ok(merged)
 }
 
-/// Merges single-check shard fragments into the report a single-process
-/// sweep over the whole universe would produce.
+/// Merges single-check shard fragments (one member each, from
+/// [`SweepSession::run_fragment`](super::SweepSession::run_fragment))
+/// into the report a single-process sweep over the whole universe would
+/// produce.
 ///
-/// The fragments must tile `[0, universe.len())` exactly and be complete
-/// (use the coordinator's retry to replace torn ones). The global
+/// The fragments must tile `[0, universe.len())` exactly and be complete:
+/// a fragment the budget stopped (`next < hi`) is rejected as torn until
+/// it is resumed to its `hi` or re-dispatched. The global
 /// short-circuit frontier is the minimum `stop_at` over fragments, and
 /// partials/errors past it are discarded — the same rule the in-process
 /// parallel walk applies across threads. `mode` is only consulted for the
@@ -350,10 +359,9 @@ pub fn merge_fragments<C: PropertyCheck>(
     check: &C,
     universe: &Universe,
     mode: ExecMode,
-    fragments: Vec<SweepFragment<C::Partial>>,
+    fragments: Vec<PanelFragment<C::Partial>>,
     recorder: Option<&dyn SweepRecorder>,
 ) -> Result<VerificationReport<C::Verdict>, String> {
-    let fragments = fragments.into_iter().map(PanelFragment::from).collect();
     let (mut reports, _) = merge(
         std::slice::from_ref(&check),
         universe,

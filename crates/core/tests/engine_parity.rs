@@ -36,9 +36,9 @@ use hiding_lcp_core::properties::soundness::{SoundnessCheck, SoundnessViolation}
 use hiding_lcp_core::properties::strong::{StrongCheck, StrongViolation};
 use hiding_lcp_core::prover::all_labelings;
 use hiding_lcp_core::verify::{
-    merge_panel_fragments, Block, Coverage, DynPropertyCheck, ExecMode, ItemCtx, LabelSource,
-    LazySweep, MetricsRecorder, PropertyCheck, PropertyTag, ShardSpec, SweepBudget, SweepOpts,
-    SweepOutcome, SweepSession, Universe, UniverseItem,
+    merge_fragments, merge_panel_fragments, Block, Coverage, DynPropertyCheck, ExecMode, ItemCtx,
+    LabelSource, LazySweep, MetricsRecorder, PanelFragment, PropertyCheck, PropertyTag, ShardSpec,
+    SweepBudget, SweepOpts, SweepOutcome, SweepSession, Universe, UniverseItem,
 };
 use hiding_lcp_core::view::IdMode;
 use hiding_lcp_graph::algo::bipartite;
@@ -295,9 +295,9 @@ proptest! {
         code in 0u8..64, shape in 0u8..2, n in 3usize..7, step in 1usize..12,
     ) {
         // Chop the sweep into `step`-item budget slices (run in parallel
-        // mode), chaining each slice's ResumeToken into the next; the final
-        // report must be indistinguishable from one uninterrupted
-        // sequential sweep.
+        // mode), walking each slice on from the fragment the last one
+        // stopped at; the merged chain must be indistinguishable from one
+        // uninterrupted sequential sweep.
         let decoder = PortObliviousCycleDecoder::from_code(code);
         let instance = cycle_or_path(shape, n);
         let universe = Universe::all_labelings_of(instance, bits(), Coverage::Exhaustive)
@@ -310,14 +310,15 @@ proptest! {
         let mode = ExecMode::Parallel(parity_threads());
         let budget = SweepBudget::unlimited().with_max_items(step);
         let session = SweepSession::over(&universe).mode(mode).budget(budget);
-        let mut state = session.run_budgeted(&check);
+        let mut fragment = session.run_fragment(&check, ShardSpec::new(0, 1));
         let mut slices = 1usize;
-        while let Some(token) = state.resume.take() {
-            state = session.resume(&check, token);
+        while !fragment.is_complete() {
+            fragment = session.resume_fragment(&check, fragment);
             slices += 1;
             prop_assert!(slices <= universe.len() + 2, "resume chain must terminate");
         }
-        let resumed = state.report;
+        let resumed = merge_fragments(&check, &universe, mode, vec![fragment], None)
+            .expect("a finished chain covers the universe");
         prop_assert_eq!(&full.verdict, &resumed.verdict);
         prop_assert_eq!(full.checked, resumed.checked);
         prop_assert_eq!(full.universe_size, resumed.universe_size);
@@ -442,8 +443,8 @@ proptest! {
         code in 0u8..64, shape in 0u8..2, n in 3usize..7, step in 1usize..12,
     ) {
         // A delta-stepping sweep chopped into budget slices and resumed
-        // must reproduce the uninterrupted *oracle* sweep — resume tokens
-        // are strategy-agnostic.
+        // must reproduce the uninterrupted *oracle* sweep — stopped
+        // fragments are strategy-agnostic.
         let decoder = PortObliviousCycleDecoder::from_code(code);
         let instance = cycle_or_path(shape, n);
         let universe = Universe::all_labelings_of(instance, bits(), Coverage::Exhaustive)
@@ -460,14 +461,15 @@ proptest! {
             .mode(mode)
             .budget(budget)
             .opts(SweepOpts::default());
-        let mut state = session.run_budgeted(&check);
+        let mut fragment = session.run_fragment(&check, ShardSpec::new(0, 1));
         let mut slices = 1usize;
-        while let Some(token) = state.resume.take() {
-            state = session.resume(&check, token);
+        while !fragment.is_complete() {
+            fragment = session.resume_fragment(&check, fragment);
             slices += 1;
             prop_assert!(slices <= universe.len() + 2, "resume chain must terminate");
         }
-        let resumed = state.report;
+        let resumed = merge_fragments(&check, &universe, mode, vec![fragment], None)
+            .expect("a finished chain covers the universe");
         prop_assert_eq!(&oracle.verdict, &resumed.verdict);
         prop_assert_eq!(oracle.checked, resumed.checked);
         prop_assert_eq!(oracle.universe_size, resumed.universe_size);
@@ -572,12 +574,11 @@ proptest! {
         for spec in ShardSpec::partition(shards) {
             let session = SweepSession::over(&universe)
                 .mode(ExecMode::Sequential)
-                .budget(budget)
-                .shard(spec);
-            let mut frag = session.run_panel_fragment(&members);
+                .budget(budget);
+            let mut frag = session.run_panel_fragment(&members, spec);
             let mut slices = 1usize;
             while !frag.is_complete() {
-                frag = session.resume_panel_fragment(&members, frag.into_resume_token());
+                frag = session.resume_panel_fragment(&members, frag);
                 slices += 1;
                 prop_assert!(slices <= universe.len() + 2, "resume chain must terminate");
             }
@@ -898,47 +899,48 @@ fn budget_max_items_is_per_shard() {
     let shards = 2usize;
     let budget = SweepBudget::unlimited().with_max_items(m);
     let mut first_pass_total = 0usize;
+    let mut fragments = Vec::new();
     for spec in ShardSpec::partition(shards) {
         let session = SweepSession::over(&universe)
             .mode(ExecMode::Sequential)
-            .budget(budget)
-            .shard(spec);
-        let (lo, hi) = session.range();
+            .budget(budget);
+        let (lo, hi) = spec.range(universe.len());
         assert!(hi - lo > m, "shard span must exceed the allowance");
-        let mut state = session.run_budgeted(&CountItems);
-        // `checked` is the walk frontier (it includes the shard's skipped
-        // prefix `[0, lo)`); the CountItems verdict counts actual visits.
-        assert_eq!(
-            state.report.verdict, m,
-            "first slice visits exactly m items"
-        );
-        assert_eq!(
-            state.report.checked,
-            lo + m,
-            "frontier advances by m from lo"
-        );
-        first_pass_total += state.report.verdict;
+        let mut fragment = session.run_fragment(&CountItems, spec);
+        // `next` is the walk frontier (an index of the whole universe);
+        // the CountItems partials count actual visits.
+        let visits = |f: &PanelFragment<usize>| f.members[0].partials.len();
+        assert_eq!(visits(&fragment), m, "first slice visits exactly m items");
+        assert_eq!(fragment.next, lo + m, "frontier advances by m from lo");
+        first_pass_total += visits(&fragment);
         let mut slices = 1usize;
-        while let Some(token) = state.resume.take() {
+        while !fragment.is_complete() {
             assert!(
-                token.next_index > lo && token.next_index < hi,
+                fragment.next > lo && fragment.next < hi,
                 "resume frontier stays inside the shard range"
             );
-            state = session.resume(&CountItems, token);
+            fragment = session.resume_fragment(&CountItems, fragment);
             slices += 1;
             assert!(slices <= universe.len() + 2, "resume chain must terminate");
         }
         assert_eq!(
-            state.report.verdict,
+            visits(&fragment),
             hi - lo,
             "the drained chain covers the shard span exactly"
         );
-        assert_eq!(
-            state.report.checked, hi,
-            "the frontier ends at the shard's hi"
-        );
+        assert_eq!(fragment.next, hi, "the frontier ends at the shard's hi");
+        fragments.push(fragment);
     }
     assert_eq!(first_pass_total, shards * m, "allowances are independent");
+    let merged = merge_fragments(
+        &CountItems,
+        &universe,
+        ExecMode::Sequential,
+        fragments,
+        None,
+    )
+    .expect("the drained shards tile the universe");
+    assert_eq!(merged.verdict, universe.len(), "every item visited once");
 }
 
 // ---------------------------------------------------------------------------

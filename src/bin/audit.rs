@@ -17,7 +17,8 @@
 //! FILE`), retries crashed shards up to `--shard-retries`, and merges the
 //! reports — byte-identical stable JSON (`--stable`) to a single-process
 //! run. `--shards-from DIR` merges reports someone else produced (e.g. on
-//! other machines).
+//! other machines). A budget bounds each child's one walk; a child the
+//! budget stopped writes a torn report, which the merge rejects.
 
 use std::process::ExitCode;
 
@@ -62,8 +63,8 @@ struct Args {
     shard_out: Option<String>,
     /// Coordinator mode: dispatch N shard children and merge.
     shards: Option<usize>,
-    /// Retries per shard before the coordinator gives up.
-    shard_retries: usize,
+    /// Retries per shard before the coordinator gives up (default 2).
+    shard_retries: Option<usize>,
     /// Merge mode: read shard reports from a directory.
     shards_from: Option<String>,
     /// Emit the deterministic stable-JSON projection.
@@ -97,8 +98,11 @@ fn usage() -> ! {
          range of the labelings universe, retries crashed children up to R\n\
          times (default 2), and merges — the merged --stable report is\n\
          byte-identical to an unsharded run. --shard i/N runs one child and\n\
-         writes its shard report to --shard-out; --shards-from DIR merges\n\
-         previously written reports. Exit code 1 = some property was\n\
+         writes its shard report to --shard-out (stdout without it);\n\
+         --shards-from DIR merges previously written reports. A budget\n\
+         bounds each child's walk, and the report of a child the budget\n\
+         stopped does not merge (exit 2). A flag that does nothing in the\n\
+         chosen mode is a usage error. Exit code 1 = some property was\n\
          violated."
     );
     std::process::exit(2)
@@ -128,7 +132,7 @@ fn parse_args() -> Args {
         shard: None,
         shard_out: None,
         shards: None,
-        shard_retries: 2,
+        shard_retries: None,
         shards_from: None,
         stable: false,
     };
@@ -180,7 +184,9 @@ fn parse_args() -> Args {
             "--shard" => args.shard = Some(value("--shard")),
             "--shard-out" => args.shard_out = Some(value("--shard-out")),
             "--shards" => args.shards = Some(parse_or_usage(&value("--shards"))),
-            "--shard-retries" => args.shard_retries = parse_or_usage(&value("--shard-retries")),
+            "--shard-retries" => {
+                args.shard_retries = Some(parse_or_usage(&value("--shard-retries")))
+            }
             "--shards-from" => args.shards_from = Some(value("--shards-from")),
             "--stable" => args.stable = true,
             "--help" | "-h" => usage(),
@@ -219,6 +225,40 @@ fn parse_args() -> Args {
     // Also rejects NaN and the infinities, which JSON cannot carry.
     if let Some(rate) = args.fault_rates.iter().find(|r| !(0.0..=1.0).contains(*r)) {
         eprintln!("audit: --fault-rates {rate} is out of range: a rate runs from 0 to 1");
+        usage()
+    }
+    // A flag that the chosen mode never reads would let a run do less
+    // than its command line says.
+    let merging = args.shards_from.is_some();
+    let idle = [
+        (
+            "--shard-out",
+            args.shard_out.is_some() && args.shard.is_none(),
+            "only a --shard child writes a shard report",
+        ),
+        (
+            "--shard-retries",
+            args.shard_retries.is_some() && args.shards.is_none(),
+            "only a --shards coordinator retries children",
+        ),
+        (
+            "--out",
+            args.out.is_some() && args.shard.is_some(),
+            "a --shard child writes its report to --shard-out or stdout",
+        ),
+        (
+            "--budget-ms",
+            budget.deadline.is_some() && merging,
+            "a --shards-from merge walks nothing",
+        ),
+        (
+            "--budget-items",
+            budget.max_items.is_some() && merging,
+            "a --shards-from merge walks nothing",
+        ),
+    ];
+    if let Some((flag, _, why)) = idle.iter().find(|(_, set, _)| *set) {
+        eprintln!("audit: {flag} does nothing in this mode: {why}");
         usage()
     }
     args
@@ -418,7 +458,8 @@ fn run_shard_child(plan: &AuditPlan<'_>, spec: &str, out: Option<&str>) -> ExitC
 }
 
 /// Coordinator mode: re-invoke this binary once per shard, retry crashed
-/// children, and merge the collected reports in-process.
+/// children, and merge the collected reports in-process. The children's
+/// reports go to a fresh temp directory, removed on every exit path.
 fn run_sharded(
     plan: &AuditPlan<'_>,
     args: &Args,
@@ -431,11 +472,27 @@ fn run_sharded(
     let exe = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
     let dir = std::env::temp_dir().join(format!("audit-shards-{}", std::process::id()));
     std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    let merged = dispatch_and_merge(plan, args, shards, recorder, &exe, &dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    merged
+}
+
+/// Runs the `shards` children, each writing its report into `dir`, and
+/// merges their reports.
+fn dispatch_and_merge(
+    plan: &AuditPlan<'_>,
+    args: &Args,
+    shards: usize,
+    recorder: Option<&dyn SweepRecorder>,
+    exe: &std::path::Path,
+    dir: &std::path::Path,
+) -> Result<AuditReport, String> {
     let base = child_args(args);
-    let run = run_shards(shards, args.shard_retries, recorder, |spec, attempt| {
+    let retries = args.shard_retries.unwrap_or(2);
+    let run = run_shards(shards, retries, recorder, |spec, attempt| {
         let out = dir.join(format!("shard-{}-of-{}.txt", spec.index, spec.of));
         let _ = std::fs::remove_file(&out);
-        let status = std::process::Command::new(&exe)
+        let status = std::process::Command::new(exe)
             .args(&base)
             .arg("--shard")
             .arg(spec.label())
@@ -456,9 +513,7 @@ fn run_sharded(
         "audit: {} shards merged ({} dispatches, {} retries)",
         shards, run.dispatches, run.retries
     );
-    let report = plan.run_with_shards(&run.results)?;
-    let _ = std::fs::remove_dir_all(&dir);
-    Ok(report)
+    plan.run_with_shards(&run.results)
 }
 
 /// The flags a shard child needs to rebuild the coordinator's plan with

@@ -57,13 +57,10 @@ blessed_surface![
     hiding_lcp::prelude::Verdict,
     hiding_lcp::prelude::View,
     hiding_lcp::prelude::run,
-    // Resume, fragment and shard machinery for external coordinators.
+    // Fragment and shard machinery for external coordinators.
     hiding_lcp::core::verify::MemberFrontier,
     hiding_lcp::core::verify::PanelFragment,
-    hiding_lcp::core::verify::PanelResumeToken,
-    hiding_lcp::core::verify::ResumeToken,
     hiding_lcp::core::verify::ShardRunReport,
-    hiding_lcp::core::verify::SweepFragment,
     hiding_lcp::core::verify::merge_fragments,
     hiding_lcp::core::verify::merge_panel_fragments,
     hiding_lcp::core::verify::run_shards,

@@ -1,6 +1,7 @@
 //! End-to-end checks of the built `audit` binary: flag validation, shard
-//! report hardening, and the sharded byte-identity contract (strategies and
-//! a crashed child included).
+//! report hardening, the sharded byte-identity contract (strategies and
+//! a crashed child included), and what a budget means sharded and
+//! unsharded.
 
 use hiding_lcp::core::verify::ShardSpec;
 use proptest::prelude::*;
@@ -457,4 +458,175 @@ fn copy_blocks_move_only_the_inspection_counters() {
     assert_eq!(counter("verdict_refreshes"), 74_780);
     assert_eq!(counter("verdict_readbacks"), 74_780);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Each row names a flag the chosen mode never reads; the run must stop
+/// with a usage error naming it instead of doing less than it says.
+#[test]
+fn flags_idle_in_the_chosen_mode_are_usage_errors() {
+    let dir = fresh_dir("idle");
+    let reports = dir.join("reports");
+    std::fs::create_dir_all(&reports).expect("reports dir");
+    write_shard_reports(&reports, &[]);
+    let reports = reports.to_str().expect("utf-8 path");
+    let file = dir.join("unwritten.txt");
+    let file = file.to_str().expect("utf-8 path");
+    let rows: [(&str, &[&str]); 5] = [
+        ("--shard-out", &["--shard-out", file]),
+        ("--shard-retries", &["--shard-retries", "1"]),
+        ("--out", &["--shard", "0/2", "--out", file]),
+        (
+            "--budget-ms",
+            &["--shards-from", reports, "--budget-ms", "5"],
+        ),
+        (
+            "--budget-items",
+            &["--shards-from", reports, "--budget-items", "5"],
+        ),
+    ];
+    for (flag, row) in rows {
+        let out = audit(&[&["--decoder", "degree-one", "--max-n", "3"], row].concat());
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{row:?}: {err}");
+        assert!(
+            err.contains(&format!("audit: {flag} does nothing")),
+            "{row:?} must name {flag}: {err}"
+        );
+        assert!(!Path::new(file).exists(), "{row:?} wrote {file}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The coordinator's shard reports live in a temp directory of their
+/// own, which must go on every exit path, a failed merge included.
+#[test]
+fn sharded_audits_leave_no_shard_files_behind() {
+    let tmp = fresh_dir("tmpdir");
+    let sharded = |budget: &[&str]| {
+        let args = ["--decoder", "degree-one", "--max-n", "3", "--shards", "2"];
+        Command::new(env!("CARGO_BIN_EXE_audit"))
+            .args([&args[..], budget].concat())
+            .env("TMPDIR", &tmp)
+            .output()
+            .expect("the audit binary runs")
+    };
+    let leftovers = || std::fs::read_dir(&tmp).expect("temp dir").count();
+    let merged = sharded(&[]);
+    assert!(
+        matches!(merged.status.code(), Some(0 | 1)),
+        "{}",
+        stderr(&merged)
+    );
+    assert_eq!(leftovers(), 0, "a merged run left files behind");
+    // A zero deadline stops both children before their first item.
+    let torn = sharded(&["--budget-ms", "0"]);
+    assert_eq!(torn.status.code(), Some(2), "{}", stderr(&torn));
+    assert_eq!(leftovers(), 0, "a failed merge left files behind");
+    let _ = std::fs::remove_dir_all(&tmp);
+}
+
+/// `--stable` stdout of the budgeted degree-one audit at `--max-n 4`,
+/// `--threads 2`, over the labelings panel's four properties, stopped
+/// after 1,000 items.
+const BUDGET_ITEMS_1000: &str = r#"{
+  "decoder": "degree-one (Lemma 4.1)",
+  "k": 2,
+  "seed": 2698083927,
+  "panels": [
+    {
+      "shape": "labelings",
+      "universe_size": 932530,
+      "checked": 1000,
+      "threads": 2,
+      "elapsed_ms": 0.000,
+      "cache_hits": 0,
+      "cache_misses": 0,
+      "memo_hits": 0,
+      "memo_misses": 0,
+      "interrupted": true,
+      "members": [
+        {"property": "soundness", "label": "soundness", "passed": true, "detail": "no unanimous accept on a no-instance", "checked": 1000, "short_circuited": false, "interrupted": true, "coverage": "sampled", "errors": 0},
+        {"property": "strong", "label": "strong", "passed": true, "detail": "every accepting set in 1000 labelings induces G(L)", "checked": 1000, "short_circuited": false, "interrupted": true, "coverage": "sampled", "errors": 0},
+        {"property": "hiding", "label": "hiding", "passed": null, "detail": "V(D, .) k-colorable but the universe was partial", "checked": 1000, "short_circuited": false, "interrupted": true, "coverage": "sampled", "errors": 0},
+        {"property": "quantified", "label": "quantified", "passed": null, "detail": "0 of 24 views unextractable", "checked": 1000, "short_circuited": false, "interrupted": true, "coverage": "sampled", "errors": 0}
+      ]
+    }
+  ],
+  "telemetry": [],
+  "degradation": null,
+  "notes": ["labelings panel interrupted by budget; verdicts cover the visited prefix"]
+}
+"#;
+
+/// The same audit under a zero deadline, which stops the walk before
+/// its first item.
+const BUDGET_MS_0: &str = r#"{
+  "decoder": "degree-one (Lemma 4.1)",
+  "k": 2,
+  "seed": 2698083927,
+  "panels": [
+    {
+      "shape": "labelings",
+      "universe_size": 932530,
+      "checked": 0,
+      "threads": 2,
+      "elapsed_ms": 0.000,
+      "cache_hits": 0,
+      "cache_misses": 0,
+      "memo_hits": 0,
+      "memo_misses": 0,
+      "interrupted": true,
+      "members": [
+        {"property": "soundness", "label": "soundness", "passed": true, "detail": "no unanimous accept on a no-instance", "checked": 0, "short_circuited": false, "interrupted": true, "coverage": "sampled", "errors": 0},
+        {"property": "strong", "label": "strong", "passed": true, "detail": "every accepting set in 0 labelings induces G(L)", "checked": 0, "short_circuited": false, "interrupted": true, "coverage": "sampled", "errors": 0},
+        {"property": "hiding", "label": "hiding", "passed": null, "detail": "V(D, .) k-colorable but the universe was partial", "checked": 0, "short_circuited": false, "interrupted": true, "coverage": "sampled", "errors": 0},
+        {"property": "quantified", "label": "quantified", "passed": null, "detail": "0 of 0 views unextractable", "checked": 0, "short_circuited": false, "interrupted": true, "coverage": "sampled", "errors": 0}
+      ]
+    }
+  ],
+  "telemetry": [],
+  "degradation": null,
+  "notes": ["labelings panel interrupted by budget; verdicts cover the visited prefix"]
+}
+"#;
+
+/// A budget means one walk, sharded or not: a `--shard` child the budget
+/// stops writes how far it got, the coordinator refuses to merge that
+/// torn range, and an unsharded budgeted run reports its sample.
+#[test]
+fn a_budget_bounds_each_walk_and_a_stopped_child_does_not_merge() {
+    let degree_one = ["--decoder", "degree-one", "--max-n", "4"];
+    let budget = ["--budget-items", "1000"];
+    let child = audit(&[&degree_one[..], &["--shard", "1/2"], &budget].concat());
+    assert!(child.status.success(), "{}", stderr(&child));
+    let report = String::from_utf8_lossy(&child.stdout);
+    assert!(
+        report.contains("\nrange 466265 932530\nnext 467265\n"),
+        "the child walks 1,000 items of its range: {report}"
+    );
+
+    let sharded = audit(&[&degree_one[..], &["--shards", "2"], &budget].concat());
+    let err = stderr(&sharded);
+    assert_eq!(sharded.status.code(), Some(2), "{err}");
+    assert!(
+        err.contains("[0, 466265) is torn") && err.contains("stopped at item 1000"),
+        "the merge names the torn range and where its walk stopped: {err}"
+    );
+
+    let labelings = ["--properties", "soundness,strong,hiding,quantified"];
+    for (budget, expected) in [
+        (&budget[..], BUDGET_ITEMS_1000),
+        (&["--budget-ms", "0"][..], BUDGET_MS_0),
+    ] {
+        let args = [
+            &degree_one[..],
+            &["--threads", "2", "--stable"],
+            &labelings,
+            budget,
+        ]
+        .concat();
+        let out = audit(&args);
+        assert_eq!(out.status.code(), Some(0), "{budget:?}: {}", stderr(&out));
+        assert_eq!(String::from_utf8_lossy(&out.stdout), expected, "{budget:?}");
+    }
 }
