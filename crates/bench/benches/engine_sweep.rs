@@ -6,7 +6,7 @@
 //! `ExecMode::Parallel(t)` for the full `{1, 2, 4}` thread ladder
 //! (always emitted, even on small boxes, where the extra rows measure
 //! oversubscription). Since PR 3 the default engine path is odometer
-//! enumeration with delta-evaluated verdicts and digit-key memoization;
+//! enumeration with delta-evaluated verdicts and dense per-class memos;
 //! this bench also times the `DecodeOracle` reference strategy, the
 //! memo-disabled delta path, and the symmetry-quotient strategy (only
 //! canonical orbit representatives inspected), so the JSON records

@@ -62,7 +62,7 @@ pub const MUTANTS: &[Mutant] = &[
     Mutant {
         name: "digit_key_slot_alias",
         host: "hiding-lcp-core",
-        site: "digit-key packing and the dense memo index alias digits past slot 2 onto slot 2",
+        site: "the dense index shared by the verdict memo and the interner's front cache aliases digits past slot 2 onto slot 2",
         expected_killers: &["memo_digit_slots"],
     },
     Mutant {
@@ -76,6 +76,12 @@ pub const MUTANTS: &[Mutant] = &[
         host: "hiding-lcp-core",
         site: "view interner mints a fresh id on every call",
         expected_killers: &["interner_identity"],
+    },
+    Mutant {
+        name: "front_cache_class_collision",
+        host: "hiding-lcp-core",
+        site: "view interner's front cache reads every class's ids from class 0's table",
+        expected_killers: &["nbhd_witnesses_recheck", "classes_respect_alphabet"],
     },
     Mutant {
         name: "checked_off_by_one",

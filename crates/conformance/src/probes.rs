@@ -37,7 +37,7 @@ use hiding_lcp_core::verify::{
     merge_fragments, sum_stable_counters, AuditPlan, Block, BlockGated, Coverage, DynPropertyCheck,
     ExecMode, InstanceSet, ItemCtx, LabelSource, LazySweep, MetricsRecorder, PropertyCheck,
     PropertyTag, ShardSpec, SweepBudget, SweepOpts, SweepOutcome, SweepSession, SymmetrySpec,
-    Universe, UniverseItem, ViewInterner,
+    Universe, UniverseItem, ViewInterner, ViewSlot,
 };
 use hiding_lcp_core::view::{IdMode, View};
 use hiding_lcp_graph::algo::{bipartite, coloring};
@@ -437,11 +437,11 @@ pub fn delta_budget_resume_parity() {
     assert!(!report.interrupted);
 }
 
-/// A star's center ball has four nodes, so its memo indices and digit
-/// keys use slots beyond 2 — aliased slots collide distinct labelings onto
-/// one entry. Three letters make the collisions verdict-relevant: the
-/// dense verdict table's tally drifts from the brute force, and the
-/// neighborhood scan's digit-keyed interner merges distinct views.
+/// A star's center ball has four nodes, so its dense table index uses
+/// slots beyond 2 — aliased slots collide distinct labelings onto one
+/// entry. Three letters make the collisions verdict-relevant: the dense
+/// verdict table's tally drifts from the brute force, and the neighborhood
+/// scan's front-cached interner merges distinct views.
 pub fn memo_digit_slots() {
     let star = Instance::canonical(generators::star(3));
     let trits: Vec<Certificate> = (0..3).map(Certificate::from_byte).collect();
@@ -493,7 +493,7 @@ fn assert_nbhd_matches_unkeyed(universe: &Universe) {
     assert_eq!(
         swept.views(),
         built.views(),
-        "digit-keyed interning merged or split views"
+        "front-cached interning merged or split views"
     );
     assert_eq!(swept.edge_count(), built.edge_count());
 }
@@ -559,9 +559,20 @@ pub fn interner_identity() {
     let c = interner.intern(v1.clone());
     assert_ne!(a, c, "distinct views get distinct ids");
     assert_eq!(interner.len(), 2);
-    let keyed = interner.intern_keyed(0xBEEF, v0.clone());
-    assert_eq!(keyed, a, "the keyed path converges on the canonical id");
-    assert_eq!(interner.lookup_key(0xBEEF), Some(a));
+    let slot = ViewSlot {
+        class: 0,
+        classes: 1,
+        entries: 2,
+        index: 1,
+    };
+    let (front, filled) = interner.fill(slot, v0.clone());
+    assert_eq!(front, a, "the front cache converges on the canonical id");
+    assert!(filled, "the first fill fills the entry");
+    assert_eq!(
+        interner.front(slot),
+        Some(a),
+        "a front-cache hit is the canonical id"
+    );
     assert_eq!(interner.len(), 2);
     let snapshot = interner.snapshot();
     assert_eq!(snapshot[a as usize], v0);

@@ -426,7 +426,8 @@ use hiding_lcp_core::verify::{
 /// Asserts the walk/orbit/memo accounting of one recorded run. Holds for
 /// every strategy: non-quotient walks inspect with multiplicity one, a
 /// *complete* quotient walk re-weights to exactly the universe size, and
-/// every delta-channel decision consults the digit-key memo exactly once.
+/// every delta-channel decision consults the dense verdict memo exactly
+/// once.
 fn assert_counter_invariants(
     recorder: &MetricsRecorder,
     universe: &Universe,

@@ -1,10 +1,11 @@
 //! ViewInterner contract tests: dense id allocation across shards, id
-//! stability under concurrent interning, and `ViewId` → view round-trips.
+//! stability under concurrent interning, `ViewId` → view round-trips, and
+//! the dense front cache's agreement with the canonical map.
 
 use hiding_lcp_conformance::oracle;
 use hiding_lcp_core::instance::Instance;
 use hiding_lcp_core::label::Certificate;
-use hiding_lcp_core::verify::{digit_key, ViewInterner};
+use hiding_lcp_core::verify::{ViewInterner, ViewSlot};
 use hiding_lcp_core::view::{IdMode, View};
 use hiding_lcp_graph::generators;
 use std::collections::HashMap;
@@ -64,11 +65,12 @@ fn dense_ids_and_snapshot_round_trip() {
     for (view, &id) in &id_of {
         assert_eq!(&snapshot[id as usize], view, "snapshot[id] round-trips");
     }
-    // `intern` counts one front-cache miss per call (front-cache hits come
-    // only from `lookup_key`), so the miss counter equals the call count.
+    // `intern` counts one front-cache miss per call (front-cache hits are
+    // tallied only by `intern_views`), so the miss counter equals the call
+    // count.
     let (hits, misses) = interner.stats();
     assert_eq!(misses, pool.len(), "one counted miss per intern call");
-    assert_eq!(hits, 0, "no keyed lookups were made");
+    assert_eq!(hits, 0, "no front-cache lookups were tallied");
 }
 
 /// A larger distinct set spreads across the interner's shards; density
@@ -135,30 +137,100 @@ fn ids_stable_across_threads() {
     }
 }
 
-/// The keyed fast path converges on the same ids as structural interning,
-/// and distinct digit keys stay distinct.
+/// The star's center view under two binary digits (leaf 1's and the
+/// other leaves'), with its front-cache slot: class 7 of 8, the four ball
+/// digits read base 2 along the node order.
+fn center_view(instance: &Instance, bit1: usize, rest: usize) -> (ViewSlot, View) {
+    let labeling = (0..4)
+        .map(|v| Certificate::from_byte(if v == 1 { bit1 } else { rest } as u8))
+        .collect();
+    let slot = ViewSlot {
+        class: 7,
+        classes: 8,
+        entries: 16,
+        index: bit1 * 2 + rest * (4 + 8) + rest,
+    };
+    (slot, instance.view(&labeling, 0, 1, IdMode::Anonymous))
+}
+
+/// The front cache converges on the same ids as structural interning,
+/// and distinct ball digits of one class fill distinct entries.
 #[test]
-fn keyed_interning_matches_structural() {
+fn front_cache_interning_matches_structural() {
     let instance = Instance::canonical(generators::star(3));
     let interner = ViewInterner::new();
-    let order = [0usize, 1, 2, 3];
-    for (digits_a, digits_b) in [((0, 0), (0, 1)), ((1, 0), (1, 1))] {
-        let make = |bit0: usize, bit1: usize| {
-            let labeling = (0..4)
-                .map(|v| Certificate::from_byte(if v == 1 { bit0 } else { bit1 } as u8))
-                .collect();
-            instance.view(&labeling, 0, 1, IdMode::Anonymous)
-        };
-        let va = make(digits_a.0, digits_a.1);
-        let vb = make(digits_b.0, digits_b.1);
-        let key_a = digit_key(7, &order, &[digits_a.0, digits_a.1, 0, 0]).expect("4 nodes fit");
-        let key_b = digit_key(7, &order, &[digits_b.0, digits_b.1, 0, 0]).expect("4 nodes fit");
-        assert_ne!(key_a, key_b, "distinct digit vectors pack to distinct keys");
-        let a = interner.intern_keyed(key_a, va.clone());
-        let b = interner.intern_keyed(key_b, vb.clone());
-        assert_eq!(interner.lookup_key(key_a), Some(a));
-        assert_eq!(interner.lookup_key(key_b), Some(b));
-        assert_eq!(interner.intern(va), a, "keyed and structural ids agree");
-        assert_eq!(interner.intern(vb), b, "keyed and structural ids agree");
+    for (digits_a, digits_b) in [((0, 0), (1, 0)), ((0, 1), (1, 1))] {
+        let (slot_a, va) = center_view(&instance, digits_a.0, digits_a.1);
+        let (slot_b, vb) = center_view(&instance, digits_b.0, digits_b.1);
+        assert_ne!(
+            slot_a.index, slot_b.index,
+            "distinct digits, distinct entries"
+        );
+        assert_eq!(interner.front(slot_a), None, "an unfilled entry misses");
+        let (a, filled_a) = interner.fill(slot_a, va.clone());
+        let (b, filled_b) = interner.fill(slot_b, vb.clone());
+        assert!(filled_a && filled_b, "each fill fills its own entry");
+        assert_eq!(interner.front(slot_a), Some(a));
+        assert_eq!(interner.front(slot_b), Some(b));
+        assert_eq!(
+            interner.intern(va),
+            a,
+            "front-cache and structural ids agree"
+        );
+        assert_eq!(
+            interner.intern(vb),
+            b,
+            "front-cache and structural ids agree"
+        );
+    }
+    assert_eq!(interner.len(), 4);
+}
+
+/// Threads racing to fill the same entries agree on every id with each
+/// other and with the canonical map, and each entry is filled exactly
+/// once: the fill count is what the sweep counts as stamps, so it may not
+/// depend on the interleaving.
+#[test]
+fn concurrent_fills_agree_and_fill_each_entry_once() {
+    let instance = Instance::canonical(generators::star(3));
+    let pool: Vec<(ViewSlot, View)> = (0..4)
+        .map(|digits| center_view(&instance, digits & 1, digits >> 1))
+        .collect();
+    let interner = ViewInterner::new();
+    let threads = 4;
+    let runs: Vec<(Vec<u32>, usize)> = std::thread::scope(|scope| {
+        (0..threads)
+            .map(|t| {
+                let (pool, interner) = (&pool, &interner);
+                scope.spawn(move || {
+                    let mut ids = vec![u32::MAX; pool.len()];
+                    let mut fills = 0;
+                    for round in 0..64 {
+                        let i = (t + round) % pool.len();
+                        let (slot, view) = &pool[i];
+                        ids[i] = match interner.front(*slot) {
+                            Some(id) => id,
+                            None => {
+                                let (id, filled) = interner.fill(*slot, view.clone());
+                                fills += usize::from(filled);
+                                id
+                            }
+                        };
+                    }
+                    (ids, fills)
+                })
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|h| h.join().expect("interner thread panicked"))
+            .collect()
+    });
+    for (ids, _) in &runs[1..] {
+        assert_eq!(ids, &runs[0].0, "threads disagree on some view's id");
+    }
+    let fills: usize = runs.iter().map(|(_, fills)| fills).sum();
+    assert_eq!(fills, pool.len(), "each entry is filled exactly once");
+    for ((_, view), &id) in pool.iter().zip(&runs[0].0) {
+        assert_eq!(interner.intern(view.clone()), id);
     }
 }

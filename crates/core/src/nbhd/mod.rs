@@ -19,8 +19,8 @@ pub mod sources;
 use crate::decoder::{Decoder, Verdict};
 use crate::instance::LabeledInstance;
 use crate::verify::{
-    digit_key, Coverage, InternerReport, ItemCtx, PropertyCheck, SweepOutcome, SweepSession,
-    SymmetrySpec, Universe, UniverseItem, VerificationReport, ViewId, ViewInterner,
+    Coverage, InternerReport, ItemCtx, PropertyCheck, SweepOutcome, SweepSession, SymmetrySpec,
+    Universe, UniverseItem, VerificationReport, ViewId, ViewInterner,
 };
 use crate::view::{IdMode, View};
 use hiding_lcp_graph::algo::{bipartite, coloring};
@@ -46,13 +46,16 @@ pub struct NbhdScan {
 /// witness in that order.
 ///
 /// Views are hash-consed through an owned [`ViewInterner`]: within one
-/// sweep every distinct view is stamped and stored once, and on the
-/// executor's delta path the digit-key front cache resolves repeat views
-/// without stamping at all. The interner is part of the check's state, so
-/// a budgeted/resumed chain must reuse the *same* check instance for its
+/// sweep every distinct view is stamped and stored once, and wherever the
+/// walk supplies odometer digits the interner's dense front cache resolves
+/// a repeat view with one relaxed load, without stamping it, locking or
+/// hashing. The interner is part of the check's state, so a
+/// budgeted/resumed chain must reuse the *same* check instance for its
 /// ids to stay meaningful (ids are opaque and run-specific; the reduce
 /// step derives all ordering from item order, never id order). A check
-/// instance is likewise tied to the universe it was built for.
+/// instance is likewise tied to the universe it was built for, and to the
+/// member list it first walks in: the front cache is keyed by the engine's
+/// skeleton classes.
 pub struct NbhdSweep<'a, D: ?Sized> {
     decoder: &'a D,
     id_mode: IdMode,
@@ -83,33 +86,10 @@ impl<'a, D: Decoder + ?Sized> NbhdSweep<'a, D> {
     }
 
     /// `(front-cache hits, misses)` of the sweep's view interner so far: a
-    /// hit resolved a node's view id from its digit key without stamping
-    /// the view.
+    /// hit resolved a node's view id from its front-cache slot without
+    /// stamping the view.
     pub fn interner_stats(&self) -> (usize, usize) {
         self.interner.stats()
-    }
-
-    /// The id of node `v`'s view in the graph's id mode: digit-key front
-    /// cache first (when the executor provided odometer digits and memo
-    /// layers are on), full stamp-and-intern otherwise.
-    fn intern_node(&self, item: &UniverseItem<'_>, ctx: &ItemCtx<'_>, v: usize) -> ViewId {
-        let radius = self.decoder.radius();
-        if ctx.memo_enabled() {
-            if let (Some((class, order)), Some(digits)) =
-                (ctx.skeleton_key(v, radius, self.id_mode), item.digits)
-            {
-                if let Some(key) = digit_key(class, order, digits) {
-                    if let Some(id) = self.interner.lookup_key(key) {
-                        return id;
-                    }
-                    return self
-                        .interner
-                        .intern_keyed(key, ctx.view(item, v, radius, self.id_mode));
-                }
-            }
-        }
-        self.interner
-            .intern(ctx.view(item, v, radius, self.id_mode))
     }
 }
 
@@ -137,7 +117,7 @@ impl<D: Decoder + ?Sized> PropertyCheck for NbhdSweep<'_, D> {
                     .is_accept()
             })
             .collect();
-        let view_ids = (0..n).map(|v| self.intern_node(item, ctx, v)).collect();
+        let view_ids = self.interner.intern_views(item, ctx, radius, self.id_mode);
         Some(NbhdScan { view_ids, accepts })
     }
 
@@ -178,9 +158,10 @@ impl<D: Decoder + ?Sized> PropertyCheck for NbhdSweep<'_, D> {
         if !self.block_yes[item.block] {
             return None;
         }
-        let n = item.instance.graph().node_count();
         let accepts = verdicts.iter().map(|v| v.is_accept()).collect();
-        let view_ids = (0..n).map(|v| self.intern_node(item, ctx, v)).collect();
+        let view_ids = self
+            .interner
+            .intern_views(item, ctx, self.decoder.radius(), self.id_mode);
         Some(NbhdScan { view_ids, accepts })
     }
 

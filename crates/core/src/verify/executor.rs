@@ -31,6 +31,9 @@
 //! base-`|alphabet|` number). The tables live in the channel's
 //! [`DeltaDriver`], so every worker reads and fills the same ones. Classes
 //! whose table would exceed [`MEMO_TABLE_CAP`] entries are not memoized.
+//! The view interner's front cache is indexed the same way: the skeleton
+//! cache computes each skeleton's slot (class, radix, table size) once,
+//! and both the verdict memo and [`ItemCtx::view_slot`] read it.
 //!
 //! The index-decoded path survives as [`SweepStrategy::DecodeOracle`]; the
 //! `engine_parity` suite proves the strategies observationally identical.
@@ -48,10 +51,12 @@
 //! `|alphabet|^n` BFS canonicalizations per node into one. Skeletons with
 //! equal protos in blocks with equal alphabets additionally share a *class
 //! id* (assigned in build order, hence deterministic), the anchor of every
-//! digit-indexed memo.
+//! digit-indexed table: the verdict memo's and the view interner's front
+//! cache.
 //!
 //! [`PropertyCheck::verdict_decoder`]: super::PropertyCheck::verdict_decoder
 
+use super::interner::ViewSlot;
 use super::telemetry::WorkerTally;
 use super::universe::{LabelSource, Universe, UniverseItem};
 use crate::decoder::{Decoder, Verdict};
@@ -84,9 +89,11 @@ pub enum ExecMode {
 /// observationally identical, only wall-clock changes.
 pub const PARALLEL_THRESHOLD: usize = 64;
 
-/// Largest dense verdict table the delta memo allocates for one skeleton
-/// class, in entries (one byte each). A class whose `|alphabet|^|ball|`
-/// exceeds it runs the decoder on every verdict decision.
+/// Largest dense table allocated for one skeleton class, in entries: one
+/// byte each in the verdict memo, one [`ViewId`](super::ViewId) each in the
+/// view interner's front cache. A class whose `|alphabet|^|ball|` exceeds
+/// it runs the decoder on every verdict decision and interns every view
+/// through the canonical map.
 const MEMO_TABLE_CAP: usize = 1 << 16;
 
 /// A verdict-table entry no worker has decided yet.
@@ -121,14 +128,14 @@ pub enum SweepStrategy {
 }
 
 /// Engine tuning knobs. `Default` is the production configuration:
-/// delta-stepping enumeration with digit-key memoization enabled.
+/// delta-stepping enumeration with the dense per-class tables enabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepOpts {
     /// Enumeration strategy.
     pub strategy: SweepStrategy,
-    /// Whether digit-key memo layers (the executor's verdict memo and any
-    /// check-side interner front cache, via [`ItemCtx::memo_enabled`]) are
-    /// active. Disabling it must not change any verdict — only counters
+    /// Whether the dense per-class tables (the executor's verdict memo and
+    /// the view interner's front cache, which [`ItemCtx::view_slot`] gates)
+    /// are active. Disabling it must not change any verdict — only counters
     /// and wall-clock — which the parity suite asserts.
     pub memo: bool,
 }
@@ -168,15 +175,31 @@ pub(super) struct SkeletonCache {
     /// `per_block[b][c][v]` = skeleton of node `v` in block `b` under
     /// configuration `c`; empty for a copy block the walk jumps over.
     pub(super) per_block: Vec<Vec<Vec<ViewSkeleton>>>,
-    /// `class_of[b][c][v]` = dense id of the skeleton's proto paired with
-    /// block `b`'s alphabet: equal pairs (across nodes *and* blocks) share
-    /// a class, so a `(class, ball digits)` pair identifies a stamped view
-    /// exactly — a digit names a certificate only through its block's
-    /// alphabet. Assigned in build order — deterministic for a given
-    /// universe and config list.
-    class_of: Vec<Vec<Vec<u32>>>,
+    /// `slots[b][c][v]` = the dense-table slot of node `v`'s skeleton in
+    /// block `b` under configuration `c`, read by the verdict memo and the
+    /// interner's front cache alike.
+    slots: Vec<Vec<Vec<MemoSlot>>>,
+    /// How many classes the build numbered: every slot's class is below it.
+    classes: u32,
     /// Skeletons computed while populating the cache.
     pub(super) populated: usize,
+}
+
+/// A skeleton's dense-table coordinates. The class is the dense id of the
+/// skeleton's proto paired with its block's alphabet: equal pairs (across
+/// nodes *and* blocks) share a class, so a `(class, ball digits)` pair
+/// identifies a stamped view exactly — a digit names a certificate only
+/// through its block's alphabet. Classes are assigned in build order,
+/// deterministic for a given universe and config list. The radix is the
+/// alphabet's size (the ball digits are read base-radix, see
+/// [`dense_index`]) and `entries` the class's table size: `radix^|ball|`,
+/// or `0` when the block has no digits or the size exceeds
+/// [`MEMO_TABLE_CAP`], so the class gets no table.
+#[derive(Clone, Copy)]
+struct MemoSlot {
+    class: u32,
+    radix: usize,
+    entries: usize,
 }
 
 impl SkeletonCache {
@@ -195,27 +218,28 @@ impl SkeletonCache {
         // a small id; blocks without digits (`Fixed`/`Unlabeled`) use `None`.
         let mut alphabets: HashMap<&[Certificate], u32> = HashMap::new();
         let mut classes: HashMap<(View, Option<u32>), u32> = HashMap::new();
-        let mut class_of: Vec<Vec<Vec<u32>>> = Vec::with_capacity(universe.blocks().len());
+        let mut slots: Vec<Vec<Vec<MemoSlot>>> = Vec::with_capacity(universe.blocks().len());
         let per_block: Vec<Vec<Vec<ViewSkeleton>>> = universe
             .blocks()
             .iter()
             .enumerate()
             .map(|(b, block)| {
                 if !walked(b) {
-                    class_of.push(Vec::new());
+                    slots.push(Vec::new());
                     return Vec::new();
                 }
-                let alphabet = match block.labels() {
-                    LabelSource::All { alphabet } => {
+                let (alphabet, radix) = match block.labels() {
+                    LabelSource::All { alphabet: letters } => {
                         let next = u32::try_from(alphabets.len()).expect("alphabet count fits u32");
-                        Some(*alphabets.entry(alphabet.as_slice()).or_insert(next))
+                        let id = *alphabets.entry(letters.as_slice()).or_insert(next);
+                        (Some(id), letters.len())
                     }
-                    LabelSource::Fixed(_) | LabelSource::Unlabeled => None,
+                    LabelSource::Fixed(_) | LabelSource::Unlabeled => (None, 0),
                 };
                 #[cfg(conformance_mutants)]
                 let alphabet =
                     alphabet.filter(|_| !crate::mutants::active("class_ignores_alphabet"));
-                let mut block_classes = Vec::with_capacity(configs.len());
+                let mut block_slots = Vec::with_capacity(configs.len());
                 let per_config: Vec<Vec<ViewSkeleton>> = configs
                     .iter()
                     .map(|&(radius, id_mode)| {
@@ -224,27 +248,40 @@ impl SkeletonCache {
                         let skeletons: Vec<ViewSkeleton> = (0..n)
                             .map(|v| ViewSkeleton::compute(block.instance(), v, radius, id_mode))
                             .collect();
-                        block_classes.push(
+                        block_slots.push(
                             skeletons
                                 .iter()
                                 .map(|s| {
                                     let next =
                                         u32::try_from(classes.len()).expect("class count fits u32");
-                                    *classes.entry((s.proto().clone(), alphabet)).or_insert(next)
+                                    let class = *classes
+                                        .entry((s.proto().clone(), alphabet))
+                                        .or_insert(next);
+                                    let entries = u32::try_from(s.original_nodes().len())
+                                        .ok()
+                                        .and_then(|len| radix.checked_pow(len))
+                                        .filter(|&e| e <= MEMO_TABLE_CAP)
+                                        .unwrap_or(0);
+                                    MemoSlot {
+                                        class,
+                                        radix,
+                                        entries,
+                                    }
                                 })
-                                .collect::<Vec<u32>>(),
+                                .collect::<Vec<MemoSlot>>(),
                         );
                         skeletons
                     })
                     .collect();
-                class_of.push(block_classes);
+                slots.push(block_slots);
                 per_config
             })
             .collect();
         SkeletonCache {
             configs,
             per_block,
-            class_of,
+            slots,
+            classes: u32::try_from(classes.len()).expect("class count fits u32"),
             populated,
         }
     }
@@ -315,12 +352,26 @@ impl ItemCtx<'_> {
         View::extract(item.instance, labeling, v, radius, id_mode)
     }
 
-    /// Whether digit-key memo layers are enabled for this sweep (see
-    /// [`SweepOpts::memo`]). Checks with their own caches (e.g. the
-    /// neighborhood scan's view interner front cache) honor this so
-    /// "memo off" really exercises the unmemoized path.
-    pub fn memo_enabled(&self) -> bool {
-        self.memo
+    /// Like [`ItemCtx::view`] but counted by the caller: the view interner
+    /// counts a front-cache stamp only when it fills the entry
+    /// ([`ItemCtx::count_stamp`]), so two workers racing on one entry count
+    /// one stamp between them.
+    pub(super) fn stamp_uncounted(
+        &self,
+        item: &UniverseItem<'_>,
+        v: usize,
+        radius: usize,
+        id_mode: IdMode,
+    ) -> View {
+        match self.cache.config_index(radius, id_mode) {
+            Some(c) => self.cache.per_block[self.block][c][v].stamp(item.labeling),
+            None => View::extract(item.instance, item.labeling, v, radius, id_mode),
+        }
+    }
+
+    /// Counts one [`ItemCtx::stamp_uncounted`] stamp as a cache hit.
+    pub(super) fn count_stamp(&self) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// How many universe items this item stands for. An item of a block
@@ -336,25 +387,42 @@ impl ItemCtx<'_> {
         self.multiplicity
     }
 
-    /// The cached skeleton identity of node `v` under `(radius,
-    /// id_mode)`: the skeleton's class id (its proto and the block's
-    /// alphabet) plus its canonical node order (which original nodes the
-    /// view reads, in stamping order). `None` when the configuration was
-    /// not requested via
-    /// [`PropertyCheck::view_configs`](super::PropertyCheck::view_configs).
-    /// Feed into [`digit_key`](super::interner::digit_key) with the item's
-    /// digits to get a compact identity of the stamped view.
-    pub fn skeleton_key(
+    /// Where node `v`'s view under `(radius, id_mode)` lives in a dense
+    /// per-class table such as the view interner's front cache: the
+    /// skeleton's class, the engine's class count, the class's table size
+    /// and the entry the item's ball digits select (read base-|alphabet|
+    /// along the skeleton's canonical node order, as the verdict memo
+    /// reads them). Equal slots denote equal stamped views, and distinct
+    /// ball digits of one class select distinct entries. `None` when the
+    /// memo is off ([`SweepOpts::memo`], as in [`SweepOpts::oracle`]), the
+    /// item carries no odometer digits (`Fixed` and `Unlabeled` blocks),
+    /// the configuration was not requested via
+    /// [`PropertyCheck::view_configs`](super::PropertyCheck::view_configs),
+    /// or the class's table would exceed the engine's table cap: the
+    /// caller then interns the stamped view through the canonical map.
+    pub fn view_slot(
         &self,
+        item: &UniverseItem<'_>,
         v: usize,
         radius: usize,
         id_mode: IdMode,
-    ) -> Option<(u32, &[usize])> {
+    ) -> Option<ViewSlot> {
+        if !self.memo {
+            return None;
+        }
+        let digits = item.digits?;
         let c = self.cache.config_index(radius, id_mode)?;
-        Some((
-            self.cache.class_of[self.block][c][v],
-            self.cache.per_block[self.block][c][v].original_nodes(),
-        ))
+        let slot = self.cache.slots[self.block][c][v];
+        (slot.entries > 0).then(|| ViewSlot {
+            class: slot.class,
+            classes: self.cache.classes,
+            entries: slot.entries,
+            index: dense_index(
+                self.cache.per_block[self.block][c][v].original_nodes(),
+                digits,
+                slot.radix,
+            ),
+        })
     }
 
     /// Runs `decoder` on every node of the item, in node order.
@@ -409,9 +477,6 @@ pub(super) struct DeltaDriver<'a> {
     /// node `v`'s certificate (computed by inverting skeleton node
     /// orders). Empty for blocks outside the verdict fast path.
     balls: Vec<Vec<Vec<usize>>>,
-    /// `memo_slots[b][v]` = where node `v` of block `b` memoizes its
-    /// verdict. Empty for blocks outside the verdict fast path.
-    memo_slots: Vec<Vec<MemoSlot>>,
     /// `tables[class]` = the class's dense verdict table, allocated on the
     /// class's first lookup by any worker and shared by all of them. Two
     /// workers racing on one entry both run the decoder on the same view
@@ -422,17 +487,6 @@ pub(super) struct DeltaDriver<'a> {
     /// Whether block `b` gets the verdict fast path: an `All`-labeled
     /// block the check actually reads verdicts on.
     pub(super) verdict_blocks: Vec<bool>,
-}
-
-/// A node's verdict-memo coordinates, fixed by its skeleton class: the
-/// class id, the radix its ball digits are read in (the block alphabet's
-/// size), and the class's dense table size — `0` when `radix^|ball|`
-/// exceeds [`MEMO_TABLE_CAP`] and the class is not memoized.
-#[derive(Clone, Copy)]
-struct MemoSlot {
-    class: u32,
-    radix: usize,
-    entries: usize,
 }
 
 impl<'a> DeltaDriver<'a> {
@@ -477,42 +531,11 @@ impl<'a> DeltaDriver<'a> {
                 balls
             })
             .collect();
-        let memo_slots: Vec<Vec<MemoSlot>> = universe
-            .blocks()
-            .iter()
-            .enumerate()
-            .map(|(b, block)| match block.labels() {
-                LabelSource::All { alphabet } if verdict_blocks[b] => {
-                    let radix = alphabet.len();
-                    cache.per_block[b][config]
-                        .iter()
-                        .zip(&cache.class_of[b][config])
-                        .map(|(skel, &class)| MemoSlot {
-                            class,
-                            radix,
-                            entries: u32::try_from(skel.original_nodes().len())
-                                .ok()
-                                .and_then(|len| radix.checked_pow(len))
-                                .filter(|&e| e <= MEMO_TABLE_CAP)
-                                .unwrap_or(0),
-                        })
-                        .collect()
-                }
-                _ => Vec::new(),
-            })
-            .collect();
-        let classes = memo_slots
-            .iter()
-            .flatten()
-            .map(|slot| slot.class as usize + 1)
-            .max()
-            .unwrap_or(0);
         DeltaDriver {
             decoder,
             config,
             balls,
-            memo_slots,
-            tables: (0..classes).map(|_| OnceLock::new()).collect(),
+            tables: (0..cache.classes).map(|_| OnceLock::new()).collect(),
             verdict_blocks,
         }
     }
@@ -621,7 +644,8 @@ impl VerdictMemo {
 
 /// Reads the ball digits along a skeleton's canonical `order` as one
 /// base-`radix` number, slot 0 least significant: the index of the
-/// stamped view in its class's dense table.
+/// stamped view in its class's dense table, for the verdict memo and the
+/// interner's front cache alike.
 fn dense_index(order: &[usize], digits: &[usize], radix: usize) -> usize {
     #[cfg(conformance_mutants)]
     if crate::mutants::active("digit_key_slot_alias") {
@@ -651,7 +675,7 @@ fn node_verdict(
 ) -> Verdict {
     let skel = &cache.per_block[block][driver.config][u];
     if memo.enabled {
-        let slot = driver.memo_slots[block][u];
+        let slot = cache.slots[block][driver.config][u];
         #[cfg(conformance_mutants)]
         let slot = if crate::mutants::active("memo_key_class_collision") {
             MemoSlot { class: 0, ..slot }

@@ -7,62 +7,54 @@
 //! blocks) and the `|ball|` certificate digits stamped onto it.
 //! [`ViewInterner`] hash-conses views into dense `u32` ids so checks can
 //! store and compare ids instead of cloning and re-hashing whole
-//! [`View`]s, and [`digit_key`] packs the
-//! `(class, digits)` identity into a `u128` so the common case skips view
-//! stamping entirely — the id is found by one integer-keyed map probe.
+//! [`View`]s, and its dense front cache resolves the common case without
+//! stamping the view at all: one `AtomicU32` table per skeleton class,
+//! indexed by the node's [`ViewSlot`] (its ball digits read as one
+//! base-`|alphabet|` number, the verdict memo's index), so a hit is one
+//! relaxed load — no lock, no hash, no write another worker shares.
 //!
-//! Two front-cache layers share the same invariant: **distinct id ⟺
-//! distinct view**. `intern` get-or-inserts through the canonical
-//! `View → id` map, so concurrent threads racing on equal views converge
-//! on one id; the digit-key map is only ever a shortcut to ids minted
-//! there. Ids are *not* deterministic across runs (they depend on thread
-//! interleaving) — consumers must treat them as opaque and derive any
-//! ordered output from item order, never id order.
+//! Both layers keep one invariant: **distinct id ⟺ distinct view**.
+//! [`ViewInterner::intern`] get-or-inserts through the canonical
+//! `View → id` map (the one lock left), so concurrent threads racing on
+//! equal views converge on one id, and a front-cache entry only ever holds
+//! an id minted there. Ids are *not* deterministic across runs (they
+//! depend on thread interleaving) — consumers must treat them as opaque
+//! and derive any ordered output from item order, never id order.
 
-use crate::view::View;
+use super::{ItemCtx, UniverseItem};
+use crate::view::{IdMode, View};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, TryLockError};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock, TryLockError};
 
 /// Interned view identifier. Opaque; dense from 0 per interner.
 pub type ViewId = u32;
 
-/// Maximum view size (in nodes) for digit-key packing: 12 digits of 8 bits
-/// each plus a 32-bit class id fill a `u128`.
-pub const DIGIT_KEY_MAX_NODES: usize = 12;
+/// A front-cache entry no view has filled yet. Never a minted id: ids are
+/// dense from 0 and [`ViewInterner::intern`] refuses to reach it.
+const EMPTY: ViewId = ViewId::MAX;
 
-/// Packs a view identity into a `u128`: the skeleton class id in the low
-/// 32 bits, then one byte per view node holding the labeling digit of the
-/// corresponding original node, in the skeleton's canonical node order.
-///
-/// Because the class id pins the skeleton (and hence the number of view
-/// nodes and which original node fills each slot) and the alphabet the
-/// digits index, two equal keys denote stamped views that are equal, and
-/// two distinct stampings of the same class differ in some digit byte. Returns `None` when the identity does
-/// not fit (more than [`DIGIT_KEY_MAX_NODES`] view nodes, or an alphabet
-/// beyond 256 symbols) — callers then fall back to interning the stamped
-/// view by full hash.
-pub fn digit_key(class: ViewId, order: &[usize], digits: &[usize]) -> Option<u128> {
-    if order.len() > DIGIT_KEY_MAX_NODES {
-        return None;
-    }
-    let mut key = u128::from(class);
-    for (slot, &orig) in order.iter().enumerate() {
-        let digit = digits[orig];
-        if digit > 0xFF {
-            return None;
-        }
-        #[cfg(conformance_mutants)]
-        let slot = if crate::mutants::active("digit_key_slot_alias") {
-            slot.min(2)
-        } else {
-            slot
-        };
-        key |= (digit as u128) << (32 + 8 * slot);
-    }
-    Some(key)
+/// One skeleton class's front-cache table, allocated on first touch.
+type ClassTable = OnceLock<Box<[AtomicU32]>>;
+
+/// Where one stamped view lives in a [`ViewInterner`]'s front cache, as
+/// [`ItemCtx::view_slot`] computes it: equal slots denote equal views, and
+/// distinct views of one class sit at distinct indices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ViewSlot {
+    /// The view's skeleton class: the skeleton's proto paired with its
+    /// block's alphabet.
+    pub class: u32,
+    /// How many classes the engine numbered. The interner sizes its class
+    /// vector from the first slot it sees.
+    pub classes: u32,
+    /// Entries of the class's table: `|alphabet|^|ball|`.
+    pub entries: usize,
+    /// The view's entry: its ball digits read as one base-`|alphabet|`
+    /// number along the skeleton's canonical node order.
+    pub index: usize,
 }
 
 /// Shard count for a fresh interner: scaled with the machine's available
@@ -83,16 +75,15 @@ fn default_shards() -> usize {
 pub struct InternerReport {
     /// Distinct views interned.
     pub distinct_views: usize,
-    /// Front-cache (digit-key) probes that resolved an id directly.
+    /// Front-cache lookups that found the view's id without stamping it.
     pub front_hits: usize,
-    /// Probes that had to stamp and full-hash a view.
+    /// Views stamped and interned through the canonical map: front-cache
+    /// misses plus the views with no [`ViewSlot`].
     pub front_misses: usize,
     /// Number of shards (chosen from `available_parallelism`).
     pub shards: usize,
     /// Entries per shard of the canonical `View → id` map.
     pub view_occupancy: Vec<usize>,
-    /// Entries per shard of the digit-key shortcut map.
-    pub key_occupancy: Vec<usize>,
     /// Lock acquisitions that found a shard lock already held (a failed
     /// `try_lock` before the blocking wait).
     pub contention: usize,
@@ -110,18 +101,27 @@ impl InternerReport {
 }
 
 /// A concurrent hash-consing table from [`View`] to dense [`ViewId`],
-/// with an integer-keyed front cache for digit-packed identities.
+/// fronted by one dense id table per skeleton class.
 ///
 /// Checks own one interner per sweep (it is part of the check's state, so
 /// resumed sweeps must reuse the same check instance for their ids to stay
-/// meaningful). `hits`/`misses` count front-cache probes: a hit resolved
-/// an id without stamping a view, a miss had to stamp and full-hash one.
+/// meaningful). The front cache is keyed by the engine's skeleton classes,
+/// which are a function of the universe and of the view configurations
+/// the walk's members request, so an interner serves the walks of one
+/// member list over one universe. `hits`/`misses` count front-cache
+/// traffic: a hit resolved an id without stamping a view, a miss stamped
+/// one and interned it through the canonical map.
 #[derive(Debug)]
 pub struct ViewInterner {
     /// Canonical `View → id` map, sharded by view hash.
     shards: Vec<Mutex<HashMap<View, ViewId>>>,
-    /// Digit-key shortcut `u128 → id`, sharded by key.
-    keyed: Vec<Mutex<HashMap<u128, ViewId>>>,
+    /// The front cache: `front[class][index]` = the id of the view a
+    /// [`ViewSlot`] names, or [`EMPTY`]. The class vector is sized on the
+    /// first lookup from the slot's class count and each class's table is
+    /// allocated on the class's first lookup; the `OnceLock`s publish them.
+    /// Entries are read `Relaxed` and filled by `compare_exchange`: each
+    /// holds a whole id and publishes no other data.
+    front: OnceLock<Box<[ClassTable]>>,
     /// `id → View`, in id order.
     table: Mutex<Vec<View>>,
     hits: AtomicUsize,
@@ -139,10 +139,11 @@ impl Default for ViewInterner {
 impl ViewInterner {
     /// An empty interner, sharded for this machine's parallelism.
     pub fn new() -> Self {
-        let shards = default_shards();
         ViewInterner {
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
-            keyed: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..default_shards())
+                .map(|_| Mutex::new(HashMap::new()))
+                .collect(),
+            front: OnceLock::new(),
             table: Mutex::new(Vec::new()),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
@@ -169,23 +170,54 @@ impl ViewInterner {
         &self.shards[(h.finish() as usize) % self.shards.len()]
     }
 
-    fn key_shard(&self, key: u128) -> &Mutex<HashMap<u128, ViewId>> {
-        &self.keyed[((key ^ (key >> 67)) as usize) % self.keyed.len()]
+    /// The front-cache entry `slot` names, allocating its class's table on
+    /// first touch. `None` for a class or index beyond the tables the first
+    /// lookups sized.
+    fn entry(&self, slot: ViewSlot) -> Option<&AtomicU32> {
+        let tables = self
+            .front
+            .get_or_init(|| (0..slot.classes).map(|_| OnceLock::new()).collect());
+        #[cfg(conformance_mutants)]
+        let slot = if crate::mutants::active("front_cache_class_collision") {
+            ViewSlot { class: 0, ..slot }
+        } else {
+            slot
+        };
+        tables
+            .get(slot.class as usize)?
+            .get_or_init(|| {
+                std::iter::repeat_with(|| AtomicU32::new(EMPTY))
+                    .take(slot.entries)
+                    .collect()
+            })
+            .get(slot.index)
     }
 
-    /// Looks up a digit key in the front cache. Counts a hit on success;
-    /// the corresponding miss is counted by the [`ViewInterner::intern`]
-    /// the caller performs instead.
-    pub fn lookup_key(&self, key: u128) -> Option<ViewId> {
-        let id = self.lock_counted(self.key_shard(key)).get(&key).copied();
-        if id.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        id
+    /// The id of the view `slot` names, if the front cache holds it: one
+    /// `Relaxed` load. Counts nothing; [`ViewInterner::intern_views`]
+    /// tallies its hits once per item.
+    pub fn front(&self, slot: ViewSlot) -> Option<ViewId> {
+        let id = self.entry(slot)?.load(Ordering::Relaxed);
+        (id != EMPTY).then_some(id)
     }
 
-    /// Interns a stamped view, returning its id (existing or fresh).
-    /// Counts one front-cache miss.
+    /// Interns `view`, the view `slot` names, and publishes its id into
+    /// the slot's front-cache entry. Returns the id and whether this call
+    /// filled the entry: of several calls racing on one empty entry
+    /// exactly one fills it, and the others find the same id there, since
+    /// equal views share an id. Counts one front-cache miss.
+    pub fn fill(&self, slot: ViewSlot, view: View) -> (ViewId, bool) {
+        let id = self.intern(view);
+        let filled = self.entry(slot).is_some_and(|entry| {
+            entry
+                .compare_exchange(EMPTY, id, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok()
+        });
+        (id, filled)
+    }
+
+    /// Interns a stamped view through the canonical map, returning its id
+    /// (existing or fresh). Counts one front-cache miss.
     pub fn intern(&self, view: View) -> ViewId {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let shard = self.view_shard(&view);
@@ -200,18 +232,54 @@ impl ViewInterner {
             }
         }
         let mut table = self.table.lock().expect("interner lock");
-        let id = ViewId::try_from(table.len()).expect("view table fits u32");
+        let id = ViewId::try_from(table.len())
+            .ok()
+            .filter(|&id| id != EMPTY)
+            .expect("view table fits u32");
         table.push(view.clone());
         drop(table);
         map.insert(view, id);
         id
     }
 
-    /// Interns a stamped view and records `key` as a shortcut to its id.
-    pub fn intern_keyed(&self, key: u128, view: View) -> ViewId {
-        let id = self.intern(view);
-        self.lock_counted(self.key_shard(key)).insert(key, id);
-        id
+    /// The ids of every node's view of one item under `(radius, id_mode)`,
+    /// in node order. A node with a [`ViewSlot`]
+    /// ([`ItemCtx::view_slot`]) reads the front cache; on a miss its view
+    /// is stamped and [`fill`](ViewInterner::fill)s the entry, and the
+    /// stamp counts as a skeleton-cache hit only if this call filled it,
+    /// so the sweep's `cache_hits` counts each entry once however the
+    /// workers interleave. A node without one (the memo off, no odometer
+    /// digits, a class over the table cap) interns its stamped view
+    /// through the canonical map, every stamp counted. Front-cache hits
+    /// are tallied once per item.
+    pub fn intern_views(
+        &self,
+        item: &UniverseItem<'_>,
+        ctx: &ItemCtx<'_>,
+        radius: usize,
+        id_mode: IdMode,
+    ) -> Vec<ViewId> {
+        let mut hits = 0;
+        let ids = (0..item.instance.graph().node_count())
+            .map(|v| {
+                let Some(slot) = ctx.view_slot(item, v, radius, id_mode) else {
+                    return self.intern(ctx.view(item, v, radius, id_mode));
+                };
+                if let Some(id) = self.front(slot) {
+                    hits += 1;
+                    return id;
+                }
+                let (id, filled) = self.fill(slot, ctx.stamp_uncounted(item, v, radius, id_mode));
+                if filled {
+                    ctx.count_stamp();
+                }
+                id
+            })
+            .collect();
+        if hits > 0 {
+            self.hits.fetch_add(hits, Ordering::Relaxed);
+        }
+        ids
     }
 
     /// Number of distinct views interned so far.
@@ -251,11 +319,6 @@ impl ViewInterner {
                 .iter()
                 .map(|s| s.lock().expect("interner lock").len())
                 .collect(),
-            key_occupancy: self
-                .keyed
-                .iter()
-                .map(|s| s.lock().expect("interner lock").len())
-                .collect(),
             contention: self.contention.load(Ordering::Relaxed),
         }
     }
@@ -266,7 +329,6 @@ mod tests {
     use super::*;
     use crate::instance::Instance;
     use crate::label::{Certificate, Labeling};
-    use crate::view::IdMode;
     use hiding_lcp_graph::generators;
 
     fn some_views() -> Vec<View> {
@@ -300,32 +362,115 @@ mod tests {
     }
 
     #[test]
-    fn keyed_lookup_shortcuts_to_the_same_id() {
+    fn a_front_cache_hit_returns_the_canonical_id() {
         let interner = ViewInterner::new();
         let views = some_views();
-        let key = 0xBEEFu128;
-        assert_eq!(interner.lookup_key(key), None);
-        let id = interner.intern_keyed(key, views[0].clone());
-        assert_eq!(interner.lookup_key(key), Some(id));
+        let slot = ViewSlot {
+            class: 1,
+            classes: 2,
+            entries: 4,
+            index: 3,
+        };
+        assert_eq!(interner.front(slot), None);
+        let (id, filled) = interner.fill(slot, views[0].clone());
+        assert!(filled, "the first fill of an empty entry fills it");
+        assert_eq!(interner.front(slot), Some(id));
+        assert_eq!(
+            interner.intern(views[0].clone()),
+            id,
+            "the canonical map agrees"
+        );
+        assert_eq!(
+            interner.fill(slot, views[0].clone()),
+            (id, false),
+            "a filled entry is filled once"
+        );
         let (hits, misses) = interner.stats();
-        assert_eq!((hits, misses), (1, 1));
+        assert_eq!(
+            (hits, misses),
+            (0, 3),
+            "lookups count nothing, interns count misses"
+        );
     }
 
     #[test]
-    fn digit_key_is_injective_per_class() {
-        // Same class, different digit vectors → different keys; order
-        // longer than the packing limit → None.
-        let order = [3usize, 1, 4];
-        let a = digit_key(7, &order, &[9, 1, 0, 0, 2, 5]).unwrap();
-        let b = digit_key(7, &order, &[9, 1, 0, 0, 3, 5]).unwrap();
-        let c = digit_key(7, &order, &[9, 1, 0, 0, 2, 5]).unwrap();
-        assert_ne!(a, b);
-        assert_eq!(a, c);
-        assert_ne!(digit_key(8, &order, &[9, 1, 0, 0, 2, 5]).unwrap(), a);
-        let long: Vec<usize> = (0..13).collect();
-        let digits = vec![0usize; 13];
-        assert_eq!(digit_key(0, &long, &digits), None);
-        assert_eq!(digit_key(0, &[0], &[256]), None, "digit beyond one byte");
+    fn distinct_ball_digits_of_one_class_fill_distinct_entries() {
+        use crate::verify::executor::{ItemCtx, SkeletonCache};
+        use crate::verify::{Coverage, Universe, UniverseItem};
+        // Every labeling of a 3-letter star: the center's ball holds all
+        // four nodes (81 entries), each leaf's two.
+        let star = Instance::canonical(generators::star(3));
+        let trits = (0..3).map(Certificate::from_byte).collect();
+        let universe = Universe::all_labelings_of(star, trits, Coverage::Exhaustive)
+            .expect("81 labelings fit");
+        let config = (1, IdMode::Anonymous);
+        let cache = SkeletonCache::build(&universe, vec![config], |_| true);
+        let (hits, misses) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let ctx = ItemCtx::new(0, &cache, &hits, &misses, true, 1);
+        let interner = ViewInterner::new();
+        let mut view_at: HashMap<ViewSlot, View> = HashMap::new();
+        let (mut labeling, mut digits) = (Labeling::empty(4), Vec::new());
+        for offset in 0..universe.len() {
+            universe.decode_into(0, offset, &mut labeling, &mut digits);
+            let item = UniverseItem {
+                index: offset,
+                block: 0,
+                instance: universe.blocks()[0].instance(),
+                labeling: &labeling,
+                digits: Some(&digits),
+            };
+            for v in 0..4 {
+                let slot = ctx
+                    .view_slot(&item, v, config.0, config.1)
+                    .expect("under the cap");
+                assert!(slot.index < slot.entries, "the index stays in its table");
+                let view = ctx.view(&item, v, config.0, config.1);
+                assert_eq!(
+                    view_at.entry(slot).or_insert_with(|| view.clone()),
+                    &view,
+                    "one slot, one view"
+                );
+                let id = interner.fill(slot, view.clone()).0;
+                assert_eq!(interner.front(slot), Some(id));
+                assert_eq!(interner.intern(view), id);
+            }
+        }
+        let distinct: std::collections::HashSet<&View> = view_at.values().collect();
+        assert_eq!(
+            distinct.len(),
+            view_at.len(),
+            "distinct slots, distinct views"
+        );
+        assert_eq!(interner.len(), view_at.len());
+        // The center reads all four digits: its 81 digit vectors fill 81
+        // entries of its class.
+        let item = universe.item(0);
+        let center = ctx.view_slot(&item.as_item(), 0, config.0, config.1);
+        let center = center.expect("under the cap").class;
+        assert_eq!(view_at.keys().filter(|s| s.class == center).count(), 81);
+    }
+
+    #[test]
+    fn a_class_over_the_cap_has_no_slot() {
+        use crate::verify::executor::{ItemCtx, SkeletonCache};
+        use crate::verify::{Coverage, Universe};
+        // With 17 letters the star's center class would need 17^4 = 83,521
+        // entries, over the 2^16 cap; a leaf's needs 17^2.
+        let star = Instance::canonical(generators::star(3));
+        let letters = (0..17).map(Certificate::from_byte).collect();
+        let universe = Universe::all_labelings_of(star, letters, Coverage::Exhaustive)
+            .expect("17^4 labelings fit");
+        let config = (1, IdMode::Anonymous);
+        let cache = SkeletonCache::build(&universe, vec![config], |_| true);
+        let (hits, misses) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let item = universe.item(5);
+        let item = item.as_item();
+        let slot = |memo: bool, v: usize| {
+            ItemCtx::new(0, &cache, &hits, &misses, memo, 1).view_slot(&item, v, config.0, config.1)
+        };
+        assert_eq!(slot(true, 0), None, "the center interns through the map");
+        assert_eq!(slot(true, 1).map(|s| s.entries), Some(17 * 17));
+        assert_eq!(slot(false, 1), None, "memo off, no front cache");
     }
 
     #[test]
@@ -344,7 +489,6 @@ mod tests {
         let report = interner.report();
         assert_eq!(report.distinct_views, interner.len());
         assert_eq!(report.shards, report.view_occupancy.len());
-        assert_eq!(report.shards, report.key_occupancy.len());
         assert_eq!(
             report.view_occupancy.iter().sum::<usize>(),
             interner.len(),

@@ -71,7 +71,9 @@ pub enum SweepCounter {
     PanicsCaught = 9,
     /// Budget expiries that interrupted a sweep.
     BudgetInterruptions = 10,
-    /// Skeleton-cache stamp hits (view served from the cache).
+    /// Skeleton-cache stamp hits (view served from the cache). A view
+    /// interner front-cache miss counts its stamp only if it fills the
+    /// entry, so workers racing on one entry count it once.
     CacheHits = 11,
     /// Skeleton-cache misses (cache population plus uncached extracts).
     CacheMisses = 12,

@@ -15,7 +15,7 @@
 //!
 //! The suite also proves the engine's enumeration strategies equivalent:
 //! the odometer/delta-evaluation hot path (`SweepStrategy::DeltaStepping`,
-//! with and without digit-key memoization) against the decode-from-index
+//! with and without its dense per-class tables) against the decode-from-index
 //! oracle (`SweepStrategy::DecodeOracle`), over exhaustive, mixed-source
 //! and multi-block universes, including budgeted resume chains and the
 //! full structural identity of Lemma 3.1 neighborhood graphs.
@@ -30,7 +30,7 @@ use hiding_lcp_core::instance::Instance;
 use hiding_lcp_core::label::{Certificate, Labeling};
 use hiding_lcp_core::language::KCol;
 use hiding_lcp_core::lower::PortObliviousCycleDecoder;
-use hiding_lcp_core::nbhd::NbhdGraph;
+use hiding_lcp_core::nbhd::{NbhdGraph, NbhdSweep};
 use hiding_lcp_core::properties::hiding::HidingCheck;
 use hiding_lcp_core::properties::soundness::{SoundnessCheck, SoundnessViolation};
 use hiding_lcp_core::properties::strong::{StrongCheck, StrongViolation};
@@ -38,7 +38,7 @@ use hiding_lcp_core::prover::all_labelings;
 use hiding_lcp_core::verify::{
     merge_fragments, merge_panel_fragments, Block, Coverage, DynPropertyCheck, ExecMode, ItemCtx,
     LabelSource, LazySweep, MetricsRecorder, PanelFragment, PropertyCheck, PropertyTag, ShardSpec,
-    SweepBudget, SweepOpts, SweepOutcome, SweepSession, Universe, UniverseItem,
+    SweepBudget, SweepOpts, SweepOutcome, SweepSession, Universe, UniverseItem, VerificationReport,
 };
 use hiding_lcp_core::view::IdMode;
 use hiding_lcp_graph::algo::bipartite;
@@ -397,7 +397,7 @@ proptest! {
 
     #[test]
     fn memoized_and_unmemoized_sweeps_agree(code in 0u8..64, shape in 0u8..2, n in 3usize..7) {
-        // Disabling the digit-key memo layers may only change counters,
+        // Disabling the dense per-class tables may only change counters,
         // never verdicts.
         let decoder = PortObliviousCycleDecoder::from_code(code);
         let instance = cycle_or_path(shape, n);
@@ -944,9 +944,10 @@ fn budget_max_items_is_per_shard() {
 }
 
 // ---------------------------------------------------------------------------
-// Verdict-memo cap: a skeleton class whose dense verdict table would exceed
-// the engine's 2^16-entry cap is not memoized, with the same verdicts and
-// every decision counted as a memo miss.
+// Dense-table cap: a skeleton class whose dense table would exceed the
+// engine's 2^16-entry cap is not memoized, with the same verdicts and every
+// decision counted as a memo miss, and its views are interned through the
+// canonical map, with the same neighborhood graph.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -984,6 +985,55 @@ fn over_cap_classes_run_unmemoized() {
                 .get("verdict_decisions")
                 .expect("decisions are counted"),
             "{mode:?}: every decision consults the memo exactly once"
+        );
+    }
+}
+
+#[test]
+fn over_cap_classes_intern_through_the_canonical_map() {
+    // The center of K_{1,3} reads all four digits, so with 17 letters its
+    // class would need a 17^4 = 83,521-entry front-cache table, over the
+    // 2^16 cap; each leaf's class needs 17^2 and keeps its table. A budget
+    // walks the first 4,096 items, the same prefix in every mode.
+    let star = Instance::canonical(hiding_lcp_graph::generators::star(3));
+    let alphabet = (0..17).map(Certificate::from_byte).collect();
+    let universe =
+        Universe::all_labelings_of(star, alphabet, Coverage::Exhaustive).expect("17^4 items fit");
+    let prefix = 4096;
+    let memo_off = SweepOpts {
+        memo: false,
+        ..SweepOpts::default()
+    };
+    for mode in [ExecMode::Sequential, ExecMode::Parallel(2)] {
+        let session = |opts| {
+            SweepSession::over(&universe)
+                .mode(mode)
+                .opts(opts)
+                .budget(SweepBudget::unlimited().with_max_items(prefix))
+        };
+        let scan = || NbhdSweep::new(&LocalDiff, IdMode::Anonymous, &universe, |_| true);
+        let plain = session(memo_off).run(&scan());
+        // One check walked twice: the second walk finds every view the
+        // first one cached.
+        let check = scan();
+        let first = session(SweepOpts::default()).run(&check);
+        let again = session(SweepOpts::default()).run(&check);
+        assert_eq!(first.checked, prefix, "{mode:?}");
+        assert_nbhd_eq(&first.verdict, &plain.verdict).unwrap();
+        assert_nbhd_eq(&again.verdict, &plain.verdict).unwrap();
+        let misses = |report: &VerificationReport<NbhdGraph>| {
+            report
+                .interner
+                .as_ref()
+                .expect("the scan reports its interner")
+                .front_misses
+        };
+        // Fewer misses would mean the center got a slot: the cap no longer
+        // excludes 17^4 and this case stopped testing it.
+        assert_eq!(
+            misses(&again) - misses(&first),
+            prefix,
+            "{mode:?}: the second walk interns each center view through the map, nothing else"
         );
     }
 }

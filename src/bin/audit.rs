@@ -509,11 +509,12 @@ fn dispatch_and_merge(
         std::fs::read_to_string(&out)
             .map_err(|e| format!("shard {} left no report: {e}", spec.label()))
     })?;
+    let merged = plan.run_with_shards(&run.results)?;
     eprintln!(
         "audit: {} shards merged ({} dispatches, {} retries)",
         shards, run.dispatches, run.retries
     );
-    plan.run_with_shards(&run.results)
+    Ok(merged)
 }
 
 /// The flags a shard child needs to rebuild the coordinator's plan with

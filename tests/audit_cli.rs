@@ -460,6 +460,39 @@ fn copy_blocks_move_only_the_inspection_counters() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The metrics snapshot's stable counters are a function of the walk's
+/// inputs, not of how its workers interleave. The revealing:3 scan's
+/// workers race to fill the same front-cache entries, and only the fill
+/// that lands counts its stamp in `cache_hits`.
+#[test]
+fn stable_counters_do_not_depend_on_the_thread_count() {
+    let dir = fresh_dir("stable-counters");
+    let metrics = dir.join("metrics.json");
+    let stable = |threads: &str| {
+        let out = audit(&[
+            "--decoder",
+            "revealing:3",
+            "--max-n",
+            "4",
+            "--threads",
+            threads,
+            "--metrics-out",
+            metrics.to_str().expect("utf-8 path"),
+        ]);
+        assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+        let json = std::fs::read_to_string(&metrics).expect("metrics file");
+        let start = json.find("\"stable\": {").expect("a stable section");
+        let end = start + json[start..].find('}').expect("the section closes");
+        json[start..=end].to_string()
+    };
+    let sequential = stable("1");
+    assert!(sequential.contains("\"cache_hits\": "), "{sequential}");
+    for run in 0..5 {
+        assert_eq!(stable("2"), sequential, "run {run} at --threads 2");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Each row names a flag the chosen mode never reads; the run must stop
 /// with a usage error naming it instead of doing less than it says.
 #[test]
@@ -611,6 +644,23 @@ fn a_budget_bounds_each_walk_and_a_stopped_child_does_not_merge() {
     assert!(
         err.contains("[0, 466265) is torn") && err.contains("stopped at item 1000"),
         "the merge names the torn range and where its walk stopped: {err}"
+    );
+    assert!(
+        !err.contains("shards merged"),
+        "a rejected merge is not announced as merged: {err}"
+    );
+    let merged = audit(
+        &[
+            &degree_one[..],
+            &["--shards", "2", "--budget-items", "466265"],
+        ]
+        .concat(),
+    );
+    let err = stderr(&merged);
+    assert!(merged.status.success(), "{err}");
+    assert!(
+        err.contains("2 shards merged (2 dispatches, 0 retries)"),
+        "a budget past every range merges and says so: {err}"
     );
 
     let labelings = ["--properties", "soundness,strong,hiding,quantified"];
