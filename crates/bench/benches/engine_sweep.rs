@@ -5,12 +5,11 @@
 //! swept through a [`HidingCheck`] in `ExecMode::Sequential` and
 //! `ExecMode::Parallel(t)` for the full `{1, 2, 4}` thread ladder
 //! (always emitted, even on small boxes, where the extra rows measure
-//! oversubscription). Since PR 3 the default engine path is odometer
-//! enumeration with delta-evaluated verdicts and dense per-class memos;
-//! this bench also times the `DecodeOracle` reference strategy, the
-//! memo-disabled delta path, and the symmetry-quotient strategy (only
-//! canonical orbit representatives inspected), so the JSON records
-//! exactly what each layer buys. All modes and strategies must return
+//! oversubscription). The default engine path is odometer enumeration
+//! with delta-evaluated verdicts, dense per-class memos and the symmetry
+//! quotient (only canonical orbit representatives inspected); this bench
+//! also times the `DecodeOracle` reference strategy, so the JSON records
+//! what the delta path buys. All modes and strategies must return
 //! identical graphs (the executor's determinism contract); the harness
 //! asserts it before recording timings, then writes the medians — plus
 //! the machine's thread count, a per-size `scaling_efficiency` table
@@ -46,8 +45,8 @@ use hiding_lcp_core::nbhd::{NbhdGraph, NbhdSweep};
 use hiding_lcp_core::properties::hiding::HidingCheck;
 use hiding_lcp_core::verify::telemetry::diff;
 use hiding_lcp_core::verify::{
-    merge_fragments, Block, Coverage, ExecMode, LabelSource, MetricsRecorder, ShardSpec, SweepOpts,
-    SweepSession, Universe, PARALLEL_THRESHOLD,
+    merge_fragments, Block, Coverage, ExecMode, LabelSource, MetricsRecorder, ShardSpec,
+    SweepSession, SweepStrategy, Universe, PARALLEL_THRESHOLD,
 };
 use hiding_lcp_core::view::IdMode;
 use hiding_lcp_graph::algo::bipartite;
@@ -56,9 +55,9 @@ use std::fs;
 use std::hint::black_box;
 
 /// All 2-symbol labelings of even cycles `4..=max_n`, under the
-/// rotation-symmetric port assignment so the quotient strategy has a
+/// rotation-symmetric port assignment so the symmetry quotient has a
 /// nontrivial automorphism group to exploit. Ports change no decoder's
-/// view content, so every other strategy's cost is unaffected.
+/// view content, so the oracle's cost is unaffected.
 fn cycle_universe(max_n: usize) -> Universe {
     let alphabet = adversary_alphabet(2);
     let blocks = (4..=max_n)
@@ -79,12 +78,12 @@ fn cycle_universe(max_n: usize) -> Universe {
     Universe::new(blocks, Coverage::Sampled).expect("bench universe fits")
 }
 
-fn sweep_nbhd(universe: &Universe, mode: ExecMode, opts: SweepOpts) -> NbhdGraph {
+fn sweep_nbhd(universe: &Universe, mode: ExecMode, strategy: SweepStrategy) -> NbhdGraph {
     let decoder = RevealingDecoder::new(2);
     let check = HidingCheck::new(&decoder, universe, 2, bipartite::is_bipartite);
     SweepSession::over(universe)
         .mode(mode)
-        .opts(opts)
+        .strategy(strategy)
         .run(&check)
         .verdict
         .0
@@ -111,19 +110,18 @@ fn sweep_nbhd_sharded(universe: &Universe, shards: usize) -> NbhdGraph {
         .0
 }
 
-/// The same sweep with a live [`MetricsRecorder`] attached — the routine
-/// whose ratio against `sequential` is the telemetry layer's overhead.
+/// The same delta sweep with a live [`MetricsRecorder`] attached — the
+/// routine whose ratio against `sequential` is the telemetry layer's
+/// overhead.
 fn sweep_nbhd_recorded(
     universe: &Universe,
     mode: ExecMode,
-    opts: SweepOpts,
     recorder: &MetricsRecorder,
 ) -> NbhdGraph {
     let decoder = RevealingDecoder::new(2);
     let check = HidingCheck::new(&decoder, universe, 2, bipartite::is_bipartite);
     SweepSession::over(universe)
         .mode(mode)
-        .opts(opts)
         .metrics(recorder)
         .run(&check)
         .verdict
@@ -144,7 +142,6 @@ fn collect_telemetry(universe: &Universe, group: String) -> TelemetryStats {
     drop(sweep_nbhd_recorded(
         universe,
         ExecMode::Sequential,
-        SweepOpts::default(),
         &recorder,
     ));
     let delta = diff::diff(&before, &recorder.snapshot());
@@ -213,22 +210,17 @@ fn bench_sizes(
 ) {
     let threads = std::thread::available_parallelism().map_or(1, usize::from);
     let ladder = thread_ladder(threads);
-    let oracle = SweepOpts::oracle();
-    let nomemo = SweepOpts {
-        memo: false,
-        ..SweepOpts::default()
-    };
+    let (delta, oracle) = (SweepStrategy::DeltaStepping, SweepStrategy::DecodeOracle);
     for &max_n in sizes {
         let universe = cycle_universe(max_n);
         // Determinism contract: modes and strategies agree before we time
         // them.
-        let seq = sweep_nbhd(&universe, ExecMode::Sequential, SweepOpts::default());
-        let par = sweep_nbhd(&universe, ExecMode::Parallel(threads), SweepOpts::default());
+        let seq = sweep_nbhd(&universe, ExecMode::Sequential, delta);
+        let par = sweep_nbhd(&universe, ExecMode::Parallel(threads), delta);
         let dec = sweep_nbhd(&universe, ExecMode::Sequential, oracle);
-        let quo = sweep_nbhd(&universe, ExecMode::Sequential, SweepOpts::quotient());
         let sh2 = sweep_nbhd_sharded(&universe, 2);
         let sh4 = sweep_nbhd_sharded(&universe, 4);
-        for other in [&par, &dec, &quo, &sh2, &sh4] {
+        for other in [&par, &dec, &sh2, &sh4] {
             assert_eq!(
                 seq.view_count(),
                 other.view_count(),
@@ -252,14 +244,14 @@ fn bench_sizes(
         // runs later (measured here as a spurious ~40% parallel-t1 "loss"
         // at n = 8), and the whole point of this group is the ratio
         // between its members.
-        let routine = |mode: ExecMode, opts: SweepOpts| {
+        let routine = |mode: ExecMode, strategy: SweepStrategy| {
             let universe = &universe;
-            move || drop(black_box(sweep_nbhd(black_box(universe), mode, opts)))
+            move || drop(black_box(sweep_nbhd(black_box(universe), mode, strategy)))
         };
         let mut routines: Vec<(String, Box<dyn FnMut() + '_>)> = Vec::new();
         routines.push((
             "sequential".into(),
-            Box::new(routine(ExecMode::Sequential, SweepOpts::default())),
+            Box::new(routine(ExecMode::Sequential, delta)),
         ));
         // The telemetry layer's price: the identical sequential sweep
         // with a live recorder attached. Interleaved with `sequential`,
@@ -273,7 +265,6 @@ fn bench_sizes(
                     drop(black_box(sweep_nbhd_recorded(
                         black_box(universe),
                         ExecMode::Sequential,
-                        SweepOpts::default(),
                         &recorder,
                     )))
                 }
@@ -282,25 +273,14 @@ fn bench_sizes(
         for &t in &ladder {
             routines.push((
                 format!("parallel-t{t}"),
-                Box::new(routine(ExecMode::Parallel(t), SweepOpts::default())),
+                Box::new(routine(ExecMode::Parallel(t), delta)),
             ));
         }
-        // The two reference configurations: index-decoded full inspection
-        // (what every sweep cost before the delta path), and the delta
-        // path with memo layers off (what odometer stepping alone buys).
+        // The reference configuration: index-decoded, unmemoized full
+        // inspection (what every sweep cost before the delta path).
         routines.push((
             "oracle".into(),
             Box::new(routine(ExecMode::Sequential, oracle)),
-        ));
-        routines.push((
-            "delta-nomemo".into(),
-            Box::new(routine(ExecMode::Sequential, nomemo)),
-        ));
-        // The symmetry quotient: only canonical orbit representatives are
-        // inspected; everything else is rejected by a minimal-image test.
-        routines.push((
-            "quotient".into(),
-            Box::new(routine(ExecMode::Sequential, SweepOpts::quotient())),
         ));
         let mut g = c.benchmark_group(format!("engine-sweep-n{max_n}"));
         g.sample_size(if max_n >= 8 { 15 } else { 20 });
@@ -455,11 +435,7 @@ fn smoke() -> i32 {
         }
         None => println!("smoke: no recorded/plain pair at n = 6; skipping the overhead gate"),
     }
-    for name in [
-        "engine-sweep-n6/sequential",
-        "engine-sweep-n6/parallel-t1",
-        "engine-sweep-n6/quotient",
-    ] {
+    for name in ["engine-sweep-n6/sequential", "engine-sweep-n6/parallel-t1"] {
         let Some(base) = report::median_in_json(&baseline, name) else {
             println!("smoke: baseline lacks {name}; skipping");
             continue;

@@ -17,13 +17,13 @@
 //! the fault pipeline — the fault-free distributed reference scan the
 //! degradation harness runs over the adversarial battery to find its
 //! false-accept candidates (each item is a full r-round broadcast
-//! simulation) — under the delta and quotient strategies, so the fault
-//! path inherits the symmetry-quotient speedup.
+//! simulation) — under delta stepping, whose symmetry quotient the fault
+//! path inherits.
 //!
 //! Medians land in `BENCH_faults.json` at the repository root, in the
 //! same `benches`/`summary`/`stats` shape as `BENCH_engine.json` and
 //! `BENCH_panel.json`: `summary` carries each group's headline ratios
-//! (injector overhead, fault cost, quotient speedup), `stats` the fault
+//! (injector overhead, fault cost), `stats` the fault
 //! events one 15% run actually fires per workload.
 //!
 //! ```text
@@ -40,7 +40,7 @@ use hiding_lcp_core::network::{
     run_distributed, run_distributed_faulty, FaultPlan, FaultRates, FaultStats,
 };
 use hiding_lcp_core::verify::{
-    Coverage, ExecMode, ItemCtx, PropertyCheck, SweepOpts, SweepOutcome, SweepSession,
+    Coverage, ExecMode, ItemCtx, PropertyCheck, SweepOutcome, SweepSession, SweepStrategy,
     SymmetrySpec, Universe, UniverseItem,
 };
 use hiding_lcp_graph::generators;
@@ -162,27 +162,26 @@ fn fault_sweep(c: &mut Criterion, telemetry: &mut Vec<WorkloadStats>) {
     }
 
     // The sweep-shaped side of the pipeline: the fault-free reference
-    // scan over the adversarial battery, delta vs quotient. The weighted
-    // reject count must be exactly the full walk's — that is the
-    // quotient's product-law contract.
+    // scan over the adversarial battery. The quotiented delta walk's
+    // weighted reject count must be exactly the oracle's full walk's —
+    // that is the quotient's product-law contract.
     let universe = sweep_universe();
     let decoder = RevealingDecoder::new(2);
     let check = FaultFreeRejectScan { decoder: &decoder };
     let delta = SweepSession::over(&universe)
         .mode(ExecMode::Sequential)
-        .opts(SweepOpts::default())
         .run(&check);
-    let quotient = SweepSession::over(&universe)
+    let full = SweepSession::over(&universe)
         .mode(ExecMode::Sequential)
-        .opts(SweepOpts::quotient())
+        .strategy(SweepStrategy::DecodeOracle)
         .run(&check);
     assert_eq!(
-        delta.verdict, quotient.verdict,
-        "quotient changes the weighted reject count"
+        delta.verdict, full.verdict,
+        "the quotient changes the weighted reject count"
     );
     assert_eq!(
-        delta.checked, quotient.checked,
-        "quotient changes the frontier"
+        delta.checked, full.checked,
+        "the quotient changes the frontier"
     );
 
     let mut g = c.benchmark_group("fault-sweep-labelings");
@@ -192,17 +191,6 @@ fn fault_sweep(c: &mut Criterion, telemetry: &mut Vec<WorkloadStats>) {
             black_box(
                 SweepSession::over(black_box(&universe))
                     .mode(ExecMode::Sequential)
-                    .opts(SweepOpts::default())
-                    .run(&check),
-            )
-        })
-    });
-    g.bench_function("reject-scan-quotient", |b| {
-        b.iter(|| {
-            black_box(
-                SweepSession::over(black_box(&universe))
-                    .mode(ExecMode::Sequential)
-                    .opts(SweepOpts::quotient())
                     .run(&check),
             )
         })
@@ -237,15 +225,9 @@ fn write_json(results: &[BenchResult], stats: &[WorkloadStats]) {
             r15 as f64 / clean as f64,
         ));
     }
-    if let (Some(delta), Some(quotient)) = (
-        median("fault-sweep-labelings/reject-scan-delta"),
-        median("fault-sweep-labelings/reject-scan-quotient"),
-    ) {
-        #[allow(clippy::cast_precision_loss)]
+    if let Some(delta) = median("fault-sweep-labelings/reject-scan-delta") {
         rows.push(format!(
-            "    {{ \"group\": \"fault-sweep-labelings\", \"delta_ns\": {delta}, \
-             \"quotient_ns\": {quotient}, \"quotient_speedup\": {:.2} }}",
-            delta as f64 / quotient as f64,
+            "    {{ \"group\": \"fault-sweep-labelings\", \"delta_ns\": {delta} }}"
         ));
     }
     doc.section("summary", &rows);

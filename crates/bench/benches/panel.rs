@@ -47,7 +47,7 @@ use hiding_lcp_core::properties::strong::strong_member;
 use hiding_lcp_core::prover::Prover;
 use hiding_lcp_core::verify::{
     AuditReport, Block, Coverage, DynPropertyCheck, ExecMode, InstanceSet, LabelSource,
-    PanelReport, SweepOpts, SweepSession, Universe,
+    PanelReport, SweepSession, Universe,
 };
 use hiding_lcp_graph::generators;
 use rand::rngs::StdRng;
@@ -69,10 +69,9 @@ const SEED: u64 = 0xA0D1_7E57;
 /// n = 8, the 3-cube — where the shared Lemma 3.1 scan carries the most
 /// weight. Every shape that admits one carries a symmetric port
 /// assignment (rotations for cycles and cliques, shifts and the part
-/// swap for `K_{a,a}`, XOR translations for `Q_3`), so the quotient
-/// strategy has nontrivial orbits on most blocks; ports change no view's
-/// content, so the other strategies cost the same as under canonical
-/// ports.
+/// swap for `K_{a,a}`, XOR translations for `Q_3`), so the symmetry
+/// quotient has nontrivial orbits on most blocks; ports change no view's
+/// content.
 fn family(max_n: usize) -> Vec<Instance> {
     let with_ports =
         |g: hiding_lcp_graph::Graph,
@@ -238,12 +237,6 @@ impl Fixture {
     ///
     /// [`AuditPlan::run`]: hiding_lcp_core::verify::AuditPlan::run
     fn fused(&self) -> AuditReport {
-        self.fused_with(SweepOpts::default())
-    }
-
-    /// The fused arm under an explicit sweep strategy (the quotient
-    /// routine passes `SweepOpts::quotient()`).
-    fn fused_with(&self, opts: SweepOpts) -> AuditReport {
         hiding_lcp_core::verify::AuditPlan::new(
             &self.decoder,
             K,
@@ -255,7 +248,6 @@ impl Fixture {
         )
         .prover(&self.prover)
         .mode(ExecMode::Sequential)
-        .opts(opts)
         .run()
     }
 
@@ -317,24 +309,6 @@ const SOLO: [&str; 7] = [
 /// report, member by member, before anything is timed.
 fn assert_parity(fix: &Fixture, max_n: usize) {
     let report = fix.fused();
-    // The quotient strategy is observationally identical: same panels,
-    // same verdicts, same frontiers.
-    let quotient = fix.fused_with(SweepOpts::quotient());
-    for (a, b) in report.panels.iter().zip(&quotient.panels) {
-        assert_eq!(a.shape, b.shape, "quotient shape at n <= {max_n}");
-        for (ma, mb) in a.members.iter().zip(&b.members) {
-            assert_eq!(
-                ma.passed, mb.passed,
-                "{} quotient verdict at n <= {max_n}",
-                ma.property
-            );
-            assert_eq!(
-                ma.checked, mb.checked,
-                "{} quotient frontier at n <= {max_n}",
-                ma.property
-            );
-        }
-    }
     let shapes: Vec<&str> = report.panels.iter().map(|p| p.shape.as_str()).collect();
     assert_eq!(
         shapes,
@@ -384,13 +358,6 @@ fn bench_sizes(c: &mut Criterion, sizes: &[usize]) {
                 Box::new(move || drop(black_box(black_box(fix).fused()))),
             ));
         }
-        {
-            let fix = &fix;
-            routines.push((
-                "fused-quotient".into(),
-                Box::new(move || drop(black_box(black_box(fix).fused_with(SweepOpts::quotient())))),
-            ));
-        }
         for name in SOLO {
             let fix = &fix;
             routines.push((
@@ -428,25 +395,11 @@ fn write_json(results: &[BenchResult], sizes: &[usize], threads: usize) {
         };
         #[allow(clippy::cast_precision_loss)]
         let speedup = sum as f64 / fused as f64;
-        let quotient = report::median(results, &format!("panel-audit-n{max_n}/fused-quotient"));
-        let quotient_cols = match quotient {
-            #[allow(clippy::cast_precision_loss)]
-            Some(q) => format!(
-                ", \"fused_quotient_ns\": {q}, \"quotient_speedup\": {:.2}",
-                fused as f64 / q as f64
-            ),
-            None => String::new(),
-        };
         rows.push(format!(
             "    {{ \"group\": \"panel-audit-n{max_n}\", \"fused_ns\": {fused}, \
-             \"solo_sum_ns\": {sum}, \"speedup\": {speedup:.2}{quotient_cols} }}"
+             \"solo_sum_ns\": {sum}, \"speedup\": {speedup:.2} }}"
         ));
         println!("panel-audit-n{max_n}: fused {fused} ns vs solo sum {sum} ns ({speedup:.2}x)");
-        if let Some(q) = quotient {
-            #[allow(clippy::cast_precision_loss)]
-            let ratio = fused as f64 / q as f64;
-            println!("panel-audit-n{max_n}: quotient fused {q} ns ({ratio:.2}x over fused)");
-        }
     }
     doc.section("summary", &rows);
     report::write("BENCH_panel.json", &doc.finish());

@@ -36,7 +36,7 @@ use hiding_lcp_core::prover::Prover;
 use hiding_lcp_core::verify::{
     merge_fragments, sum_stable_counters, AuditPlan, Block, BlockGated, Coverage, DynPropertyCheck,
     ExecMode, InstanceSet, ItemCtx, LabelSource, LazySweep, MetricsRecorder, PropertyCheck,
-    PropertyTag, ShardSpec, SweepBudget, SweepOpts, SweepOutcome, SweepSession, SymmetrySpec,
+    PropertyTag, ShardSpec, SweepBudget, SweepOutcome, SweepSession, SweepStrategy, SymmetrySpec,
     Universe, UniverseItem, ViewInterner, ViewSlot,
 };
 use hiding_lcp_core::view::{IdMode, View};
@@ -308,11 +308,8 @@ fn assert_tally_parity<D: Decoder + ?Sized>(
 ) {
     let tally = VerdictTally { decoder };
     let session = SweepSession::over(universe).mode(ExecMode::Sequential);
-    let delta = session.opts(SweepOpts::default()).run(&tally);
-    let decode = SweepSession::over(universe)
-        .mode(ExecMode::Sequential)
-        .opts(SweepOpts::oracle())
-        .run(&tally);
+    let delta = session.run(&tally);
+    let decode = session.strategy(SweepStrategy::DecodeOracle).run(&tally);
     assert_eq!(
         delta.verdict, decode.verdict,
         "delta-stepping and decode-oracle strategies disagree"
@@ -415,8 +412,7 @@ pub fn delta_budget_resume_parity() {
     let budget = SweepBudget::unlimited().with_max_items(10);
     let session = SweepSession::over(&universe)
         .mode(ExecMode::Sequential)
-        .budget(budget)
-        .opts(SweepOpts::default());
+        .budget(budget);
     let mut fragment = session.run_fragment(&tally, ShardSpec::new(0, 1));
     let mut slices = 1;
     while !fragment.is_complete() {
@@ -642,8 +638,8 @@ pub fn hiding_selfloop_walk() {
 /// instance it names: a view witness re-derives its view and the decoder
 /// accepts there by definition; an edge or self-loop witness is an edge of
 /// its instance between the right views. `instances()` holds exactly the
-/// named instances, and the graph, its witnesses and its instances are
-/// equal under the delta, oracle and quotient strategies.
+/// named instances, and the graph, its witnesses, its instances and its
+/// retained count are equal under the delta and oracle strategies.
 pub fn nbhd_witnesses_recheck() {
     let cases: [(&dyn Decoder, Vec<Certificate>, usize); 3] = [
         (
@@ -665,24 +661,21 @@ pub fn nbhd_witnesses_recheck() {
     for (decoder, alphabet, max_n) in cases {
         let name = decoder.name();
         let universe = Universe::lemma31(max_n, alphabet).expect("the n <= 4 family fits");
-        let [delta, oracle, quotient] = [
-            SweepOpts::default(),
-            SweepOpts::oracle(),
-            SweepOpts::quotient(),
-        ]
-        .map(|opts| {
-            let check = NbhdSweep::new(
-                decoder,
-                IdMode::Anonymous,
-                &universe,
-                bipartite::is_bipartite,
-            );
-            SweepSession::over(&universe).opts(opts).run(&check).verdict
-        });
+        let [delta, oracle] =
+            [SweepStrategy::DeltaStepping, SweepStrategy::DecodeOracle].map(|strategy| {
+                let check = NbhdSweep::new(
+                    decoder,
+                    IdMode::Anonymous,
+                    &universe,
+                    bipartite::is_bipartite,
+                );
+                SweepSession::over(&universe)
+                    .strategy(strategy)
+                    .run(&check)
+                    .verdict
+            });
         recheck_witnesses(&name, decoder, &delta);
-        for other in [&oracle, &quotient] {
-            assert_same_witnesses(&name, &delta, other);
-        }
+        assert_same_witnesses(&name, &delta, &oracle);
     }
 }
 
@@ -744,6 +737,11 @@ fn recheck_witnesses(name: &str, decoder: &dyn Decoder, nbhd: &NbhdGraph) {
 fn assert_same_witnesses(name: &str, a: &NbhdGraph, b: &NbhdGraph) {
     assert_eq!(a.views(), b.views(), "{name}: views differ");
     assert_eq!(a.instances(), b.instances(), "{name}: instances differ");
+    assert_eq!(
+        a.retained_count(),
+        b.retained_count(),
+        "{name}: retained counts differ"
+    );
     for i in 0..a.view_count() {
         assert_eq!(a.view_witness(i), b.view_witness(i), "{name}: view {i}");
         let nbrs: Vec<usize> = a.neighbors(i).collect();
@@ -1143,11 +1141,11 @@ pub fn shard_counter_sums() {
 /// connected graph on ≤ 5 nodes (plus the Petersen graph, which forces
 /// The symmetry quotient partitions the labeling space. Over a
 /// rotation-symmetric 5-cycle with binary certificates and a full label
-/// swap class, the representatives a quotient sweep visits must carry
+/// swap class, the representatives a delta sweep visits must carry
 /// multiplicities summing to exactly 2^5, each be its orbit's flat-index
 /// minimum, and tile the space with pairwise-disjoint orbits; and the
-/// quotient must reproduce the full walk's soundness verdict and checked
-/// count bit-for-bit.
+/// quotiented walk must reproduce the oracle's full-walk soundness
+/// verdict and checked count bit-for-bit.
 fn orbit_partition_weighted() {
     struct Recorder;
     impl PropertyCheck for Recorder {
@@ -1183,7 +1181,6 @@ fn orbit_partition_weighted() {
 
     let report = SweepSession::over(&universe)
         .mode(ExecMode::Sequential)
-        .opts(SweepOpts::quotient())
         .run(&Recorder);
     assert_eq!(
         report.checked,
@@ -1254,11 +1251,10 @@ fn orbit_partition_weighted() {
     };
     let full = SweepSession::over(&universe)
         .mode(ExecMode::Sequential)
-        .opts(SweepOpts::default())
+        .strategy(SweepStrategy::DecodeOracle)
         .run(&check);
     let quot = SweepSession::over(&universe)
         .mode(ExecMode::Sequential)
-        .opts(SweepOpts::quotient())
         .run(&check);
     assert_eq!(
         full.verdict, quot.verdict,
@@ -1342,78 +1338,76 @@ fn copy_blocks_match_full_walk() {
                 "{what}: {member} witness"
             );
         };
-        for opts in [SweepOpts::default(), SweepOpts::quotient()] {
-            let no_instances = universe
-                .blocks()
-                .iter()
-                .map(|b| !language.is_yes_graph(b.instance().graph()))
-                .collect();
-            let soundness = BlockGated {
-                check: SoundnessCheck { decoder },
-                active: no_instances,
-            };
-            let members = [
-                DynPropertyCheck::new(PropertyTag::Soundness, "soundness", soundness)
-                    .with_channel(decoder),
-                strong_member(decoder, &language),
-                hiding_member(decoder, &universe, k, |g| language.is_yes_graph(g)),
-            ];
-            let panel = SweepSession::over(&universe).opts(opts).run_panel(&members);
-            let [sound, strong, hiding] = &panel.members[..] else {
-                unreachable!("three members")
-            };
-            let sound_witness = sound
-                .verdict
-                .get::<Result<usize, SoundnessViolation>>()
-                .expect("soundness verdict type");
-            expect_stop(
-                "soundness",
-                sound.checked,
-                sound_witness.as_ref().err().map(|v| &v.labeling),
-                &walk.soundness_stop,
-            );
-            let strong_witness = strong
-                .verdict
-                .get::<Result<usize, StrongViolation>>()
-                .expect("strong verdict type");
-            expect_stop(
-                "strong",
-                strong.checked,
-                strong_witness.as_ref().err().map(|v| &v.labeling),
-                &walk.strong_stop,
-            );
-            let (nbhd, verdict) = hiding
-                .verdict
-                .get::<(NbhdGraph, HidingVerdict)>()
-                .expect("hiding verdict type");
-            let views = &walk.views;
-            assert_eq!(nbhd.views(), &views.views[..], "{what}: V(D, n) views");
-            assert_eq!(
-                nbhd.edge_count(),
-                views.edges.len(),
-                "{what}: V(D, n) edges"
-            );
-            assert_eq!(
-                nbhd.self_loop_views().len(),
-                views.self_loops.iter().filter(|&&l| l).count(),
-                "{what}: V(D, n) self-loops"
-            );
-            assert_eq!(
-                verdict.is_hiding(),
-                views.hiding(k),
-                "{what}: hiding verdict"
-            );
+        let no_instances = universe
+            .blocks()
+            .iter()
+            .map(|b| !language.is_yes_graph(b.instance().graph()))
+            .collect();
+        let soundness = BlockGated {
+            check: SoundnessCheck { decoder },
+            active: no_instances,
+        };
+        let members = [
+            DynPropertyCheck::new(PropertyTag::Soundness, "soundness", soundness)
+                .with_channel(decoder),
+            strong_member(decoder, &language),
+            hiding_member(decoder, &universe, k, |g| language.is_yes_graph(g)),
+        ];
+        let panel = SweepSession::over(&universe).run_panel(&members);
+        let [sound, strong, hiding] = &panel.members[..] else {
+            unreachable!("three members")
+        };
+        let sound_witness = sound
+            .verdict
+            .get::<Result<usize, SoundnessViolation>>()
+            .expect("soundness verdict type");
+        expect_stop(
+            "soundness",
+            sound.checked,
+            sound_witness.as_ref().err().map(|v| &v.labeling),
+            &walk.soundness_stop,
+        );
+        let strong_witness = strong
+            .verdict
+            .get::<Result<usize, StrongViolation>>()
+            .expect("strong verdict type");
+        expect_stop(
+            "strong",
+            strong.checked,
+            strong_witness.as_ref().err().map(|v| &v.labeling),
+            &walk.strong_stop,
+        );
+        let (nbhd, verdict) = hiding
+            .verdict
+            .get::<(NbhdGraph, HidingVerdict)>()
+            .expect("hiding verdict type");
+        let views = &walk.views;
+        assert_eq!(nbhd.views(), &views.views[..], "{what}: V(D, n) views");
+        assert_eq!(
+            nbhd.edge_count(),
+            views.edges.len(),
+            "{what}: V(D, n) edges"
+        );
+        assert_eq!(
+            nbhd.self_loop_views().len(),
+            views.self_loops.iter().filter(|&&l| l).count(),
+            "{what}: V(D, n) self-loops"
+        );
+        assert_eq!(
+            verdict.is_hiding(),
+            views.hiding(k),
+            "{what}: hiding verdict"
+        );
 
-            let weights = SweepSession::over(&universe).opts(opts).run(&Weights);
-            assert_eq!(
-                weights.verdict, walk.items as u64,
-                "{what}: multiplicities sum to the family size"
-            );
-        }
+        let weights = SweepSession::over(&universe).run(&Weights);
+        assert_eq!(
+            weights.verdict, walk.items as u64,
+            "{what}: multiplicities sum to the family size"
+        );
     }
 }
 
-/// A quotient sweep's telemetry counters must tile the labeling space:
+/// An orbit-quotiented sweep's telemetry counters must tile the labeling space:
 /// every walked item is either inspected or orbit-skipped, and the
 /// recorded orbit multiplicities sum back to |Σ|^n. A recorder that
 /// silently drops increments breaks the partition identity even though
@@ -1452,7 +1446,6 @@ fn telemetry_quotient_partition() {
     let recorder = MetricsRecorder::new();
     let report = SweepSession::over(&universe)
         .mode(ExecMode::Sequential)
-        .opts(SweepOpts::quotient())
         .metrics(&recorder)
         .run(&OrbitProbe);
     assert_eq!(report.verdict, 1 << N, "multiplicities must sum to 2^n");

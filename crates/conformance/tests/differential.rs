@@ -1,7 +1,7 @@
 //! Differential suites: every property checker against its brute-force
 //! oracle, at every execution mode (sequential and `PARITY_THREADS`-way
-//! parallel) under all three sweep strategies (delta-stepping with
-//! memoization, the per-item decode oracle, and the symmetry quotient).
+//! parallel) under both sweep strategies (delta stepping, with its dense
+//! tables and symmetry quotient, and the per-item decode oracle).
 //!
 //! The CI conformance job runs this binary at `PARITY_THREADS` ∈ {1, 2, 4}.
 
@@ -23,7 +23,7 @@ use hiding_lcp_core::properties::strong::{StrongCheck, StrongViolation};
 use hiding_lcp_core::prover::Prover;
 use hiding_lcp_core::verify::{
     merge_panel_fragments, Coverage, DynPropertyCheck, ExecMode, LazySweep, PropertyTag, ShardSpec,
-    SweepBudget, SweepOpts, SweepSession, Universe, VerificationReport,
+    SweepBudget, SweepSession, SweepStrategy, Universe, VerificationReport,
 };
 use hiding_lcp_graph::algo::bipartite;
 use hiding_lcp_graph::{generators, IdAssignment};
@@ -34,13 +34,9 @@ fn modes() -> [ExecMode; 2] {
     [ExecMode::Sequential, ExecMode::Parallel(parity_threads())]
 }
 
-/// All three sweep strategies, freshly constructed.
-fn strategies() -> [SweepOpts; 3] {
-    [
-        SweepOpts::default(),
-        SweepOpts::oracle(),
-        SweepOpts::quotient(),
-    ]
+/// Both sweep strategies.
+fn strategies() -> [SweepStrategy; 2] {
+    [SweepStrategy::DeltaStepping, SweepStrategy::DecodeOracle]
 }
 
 /// Runs `check` over `universe` at every mode × strategy and asserts all
@@ -51,10 +47,10 @@ where
     V: PartialEq + std::fmt::Debug,
 {
     for mode in modes() {
-        for opts in strategies() {
+        for strategy in strategies() {
             let report: VerificationReport<V> = SweepSession::over(universe)
                 .mode(mode)
-                .opts(opts)
+                .strategy(strategy)
                 .run(check);
             assert!(
                 report.errors.is_empty(),
@@ -214,11 +210,11 @@ fn hiding_matches_oracle() {
             };
             let reference = ViewGraph::build(decoder, &items, bipartite::is_bipartite);
             for mode in modes() {
-                for opts in strategies() {
+                for strategy in strategies() {
                     let check = HidingCheck::new(decoder, &universe, 2, bipartite::is_bipartite);
                     let report = SweepSession::over(&universe)
                         .mode(mode)
-                        .opts(opts)
+                        .strategy(strategy)
                         .run(&check);
                     let (nbhd, verdict) = report.verdict;
                     assert_eq!(
@@ -263,11 +259,11 @@ fn quantified_matches_oracle() {
         let ref_unext = reference.unextractable(2);
         let ref_fraction = reference.hidden_fraction(decoder.radius(), &probe_li, 2);
         for mode in modes() {
-            for opts in strategies() {
+            for strategy in strategies() {
                 let check = QuantifiedCheck::new(decoder, &universe, 2, bipartite::is_bipartite);
                 let report = SweepSession::over(&universe)
                     .mode(mode)
-                    .opts(opts)
+                    .strategy(strategy)
                     .run(&check);
                 let (nbhd, map) = report.verdict;
                 assert_eq!(
@@ -386,8 +382,8 @@ proptest! {
             };
             let check = SoundnessCheck { decoder: &decoder };
             for mode in modes() {
-                for opts in strategies() {
-                    let report = SweepSession::over(&universe).mode(mode).opts(opts).run(&check);
+                for strategy in strategies() {
+                    let report = SweepSession::over(&universe).mode(mode).strategy(strategy).run(&check);
                     prop_assert_eq!(&report.verdict, &expected, "code {} on C{}", code, n);
                 }
             }
@@ -419,19 +415,18 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 use hiding_lcp_core::verify::{
-    ItemCtx, MetricsRecorder, PropertyCheck, SweepOutcome, SweepStrategy, SymmetrySpec,
-    UniverseItem,
+    ItemCtx, MetricsRecorder, PropertyCheck, SweepOutcome, SymmetrySpec, UniverseItem,
 };
 
 /// Asserts the walk/orbit/memo accounting of one recorded run. Holds for
-/// every strategy: non-quotient walks inspect with multiplicity one, a
-/// *complete* quotient walk re-weights to exactly the universe size, and
+/// both strategies: the oracle inspects with multiplicity one, a
+/// *complete* delta walk re-weights to exactly the universe size, and
 /// every delta-channel decision consults the dense verdict memo exactly
 /// once.
 fn assert_counter_invariants(
     recorder: &MetricsRecorder,
     universe: &Universe,
-    opts: SweepOpts,
+    strategy: SweepStrategy,
     short_circuited: bool,
     members: usize,
     what: &str,
@@ -443,7 +438,7 @@ fn assert_counter_invariants(
         get("items_walked"),
         "{what}: inspected + skipped tile the walk"
     );
-    if opts.strategy == SweepStrategy::Quotient && !short_circuited {
+    if strategy == SweepStrategy::DeltaStepping && !short_circuited {
         assert_eq!(
             get("items_walked"),
             (universe.len() * members) as u64,
@@ -454,23 +449,21 @@ fn assert_counter_invariants(
             (universe.len() * members) as u64,
             "{what}: orbit multiplicities re-weight to |Sigma|^n per member"
         );
-    } else if opts.strategy != SweepStrategy::Quotient {
+    } else if strategy == SweepStrategy::DecodeOracle {
         assert_eq!(
             get("orbit_multiplicity"),
             get("items_inspected"),
-            "{what}: non-quotient items carry multiplicity one"
+            "{what}: oracle items carry multiplicity one"
         );
     }
-    if opts.memo {
-        assert_eq!(
-            get("memo_hits") + get("memo_misses"),
-            get("verdict_decisions"),
-            "{what}: every decision consults the memo exactly once"
-        );
-    }
+    assert_eq!(
+        get("memo_hits") + get("memo_misses"),
+        get("verdict_decisions"),
+        "{what}: every decision consults the memo exactly once"
+    );
     // Verdict channels belong to the delta path: the decode oracle never
-    // touches them, and quotient-skipped items never reach them.
-    if opts.strategy == SweepStrategy::DecodeOracle {
+    // touches them, and orbit-skipped items never reach them.
+    if strategy == SweepStrategy::DecodeOracle {
         assert_eq!(
             get("verdict_refreshes") + get("verdict_readbacks"),
             0,
@@ -503,21 +496,21 @@ fn recorded_soundness_and_strong_match_oracle_with_invariants() {
             Err(v) => Err(v),
         };
         for mode in modes() {
-            for opts in strategies() {
+            for strategy in strategies() {
                 let recorder = MetricsRecorder::new();
                 let check = SoundnessCheck {
                     decoder: &LocalDiff,
                 };
                 let report = SweepSession::over(&universe)
                     .mode(mode)
-                    .opts(opts)
+                    .strategy(strategy)
                     .metrics(&recorder)
                     .run(&check);
                 assert_eq!(report.verdict, sound_expected, "recorded soundness");
                 assert_counter_invariants(
                     &recorder,
                     &universe,
-                    opts,
+                    strategy,
                     report.short_circuited,
                     1,
                     "recorded soundness",
@@ -530,14 +523,14 @@ fn recorded_soundness_and_strong_match_oracle_with_invariants() {
                 };
                 let report = SweepSession::over(&universe)
                     .mode(mode)
-                    .opts(opts)
+                    .strategy(strategy)
                     .metrics(&recorder)
                     .run(&check);
                 assert_eq!(report.verdict, strong_expected, "recorded strong");
                 assert_counter_invariants(
                     &recorder,
                     &universe,
-                    opts,
+                    strategy,
                     report.short_circuited,
                     1,
                     "recorded strong",
@@ -578,7 +571,7 @@ impl PropertyCheck for OrbitProbe {
     }
 }
 
-/// The recorded quotient walk over a rotation-symmetric cycle pins the
+/// The recorded delta walk over a rotation-symmetric cycle pins the
 /// partition exactly: `items_walked == |Sigma|^n`, the skipped items are
 /// the non-canonical representatives, and the surviving orbits re-weight
 /// to the full space — at both execution modes.
@@ -596,7 +589,6 @@ fn recorded_quotient_walk_partitions_the_labeling_space() {
             let recorder = MetricsRecorder::new();
             let report = SweepSession::over(&universe)
                 .mode(mode)
-                .opts(SweepOpts::quotient())
                 .metrics(&recorder)
                 .run(&check);
             let snap = recorder.snapshot();
@@ -630,15 +622,15 @@ fn recorded_panel_matches_plain_panel_with_invariants() {
     let universe = panel_universe();
     let members = two_channel_panel(&d1, &d2, &two_col);
     for mode in modes() {
-        for opts in strategies() {
+        for strategy in strategies() {
             let plain = SweepSession::over(&universe)
                 .mode(mode)
-                .opts(opts)
+                .strategy(strategy)
                 .run_panel(&members);
             let recorder = MetricsRecorder::new();
             let recorded = SweepSession::over(&universe)
                 .mode(mode)
-                .opts(opts)
+                .strategy(strategy)
                 .metrics(&recorder)
                 .run_panel(&members);
             for (a, b) in plain.members.iter().zip(&recorded.members) {
@@ -653,7 +645,7 @@ fn recorded_panel_matches_plain_panel_with_invariants() {
             assert_counter_invariants(
                 &recorder,
                 &universe,
-                opts,
+                strategy,
                 any_stopped,
                 members.len(),
                 "recorded panel",
@@ -731,14 +723,14 @@ proptest! {
         let strong1 = StrongCheck { decoder: &d1, language: &two_col };
         let sound2 = SoundnessCheck { decoder: &d2 };
         for mode in modes() {
-            for opts in strategies() {
+            for strategy in strategies() {
                 let panel = SweepSession::over(&universe)
                     .mode(mode)
-                    .opts(opts)
+                    .strategy(strategy)
                     .run_panel(&members);
                 let solo = SweepSession::over(&universe)
                     .mode(ExecMode::Sequential)
-                    .opts(opts);
+                    .strategy(strategy);
                 let solo_sound1 = solo.run(&sound1);
                 let solo_strong1 = solo.run(&strong1);
                 let solo_sound2 = solo.run(&sound2);
@@ -782,16 +774,16 @@ proptest! {
         let universe = panel_universe();
         let members = two_channel_panel(&d1, &d2, &two_col);
         for mode in modes() {
-            for opts in strategies() {
+            for strategy in strategies() {
                 let whole = SweepSession::over(&universe)
                     .mode(mode)
-                    .opts(opts)
+                    .strategy(strategy)
                     .run_panel(&members);
                 let budget = SweepBudget::unlimited().with_max_items(step);
                 let session = SweepSession::over(&universe)
                     .mode(mode)
                     .budget(budget)
-                    .opts(opts);
+                    .strategy(strategy);
                 let mut fragment = session.run_panel_fragment(&members, ShardSpec::new(0, 1));
                 let mut slices = 1usize;
                 while !fragment.is_complete() {

@@ -15,7 +15,7 @@ use hiding_lcp_core::language::KCol;
 use hiding_lcp_core::lower::PortObliviousCycleDecoder;
 use hiding_lcp_core::properties::soundness::SoundnessCheck;
 use hiding_lcp_core::properties::strong::check_strong_exhaustive;
-use hiding_lcp_core::verify::{Coverage, ExecMode, SweepOpts, SweepSession, Universe};
+use hiding_lcp_core::verify::{Coverage, ExecMode, SweepSession, SweepStrategy, Universe};
 use hiding_lcp_graph::canon::are_isomorphic;
 use hiding_lcp_graph::generators;
 use proptest::prelude::*;
@@ -24,8 +24,8 @@ fn modes() -> [ExecMode; 2] {
     [ExecMode::Sequential, ExecMode::Parallel(parity_threads())]
 }
 
-fn strategies() -> [SweepOpts; 2] {
-    [SweepOpts::default(), SweepOpts::oracle()]
+fn strategies() -> [SweepStrategy; 2] {
+    [SweepStrategy::DeltaStepping, SweepStrategy::DecodeOracle]
 }
 
 /// A handful of permutations of `0..n` (identity, reversal, rotation).
@@ -91,10 +91,10 @@ fn renaming_preserves_unanimous_counts() {
             decoder: &LocalDiff,
         };
         for mode in modes() {
-            for opts in strategies() {
+            for strategy in strategies() {
                 let report = SweepSession::over(&universe)
                     .mode(mode)
-                    .opts(opts)
+                    .strategy(strategy)
                     .run(&check);
                 assert_eq!(
                     report.verdict.is_err(),

@@ -40,7 +40,7 @@
 //!   ([`verify`]): typed-coverage instance universes, the
 //!   [`verify::PropertyCheck`] map/reduce interface, a shared
 //!   view-canonicalization cache, and a sequential-identical parallel
-//!   sweep executor (default-on `parallel` feature).
+//!   sweep executor.
 //!
 //! # Quick start
 //!
@@ -83,7 +83,7 @@ pub mod prelude {
     pub use crate::prover::Prover;
     pub use crate::verify::{
         AuditPlan, Coverage, ExecMode, LazySweep, MetricsRecorder, PropertyCheck, SweepBudget,
-        SweepOpts, SweepRecorder, SweepSession, SweepStrategy, Universe, VerificationReport,
+        SweepRecorder, SweepSession, SweepStrategy, Universe, VerificationReport,
     };
     pub use crate::view::{IdMode, View};
 }

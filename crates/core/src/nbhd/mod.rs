@@ -29,13 +29,15 @@ use std::collections::{BTreeSet, HashMap};
 
 /// Per-item evidence of the Lemma 3.1 sweep: every node's canonical view
 /// (in the neighborhood graph's id mode) as an id into the sweep's
-/// [`ViewInterner`], plus its acceptance flag. Interned ids keep the
-/// per-item evidence at two machine words per node — the sweep no longer
-/// clones one [`View`] per node per labeling.
+/// [`ViewInterner`], plus its acceptance flag and how many items of the
+/// universe the item stands for ([`ItemCtx::multiplicity`]). Interned ids
+/// keep the per-item evidence at two machine words per node — the sweep
+/// no longer clones one [`View`] per node per labeling.
 #[derive(Debug, Clone)]
 pub struct NbhdScan {
     view_ids: Vec<ViewId>,
     accepts: Vec<bool>,
+    multiplicity: u64,
 }
 
 /// The Lemma 3.1 construction as a [`PropertyCheck`]: inspection scans one
@@ -118,7 +120,11 @@ impl<D: Decoder + ?Sized> PropertyCheck for NbhdSweep<'_, D> {
             })
             .collect();
         let view_ids = self.interner.intern_views(item, ctx, radius, self.id_mode);
-        Some(NbhdScan { view_ids, accepts })
+        Some(NbhdScan {
+            view_ids,
+            accepts,
+            multiplicity: ctx.multiplicity(),
+        })
     }
 
     fn verdict_decoder(&self) -> Option<&dyn Decoder> {
@@ -162,7 +168,11 @@ impl<D: Decoder + ?Sized> PropertyCheck for NbhdSweep<'_, D> {
         let view_ids = self
             .interner
             .intern_views(item, ctx, self.decoder.radius(), self.id_mode);
-        Some(NbhdScan { view_ids, accepts })
+        Some(NbhdScan {
+            view_ids,
+            accepts,
+            multiplicity: ctx.multiplicity(),
+        })
     }
 
     fn reduce(
@@ -187,7 +197,7 @@ impl<D: Decoder + ?Sized> PropertyCheck for NbhdSweep<'_, D> {
             edge_witness: HashMap::new(),
             self_loops: HashMap::new(),
             instances: Vec::new(),
-            retained: partials.len(),
+            retained: partials.iter().map(|(_, scan)| scan.multiplicity).sum(),
         };
         // Pass 1: retained items in item order, nodes in order, accepting
         // views dedup-inserted.
@@ -322,8 +332,9 @@ pub struct NbhdGraph {
     /// The witnessing instances: every retained labeled yes-instance some
     /// witness names, in item order.
     instances: Vec<LabeledInstance>,
-    /// How many labeled yes-instances the construction retained.
-    retained: usize,
+    /// How many labeled yes-instances the construction retained, each
+    /// item counted with its multiplicity.
+    retained: u64,
 }
 
 impl NbhdGraph {
@@ -430,10 +441,12 @@ impl NbhdGraph {
         &self.instances
     }
 
-    /// How many labeled yes-instances the sweep retained: walked items
-    /// that passed `is_yes` (a strategy that jumps copy blocks walks fewer).
+    /// How many labeled yes-instances of the universe the sweep retained:
+    /// the multiplicities ([`ItemCtx::multiplicity`]) of the retained
+    /// items summed, so a walk that jumps copy blocks or skips orbit
+    /// members reports the full walk's count.
     pub fn retained_count(&self) -> usize {
-        self.retained
+        usize::try_from(self.retained).expect("a retained count fits the flat index space")
     }
 
     /// `(i, v)`: view `index` is accepted at node `v` of

@@ -95,21 +95,21 @@ pub trait PropertyCheck: Sync {
 
     /// The symmetries this check's partials and verdict are invariant
     /// under on an `All`-labeled block with the given certificate
-    /// alphabet. Returning `Some` opts the check into the
-    /// symmetry-quotient strategy ([`super::SweepStrategy::Quotient`],
-    /// mirroring the [`verdict_decoder`] opt-in): the executor then skips
-    /// every non-canonical orbit member and hands the representative's
-    /// orbit size to [`inspect`] via [`ItemCtx::multiplicity`], so
-    /// weighted counts stay bit-exact against the full walk.
+    /// alphabet. Returning `Some` opts the check into the in-block orbit
+    /// quotient of [`super::SweepStrategy::DeltaStepping`] (mirroring the
+    /// [`verdict_decoder`] opt-in): the walk then skips every
+    /// non-canonical orbit member and hands the representative's orbit
+    /// size to [`inspect`] via [`ItemCtx::multiplicity`], so weighted
+    /// counts stay bit-exact against the full walk.
     ///
     /// Contract: for every declared symmetry `g` and every item `L`, the
     /// check must produce an equivalent partial (and identical
     /// short-circuit decision) on `g · L` as on `L`. Declaring
     /// [`SymmetrySpec::automorphisms`] also covers port-preserving
-    /// isomorphisms between blocks, which every strategy but
-    /// [`super::SweepStrategy::DecodeOracle`] uses to walk one block per
-    /// class. Checks that cannot vouch for this return `None` (the
-    /// default) and keep the full walk.
+    /// isomorphisms between blocks, which delta stepping uses to walk one
+    /// block per class. Checks that cannot vouch for this return `None`
+    /// (the default) and keep the full walk; the
+    /// [`super::SweepStrategy::DecodeOracle`] always walks in full.
     ///
     /// [`verdict_decoder`]: PropertyCheck::verdict_decoder
     /// [`inspect`]: PropertyCheck::inspect

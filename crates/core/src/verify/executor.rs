@@ -4,8 +4,8 @@
 //! The one sweep engine ([`super::panel`]) drives these per item; this
 //! module owns what a single step needs — how to reach an item, how to
 //! stamp its views, and how to keep the decoder's verdicts current —
-//! plus the options ([`ExecMode`], [`SweepOpts`]) every sweep is
-//! configured with.
+//! plus the two settings ([`ExecMode`], [`SweepStrategy`]) every sweep
+//! is configured with besides its budget and recorder.
 //!
 //! # Hot path: odometer stepping and delta evaluation
 //!
@@ -35,8 +35,9 @@
 //! cache computes each skeleton's slot (class, radix, table size) once,
 //! and both the verdict memo and [`ItemCtx::view_slot`] read it.
 //!
-//! The index-decoded path survives as [`SweepStrategy::DecodeOracle`]; the
-//! `engine_parity` suite proves the strategies observationally identical.
+//! The index-decoded path survives as [`SweepStrategy::DecodeOracle`],
+//! the unmemoized full-walk reference; the `engine_parity` suite proves
+//! the two strategies observationally identical.
 //! All of this is invisible to reports and fragments — the stepped
 //! labeling at index `i` equals the decoded labeling at index `i`
 //! exactly.
@@ -69,14 +70,12 @@ use std::sync::OnceLock;
 /// How to drive the sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Parallel when the `parallel` feature is on, the machine has more
-    /// than one core, and the universe is large enough to amortize thread
-    /// startup; sequential otherwise.
+    /// Parallel when the machine has more than one core and the universe
+    /// is large enough to amortize thread startup; sequential otherwise.
     Auto,
     /// Always single-threaded, in index order.
     Sequential,
-    /// Exactly this many worker threads (values ≤ 1 run sequentially;
-    /// without the `parallel` feature this falls back to sequential).
+    /// Exactly this many worker threads (values ≤ 1 run sequentially).
     /// Below [the small-universe threshold](PARALLEL_THRESHOLD) this also
     /// runs sequentially: thread startup dominates such sweeps, and the
     /// determinism contract makes the fallback observationally invisible.
@@ -103,69 +102,26 @@ const ACCEPTED: u8 = 1;
 /// A verdict-table entry holding [`Verdict::Reject`].
 const REJECTED: u8 = 2;
 
-/// How the executor enumerates items within a chunk.
+/// How the executor enumerates items: the engine's only strategy
+/// setting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SweepStrategy {
-    /// Odometer stepping with delta-evaluated verdicts — the production
-    /// hot path (see the module docs).
+    /// Odometer stepping with delta-evaluated verdicts and the dense
+    /// per-class tables — the production hot path (see the module docs).
+    /// Symmetry shrinks the walk by what the members declare via
+    /// [`PropertyCheck::symmetry_class`](super::PropertyCheck::symmetry_class):
+    /// port-isomorphic copy blocks are jumped when every member declares
+    /// automorphisms, and a member that declares a symmetry inspects only
+    /// the canonical orbit representatives of each walked block. Each
+    /// inspected item carries what it stands for in
+    /// [`ItemCtx::multiplicity`]; a member that declares none inspects
+    /// every item of the walked blocks.
     #[default]
     DeltaStepping,
-    /// Independent div/mod index decoding with full per-item inspection
-    /// of every block — the reference oracle the parity suite compares
-    /// against. The only strategy that also walks the port-isomorphic
-    /// copies every other strategy jumps over (see
-    /// [`ItemCtx::multiplicity`]).
+    /// Independent div/mod index decoding with full, unmemoized per-item
+    /// inspection of every item of every block — the reference oracle the
+    /// parity suite compares against.
     DecodeOracle,
-    /// Delta stepping restricted to canonical orbit representatives under
-    /// the symmetries the check declares via
-    /// [`PropertyCheck::symmetry_class`](super::PropertyCheck::symmetry_class):
-    /// non-canonical items are stepped over without inspection, and each
-    /// representative carries its orbit size in
-    /// [`ItemCtx::multiplicity`]. Observationally identical to
-    /// [`SweepStrategy::DeltaStepping`] (verdicts, witnesses, `checked`);
-    /// checks declaring no symmetry fall back to the full walk.
-    Quotient,
-}
-
-/// Engine tuning knobs. `Default` is the production configuration:
-/// delta-stepping enumeration with the dense per-class tables enabled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SweepOpts {
-    /// Enumeration strategy.
-    pub strategy: SweepStrategy,
-    /// Whether the dense per-class tables (the executor's verdict memo and
-    /// the view interner's front cache, which [`ItemCtx::view_slot`] gates)
-    /// are active. Disabling it must not change any verdict — only counters
-    /// and wall-clock — which the parity suite asserts.
-    pub memo: bool,
-}
-
-impl Default for SweepOpts {
-    fn default() -> Self {
-        SweepOpts {
-            strategy: SweepStrategy::DeltaStepping,
-            memo: true,
-        }
-    }
-}
-
-impl SweepOpts {
-    /// The index-decoded, unmemoized reference configuration.
-    pub fn oracle() -> Self {
-        SweepOpts {
-            strategy: SweepStrategy::DecodeOracle,
-            memo: false,
-        }
-    }
-
-    /// The symmetry-quotient configuration: delta stepping over canonical
-    /// orbit representatives only.
-    pub fn quotient() -> Self {
-        SweepOpts {
-            strategy: SweepStrategy::Quotient,
-            memo: true,
-        }
-    }
 }
 
 /// Per-block, per-configuration view skeletons, shared by all labelings.
@@ -299,7 +255,8 @@ pub struct ItemCtx<'a> {
     cache: &'a SkeletonCache,
     hits: &'a AtomicUsize,
     misses: &'a AtomicUsize,
-    memo: bool,
+    /// Whether the dense per-class tables are on (delta stepping).
+    dense: bool,
     multiplicity: u64,
 }
 
@@ -312,7 +269,7 @@ impl<'a> ItemCtx<'a> {
         cache: &'a SkeletonCache,
         hits: &'a AtomicUsize,
         misses: &'a AtomicUsize,
-        memo: bool,
+        dense: bool,
         multiplicity: u64,
     ) -> ItemCtx<'a> {
         ItemCtx {
@@ -320,7 +277,7 @@ impl<'a> ItemCtx<'a> {
             cache,
             hits,
             misses,
-            memo,
+            dense,
             multiplicity,
         }
     }
@@ -377,12 +334,12 @@ impl ItemCtx<'_> {
     /// How many universe items this item stands for. An item of a block
     /// with port-isomorphic copies stands for itself and its image in
     /// every copy the walk jumps over (see
-    /// [`SymmetrySpec::automorphisms`](super::SymmetrySpec::automorphisms));
-    /// under [`SweepStrategy::Quotient`] a canonical orbit representative
-    /// also carries its in-block orbit size, and the two multiply. Always
-    /// 1 under [`SweepStrategy::DecodeOracle`] and for checks that declare
-    /// no automorphisms. Counting checks multiply per-item tallies by this
-    /// to stay bit-exact against the full walk.
+    /// [`SymmetrySpec::automorphisms`](super::SymmetrySpec::automorphisms)),
+    /// and a canonical orbit representative also carries its in-block
+    /// orbit size; the two multiply. Always 1 under
+    /// [`SweepStrategy::DecodeOracle`] and for checks that declare no
+    /// symmetry. Counting checks multiply per-item tallies by this to stay
+    /// bit-exact against the full walk.
     pub fn multiplicity(&self) -> u64 {
         self.multiplicity
     }
@@ -393,9 +350,9 @@ impl ItemCtx<'_> {
     /// and the entry the item's ball digits select (read base-|alphabet|
     /// along the skeleton's canonical node order, as the verdict memo
     /// reads them). Equal slots denote equal stamped views, and distinct
-    /// ball digits of one class select distinct entries. `None` when the
-    /// memo is off ([`SweepOpts::memo`], as in [`SweepOpts::oracle`]), the
-    /// item carries no odometer digits (`Fixed` and `Unlabeled` blocks),
+    /// ball digits of one class select distinct entries. `None` under
+    /// [`SweepStrategy::DecodeOracle`], when the item carries no odometer
+    /// digits (`Fixed` and `Unlabeled` blocks),
     /// the configuration was not requested via
     /// [`PropertyCheck::view_configs`](super::PropertyCheck::view_configs),
     /// or the class's table would exceed the engine's table cap: the
@@ -407,7 +364,7 @@ impl ItemCtx<'_> {
         radius: usize,
         id_mode: IdMode,
     ) -> Option<ViewSlot> {
-        if !self.memo {
+        if !self.dense {
             return None;
         }
         let digits = item.digits?;
@@ -455,7 +412,7 @@ impl ItemCtx<'_> {
 }
 
 pub(super) fn resolve_threads(mode: ExecMode, items: usize) -> usize {
-    if !cfg!(feature = "parallel") || items < PARALLEL_THRESHOLD {
+    if items < PARALLEL_THRESHOLD {
         return 1;
     }
     match mode {
@@ -623,23 +580,12 @@ pub(super) struct VerdictScratch {
     pending: Vec<usize>,
 }
 
-/// One worker's use of a channel's verdict memo: whether it is on, and
-/// the worker's hit and miss counts. The tables themselves live in the
-/// channel's [`DeltaDriver`].
+/// One worker's hit and miss counts on a channel's verdict memo. The
+/// tables themselves live in the channel's [`DeltaDriver`].
+#[derive(Default)]
 pub(super) struct VerdictMemo {
-    enabled: bool,
     pub(super) hits: usize,
     pub(super) misses: usize,
-}
-
-impl VerdictMemo {
-    pub(super) fn new(enabled: bool) -> VerdictMemo {
-        VerdictMemo {
-            enabled,
-            hits: 0,
-            misses: 0,
-        }
-    }
 }
 
 /// Reads the ball digits along a skeleton's canonical `order` as one
@@ -661,9 +607,8 @@ fn dense_index(order: &[usize], digits: &[usize], radix: usize) -> usize {
         .fold(0, |index, &orig| index * radix + digits[orig])
 }
 
-/// One node's verdict: the class's dense memo table first (when the memo
-/// is enabled and the class is under the cap), decoder run on the stamped
-/// view otherwise.
+/// One node's verdict: the class's dense memo table first (when the
+/// class is under the cap), decoder run on the stamped view otherwise.
 fn node_verdict(
     driver: &DeltaDriver<'_>,
     cache: &SkeletonCache,
@@ -674,37 +619,35 @@ fn node_verdict(
     memo: &mut VerdictMemo,
 ) -> Verdict {
     let skel = &cache.per_block[block][driver.config][u];
-    if memo.enabled {
-        let slot = cache.slots[block][driver.config][u];
-        #[cfg(conformance_mutants)]
-        let slot = if crate::mutants::active("memo_key_class_collision") {
-            MemoSlot { class: 0, ..slot }
-        } else {
-            slot
-        };
-        if slot.entries > 0 {
-            let index = dense_index(skel.original_nodes(), digits, slot.radix);
-            let entry = &driver.table(slot)[index];
-            match entry.load(Ordering::Relaxed) {
-                ACCEPTED => {
-                    memo.hits += 1;
-                    return Verdict::Accept;
-                }
-                REJECTED => {
-                    memo.hits += 1;
-                    return Verdict::Reject;
-                }
-                _ => {}
+    let slot = cache.slots[block][driver.config][u];
+    #[cfg(conformance_mutants)]
+    let slot = if crate::mutants::active("memo_key_class_collision") {
+        MemoSlot { class: 0, ..slot }
+    } else {
+        slot
+    };
+    if slot.entries > 0 {
+        let index = dense_index(skel.original_nodes(), digits, slot.radix);
+        let entry = &driver.table(slot)[index];
+        match entry.load(Ordering::Relaxed) {
+            ACCEPTED => {
+                memo.hits += 1;
+                return Verdict::Accept;
             }
-            let verdict = driver.decoder.decide(&skel.stamp(labeling));
-            let code = match verdict {
-                Verdict::Accept => ACCEPTED,
-                Verdict::Reject => REJECTED,
-            };
-            entry.store(code, Ordering::Relaxed);
-            memo.misses += 1;
-            return verdict;
+            REJECTED => {
+                memo.hits += 1;
+                return Verdict::Reject;
+            }
+            _ => {}
         }
+        let verdict = driver.decoder.decide(&skel.stamp(labeling));
+        let code = match verdict {
+            Verdict::Accept => ACCEPTED,
+            Verdict::Reject => REJECTED,
+        };
+        entry.store(code, Ordering::Relaxed);
+        memo.misses += 1;
+        return verdict;
     }
     memo.misses += 1;
     driver.decoder.decide(&skel.stamp(labeling))
@@ -830,8 +773,8 @@ mod tests {
         let driver = DeltaDriver::build(&decoder, &universe, &cache, |_| true);
         let mut walker = Walker::default();
         walker.advance_to(&universe, 0, 5);
-        let mut first = VerdictMemo::new(true);
-        let mut second = VerdictMemo::new(true);
+        let mut first = VerdictMemo::default();
+        let mut second = VerdictMemo::default();
         for memo in [&mut first, &mut second] {
             for u in 0..4 {
                 node_verdict(

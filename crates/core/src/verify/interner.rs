@@ -248,8 +248,8 @@ impl ViewInterner {
     /// is stamped and [`fill`](ViewInterner::fill)s the entry, and the
     /// stamp counts as a skeleton-cache hit only if this call filled it,
     /// so the sweep's `cache_hits` counts each entry once however the
-    /// workers interleave. A node without one (the memo off, no odometer
-    /// digits, a class over the table cap) interns its stamped view
+    /// workers interleave. A node without one (the decode oracle, no
+    /// odometer digits, a class over the table cap) interns its stamped view
     /// through the canonical map, every stamp counted. Front-cache hits
     /// are tallied once per item.
     pub fn intern_views(
@@ -465,12 +465,13 @@ mod tests {
         let (hits, misses) = (AtomicUsize::new(0), AtomicUsize::new(0));
         let item = universe.item(5);
         let item = item.as_item();
-        let slot = |memo: bool, v: usize| {
-            ItemCtx::new(0, &cache, &hits, &misses, memo, 1).view_slot(&item, v, config.0, config.1)
+        let slot = |dense: bool, v: usize| {
+            ItemCtx::new(0, &cache, &hits, &misses, dense, 1)
+                .view_slot(&item, v, config.0, config.1)
         };
         assert_eq!(slot(true, 0), None, "the center interns through the map");
         assert_eq!(slot(true, 1).map(|s| s.entries), Some(17 * 17));
-        assert_eq!(slot(false, 1), None, "memo off, no front cache");
+        assert_eq!(slot(false, 1), None, "the decode oracle has no front cache");
     }
 
     #[test]

@@ -15,11 +15,11 @@
 //! * [`PropertyCheck`] is the property: a per-item [`PropertyCheck::inspect`]
 //!   plus a [`PropertyCheck::reduce`] fold, with optional short-circuiting;
 //! * [`SweepSession`] is the single construction site for every run: one
-//!   builder carrying execution mode, strategy options ([`SweepOpts`]),
-//!   budget and telemetry recorder, fired with
+//!   builder carrying execution mode, [`SweepStrategy`], budget and
+//!   telemetry recorder, fired with
 //!   [`run`](SweepSession::run) / [`run_panel`](SweepSession::run_panel)
-//!   and the fragment walks — sequentially, or on worker threads when the default-on
-//!   `parallel` feature is enabled — with bit-identical verdicts,
+//!   and the fragment walks — sequentially or on worker threads, with
+//!   bit-identical verdicts,
 //!   witnesses and counts in either mode, and a shared
 //!   [`crate::view::ViewSkeleton`] cache so each node's view is
 //!   canonicalized once per block instead of once per labeling
@@ -54,9 +54,12 @@
 //!   [`PropertyCheck::verdict_decoder`] get *delta-evaluated* verdicts:
 //!   only nodes whose radius-r ball contains the changed digit are
 //!   re-decided, with a dense per-class verdict memo short-cutting
-//!   repeated local configurations. The decode-from-index oracle survives
-//!   as [`SweepStrategy::DecodeOracle`] and the `engine_parity` suite
-//!   proves the two paths observationally identical.
+//!   repeated local configurations, and symmetry shrinks the walk by what
+//!   each check declares: port-isomorphic copy blocks are jumped and a
+//!   check with a [`SymmetrySpec`] inspects one item per orbit. The
+//!   decode-from-index oracle survives as [`SweepStrategy::DecodeOracle`],
+//!   the unmemoized full walk, and the `engine_parity` suite proves the
+//!   two paths observationally identical.
 //!
 //! The concrete properties live where they always did (in
 //! [`crate::properties`] and [`crate::nbhd`]); what moved here is the
@@ -79,7 +82,7 @@ pub mod universe;
 pub use budget::{MemberFrontier, SweepBudget, SweepError};
 pub use check::{ExecEvidence, PropertyCheck, SweepOutcome, VerificationReport};
 pub use erased::{DynPropertyCheck, ErasedPartial, ErasedVerdict, PanelVerdict, PropertyTag};
-pub use executor::{ExecMode, ItemCtx, SweepOpts, SweepStrategy, PARALLEL_THRESHOLD};
+pub use executor::{ExecMode, ItemCtx, SweepStrategy, PARALLEL_THRESHOLD};
 pub use interner::{InternerReport, ViewId, ViewInterner, ViewSlot};
 pub use panel::{PanelFragment, PanelMemberReport, PanelReport};
 pub use plan::{

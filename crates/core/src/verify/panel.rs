@@ -80,7 +80,7 @@ use super::budget::{MemberFrontier, SweepBudget, SweepError};
 use super::check::{ExecEvidence, PropertyCheck, SweepOutcome, VerificationReport};
 use super::erased::{DynPropertyCheck, ErasedPartial, ErasedVerdict, PanelVerdict, PropertyTag};
 use super::executor::{
-    refresh_verdicts, resolve_threads, DeltaDriver, ExecMode, ItemCtx, SkeletonCache, SweepOpts,
+    refresh_verdicts, resolve_threads, DeltaDriver, ExecMode, ItemCtx, SkeletonCache,
     SweepStrategy, VerdictMemo, VerdictScratch, Walker,
 };
 use super::shard::ShardSpec;
@@ -282,7 +282,7 @@ impl<P> MemberFrontier<P> {
 pub(super) struct Walk<'a> {
     pub(super) universe: &'a Universe,
     pub(super) mode: ExecMode,
-    pub(super) opts: SweepOpts,
+    pub(super) strategy: SweepStrategy,
     pub(super) budget: SweepBudget,
     pub(super) recorder: Option<&'a dyn SweepRecorder>,
     /// The span enclosing the call: `"sweep"` for typed sweeps, `"panel"`
@@ -580,7 +580,8 @@ struct Engine<'e, C> {
     misses: &'e AtomicUsize,
     memo_hits: &'e AtomicUsize,
     memo_misses: &'e AtomicUsize,
-    memo_on: bool,
+    /// Whether the walk is the decode oracle's: index decoding, full
+    /// inspection, no dense tables.
     oracle: bool,
     recorder: Option<&'e dyn SweepRecorder>,
 }
@@ -590,8 +591,9 @@ struct MemberPlan {
     /// `channel[b]`: the verdict channel the member reads on block `b`,
     /// `None` where it runs the plain `inspect`.
     channel: Vec<Option<usize>>,
-    /// The member's symmetry-quotient plan, when the walk runs under
-    /// [`SweepStrategy::Quotient`] and the member opted in.
+    /// The member's in-block orbit quotient, when the walk steps the
+    /// odometer and the member declares a symmetry some walked block
+    /// admits.
     quotient: Option<QuotientPlan>,
 }
 
@@ -609,11 +611,11 @@ struct Worker {
 }
 
 impl Worker {
-    fn new(channels: usize, memo_on: bool) -> Worker {
+    fn new(channels: usize) -> Worker {
         Worker {
             walker: Walker::default(),
             channels: (0..channels)
-                .map(|_| (VerdictScratch::default(), VerdictMemo::new(memo_on)))
+                .map(|_| (VerdictScratch::default(), VerdictMemo::default()))
                 .collect(),
             tally: WorkerTally::default(),
         }
@@ -651,14 +653,7 @@ impl<C: PropertyCheck> Engine<'_, C> {
     ) -> usize {
         if self.oracle {
             let buf = self.universe.item(i);
-            let ctx = ItemCtx::new(
-                buf.block,
-                self.cache,
-                self.hits,
-                self.misses,
-                self.memo_on,
-                1,
-            );
+            let ctx = ItemCtx::new(buf.block, self.cache, self.hits, self.misses, false, 1);
             for (m, (check, record)) in self.checks.iter().zip(records).enumerate() {
                 if !stops.active(m, i) {
                     continue;
@@ -694,10 +689,10 @@ impl<C: PropertyCheck> Engine<'_, C> {
                 continue;
             }
             tally.walk();
-            // Quotient strategy: a member whose plan rejects this item as a
-            // non-canonical orbit member skips it entirely; the odometer
-            // still stepped, and its verdict channel refreshes lazily at
-            // its next canonical item.
+            // A member whose quotient rejects this item as a non-canonical
+            // orbit member skips it entirely; the odometer still stepped,
+            // and its verdict channel refreshes lazily at its next
+            // canonical item.
             let mut multiplicity = weight;
             if let Some(quotient) = &plan.quotient {
                 match quotient.classify(block, &walker.digits) {
@@ -714,7 +709,7 @@ impl<C: PropertyCheck> Engine<'_, C> {
                 self.cache,
                 self.hits,
                 self.misses,
-                self.memo_on,
+                true,
                 multiplicity,
             );
             let instance = self.universe.blocks()[block].instance();
@@ -782,12 +777,12 @@ fn with_engine<C: Member, R>(
 ) -> R {
     let Walk {
         universe,
-        opts,
+        strategy,
         recorder,
         ..
     } = *walk;
     let nmem = checks.len();
-    let oracle = opts.strategy == SweepStrategy::DecodeOracle;
+    let oracle = strategy == SweepStrategy::DecodeOracle;
     let cache_start = recorder.map(|r| r.now_micros());
 
     // Between-block classes: a block is a copy of a lower-index
@@ -883,7 +878,9 @@ fn with_engine<C: Member, R>(
                 }
                 None => vec![None; blocks],
             };
-            let quotient = (opts.strategy == SweepStrategy::Quotient)
+            // Every member that declares a symmetry gets its in-block
+            // orbit quotient; the decode oracle stays the full walk.
+            let quotient = (!oracle)
                 .then(|| {
                     QuotientPlan::build(universe, &classes, |alphabet| {
                         check.symmetry_class(alphabet)
@@ -908,7 +905,6 @@ fn with_engine<C: Member, R>(
         misses: &misses,
         memo_hits: &memo_hits,
         memo_misses: &memo_misses,
-        memo_on: opts.memo,
         oracle,
         recorder,
     })
@@ -1030,7 +1026,7 @@ pub(super) fn replay<C: Member>(
         let replayed = lists
             .iter()
             .map(|items| {
-                let mut worker = Worker::new(engine.drivers.len(), engine.memo_on);
+                let mut worker = Worker::new(engine.drivers.len());
                 let stops: Vec<Cell<usize>> =
                     checks.iter().map(|_| Cell::new(usize::MAX)).collect();
                 let mut records: Vec<MemberFrontier<C::Partial>> =
@@ -1064,7 +1060,7 @@ fn run_sequential<C: PropertyCheck>(
     deadline: Option<Instant>,
     records: &mut [MemberFrontier<C::Partial>],
 ) -> (Vec<usize>, usize) {
-    let mut worker = Worker::new(engine.drivers.len(), engine.memo_on);
+    let mut worker = Worker::new(engine.drivers.len());
     let stop_at: Vec<Cell<usize>> = stops_of(records).map(Cell::new).collect();
     let mut next = end;
     // Span bookkeeping (recorder-only): the sequential walk visits blocks
@@ -1101,7 +1097,6 @@ fn run_sequential<C: PropertyCheck>(
 
 /// The parallel walk over `[begin, end)` on `threads` workers; same
 /// output as [`run_sequential`].
-#[cfg(feature = "parallel")]
 fn run_parallel<C: PropertyCheck>(
     engine: &Engine<'_, C>,
     threads: usize,
@@ -1138,7 +1133,7 @@ fn run_parallel<C: PropertyCheck>(
         let workers: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut worker = Worker::new(engine.drivers.len(), engine.memo_on);
+                    let mut worker = Worker::new(engine.drivers.len());
                     let mut local: Vec<MemberFrontier<C::Partial>> = engine
                         .checks
                         .iter()
@@ -1204,18 +1199,6 @@ fn run_parallel<C: PropertyCheck>(
         cursor.load(Ordering::Relaxed).min(end)
     };
     (stops, next)
-}
-
-#[cfg(not(feature = "parallel"))]
-fn run_parallel<C: PropertyCheck>(
-    engine: &Engine<'_, C>,
-    _threads: usize,
-    begin: usize,
-    end: usize,
-    deadline: Option<Instant>,
-    records: &mut [MemberFrontier<C::Partial>],
-) -> (Vec<usize>, usize) {
-    run_sequential(engine, begin, end, deadline, records)
 }
 
 /// The lazy draw loop behind [`LazySweep`](super::LazySweep): pulls items

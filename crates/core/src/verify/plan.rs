@@ -69,14 +69,13 @@ use crate::prover::Prover;
 use crate::verify::{
     Block, Coverage, DynPropertyCheck, ExecMode, InternerReport, ItemCtx, LabelSource,
     MetricsRecorder, MetricsSnapshot, PanelReport, PropertyCheck, PropertyTag, SweepBudget,
-    SweepOpts, SweepOutcome, SweepRecorder, SweepStrategy, SymmetrySpec, Universe, UniverseItem,
+    SweepOutcome, SweepRecorder, SweepStrategy, SymmetrySpec, Universe, UniverseItem,
 };
 
 use super::budget::MemberFrontier;
 use super::panel::PanelFragment;
 use super::session::SweepSession;
 use super::shard::{merge_panel_fragments, ShardSpec};
-#[cfg(feature = "telemetry")]
 use super::telemetry::diff;
 use crate::view::IdMode;
 use rand::rngs::StdRng;
@@ -191,7 +190,7 @@ pub struct AuditPlan<'a> {
     alphabet: Vec<Certificate>,
     properties: Vec<PropertyTag>,
     mode: ExecMode,
-    opts: SweepOpts,
+    strategy: SweepStrategy,
     budget: Option<SweepBudget>,
     telemetry: Option<&'a MetricsRecorder>,
     fault_plan: Option<FaultSpec>,
@@ -230,7 +229,7 @@ impl<'a> AuditPlan<'a> {
             alphabet,
             properties: ALL_PROPERTIES.to_vec(),
             mode: ExecMode::Auto,
-            opts: SweepOpts::default(),
+            strategy: SweepStrategy::DeltaStepping,
             budget: None,
             telemetry: None,
             fault_plan: None,
@@ -259,9 +258,10 @@ impl<'a> AuditPlan<'a> {
         self
     }
 
-    /// Sets the sweep options (strategy/memo) for every panel.
-    pub fn opts(mut self, opts: SweepOpts) -> Self {
-        self.opts = opts;
+    /// Sets the sweep strategy for every panel (default
+    /// [`SweepStrategy::DeltaStepping`]).
+    pub fn strategy(mut self, strategy: SweepStrategy) -> Self {
+        self.strategy = strategy;
         self
     }
 
@@ -277,9 +277,7 @@ impl<'a> AuditPlan<'a> {
 
     /// Attaches a metrics recorder: every panel streams counters, phase
     /// timings and spans into it, and the report gains a `telemetry`
-    /// section with per-panel counter deltas. In `--no-default-features`
-    /// builds the recorder is inert and nothing is attached, so the
-    /// engine keeps its recorder-free hot path.
+    /// section with per-panel counter deltas.
     pub fn telemetry(mut self, recorder: &'a MetricsRecorder) -> Self {
         self.telemetry = Some(recorder);
         self
@@ -315,30 +313,14 @@ impl<'a> AuditPlan<'a> {
         self.properties.contains(&tag)
     }
 
-    /// The attached recorder as the engine-facing trait object. Disabled
-    /// builds attach nothing: the inert recorder would record nothing
-    /// anyway, and skipping it keeps the engine's recorder-free paths.
+    /// The attached recorder as the engine-facing trait object.
     fn attached(&self) -> Option<&dyn SweepRecorder> {
-        #[cfg(feature = "telemetry")]
-        {
-            self.telemetry.map(|r| r as &dyn SweepRecorder)
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            None
-        }
+        self.telemetry.map(|r| r as &dyn SweepRecorder)
     }
 
     /// Snapshot taken just before a panel runs, when a recorder is live.
     fn snapshot_before(&self) -> Option<MetricsSnapshot> {
-        #[cfg(feature = "telemetry")]
-        {
-            self.telemetry.map(|r| r.snapshot())
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            None
-        }
+        self.telemetry.map(|r| r.snapshot())
     }
 
     /// Diffs the recorder against `before` and appends the panel's
@@ -349,28 +331,25 @@ impl<'a> AuditPlan<'a> {
         before: Option<MetricsSnapshot>,
         report: &mut AuditReport,
     ) {
-        #[cfg(feature = "telemetry")]
         if let (Some(recorder), Some(before)) = (self.telemetry, before) {
             let delta = diff::diff(&before, &recorder.snapshot());
             report.telemetry.push(PanelTelemetry {
                 shape: shape.into(),
-                strategy: strategy_name(self.opts.strategy).into(),
+                strategy: strategy_name(self.strategy).into(),
                 counters: delta
                     .changed()
                     .map(|row| (row.name.clone(), row.delta().max(0) as u64, row.stable))
                     .collect(),
             });
         }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            let _ = (shape, before, report);
-        }
     }
 
-    /// A session over `universe` with the plan's mode, options and
+    /// A session over `universe` with the plan's mode, strategy and
     /// recorder.
     fn session<'s>(&'s self, universe: &'s Universe) -> SweepSession<'s> {
-        let session = SweepSession::over(universe).mode(self.mode).opts(self.opts);
+        let session = SweepSession::over(universe)
+            .mode(self.mode)
+            .strategy(self.strategy);
         match self.attached() {
             Some(r) => session.recorder(r),
             None => session,
@@ -747,20 +726,13 @@ impl<'a> AuditPlan<'a> {
         let universe = self.labelings_universe();
         let is_yes = self.yes_mask(&universe);
         let (members, _) = self.labelings_members(&universe, &is_yes);
-        #[cfg(feature = "telemetry")]
         let recorder = MetricsRecorder::new();
-        #[cfg(feature = "telemetry")]
-        let before = recorder.snapshot();
-        #[allow(unused_mut)]
         let mut session = SweepSession::over(&universe)
             .mode(self.mode)
-            .opts(self.opts);
+            .strategy(self.strategy)
+            .metrics(&recorder);
         if let Some(budget) = self.budget {
             session = session.budget(budget);
-        }
-        #[cfg(feature = "telemetry")]
-        {
-            session = session.metrics(&recorder);
         }
         let fragment = session.run_panel_fragment(&members, shard);
         let mut out = String::from("shardreport v2\n");
@@ -782,10 +754,10 @@ impl<'a> AuditPlan<'a> {
                 out.push_str(&format!("e {}\n", e.item_index));
             }
         }
-        #[cfg(feature = "telemetry")]
-        for row in diff::diff(&before, &recorder.snapshot()).changed() {
-            if row.stable {
-                out.push_str(&format!("counter {} {}\n", row.name, row.delta().max(0)));
+        // The recorder is fresh, so its stable counters are the walk's.
+        for (name, value) in recorder.snapshot().stable {
+            if value > 0 {
+                out.push_str(&format!("counter {name} {value}\n"));
             }
         }
         out.push_str(&format!(
@@ -845,7 +817,7 @@ impl<'a> AuditPlan<'a> {
             .collect::<Result<Vec<_>, _>>()?;
         let items: Vec<Vec<usize>> = listings.iter().map(ShardListing::items).collect();
         let replayed = SweepSession::over(universe)
-            .opts(self.opts)
+            .strategy(self.strategy)
             .replay_panel(&members, &items)
             .map_err(|i| copy_item_error(&listings, &members, universe, i))?;
         let mut fragments = Vec::with_capacity(listings.len());
@@ -863,20 +835,15 @@ impl<'a> AuditPlan<'a> {
         let panel =
             merge_panel_fragments(&members, universe, self.mode, fragments, self.attached())?;
         report.panels.push(self.labelings_summary(&panel, scan));
-        #[cfg(feature = "telemetry")]
         if self.telemetry.is_some() {
             report.telemetry.push(PanelTelemetry {
                 shape: "labelings".into(),
-                strategy: strategy_name(self.opts.strategy).into(),
+                strategy: strategy_name(self.strategy).into(),
                 counters: super::shard::sum_stable_counters(&per_shard_counters)
                     .into_iter()
                     .map(|(name, delta)| (name, delta, true))
                     .collect(),
             });
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            let _ = per_shard_counters;
         }
         Ok(())
     }
@@ -889,7 +856,7 @@ impl<'a> AuditPlan<'a> {
             ("k", self.language.k().to_string()),
             ("seed", self.seed.to_string()),
             ("universe", universe.len().to_string()),
-            ("strategy", strategy_name(self.opts.strategy).to_string()),
+            ("strategy", strategy_name(self.strategy).to_string()),
         ]
     }
 
@@ -1232,7 +1199,7 @@ pub struct AuditReport {
     /// Executed panels, in shape order.
     pub panels: Vec<AuditPanelReport>,
     /// Per-panel telemetry breakdowns; empty unless the plan carried
-    /// [`AuditPlan::telemetry`] and the `telemetry` feature is on.
+    /// [`AuditPlan::telemetry`].
     pub telemetry: Vec<PanelTelemetry>,
     /// The fault-degradation sweep, when a fault plan was given.
     pub degradation: Option<DegradationReport>,
@@ -1263,7 +1230,6 @@ fn strategy_name(strategy: SweepStrategy) -> &'static str {
     match strategy {
         SweepStrategy::DeltaStepping => "delta-stepping",
         SweepStrategy::DecodeOracle => "decode-oracle",
-        SweepStrategy::Quotient => "quotient",
     }
 }
 
@@ -1603,17 +1569,16 @@ mod tests {
             },
             active: vec![false, true],
         };
-        for opts in [
-            SweepOpts::default(),
-            SweepOpts::quotient(),
-            SweepOpts::oracle(),
-        ] {
-            let report = SweepSession::over(&universe).opts(opts).run(&gated);
+        for strategy in [SweepStrategy::DeltaStepping, SweepStrategy::DecodeOracle] {
+            let report = SweepSession::over(&universe).strategy(strategy).run(&gated);
             assert!(
                 report.verdict.is_err(),
-                "{opts:?}: the second block violates"
+                "{strategy:?}: the second block violates"
             );
-            assert_eq!(report.checked, 9, "{opts:?}: the second block's first item");
+            assert_eq!(
+                report.checked, 9,
+                "{strategy:?}: the second block's first item"
+            );
         }
     }
 
@@ -1707,7 +1672,6 @@ mod tests {
 
     /// A plan with a recorder attached reports one telemetry section per
     /// executed panel, every panel walks, and the plan span closes.
-    #[cfg(feature = "telemetry")]
     #[test]
     fn telemetry_section_breaks_down_per_panel() {
         let recorder = MetricsRecorder::new();
@@ -1787,7 +1751,7 @@ mod tests {
         // The replay classifies under the merging plan's strategy, so a
         // report walked under another one cannot merge.
         let err = plan()
-            .opts(SweepOpts::oracle())
+            .strategy(SweepStrategy::DecodeOracle)
             .run_with_shards(&reports)
             .unwrap_err();
         assert!(err.contains("strategy"), "{err}");
@@ -1878,7 +1842,6 @@ mod tests {
     /// A merged report's labelings telemetry is the sum of the shards'
     /// stable counters, and agrees with a single process's section on
     /// the stable-JSON allowlist.
-    #[cfg(feature = "telemetry")]
     #[test]
     fn sharded_telemetry_sums_match_single_process() {
         let recorder = MetricsRecorder::new();

@@ -1,12 +1,12 @@
 //! [`SweepSession`]: the single construction site for every sweep.
 //!
-//! `SweepSession` folds every axis of a run — execution mode, strategy
-//! options, budget, telemetry recorder — into one builder:
+//! `SweepSession` folds every axis of a run — execution mode, strategy,
+//! budget, telemetry recorder — into one builder:
 //!
 //! ```ignore
 //! let report = SweepSession::over(&universe)
 //!     .mode(ExecMode::Parallel(4))
-//!     .opts(SweepOpts::quotient())
+//!     .strategy(SweepStrategy::DecodeOracle)
 //!     .budget(SweepBudget::with_deadline(limit))
 //!     .metrics(&recorder)
 //!     .run(&check);
@@ -46,7 +46,7 @@
 use super::budget::{MemberFrontier, SweepBudget};
 use super::check::{PropertyCheck, VerificationReport};
 use super::erased::DynPropertyCheck;
-use super::executor::{ExecMode, SweepOpts};
+use super::executor::{ExecMode, SweepStrategy};
 use super::panel::{self, PanelFragment, PanelReport, Walk};
 use super::shard::ShardSpec;
 use super::telemetry::{MetricsRecorder, SweepRecorder};
@@ -54,27 +54,27 @@ use super::universe::{Coverage, Universe};
 use crate::instance::{Instance, LabeledInstance};
 use crate::label::Labeling;
 
-/// A configured sweep over one universe: mode, strategy options, budget
-/// and recorder, assembled by chaining and fired by a `run_*` or
+/// A configured sweep over one universe: mode, strategy, budget and
+/// recorder, assembled by chaining and fired by a `run_*` or
 /// `resume_*` method. Copy, so one session can fire several runs.
 #[derive(Clone, Copy)]
 pub struct SweepSession<'a> {
     universe: &'a Universe,
     mode: ExecMode,
-    opts: SweepOpts,
+    strategy: SweepStrategy,
     budget: SweepBudget,
     recorder: Option<&'a dyn SweepRecorder>,
 }
 
 impl<'a> SweepSession<'a> {
-    /// Starts a session over `universe` with the defaults every shim
-    /// historically used: [`ExecMode::Auto`], default [`SweepOpts`],
-    /// unlimited budget, no recorder.
+    /// Starts a session over `universe` with the defaults:
+    /// [`ExecMode::Auto`], [`SweepStrategy::DeltaStepping`], unlimited
+    /// budget, no recorder.
     pub fn over(universe: &'a Universe) -> SweepSession<'a> {
         SweepSession {
             universe,
             mode: ExecMode::Auto,
-            opts: SweepOpts::default(),
+            strategy: SweepStrategy::DeltaStepping,
             budget: SweepBudget::unlimited(),
             recorder: None,
         }
@@ -86,9 +86,9 @@ impl<'a> SweepSession<'a> {
         self
     }
 
-    /// Sets the strategy options (default [`SweepOpts::default`]).
-    pub fn opts(mut self, opts: SweepOpts) -> Self {
-        self.opts = opts;
+    /// Sets the strategy (default [`SweepStrategy::DeltaStepping`]).
+    pub fn strategy(mut self, strategy: SweepStrategy) -> Self {
+        self.strategy = strategy;
         self
     }
 
@@ -105,8 +105,7 @@ impl<'a> SweepSession<'a> {
         self
     }
 
-    /// Attaches the concrete [`MetricsRecorder`]. Without the `telemetry`
-    /// feature the recorder is inert and this is a no-op in effect.
+    /// Attaches the concrete [`MetricsRecorder`].
     pub fn metrics(self, recorder: &'a MetricsRecorder) -> Self {
         self.recorder(recorder)
     }
@@ -116,7 +115,7 @@ impl<'a> SweepSession<'a> {
         Walk {
             universe: self.universe,
             mode: self.mode,
-            opts: self.opts,
+            strategy: self.strategy,
             budget: self.budget,
             recorder: self.recorder,
             span,

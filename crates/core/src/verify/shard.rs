@@ -24,10 +24,9 @@
 //! minimum over shards — exactly the `fetch_min` rule worker threads
 //! already obey within one process), apply the same retention rule the
 //! sequential walk applies, and then run the one reduce a single-process
-//! sweep would have run. Orbit multiplicities under
-//! [`SweepStrategy::Quotient`] need no special handling: a representative's
-//! multiplicity is a function of the item alone, so weighted partials
-//! compose by concatenation.
+//! sweep would have run. Orbit multiplicities need no special handling: a
+//! representative's multiplicity is a function of the item alone, so
+//! weighted partials compose by concatenation.
 //!
 //! Across processes no fragment is shipped whole. A shard report lists
 //! the item indices of its records, and the merging process rebuilds the
@@ -45,7 +44,6 @@
 //! attached [`SweepRecorder`].
 //!
 //! [`SweepStrategy`]: super::SweepStrategy
-//! [`SweepStrategy::Quotient`]: super::SweepStrategy::Quotient
 
 use super::budget::MemberFrontier;
 use super::check::{PropertyCheck, VerificationReport};

@@ -14,12 +14,12 @@
 //!   without changing any verdict.
 //!
 //! Together they generate the product group `G = Aut × Young` acting on
-//! labelings by `(π, σ) · L = σ ∘ L ∘ π⁻¹`. The quotient strategy
-//! ([`super::SweepStrategy::Quotient`]) inspects only the *minimal*
-//! element of each orbit under the universe's flat index order and tags it
-//! with the exact orbit size `|G| / |Stab(L)|` (orbit–stabilizer), so any
-//! count a check derives per item can be re-weighted to match the full
-//! walk bit-for-bit.
+//! labelings by `(π, σ) · L = σ ∘ L ∘ π⁻¹`. Under delta stepping
+//! ([`super::SweepStrategy::DeltaStepping`]) every check that declares a
+//! [`SymmetrySpec`] inspects only the *minimal* element of each orbit
+//! under the universe's flat index order and tags it with the exact orbit
+//! size `|G| / |Stab(L)|` (orbit–stabilizer), so any count a check derives
+//! per item can be re-weighted to match the full walk bit-for-bit.
 //!
 //! # Canonical-rejection soundness
 //!
@@ -47,8 +47,9 @@
 //! by the class size. The first violator of a full walk is never in a
 //! jumped block: its image in the class's first block lies at a lower flat
 //! index and records the same. Unlike the in-block quotient this needs no
-//! per-item classification, so delta stepping inside a kept block is
-//! untouched and every strategy but the decode oracle runs it.
+//! per-item classification, and a block is jumped only when every check
+//! of the walk declares automorphisms; a check that declares none still
+//! walks every item of every kept block. The decode oracle walks in full.
 
 use super::universe::{LabelSource, Universe};
 use crate::instance::Instance;

@@ -21,17 +21,12 @@
 //!   (legitimately scheduling-dependent: memo splits, interner traffic,
 //!   timings). [`SweepCounter::is_stable`] is the single source of that
 //!   classification.
-//! * **Observationally free when disabled.** Without the `telemetry`
-//!   feature this module degrades to inert stand-in types with the same
-//!   names: call sites compile unchanged, the recorded entry points run
-//!   plain sweeps, and verdicts/reports are bit-identical either way.
+//! * **Observationally free.** A recorded sweep returns the verdicts,
+//!   witnesses and reports of a plain one, bit for bit.
 
-#[cfg(feature = "telemetry")]
 use hiding_lcp_telemetry::{Clock, Histogram, MonotonicClock, ShardedCounters, SpanTrace};
-#[cfg(feature = "telemetry")]
 use std::sync::Arc;
 
-#[cfg(feature = "telemetry")]
 pub use hiding_lcp_telemetry::{ManualClock, MetricsSnapshot};
 
 /// Every counter the engine records, with its wire name and determinism
@@ -45,8 +40,8 @@ pub enum SweepCounter {
     ItemsWalked = 0,
     /// Items actually handed to the check's `inspect`.
     ItemsInspected = 1,
-    /// Items stepped over without inspection: non-canonical under the
-    /// quotient strategy, or in a port-isomorphic copy block.
+    /// Items stepped over without inspection: non-canonical orbit
+    /// members, or items of a port-isomorphic copy block.
     OrbitSkipped = 2,
     /// Sum of multiplicities over inspected items — for a complete walk
     /// this re-adds up to the full universe.
@@ -83,8 +78,8 @@ pub enum SweepCounter {
     InternerFrontMisses = 14,
     /// Contended view-interner shard-lock acquisitions.
     InternerContention = 15,
-    /// Universe blocks with an active symmetry group under the quotient
-    /// strategy.
+    /// Universe blocks with an active in-block symmetry group, summed
+    /// over the members that declare one.
     QuotientBlocks = 16,
     /// Shard executions handed to a dispatcher by the shard coordinator
     /// (first attempts and retries alike).
@@ -199,9 +194,8 @@ impl SweepPhase {
 }
 
 /// What the engine records against. Implemented by [`MetricsRecorder`];
-/// the trait exists so the executor's plumbing is independent of the
-/// `telemetry` feature (the disabled build still compiles every call
-/// site against the inert recorder).
+/// the engine sees only this trait, so tests and benches can attach
+/// their own recorders.
 pub trait SweepRecorder: Sync {
     /// Adds `delta` to a counter.
     fn add(&self, counter: SweepCounter, delta: u64);
@@ -221,12 +215,10 @@ pub trait SweepRecorder: Sync {
 /// Span-event ring capacity of a default recorder: plenty for an audit
 /// run's plan/panel/block/chunk spans while bounding memory; overflow
 /// overwrites the oldest events and is counted in the trace export.
-#[cfg(feature = "telemetry")]
 const DEFAULT_TRACE_CAPACITY: usize = 16_384;
 
 /// The concrete recorder: sharded counters, per-phase histograms and a
 /// bounded span ring, all behind one injected clock.
-#[cfg(feature = "telemetry")]
 pub struct MetricsRecorder {
     counters: ShardedCounters,
     phases: Vec<Histogram>,
@@ -234,14 +226,12 @@ pub struct MetricsRecorder {
     clock: Arc<dyn Clock>,
 }
 
-#[cfg(feature = "telemetry")]
 impl Default for MetricsRecorder {
     fn default() -> Self {
         MetricsRecorder::new()
     }
 }
 
-#[cfg(feature = "telemetry")]
 impl MetricsRecorder {
     /// A production recorder: monotonic clock, default trace capacity.
     pub fn new() -> MetricsRecorder {
@@ -315,7 +305,6 @@ impl MetricsRecorder {
     }
 }
 
-#[cfg(feature = "telemetry")]
 impl SweepRecorder for MetricsRecorder {
     fn add(&self, counter: SweepCounter, delta: u64) {
         #[cfg(conformance_mutants)]
@@ -348,140 +337,12 @@ impl SweepRecorder for MetricsRecorder {
     }
 }
 
-/// Inert stand-in when the `telemetry` feature is off: same surface,
-/// no storage, no work. Keeps every call site (and the `audit` binary)
-/// compiling in `--no-default-features` builds.
-#[cfg(not(feature = "telemetry"))]
-#[derive(Debug, Default)]
-pub struct MetricsRecorder;
-
-#[cfg(not(feature = "telemetry"))]
-impl MetricsRecorder {
-    /// The inert recorder.
-    pub fn new() -> MetricsRecorder {
-        MetricsRecorder
-    }
-
-    /// An empty snapshot.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot::default()
-    }
-
-    /// An empty (but valid) Chrome trace.
-    pub fn trace_json(&self) -> String {
-        "{\n  \"traceEvents\": [\n    \n  ],\n  \"displayTimeUnit\": \"ms\", \
-         \n  \"droppedEvents\": 0\n}\n"
-            .to_string()
-    }
-
-    /// An empty trace is trivially balanced.
-    pub fn trace_balanced(&self) -> bool {
-        true
-    }
-
-    /// Nothing recorded, nothing dropped.
-    pub fn trace_dropped(&self) -> u64 {
-        0
-    }
-
-    /// An empty metrics document.
-    pub fn metrics_json(&self) -> String {
-        format!(
-            "{{\n  \"counters\": {},  \"phases\": {{\n    \n  }}\n}}\n",
-            self.snapshot().to_json()
-        )
-    }
-}
-
-#[cfg(not(feature = "telemetry"))]
-impl SweepRecorder for MetricsRecorder {
-    fn add(&self, _counter: SweepCounter, _delta: u64) {}
-    fn record_phase(&self, _phase: SweepPhase, _micros: u64) {}
-    fn span_enter(&self, _name: &str) {}
-    fn span_exit(&self, _name: &str) {}
-    fn now_micros(&self) -> u64 {
-        0
-    }
-}
-
-/// Stand-in snapshot for disabled builds — the same ordered two-section
-/// shape so [`diff`] and report rendering compile unchanged.
-#[cfg(not(feature = "telemetry"))]
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct MetricsSnapshot {
-    /// Deterministic counters, sorted by name.
-    pub stable: Vec<(String, u64)>,
-    /// Scheduling-dependent counters, sorted by name.
-    pub observed: Vec<(String, u64)>,
-}
-
-#[cfg(not(feature = "telemetry"))]
-impl MetricsSnapshot {
-    /// Builds a snapshot, sorting both sections by counter name.
-    pub fn new(
-        mut stable: Vec<(String, u64)>,
-        mut observed: Vec<(String, u64)>,
-    ) -> MetricsSnapshot {
-        stable.sort_by(|a, b| a.0.cmp(&b.0));
-        observed.sort_by(|a, b| a.0.cmp(&b.0));
-        MetricsSnapshot { stable, observed }
-    }
-
-    /// Looks a counter up by name in either section.
-    pub fn get(&self, name: &str) -> Option<u64> {
-        self.stable
-            .iter()
-            .chain(&self.observed)
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-    }
-
-    /// All counters of both sections, stable first.
-    pub fn all(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.stable
-            .iter()
-            .chain(&self.observed)
-            .map(|(n, v)| (n.as_str(), *v))
-    }
-
-    /// The canonical byte rendering of the stable section.
-    pub fn stable_bytes(&self) -> String {
-        let mut out = String::new();
-        for (name, value) in &self.stable {
-            out.push_str(&format!("{name}={value}\n"));
-        }
-        out
-    }
-
-    /// Both sections as one JSON object.
-    pub fn to_json(&self) -> String {
-        fn section(pairs: &[(String, u64)]) -> String {
-            let mut out = String::new();
-            for (name, value) in pairs {
-                if !out.is_empty() {
-                    out.push_str(",\n    ");
-                }
-                out.push_str(&format!("\"{}\": {value}", diff::json_escape(name)));
-            }
-            out
-        }
-        format!(
-            "{{\n  \"stable\": {{\n    {}\n  }},\n  \"observed\": {{\n    {}\n  }}\n}}\n",
-            section(&self.stable),
-            section(&self.observed),
-        )
-    }
-}
-
 /// A worker thread's stack-local counter tally.
 ///
 /// The hot loop bumps plain `u64` fields — no atomics, no branches on
 /// "is a recorder attached" — and `WorkerTally::flush` folds the
 /// totals into the recorder once per worker, mirroring the verdict
-/// memo's flush. Without the `telemetry` feature the struct is
-/// zero-sized and every method compiles to nothing, which is how the
-/// disabled build stays observationally free.
-#[cfg(feature = "telemetry")]
+/// memo's flush.
 #[derive(Debug, Default)]
 pub struct WorkerTally {
     walked: u64,
@@ -493,7 +354,6 @@ pub struct WorkerTally {
     readbacks: u64,
 }
 
-#[cfg(feature = "telemetry")]
 impl WorkerTally {
     /// One universe index passed over.
     #[inline]
@@ -551,31 +411,6 @@ impl WorkerTally {
         r.add(SweepCounter::VerdictRefreshes, self.refreshes);
         r.add(SweepCounter::VerdictReadbacks, self.readbacks);
     }
-}
-
-/// Zero-sized tally for disabled builds: every bump is a no-op the
-/// optimizer deletes.
-#[cfg(not(feature = "telemetry"))]
-#[derive(Debug, Default)]
-pub struct WorkerTally;
-
-#[cfg(not(feature = "telemetry"))]
-impl WorkerTally {
-    #[inline]
-    pub(super) fn walk(&mut self) {}
-    #[inline]
-    pub(super) fn inspect(&mut self, _multiplicity: u64) {}
-    #[inline]
-    pub(super) fn orbit_skip(&mut self) {}
-    #[inline]
-    pub(super) fn jump(&mut self, _n: u64) {}
-    #[inline]
-    pub(super) fn decisions(&mut self, _n: u64) {}
-    #[inline]
-    pub(super) fn refresh(&mut self) {}
-    #[inline]
-    pub(super) fn readback(&mut self) {}
-    pub(super) fn flush(&self, _recorder: Option<&dyn SweepRecorder>) {}
 }
 
 pub mod diff {
@@ -725,7 +560,7 @@ pub mod diff {
     }
 }
 
-#[cfg(all(test, feature = "telemetry"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -13,12 +13,14 @@
 //! *not* compared — a parallel short-circuiting sweep may inspect items
 //! beyond the final witness, so its cache traffic can legitimately differ.
 //!
-//! The suite also proves the engine's enumeration strategies equivalent:
-//! the odometer/delta-evaluation hot path (`SweepStrategy::DeltaStepping`,
-//! with and without its dense per-class tables) against the decode-from-index
-//! oracle (`SweepStrategy::DecodeOracle`), over exhaustive, mixed-source
-//! and multi-block universes, including budgeted resume chains and the
-//! full structural identity of Lemma 3.1 neighborhood graphs.
+//! The suite also proves the engine's two strategies equivalent: the
+//! odometer/delta-evaluation hot path (`SweepStrategy::DeltaStepping`,
+//! with its dense per-class tables, copy-block jumps and in-block orbit
+//! quotient) against the unmemoized decode-from-index full walk
+//! (`SweepStrategy::DecodeOracle`), over exhaustive, symmetric,
+//! mixed-source and multi-block universes, including budgeted resume
+//! chains and the full structural identity of Lemma 3.1 neighborhood
+//! graphs.
 //!
 //! The parallel thread count defaults to 3 and can be pinned via the
 //! `PARITY_THREADS` environment variable (the CI matrix runs 1, 2 and 4).
@@ -38,7 +40,8 @@ use hiding_lcp_core::prover::all_labelings;
 use hiding_lcp_core::verify::{
     merge_fragments, merge_panel_fragments, Block, Coverage, DynPropertyCheck, ExecMode, ItemCtx,
     LabelSource, LazySweep, MetricsRecorder, PanelFragment, PropertyCheck, PropertyTag, ShardSpec,
-    SweepBudget, SweepOpts, SweepOutcome, SweepSession, Universe, UniverseItem, VerificationReport,
+    SweepBudget, SweepOutcome, SweepSession, SweepStrategy, Universe, UniverseItem,
+    VerificationReport,
 };
 use hiding_lcp_core::view::IdMode;
 use hiding_lcp_graph::algo::bipartite;
@@ -85,32 +88,34 @@ where
     Ok(())
 }
 
-/// Runs `check` under two option sets (sequentially and in parallel) and
-/// asserts the four observational report fields agree across all runs.
-/// Counters (`cache_*`, `memo_*`) are exactly what the options are allowed
-/// to change, so they are not compared.
-fn assert_opts_parity<C>(
-    check: &C,
-    universe: &Universe,
-    a: SweepOpts,
-    b: SweepOpts,
-) -> Result<(), TestCaseError>
+/// Runs `check` under the decode oracle (sequentially) and under delta
+/// stepping (sequentially and in parallel) and asserts the four
+/// observational report fields agree across all runs. Counters (`cache_*`,
+/// `memo_*`) are exactly what the strategy is allowed to change, so they
+/// are not compared.
+fn assert_strategy_parity<C>(check: &C, universe: &Universe) -> Result<(), TestCaseError>
 where
     C: PropertyCheck,
     C::Verdict: PartialEq + std::fmt::Debug,
 {
     let reference = SweepSession::over(universe)
         .mode(ExecMode::Sequential)
-        .opts(a)
+        .strategy(SweepStrategy::DecodeOracle)
         .run(check);
-    for (mode, opts) in [
-        (ExecMode::Sequential, b),
-        (ExecMode::Parallel(parity_threads()), a),
-        (ExecMode::Parallel(parity_threads()), b),
+    for (mode, strategy) in [
+        (ExecMode::Sequential, SweepStrategy::DeltaStepping),
+        (
+            ExecMode::Parallel(parity_threads()),
+            SweepStrategy::DeltaStepping,
+        ),
+        (
+            ExecMode::Parallel(parity_threads()),
+            SweepStrategy::DecodeOracle,
+        ),
     ] {
         let other = SweepSession::over(universe)
             .mode(mode)
-            .opts(opts)
+            .strategy(strategy)
             .run(check);
         prop_assert_eq!(&reference.verdict, &other.verdict);
         prop_assert_eq!(reference.checked, other.checked);
@@ -378,10 +383,10 @@ proptest! {
         let universe = Universe::all_labelings_of(instance, bits(), Coverage::Exhaustive)
             .expect("small universe fits");
         let check = SoundnessCheck { decoder: &decoder };
-        assert_opts_parity(&check, &universe, SweepOpts::default(), SweepOpts::oracle())?;
+        assert_strategy_parity(&check, &universe)?;
         let two_col = KCol::new(2);
         let strong = StrongCheck { decoder: &decoder, language: &two_col };
-        assert_opts_parity(&strong, &universe, SweepOpts::default(), SweepOpts::oracle())?;
+        assert_strategy_parity(&strong, &universe)?;
     }
 
     #[test]
@@ -392,20 +397,21 @@ proptest! {
         let decoder = PortObliviousCycleDecoder::from_code(code);
         let universe = mixed_universe(n);
         let check = SoundnessCheck { decoder: &decoder };
-        assert_opts_parity(&check, &universe, SweepOpts::default(), SweepOpts::oracle())?;
+        assert_strategy_parity(&check, &universe)?;
     }
 
     #[test]
-    fn memoized_and_unmemoized_sweeps_agree(code in 0u8..64, shape in 0u8..2, n in 3usize..7) {
-        // Disabling the dense per-class tables may only change counters,
-        // never verdicts.
+    fn memoized_and_unmemoized_sweeps_agree(code in 0u8..64, n in 3usize..7) {
+        // The dense per-class tables may only change counters, never
+        // verdicts: delta stepping, whose memo tables the blocks of equal
+        // skeleton classes share, against the unmemoized decode oracle.
         let decoder = PortObliviousCycleDecoder::from_code(code);
-        let instance = cycle_or_path(shape, n);
-        let universe = Universe::all_labelings_of(instance, bits(), Coverage::Exhaustive)
-            .expect("small universe fits");
+        let universe = cycle_blocks_universe(n);
         let check = SoundnessCheck { decoder: &decoder };
-        let memo_off = SweepOpts { memo: false, ..SweepOpts::default() };
-        assert_opts_parity(&check, &universe, SweepOpts::default(), memo_off)?;
+        assert_strategy_parity(&check, &universe)?;
+        let two_col = KCol::new(2);
+        let strong = StrongCheck { decoder: &decoder, language: &two_col };
+        assert_strategy_parity(&strong, &universe)?;
     }
 
     #[test]
@@ -413,28 +419,31 @@ proptest! {
         code in 0u8..64, n in 4usize..7,
     ) {
         // The Lemma 3.1 graph — views in insertion order, adjacency,
-        // self-loops, every witness — must not depend on enumeration
-        // strategy, memoization, or thread count. The interner is part of
-        // the check's state, so each sweep gets a fresh check instance.
+        // self-loops, every witness, the retained count — must not depend
+        // on the strategy (its dense tables, copy-block jumps and orbit
+        // quotient included) or the thread count. The Lemma 3.1 family at
+        // n <= 3 has port-isomorphic copy blocks and blocks with
+        // non-trivial automorphism groups. The interner is part of the
+        // check's state, so each sweep gets a fresh check instance.
         let decoder = PortObliviousCycleDecoder::from_code(code);
-        let universe = cycle_blocks_universe(n);
-        let run = |mode: ExecMode, opts: SweepOpts| {
-            let check = HidingCheck::new(&decoder, &universe, 2, bipartite::is_bipartite);
-            SweepSession::over(&universe).mode(mode).opts(opts).run(&check)
-        };
-        let reference = run(ExecMode::Sequential, SweepOpts::oracle());
-        let (ref_nbhd, ref_verdict) = &reference.verdict;
-        let memo_off = SweepOpts { memo: false, ..SweepOpts::default() };
-        for (mode, opts) in [
-            (ExecMode::Sequential, SweepOpts::default()),
-            (ExecMode::Parallel(parity_threads()), SweepOpts::default()),
-            (ExecMode::Parallel(parity_threads()), memo_off),
-        ] {
-            let other = run(mode, opts);
-            assert_nbhd_eq(ref_nbhd, &other.verdict.0)?;
-            prop_assert_eq!(ref_verdict, &other.verdict.1);
-            prop_assert_eq!(reference.checked, other.checked);
-            prop_assert_eq!(reference.universe_size, other.universe_size);
+        let family = Universe::lemma31(3, bits()).expect("the n <= 3 family fits");
+        for universe in [cycle_blocks_universe(n), family] {
+            let run = |mode: ExecMode, strategy: SweepStrategy| {
+                let check = HidingCheck::new(&decoder, &universe, 2, bipartite::is_bipartite);
+                SweepSession::over(&universe)
+                    .mode(mode)
+                    .strategy(strategy)
+                    .run(&check)
+            };
+            let reference = run(ExecMode::Sequential, SweepStrategy::DecodeOracle);
+            let (ref_nbhd, ref_verdict) = &reference.verdict;
+            for mode in [ExecMode::Sequential, ExecMode::Parallel(parity_threads())] {
+                let other = run(mode, SweepStrategy::DeltaStepping);
+                assert_nbhd_eq(ref_nbhd, &other.verdict.0)?;
+                prop_assert_eq!(ref_verdict, &other.verdict.1);
+                prop_assert_eq!(reference.checked, other.checked);
+                prop_assert_eq!(reference.universe_size, other.universe_size);
+            }
         }
     }
 
@@ -452,15 +461,12 @@ proptest! {
         let check = SoundnessCheck { decoder: &decoder };
         let oracle = SweepSession::over(&universe)
             .mode(ExecMode::Sequential)
-            .opts(SweepOpts::oracle())
+            .strategy(SweepStrategy::DecodeOracle)
             .run(&check);
 
         let mode = ExecMode::Parallel(parity_threads());
         let budget = SweepBudget::unlimited().with_max_items(step);
-        let session = SweepSession::over(&universe)
-            .mode(mode)
-            .budget(budget)
-            .opts(SweepOpts::default());
+        let session = SweepSession::over(&universe).mode(mode).budget(budget);
         let mut fragment = session.run_fragment(&check, ShardSpec::new(0, 1));
         let mut slices = 1usize;
         while !fragment.is_complete() {
@@ -600,8 +606,9 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Symmetry-quotient strategy: orbit enumeration with multiplicity-weighted
-// verdicts must be observationally identical to the full walk.
+// Symmetry quotient: delta stepping's orbit enumeration with
+// multiplicity-weighted verdicts must be observationally identical to the
+// decode oracle's full walk.
 // ---------------------------------------------------------------------------
 
 use hiding_lcp_core::verify::SymmetrySpec;
@@ -617,7 +624,7 @@ fn symmetric_cycle(n: usize) -> Instance {
 
 /// Records every inspected item's orbit multiplicity. Declares port
 /// automorphisms plus (optionally) a full-alphabet certificate class, so a
-/// quotient sweep visits exactly one representative per orbit.
+/// delta sweep visits exactly one representative per orbit.
 struct MultiplicityRecorder {
     classes: Option<Vec<usize>>,
 }
@@ -688,7 +695,7 @@ proptest! {
 
     #[test]
     fn quotient_orbits_partition_the_universe(n in 3usize..7, k in 2usize..4) {
-        // The representatives a quotient sweep visits must partition the
+        // The representatives a delta sweep visits must partition the
         // full labeling space: orbit multiplicities sum to |Sigma|^n, every
         // representative is its orbit's flat-index minimum, and no two
         // representatives share an orbit. The group is recomputed here from
@@ -705,7 +712,6 @@ proptest! {
         let check = MultiplicityRecorder { classes: Some(vec![0; k]) };
         let report = SweepSession::over(&universe)
             .mode(ExecMode::Sequential)
-            .opts(SweepOpts::quotient())
             .run(&check);
         prop_assert_eq!(report.checked, universe.len());
         let reps = report.verdict;
@@ -748,19 +754,18 @@ proptest! {
 
     #[test]
     fn quotient_delta_and_oracle_strategies_agree(code in 0u8..64, n in 3usize..7) {
-        // Quotient vs delta-stepping vs decode oracle, sequential and
-        // parallel: same verdict, same witness, same checked count — for a
-        // short-circuiting check (soundness) and a full-scan one (strong).
+        // The quotiented delta walk vs the decode oracle on a symmetric
+        // cycle, sequential and parallel: same verdict, same witness, same
+        // checked count — for a short-circuiting check (soundness) and a
+        // full-scan one (strong).
         let decoder = PortObliviousCycleDecoder::from_code(code);
         let universe = Universe::all_labelings_of(symmetric_cycle(n), bits(), Coverage::Exhaustive)
             .expect("small universe fits");
         let check = SoundnessCheck { decoder: &decoder };
-        assert_opts_parity(&check, &universe, SweepOpts::default(), SweepOpts::quotient())?;
-        assert_opts_parity(&check, &universe, SweepOpts::oracle(), SweepOpts::quotient())?;
+        assert_strategy_parity(&check, &universe)?;
         let two_col = KCol::new(2);
         let strong = StrongCheck { decoder: &decoder, language: &two_col };
-        assert_opts_parity(&strong, &universe, SweepOpts::default(), SweepOpts::quotient())?;
-        assert_opts_parity(&strong, &universe, SweepOpts::oracle(), SweepOpts::quotient())?;
+        assert_strategy_parity(&strong, &universe)?;
     }
 
     #[test]
@@ -771,50 +776,43 @@ proptest! {
         let decoder = PortObliviousCycleDecoder::from_code(code);
         let universe = mixed_symmetric_universe(n);
         let check = SoundnessCheck { decoder: &decoder };
-        assert_opts_parity(&check, &universe, SweepOpts::default(), SweepOpts::quotient())?;
+        assert_strategy_parity(&check, &universe)?;
     }
 
     #[test]
     fn quotient_nbhd_graph_preserves_views_edges_and_loops(code in 0u8..64, n in 4usize..7) {
         // The neighborhood scan declares automorphism symmetry only (no
-        // alphabet classes); a quotient sweep must reproduce the exact view
-        // list (insertion order included), adjacency and self-loops. Only
-        // the retained-instance list may shrink — witnesses are therefore
-        // not compared.
+        // alphabet classes); the quotiented delta walk must reproduce the
+        // oracle's graph exactly: the view list (insertion order
+        // included), adjacency, self-loops, every witness (each names an
+        // orbit minimum, which the quotient walks) and the retained count
+        // (the representatives' multiplicities sum to the full walk's).
         let decoder = PortObliviousCycleDecoder::from_code(code);
         let blocks = (3..=n)
             .map(|m| Block::new(symmetric_cycle(m), LabelSource::All { alphabet: bits() }))
             .collect();
         let universe = Universe::new(blocks, Coverage::Sampled).expect("small universe fits");
-        let run = |opts: SweepOpts| {
+        let run = |strategy: SweepStrategy| {
             let check = HidingCheck::new(&decoder, &universe, 2, bipartite::is_bipartite);
             SweepSession::over(&universe)
                 .mode(ExecMode::Sequential)
-                .opts(opts)
+                .strategy(strategy)
                 .run(&check)
         };
-        let full = run(SweepOpts::default());
-        let quot = run(SweepOpts::quotient());
+        let full = run(SweepStrategy::DecodeOracle);
+        let quot = run(SweepStrategy::DeltaStepping);
         let (full_nbhd, full_verdict) = &full.verdict;
         let (quot_nbhd, quot_verdict) = &quot.verdict;
         prop_assert_eq!(full_verdict, quot_verdict);
-        prop_assert_eq!(full_nbhd.view_count(), quot_nbhd.view_count());
-        prop_assert_eq!(full_nbhd.views(), quot_nbhd.views());
-        prop_assert_eq!(full_nbhd.edge_count(), quot_nbhd.edge_count());
-        prop_assert_eq!(full_nbhd.self_loop_views(), quot_nbhd.self_loop_views());
-        for i in 0..full_nbhd.view_count() {
-            let a: Vec<usize> = full_nbhd.neighbors(i).collect();
-            let b: Vec<usize> = quot_nbhd.neighbors(i).collect();
-            prop_assert_eq!(a, b);
-        }
+        assert_nbhd_eq(full_nbhd, quot_nbhd)?;
         prop_assert_eq!(full.checked, quot.checked);
     }
 
     #[test]
     fn quotient_panel_matches_delta_panel(code in 0u8..64, n in 3usize..7) {
-        // A fused panel under the quotient strategy filters canonicity per
-        // member; every member must report exactly what it reports under
-        // the full walk, in both execution modes.
+        // A fused delta panel filters canonicity per member; every member
+        // must report exactly what it reports under the decode oracle's
+        // full walk, in both execution modes.
         let decoder = PortObliviousCycleDecoder::from_code(code);
         let two_col = KCol::new(2);
         let universe = Universe::all_labelings_of(symmetric_cycle(n), bits(), Coverage::Exhaustive)
@@ -832,12 +830,11 @@ proptest! {
         ];
         let reference = SweepSession::over(&universe)
             .mode(ExecMode::Sequential)
-            .opts(SweepOpts::default())
+            .strategy(SweepStrategy::DecodeOracle)
             .run_panel(&members);
         for mode in [ExecMode::Sequential, ExecMode::Parallel(parity_threads())] {
             let quotient = SweepSession::over(&universe)
                 .mode(mode)
-                .opts(SweepOpts::quotient())
                 .run_panel(&members);
             prop_assert_eq!(reference.evidence.checked, quotient.evidence.checked);
             prop_assert_eq!(
@@ -945,9 +942,9 @@ fn budget_max_items_is_per_shard() {
 
 // ---------------------------------------------------------------------------
 // Dense-table cap: a skeleton class whose dense table would exceed the
-// engine's 2^16-entry cap is not memoized, with the same verdicts and every
-// decision counted as a memo miss, and its views are interned through the
-// canonical map, with the same neighborhood graph.
+// engine's 2^16-entry cap is not memoized, with the oracle's verdicts and
+// every decision counted as a memo miss, and its views are interned
+// through the canonical map, with the oracle's neighborhood graph.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -964,7 +961,7 @@ fn over_cap_classes_run_unmemoized() {
     };
     let universe =
         Universe::all_labelings_of(k4, alphabet, Coverage::Exhaustive).expect("17^4 items fit");
-    assert_opts_parity(&tally, &universe, SweepOpts::default(), SweepOpts::oracle()).unwrap();
+    assert_strategy_parity(&tally, &universe).unwrap();
     for mode in [ExecMode::Sequential, ExecMode::Parallel(parity_threads())] {
         let recorder = MetricsRecorder::new();
         let delta = SweepSession::over(&universe)
@@ -977,7 +974,6 @@ fn over_cap_classes_run_unmemoized() {
             delta.memo_hits, 0,
             "{mode:?}: the over-cap class has no table"
         );
-        #[cfg(feature = "telemetry")]
         assert_eq!(
             (delta.memo_hits + delta.memo_misses) as u64,
             recorder
@@ -1000,24 +996,20 @@ fn over_cap_classes_intern_through_the_canonical_map() {
     let universe =
         Universe::all_labelings_of(star, alphabet, Coverage::Exhaustive).expect("17^4 items fit");
     let prefix = 4096;
-    let memo_off = SweepOpts {
-        memo: false,
-        ..SweepOpts::default()
-    };
     for mode in [ExecMode::Sequential, ExecMode::Parallel(2)] {
-        let session = |opts| {
+        let session = |strategy| {
             SweepSession::over(&universe)
                 .mode(mode)
-                .opts(opts)
+                .strategy(strategy)
                 .budget(SweepBudget::unlimited().with_max_items(prefix))
         };
         let scan = || NbhdSweep::new(&LocalDiff, IdMode::Anonymous, &universe, |_| true);
-        let plain = session(memo_off).run(&scan());
+        let plain = session(SweepStrategy::DecodeOracle).run(&scan());
         // One check walked twice: the second walk finds every view the
         // first one cached.
         let check = scan();
-        let first = session(SweepOpts::default()).run(&check);
-        let again = session(SweepOpts::default()).run(&check);
+        let first = session(SweepStrategy::DeltaStepping).run(&check);
+        let again = session(SweepStrategy::DeltaStepping).run(&check);
         assert_eq!(first.checked, prefix, "{mode:?}");
         assert_nbhd_eq(&first.verdict, &plain.verdict).unwrap();
         assert_nbhd_eq(&again.verdict, &plain.verdict).unwrap();

@@ -8,8 +8,8 @@
 //!
 //! Observed counters (`memo_*`, `verdict_decisions`, `interner_*`) are
 //! allowed to move with scheduling, but still satisfy structural
-//! invariants: every decision either hits or misses the memo, and a
-//! quotient walk's orbit multiplicities partition the labeling space.
+//! invariants: every decision either hits or misses the memo, and an
+//! orbit-quotiented walk's multiplicities partition the labeling space.
 
 use std::sync::Arc;
 
@@ -21,7 +21,7 @@ use hiding_lcp_core::properties::soundness::SoundnessCheck;
 use hiding_lcp_core::properties::strong::StrongCheck;
 use hiding_lcp_core::verify::{
     Coverage, DynPropertyCheck, ExecMode, ItemCtx, MetricsRecorder, PropertyCheck, PropertyTag,
-    SweepOpts, SweepOutcome, SweepSession, SymmetrySpec, Universe, UniverseItem,
+    SweepOutcome, SweepSession, SweepStrategy, SymmetrySpec, Universe, UniverseItem,
 };
 
 fn bits() -> Vec<Certificate> {
@@ -37,8 +37,8 @@ fn parity_threads() -> usize {
         .unwrap_or(3)
 }
 
-/// A cycle under the rotation-symmetric port assignment, so the quotient
-/// strategy actually engages.
+/// A cycle under the rotation-symmetric port assignment, so the orbit
+/// quotient actually engages.
 fn symmetric_cycle(n: usize) -> Instance {
     let g = hiding_lcp_graph::generators::cycle(n);
     let ports = hiding_lcp_graph::ports::cycle_symmetric(&g);
@@ -113,28 +113,23 @@ fn panel_members<'a>(
     ]
 }
 
-/// Attaching a recorder never changes what a sweep reports — in either
-/// feature configuration (the disabled build's recorder is inert), in
-/// both execution modes, under every strategy.
+/// Attaching a recorder never changes what a sweep reports — in both
+/// execution modes, under both strategies.
 #[test]
 fn recorded_sweeps_match_plain_sweeps() {
     let decoder = full_walk_decoder();
     let universe = big_universe();
     let check = SoundnessCheck { decoder: &decoder };
     for mode in [ExecMode::Sequential, ExecMode::Parallel(parity_threads())] {
-        for opts in [
-            SweepOpts::default(),
-            SweepOpts::oracle(),
-            SweepOpts::quotient(),
-        ] {
+        for strategy in [SweepStrategy::DeltaStepping, SweepStrategy::DecodeOracle] {
             let plain = SweepSession::over(&universe)
                 .mode(mode)
-                .opts(opts)
+                .strategy(strategy)
                 .run(&check);
             let recorder = MetricsRecorder::new();
             let recorded = SweepSession::over(&universe)
                 .mode(mode)
-                .opts(opts)
+                .strategy(strategy)
                 .metrics(&recorder)
                 .run(&check);
             assert_eq!(plain.verdict, recorded.verdict);
@@ -155,14 +150,10 @@ fn recorded_panels_match_plain_panels() {
     let universe = big_universe();
     let members = panel_members(&decoder, &two_col);
     for mode in [ExecMode::Sequential, ExecMode::Parallel(parity_threads())] {
-        let plain = SweepSession::over(&universe)
-            .mode(mode)
-            .opts(SweepOpts::default())
-            .run_panel(&members);
+        let plain = SweepSession::over(&universe).mode(mode).run_panel(&members);
         let recorder = MetricsRecorder::new();
         let recorded = SweepSession::over(&universe)
             .mode(mode)
-            .opts(SweepOpts::default())
             .metrics(&recorder)
             .run_panel(&members);
         assert_eq!(plain.evidence.checked, recorded.evidence.checked);
@@ -179,7 +170,8 @@ fn recorded_panels_match_plain_panels() {
     }
 }
 
-#[cfg(feature = "telemetry")]
+/// The recorder's own contracts: stable counters, partition invariants,
+/// deterministic documents and balanced traces.
 mod enabled {
     use super::*;
 
@@ -235,9 +227,9 @@ mod enabled {
         assert_eq!(reference, run(ExecMode::Parallel(parity_threads())));
     }
 
-    /// A complete quotient walk partitions the labeling space: skipped
-    /// and inspected items tile the walk, and the inspected orbits'
-    /// multiplicities re-weight to exactly |Sigma|^n.
+    /// A complete orbit-quotiented walk partitions the labeling space:
+    /// skipped and inspected items tile the walk, and the inspected
+    /// orbits' multiplicities re-weight to exactly |Sigma|^n.
     #[test]
     fn quotient_snapshot_satisfies_the_partition_invariant() {
         let universe = big_universe();
@@ -245,7 +237,6 @@ mod enabled {
         let recorder = MetricsRecorder::new();
         let report = SweepSession::over(&universe)
             .mode(ExecMode::Sequential)
-            .opts(SweepOpts::quotient())
             .metrics(&recorder)
             .run(&check);
         let snap = recorder.snapshot();
@@ -269,8 +260,8 @@ mod enabled {
     }
 
     /// Delta-stepping channel accounting: every verdict decision either
-    /// hit or missed the verdict memo, and each walked item was either
-    /// refreshed or read back.
+    /// hit or missed the verdict memo, and each inspected item was either
+    /// refreshed or read back (an orbit-skipped item is neither).
     #[test]
     fn memo_and_refresh_counters_tile_the_decision_stream() {
         let decoder = full_walk_decoder();
@@ -292,8 +283,8 @@ mod enabled {
             );
             assert_eq!(
                 get("verdict_refreshes") + get("verdict_readbacks"),
-                get("items_walked"),
-                "every member-evaluation refreshes or reads back"
+                get("items_inspected"),
+                "every inspected member-evaluation refreshes or reads back"
             );
         }
     }

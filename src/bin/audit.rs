@@ -28,7 +28,7 @@ use hiding_lcp_core::label::Certificate;
 use hiding_lcp_core::prover::Prover;
 use hiding_lcp_core::verify::{
     run_shards, AuditPlan, AuditReport, ExecMode, FaultSpec, InstanceSet, MetricsRecorder,
-    PropertyTag, ShardSpec, SweepBudget, SweepOpts, SweepRecorder, ALL_PROPERTIES,
+    PropertyTag, ShardSpec, SweepBudget, SweepRecorder, SweepStrategy, ALL_PROPERTIES,
 };
 use std::time::Duration;
 
@@ -47,12 +47,13 @@ struct Args {
     max_n: usize,
     properties: Vec<PropertyTag>,
     mode: ExecMode,
-    opts: SweepOpts,
+    strategy: SweepStrategy,
     /// `--strategy` as given, for re-invoking shard children.
     strategy_flag: String,
     budget: Option<SweepBudget>,
     fault_rates: Vec<f64>,
-    fault_trials: usize,
+    /// Trials per fault rate (default 16).
+    fault_trials: Option<usize>,
     seed: u64,
     out: Option<String>,
     trace_out: Option<String>,
@@ -76,7 +77,7 @@ fn usage() -> ! {
         "usage: audit [--decoder degree-one|even-cycle|revealing:<k>] [--max-n N]\n\
          \x20            [--properties p1,p2,...] [--threads T] [--budget-ms MS]\n\
          \x20            [--budget-items N] [--fault-rates r1,r2,...] [--fault-trials T]\n\
-         \x20            [--strategy delta|oracle|quotient] [--seed S] [--out FILE]\n\
+         \x20            [--strategy delta|oracle] [--seed S] [--out FILE]\n\
          \x20            [--trace-out FILE] [--metrics-out FILE] [--stable]\n\
          \x20            [--shards N] [--shard-retries R]\n\
          \x20            [--shard i/N] [--shard-out FILE] [--shards-from DIR]\n\
@@ -84,13 +85,13 @@ fn usage() -> ! {
          Audits one of the paper's LCPs over the Lemma 3.1 family up to N nodes\n\
          (1 <= N <= 4; default: even-cycle, N=4, all seven properties) and prints\n\
          the fused-panel report as JSON, walking with T worker threads\n\
-         (1 <= T <= {MAX_THREADS}; default: one per core). Every strategy but oracle\n\
-         walks one block per port-isomorphism class of the family, weighted by\n\
-         the class size; oracle walks every block (same report, ~10x the\n\
-         wall-clock at N=4).\n\
-         --strategy quotient also sweeps only canonical orbit representatives\n\
-         within a block (same verdicts, less wall-clock). --trace-out writes a\n\
-         Chrome trace_event file (open in chrome://tracing or Perfetto);\n\
+         (1 <= T <= {MAX_THREADS}; default: one per core). The default delta\n\
+         strategy walks one block per port-isomorphism class of the family and\n\
+         one labeling per orbit of each block's symmetries, each weighted by\n\
+         what it stands for; oracle walks every labeling of every block (same\n\
+         report, ~10x the wall-clock at N=4). --fault-trials T runs T trials per\n\
+         --fault-rates rate (default 16). --trace-out writes a Chrome\n\
+         trace_event file (open in chrome://tracing or Perfetto);\n\
          --metrics-out writes the counter/phase snapshot. --stable zeroes\n\
          scheduling-dependent fields so reports byte-compare across runs.\n\
          \n\
@@ -120,11 +121,11 @@ fn parse_args() -> Args {
         max_n: 4,
         properties: ALL_PROPERTIES.to_vec(),
         mode: ExecMode::Auto,
-        opts: SweepOpts::default(),
+        strategy: SweepStrategy::DeltaStepping,
         strategy_flag: "delta".into(),
         budget: None,
         fault_rates: Vec::new(),
-        fault_trials: 16,
+        fault_trials: None,
         seed: 0xA0D1_7E57,
         out: None,
         trace_out: None,
@@ -155,13 +156,11 @@ fn parse_args() -> Args {
                     .collect();
             }
             "--threads" => args.mode = ExecMode::Parallel(parse_or_usage(&value("--threads"))),
-            "--sequential" => args.mode = ExecMode::Sequential,
             "--strategy" => {
                 let name = value("--strategy");
-                args.opts = match name.as_str() {
-                    "delta" => SweepOpts::default(),
-                    "oracle" => SweepOpts::oracle(),
-                    "quotient" => SweepOpts::quotient(),
+                args.strategy = match name.as_str() {
+                    "delta" => SweepStrategy::DeltaStepping,
+                    "oracle" => SweepStrategy::DecodeOracle,
                     other => usage_missing(other),
                 };
                 args.strategy_flag = name;
@@ -176,7 +175,7 @@ fn parse_args() -> Args {
                     .map(|r| parse_or_usage(r.trim()))
                     .collect();
             }
-            "--fault-trials" => args.fault_trials = parse_or_usage(&value("--fault-trials")),
+            "--fault-trials" => args.fault_trials = Some(parse_or_usage(&value("--fault-trials"))),
             "--seed" => args.seed = parse_or_usage(&value("--seed")),
             "--out" => args.out = Some(value("--out")),
             "--trace-out" => args.trace_out = Some(value("--trace-out")),
@@ -230,6 +229,7 @@ fn parse_args() -> Args {
     // A flag that the chosen mode never reads would let a run do less
     // than its command line says.
     let merging = args.shards_from.is_some();
+    let child = args.shard.is_some();
     let idle = [
         (
             "--shard-out",
@@ -243,8 +243,33 @@ fn parse_args() -> Args {
         ),
         (
             "--out",
-            args.out.is_some() && args.shard.is_some(),
+            args.out.is_some() && child,
             "a --shard child writes its report to --shard-out or stdout",
+        ),
+        (
+            "--stable",
+            args.stable && child,
+            "a --shard child writes a shard report, not a JSON report",
+        ),
+        (
+            "--fault-rates",
+            !args.fault_rates.is_empty() && child,
+            "faults run on the merge side, not in a --shard child",
+        ),
+        (
+            "--fault-trials",
+            args.fault_trials.is_some() && args.fault_rates.is_empty(),
+            "only --fault-rates runs fault trials",
+        ),
+        (
+            "--trace-out",
+            args.trace_out.is_some() && child,
+            "a --shard child writes no trace",
+        ),
+        (
+            "--metrics-out",
+            args.metrics_out.is_some() && child,
+            "a --shard child puts its stable counters in its shard report",
         ),
         (
             "--budget-ms",
@@ -317,7 +342,7 @@ fn main() -> ExitCode {
     .prover(prover.as_ref())
     .properties(args.properties.clone())
     .mode(args.mode)
-    .opts(args.opts)
+    .strategy(args.strategy)
     .seed(args.seed);
     if let Some(budget) = args.budget {
         plan = plan.budget(budget);
@@ -325,7 +350,7 @@ fn main() -> ExitCode {
     if !args.fault_rates.is_empty() {
         plan = plan.fault_plan(FaultSpec {
             rates: args.fault_rates.clone(),
-            trials: args.fault_trials,
+            trials: args.fault_trials.unwrap_or(16),
         });
     }
     let recorder = MetricsRecorder::new();
@@ -538,13 +563,9 @@ fn child_args(args: &Args) -> Vec<String> {
             .collect::<Vec<_>>()
             .join(","),
     ];
-    match args.mode {
-        ExecMode::Sequential => v.push("--sequential".to_string()),
-        ExecMode::Parallel(t) => {
-            v.push("--threads".to_string());
-            v.push(t.to_string());
-        }
-        ExecMode::Auto => {}
+    if let ExecMode::Parallel(t) = args.mode {
+        v.push("--threads".to_string());
+        v.push(t.to_string());
     }
     if let Some(budget) = args.budget {
         if let Some(deadline) = budget.deadline {

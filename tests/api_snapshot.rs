@@ -48,7 +48,6 @@ blessed_surface![
     hiding_lcp::prelude::ShardSpec,
     hiding_lcp::prelude::SweepBudget,
     hiding_lcp::prelude::SweepError,
-    hiding_lcp::prelude::SweepOpts,
     hiding_lcp::prelude::SweepRecorder,
     hiding_lcp::prelude::SweepSession,
     hiding_lcp::prelude::SweepStrategy,
