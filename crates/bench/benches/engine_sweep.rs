@@ -2,8 +2,9 @@
 //! verification engine (experiments E17 and E21).
 //!
 //! Symmetric-port cycles up to n = 8 under every adversary labeling,
-//! swept through a [`HidingCheck`] in `ExecMode::Sequential` and
-//! `ExecMode::Parallel(t)` for the full `{1, 2, 4}` thread ladder
+//! swept through the Lemma 3.1 scan [`NbhdSweep`] in
+//! `ExecMode::Sequential` and `ExecMode::Parallel(t)` for the full
+//! `{1, 2, 4}` thread ladder
 //! (always emitted, even on small boxes, where the extra rows measure
 //! oversubscription). The default engine path is odometer enumeration
 //! with delta-evaluated verdicts, dense per-class memos and the symmetry
@@ -42,7 +43,6 @@ use hiding_lcp_bench::report::{self, ReportDoc};
 use hiding_lcp_certs::revealing::{adversary_alphabet, RevealingDecoder};
 use hiding_lcp_core::instance::Instance;
 use hiding_lcp_core::nbhd::{NbhdGraph, NbhdSweep};
-use hiding_lcp_core::properties::hiding::HidingCheck;
 use hiding_lcp_core::verify::telemetry::diff;
 use hiding_lcp_core::verify::{
     merge_fragments, Block, Coverage, ExecMode, LabelSource, MetricsRecorder, ShardSpec,
@@ -80,13 +80,17 @@ fn cycle_universe(max_n: usize) -> Universe {
 
 fn sweep_nbhd(universe: &Universe, mode: ExecMode, strategy: SweepStrategy) -> NbhdGraph {
     let decoder = RevealingDecoder::new(2);
-    let check = HidingCheck::new(&decoder, universe, 2, bipartite::is_bipartite);
+    let check = NbhdSweep::new(
+        &decoder,
+        IdMode::Anonymous,
+        universe,
+        bipartite::is_bipartite,
+    );
     SweepSession::over(universe)
         .mode(mode)
         .strategy(strategy)
         .run(&check)
         .verdict
-        .0
 }
 
 /// The sweep split into `shards` in-process fragments (each walked
@@ -94,7 +98,12 @@ fn sweep_nbhd(universe: &Universe, mode: ExecMode, strategy: SweepStrategy) -> N
 /// [`merge_fragments`]: the parity check's sharded reference.
 fn sweep_nbhd_sharded(universe: &Universe, shards: usize) -> NbhdGraph {
     let decoder = RevealingDecoder::new(2);
-    let check = HidingCheck::new(&decoder, universe, 2, bipartite::is_bipartite);
+    let check = NbhdSweep::new(
+        &decoder,
+        IdMode::Anonymous,
+        universe,
+        bipartite::is_bipartite,
+    );
     let mode = ExecMode::Sequential;
     let fragments = ShardSpec::partition(shards)
         .into_iter()
@@ -107,7 +116,6 @@ fn sweep_nbhd_sharded(universe: &Universe, shards: usize) -> NbhdGraph {
     merge_fragments(&check, universe, mode, fragments, None)
         .expect("complete shard fragments tile the universe")
         .verdict
-        .0
 }
 
 /// The same delta sweep with a live [`MetricsRecorder`] attached — the
@@ -119,13 +127,17 @@ fn sweep_nbhd_recorded(
     recorder: &MetricsRecorder,
 ) -> NbhdGraph {
     let decoder = RevealingDecoder::new(2);
-    let check = HidingCheck::new(&decoder, universe, 2, bipartite::is_bipartite);
+    let check = NbhdSweep::new(
+        &decoder,
+        IdMode::Anonymous,
+        universe,
+        bipartite::is_bipartite,
+    );
     SweepSession::over(universe)
         .mode(mode)
         .metrics(recorder)
         .run(&check)
         .verdict
-        .0
 }
 
 /// One size's stable sweep counters (the deterministic subset of a

@@ -25,7 +25,7 @@ use hiding_lcp_core::network::{FaultPlan, FaultRates};
 use hiding_lcp_core::properties::completeness::check_completeness;
 use hiding_lcp_core::properties::erasure::{erase_and_run, random_erasure_trials};
 use hiding_lcp_core::properties::hiding::{
-    check_hiding, hiding_member, verify_hiding, HidingCheck, HidingVerdict, UniverseCoverage,
+    check_hiding, hiding_member, verify_hiding, HidingVerdict,
 };
 use hiding_lcp_core::properties::invariance::InvarianceCheck;
 use hiding_lcp_core::properties::soundness::{SoundnessCheck, SoundnessViolation};
@@ -240,7 +240,7 @@ impl<D: Decoder + ?Sized> PropertyCheck for VerdictTally<'_, D> {
 
     fn inspect(&self, item: &UniverseItem<'_>, ctx: &ItemCtx<'_>) -> Option<Vec<bool>> {
         Some(
-            ctx.run(item, self.decoder)
+            ctx.verdicts(item, self.decoder)
                 .iter()
                 .map(|v| v.is_accept())
                 .collect(),
@@ -249,15 +249,6 @@ impl<D: Decoder + ?Sized> PropertyCheck for VerdictTally<'_, D> {
 
     fn verdict_decoder(&self) -> Option<&dyn Decoder> {
         Some(&self.decoder)
-    }
-
-    fn inspect_with_verdicts(
-        &self,
-        _item: &UniverseItem<'_>,
-        verdicts: &[Verdict],
-        _ctx: &ItemCtx<'_>,
-    ) -> Option<Vec<bool>> {
-        Some(verdicts.iter().map(|v| v.is_accept()).collect())
     }
 
     fn reduce(
@@ -575,8 +566,9 @@ pub fn interner_identity() {
     assert_eq!(snapshot[c as usize], v1);
 }
 
-/// A colorable neighborhood graph from a *partial* universe proves
-/// nothing: the verdict must stay `Inconclusive`.
+/// A colorable neighborhood graph from a *partial* walk proves nothing:
+/// over a sampled universe, or over an exhaustive one whose walk was
+/// interrupted or errored, the verdict must stay `Inconclusive`.
 pub fn hiding_partial_inconclusive() {
     let c4 = Instance::canonical(generators::cycle(4));
     let proper: Labeling = (0..4)
@@ -599,16 +591,57 @@ pub fn hiding_partial_inconclusive() {
         Coverage::Exhaustive,
     )
     .expect("16 labelings fit");
-    let check = HidingCheck::new(&LocalDiff, &all, 2, bipartite::is_bipartite);
+    let scan = NbhdSweep::new(&LocalDiff, IdMode::Anonymous, &all, bipartite::is_bipartite);
     let cut = SweepSession::over(&all)
         .budget(SweepBudget::unlimited().with_max_items(4))
-        .run(&check);
+        .run(&scan);
     assert!(cut.evidence.interrupted, "4 of 16 labelings visited");
     assert_eq!(
-        cut.verdict.1,
+        check_hiding(&cut.verdict, 2, cut.coverage),
         HidingVerdict::Inconclusive,
         "an interrupted sweep cannot certify non-hiding"
     );
+    // Nor can a complete walk over an exhaustive universe whose items
+    // errored: the one labeling of a one-letter C4 panics, so V(D, .) is
+    // empty (and colorable) without covering the family.
+    let c4 = Instance::canonical(generators::cycle(4));
+    let one = Universe::new(
+        vec![Block::new(
+            c4,
+            LabelSource::All {
+                alphabet: vec![Certificate::from_byte(0)],
+            },
+        )],
+        Coverage::Exhaustive,
+    )
+    .expect("one labeling fits");
+    let errored = verify_hiding(&PanicsOnEveryView, &one, 2, bipartite::is_bipartite);
+    assert!(!errored.interrupted, "the walk reached the universe's end");
+    assert_eq!(errored.errors.len(), 1, "its one item errored");
+    assert_eq!(errored.coverage, Coverage::Sampled);
+    assert_eq!(
+        errored.verdict.1,
+        HidingVerdict::Inconclusive,
+        "an errored sweep cannot certify non-hiding"
+    );
+}
+
+/// Panics on every view: each inspection that decides a verdict errors.
+struct PanicsOnEveryView;
+
+impl Decoder for PanicsOnEveryView {
+    fn name(&self) -> String {
+        "panics-on-every-view".into()
+    }
+    fn radius(&self) -> usize {
+        1
+    }
+    fn id_mode(&self) -> IdMode {
+        IdMode::Anonymous
+    }
+    fn decide(&self, _view: &View) -> Verdict {
+        panic!("no verdict for any view")
+    }
 }
 
 /// Equal adjacent accepting views are a self-loop — the length-1 odd walk
@@ -621,16 +654,18 @@ pub fn hiding_selfloop_walk() {
     let ports = hiding_lcp_graph::ports::cycle_symmetric(&g);
     let instance = Instance::new(g, ports, IdAssignment::canonical(4)).expect("valid C4 instance");
     let li = instance.with_labeling(Labeling::empty(4));
-    // The engine sweep behind `build` must find the loop.
-    let nbhd = NbhdGraph::build(
+    // The Lemma 3.1 sweep must find the loop.
+    let universe = Universe::from_labeled(vec![li], Coverage::Sampled).expect("one item fits");
+    let report = NbhdGraph::from_sweep(
         &YesMan,
         IdMode::Anonymous,
-        vec![li],
+        &universe,
         bipartite::is_bipartite,
     );
+    let nbhd = &report.verdict;
     assert_eq!(nbhd.view_count(), 1, "all C4 views are identical");
     assert_eq!(nbhd.self_loop_views(), vec![0]);
-    let verdict = check_hiding(&nbhd, 2, UniverseCoverage::Partial);
+    let verdict = check_hiding(nbhd, 2, report.coverage);
     assert_eq!(verdict, HidingVerdict::Hiding { odd_walk: vec![0] });
 }
 
@@ -1377,9 +1412,9 @@ fn copy_blocks_match_full_walk() {
             strong_witness.as_ref().err().map(|v| &v.labeling),
             &walk.strong_stop,
         );
-        let (nbhd, verdict) = hiding
+        let nbhd = hiding
             .verdict
-            .get::<(NbhdGraph, HidingVerdict)>()
+            .get::<NbhdGraph>()
             .expect("hiding verdict type");
         let views = &walk.views;
         assert_eq!(nbhd.views(), &views.views[..], "{what}: V(D, n) views");
@@ -1394,8 +1429,8 @@ fn copy_blocks_match_full_walk() {
             "{what}: V(D, n) self-loops"
         );
         assert_eq!(
-            verdict.is_hiding(),
-            views.hiding(k),
+            hiding.verdict.passed,
+            Some(views.hiding(k)),
             "{what}: hiding verdict"
         );
 

@@ -13,11 +13,12 @@ use hiding_lcp_core::instance::{Instance, LabeledInstance};
 use hiding_lcp_core::label::{Certificate, Labeling};
 use hiding_lcp_core::language::KCol;
 use hiding_lcp_core::lower::PortObliviousCycleDecoder;
+use hiding_lcp_core::nbhd::NbhdSweep;
 use hiding_lcp_core::properties::completeness::check_completeness;
 use hiding_lcp_core::properties::erasure::erase_and_run;
-use hiding_lcp_core::properties::hiding::HidingCheck;
+use hiding_lcp_core::properties::hiding::check_hiding;
 use hiding_lcp_core::properties::invariance::InvarianceCheck;
-use hiding_lcp_core::properties::quantified::QuantifiedCheck;
+use hiding_lcp_core::properties::quantified::ExtractabilityMap;
 use hiding_lcp_core::properties::soundness::{SoundnessCheck, SoundnessViolation};
 use hiding_lcp_core::properties::strong::{StrongCheck, StrongViolation};
 use hiding_lcp_core::prover::Prover;
@@ -25,6 +26,7 @@ use hiding_lcp_core::verify::{
     merge_panel_fragments, Coverage, DynPropertyCheck, ExecMode, LazySweep, PropertyTag, ShardSpec,
     SweepBudget, SweepSession, SweepStrategy, Universe, VerificationReport,
 };
+use hiding_lcp_core::view::IdMode;
 use hiding_lcp_graph::algo::bipartite;
 use hiding_lcp_graph::{generators, IdAssignment};
 use proptest::prelude::*;
@@ -211,12 +213,18 @@ fn hiding_matches_oracle() {
             let reference = ViewGraph::build(decoder, &items, bipartite::is_bipartite);
             for mode in modes() {
                 for strategy in strategies() {
-                    let check = HidingCheck::new(decoder, &universe, 2, bipartite::is_bipartite);
+                    let scan = NbhdSweep::new(
+                        decoder,
+                        IdMode::Anonymous,
+                        &universe,
+                        bipartite::is_bipartite,
+                    );
                     let report = SweepSession::over(&universe)
                         .mode(mode)
                         .strategy(strategy)
-                        .run(&check);
-                    let (nbhd, verdict) = report.verdict;
+                        .run(&scan);
+                    let verdict = check_hiding(&report.verdict, 2, report.coverage);
+                    let nbhd = report.verdict;
                     assert_eq!(
                         nbhd.view_count(),
                         reference.views.len(),
@@ -260,12 +268,18 @@ fn quantified_matches_oracle() {
         let ref_fraction = reference.hidden_fraction(decoder.radius(), &probe_li, 2);
         for mode in modes() {
             for strategy in strategies() {
-                let check = QuantifiedCheck::new(decoder, &universe, 2, bipartite::is_bipartite);
-                let report = SweepSession::over(&universe)
+                let scan = NbhdSweep::new(
+                    decoder,
+                    IdMode::Anonymous,
+                    &universe,
+                    bipartite::is_bipartite,
+                );
+                let nbhd = SweepSession::over(&universe)
                     .mode(mode)
                     .strategy(strategy)
-                    .run(&check);
-                let (nbhd, map) = report.verdict;
+                    .run(&scan)
+                    .verdict;
+                let map = ExtractabilityMap::new(&nbhd, 2);
                 assert_eq!(
                     map.unextractable_views(),
                     ref_unext.iter().filter(|&&b| b).count(),

@@ -16,7 +16,7 @@
 
 pub mod sources;
 
-use crate::decoder::{Decoder, Verdict};
+use crate::decoder::Decoder;
 use crate::instance::LabeledInstance;
 use crate::verify::{
     Coverage, InternerReport, ItemCtx, PropertyCheck, SweepOutcome, SweepSession, SymmetrySpec,
@@ -110,16 +110,14 @@ impl<D: Decoder + ?Sized> PropertyCheck for NbhdSweep<'_, D> {
         if !self.block_yes[item.block] {
             return None;
         }
-        let n = item.instance.graph().node_count();
-        let radius = self.decoder.radius();
-        let accepts = (0..n)
-            .map(|v| {
-                self.decoder
-                    .decide(&ctx.view(item, v, radius, self.decoder.id_mode()))
-                    .is_accept()
-            })
+        let accepts = ctx
+            .verdicts(item, self.decoder)
+            .iter()
+            .map(|v| v.is_accept())
             .collect();
-        let view_ids = self.interner.intern_views(item, ctx, radius, self.id_mode);
+        let view_ids = self
+            .interner
+            .intern_views(item, ctx, self.decoder.radius(), self.id_mode);
         Some(NbhdScan {
             view_ids,
             accepts,
@@ -153,26 +151,6 @@ impl<D: Decoder + ?Sized> PropertyCheck for NbhdSweep<'_, D> {
 
     fn interner_report(&self) -> Option<InternerReport> {
         Some(self.interner.report())
-    }
-
-    fn inspect_with_verdicts(
-        &self,
-        item: &UniverseItem<'_>,
-        verdicts: &[Verdict],
-        ctx: &ItemCtx<'_>,
-    ) -> Option<NbhdScan> {
-        if !self.block_yes[item.block] {
-            return None;
-        }
-        let accepts = verdicts.iter().map(|v| v.is_accept()).collect();
-        let view_ids = self
-            .interner
-            .intern_views(item, ctx, self.decoder.radius(), self.id_mode);
-        Some(NbhdScan {
-            view_ids,
-            accepts,
-            multiplicity: ctx.multiplicity(),
-        })
     }
 
     fn reduce(

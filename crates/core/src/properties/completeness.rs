@@ -145,7 +145,7 @@ pub fn completeness_member<'a>(
         PropertyTag::Completeness,
         "completeness",
         CompletenessCheck { decoder, prover },
-        |v: &CompletenessReport| {
+        |v: &CompletenessReport, _| {
             (
                 Some(v.all_passed()),
                 format!(

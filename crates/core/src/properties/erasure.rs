@@ -115,7 +115,7 @@ pub fn erasure_member(decoder: &dyn Decoder, erased_counts: Vec<usize>) -> DynPr
             decoder,
             erased_counts,
         },
-        |v: &Vec<ErasureOutcome>| {
+        |v: &Vec<ErasureOutcome>, _| {
             let reacting = v.iter().filter(|o| o.rejecting > 0).count();
             (
                 None,

@@ -1,46 +1,28 @@
 //! The hiding property, checked through the Lemma 3.2 characterization.
 //!
 //! `D` hides a k-coloring iff `V(D, n)` is not k-colorable for some `n`.
-//! Over a *partial* instance universe the check is one-sided:
+//! The Lemma 3.1 scan [`NbhdSweep`] builds `V(D, ·)`; [`check_hiding`]
+//! reads it at the [`Coverage`] the scan's walk achieved, which is what
+//! makes the check one-sided:
 //!
 //! * a non-k-colorable `V(D, ·)` (odd closed walk for k = 2) is already
 //!   conclusive — the views involved exist, so no decoder can color them
 //!   consistently: **hiding**;
-//! * a k-colorable `V(D, ·)` is conclusive only when the universe is the
-//!   full Lemma 3.1 sweep for the size bound in question: **not hiding
-//!   (at this n)**, and [`crate::extract`] actually builds the extractor.
+//! * a k-colorable `V(D, ·)` is conclusive only when the walk covered the
+//!   full Lemma 3.1 family for the size bound in question (exhaustive
+//!   universe, no interruption, no errored item): **not hiding (at this
+//!   n)**, and [`crate::extract`] actually builds the extractor.
+//!
+//! [`verify_hiding`], [`hiding_member`] and the audit plan's hiding line
+//! all take that coverage from the engine's report of the walk.
 
-use crate::decoder::{Decoder, Verdict};
-use crate::nbhd::{NbhdGraph, NbhdScan, NbhdSweep};
+use crate::decoder::Decoder;
+use crate::nbhd::{NbhdGraph, NbhdSweep};
 use crate::verify::{
-    Coverage, DynPropertyCheck, ItemCtx, PropertyCheck, PropertyTag, SweepOutcome, SweepSession,
-    Universe, UniverseItem, VerificationReport,
+    Coverage, DynPropertyCheck, PropertyTag, SweepSession, Universe, VerificationReport,
 };
 use crate::view::IdMode;
 use hiding_lcp_graph::Graph;
-
-/// How thoroughly the instance universe behind a neighborhood graph
-/// covered the Lemma 3.1 iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UniverseCoverage {
-    /// Every labeled yes-instance up to the stated size bound was fed in;
-    /// a colorable `V(D, n)` then genuinely refutes hiding at this `n`.
-    Exhaustive,
-    /// Only selected instances were fed in; colorability is inconclusive.
-    Partial,
-}
-
-impl From<Coverage> for UniverseCoverage {
-    /// A [`Universe`]'s typed coverage is exactly this distinction — the
-    /// engine path ([`verify_hiding`]) derives it from the universe instead
-    /// of trusting a caller's assertion.
-    fn from(coverage: Coverage) -> UniverseCoverage {
-        match coverage {
-            Coverage::Exhaustive => UniverseCoverage::Exhaustive,
-            Coverage::Sampled => UniverseCoverage::Partial,
-        }
-    }
-}
 
 /// The outcome of a hiding check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,8 +42,8 @@ pub enum HidingVerdict {
         /// The lexicographically-first proper coloring of the views.
         coloring: Vec<usize>,
     },
-    /// `V(D, ·)` is k-colorable but the universe was partial: no
-    /// conclusion.
+    /// `V(D, ·)` is k-colorable but the walk covered only part of the
+    /// family: no conclusion.
     Inconclusive,
 }
 
@@ -72,14 +54,17 @@ impl HidingVerdict {
     }
 }
 
-/// Applies Lemma 3.2 to a built neighborhood graph.
+/// Applies Lemma 3.2 to a built neighborhood graph, at the coverage of the
+/// walk that built it: [`Coverage::Exhaustive`] only when that walk
+/// covered every labeled yes-instance up to the size bound, so a
+/// colorable `V(D, n)` genuinely refutes hiding at this `n`.
 ///
 /// `k` is the number of colors of the certified language (2 throughout the
 /// paper's main results).
-pub fn check_hiding(nbhd: &NbhdGraph, k: usize, coverage: UniverseCoverage) -> HidingVerdict {
+pub fn check_hiding(nbhd: &NbhdGraph, k: usize, coverage: Coverage) -> HidingVerdict {
     #[cfg(conformance_mutants)]
     let coverage = if crate::mutants::active("hiding_partial_conclusive") {
-        UniverseCoverage::Exhaustive
+        Coverage::Exhaustive
     } else {
         coverage
     };
@@ -95,100 +80,23 @@ pub fn check_hiding(nbhd: &NbhdGraph, k: usize, coverage: UniverseCoverage) -> H
         };
     }
     match coverage {
-        UniverseCoverage::Exhaustive => match nbhd.lex_coloring(k) {
+        Coverage::Exhaustive => match nbhd.lex_coloring(k) {
             Some(coloring) => HidingVerdict::NotHiding { coloring },
             None => HidingVerdict::Hiding {
                 odd_walk: (0..nbhd.view_count()).collect(),
             },
         },
-        UniverseCoverage::Partial => HidingVerdict::Inconclusive,
+        Coverage::Sampled => HidingVerdict::Inconclusive,
     }
 }
 
-/// The hiding property as a sweepable check: the Lemma 3.1 scan feeding
-/// the Lemma 3.2 colorability test, with the coverage read off the
-/// universe's type, and partial whenever the sweep stopped short of it.
-pub struct HidingCheck<'a, D: ?Sized> {
-    sweep: NbhdSweep<'a, D>,
-    k: usize,
-}
-
-impl<'a, D: Decoder + ?Sized> HidingCheck<'a, D> {
-    /// Prepares a hiding check of `decoder` for `k`-colorings, over
-    /// yes-instances per `is_yes`, with anonymous extractor views (the
-    /// hiding definition quantifies over anonymous decoders `D'`).
-    pub fn new<F>(decoder: &'a D, universe: &Universe, k: usize, is_yes: F) -> Self
-    where
-        F: Fn(&Graph) -> bool,
-    {
-        HidingCheck {
-            sweep: NbhdSweep::new(decoder, IdMode::Anonymous, universe, is_yes),
-            k,
-        }
-    }
-}
-
-impl<D: Decoder + ?Sized> PropertyCheck for HidingCheck<'_, D> {
-    type Partial = NbhdScan;
-    type Verdict = (NbhdGraph, HidingVerdict);
-
-    fn view_configs(&self) -> Vec<(usize, IdMode)> {
-        self.sweep.view_configs()
-    }
-
-    fn inspect(&self, item: &UniverseItem<'_>, ctx: &ItemCtx<'_>) -> Option<NbhdScan> {
-        self.sweep.inspect(item, ctx)
-    }
-
-    fn verdict_decoder(&self) -> Option<&dyn Decoder> {
-        self.sweep.verdict_decoder()
-    }
-
-    fn uses_verdicts(&self, block: usize) -> bool {
-        self.sweep.uses_verdicts(block)
-    }
-
-    fn inspect_with_verdicts(
-        &self,
-        item: &UniverseItem<'_>,
-        verdicts: &[Verdict],
-        ctx: &ItemCtx<'_>,
-    ) -> Option<NbhdScan> {
-        self.sweep.inspect_with_verdicts(item, verdicts, ctx)
-    }
-
-    fn symmetry_class(
-        &self,
-        alphabet: &[crate::label::Certificate],
-    ) -> Option<crate::verify::SymmetrySpec> {
-        self.sweep.symmetry_class(alphabet)
-    }
-
-    fn interner_report(&self) -> Option<crate::verify::InternerReport> {
-        self.sweep.interner_report()
-    }
-
-    fn reduce(
-        &self,
-        universe: &Universe,
-        partials: Vec<(usize, NbhdScan)>,
-        outcome: &SweepOutcome,
-    ) -> (NbhdGraph, HidingVerdict) {
-        let nbhd = self.sweep.reduce(universe, partials, outcome);
-        let coverage = if outcome.checked < outcome.universe_size {
-            UniverseCoverage::Partial
-        } else {
-            universe.coverage().into()
-        };
-        let verdict = check_hiding(&nbhd, self.k, coverage);
-        (nbhd, verdict)
-    }
-}
-
-/// [`HidingCheck`] as a panel member: joined to `decoder`'s verdict
+/// The hiding property as a panel member: the Lemma 3.1 scan with anonymous
+/// extractor views (the hiding definition quantifies over anonymous
+/// decoders `D'`), summarized by Lemma 3.2 at the coverage the member
+/// achieved. Its verdict is `V(D, ·)`. Joined to `decoder`'s verdict
 /// channel, so a fused audit maintains one delta-evaluated verdict vector
-/// for every member built on the same decoder object. As with the plain
-/// check, the member is tied to the universe it was built for.
+/// for every member built on the same decoder object. As with the scan,
+/// the member is tied to the universe it was built for.
 pub fn hiding_member<'a, F>(
     decoder: &'a dyn Decoder,
     universe: &Universe,
@@ -201,16 +109,21 @@ where
     DynPropertyCheck::with_summary(
         PropertyTag::Hiding,
         "hiding",
-        HidingCheck::new(decoder, universe, k, is_yes),
-        |(_, v): &(NbhdGraph, HidingVerdict)| hiding_line(v),
+        NbhdSweep::new(decoder, IdMode::Anonymous, universe, is_yes),
+        move |nbhd: &NbhdGraph, coverage| hiding_line(nbhd, k, coverage),
     )
     .with_channel(decoder)
 }
 
-/// A hiding verdict's audit line: `passed` and its detail text. The
-/// summary of [`hiding_member`] and of the audit plan's hiding line.
-pub(crate) fn hiding_line(verdict: &HidingVerdict) -> (Option<bool>, String) {
-    match verdict {
+/// The hiding audit line of `nbhd` built at `coverage`: Lemma 3.2's
+/// verdict as `passed` and its detail text. The summary of
+/// [`hiding_member`] and of the audit plan's hiding line.
+pub(crate) fn hiding_line(
+    nbhd: &NbhdGraph,
+    k: usize,
+    coverage: Coverage,
+) -> (Option<bool>, String) {
+    match check_hiding(nbhd, k, coverage) {
         HidingVerdict::Hiding { .. } => (Some(true), "V(D, .) is not k-colorable".into()),
         HidingVerdict::NotHiding { .. } => (
             Some(false),
@@ -223,11 +136,12 @@ pub(crate) fn hiding_line(verdict: &HidingVerdict) -> (Option<bool>, String) {
     }
 }
 
-/// Checks hiding of `decoder` on the engine: sweeps `universe`, builds
-/// `V(D, ·)` and applies Lemma 3.2, with [`UniverseCoverage`] taken from
-/// [`Universe::coverage`] rather than asserted by the caller. The verdict
-/// comes with the neighborhood graph (for witness extraction) and the
-/// sweep's execution evidence.
+/// Checks hiding of `decoder` on the engine: sweeps `universe` with the
+/// Lemma 3.1 scan (anonymous extractor views), then applies Lemma 3.2 at
+/// the report's achieved coverage — the universe's own, downgraded when
+/// the walk was interrupted or an item errored. The verdict comes with
+/// the neighborhood graph (for witness extraction) and the sweep's
+/// execution evidence.
 pub fn verify_hiding<D, F>(
     decoder: &D,
     universe: &Universe,
@@ -238,16 +152,22 @@ where
     D: Decoder + ?Sized,
     F: Fn(&Graph) -> bool,
 {
-    let check = HidingCheck::new(decoder, universe, k, is_yes);
-    SweepSession::over(universe).run(&check)
+    let check = NbhdSweep::new(decoder, IdMode::Anonymous, universe, is_yes);
+    let report = SweepSession::over(universe).run(&check);
+    let coverage = report.coverage;
+    report.map(|nbhd| {
+        let verdict = check_hiding(&nbhd, k, coverage);
+        (nbhd, verdict)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::decoder::{Decoder, Verdict};
-    use crate::instance::Instance;
+    use crate::instance::{Instance, LabeledInstance};
     use crate::label::{Certificate, Labeling};
+    use crate::verify::{AuditPlan, InstanceSet};
     use crate::view::{IdMode, View};
     use hiding_lcp_graph::algo::bipartite;
     use hiding_lcp_graph::generators;
@@ -291,15 +211,37 @@ mod tests {
         }
     }
 
+    /// Panics on every view, so every inspection that decides errors.
+    struct PanicsOnEveryView;
+    impl Decoder for PanicsOnEveryView {
+        fn name(&self) -> String {
+            "panics-on-every-view".into()
+        }
+        fn radius(&self) -> usize {
+            1
+        }
+        fn id_mode(&self) -> IdMode {
+            IdMode::Anonymous
+        }
+        fn decide(&self, _view: &View) -> Verdict {
+            panic!("no verdict for any view")
+        }
+    }
+
+    /// `V(D, ·)` of `li` alone, over a sampled universe.
+    fn verify_sampled(decoder: &dyn Decoder, li: LabeledInstance) -> (NbhdGraph, HidingVerdict) {
+        let universe = Universe::from_labeled(vec![li], Coverage::Sampled).expect("one item fits");
+        let report = verify_hiding(decoder, &universe, 2, bipartite::is_bipartite);
+        assert_eq!(report.coverage, Coverage::Sampled);
+        report.verdict
+    }
+
     #[test]
     fn yes_man_is_trivially_hiding() {
         // Accept-everything reveals nothing: its neighborhood graph over
         // unlabeled C4 has a self-loop.
         let li = Instance::canonical(generators::cycle(4)).with_labeling(Labeling::empty(4));
-        let nbhd = crate::nbhd::NbhdGraph::build(&YesMan, IdMode::Anonymous, vec![li], |g| {
-            bipartite::is_bipartite(g)
-        });
-        let verdict = check_hiding(&nbhd, 2, UniverseCoverage::Partial);
+        let (_, verdict) = verify_sampled(&YesMan, li);
         assert!(verdict.is_hiding());
         assert_eq!(verdict, HidingVerdict::Hiding { odd_walk: vec![0] });
     }
@@ -307,11 +249,10 @@ mod tests {
     #[test]
     fn revealing_lcp_is_not_hiding_over_exhaustive_universe() {
         let alphabet = vec![Certificate::from_byte(0), Certificate::from_byte(1)];
-        let universe = crate::nbhd::sources::exhaustive_universe(4, &alphabet);
-        let nbhd = crate::nbhd::NbhdGraph::build(&LocalDiff, IdMode::Anonymous, universe, |g| {
-            bipartite::is_bipartite(g)
-        });
-        let verdict = check_hiding(&nbhd, 2, UniverseCoverage::Exhaustive);
+        let universe = Universe::lemma31(4, alphabet).expect("n <= 4 universe fits");
+        let report = verify_hiding(&LocalDiff, &universe, 2, bipartite::is_bipartite);
+        assert_eq!(report.coverage, Coverage::Exhaustive);
+        let (nbhd, verdict) = report.verdict;
         match verdict {
             HidingVerdict::NotHiding { coloring } => {
                 assert_eq!(coloring.len(), nbhd.view_count());
@@ -350,12 +291,63 @@ mod tests {
                 .collect();
             inst.with_labeling(labels)
         };
-        let nbhd = crate::nbhd::NbhdGraph::build(&LocalDiff, IdMode::Anonymous, vec![li], |g| {
-            bipartite::is_bipartite(g)
-        });
         assert_eq!(
-            check_hiding(&nbhd, 2, UniverseCoverage::Partial),
+            verify_sampled(&LocalDiff, li).1,
             HidingVerdict::Inconclusive
         );
+    }
+
+    #[test]
+    fn an_errored_walk_is_inconclusive_on_every_path() {
+        // The one labeling of a one-letter C4 over an exhaustive universe:
+        // its inspection panics, so V(D, .) is empty, and colorable, without
+        // the walk covering the family. Every path must read the walk's
+        // downgraded coverage instead of the universe's.
+        let c4 = Instance::canonical(generators::cycle(4));
+        let one_letter = vec![Certificate::from_byte(0)];
+        let universe =
+            Universe::all_labelings_of(c4.clone(), one_letter.clone(), Coverage::Exhaustive)
+                .expect("one labeling fits");
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let report = verify_hiding(&PanicsOnEveryView, &universe, 2, bipartite::is_bipartite);
+        let panel = SweepSession::over(&universe).run_panel(&[hiding_member(
+            &PanicsOnEveryView,
+            &universe,
+            2,
+            bipartite::is_bipartite,
+        )]);
+        let audit = AuditPlan::new(
+            &PanicsOnEveryView,
+            2,
+            InstanceSet::Explicit {
+                instances: vec![c4],
+                coverage: Coverage::Exhaustive,
+            },
+            one_letter,
+        )
+        .properties([PropertyTag::Hiding])
+        .run();
+        std::panic::set_hook(prev);
+
+        assert_eq!(
+            report.verdict.1,
+            HidingVerdict::Inconclusive,
+            "verify_hiding"
+        );
+        assert_eq!(
+            (report.coverage, report.errors.len()),
+            (Coverage::Sampled, 1)
+        );
+        let member = &panel.members[0];
+        assert_eq!(member.verdict.passed, None, "hiding_member");
+        assert_eq!(
+            (member.coverage, member.errors.len()),
+            (Coverage::Sampled, 1)
+        );
+        let line = &audit.panels[0].members[0];
+        assert_eq!(line.property, "hiding");
+        assert_eq!(line.passed, None, "audit plan");
+        assert_eq!((line.coverage, line.errors), (Coverage::Sampled, 1));
     }
 }

@@ -107,7 +107,7 @@ pub fn invariance_member<'a>(
         PropertyTag::Invariance,
         "invariance",
         InvarianceCheck::new(decoder, instance, labeling),
-        |v: &Result<(), InvarianceViolation>| match v {
+        |v: &Result<(), InvarianceViolation>, _| match v {
             Ok(()) => (Some(true), "verdicts unchanged under id remapping".into()),
             Err(viol) => (
                 Some(false),

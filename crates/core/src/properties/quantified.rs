@@ -17,14 +17,16 @@
 //! Measured on the paper's schemes (experiment E16): the even-cycle LCP
 //! scores 1.0 (the coloring is hidden *everywhere*, matching the paper's
 //! emphasis) while the degree-one LCP hides only near the `⊥`/`⊤` pocket.
+//!
+//! No check of its own: [`verify_extractability`], [`quantified_member`]
+//! and the audit plan's quantified line all run the Lemma 3.1 scan
+//! [`NbhdSweep`] and classify the `V(D, ·)` it builds with
+//! [`ExtractabilityMap`].
 
-use crate::decoder::{Decoder, Verdict};
+use crate::decoder::Decoder;
 use crate::instance::LabeledInstance;
-use crate::nbhd::{NbhdGraph, NbhdScan, NbhdSweep};
-use crate::verify::{
-    DynPropertyCheck, ItemCtx, PropertyCheck, PropertyTag, SweepOutcome, SweepSession, Universe,
-    UniverseItem, VerificationReport,
-};
+use crate::nbhd::{NbhdGraph, NbhdSweep};
+use crate::verify::{DynPropertyCheck, PropertyTag, SweepSession, Universe, VerificationReport};
 use crate::view::IdMode;
 use hiding_lcp_graph::algo::{bipartite, coloring, components};
 use hiding_lcp_graph::Graph;
@@ -102,84 +104,13 @@ impl ExtractabilityMap {
     }
 }
 
-/// The quantified-hiding analysis as a sweepable check: one Lemma 3.1
-/// sweep produces `V(D, ·)`, whose components are then classified by
-/// k-colorability.
-pub struct QuantifiedCheck<'a, D: ?Sized> {
-    sweep: NbhdSweep<'a, D>,
-    k: usize,
-}
-
-impl<'a, D: Decoder + ?Sized> QuantifiedCheck<'a, D> {
-    /// Prepares the analysis of `decoder` for palette size `k` over the
-    /// yes-instances of `universe` (anonymous extractor views).
-    pub fn new<F>(decoder: &'a D, universe: &Universe, k: usize, is_yes: F) -> Self
-    where
-        F: Fn(&Graph) -> bool,
-    {
-        QuantifiedCheck {
-            sweep: NbhdSweep::new(decoder, IdMode::Anonymous, universe, is_yes),
-            k,
-        }
-    }
-}
-
-impl<D: Decoder + ?Sized> PropertyCheck for QuantifiedCheck<'_, D> {
-    type Partial = NbhdScan;
-    type Verdict = (NbhdGraph, ExtractabilityMap);
-
-    fn view_configs(&self) -> Vec<(usize, IdMode)> {
-        self.sweep.view_configs()
-    }
-
-    fn inspect(&self, item: &UniverseItem<'_>, ctx: &ItemCtx<'_>) -> Option<NbhdScan> {
-        self.sweep.inspect(item, ctx)
-    }
-
-    fn verdict_decoder(&self) -> Option<&dyn Decoder> {
-        self.sweep.verdict_decoder()
-    }
-
-    fn uses_verdicts(&self, block: usize) -> bool {
-        self.sweep.uses_verdicts(block)
-    }
-
-    fn inspect_with_verdicts(
-        &self,
-        item: &UniverseItem<'_>,
-        verdicts: &[Verdict],
-        ctx: &ItemCtx<'_>,
-    ) -> Option<NbhdScan> {
-        self.sweep.inspect_with_verdicts(item, verdicts, ctx)
-    }
-
-    fn symmetry_class(
-        &self,
-        alphabet: &[crate::label::Certificate],
-    ) -> Option<crate::verify::SymmetrySpec> {
-        self.sweep.symmetry_class(alphabet)
-    }
-
-    fn interner_report(&self) -> Option<crate::verify::InternerReport> {
-        self.sweep.interner_report()
-    }
-
-    fn reduce(
-        &self,
-        universe: &Universe,
-        partials: Vec<(usize, NbhdScan)>,
-        outcome: &SweepOutcome,
-    ) -> (NbhdGraph, ExtractabilityMap) {
-        let nbhd = self.sweep.reduce(universe, partials, outcome);
-        let map = ExtractabilityMap::new(&nbhd, self.k);
-        (nbhd, map)
-    }
-}
-
-/// [`QuantifiedCheck`] as a panel member: joined to `decoder`'s verdict
-/// channel, so a fused audit maintains one delta-evaluated verdict vector
-/// for every member built on the same decoder object. As with the plain
-/// check, the member is tied to the universe it was built for.
+/// The quantified-hiding analysis as a panel member: the Lemma 3.1 scan
+/// with anonymous extractor views, whose `V(D, ·)` (the member's verdict)
+/// the summary classifies by k-colorability into the unextractable-view
+/// count. Joined to `decoder`'s verdict channel, so a fused audit
+/// maintains one delta-evaluated verdict vector for every member built on
+/// the same decoder object. As with the scan, the member is tied to the
+/// universe it was built for.
 pub fn quantified_member<'a, F>(
     decoder: &'a dyn Decoder,
     universe: &Universe,
@@ -192,28 +123,30 @@ where
     DynPropertyCheck::with_summary(
         PropertyTag::Quantified,
         "quantified",
-        QuantifiedCheck::new(decoder, universe, k, is_yes),
-        |(nbhd, map): &(NbhdGraph, ExtractabilityMap)| quantified_line(nbhd, map),
+        NbhdSweep::new(decoder, IdMode::Anonymous, universe, is_yes),
+        move |nbhd: &NbhdGraph, _| quantified_line(nbhd, k),
     )
     .with_channel(decoder)
 }
 
-/// The quantified audit line of `nbhd` classified by `map`: informational
-/// (`passed` is `None`) with the unextractable-view count. The summary of
-/// [`quantified_member`] and of the audit plan's quantified line.
-pub(crate) fn quantified_line(nbhd: &NbhdGraph, map: &ExtractabilityMap) -> (Option<bool>, String) {
+/// The quantified audit line of `nbhd` classified for palette size `k`:
+/// informational (`passed` is `None`) with the unextractable-view count.
+/// The summary of [`quantified_member`] and of the audit plan's quantified
+/// line.
+pub(crate) fn quantified_line(nbhd: &NbhdGraph, k: usize) -> (Option<bool>, String) {
     (
         None,
         format!(
             "{} of {} views unextractable",
-            map.unextractable_views(),
+            ExtractabilityMap::new(nbhd, k).unextractable_views(),
             nbhd.view_count()
         ),
     )
 }
 
-/// Builds `V(D, ·)` over `universe` on the engine and classifies its views
-/// by extractability, returning both with the sweep's execution evidence.
+/// Builds `V(D, ·)` over `universe` on the engine (the Lemma 3.1 scan with
+/// anonymous extractor views) and classifies its views by extractability,
+/// returning both with the sweep's execution evidence.
 pub fn verify_extractability<D, F>(
     decoder: &D,
     universe: &Universe,
@@ -224,8 +157,11 @@ where
     D: Decoder + ?Sized,
     F: Fn(&Graph) -> bool,
 {
-    let check = QuantifiedCheck::new(decoder, universe, k, is_yes);
-    SweepSession::over(universe).run(&check)
+    let check = NbhdSweep::new(decoder, IdMode::Anonymous, universe, is_yes);
+    SweepSession::over(universe).run(&check).map(|nbhd| {
+        let map = ExtractabilityMap::new(&nbhd, k);
+        (nbhd, map)
+    })
 }
 
 #[cfg(test)]

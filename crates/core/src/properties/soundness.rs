@@ -6,7 +6,7 @@
 //! a unanimously accepted labeling), and the `check_soundness_*` functions
 //! below are thin constructors of the matching [`Universe`].
 
-use crate::decoder::{Decoder, Verdict};
+use crate::decoder::Decoder;
 use crate::instance::Instance;
 use crate::label::{Certificate, Labeling};
 use crate::prover::{all_labelings, random_labeling};
@@ -42,7 +42,9 @@ impl<D: Decoder + ?Sized> PropertyCheck for SoundnessCheck<'_, D> {
     }
 
     fn inspect(&self, item: &UniverseItem<'_>, ctx: &ItemCtx<'_>) -> Option<SoundnessViolation> {
-        ctx.accepts_all(item, self.decoder)
+        ctx.verdicts(item, self.decoder)
+            .iter()
+            .all(|v| v.is_accept())
             .then(|| SoundnessViolation {
                 labeling: item.labeling.clone(),
             })
@@ -50,20 +52,6 @@ impl<D: Decoder + ?Sized> PropertyCheck for SoundnessCheck<'_, D> {
 
     fn verdict_decoder(&self) -> Option<&dyn Decoder> {
         Some(&self.decoder)
-    }
-
-    fn inspect_with_verdicts(
-        &self,
-        item: &UniverseItem<'_>,
-        verdicts: &[Verdict],
-        _ctx: &ItemCtx<'_>,
-    ) -> Option<SoundnessViolation> {
-        verdicts
-            .iter()
-            .all(|v| v.is_accept())
-            .then(|| SoundnessViolation {
-                labeling: item.labeling.clone(),
-            })
     }
 
     fn short_circuits(&self, _partial: &SoundnessViolation) -> bool {
@@ -102,7 +90,7 @@ pub fn soundness_member(decoder: &dyn Decoder) -> DynPropertyCheck<'_> {
         PropertyTag::Soundness,
         "soundness",
         SoundnessCheck { decoder },
-        |v: &Result<usize, SoundnessViolation>| match v {
+        |v: &Result<usize, SoundnessViolation>, _| match v {
             Ok(n) => (Some(true), format!("no unanimous accept in {n} labelings")),
             Err(_) => (Some(false), "unanimously accepted labeling found".into()),
         },

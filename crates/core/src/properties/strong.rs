@@ -5,7 +5,7 @@
 //! The quantification over labelings runs on the [`crate::verify`] engine
 //! via [`StrongCheck`]; `check_strong_*` construct the matching universes.
 
-use crate::decoder::{Decoder, Verdict};
+use crate::decoder::Decoder;
 use crate::instance::Instance;
 use crate::label::{Certificate, Labeling};
 use crate::language::KCol;
@@ -48,8 +48,8 @@ impl<D: Decoder + ?Sized> PropertyCheck for StrongCheck<'_, D> {
 
     fn inspect(&self, item: &UniverseItem<'_>, ctx: &ItemCtx<'_>) -> Option<StrongViolation> {
         let accepting: Vec<usize> = ctx
-            .run(item, self.decoder)
-            .into_iter()
+            .verdicts(item, self.decoder)
+            .iter()
             .enumerate()
             .filter_map(|(v, verdict)| verdict.is_accept().then_some(v))
             .collect();
@@ -70,32 +70,6 @@ impl<D: Decoder + ?Sized> PropertyCheck for StrongCheck<'_, D> {
 
     fn verdict_decoder(&self) -> Option<&dyn Decoder> {
         Some(&self.decoder)
-    }
-
-    fn inspect_with_verdicts(
-        &self,
-        item: &UniverseItem<'_>,
-        verdicts: &[Verdict],
-        _ctx: &ItemCtx<'_>,
-    ) -> Option<StrongViolation> {
-        let accepting: Vec<usize> = verdicts
-            .iter()
-            .enumerate()
-            .filter_map(|(v, verdict)| verdict.is_accept().then_some(v))
-            .collect();
-        #[cfg(conformance_mutants)]
-        let accepting = {
-            let mut accepting = accepting;
-            if crate::mutants::active("strong_drops_last_acceptor") {
-                accepting.pop();
-            }
-            accepting
-        };
-        let (induced, _) = item.instance.graph().induced(&accepting);
-        (!self.language.is_yes_graph(&induced)).then(|| StrongViolation {
-            labeling: item.labeling.clone(),
-            accepting,
-        })
     }
 
     fn short_circuits(&self, _partial: &StrongViolation) -> bool {
@@ -134,7 +108,7 @@ pub fn strong_member<'a>(decoder: &'a dyn Decoder, language: &'a KCol) -> DynPro
         PropertyTag::Strong,
         "strong",
         StrongCheck { decoder, language },
-        |v: &Result<usize, StrongViolation>| match v {
+        |v: &Result<usize, StrongViolation>, _| match v {
             Ok(n) => (
                 Some(true),
                 format!("every accepting set in {n} labelings induces G(L)"),

@@ -14,13 +14,20 @@
 //!   sequential execution report the identical witness.
 //! * [`PropertyCheck::reduce`] folds the surviving partials — delivered in
 //!   item order — into the final verdict.
+//!
+//! A check that reads a decoder's node verdicts names that decoder in
+//! [`PropertyCheck::verdict_decoder`] and reads them with
+//! [`ItemCtx::verdicts`] inside its one `inspect`. The engine serves them
+//! from its delta-maintained vector where it keeps one and decides them
+//! on the item's stamped views elsewhere, so each property is written
+//! once and every strategy runs the same body.
 
 use super::budget::SweepError;
 use super::interner::InternerReport;
 use super::symmetry::SymmetrySpec;
 use super::universe::{Coverage, Universe, UniverseItem};
 use super::ItemCtx;
-use crate::decoder::{Decoder, Verdict};
+use crate::decoder::Decoder;
 use crate::label::Certificate;
 use crate::view::IdMode;
 use std::time::Duration;
@@ -44,48 +51,29 @@ pub trait PropertyCheck: Sync {
     /// Examines one item; `None` means "nothing to record".
     fn inspect(&self, item: &UniverseItem<'_>, ctx: &ItemCtx<'_>) -> Option<Self::Partial>;
 
-    /// The decoder whose per-node verdicts this check's [`inspect`]
-    /// ultimately reads, if it has one. Returning `Some` opts the check
-    /// into the executor's delta-evaluation fast path: on `All`-labeled
-    /// blocks the executor maintains a per-thread verdict vector for this
-    /// decoder — re-deciding only the nodes whose radius-r ball contains a
-    /// changed odometer digit — and calls
-    /// [`inspect_with_verdicts`] instead of [`inspect`].
+    /// The decoder whose per-node verdicts this check's [`inspect`] reads
+    /// through [`ItemCtx::verdicts`], if it has one. Returning `Some` opts
+    /// the check into the executor's delta-evaluation fast path: on
+    /// `All`-labeled blocks the executor maintains a per-thread verdict
+    /// vector for this decoder — re-deciding only the nodes whose radius-r
+    /// ball contains a changed odometer digit — and hands it to
+    /// [`inspect`] as the item's verdicts.
     ///
     /// Contract: the decoder must be *pure* (same view → same verdict),
-    /// which the LCP model already requires, and
-    /// [`inspect_with_verdicts`] must agree with [`inspect`] on every
-    /// item. Parity between the two paths is enforced by the
-    /// `engine_parity` suite.
+    /// which the LCP model already requires; the `engine_parity` suite
+    /// holds the delta vector to the decoder run on stamped views.
     ///
     /// [`inspect`]: PropertyCheck::inspect
-    /// [`inspect_with_verdicts`]: PropertyCheck::inspect_with_verdicts
     fn verdict_decoder(&self) -> Option<&dyn Decoder> {
         None
     }
 
     /// Whether the delta path should maintain verdicts on `block` at all.
     /// Checks that ignore some blocks entirely (e.g. the neighborhood-graph
-    /// scan skips no-instances) override this so those blocks cost nothing.
+    /// scan skips no-instances) override this so those blocks cost nothing;
+    /// an [`ItemCtx::verdicts`] call there decides on the stamped views.
     fn uses_verdicts(&self, _block: usize) -> bool {
         true
-    }
-
-    /// [`inspect`] with the [`verdict_decoder`]'s per-node verdicts already
-    /// computed (index = node). Only called when [`verdict_decoder`]
-    /// returned `Some` and [`uses_verdicts`] holds for the item's block;
-    /// the default delegates to [`inspect`], recomputing verdicts.
-    ///
-    /// [`inspect`]: PropertyCheck::inspect
-    /// [`verdict_decoder`]: PropertyCheck::verdict_decoder
-    /// [`uses_verdicts`]: PropertyCheck::uses_verdicts
-    fn inspect_with_verdicts(
-        &self,
-        item: &UniverseItem<'_>,
-        _verdicts: &[Verdict],
-        ctx: &ItemCtx<'_>,
-    ) -> Option<Self::Partial> {
-        self.inspect(item, ctx)
     }
 
     /// Whether `partial` decides the sweep immediately.
@@ -158,15 +146,6 @@ impl<C: PropertyCheck> PropertyCheck for &C {
 
     fn uses_verdicts(&self, block: usize) -> bool {
         (**self).uses_verdicts(block)
-    }
-
-    fn inspect_with_verdicts(
-        &self,
-        item: &UniverseItem<'_>,
-        verdicts: &[Verdict],
-        ctx: &ItemCtx<'_>,
-    ) -> Option<Self::Partial> {
-        (**self).inspect_with_verdicts(item, verdicts, ctx)
     }
 
     fn short_circuits(&self, partial: &Self::Partial) -> bool {

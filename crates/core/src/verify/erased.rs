@@ -30,9 +30,9 @@
 use super::check::{PropertyCheck, SweepOutcome};
 use super::interner::InternerReport;
 use super::symmetry::SymmetrySpec;
-use super::universe::{Universe, UniverseItem};
+use super::universe::{Coverage, Universe, UniverseItem};
 use super::ItemCtx;
-use crate::decoder::{Decoder, Verdict};
+use crate::decoder::Decoder;
 use crate::label::Certificate;
 use crate::view::IdMode;
 use std::any::Any;
@@ -84,18 +84,12 @@ impl PropertyTag {
 
 /// Object-safe mirror of [`PropertyCheck`] with boxed payloads, plus the
 /// one operation panels need beyond it: summarizing a verdict (for
-/// reports).
+/// reports) at the coverage the member achieved.
 trait ErasedCheck: Sync {
     fn view_configs(&self) -> Vec<(usize, IdMode)>;
     fn inspect(&self, item: &UniverseItem<'_>, ctx: &ItemCtx<'_>) -> Option<ErasedPartial>;
     fn verdict_decoder(&self) -> Option<&dyn Decoder>;
     fn uses_verdicts(&self, block: usize) -> bool;
-    fn inspect_with_verdicts(
-        &self,
-        item: &UniverseItem<'_>,
-        verdicts: &[Verdict],
-        ctx: &ItemCtx<'_>,
-    ) -> Option<ErasedPartial>;
     fn short_circuits(&self, partial: &ErasedPartial) -> bool;
     fn symmetry_class(&self, alphabet: &[Certificate]) -> Option<SymmetrySpec>;
     fn interner_report(&self) -> Option<InternerReport>;
@@ -105,26 +99,25 @@ trait ErasedCheck: Sync {
         partials: Vec<(usize, ErasedPartial)>,
         outcome: &SweepOutcome,
     ) -> ErasedVerdict;
-    fn summarize(&self, verdict: &dyn Any) -> (Option<bool>, String);
+    fn summarize(&self, verdict: &dyn Any, coverage: Coverage) -> (Option<bool>, String);
 }
 
 /// The generic-to-erased adapter. Partial downcasts cannot fail: every
 /// box handed back to a member was produced by that member's own
 /// `inspect`, which the engine guarantees by keying partials by member
 /// index.
-struct ErasedMember<C: PropertyCheck> {
+struct ErasedMember<C, S> {
     check: C,
-    summarize: Option<Summarizer<C::Verdict>>,
+    /// The verdict-to-report-line projection: `(passed, detail)`.
+    summarize: S,
 }
 
-/// A member's verdict-to-report-line projection: `(passed, detail)`.
-type Summarizer<V> = fn(&V) -> (Option<bool>, String);
-
-impl<C> ErasedCheck for ErasedMember<C>
+impl<C, S> ErasedCheck for ErasedMember<C, S>
 where
     C: PropertyCheck,
     C::Partial: Any,
     C::Verdict: Any + Send,
+    S: Fn(&C::Verdict, Coverage) -> (Option<bool>, String) + Sync,
 {
     fn view_configs(&self) -> Vec<(usize, IdMode)> {
         self.check.view_configs()
@@ -142,17 +135,6 @@ where
 
     fn uses_verdicts(&self, block: usize) -> bool {
         self.check.uses_verdicts(block)
-    }
-
-    fn inspect_with_verdicts(
-        &self,
-        item: &UniverseItem<'_>,
-        verdicts: &[Verdict],
-        ctx: &ItemCtx<'_>,
-    ) -> Option<ErasedPartial> {
-        self.check
-            .inspect_with_verdicts(item, verdicts, ctx)
-            .map(|p| Box::new(p) as ErasedPartial)
     }
 
     fn short_circuits(&self, partial: &ErasedPartial) -> bool {
@@ -188,14 +170,11 @@ where
         Box::new(self.check.reduce(universe, partials, outcome))
     }
 
-    fn summarize(&self, verdict: &dyn Any) -> (Option<bool>, String) {
+    fn summarize(&self, verdict: &dyn Any, coverage: Coverage) -> (Option<bool>, String) {
         let verdict = verdict
             .downcast_ref::<C::Verdict>()
             .expect("panel verdict belongs to this member");
-        match self.summarize {
-            Some(f) => f(verdict),
-            None => (None, String::new()),
-        }
+        (self.summarize)(verdict, coverage)
     }
 }
 
@@ -232,39 +211,32 @@ impl<'a> DynPropertyCheck<'a> {
         C::Partial: Any,
         C::Verdict: Any + Send,
     {
-        DynPropertyCheck {
-            tag,
-            label: label.into(),
-            channel_key: None,
-            inner: Box::new(ErasedMember {
-                check,
-                summarize: None,
-            }),
-        }
+        Self::with_summary(tag, label, check, |_: &C::Verdict, _| (None, String::new()))
     }
 
     /// Like [`DynPropertyCheck::new`], additionally attaching a verdict
     /// summarizer: `(passed, detail)` for reports and JSON, where `None`
-    /// means "this verdict has no pass/fail reading".
-    pub fn with_summary<C>(
+    /// means "this verdict has no pass/fail reading". It receives the
+    /// coverage the member achieved (the universe's, downgraded when the
+    /// member was interrupted or errored), so a verdict whose reading
+    /// depends on coverage takes it from the walk.
+    pub fn with_summary<C, S>(
         tag: PropertyTag,
         label: impl Into<String>,
         check: C,
-        summarize: fn(&C::Verdict) -> (Option<bool>, String),
+        summarize: S,
     ) -> DynPropertyCheck<'a>
     where
         C: PropertyCheck + 'a,
         C::Partial: Any,
         C::Verdict: Any + Send,
+        S: Fn(&C::Verdict, Coverage) -> (Option<bool>, String) + Sync + 'a,
     {
         DynPropertyCheck {
             tag,
             label: label.into(),
             channel_key: None,
-            inner: Box::new(ErasedMember {
-                check,
-                summarize: Some(summarize),
-            }),
+            inner: Box::new(ErasedMember { check, summarize }),
         }
     }
 
@@ -297,8 +269,12 @@ impl<'a> DynPropertyCheck<'a> {
         self.channel_key
     }
 
-    pub(super) fn summarize(&self, verdict: &dyn Any) -> (Option<bool>, String) {
-        self.inner.summarize(verdict)
+    pub(super) fn summarize(
+        &self,
+        verdict: &dyn Any,
+        coverage: Coverage,
+    ) -> (Option<bool>, String) {
+        self.inner.summarize(verdict, coverage)
     }
 }
 
@@ -320,15 +296,6 @@ impl PropertyCheck for DynPropertyCheck<'_> {
 
     fn uses_verdicts(&self, block: usize) -> bool {
         self.inner.uses_verdicts(block)
-    }
-
-    fn inspect_with_verdicts(
-        &self,
-        item: &UniverseItem<'_>,
-        verdicts: &[Verdict],
-        ctx: &ItemCtx<'_>,
-    ) -> Option<ErasedPartial> {
-        self.inner.inspect_with_verdicts(item, verdicts, ctx)
     }
 
     fn short_circuits(&self, partial: &ErasedPartial) -> bool {

@@ -17,7 +17,9 @@
 //! certificate allocation. Nothing is allocated per item.
 //!
 //! When the check opts in via [`PropertyCheck::verdict_decoder`], node
-//! verdicts are *delta-evaluated* on top: a [`DeltaDriver`] precomputes,
+//! verdicts are *delta-evaluated* on top, and the check reads them through
+//! [`ItemCtx::verdicts`] (which decides them on the item's stamped views
+//! wherever no delta vector exists). A [`DeltaDriver`] precomputes,
 //! per block, the radius-r ball around each node (by inverting the
 //! skeleton cache's canonical node orders — `u ∈ ball(v)` iff `v` appears
 //! in `u`'s skeleton), and when digit `v` steps, [`refresh_verdicts`]
@@ -63,6 +65,7 @@ use super::universe::{LabelSource, Universe, UniverseItem};
 use crate::decoder::{Decoder, Verdict};
 use crate::label::{Certificate, Labeling};
 use crate::view::{IdMode, View, ViewSkeleton};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -249,7 +252,7 @@ impl SkeletonCache {
 
 /// Handed to [`PropertyCheck::inspect`](super::PropertyCheck::inspect):
 /// view extraction for the item's block, backed by the shared skeleton
-/// cache.
+/// cache, and the member's per-node verdicts.
 pub struct ItemCtx<'a> {
     block: usize,
     cache: &'a SkeletonCache,
@@ -258,6 +261,9 @@ pub struct ItemCtx<'a> {
     /// Whether the dense per-class tables are on (delta stepping).
     dense: bool,
     multiplicity: u64,
+    /// The member's delta channel vector, current for the item, where the
+    /// walk keeps one.
+    verdicts: Option<&'a [Verdict]>,
 }
 
 impl<'a> ItemCtx<'a> {
@@ -271,6 +277,7 @@ impl<'a> ItemCtx<'a> {
         misses: &'a AtomicUsize,
         dense: bool,
         multiplicity: u64,
+        verdicts: Option<&'a [Verdict]>,
     ) -> ItemCtx<'a> {
         ItemCtx {
             block,
@@ -279,11 +286,12 @@ impl<'a> ItemCtx<'a> {
             misses,
             dense,
             multiplicity,
+            verdicts,
         }
     }
 }
 
-impl ItemCtx<'_> {
+impl<'a> ItemCtx<'a> {
     /// The item's own view of node `v` (the item's labeling, stamped onto
     /// the block's cached skeleton when `(radius, id_mode)` was requested
     /// via [`PropertyCheck::view_configs`](super::PropertyCheck::view_configs)).
@@ -400,14 +408,25 @@ impl ItemCtx<'_> {
             .collect()
     }
 
-    /// Whether every node accepts the item (early exit on first reject).
-    pub fn accepts_all<D: Decoder + ?Sized>(&self, item: &UniverseItem<'_>, decoder: &D) -> bool {
-        let (radius, id_mode) = (decoder.radius(), decoder.id_mode());
-        (0..item.instance.graph().node_count()).all(|v| {
-            decoder
-                .decide(&self.view(item, v, radius, id_mode))
-                .is_accept()
-        })
+    /// The per-node verdicts (index = node) of `decoder` on the item,
+    /// which must be the check's
+    /// [`PropertyCheck::verdict_decoder`]: the delta channel's vector where
+    /// the walk keeps one, otherwise `decoder` run on the item's stamped
+    /// views (the decode oracle, `Fixed` and `Unlabeled` blocks, lazy
+    /// draws, a check that declares no verdict decoder). Either way they
+    /// are the decoder's verdicts on the item, so a check reads them
+    /// through this one call on every path.
+    ///
+    /// [`PropertyCheck::verdict_decoder`]: super::PropertyCheck::verdict_decoder
+    pub fn verdicts<D: Decoder + ?Sized>(
+        &self,
+        item: &UniverseItem<'_>,
+        decoder: &D,
+    ) -> Cow<'a, [Verdict]> {
+        match self.verdicts {
+            Some(verdicts) => Cow::Borrowed(verdicts),
+            None => Cow::Owned(self.run(item, decoder)),
+        }
     }
 }
 

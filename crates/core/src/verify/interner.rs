@@ -406,7 +406,7 @@ mod tests {
         let config = (1, IdMode::Anonymous);
         let cache = SkeletonCache::build(&universe, vec![config], |_| true);
         let (hits, misses) = (AtomicUsize::new(0), AtomicUsize::new(0));
-        let ctx = ItemCtx::new(0, &cache, &hits, &misses, true, 1);
+        let ctx = ItemCtx::new(0, &cache, &hits, &misses, true, 1, None);
         let interner = ViewInterner::new();
         let mut view_at: HashMap<ViewSlot, View> = HashMap::new();
         let (mut labeling, mut digits) = (Labeling::empty(4), Vec::new());
@@ -466,7 +466,7 @@ mod tests {
         let item = universe.item(5);
         let item = item.as_item();
         let slot = |dense: bool, v: usize| {
-            ItemCtx::new(0, &cache, &hits, &misses, dense, 1)
+            ItemCtx::new(0, &cache, &hits, &misses, dense, 1, None)
                 .view_slot(&item, v, config.0, config.1)
         };
         assert_eq!(slot(true, 0), None, "the center interns through the map");

@@ -141,7 +141,7 @@ impl PanelReport {
             .iter()
             .zip(members)
             .map(|(check, report)| {
-                let (passed, detail) = check.summarize(&*report.verdict);
+                let (passed, detail) = check.summarize(&*report.verdict, report.evidence.coverage);
                 let label = check.label().to_string();
                 PanelMemberReport {
                     tag: check.tag(),
@@ -653,7 +653,15 @@ impl<C: PropertyCheck> Engine<'_, C> {
     ) -> usize {
         if self.oracle {
             let buf = self.universe.item(i);
-            let ctx = ItemCtx::new(buf.block, self.cache, self.hits, self.misses, false, 1);
+            let ctx = ItemCtx::new(
+                buf.block,
+                self.cache,
+                self.hits,
+                self.misses,
+                false,
+                1,
+                None,
+            );
             for (m, (check, record)) in self.checks.iter().zip(records).enumerate() {
                 if !stops.active(m, i) {
                     continue;
@@ -704,15 +712,24 @@ impl<C: PropertyCheck> Engine<'_, C> {
                 }
             }
             tally.inspect(multiplicity);
-            let ctx = ItemCtx::new(
+            let item = UniverseItem {
+                index: i,
                 block,
-                self.cache,
-                self.hits,
-                self.misses,
-                true,
-                multiplicity,
-            );
-            let instance = self.universe.blocks()[block].instance();
+                instance: self.universe.blocks()[block].instance(),
+                labeling: &walker.labeling,
+                digits: (!walker.digits.is_empty()).then_some(walker.digits.as_slice()),
+            };
+            let ctx = |verdicts| {
+                ItemCtx::new(
+                    block,
+                    self.cache,
+                    self.hits,
+                    self.misses,
+                    true,
+                    multiplicity,
+                    verdicts,
+                )
+            };
             let result = guarded(i, || match plan.channel[block] {
                 Some(c) => {
                     let (scratch, memo) = &mut channels[c];
@@ -727,25 +744,9 @@ impl<C: PropertyCheck> Engine<'_, C> {
                         tally,
                         stepped,
                     );
-                    let item = UniverseItem {
-                        index: i,
-                        block,
-                        instance,
-                        labeling: &walker.labeling,
-                        digits: Some(&walker.digits),
-                    };
-                    check.inspect_with_verdicts(&item, &scratch.verdicts, &ctx)
+                    check.inspect(&item, &ctx(Some(&scratch.verdicts)))
                 }
-                None => {
-                    let item = UniverseItem {
-                        index: i,
-                        block,
-                        instance,
-                        labeling: &walker.labeling,
-                        digits: (!walker.digits.is_empty()).then_some(walker.digits.as_slice()),
-                    };
-                    check.inspect(&item, &ctx)
-                }
+                None => check.inspect(&item, &ctx(None)),
             });
             if record.file(check, i, result) {
                 stops.stop(m, i);
@@ -1259,7 +1260,7 @@ pub(super) fn draw<C: PropertyCheck>(
             labeling: &labeling,
             digits: None,
         };
-        let ctx = ItemCtx::new(0, cache, &hits, &misses, true, 1);
+        let ctx = ItemCtx::new(0, cache, &hits, &misses, true, 1, None);
         drawn += 1;
         if record.file(
             check,

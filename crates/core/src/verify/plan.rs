@@ -60,16 +60,16 @@ use crate::nbhd::{NbhdGraph, NbhdSweep};
 use crate::network::{degradation_sweep, DegradationReport};
 use crate::properties::completeness::completeness_member;
 use crate::properties::erasure::{erased_labeling, erasure_member};
-use crate::properties::hiding::{check_hiding, hiding_line};
+use crate::properties::hiding::hiding_line;
 use crate::properties::invariance::{anonymity_universe, invariance_member};
-use crate::properties::quantified::{quantified_line, ExtractabilityMap};
+use crate::properties::quantified::quantified_line;
 use crate::properties::soundness::{SoundnessCheck, SoundnessViolation};
 use crate::properties::strong::strong_member;
 use crate::prover::Prover;
 use crate::verify::{
     Block, Coverage, DynPropertyCheck, ExecMode, InternerReport, ItemCtx, LabelSource,
     MetricsRecorder, MetricsSnapshot, PanelReport, PropertyCheck, PropertyTag, SweepBudget,
-    SweepOutcome, SweepRecorder, SweepStrategy, SymmetrySpec, Universe, UniverseItem,
+    SweepCounter, SweepOutcome, SweepRecorder, SweepStrategy, SymmetrySpec, Universe, UniverseItem,
 };
 
 use super::budget::MemberFrontier;
@@ -112,17 +112,6 @@ impl<C: PropertyCheck> PropertyCheck for BlockGated<C> {
 
     fn uses_verdicts(&self, block: usize) -> bool {
         self.active[block] && self.check.uses_verdicts(block)
-    }
-
-    fn inspect_with_verdicts(
-        &self,
-        item: &UniverseItem<'_>,
-        verdicts: &[crate::decoder::Verdict],
-        ctx: &ItemCtx<'_>,
-    ) -> Option<Self::Partial> {
-        self.active[item.block]
-            .then(|| self.check.inspect_with_verdicts(item, verdicts, ctx))
-            .flatten()
     }
 
     fn short_circuits(&self, partial: &Self::Partial) -> bool {
@@ -508,7 +497,7 @@ impl<'a> AuditPlan<'a> {
                     PropertyTag::Soundness,
                     "soundness",
                     gated,
-                    |v: &Result<usize, SoundnessViolation>| match v {
+                    |v: &Result<usize, SoundnessViolation>, _| match v {
                         Ok(_) => (Some(true), "no unanimous accept on a no-instance".into()),
                         Err(_) => (Some(false), "unanimously accepted labeling found".into()),
                     },
@@ -557,12 +546,13 @@ impl<'a> AuditPlan<'a> {
         };
         let mut lines = Vec::new();
         if self.wants(PropertyTag::Hiding) {
-            let verdict = check_hiding(nbhd, k, base.coverage.into());
-            lines.push(line(PropertyTag::Hiding, hiding_line(&verdict)));
+            lines.push(line(
+                PropertyTag::Hiding,
+                hiding_line(nbhd, k, base.coverage),
+            ));
         }
         if self.wants(PropertyTag::Quantified) {
-            let map = ExtractabilityMap::new(nbhd, k);
-            lines.push(line(PropertyTag::Quantified, quantified_line(nbhd, &map)));
+            lines.push(line(PropertyTag::Quantified, quantified_line(nbhd, k)));
         }
         summary.members.splice(index..index, lines);
         summary
@@ -780,7 +770,9 @@ impl<'a> AuditPlan<'a> {
     /// the *sum* of the shards' stable counters
     /// ([`super::shard::sum_stable_counters`]): stable counters are
     /// per-item, so their shard sums equal a single process's counts. The
-    /// replay runs unrecorded.
+    /// recorder gains the sums of the [`STABLE_COUNTER_ALLOWLIST`]
+    /// counters, so its stable section matches an unsharded run's there.
+    /// The replay runs unrecorded.
     pub fn run_with_shards(&self, shard_reports: &[String]) -> Result<AuditReport, String> {
         let mut report = self.fresh_report();
         if let Some(r) = self.attached() {
@@ -835,11 +827,22 @@ impl<'a> AuditPlan<'a> {
         let panel =
             merge_panel_fragments(&members, universe, self.mode, fragments, self.attached())?;
         report.panels.push(self.labelings_summary(&panel, scan));
-        if self.telemetry.is_some() {
+        if let Some(recorder) = self.telemetry {
+            let summed = super::shard::sum_stable_counters(&per_shard_counters);
+            // The children walked the labelings; the recorder gains their
+            // shard-composable counters as if this process had walked.
+            for (name, value) in &summed {
+                if STABLE_COUNTER_ALLOWLIST.contains(&name.as_str()) {
+                    recorder.add(
+                        sweep_counter(name).expect("parsed counters are named"),
+                        *value,
+                    );
+                }
+            }
             report.telemetry.push(PanelTelemetry {
                 shape: "labelings".into(),
                 strategy: strategy_name(self.strategy).into(),
-                counters: super::shard::sum_stable_counters(&per_shard_counters)
+                counters: summed
                     .into_iter()
                     .map(|(name, delta)| (name, delta, true))
                     .collect(),
@@ -942,6 +945,11 @@ impl<'a> AuditPlan<'a> {
                     let (name, value) = rest
                         .split_once(' ')
                         .ok_or_else(|| format!("bad counter line `{line}`"))?;
+                    if sweep_counter(name).is_none() {
+                        return Err(format!(
+                            "shard report counter `{name}` names no sweep counter"
+                        ));
+                    }
                     let value = value
                         .parse::<u64>()
                         .map_err(|_| format!("bad counter value `{value}` in shard report"))?;
@@ -1223,6 +1231,11 @@ pub const STABLE_COUNTER_ALLOWLIST: &[&str] = &[
     "verdict_readbacks",
     "verdict_refreshes",
 ];
+
+/// The counter whose wire name is `name`.
+fn sweep_counter(name: &str) -> Option<SweepCounter> {
+    SweepCounter::ALL.into_iter().find(|c| c.name() == name)
+}
 
 /// The wire name of a sweep strategy, as rendered in telemetry sections
 /// and shard reports.

@@ -33,7 +33,7 @@ use hiding_lcp_core::label::{Certificate, Labeling};
 use hiding_lcp_core::language::KCol;
 use hiding_lcp_core::lower::PortObliviousCycleDecoder;
 use hiding_lcp_core::nbhd::{NbhdGraph, NbhdSweep};
-use hiding_lcp_core::properties::hiding::HidingCheck;
+use hiding_lcp_core::properties::hiding::check_hiding;
 use hiding_lcp_core::properties::soundness::{SoundnessCheck, SoundnessViolation};
 use hiding_lcp_core::properties::strong::{StrongCheck, StrongViolation};
 use hiding_lcp_core::prover::all_labelings;
@@ -429,18 +429,19 @@ proptest! {
         let family = Universe::lemma31(3, bits()).expect("the n <= 3 family fits");
         for universe in [cycle_blocks_universe(n), family] {
             let run = |mode: ExecMode, strategy: SweepStrategy| {
-                let check = HidingCheck::new(&decoder, &universe, 2, bipartite::is_bipartite);
+                let scan =
+                    NbhdSweep::new(&decoder, IdMode::Anonymous, &universe, bipartite::is_bipartite);
                 SweepSession::over(&universe)
                     .mode(mode)
                     .strategy(strategy)
-                    .run(&check)
+                    .run(&scan)
             };
             let reference = run(ExecMode::Sequential, SweepStrategy::DecodeOracle);
-            let (ref_nbhd, ref_verdict) = &reference.verdict;
+            let ref_verdict = check_hiding(&reference.verdict, 2, reference.coverage);
             for mode in [ExecMode::Sequential, ExecMode::Parallel(parity_threads())] {
                 let other = run(mode, SweepStrategy::DeltaStepping);
-                assert_nbhd_eq(ref_nbhd, &other.verdict.0)?;
-                prop_assert_eq!(ref_verdict, &other.verdict.1);
+                assert_nbhd_eq(&reference.verdict, &other.verdict)?;
+                prop_assert_eq!(&ref_verdict, &check_hiding(&other.verdict, 2, other.coverage));
                 prop_assert_eq!(reference.checked, other.checked);
                 prop_assert_eq!(reference.universe_size, other.universe_size);
             }
@@ -793,18 +794,20 @@ proptest! {
             .collect();
         let universe = Universe::new(blocks, Coverage::Sampled).expect("small universe fits");
         let run = |strategy: SweepStrategy| {
-            let check = HidingCheck::new(&decoder, &universe, 2, bipartite::is_bipartite);
+            let scan =
+                NbhdSweep::new(&decoder, IdMode::Anonymous, &universe, bipartite::is_bipartite);
             SweepSession::over(&universe)
                 .mode(ExecMode::Sequential)
                 .strategy(strategy)
-                .run(&check)
+                .run(&scan)
         };
         let full = run(SweepStrategy::DecodeOracle);
         let quot = run(SweepStrategy::DeltaStepping);
-        let (full_nbhd, full_verdict) = &full.verdict;
-        let (quot_nbhd, quot_verdict) = &quot.verdict;
-        prop_assert_eq!(full_verdict, quot_verdict);
-        assert_nbhd_eq(full_nbhd, quot_nbhd)?;
+        prop_assert_eq!(
+            check_hiding(&full.verdict, 2, full.coverage),
+            check_hiding(&quot.verdict, 2, quot.coverage)
+        );
+        assert_nbhd_eq(&full.verdict, &quot.verdict)?;
         prop_assert_eq!(full.checked, quot.checked);
     }
 

@@ -3,6 +3,7 @@
 //! a crashed child included), and what a budget means sharded and
 //! unsharded.
 
+use hiding_lcp::core::verify::plan::STABLE_COUNTER_ALLOWLIST;
 use hiding_lcp::core::verify::ShardSpec;
 use proptest::prelude::*;
 use proptest::rand::rngs::StdRng;
@@ -302,6 +303,11 @@ fn shard_merge_rejects_partials_outside_the_shard_range() {
     std::fs::write(&second, &pristine).expect("restore shard report");
     insert_after(&second, "member 1 strong", "p 5");
     assert_merge_rejected(&dir, &["member 1", "item 5"]);
+
+    // A counter the engine does not define must not reach the recorder.
+    std::fs::write(&second, &pristine).expect("restore shard report");
+    insert_after(&second, "next ", "counter items_forged 7");
+    assert_merge_rejected(&dir, &["items_forged"]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -462,6 +468,56 @@ fn copy_blocks_move_only_the_inspection_counters() {
     assert_eq!(counter("verdict_refreshes"), 67_450);
     assert_eq!(counter("verdict_readbacks"), 67_450);
     assert_eq!(counter("quotient_blocks"), 69);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A sharded run's metrics file counts the children's walk: every
+/// shard-composable stable counter equals the unsharded run's, the walk
+/// included. `cache_hits` and `cache_misses` stay per-process.
+#[test]
+fn sharded_metrics_carry_the_childrens_walk() {
+    let dir = fresh_dir("sharded-metrics");
+    let metrics = dir.join("metrics.json");
+    let allowlisted = |shards: &[&str]| {
+        let args = [
+            "--decoder",
+            "degree-one",
+            "--max-n",
+            "4",
+            "--threads",
+            "2",
+            "--metrics-out",
+            metrics.to_str().expect("utf-8 path"),
+        ];
+        let out = audit(&[&args[..], shards].concat());
+        assert!(out.status.success(), "{shards:?}: {}", stderr(&out));
+        let json = std::fs::read_to_string(&metrics).expect("metrics file");
+        let start = json.find("\"stable\": {").expect("a stable section");
+        let stable = &json[start..start + json[start..].find('}').expect("the section closes")];
+        STABLE_COUNTER_ALLOWLIST
+            .iter()
+            .map(|name| {
+                let at = stable.find(&format!("\"{name}\": ")).expect(name) + name.len() + 4;
+                let digits: String = stable[at..]
+                    .chars()
+                    .take_while(char::is_ascii_digit)
+                    .collect();
+                (*name, digits.parse::<u64>().expect(name))
+            })
+            .collect::<Vec<_>>()
+    };
+    let unsharded = allowlisted(&[]);
+    assert!(
+        unsharded.contains(&("items_walked", 2_797_627)),
+        "{unsharded:?}"
+    );
+    for shards in ["2", "3"] {
+        assert_eq!(
+            allowlisted(&["--shards", shards]),
+            unsharded,
+            "--shards {shards}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -6,23 +6,32 @@
 //! * every hiding LCP of the paper has a non-2-colorable neighborhood
 //!   graph over its witness universe, so no extractor exists.
 
-use hiding_lcp::certs::{degree_one, revealing};
-use hiding_lcp::core::decoder::accepts_all;
+use hiding_lcp::certs::{degree_one, even_cycle, revealing, shatter, watermelon};
+use hiding_lcp::core::decoder::{accepts_all, Decoder};
 use hiding_lcp::core::extract::Extractor;
-use hiding_lcp::core::instance::Instance;
+use hiding_lcp::core::instance::{Instance, LabeledInstance};
 use hiding_lcp::core::nbhd::{sources, NbhdGraph};
-use hiding_lcp::core::properties::hiding::{check_hiding, HidingVerdict, UniverseCoverage};
+use hiding_lcp::core::properties::hiding::{check_hiding, verify_hiding, HidingVerdict};
 use hiding_lcp::core::prover::Prover;
+use hiding_lcp::core::verify::{Coverage, Universe};
 use hiding_lcp::core::view::IdMode;
 use hiding_lcp::graph::algo::bipartite;
-use hiding_lcp::graph::generators;
+use hiding_lcp::graph::classes::simple::is_even_cycle;
+use hiding_lcp::graph::{generators, Graph};
 use hiding_lcp_bench as workloads;
 
 #[test]
 fn revealing_baseline_is_extractable() {
-    let nbhd = workloads::revealing_nbhd(4);
-    // Over an exhaustive universe, 2-colorability is conclusive.
-    let verdict = check_hiding(&nbhd, 2, UniverseCoverage::Exhaustive);
+    // Over the exhaustive Lemma 3.1 family, 2-colorability is conclusive.
+    let universe = Universe::lemma31(4, revealing::adversary_alphabet(1)).expect("n <= 4 fits");
+    let report = verify_hiding(
+        &revealing::RevealingDecoder::new(2),
+        &universe,
+        2,
+        bipartite::is_bipartite,
+    );
+    assert_eq!(report.coverage, Coverage::Exhaustive);
+    let (nbhd, verdict) = report.verdict;
     let HidingVerdict::NotHiding { coloring } = verdict else {
         panic!("the revealing LCP must not hide, got {verdict:?}");
     };
@@ -50,15 +59,62 @@ fn revealing_baseline_is_extractable() {
     }
 }
 
+/// `V(D, ·)` over a hiding LCP's witness universe, a sample, and Lemma
+/// 3.2's verdict at the walk's coverage: only an odd closed walk can
+/// conclude there.
+fn hiding_over(
+    decoder: &dyn Decoder,
+    id_mode: IdMode,
+    witnesses: Vec<LabeledInstance>,
+    is_yes: fn(&Graph) -> bool,
+) -> (NbhdGraph, HidingVerdict) {
+    let universe = Universe::from_labeled(witnesses, Coverage::Sampled).expect("fits");
+    let report = NbhdGraph::from_sweep(decoder, id_mode, &universe, is_yes);
+    let verdict = check_hiding(&report.verdict, 2, report.coverage);
+    (report.verdict, verdict)
+}
+
 #[test]
 fn hiding_lcps_admit_no_extractor() {
-    for (name, nbhd) in [
-        ("degree-one", workloads::degree_one_nbhd()),
-        ("even-cycle", workloads::even_cycle_nbhd()),
-        ("shatter", workloads::shatter_nbhd()),
-        ("watermelon", workloads::watermelon_nbhd()),
+    let anonymous = IdMode::Anonymous;
+    for (name, (nbhd, verdict)) in [
+        (
+            "degree-one",
+            hiding_over(
+                &degree_one::DegreeOneDecoder,
+                anonymous,
+                workloads::degree_one_universe(),
+                |g| bipartite::is_bipartite(g) && g.min_degree() == Some(1),
+            ),
+        ),
+        (
+            "even-cycle",
+            hiding_over(
+                &even_cycle::EvenCycleDecoder,
+                anonymous,
+                workloads::even_cycle_universe(),
+                is_even_cycle,
+            ),
+        ),
+        (
+            "shatter",
+            hiding_over(
+                &shatter::ShatterDecoder,
+                IdMode::Full,
+                shatter::hiding_witness_instances(),
+                bipartite::is_bipartite,
+            ),
+        ),
+        (
+            "watermelon",
+            hiding_over(
+                &watermelon::WatermelonDecoder,
+                IdMode::Full,
+                watermelon::hiding_witness_universe(),
+                bipartite::is_bipartite,
+            ),
+        ),
     ] {
-        let verdict = check_hiding(&nbhd, 2, UniverseCoverage::Partial);
         assert!(verdict.is_hiding(), "{name} must hide (odd closed walk)");
         assert!(
             Extractor::from_nbhd(nbhd, 2).is_none(),
@@ -77,15 +133,12 @@ fn hiding_is_conclusive_even_over_partial_universes() {
         degree_one::Letter::Bot.encode(),
         degree_one::Letter::Top.encode(),
     ];
-    let universe = sources::exhaustive_universe(4, &alphabet);
-    let nbhd = NbhdGraph::build(
-        &degree_one::DegreeOneDecoder,
-        IdMode::Anonymous,
-        universe,
-        |g| bipartite::is_bipartite(g) && g.min_degree() == Some(1),
-    );
-    let verdict = check_hiding(&nbhd, 2, UniverseCoverage::Exhaustive);
-    assert!(verdict.is_hiding());
+    let universe = Universe::lemma31(4, alphabet).expect("n <= 4 fits");
+    let report = verify_hiding(&degree_one::DegreeOneDecoder, &universe, 2, |g| {
+        bipartite::is_bipartite(g) && g.min_degree() == Some(1)
+    });
+    assert_eq!(report.coverage, Coverage::Exhaustive);
+    assert!(report.verdict.1.is_hiding());
 }
 
 #[test]
