@@ -35,8 +35,8 @@
 //! measurement and exits nonzero if the measured medians regress more
 //! than 2x against the committed `BENCH_engine.json` baseline, if the
 //! t4/t1 parallel speedup falls below 1.5x on a multi-core runner, or if
-//! the attached-recorder overhead exceeds 1.05x — the CI bench-smoke and
-//! telemetry jobs. Smoke mode never rewrites the JSON.
+//! the attached-recorder overhead exceeds 1.05x — all three in the CI
+//! bench-smoke job's one run. Smoke mode never rewrites the JSON.
 
 use criterion::{BenchResult, Criterion};
 use hiding_lcp_bench::report::{self, ReportDoc};

@@ -77,11 +77,6 @@ impl DegradationReport {
     pub fn total_strong_violations(&self) -> usize {
         self.points.iter().map(|p| p.strong_violations).sum()
     }
-
-    /// Total false accepts across all rates.
-    pub fn total_false_accepts(&self) -> usize {
-        self.points.iter().map(|p| p.false_accepts).sum()
-    }
 }
 
 /// The per-trial plan seed: a pure function of the sweep seed, the rate

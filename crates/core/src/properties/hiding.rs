@@ -96,7 +96,8 @@ pub fn check_hiding(nbhd: &NbhdGraph, k: usize, coverage: Coverage) -> HidingVer
 /// achieved. Its verdict is `V(D, ·)`. Joined to `decoder`'s verdict
 /// channel, so a fused audit maintains one delta-evaluated verdict vector
 /// for every member built on the same decoder object. As with the scan,
-/// the member is tied to the universe it was built for.
+/// the member is tied to the universe it was built for, whose coverage
+/// its summary names when the walk falls short.
 pub fn hiding_member<'a, F>(
     decoder: &'a dyn Decoder,
     universe: &Universe,
@@ -106,21 +107,26 @@ pub fn hiding_member<'a, F>(
 where
     F: Fn(&Graph) -> bool,
 {
+    let universe_coverage = universe.coverage();
     DynPropertyCheck::with_summary(
         PropertyTag::Hiding,
         "hiding",
         NbhdSweep::new(decoder, IdMode::Anonymous, universe, is_yes),
-        move |nbhd: &NbhdGraph, coverage| hiding_line(nbhd, k, coverage),
+        move |nbhd: &NbhdGraph, coverage| hiding_line(nbhd, k, universe_coverage, coverage),
     )
     .with_channel(decoder)
 }
 
-/// The hiding audit line of `nbhd` built at `coverage`: Lemma 3.2's
-/// verdict as `passed` and its detail text. The summary of
+/// The hiding audit line of `nbhd` built at the walk's achieved
+/// `coverage`: Lemma 3.2's verdict as `passed` and its detail text. An
+/// inconclusive line blames what fell short: the universe when
+/// `universe_coverage` is itself sampled, the walk (interrupted or
+/// errored) when the universe was exhaustive. The summary of
 /// [`hiding_member`] and of the audit plan's hiding line.
 pub(crate) fn hiding_line(
     nbhd: &NbhdGraph,
     k: usize,
+    universe_coverage: Coverage,
     coverage: Coverage,
 ) -> (Option<bool>, String) {
     match check_hiding(nbhd, k, coverage) {
@@ -131,7 +137,13 @@ pub(crate) fn hiding_line(
         ),
         HidingVerdict::Inconclusive => (
             None,
-            "V(D, .) k-colorable but the universe was partial".into(),
+            match universe_coverage {
+                Coverage::Exhaustive => {
+                    "V(D, .) k-colorable but the walk did not cover the universe"
+                }
+                Coverage::Sampled => "V(D, .) k-colorable but the universe was partial",
+            }
+            .into(),
         ),
     }
 }
@@ -291,9 +303,18 @@ mod tests {
                 .collect();
             inst.with_labeling(labels)
         };
+        let universe =
+            Universe::from_labeled(vec![li.clone()], Coverage::Sampled).expect("one item fits");
         assert_eq!(
             verify_sampled(&LocalDiff, li).1,
             HidingVerdict::Inconclusive
+        );
+        // A complete walk of a sampled universe blames the universe.
+        let member = hiding_member(&LocalDiff, &universe, 2, bipartite::is_bipartite);
+        let panel = SweepSession::over(&universe).run_panel(&[member]);
+        assert_eq!(
+            panel.members[0].verdict.detail,
+            "V(D, .) k-colorable but the universe was partial"
         );
     }
 
@@ -339,8 +360,11 @@ mod tests {
             (report.coverage, report.errors.len()),
             (Coverage::Sampled, 1)
         );
+        // The universe is exhaustive, so both lines blame the walk.
+        let walk_short = "V(D, .) k-colorable but the walk did not cover the universe";
         let member = &panel.members[0];
         assert_eq!(member.verdict.passed, None, "hiding_member");
+        assert_eq!(member.verdict.detail, walk_short, "hiding_member");
         assert_eq!(
             (member.coverage, member.errors.len()),
             (Coverage::Sampled, 1)
@@ -348,6 +372,7 @@ mod tests {
         let line = &audit.panels[0].members[0];
         assert_eq!(line.property, "hiding");
         assert_eq!(line.passed, None, "audit plan");
+        assert_eq!(line.detail, walk_short, "audit plan");
         assert_eq!((line.coverage, line.errors), (Coverage::Sampled, 1));
     }
 }

@@ -177,21 +177,6 @@ pub fn check_soundness_random<D: Decoder + ?Sized, R: Rng + ?Sized>(
         .verdict
 }
 
-/// Checks a batch of explicit labelings (e.g. structured adversaries from
-/// `hiding-lcp-certs`).
-pub fn check_soundness_labelings<'a, D: Decoder + ?Sized>(
-    decoder: &D,
-    instance: &Instance,
-    labelings: impl IntoIterator<Item = &'a Labeling>,
-) -> Result<usize, SoundnessViolation> {
-    let labelings: Vec<Labeling> = labelings.into_iter().cloned().collect();
-    let universe = Universe::labelings_of(instance.clone(), labelings, Coverage::Sampled)
-        .expect("materialized labelings fit usize");
-    SweepSession::over(&universe)
-        .run(&SoundnessCheck { decoder })
-        .verdict
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,13 +316,5 @@ mod tests {
         assert_eq!(partial.verdict, Ok(10));
         assert_eq!(partial.coverage, Coverage::Sampled);
         assert!(partial.interrupted);
-    }
-
-    #[test]
-    fn explicit_labelings_check() {
-        let c3 = Instance::canonical(generators::cycle(3));
-        let ls = [Labeling::uniform(3, Certificate::from_byte(0))];
-        assert_eq!(check_soundness_labelings(&LocalDiff, &c3, ls.iter()), Ok(1));
-        assert!(check_soundness_labelings(&YesMan, &c3, ls.iter()).is_err());
     }
 }

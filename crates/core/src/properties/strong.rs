@@ -230,21 +230,6 @@ pub fn check_strong_random<D: Decoder + ?Sized, R: Rng + ?Sized>(
         .verdict
 }
 
-/// Checks a batch of explicit labelings.
-pub fn check_strong_labelings<'a, D: Decoder + ?Sized>(
-    decoder: &D,
-    language: &KCol,
-    instance: &Instance,
-    labelings: impl IntoIterator<Item = &'a Labeling>,
-) -> Result<usize, StrongViolation> {
-    let labelings: Vec<Labeling> = labelings.into_iter().cloned().collect();
-    let universe = Universe::labelings_of(instance.clone(), labelings, Coverage::Sampled)
-        .expect("materialized labelings fit usize");
-    SweepSession::over(&universe)
-        .run(&StrongCheck { decoder, language })
-        .verdict
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -90,9 +90,10 @@ impl SweepError {
 ///   the exact uninterrupted report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepBudget {
-    /// Wall-clock limit for this call. Checked between items (sequential)
-    /// or between chunk claims (parallel), so the visited set stays a
-    /// contiguous prefix; a slow single inspection can overshoot.
+    /// Wall-clock limit for this call. Checked before each chunk claim at
+    /// every thread count, and a claimed chunk runs to its end, so the
+    /// visited set stays a contiguous prefix; a slow chunk or a slow
+    /// single inspection can overshoot.
     pub deadline: Option<Duration>,
     /// Maximum number of items to visit in this call. Exact in every
     /// execution mode.

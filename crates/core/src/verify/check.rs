@@ -10,8 +10,8 @@
 //!   executor run items on worker threads in any order.
 //! * [`PropertyCheck::short_circuits`] says whether a partial already
 //!   decides the sweep (e.g. a soundness violation). The executor then
-//!   stops at the *lowest-index* short-circuiting item, so parallel and
-//!   sequential execution report the identical witness.
+//!   stops at the *lowest-index* short-circuiting item, so every thread
+//!   count reports the identical witness.
 //! * [`PropertyCheck::reduce`] folds the surviving partials — delivered in
 //!   item order — into the final verdict.
 //!

@@ -1,20 +1,21 @@
 //! The walk's building blocks: execution options, the skeleton cache,
 //! the odometer walker, and delta-evaluated verdicts.
 //!
-//! The one sweep engine ([`super::panel`]) drives these per item; this
-//! module owns what a single step needs — how to reach an item, how to
-//! stamp its views, and how to keep the decoder's verdicts current —
-//! plus the two settings ([`ExecMode`], [`SweepStrategy`]) every sweep
-//! is configured with besides its budget and recorder.
+//! The one sweep engine ([`super::panel`]) drives these per item in its
+//! one chunk-claiming walk; this module owns what a single step needs —
+//! how to reach an item, how to stamp its views, and how to keep the
+//! decoder's verdicts current — plus the two settings ([`ExecMode`],
+//! [`SweepStrategy`]) every sweep is configured with besides its budget
+//! and recorder.
 //!
 //! # Hot path: odometer stepping and delta evaluation
 //!
 //! Within a claimed chunk, items of an `All`-labeled block are *not*
 //! decoded independently: each worker keeps a scratch [`Labeling`] plus
 //! its mixed-radix digit vector and steps it like an odometer — one full
-//! decode at the chunk's first item ([`Universe::decode_into`], the
-//! oracle), then one digit change per subsequent item, reusing every
-//! certificate allocation. Nothing is allocated per item.
+//! decode ([`Universe::decode_into`]) at a chunk that does not continue
+//! the worker's previous one, then one digit change per subsequent item,
+//! reusing every certificate allocation. Nothing is allocated per item.
 //!
 //! When the check opts in via [`PropertyCheck::verdict_decoder`], node
 //! verdicts are *delta-evaluated* on top, and the check reads them through
@@ -38,8 +39,10 @@
 //! and both the verdict memo and [`ItemCtx::view_slot`] read it.
 //!
 //! The index-decoded path survives as [`SweepStrategy::DecodeOracle`],
-//! the unmemoized full-walk reference; the `engine_parity` suite proves
-//! the two strategies observationally identical.
+//! the unmemoized full-walk reference: the same walk and per-item step,
+//! reaching every item by a full decode into the same scratch; the
+//! `engine_parity` suite proves the two strategies observationally
+//! identical.
 //! All of this is invisible to reports and fragments — the stepped
 //! labeling at index `i` equals the decoded labeling at index `i`
 //! exactly.
@@ -70,24 +73,28 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// How to drive the sweep.
+/// How many workers the sweep's one walk runs on. Every mode runs the
+/// same chunk-claiming walk; the calling thread is always its first
+/// worker, and each further worker is a spawned thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Parallel when the machine has more than one core and the universe
-    /// is large enough to amortize thread startup; sequential otherwise.
+    /// One worker per core when the machine has more than one and the
+    /// universe is large enough to amortize thread startup; one worker
+    /// otherwise.
     Auto,
-    /// Always single-threaded, in index order.
+    /// One worker: the calling thread claims every chunk, in index order,
+    /// and nothing is spawned.
     Sequential,
-    /// Exactly this many worker threads (values ≤ 1 run sequentially).
-    /// Below [the small-universe threshold](PARALLEL_THRESHOLD) this also
-    /// runs sequentially: thread startup dominates such sweeps, and the
-    /// determinism contract makes the fallback observationally invisible.
+    /// Exactly this many workers (values ≤ 1 run one). Below [the
+    /// small-universe threshold](PARALLEL_THRESHOLD) this also runs one:
+    /// thread startup dominates such sweeps, and the determinism contract
+    /// makes the fallback observationally invisible.
     Parallel(usize),
 }
 
-/// Below this many items, every mode runs sequentially. Thread startup
+/// Below this many items, every mode runs one worker. Thread startup
 /// costs more than the sweep itself at this size (`BENCH_engine.json`
-/// records the crossover), and since parallel and sequential execution are
+/// records the crossover), and since every thread count is
 /// observationally identical, only wall-clock changes.
 pub const PARALLEL_THRESHOLD: usize = 64;
 
@@ -575,9 +582,17 @@ impl Walker {
                 // restores a consistent state regardless.
             }
         }
+        self.decode(universe, block, offset);
+        false
+    }
+
+    /// Moves the scratch to `(block, offset)` by a full index decode
+    /// ([`Universe::decode_into`]), never a step: the resync path of
+    /// [`Walker::advance_to`], and how the decode oracle reaches every
+    /// item.
+    pub(super) fn decode(&mut self, universe: &Universe, block: usize, offset: usize) {
         universe.decode_into(block, offset, &mut self.labeling, &mut self.digits);
         self.pos = Some((block, offset));
-        false
     }
 }
 

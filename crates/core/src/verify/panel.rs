@@ -17,12 +17,25 @@
 //!   verdict vector and one verdict memo, so the decoder runs once per
 //!   changed ball per item instead of once per member.
 //!
-//! One pass (channel setup, cache build, delta drivers, quotient plans,
-//! the walk, the record merge) feeds three endings: a whole-universe run
-//! reduces it into reports, a fragment hands it un-reduced to the shard
-//! merge, and the merge reduces a tiling of fragments. All three end in
-//! the same per-member reduce, which also closes the lazy draw loop
-//! behind [`super::LazySweep`].
+//! One body ([`walk`]: cache build, delta drivers, quotient plans, the
+//! chunk walk, the record settle) feeds three endings: a whole-universe
+//! run is the fragment `[0, n)` walked and then reduced into reports, a
+//! fragment walk hands its fragment un-reduced to the shard merge, and
+//! the merge reduces a tiling of fragments. All three end in the same
+//! per-member reduce, which also closes the lazy draw loop behind
+//! [`super::LazySweep`].
+//!
+//! # One walk at every thread count
+//!
+//! [`walk_chunks`] is the only loop that claims chunks and steps items,
+//! at every thread count and under both strategies: the calling thread is
+//! its first worker, appending straight into the records, and
+//! `threads - 1` workers run beside it, so a one-thread walk spawns and
+//! copies nothing. Each item goes through the one per-item step,
+//! [`Engine::run_item`]. The decode oracle runs that same step with every
+//! shortcut off (no copy jump, verdict channel, quotient or dense table)
+//! and reaches each item by a full index decode instead of an odometer
+//! step, so it stays the independent reference.
 //!
 //! # Per-member short-circuit, budget, and stopped walks
 //!
@@ -33,8 +46,8 @@
 //! semantics per member (see [`SweepOutcome::checked`]): a member that
 //! stopped at its lowest deciding index `s` reports `checked = s + 1`.
 //!
-//! An expired [`SweepBudget`] ends the call: the deadline is checked
-//! between items (sequential) or chunk claims (parallel), so the visited
+//! An expired [`SweepBudget`] ends the call: the deadline is checked at
+//! each chunk claim, and a claimed chunk runs to its end, so the visited
 //! set is always a contiguous prefix. A whole-universe run reports the
 //! prefix as interrupted; a fragment walk hands back a [`PanelFragment`]
 //! with `next < hi`, carrying the shared frontier plus every member's
@@ -43,9 +56,10 @@
 //!
 //! # Determinism
 //!
-//! For any member list, universe and options, every [`ExecMode`] produces
-//! identical member verdicts, `checked` counts and witnesses. The
-//! parallel walk guarantees this by
+//! For any member list, universe and options, every
+//! [`ExecMode`](super::ExecMode) produces
+//! identical member verdicts, `checked` counts and witnesses. The walk
+//! guarantees this by
 //!
 //! 1. claiming fixed-size chunks of the index space from an atomic cursor
 //!    (which items run on which thread varies — it doesn't matter);
@@ -57,7 +71,8 @@
 //!    stop and sorting the rest by index.
 //!
 //! Since [`PropertyCheck::inspect`] is a pure function of the item, the
-//! surviving set equals exactly what the sequential loop records.
+//! surviving set equals exactly what an in-order walk of one worker
+//! records.
 //!
 //! # Resilience
 //!
@@ -71,7 +86,6 @@
 //! [`SweepSession::run`]: super::SweepSession::run
 //! [`SweepSession::run_panel`]: super::SweepSession::run_panel
 
-use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -80,9 +94,10 @@ use super::budget::{MemberFrontier, SweepBudget, SweepError};
 use super::check::{ExecEvidence, PropertyCheck, SweepOutcome, VerificationReport};
 use super::erased::{DynPropertyCheck, ErasedPartial, ErasedVerdict, PanelVerdict, PropertyTag};
 use super::executor::{
-    refresh_verdicts, resolve_threads, DeltaDriver, ExecMode, ItemCtx, SkeletonCache,
-    SweepStrategy, VerdictMemo, VerdictScratch, Walker,
+    refresh_verdicts, resolve_threads, DeltaDriver, ItemCtx, SkeletonCache, SweepStrategy,
+    VerdictMemo, VerdictScratch, Walker,
 };
+use super::session::SweepSession;
 use super::shard::ShardSpec;
 use super::symmetry::{BlockClasses, QuotientPlan};
 use super::telemetry::{SweepCounter, SweepPhase, SweepRecorder, WorkerTally};
@@ -211,9 +226,13 @@ impl<P> PanelFragment<P> {
     }
 }
 
-/// What the engine needs of a member beyond [`PropertyCheck`]: the key of
-/// the verdict channel it shares with other members.
+/// What the engine needs of a member beyond [`PropertyCheck`]: the span
+/// enclosing a call over members of its type, and the key of the verdict
+/// channel it shares with other members.
 pub(super) trait Member: PropertyCheck {
+    /// The span enclosing an engine call over members of this type.
+    const SPAN: &'static str;
+
     /// Members with equal keys share one verdict channel; `None` gets a
     /// private one.
     fn channel_key(&self) -> Option<usize> {
@@ -222,9 +241,13 @@ pub(super) trait Member: PropertyCheck {
 }
 
 /// A typed sweep's one member.
-impl<C: PropertyCheck> Member for &C {}
+impl<C: PropertyCheck> Member for &C {
+    const SPAN: &'static str = "sweep";
+}
 
 impl Member for DynPropertyCheck<'_> {
+    const SPAN: &'static str = "panel";
+
     fn channel_key(&self) -> Option<usize> {
         DynPropertyCheck::channel_key(self)
     }
@@ -266,7 +289,7 @@ impl<P> MemberFrontier<P> {
     }
 
     /// Sorts the records by index and drops everything past the member's
-    /// stop, restoring the sequential walk's invariants.
+    /// stop, restoring an in-order walk's invariants.
     pub(super) fn settle(&mut self) {
         self.partials.sort_by_key(|&(i, _)| i);
         self.errors.sort_by_key(|e| e.item_index);
@@ -275,19 +298,6 @@ impl<P> MemberFrontier<P> {
             self.errors.retain(|e| e.item_index <= s);
         }
     }
-}
-
-/// One engine call's settings, as the session resolved them.
-#[derive(Clone, Copy)]
-pub(super) struct Walk<'a> {
-    pub(super) universe: &'a Universe,
-    pub(super) mode: ExecMode,
-    pub(super) strategy: SweepStrategy,
-    pub(super) budget: SweepBudget,
-    pub(super) recorder: Option<&'a dyn SweepRecorder>,
-    /// The span enclosing the call: `"sweep"` for typed sweeps, `"panel"`
-    /// for panels.
-    pub(super) span: &'static str,
 }
 
 /// A reduce's output: one report per member plus the walk-level evidence.
@@ -306,53 +316,28 @@ pub(super) struct WalkStats {
     pub(super) memo_misses: usize,
 }
 
-/// Runs `checks` over the whole universe and reduces every member. A
-/// budget stop reports the visited prefix as interrupted.
-pub(super) fn run<C: Member>(walk: &Walk<'_>, checks: &[C]) -> Reduced<C::Verdict> {
+/// Runs `checks` over the whole universe and reduces every member: the
+/// fragment `[0, n)`, walked and then reduced. A budget stop reports the
+/// visited prefix as interrupted.
+pub(super) fn run<C: Member>(session: &SweepSession<'_>, checks: &[C]) -> Reduced<C::Verdict> {
     let start = Instant::now();
-    let universe = walk.universe;
+    let universe = session.universe;
     let n = universe.len();
-    if checks.is_empty() {
-        let stats = WalkStats {
-            threads: 1,
-            ..WalkStats::default()
-        };
-        return reduce(
+    let whole = PanelFragment::open(ShardSpec::new(0, 1), n, checks.len());
+    walk(session, checks, whole, start, |walked, stats| {
+        let interrupted = !walked.is_complete();
+        reduce(
             checks,
             universe,
             n,
-            Vec::new(),
-            0,
-            false,
+            walked.members,
+            walked.next,
+            interrupted,
             stats,
-            None,
+            session.recorder,
             start,
-        );
-    }
-    if let Some(r) = walk.recorder {
-        r.span_enter(walk.span);
-    }
-    let fresh = checks.iter().map(|_| MemberFrontier::new()).collect();
-    let pass = pass(walk, checks, fresh, 0, n, start);
-    let interrupted = !all_stopped(&pass.members) && pass.next < n;
-    if interrupted {
-        walk.budget.note_interruption(walk.recorder);
-    }
-    let reduced = reduce(
-        checks,
-        universe,
-        n,
-        pass.members,
-        pass.next,
-        interrupted,
-        pass.stats,
-        walk.recorder,
-        start,
-    );
-    if let Some(r) = walk.recorder {
-        r.span_exit(walk.span);
-    }
-    reduced
+        )
+    })
 }
 
 /// Walks `fragment` on from its `next` to its `hi` without reducing: the
@@ -361,42 +346,122 @@ pub(super) fn run<C: Member>(walk: &Walk<'_>, checks: &[C]) -> Reduced<C::Verdic
 /// is wall-clock from this call), and a budget stop inside the range
 /// counts as a budget interruption.
 pub(super) fn fragment<C: Member>(
-    walk: &Walk<'_>,
+    session: &SweepSession<'_>,
     checks: &[C],
     fragment: PanelFragment<C::Partial>,
 ) -> PanelFragment<C::Partial> {
+    walk(session, checks, fragment, Instant::now(), |walked, _| {
+        walked
+    })
+}
+
+/// The one body of [`run`] and [`fragment`]: inside the call's span, the
+/// engine walks `fragment` on from its `next` to its `hi` (capped by the
+/// budget) and hands the walked fragment and the walk's counters to
+/// `finish`. Emits every recorder event of a call except the reduce
+/// phase, which `finish` owns.
+fn walk<C: Member, R>(
+    session: &SweepSession<'_>,
+    checks: &[C],
+    fragment: PanelFragment<C::Partial>,
+    start: Instant,
+    finish: impl FnOnce(PanelFragment<C::Partial>, WalkStats) -> R,
+) -> R {
+    let SweepSession {
+        universe,
+        mode,
+        budget,
+        recorder,
+        ..
+    } = *session;
     let PanelFragment {
         lo,
         hi,
         next,
-        members,
+        mut members,
     } = fragment;
-    let hi = hi.min(walk.universe.len());
+    let hi = hi.min(universe.len());
     if checks.is_empty() {
-        return PanelFragment {
-            lo,
-            hi,
-            next: hi,
-            members,
+        let stats = WalkStats {
+            threads: 1,
+            ..WalkStats::default()
         };
+        return finish(
+            PanelFragment {
+                lo,
+                hi,
+                next: hi,
+                members,
+            },
+            stats,
+        );
     }
-    let start = Instant::now();
-    if let Some(r) = walk.recorder {
-        r.span_enter(walk.span);
+    assert_eq!(
+        members.len(),
+        checks.len(),
+        "fragment describes a different member list"
+    );
+    if let Some(r) = recorder {
+        r.span_enter(C::SPAN);
     }
-    let pass = pass(walk, checks, members, next.max(lo), hi, start);
-    if !all_stopped(&pass.members) && pass.next < hi {
-        walk.budget.note_interruption(walk.recorder);
-    }
-    if let Some(r) = walk.recorder {
-        r.span_exit(walk.span);
-    }
-    PanelFragment {
+    let begin = next.max(lo).min(hi);
+    // `max_items` is enforced by clamping the walk's end index, which
+    // makes it exact — and identical — at every thread count.
+    let end = match budget.max_items {
+        Some(m) => begin.saturating_add(m).min(hi),
+        None => hi,
+    };
+    let deadline = budget.deadline.map(|d| start + d);
+    let (next, stats) = with_engine(session, checks, |engine| {
+        let threads = resolve_threads(mode, end - begin);
+        // The walk extends the records in place: this call's items all
+        // lie past the ones they hold.
+        let errors_before: usize = members.iter().map(|f| f.errors.len()).sum();
+        let walk_start = recorder.map(|r| r.now_micros());
+        let next = walk_chunks(engine, threads, begin, end, deadline, &mut members);
+        if let (Some(r), Some(t0)) = (recorder, walk_start) {
+            r.record_phase(SweepPhase::Walk, r.now_micros().saturating_sub(t0));
+        }
+        let stats = WalkStats {
+            threads,
+            cache_hits: engine.hits.load(Ordering::Relaxed),
+            cache_misses: engine.misses.load(Ordering::Relaxed),
+            memo_hits: engine.memo_hits.load(Ordering::Relaxed),
+            memo_misses: engine.memo_misses.load(Ordering::Relaxed),
+        };
+        if let Some(r) = recorder {
+            let errors: usize = members.iter().map(|f| f.errors.len()).sum();
+            r.add(SweepCounter::PanicsCaught, (errors - errors_before) as u64);
+            r.add(SweepCounter::CacheHits, stats.cache_hits as u64);
+            r.add(SweepCounter::CacheMisses, stats.cache_misses as u64);
+            r.add(SweepCounter::MemoHits, stats.memo_hits as u64);
+            r.add(SweepCounter::MemoMisses, stats.memo_misses as u64);
+            let quotient_blocks: u64 = engine
+                .plans
+                .iter()
+                .filter_map(|plan| plan.quotient.as_ref())
+                .map(|quotient| quotient.active_blocks())
+                .sum();
+            if quotient_blocks > 0 {
+                r.add(SweepCounter::QuotientBlocks, quotient_blocks);
+            }
+        }
+        (next, stats)
+    });
+    let walked = PanelFragment {
         lo,
         hi,
-        next: pass.next,
-        members: pass.members,
+        next,
+        members,
+    };
+    if !walked.is_complete() {
+        budget.note_interruption(recorder);
     }
+    let finished = finish(walked, stats);
+    if let Some(r) = recorder {
+        r.span_exit(C::SPAN);
+    }
+    finished
 }
 
 /// Whether every member short-circuited (an empty member list never
@@ -528,42 +593,6 @@ fn stop_index(i: usize) -> usize {
     i
 }
 
-/// Each member's stop index (`usize::MAX` = still active), as a walk
-/// keeps them: plain cells on the sequential walk, atomics folded with
-/// `fetch_min` on the parallel one.
-trait Stops {
-    /// Whether member `m` still inspects item `i`.
-    fn active(&self, m: usize, i: usize) -> bool;
-    /// Records member `m`'s short-circuit at item `i`.
-    fn stop(&self, m: usize, i: usize);
-}
-
-// The walks are generic over the member type and so compile in the
-// caller's crate; `#[inline]` lets these per-item checks follow them.
-impl Stops for [Cell<usize>] {
-    #[inline]
-    fn active(&self, m: usize, _i: usize) -> bool {
-        self[m].get() == usize::MAX
-    }
-
-    #[inline]
-    fn stop(&self, m: usize, i: usize) {
-        self[m].set(stop_index(i));
-    }
-}
-
-impl Stops for [AtomicUsize] {
-    #[inline]
-    fn active(&self, m: usize, i: usize) -> bool {
-        i <= self[m].load(Ordering::Relaxed)
-    }
-
-    #[inline]
-    fn stop(&self, m: usize, i: usize) {
-        self[m].fetch_min(stop_index(i), Ordering::Relaxed);
-    }
-}
-
 /// Immutable per-walk state shared by every worker thread.
 struct Engine<'e, C> {
     checks: &'e [C],
@@ -580,8 +609,9 @@ struct Engine<'e, C> {
     misses: &'e AtomicUsize,
     memo_hits: &'e AtomicUsize,
     memo_misses: &'e AtomicUsize,
-    /// Whether the walk is the decode oracle's: index decoding, full
-    /// inspection, no dense tables.
+    /// Whether the walk is the decode oracle's: every item reached by a
+    /// full decode, and no copy jump, verdict channel, quotient or dense
+    /// table.
     oracle: bool,
     recorder: Option<&'e dyn SweepRecorder>,
 }
@@ -633,54 +663,32 @@ impl Worker {
 }
 
 impl<C: PropertyCheck> Engine<'_, C> {
-    /// Advances the walker to item `i` (or decodes it, on the oracle
-    /// strategy) and inspects every member still active at `i`, filing
-    /// each guarded result into the member's record and its stop into
-    /// `stops`. A verdict channel is refreshed at most once per item — the
-    /// first member to need it pays the delta patch, the rest read it
-    /// back. Returns the next index to visit: `i + 1`, or the end of a
-    /// copy block (capped at `end`) when `i` lies in one. A copy records
+    /// Moves the walker to item `i` and inspects every member still
+    /// active at `i` (`i` at or below its stop in `stops`, where
+    /// `usize::MAX` means none yet), filing each guarded result into the
+    /// member's record and folding a short-circuit into its stop with
+    /// `fetch_min`. The delta path steps the odometer and refreshes a
+    /// verdict channel at most once per item — the first member to need
+    /// it pays the delta patch, the rest read it back; the decode oracle
+    /// reaches the item by a full decode and runs every member's plain
+    /// `inspect`. Returns the next index to visit: `i + 1`, or the end of
+    /// a copy block (capped at `end`) when `i` lies in one. A copy records
     /// nothing its class's first block does not already record at a lower
     /// index, so its items are jumped, each counted as walked and skipped
     /// for every active member.
-    fn run_item<S: Stops + ?Sized>(
+    fn run_item(
         &self,
         worker: &mut Worker,
         i: usize,
         end: usize,
-        stops: &S,
+        stops: &[AtomicUsize],
         records: &mut [MemberFrontier<C::Partial>],
     ) -> usize {
-        if self.oracle {
-            let buf = self.universe.item(i);
-            let ctx = ItemCtx::new(
-                buf.block,
-                self.cache,
-                self.hits,
-                self.misses,
-                false,
-                1,
-                None,
-            );
-            for (m, (check, record)) in self.checks.iter().zip(records).enumerate() {
-                if !stops.active(m, i) {
-                    continue;
-                }
-                worker.tally.walk();
-                worker.tally.inspect(1);
-                let result = guarded(i, || check.inspect(&buf.as_item(), &ctx));
-                if record.file(check, i, result) {
-                    stops.stop(m, i);
-                }
-            }
-            return i + 1;
-        }
+        let active = |m: usize| i <= stops[m].load(Ordering::Relaxed);
         let (block, offset) = self.universe.locate(i);
         if self.classes.is_copy(block) {
             let next = (i - offset + self.universe.blocks()[block].len()).min(end);
-            let active = (0..self.checks.len())
-                .filter(|&m| stops.active(m, i))
-                .count();
+            let active = (0..self.checks.len()).filter(|&m| active(m)).count();
             worker.tally.jump(((next - i) * active) as u64);
             return next;
         }
@@ -690,10 +698,15 @@ impl<C: PropertyCheck> Engine<'_, C> {
             channels,
             tally,
         } = worker;
-        let stepped = walker.advance_to(self.universe, block, offset);
+        let stepped = if self.oracle {
+            walker.decode(self.universe, block, offset);
+            false
+        } else {
+            walker.advance_to(self.universe, block, offset)
+        };
         let members = self.checks.iter().zip(&self.plans).zip(records);
         for (m, ((check, plan), record)) in members.enumerate() {
-            if !stops.active(m, i) {
+            if !active(m) {
                 continue;
             }
             tally.walk();
@@ -725,7 +738,7 @@ impl<C: PropertyCheck> Engine<'_, C> {
                     self.cache,
                     self.hits,
                     self.misses,
-                    true,
+                    !self.oracle,
                     multiplicity,
                     verdicts,
                 )
@@ -749,39 +762,30 @@ impl<C: PropertyCheck> Engine<'_, C> {
                 None => check.inspect(&item, &ctx(None)),
             });
             if record.file(check, i, result) {
-                stops.stop(m, i);
+                stops[m].fetch_min(stop_index(i), Ordering::Relaxed);
             }
         }
         i + 1
     }
 }
 
-/// One capped pass's output: each member's merged, settled record plus
-/// the walk's counters.
-struct Pass<P> {
-    members: Vec<MemberFrontier<P>>,
-    /// First index not visited by the walk.
-    next: usize,
-    stats: WalkStats,
-}
-
-/// Builds the engine for `checks` over the walk's universe (between-block
-/// classes, verdict channels, skeleton cache, delta drivers, quotient
-/// plans) and runs `body` on it. The one construction site of [`Engine`]:
-/// the walk ([`pass`]) and the shard replay ([`replay`]) step items
-/// through the engine it builds. Records the cache-build phase when the
-/// walk has a recorder.
+/// Builds the engine for `checks` over the session's universe
+/// (between-block classes, verdict channels, skeleton cache, delta
+/// drivers, quotient plans) and runs `body` on it. The one construction
+/// site of [`Engine`]: the walk ([`walk`]) and the shard replay
+/// ([`replay`]) step items through the engine it builds. Records the
+/// cache-build phase when the session has a recorder.
 fn with_engine<C: Member, R>(
-    walk: &Walk<'_>,
+    session: &SweepSession<'_>,
     checks: &[C],
     body: impl FnOnce(&Engine<'_, C>) -> R,
 ) -> R {
-    let Walk {
+    let SweepSession {
         universe,
         strategy,
         recorder,
         ..
-    } = *walk;
+    } = *session;
     let nmem = checks.len();
     let oracle = strategy == SweepStrategy::DecodeOracle;
     let cache_start = recorder.map(|r| r.now_micros());
@@ -911,91 +915,6 @@ fn with_engine<C: Member, R>(
     })
 }
 
-/// One capped pass: the engine, the walk over
-/// `[from, min(from + max_items, limit))` appended to `members`' records,
-/// counter flushing, and the per-member retention. Emits every recorder
-/// event of a call except the enclosing span and the reduce phase, which
-/// the callers own.
-fn pass<C: Member>(
-    walk: &Walk<'_>,
-    checks: &[C],
-    mut members: Vec<MemberFrontier<C::Partial>>,
-    from: usize,
-    limit: usize,
-    start: Instant,
-) -> Pass<C::Partial> {
-    let Walk {
-        mode,
-        budget,
-        recorder,
-        ..
-    } = *walk;
-    assert_eq!(
-        members.len(),
-        checks.len(),
-        "fragment describes a different member list"
-    );
-    let deadline = budget.deadline.map(|d| start + d);
-    with_engine(walk, checks, |engine| {
-        let begin = from.min(limit);
-        // `max_items` is enforced by clamping the walk's end index, which
-        // makes it exact — and identical — in every execution mode.
-        let end = match budget.max_items {
-            Some(m) => begin.saturating_add(m).min(limit),
-            None => limit,
-        };
-        let threads = resolve_threads(mode, end.saturating_sub(begin));
-        // The walk extends the records in place: this pass's items all lie
-        // past the ones they hold.
-        let errors_before: usize = members.iter().map(|f| f.errors.len()).sum();
-
-        let walk_start = recorder.map(|r| r.now_micros());
-        let (stops, next) = if threads > 1 {
-            run_parallel(engine, threads, begin, end, deadline, &mut members)
-        } else {
-            run_sequential(engine, begin, end, deadline, &mut members)
-        };
-        if let (Some(r), Some(t0)) = (recorder, walk_start) {
-            r.record_phase(SweepPhase::Walk, r.now_micros().saturating_sub(t0));
-        }
-        let stats = WalkStats {
-            threads,
-            cache_hits: engine.hits.load(Ordering::Relaxed),
-            cache_misses: engine.misses.load(Ordering::Relaxed),
-            memo_hits: engine.memo_hits.load(Ordering::Relaxed),
-            memo_misses: engine.memo_misses.load(Ordering::Relaxed),
-        };
-        if let Some(r) = recorder {
-            let errors: usize = members.iter().map(|f| f.errors.len()).sum();
-            r.add(SweepCounter::PanicsCaught, (errors - errors_before) as u64);
-            r.add(SweepCounter::CacheHits, stats.cache_hits as u64);
-            r.add(SweepCounter::CacheMisses, stats.cache_misses as u64);
-            r.add(SweepCounter::MemoHits, stats.memo_hits as u64);
-            r.add(SweepCounter::MemoMisses, stats.memo_misses as u64);
-            let quotient_blocks: u64 = engine
-                .plans
-                .iter()
-                .filter_map(|plan| plan.quotient.as_ref())
-                .map(|quotient| quotient.active_blocks())
-                .sum();
-            if quotient_blocks > 0 {
-                r.add(SweepCounter::QuotientBlocks, quotient_blocks);
-            }
-        }
-
-        // Settling restores the per-member sequential invariants.
-        for (record, stop) in members.iter_mut().zip(stops) {
-            record.stop_at = (stop != usize::MAX).then_some(stop);
-            record.settle();
-        }
-        Pass {
-            members,
-            next,
-            stats,
-        }
-    })
-}
-
 /// Re-derives what walks recorded: for each item list (ascending), a fresh
 /// worker runs the engine's per-item step on exactly those items, every
 /// member active at the start, and files what each member records —
@@ -1007,15 +926,15 @@ fn pass<C: Member>(
 /// recorder. Fails with the first listed item that lies in a copy block:
 /// the walk jumps over those and never records there.
 pub(super) fn replay<C: Member>(
-    walk: &Walk<'_>,
+    session: &SweepSession<'_>,
     checks: &[C],
     lists: &[Vec<usize>],
 ) -> Result<Vec<Vec<MemberFrontier<C::Partial>>>, usize> {
-    let walk = Walk {
+    let session = SweepSession {
         recorder: None,
-        ..*walk
+        ..*session
     };
-    with_engine(&walk, checks, |engine| {
+    with_engine(&session, checks, |engine| {
         let universe = engine.universe;
         if let Some(&i) = lists
             .iter()
@@ -1028,12 +947,14 @@ pub(super) fn replay<C: Member>(
             .iter()
             .map(|items| {
                 let mut worker = Worker::new(engine.drivers.len());
-                let stops: Vec<Cell<usize>> =
-                    checks.iter().map(|_| Cell::new(usize::MAX)).collect();
+                let stops: Vec<AtomicUsize> = checks
+                    .iter()
+                    .map(|_| AtomicUsize::new(usize::MAX))
+                    .collect();
                 let mut records: Vec<MemberFrontier<C::Partial>> =
                     checks.iter().map(|_| MemberFrontier::new()).collect();
                 for &i in items {
-                    engine.run_item(&mut worker, i, i + 1, &stops[..], &mut records);
+                    engine.run_item(&mut worker, i, i + 1, &stops, &mut records);
                 }
                 for (record, stop) in records.iter_mut().zip(stops) {
                     let stop = stop.into_inner();
@@ -1046,81 +967,38 @@ pub(super) fn replay<C: Member>(
     })
 }
 
-/// The initial stop of each member (`usize::MAX` = still active).
-fn stops_of<P>(records: &[MemberFrontier<P>]) -> impl Iterator<Item = usize> + '_ {
-    records.iter().map(|f| f.stop_at.unwrap_or(usize::MAX))
-}
-
-/// The sequential walk over `[begin, end)`, appending to each member's
-/// record: returns each member's final stop (`usize::MAX` = none) and the
-/// first index not visited.
-fn run_sequential<C: PropertyCheck>(
-    engine: &Engine<'_, C>,
-    begin: usize,
-    end: usize,
-    deadline: Option<Instant>,
-    records: &mut [MemberFrontier<C::Partial>],
-) -> (Vec<usize>, usize) {
-    let mut worker = Worker::new(engine.drivers.len());
-    let stop_at: Vec<Cell<usize>> = stops_of(records).map(Cell::new).collect();
-    let mut next = end;
-    // Span bookkeeping (recorder-only): the sequential walk visits blocks
-    // in order, so one `locate` per item — paid only when a recorder is
-    // attached — detects every block transition.
-    let mut span_block: Option<usize> = None;
-    let mut i = begin;
-    while i < end {
-        if stop_at.iter().all(|s| s.get() != usize::MAX) {
-            break;
-        }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            next = i;
-            break;
-        }
-        if let Some(r) = engine.recorder {
-            let (block, _) = engine.universe.locate(i);
-            if span_block != Some(block) {
-                if let Some(b) = span_block {
-                    r.span_exit(&format!("block:{b}"));
-                }
-                r.span_enter(&format!("block:{block}"));
-                span_block = Some(block);
-            }
-        }
-        i = engine.run_item(&mut worker, i, end, &stop_at[..], records);
-    }
-    if let (Some(r), Some(b)) = (engine.recorder, span_block) {
-        r.span_exit(&format!("block:{b}"));
-    }
-    worker.flush(engine);
-    (stop_at.into_iter().map(Cell::into_inner).collect(), next)
-}
-
-/// The parallel walk over `[begin, end)` on `threads` workers; same
-/// output as [`run_sequential`].
-fn run_parallel<C: PropertyCheck>(
+/// The one walk over `[begin, end)`: `threads` workers claim fixed-size
+/// chunks from one atomic cursor and step their items through
+/// [`Engine::run_item`]. The calling thread is the first worker and
+/// appends straight into `records`; the `threads - 1` workers spawned
+/// beside it keep their own and append them after joining, so a
+/// one-thread walk spawns and copies nothing. Settles every record at
+/// its member's final stop and returns the first index not visited.
+fn walk_chunks<C: PropertyCheck>(
     engine: &Engine<'_, C>,
     threads: usize,
     begin: usize,
     end: usize,
     deadline: Option<Instant>,
     records: &mut [MemberFrontier<C::Partial>],
-) -> (Vec<usize>, usize) {
-    let span = end - begin;
+) -> usize {
     // Chunks small enough that threads converge quickly on a low
     // short-circuit index, but with a floor: every chunk boundary costs
     // the claiming worker one odometer resync (a full decode plus, on the
-    // delta path, a full verdict recompute), so tiny chunks would erase
-    // the delta win.
-    let chunk = (span / (threads * 8)).clamp(16, 1024);
+    // delta path, a full verdict recompute) unless it claimed the chunk
+    // just before, so tiny chunks would erase the delta win.
+    let chunk = ((end - begin) / (threads * 8)).clamp(16, 1024);
     let cursor = AtomicUsize::new(begin);
-    let stop_at: Vec<AtomicUsize> = stops_of(records).map(AtomicUsize::new).collect();
+    let stops: Vec<AtomicUsize> = records
+        .iter()
+        .map(|f| AtomicUsize::new(f.stop_at.unwrap_or(usize::MAX)))
+        .collect();
     // An item is skippable only when every member is past it: the walk's
     // horizon is the maximum member stop, unbounded while any member is
     // still active.
-    let horizon = |stops: &[AtomicUsize]| -> usize {
+    let horizon = || -> usize {
         let mut h = 0usize;
-        for s in stops {
+        for s in &stops {
             let v = s.load(Ordering::Relaxed);
             if v == usize::MAX {
                 return usize::MAX;
@@ -1129,84 +1007,92 @@ fn run_parallel<C: PropertyCheck>(
         }
         h
     };
-
+    let claim_chunks = |records: &mut [MemberFrontier<C::Partial>]| {
+        let mut worker = Worker::new(engine.drivers.len());
+        loop {
+            // The deadline is checked before claiming, and a claimed chunk
+            // always runs to completion — so the visited set stays the
+            // contiguous prefix [begin, cursor) and a continuation can
+            // describe it with one index.
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                break;
+            }
+            let claim = chunk;
+            #[cfg(conformance_mutants)]
+            let claim = if crate::mutants::active("chunk_claim_overlap") {
+                chunk - 1
+            } else {
+                claim
+            };
+            let start = cursor.fetch_add(claim, Ordering::Relaxed);
+            // The cursor only grows, so once a claimed chunk lies
+            // entirely past the horizon, all later claims will too.
+            if start >= end || start > horizon() {
+                break;
+            }
+            if let Some(r) = engine.recorder {
+                r.span_enter(&format!("chunk:{start}"));
+            }
+            let stop = (start + chunk).min(end);
+            let mut i = start;
+            while i < stop && i <= horizon() {
+                i = engine.run_item(&mut worker, i, stop, &stops, records);
+            }
+            if let Some(r) = engine.recorder {
+                r.span_exit(&format!("chunk:{start}"));
+            }
+        }
+        worker.flush(engine);
+    };
     std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
+        let helpers: Vec<_> = (1..threads)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut worker = Worker::new(engine.drivers.len());
                     let mut local: Vec<MemberFrontier<C::Partial>> = engine
                         .checks
                         .iter()
                         .map(|_| MemberFrontier::new())
                         .collect();
-                    loop {
-                        // The deadline is checked before claiming, and a
-                        // claimed chunk always runs to completion — so
-                        // the visited set stays the contiguous prefix
-                        // [begin, cursor) and a continuation can describe
-                        // it with one index.
-                        if deadline.is_some_and(|d| Instant::now() >= d) {
-                            break;
-                        }
-                        let claim = chunk;
-                        #[cfg(conformance_mutants)]
-                        let claim = if crate::mutants::active("chunk_claim_overlap") {
-                            chunk - 1
-                        } else {
-                            claim
-                        };
-                        let start = cursor.fetch_add(claim, Ordering::Relaxed);
-                        // The cursor only grows, so once a claimed chunk
-                        // lies entirely past the horizon, all later claims
-                        // will too.
-                        if start >= end || start > horizon(&stop_at) {
-                            break;
-                        }
-                        if let Some(r) = engine.recorder {
-                            r.span_enter(&format!("chunk:{start}"));
-                        }
-                        let stop = (start + chunk).min(end);
-                        let mut i = start;
-                        while i < stop && i <= horizon(&stop_at) {
-                            i = engine.run_item(&mut worker, i, stop, &stop_at[..], &mut local);
-                        }
-                        if let Some(r) = engine.recorder {
-                            r.span_exit(&format!("chunk:{start}"));
-                        }
-                    }
-                    worker.flush(engine);
+                    claim_chunks(&mut local);
                     local
                 })
             })
             .collect();
-        for w in workers {
+        claim_chunks(records);
+        for helper in helpers {
             // invariant: member panics are caught per item by `guarded`,
             // so a worker can only die of an engine bug — propagate.
-            let local = w.join().expect("sweep worker panicked");
+            let local = helper.join().expect("sweep worker panicked");
             for (record, mut l) in records.iter_mut().zip(local) {
                 record.partials.append(&mut l.partials);
                 record.errors.append(&mut l.errors);
             }
         }
     });
-    let stops: Vec<usize> = stop_at.iter().map(|s| s.load(Ordering::Relaxed)).collect();
+    // Settling restores each member's in-order invariants.
+    for (record, stop) in records.iter_mut().zip(stops) {
+        let stop = stop.into_inner();
+        record.stop_at = (stop != usize::MAX).then_some(stop);
+        record.settle();
+    }
     // Natural termination bumps the cursor past `end`; a deadline stop
     // leaves it at the first unclaimed index. Claimed chunks always
     // complete, so everything below this index was inspected.
-    let next = if stops.iter().all(|&s| s != usize::MAX) {
+    if all_stopped(records) {
         end
     } else {
-        cursor.load(Ordering::Relaxed).min(end)
-    };
-    (stops, next)
+        cursor.into_inner().min(end)
+    }
 }
 
 /// The lazy draw loop behind [`LazySweep`](super::LazySweep): pulls items
 /// one at a time and inspects each with the engine's guarded step,
 /// stopping the pull at the first short-circuit or budget expiry — so a
 /// stateful source advances exactly `checked` times and memory stays
-/// `O(1)` in the stream length.
+/// `O(1)` in the stream length. The budget is checked before each pull,
+/// so a source is never advanced past `max_items`; a source cut at its
+/// limit reads interrupted even when it would have run dry next, since
+/// only a pull can tell.
 ///
 /// Items whose instance is `None` are labelings of `fixed`, whose
 /// skeleton cache is built once; an item carrying its own instance gets a
@@ -1238,13 +1124,17 @@ pub(super) fn draw<C: PropertyCheck>(
     let mut record = MemberFrontier::new();
     let mut drawn = 0usize;
     let mut interrupted = false;
-    for (instance, labeling) in items {
+    let mut items = items.into_iter();
+    loop {
         if budget.max_items.is_some_and(|m| drawn >= m)
             || deadline.is_some_and(|d| Instant::now() >= d)
         {
             interrupted = true;
             break;
         }
+        let Some((instance, labeling)) = items.next() else {
+            break;
+        };
         if let Some(instance) = instance {
             let (universe, cache) = bare(instance);
             misses.fetch_add(cache.populated, Ordering::Relaxed);

@@ -183,11 +183,15 @@ pub struct AuditPlan<'a> {
     budget: Option<SweepBudget>,
     telemetry: Option<&'a MetricsRecorder>,
     fault_plan: Option<FaultSpec>,
-    erasure_f: usize,
-    erasure_trials: usize,
-    invariance_samples: usize,
     seed: u64,
 }
+
+/// Erasure-panel shape: certificates wiped per trial.
+const ERASURE_F: usize = 1;
+/// Erasure-panel shape: trials per audit.
+const ERASURE_TRIALS: usize = 8;
+/// Invariance-panel shape: random identifier permutations per audit.
+const INVARIANCE_SAMPLES: usize = 16;
 
 /// Every paper property, in canonical audit order.
 pub const ALL_PROPERTIES: [PropertyTag; 7] = [
@@ -222,9 +226,6 @@ impl<'a> AuditPlan<'a> {
             budget: None,
             telemetry: None,
             fault_plan: None,
-            erasure_f: 1,
-            erasure_trials: 8,
-            invariance_samples: 16,
             seed: 0xA0D1_7E57,
         }
     }
@@ -275,19 +276,6 @@ impl<'a> AuditPlan<'a> {
     /// Appends a degradation sweep under communication faults.
     pub fn fault_plan(mut self, spec: FaultSpec) -> Self {
         self.fault_plan = Some(spec);
-        self
-    }
-
-    /// Erasure-panel shape: wipe `f` certificates per trial, `trials` trials.
-    pub fn erasure_trials(mut self, f: usize, trials: usize) -> Self {
-        self.erasure_f = f;
-        self.erasure_trials = trials;
-        self
-    }
-
-    /// Invariance-panel shape: `samples` random identifier permutations.
-    pub fn invariance_samples(mut self, samples: usize) -> Self {
-        self.invariance_samples = samples;
         self
     }
 
@@ -470,7 +458,9 @@ impl<'a> AuditPlan<'a> {
             }
             None => self.exec_panel(&members, universe),
         };
-        report.panels.push(self.labelings_summary(&panel, scan));
+        report
+            .panels
+            .push(self.labelings_summary(&panel, scan, universe.coverage()));
         self.push_panel_telemetry("labelings", before, report);
     }
 
@@ -525,8 +515,14 @@ impl<'a> AuditPlan<'a> {
     /// wanted hiding and quantified lines, both read off the scan's
     /// `V(D, n)`. Hiding applies Lemma 3.2 on the coverage the scan
     /// achieved, so an interrupted or erroring scan cannot conclude "not
-    /// hiding".
-    fn labelings_summary(&self, panel: &PanelReport, scan: Option<usize>) -> AuditPanelReport {
+    /// hiding"; `universe_coverage`, the labelings universe's own, says
+    /// whether such a line blames the universe or the walk.
+    fn labelings_summary(
+        &self,
+        panel: &PanelReport,
+        scan: Option<usize>,
+        universe_coverage: Coverage,
+    ) -> AuditPanelReport {
         let mut summary = summarize_panel("labelings", panel);
         let Some(index) = scan else {
             return summary;
@@ -548,7 +544,7 @@ impl<'a> AuditPlan<'a> {
         if self.wants(PropertyTag::Hiding) {
             lines.push(line(
                 PropertyTag::Hiding,
-                hiding_line(nbhd, k, base.coverage),
+                hiding_line(nbhd, k, universe_coverage, base.coverage),
             ));
         }
         if self.wants(PropertyTag::Quantified) {
@@ -655,9 +651,9 @@ impl<'a> AuditPlan<'a> {
             return;
         }
         let n = honest.graph().node_count();
-        let f = self.erasure_f.min(n);
+        let f = ERASURE_F.min(n);
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0xE5A5);
-        let target_sets: Vec<Vec<usize>> = (0..self.erasure_trials)
+        let target_sets: Vec<Vec<usize>> = (0..ERASURE_TRIALS)
             .map(|_| {
                 rand::seq::index::sample(&mut rng, n, f)
                     .into_iter()
@@ -687,7 +683,7 @@ impl<'a> AuditPlan<'a> {
         let universe = anonymity_universe(
             honest.instance(),
             honest.labeling(),
-            self.invariance_samples,
+            INVARIANCE_SAMPLES,
             &mut rng,
         );
         let member = invariance_member(self.decoder, honest.instance(), honest.labeling());
@@ -826,7 +822,9 @@ impl<'a> AuditPlan<'a> {
         }
         let panel =
             merge_panel_fragments(&members, universe, self.mode, fragments, self.attached())?;
-        report.panels.push(self.labelings_summary(&panel, scan));
+        report
+            .panels
+            .push(self.labelings_summary(&panel, scan, universe.coverage()));
         if let Some(recorder) = self.telemetry {
             let summed = super::shard::sum_stable_counters(&per_shard_counters);
             // The children walked the labelings; the recorder gains their
@@ -1834,6 +1832,10 @@ mod tests {
         assert!(hiding.interrupted && hiding.checked == 20);
         assert_eq!(hiding.coverage, Coverage::Sampled);
         assert_eq!(hiding.passed, None, "{}", hiding.detail);
+        assert_eq!(
+            hiding.detail, "V(D, .) k-colorable but the walk did not cover the universe",
+            "the Lemma 3.1 family is exhaustive; only the walk fell short"
+        );
     }
 
     /// Stable JSON pins wall-clock and per-process counters, so repeated

@@ -47,7 +47,7 @@ use super::budget::{MemberFrontier, SweepBudget};
 use super::check::{PropertyCheck, VerificationReport};
 use super::erased::DynPropertyCheck;
 use super::executor::{ExecMode, SweepStrategy};
-use super::panel::{self, PanelFragment, PanelReport, Walk};
+use super::panel::{self, PanelFragment, PanelReport};
 use super::shard::ShardSpec;
 use super::telemetry::{MetricsRecorder, SweepRecorder};
 use super::universe::{Coverage, Universe};
@@ -59,11 +59,11 @@ use crate::label::Labeling;
 /// `resume_*` method. Copy, so one session can fire several runs.
 #[derive(Clone, Copy)]
 pub struct SweepSession<'a> {
-    universe: &'a Universe,
-    mode: ExecMode,
-    strategy: SweepStrategy,
-    budget: SweepBudget,
-    recorder: Option<&'a dyn SweepRecorder>,
+    pub(super) universe: &'a Universe,
+    pub(super) mode: ExecMode,
+    pub(super) strategy: SweepStrategy,
+    pub(super) budget: SweepBudget,
+    pub(super) recorder: Option<&'a dyn SweepRecorder>,
 }
 
 impl<'a> SweepSession<'a> {
@@ -110,23 +110,11 @@ impl<'a> SweepSession<'a> {
         self.recorder(recorder)
     }
 
-    /// The engine settings for one call enclosed in `span`.
-    fn walk(&self, span: &'static str) -> Walk<'a> {
-        Walk {
-            universe: self.universe,
-            mode: self.mode,
-            strategy: self.strategy,
-            budget: self.budget,
-            recorder: self.recorder,
-            span,
-        }
-    }
-
     /// Sweeps `check` over the whole universe. With an unlimited budget
     /// this is the classic exhaustive sweep; a budget stop reports the
     /// visited prefix as interrupted.
     pub fn run<C: PropertyCheck>(&self, check: &C) -> VerificationReport<C::Verdict> {
-        let (mut reports, _) = panel::run(&self.walk("sweep"), std::slice::from_ref(&check));
+        let (mut reports, _) = panel::run(self, std::slice::from_ref(&check));
         reports.pop().expect("one member, one report")
     }
 
@@ -149,12 +137,12 @@ impl<'a> SweepSession<'a> {
         check: &C,
         fragment: PanelFragment<C::Partial>,
     ) -> PanelFragment<C::Partial> {
-        panel::fragment(&self.walk("sweep"), std::slice::from_ref(&check), fragment)
+        panel::fragment(self, std::slice::from_ref(&check), fragment)
     }
 
     /// Fuses `checks` into one walk over the whole universe.
     pub fn run_panel(&self, checks: &[DynPropertyCheck<'_>]) -> PanelReport {
-        let (members, evidence) = panel::run(&self.walk("panel"), checks);
+        let (members, evidence) = panel::run(self, checks);
         PanelReport::assemble(checks, members, evidence)
     }
 
@@ -176,7 +164,7 @@ impl<'a> SweepSession<'a> {
         checks: &[DynPropertyCheck<'_>],
         fragment: PanelFragment,
     ) -> PanelFragment {
-        panel::fragment(&self.walk("panel"), checks, fragment)
+        panel::fragment(self, checks, fragment)
     }
 
     /// Re-derives the panel records a walk left at each ascending list of
@@ -189,7 +177,7 @@ impl<'a> SweepSession<'a> {
         checks: &[DynPropertyCheck<'_>],
         lists: &[Vec<usize>],
     ) -> Result<Vec<Vec<MemberFrontier>>, usize> {
-        panel::replay(&self.walk("panel"), checks, lists)
+        panel::replay(self, checks, lists)
     }
 }
 
@@ -235,9 +223,12 @@ impl<'a> LazySweep<'a> {
         }
     }
 
-    /// Sets the execution budget (default unlimited). An expired budget
-    /// stops *drawing* — a stateful source is never advanced past the
-    /// limit — and the report says how many items were drawn.
+    /// Sets the execution budget (default unlimited). The budget is
+    /// checked before each pull, so an expired budget stops *drawing* — a
+    /// stateful source is never advanced past the limit — and the report
+    /// says how many items were drawn. A source cut at its limit reads
+    /// interrupted even when it would have run dry next: only a pull can
+    /// tell.
     pub fn budget(mut self, budget: SweepBudget) -> Self {
         self.budget = budget;
         self

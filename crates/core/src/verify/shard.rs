@@ -23,7 +23,7 @@
 //! torn), compose the short-circuit frontier (the global stop is the
 //! minimum over shards — exactly the `fetch_min` rule worker threads
 //! already obey within one process), apply the same retention rule the
-//! sequential walk applies, and then run the one reduce a single-process
+//! walk applies, and then run the one reduce a single-process
 //! sweep would have run. Orbit multiplicities need no special handling: a
 //! representative's multiplicity is a function of the item alone, so
 //! weighted partials compose by concatenation.

@@ -213,7 +213,7 @@ pub trait SweepRecorder: Sync {
 }
 
 /// Span-event ring capacity of a default recorder: plenty for an audit
-/// run's plan/panel/block/chunk spans while bounding memory; overflow
+/// run's plan/panel/chunk spans while bounding memory; overflow
 /// overwrites the oldest events and is counted in the trace export.
 const DEFAULT_TRACE_CAPACITY: usize = 16_384;
 

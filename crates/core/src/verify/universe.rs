@@ -17,7 +17,7 @@
 
 use crate::instance::{Instance, LabeledInstance};
 use crate::label::{Certificate, Labeling};
-use hiding_lcp_graph::{generators, Graph};
+use hiding_lcp_graph::generators;
 use std::fmt;
 
 /// A universe whose item count does not fit in `usize`, so its flat index
@@ -326,33 +326,6 @@ impl Universe {
         Universe::new(blocks, Coverage::Exhaustive)
     }
 
-    /// A sampled universe of id/port variants: each graph is crossed with
-    /// `extra_ids` random identifier assignments and `extra_ports` random
-    /// port reassignments (via [`crate::enumerate::instance_variants`]),
-    /// each swept over every labeling of `alphabet`. The presence of random
-    /// variants makes this [`Coverage::Sampled`] even though the labelings
-    /// per variant are exhaustive.
-    pub fn variants(
-        graphs: impl IntoIterator<Item = Graph>,
-        extra_ids: usize,
-        extra_ports: usize,
-        seed: u64,
-        alphabet: Vec<Certificate>,
-    ) -> Result<Universe, UniverseOverflow> {
-        let blocks = crate::enumerate::family_variants(graphs, extra_ids, extra_ports, seed)
-            .into_iter()
-            .map(|instance| {
-                Block::new(
-                    instance,
-                    LabelSource::All {
-                        alphabet: alphabet.clone(),
-                    },
-                )
-            })
-            .collect();
-        Universe::new(blocks, Coverage::Sampled)
-    }
-
     /// Total number of items.
     pub fn len(&self) -> usize {
         // invariant: every constructor builds `offsets` as a prefix-sum
@@ -521,6 +494,7 @@ impl Universe {
 mod tests {
     use super::*;
     use crate::prover::all_labelings;
+    use hiding_lcp_graph::Graph;
 
     fn bits() -> Vec<Certificate> {
         vec![Certificate::from_byte(0), Certificate::from_byte(1)]

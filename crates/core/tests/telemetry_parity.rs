@@ -311,6 +311,55 @@ mod enabled {
         assert_eq!(trace_a, trace_b, "trace document is reproducible");
     }
 
+    /// One walk at every thread count: a one-worker sweep and a
+    /// two-worker panel record only their call span and the walk's
+    /// `chunk:<start>` spans, and every lane balances.
+    #[test]
+    fn every_thread_count_records_only_call_and_chunk_spans() {
+        let decoder = full_walk_decoder();
+        let two_col = KCol::new(2);
+        let universe = big_universe();
+        let check = SoundnessCheck { decoder: &decoder };
+        let members = panel_members(&decoder, &two_col);
+        let span_names = |recorder: &MetricsRecorder| -> Vec<String> {
+            let json = recorder.trace_json();
+            json.split("\"name\": \"")
+                .skip(1)
+                .map(|rest| rest[..rest.find('"').expect("closing quote")].to_string())
+                .collect()
+        };
+        let sequential = MetricsRecorder::new();
+        SweepSession::over(&universe)
+            .mode(ExecMode::Sequential)
+            .metrics(&sequential)
+            .run(&check);
+        let parallel = MetricsRecorder::new();
+        SweepSession::over(&universe)
+            .mode(ExecMode::Parallel(2))
+            .metrics(&parallel)
+            .run_panel(&members);
+        for (recorder, call) in [(&sequential, "sweep"), (&parallel, "panel")] {
+            assert!(recorder.trace_balanced(), "{call}: every lane balances");
+            assert_eq!(recorder.trace_dropped(), 0);
+            let names = span_names(recorder);
+            assert!(
+                names.iter().any(|n| n == call),
+                "{call}: call span recorded"
+            );
+            assert!(
+                names.iter().any(|n| n.starts_with("chunk:")),
+                "{call}: chunk spans recorded"
+            );
+            for name in &names {
+                let chunk_start = name.strip_prefix("chunk:").map(str::parse::<usize>);
+                assert!(
+                    name == call || matches!(chunk_start, Some(Ok(_))),
+                    "{call}: unexpected span {name}"
+                );
+            }
+        }
+    }
+
     /// Every span a sweep opens it closes, and the export is a valid
     /// Chrome `trace_event` document.
     #[test]

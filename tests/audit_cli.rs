@@ -646,7 +646,7 @@ const BUDGET_ITEMS_1000: &str = r#"{
       "members": [
         {"property": "soundness", "label": "soundness", "passed": true, "detail": "no unanimous accept on a no-instance", "checked": 1000, "short_circuited": false, "interrupted": true, "coverage": "sampled", "errors": 0},
         {"property": "strong", "label": "strong", "passed": true, "detail": "every accepting set in 1000 labelings induces G(L)", "checked": 1000, "short_circuited": false, "interrupted": true, "coverage": "sampled", "errors": 0},
-        {"property": "hiding", "label": "hiding", "passed": null, "detail": "V(D, .) k-colorable but the universe was partial", "checked": 1000, "short_circuited": false, "interrupted": true, "coverage": "sampled", "errors": 0},
+        {"property": "hiding", "label": "hiding", "passed": null, "detail": "V(D, .) k-colorable but the walk did not cover the universe", "checked": 1000, "short_circuited": false, "interrupted": true, "coverage": "sampled", "errors": 0},
         {"property": "quantified", "label": "quantified", "passed": null, "detail": "0 of 24 views unextractable", "checked": 1000, "short_circuited": false, "interrupted": true, "coverage": "sampled", "errors": 0}
       ]
     }
@@ -678,7 +678,7 @@ const BUDGET_MS_0: &str = r#"{
       "members": [
         {"property": "soundness", "label": "soundness", "passed": true, "detail": "no unanimous accept on a no-instance", "checked": 0, "short_circuited": false, "interrupted": true, "coverage": "sampled", "errors": 0},
         {"property": "strong", "label": "strong", "passed": true, "detail": "every accepting set in 0 labelings induces G(L)", "checked": 0, "short_circuited": false, "interrupted": true, "coverage": "sampled", "errors": 0},
-        {"property": "hiding", "label": "hiding", "passed": null, "detail": "V(D, .) k-colorable but the universe was partial", "checked": 0, "short_circuited": false, "interrupted": true, "coverage": "sampled", "errors": 0},
+        {"property": "hiding", "label": "hiding", "passed": null, "detail": "V(D, .) k-colorable but the walk did not cover the universe", "checked": 0, "short_circuited": false, "interrupted": true, "coverage": "sampled", "errors": 0},
         {"property": "quantified", "label": "quantified", "passed": null, "detail": "0 of 0 views unextractable", "checked": 0, "short_circuited": false, "interrupted": true, "coverage": "sampled", "errors": 0}
       ]
     }
