@@ -138,6 +138,12 @@ pub const MUTANTS: &[Mutant] = &[
         expected_killers: &["nbhd_witnesses_recheck"],
     },
     Mutant {
+        name: "fold_join_keeps_caller",
+        host: "hiding-lcp-core",
+        site: "the post-join fold keeps the calling worker's claim of a key a helper claimed at a lower item",
+        expected_killers: &["nbhd_fold_join_parity"],
+    },
+    Mutant {
         name: "fault_salt_reuse",
         host: "hiding-lcp-core",
         site: "duplication decisions reuse the drop salt",

@@ -19,7 +19,7 @@ use hiding_lcp_core::instance::{Instance, LabeledInstance};
 use hiding_lcp_core::label::{Certificate, Labeling};
 use hiding_lcp_core::language::KCol;
 use hiding_lcp_core::lower::PortObliviousCycleDecoder;
-use hiding_lcp_core::nbhd::{NbhdGraph, NbhdSweep};
+use hiding_lcp_core::nbhd::{NbhdGraph, NbhdScan, NbhdSweep};
 use hiding_lcp_core::network::degradation::degradation_sweep;
 use hiding_lcp_core::network::{FaultPlan, FaultRates};
 use hiding_lcp_core::properties::completeness::check_completeness;
@@ -35,9 +35,9 @@ use hiding_lcp_core::properties::strong::{
 use hiding_lcp_core::prover::Prover;
 use hiding_lcp_core::verify::{
     merge_fragments, sum_stable_counters, AuditPlan, Block, BlockGated, Coverage, DynPropertyCheck,
-    ExecMode, InstanceSet, ItemCtx, LabelSource, LazySweep, MetricsRecorder, PropertyCheck,
-    PropertyTag, ShardSpec, SweepBudget, SweepOutcome, SweepSession, SweepStrategy, SymmetrySpec,
-    Universe, UniverseItem, ViewInterner, ViewSlot,
+    ExecMode, InstanceSet, ItemCtx, LabelSource, LazySweep, MetricsRecorder, PanelFragment,
+    PropertyCheck, PropertyTag, ShardSpec, SweepBudget, SweepOutcome, SweepSession, SweepStrategy,
+    SymmetrySpec, Universe, UniverseItem, ViewInterner, ViewSlot,
 };
 use hiding_lcp_core::view::{IdMode, View};
 use hiding_lcp_graph::algo::{bipartite, coloring};
@@ -46,6 +46,8 @@ use hiding_lcp_graph::graph::Graph;
 use hiding_lcp_graph::{generators, IdAssignment};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Mutex;
+use std::thread::ThreadId;
 
 /// Every probe, by name. The order is the battery's replay order.
 pub const ALL: &[(&str, fn())] = &[
@@ -61,6 +63,7 @@ pub const ALL: &[(&str, fn())] = &[
     ("hiding_partial_inconclusive", hiding_partial_inconclusive),
     ("hiding_selfloop_walk", hiding_selfloop_walk),
     ("nbhd_witnesses_recheck", nbhd_witnesses_recheck),
+    ("nbhd_fold_join_parity", nbhd_fold_join_parity),
     ("invariance_checks_node0", invariance_checks_node0),
     ("erasure_counts_rejections", erasure_counts_rejections),
     (
@@ -767,9 +770,167 @@ fn recheck_witnesses(name: &str, decoder: &dyn Decoder, nbhd: &NbhdGraph) {
     assert!(instances.len() <= nbhd.retained_count());
 }
 
+/// The scan's per-worker fold joins into what one worker walking in order
+/// keeps: at `Parallel(2..=4)` the walk's record lists exactly the items a
+/// sequential decode-oracle walk records, and `V(D, n)` built from it or
+/// merged from three fragments equals the oracle walk's graph, witness for
+/// witness. A one-thread walk claims its chunks in order, so only a walk
+/// whose workers both fold exercises the join: `Interleaved` holds the
+/// worker that folds item 0 until another worker has folded an item.
+pub fn nbhd_fold_join_parity() {
+    let cases: [(&dyn Decoder, Vec<Certificate>, usize); 2] = [
+        (
+            &revealing::RevealingDecoder::new(2),
+            revealing::adversary_alphabet(2),
+            4,
+        ),
+        (
+            &degree_one::DegreeOneDecoder,
+            degree_one::adversary_alphabet(),
+            4,
+        ),
+    ];
+    let whole = ShardSpec::new(0, 1);
+    let items = |fragment: &PanelFragment<NbhdScan>| -> Vec<usize> {
+        fragment.members[0]
+            .partials
+            .iter()
+            .map(|&(i, _)| i)
+            .collect()
+    };
+    for (decoder, alphabet, max_n) in cases {
+        let name = decoder.name();
+        let universe = Universe::lemma31(max_n, alphabet).expect("the n <= 4 family fits");
+        let scan = || {
+            NbhdSweep::new(
+                decoder,
+                IdMode::Anonymous,
+                &universe,
+                bipartite::is_bipartite,
+            )
+        };
+        let check = scan();
+        let oracle = SweepSession::over(&universe)
+            .mode(ExecMode::Sequential)
+            .strategy(SweepStrategy::DecodeOracle)
+            .run_fragment(&check, whole);
+        let witness_items = items(&oracle);
+        let reference =
+            merge_fragments(&check, &universe, ExecMode::Sequential, vec![oracle], None)
+                .expect("one complete fragment covers the universe")
+                .verdict;
+        for threads in 2..=4 {
+            let mode = ExecMode::Parallel(threads);
+            let check = Interleaved::new(scan());
+            let fragment = SweepSession::over(&universe)
+                .mode(mode)
+                .run_fragment(&check, whole);
+            assert_eq!(
+                items(&fragment),
+                witness_items,
+                "{name}, {threads} threads: the record is the witness items"
+            );
+            let walked = merge_fragments(&check, &universe, mode, vec![fragment], None)
+                .expect("one complete fragment covers the universe")
+                .verdict;
+            assert_same_witnesses(&format!("{name}, {threads} threads"), &reference, &walked);
+        }
+        let check = scan();
+        let session = SweepSession::over(&universe).mode(ExecMode::Parallel(2));
+        let fragments = ShardSpec::partition(3)
+            .into_iter()
+            .map(|spec| session.run_fragment(&check, spec))
+            .collect();
+        let merged = merge_fragments(&check, &universe, ExecMode::Parallel(2), fragments, None)
+            .expect("three complete fragments tile the universe")
+            .verdict;
+        assert_same_witnesses(&format!("{name}, 3 fragments"), &reference, &merged);
+    }
+}
+
+/// A check whose worker folding item 0 waits, for up to ten seconds,
+/// until another worker has folded an item, so every worker of a walk
+/// folds items and the join has records to combine, however the threads
+/// are scheduled. The rest is the wrapped check's.
+struct Interleaved<C> {
+    inner: C,
+    /// The workers that have folded an item.
+    folders: Mutex<Vec<ThreadId>>,
+}
+
+impl<C> Interleaved<C> {
+    /// Wraps `inner`.
+    fn new(inner: C) -> Self {
+        Interleaved {
+            inner,
+            folders: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Notes the calling worker; for item 0, waits for another one.
+    fn meet(&self, item: usize) {
+        let me = std::thread::current().id();
+        let others = || {
+            let mut folders = self.folders.lock().expect("folders lock");
+            if !folders.contains(&me) {
+                folders.push(me);
+            }
+            folders.iter().any(|&t| t != me)
+        };
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !others() && item == 0 && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+    }
+}
+
+impl<C: PropertyCheck> PropertyCheck for Interleaved<C> {
+    type Partial = C::Partial;
+    type Verdict = C::Verdict;
+
+    fn view_configs(&self) -> Vec<(usize, IdMode)> {
+        self.inner.view_configs()
+    }
+
+    fn inspect(&self, item: &UniverseItem<'_>, ctx: &ItemCtx<'_>) -> Option<C::Partial> {
+        self.inner.inspect(item, ctx)
+    }
+
+    fn fold(
+        &self,
+        item: &UniverseItem<'_>,
+        ctx: &ItemCtx<'_>,
+        claim: &mut dyn FnMut(u64) -> bool,
+    ) -> Option<C::Partial> {
+        self.meet(item.index);
+        self.inner.fold(item, ctx, claim)
+    }
+
+    fn verdict_decoder(&self) -> Option<&dyn Decoder> {
+        self.inner.verdict_decoder()
+    }
+
+    fn uses_verdicts(&self, block: usize) -> bool {
+        self.inner.uses_verdicts(block)
+    }
+
+    fn symmetry_class(&self, alphabet: &[Certificate]) -> Option<SymmetrySpec> {
+        self.inner.symmetry_class(alphabet)
+    }
+
+    fn reduce(
+        &self,
+        universe: &Universe,
+        partials: Vec<(usize, C::Partial)>,
+        outcome: &SweepOutcome,
+    ) -> C::Verdict {
+        self.inner.reduce(universe, partials, outcome)
+    }
+}
+
 /// Asserts two constructions of `V(D, n)` agree view for view, witness for
 /// witness and instance for instance.
-fn assert_same_witnesses(name: &str, a: &NbhdGraph, b: &NbhdGraph) {
+pub fn assert_same_witnesses(name: &str, a: &NbhdGraph, b: &NbhdGraph) {
     assert_eq!(a.views(), b.views(), "{name}: views differ");
     assert_eq!(a.instances(), b.instances(), "{name}: instances differ");
     assert_eq!(

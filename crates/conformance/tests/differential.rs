@@ -7,13 +7,13 @@
 
 use hiding_lcp_conformance::oracle::{self, ViewGraph};
 use hiding_lcp_conformance::parity_threads;
-use hiding_lcp_conformance::probes::{bits, LocalDiff, StrictDiff, TriangleSpotter, YesMan};
+use hiding_lcp_conformance::probes::{self, bits, LocalDiff, StrictDiff, TriangleSpotter, YesMan};
 use hiding_lcp_core::decoder::Decoder;
 use hiding_lcp_core::instance::{Instance, LabeledInstance};
 use hiding_lcp_core::label::{Certificate, Labeling};
 use hiding_lcp_core::language::KCol;
 use hiding_lcp_core::lower::PortObliviousCycleDecoder;
-use hiding_lcp_core::nbhd::NbhdSweep;
+use hiding_lcp_core::nbhd::{NbhdGraph, NbhdSweep};
 use hiding_lcp_core::properties::completeness::check_completeness;
 use hiding_lcp_core::properties::erasure::erase_and_run;
 use hiding_lcp_core::properties::hiding::check_hiding;
@@ -23,8 +23,8 @@ use hiding_lcp_core::properties::soundness::{SoundnessCheck, SoundnessViolation}
 use hiding_lcp_core::properties::strong::{StrongCheck, StrongViolation};
 use hiding_lcp_core::prover::Prover;
 use hiding_lcp_core::verify::{
-    merge_panel_fragments, Coverage, DynPropertyCheck, ExecMode, LazySweep, PropertyTag, ShardSpec,
-    SweepBudget, SweepSession, SweepStrategy, Universe, VerificationReport,
+    merge_fragments, merge_panel_fragments, Coverage, DynPropertyCheck, ExecMode, LazySweep,
+    PropertyTag, ShardSpec, SweepBudget, SweepSession, SweepStrategy, Universe, VerificationReport,
 };
 use hiding_lcp_core::view::IdMode;
 use hiding_lcp_graph::algo::bipartite;
@@ -826,6 +826,150 @@ proptest! {
                         b.verdict.get::<Result<usize, StrongViolation>>()
                     );
                 }
+            }
+        }
+    }
+}
+
+/// One Lemma 3.1 family the scan's fold is pinned on: decoder, alphabet,
+/// size bound, and the counts a walk that kept every partial measured:
+/// views, edges, self-loops, witnessing instances and retained labeled
+/// yes-instances of `V(D, n)`.
+type FoldCase = (Box<dyn Decoder>, Vec<Certificate>, usize, [usize; 5]);
+
+/// Every [`FoldCase`].
+fn fold_cases() -> [FoldCase; 4] {
+    use hiding_lcp_certs::{degree_one, even_cycle, revealing};
+    [
+        (
+            Box::new(degree_one::DegreeOneDecoder),
+            degree_one::adversary_alphabet(),
+            4,
+            [74, 164, 0, 137, 16_530],
+        ),
+        (
+            Box::new(revealing::RevealingDecoder::new(2)),
+            revealing::adversary_alphabet(2),
+            4,
+            [18, 29, 0, 20, 2_172],
+        ),
+        (
+            Box::new(revealing::RevealingDecoder::new(3)),
+            revealing::adversary_alphabet(3),
+            4,
+            [93, 309, 0, 176, 6_804],
+        ),
+        (
+            Box::new(even_cycle::EvenCycleDecoder),
+            even_cycle::adversary_alphabet(),
+            3,
+            [32, 0, 0, 32, 10_132],
+        ),
+    ]
+}
+
+/// The scan interns only accepting views when its id mode is as fine as
+/// the decoder's (both anonymous here), so its interner holds exactly the
+/// views of `V(D, n)`.
+#[test]
+fn the_scan_interns_only_accepting_views() {
+    for (decoder, alphabet, max_n, [views, ..]) in fold_cases() {
+        let universe = Universe::lemma31(max_n, alphabet).expect("the family fits");
+        let scan = NbhdSweep::new(
+            &*decoder,
+            IdMode::Anonymous,
+            &universe,
+            bipartite::is_bipartite,
+        );
+        let report = SweepSession::over(&universe).run(&scan);
+        let interned = report
+            .interner
+            .as_ref()
+            .expect("the scan reports its interner");
+        assert_eq!(report.verdict.view_count(), views, "{}", decoder.name());
+        assert_eq!(interned.distinct_views, views, "{}", decoder.name());
+    }
+}
+
+/// However the walk is cut, `V(D, n)` equals a one-worker decode-oracle
+/// walk's, witness for witness, and the pinned counts: both strategies at
+/// one and at 2, 3 and 4 threads, budget-stopped fragment chains whose
+/// first slices walk 1, 7 and 1,000 items, and merges of 2 and 3 shards.
+#[test]
+fn the_folded_scan_matches_a_one_worker_oracle_walk() {
+    for (decoder, alphabet, max_n, pinned) in fold_cases() {
+        let name = decoder.name();
+        let universe = Universe::lemma31(max_n, alphabet).expect("the family fits");
+        let scan = || {
+            NbhdSweep::new(
+                &*decoder,
+                IdMode::Anonymous,
+                &universe,
+                bipartite::is_bipartite,
+            )
+        };
+        let reference = SweepSession::over(&universe)
+            .mode(ExecMode::Sequential)
+            .strategy(SweepStrategy::DecodeOracle)
+            .run(&scan())
+            .verdict;
+        let counts = [
+            reference.view_count(),
+            reference.edge_count(),
+            reference.self_loop_views().len(),
+            reference.instances().len(),
+            reference.retained_count(),
+        ];
+        assert_eq!(counts, pinned, "{name}");
+        for strategy in strategies() {
+            let session = SweepSession::over(&universe).strategy(strategy);
+            let same = |what: String, nbhd: &NbhdGraph| {
+                probes::assert_same_witnesses(
+                    &format!("{name}, {strategy:?}, {what}"),
+                    &reference,
+                    nbhd,
+                )
+            };
+            for threads in 1..=4 {
+                let mode = match threads {
+                    1 => ExecMode::Sequential,
+                    t => ExecMode::Parallel(t),
+                };
+                same(
+                    format!("{mode:?}"),
+                    &session.mode(mode).run(&scan()).verdict,
+                );
+            }
+            let session = session.mode(ExecMode::Parallel(2));
+            for step in [1, 7, 1_000] {
+                let check = scan();
+                let sliced = session.budget(SweepBudget::unlimited().with_max_items(step));
+                let mut fragment = sliced.run_fragment(&check, ShardSpec::new(0, 1));
+                for _ in 0..2 {
+                    fragment = sliced.resume_fragment(&check, fragment);
+                }
+                assert!(!fragment.is_complete(), "{name}: three slices of {step}");
+                let fragment = session.resume_fragment(&check, fragment);
+                let merged = merge_fragments(
+                    &check,
+                    &universe,
+                    ExecMode::Sequential,
+                    vec![fragment],
+                    None,
+                )
+                .expect("a finished chain covers the universe");
+                same(format!("slices of {step}"), &merged.verdict);
+            }
+            for shards in [2, 3] {
+                let check = scan();
+                let fragments = ShardSpec::partition(shards)
+                    .into_iter()
+                    .map(|spec| session.run_fragment(&check, spec))
+                    .collect();
+                let merged =
+                    merge_fragments(&check, &universe, ExecMode::Sequential, fragments, None)
+                        .expect("complete shards tile the universe");
+                same(format!("{shards} shards"), &merged.verdict);
             }
         }
     }

@@ -46,6 +46,9 @@
 //!   (equal adjacent accepting views), the length-1 odd walks.
 //! * `witness_remap_off_by_one` — the neighborhood graph renumbers each
 //!   witness one instance past the one it names, cyclically.
+//! * `fold_join_keeps_caller` — after a walk's join, a key the calling
+//!   worker claimed keeps the calling worker's item even where a helper
+//!   claimed it at a lower one, so a fold keeps a later witness.
 //! * `fault_salt_reuse` — duplication decisions reuse the drop salt, so
 //!   the two fault kinds fire on exactly the same messages.
 //! * `degradation_salt_swap` — honest and adversarial degradation trials

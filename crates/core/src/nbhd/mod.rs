@@ -8,7 +8,12 @@
 //! algorithm over a caller-supplied instance universe, and
 //! [`sources`] produces the universes (exhaustive for small n, or the
 //! paper's seeded figures). The one construction is the engine sweep
-//! [`NbhdSweep`].
+//! [`NbhdSweep`]. It keeps no per-item record: each worker keeps only the
+//! lowest witness of every accepting view, edge and self-loop it meets,
+//! and the reduce reads those witnesses, never the walked items. By
+//! Lemma 3.1 the vertices of `V(D, n)` are accepting views, so where a
+//! rejecting view can never accept (the scan's views determine the
+//! decoder's), the scan does not even intern it.
 //!
 //! Lemma 3.2 then characterizes hiding: `D` hides a k-coloring iff
 //! `V(D, n)` is not k-colorable — i.e. iff [`NbhdGraph::odd_cycle`]
@@ -27,25 +32,56 @@ use hiding_lcp_graph::algo::{bipartite, coloring};
 use hiding_lcp_graph::Graph;
 use std::collections::{BTreeSet, HashMap};
 
-/// Per-item evidence of the Lemma 3.1 sweep: every node's canonical view
-/// (in the neighborhood graph's id mode) as an id into the sweep's
-/// [`ViewInterner`], plus its acceptance flag and how many items of the
-/// universe the item stands for ([`ItemCtx::multiplicity`]). Interned ids
-/// keep the per-item evidence at two machine words per node — the sweep
-/// no longer clones one [`View`] per node per labeling.
+/// One item's witnesses in the Lemma 3.1 sweep: the accepting nodes and
+/// the edges of a labeled yes-instance, each named by the interned ids of
+/// its views in the neighborhood graph's id mode ([`ViewInterner`]). As
+/// the engine walks, a worker keeps only the witnesses it has not seen at
+/// a lower item ([`PropertyCheck::fold`]), so an item that adds nothing
+/// records nothing and the walk's record names only witnessing items.
 #[derive(Debug, Clone)]
 pub struct NbhdScan {
-    view_ids: Vec<ViewId>,
-    accepts: Vec<bool>,
-    multiplicity: u64,
+    /// `(view, node)`: an accepting node and its view, in node order.
+    views: Vec<(ViewId, usize)>,
+    /// `((a, b), position)`: the edge at `position` of the block graph's
+    /// edge list, whose endpoints have views `a ≤ b` (`a == b`: a
+    /// self-loop), in edge order.
+    edges: Vec<((ViewId, ViewId), usize)>,
 }
 
+/// The fold key of view `id`. Ids never reach [`ViewId::MAX`], so no edge
+/// key has it as its low half.
+fn view_key(id: ViewId) -> u64 {
+    u64::from(id) << 32 | u64::from(ViewId::MAX)
+}
+
+/// The fold key of an edge (or, for `a == b`, a self-loop) between views
+/// `a ≤ b`.
+fn edge_key(a: ViewId, b: ViewId) -> u64 {
+    u64::from(a) << 32 | u64::from(b)
+}
+
+/// Nodes whose view ids an item scan keeps on the stack; a larger block
+/// graph takes one heap buffer per item.
+const INLINE_NODES: usize = 16;
+
 /// The Lemma 3.1 construction as a [`PropertyCheck`]: inspection scans one
-/// labeled yes-instance (no-instances yield no partial), and the reduce
-/// step builds [`NbhdGraph`] in two passes over the retained partials in
-/// item order: accepting views first, then the compatibility edges of
-/// every retained item. Each view, edge and self-loop keeps its first
-/// witness in that order.
+/// labeled yes-instance (no-instances yield no partial) into the accepting
+/// views and compatibility edges it witnesses, each worker keeping only
+/// each view's, edge's and self-loop's lowest (item, node) or (item, edge
+/// position) witness ([`PropertyCheck::fold`]). The reduce reads those
+/// witnesses alone, never the walked items: each view, edge and self-loop
+/// keeps its first witness in item order, and the views enter `V(D, n)` in
+/// the order of their witnesses.
+///
+/// A decoder's verdict is a function of its view, so when the scan's id
+/// mode is at least as fine as the decoder's (every anonymous decoder
+/// under the anonymous scan), a rejecting node's view is rejected in every
+/// item and never enters `AViews(D, n)`: only accepting nodes' views are
+/// interned, and an edge counts where both its endpoints accept. With a
+/// coarser scan (a decoder that reads identifiers the views drop), one
+/// view can accept in one item and reject in another, so every view is
+/// interned and an edge enters `V(D, n)` when both its views are accepted
+/// somewhere.
 ///
 /// Views are hash-consed through an owned [`ViewInterner`]: within one
 /// sweep every distinct view is stamped and stored once, and wherever the
@@ -61,6 +97,9 @@ pub struct NbhdScan {
 pub struct NbhdSweep<'a, D: ?Sized> {
     decoder: &'a D,
     id_mode: IdMode,
+    /// Whether the scan's views determine the decoder's (its id mode is
+    /// at least as fine), so only accepting views can lie in AViews.
+    accepting_only: bool,
     /// Whether each universe block's graph passed the `is_yes` filter
     /// (evaluated once per block, not once per labeling).
     block_yes: Vec<bool>,
@@ -82,6 +121,9 @@ impl<'a, D: Decoder + ?Sized> NbhdSweep<'a, D> {
         NbhdSweep {
             decoder,
             id_mode,
+            // `IdMode` runs from the finest (`Full`) to the coarsest
+            // (`Anonymous`) view.
+            accepting_only: id_mode <= decoder.id_mode(),
             block_yes,
             interner: ViewInterner::new(),
         }
@@ -92,6 +134,52 @@ impl<'a, D: Decoder + ?Sized> NbhdSweep<'a, D> {
     /// stamping the view.
     pub fn interner_stats(&self) -> (usize, usize) {
         self.interner.stats()
+    }
+
+    /// Scans one item: every accepting node's view, then every edge whose
+    /// endpoints both have a view id, each kept when `claim` admits its
+    /// key. The decoder runs before the first claim.
+    fn scan(
+        &self,
+        item: &UniverseItem<'_>,
+        ctx: &ItemCtx<'_>,
+        claim: &mut dyn FnMut(u64) -> bool,
+    ) -> Option<NbhdScan> {
+        if !self.block_yes[item.block] {
+            return None;
+        }
+        let verdicts = ctx.verdicts(item, self.decoder);
+        let accepts = |v: usize| verdicts[v].is_accept();
+        let n = verdicts.len();
+        let (mut inline, mut heap) = ([None; INLINE_NODES], Vec::new());
+        let ids = if n <= INLINE_NODES {
+            &mut inline[..n]
+        } else {
+            heap.resize(n, None);
+            &mut heap[..]
+        };
+        let config = (self.decoder.radius(), self.id_mode);
+        let wanted = |v: usize| !self.accepting_only || accepts(v);
+        self.interner.intern_nodes(item, ctx, config, wanted, ids);
+        let mut scan = NbhdScan {
+            views: Vec::new(),
+            edges: Vec::new(),
+        };
+        for (v, id) in ids.iter().enumerate() {
+            if let Some(id) = id.filter(|&id| accepts(v) && claim(view_key(id))) {
+                scan.views.push((id, v));
+            }
+        }
+        for (position, (u, v)) in item.instance.graph().edges().enumerate() {
+            let (Some(a), Some(b)) = (ids[u], ids[v]) else {
+                continue;
+            };
+            let (a, b) = (a.min(b), a.max(b));
+            if claim(edge_key(a, b)) {
+                scan.edges.push(((a, b), position));
+            }
+        }
+        (!scan.views.is_empty() || !scan.edges.is_empty()).then_some(scan)
     }
 }
 
@@ -106,23 +194,19 @@ impl<D: Decoder + ?Sized> PropertyCheck for NbhdSweep<'_, D> {
         ]
     }
 
+    /// Every accepting node and every edge of the item, first witnesses
+    /// or not: the scan of a walk that keeps every partial.
     fn inspect(&self, item: &UniverseItem<'_>, ctx: &ItemCtx<'_>) -> Option<NbhdScan> {
-        if !self.block_yes[item.block] {
-            return None;
-        }
-        let accepts = ctx
-            .verdicts(item, self.decoder)
-            .iter()
-            .map(|v| v.is_accept())
-            .collect();
-        let view_ids = self
-            .interner
-            .intern_views(item, ctx, self.decoder.radius(), self.id_mode);
-        Some(NbhdScan {
-            view_ids,
-            accepts,
-            multiplicity: ctx.multiplicity(),
-        })
+        self.scan(item, ctx, &mut |_| true)
+    }
+
+    fn fold(
+        &self,
+        item: &UniverseItem<'_>,
+        ctx: &ItemCtx<'_>,
+        claim: &mut dyn FnMut(u64) -> bool,
+    ) -> Option<NbhdScan> {
+        self.scan(item, ctx, claim)
     }
 
     fn verdict_decoder(&self) -> Option<&dyn Decoder> {
@@ -157,104 +241,114 @@ impl<D: Decoder + ?Sized> PropertyCheck for NbhdSweep<'_, D> {
         &self,
         universe: &Universe,
         partials: Vec<(usize, NbhdScan)>,
-        _outcome: &SweepOutcome,
+        outcome: &SweepOutcome,
     ) -> NbhdGraph {
-        // Resolve ids once; `at[id]` = the view's NbhdGraph index, filled
-        // in deterministic insertion order below (ids themselves are
-        // run-specific and never ordered on). Until the end, witnesses
-        // name retained positions: indices into `partials`.
-        let table = self.interner.snapshot();
-        let mut at: Vec<Option<usize>> = vec![None; table.len()];
-        let mut nbhd = NbhdGraph {
-            radius: self.decoder.radius(),
-            id_mode: self.id_mode,
-            views: Vec::new(),
-            index: HashMap::new(),
-            adj: Vec::new(),
-            view_witness: Vec::new(),
-            edge_witness: HashMap::new(),
-            self_loops: HashMap::new(),
-            instances: Vec::new(),
-            retained: partials.iter().map(|(_, scan)| scan.multiplicity).sum(),
-        };
-        // Pass 1: retained items in item order, nodes in order, accepting
-        // views dedup-inserted.
-        for (pos, (_, scan)) in partials.iter().enumerate() {
-            for (v, &id) in scan.view_ids.iter().enumerate() {
-                if !scan.accepts[v] || at[id as usize].is_some() {
-                    continue;
-                }
-                let view = &table[id as usize];
-                let idx = nbhd.views.len();
-                at[id as usize] = Some(idx);
-                nbhd.index.insert(view.clone(), idx);
-                nbhd.views.push(view.clone());
-                nbhd.adj.push(BTreeSet::new());
-                nbhd.view_witness.push((pos, v));
+        // Each view, edge and self-loop's first witness in item order. A
+        // record can list a witness that a lower item also holds (another
+        // worker's, another shard's), never one it misses.
+        let mut view_at: HashMap<ViewId, (usize, usize)> = HashMap::new();
+        let mut edge_at: HashMap<(ViewId, ViewId), (usize, usize)> = HashMap::new();
+        for (item, scan) in &partials {
+            for &(id, v) in &scan.views {
+                view_at.entry(id).or_insert((*item, v));
+            }
+            for &(ends, position) in &scan.edges {
+                edge_at.entry(ends).or_insert((*item, position));
             }
         }
-        // Pass 2: yes-instance-compatibility edges over all retained
-        // items, read off each item's block graph. Both endpoint views
-        // must lie in AViews; the witnessing nodes need not accept in the
-        // witnessing item, so a later item's view can activate an edge of
-        // an earlier one.
-        for (pos, (item, scan)) in partials.iter().enumerate() {
-            let block = &universe.blocks()[universe.locate(*item).0];
-            for (u, v) in block.instance().graph().edges() {
-                let a = at[scan.view_ids[u] as usize];
-                let b = at[scan.view_ids[v] as usize];
-                if let (Some(a), Some(b)) = (a, b) {
-                    if a == b {
-                        #[cfg(conformance_mutants)]
-                        if crate::mutants::active("nbhd_selfloop_dropped") {
-                            continue;
-                        }
-                        nbhd.self_loops.entry(a).or_insert((pos, (u, v)));
-                    } else {
-                        nbhd.adj[a].insert(b);
-                        nbhd.adj[b].insert(a);
-                        nbhd.edge_witness
-                            .entry((a.min(b), a.max(b)))
-                            .or_insert((pos, (u, v)));
-                    }
-                }
-            }
-        }
-        // Materialize only the named positions, in item order, and
-        // renumber every witness into that list.
-        let mut named: Vec<usize> = nbhd.view_witness.iter().map(|w| w.0).collect();
-        named.extend(
-            nbhd.edge_witness
-                .values()
-                .chain(nbhd.self_loops.values())
-                .map(|w| w.0),
-        );
+        // V(D, n)'s views in the order of their witnesses. An edge needs
+        // both views in AViews; where the scan interns only accepting
+        // views that always holds, while with a coarser scan the
+        // witnessing nodes need not accept, so a later item's view can
+        // activate an edge of an earlier one.
+        let mut order: Vec<((usize, usize), ViewId)> =
+            view_at.iter().map(|(&id, &at)| (at, id)).collect();
+        order.sort_unstable();
+        let mut edges: Vec<((usize, usize), (ViewId, ViewId))> = edge_at
+            .into_iter()
+            .filter(|((a, b), _)| view_at.contains_key(a) && view_at.contains_key(b))
+            .map(|(ends, at)| (at, ends))
+            .collect();
+        edges.sort_unstable();
+        // Materialize only the named items, in item order, and number
+        // every witness into that list.
+        let mut named: Vec<usize> = order.iter().map(|&((i, _), _)| i).collect();
+        named.extend(edges.iter().map(|&((i, _), _)| i));
         named.sort_unstable();
         named.dedup();
-        let rank = |pos: usize| {
-            let rank = named.binary_search(&pos).expect("every witness is named");
+        let instances: Vec<LabeledInstance> = named
+            .iter()
+            .map(|&i| universe.labeled_instance(i))
+            .collect();
+        let position = |i: usize| named.binary_search(&i).expect("every witness is named");
+        let rank = |i: usize| {
+            let rank = position(i);
             #[cfg(conformance_mutants)]
             if crate::mutants::active("witness_remap_off_by_one") {
                 return (rank + 1) % named.len();
             }
             rank
         };
-        for w in &mut nbhd.view_witness {
-            w.0 = rank(w.0);
+        let radius = self.decoder.radius();
+        let mut nbhd = NbhdGraph {
+            radius,
+            id_mode: self.id_mode,
+            views: Vec::with_capacity(order.len()),
+            index: HashMap::with_capacity(order.len()),
+            adj: vec![BTreeSet::new(); order.len()],
+            view_witness: Vec::with_capacity(order.len()),
+            edge_witness: HashMap::new(),
+            self_loops: HashMap::new(),
+            instances: Vec::new(),
+            retained: retained(universe, &self.block_yes, outcome),
+        };
+        let mut at: HashMap<ViewId, usize> = HashMap::with_capacity(order.len());
+        for (idx, &((i, v), id)) in order.iter().enumerate() {
+            let view = instances[position(i)].view(v, radius, self.id_mode);
+            at.insert(id, idx);
+            nbhd.index.insert(view.clone(), idx);
+            nbhd.views.push(view);
+            nbhd.view_witness.push((rank(i), v));
         }
-        for w in nbhd
-            .edge_witness
-            .values_mut()
-            .chain(nbhd.self_loops.values_mut())
-        {
-            w.0 = rank(w.0);
+        for ((i, position_in_item), (a, b)) in edges {
+            let edge = instances[position(i)]
+                .graph()
+                .edges()
+                .nth(position_in_item)
+                .expect("a witnessed edge of its instance");
+            let (a, b) = (at[&a], at[&b]);
+            if a == b {
+                #[cfg(conformance_mutants)]
+                if crate::mutants::active("nbhd_selfloop_dropped") {
+                    continue;
+                }
+                nbhd.self_loops.insert(a, (rank(i), edge));
+            } else {
+                nbhd.adj[a].insert(b);
+                nbhd.adj[b].insert(a);
+                nbhd.edge_witness
+                    .insert((a.min(b), a.max(b)), (rank(i), edge));
+            }
         }
-        nbhd.instances = named
-            .iter()
-            .map(|&pos| universe.labeled_instance(partials[pos].0))
-            .collect();
+        nbhd.instances = instances;
         nbhd
     }
+}
+
+/// The labeled yes-instances a walk retained, in closed form: every item
+/// of a yes-block in the walked prefix `[0, checked)`, less the items the
+/// errored inspections stood for.
+fn retained(universe: &Universe, block_yes: &[bool], outcome: &SweepOutcome) -> u64 {
+    let mut start = 0usize;
+    let mut walked = 0u64;
+    for (block, &yes) in universe.blocks().iter().zip(block_yes) {
+        let end = start + block.len();
+        if yes {
+            walked += (end.min(outcome.checked).saturating_sub(start)) as u64;
+        }
+        start = end;
+    }
+    walked.saturating_sub(outcome.errored)
 }
 
 /// The accepting neighborhood graph, with full provenance: every view,
@@ -420,9 +514,11 @@ impl NbhdGraph {
     }
 
     /// How many labeled yes-instances of the universe the sweep retained:
-    /// the multiplicities ([`ItemCtx::multiplicity`]) of the retained
-    /// items summed, so a walk that jumps copy blocks or skips orbit
-    /// members reports the full walk's count.
+    /// every item of a yes-instance block in the walked prefix, counted
+    /// in closed form from the universe's blocks, less the items whose
+    /// inspection panicked (each with its [`ItemCtx::multiplicity`]), so
+    /// a walk that jumps copy blocks or skips orbit members reports the
+    /// full walk's count.
     pub fn retained_count(&self) -> usize {
         usize::try_from(self.retained).expect("a retained count fits the flat index space")
     }

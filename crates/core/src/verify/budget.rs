@@ -28,6 +28,8 @@
 
 use super::erased::ErasedPartial;
 use std::any::Any;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Duration;
 
 /// A structured record of a panic caught during one item's inspection.
@@ -38,6 +40,10 @@ pub struct SweepError {
     /// The panic payload, stringified (`&str` and `String` payloads pass
     /// through verbatim).
     pub payload: String,
+    /// How many universe items the errored item stood for (its
+    /// [`super::ItemCtx::multiplicity`]), summed into
+    /// [`super::SweepOutcome::errored`].
+    pub(super) multiplicity: u64,
 }
 
 impl std::fmt::Display for SweepError {
@@ -59,6 +65,7 @@ impl SweepError {
         SweepError {
             item_index,
             payload,
+            multiplicity: 1,
         }
     }
 }
@@ -147,6 +154,37 @@ pub struct MemberFrontier<P = ErasedPartial> {
     pub partials: Vec<(usize, P)>,
     /// Errors the member recorded in `[lo, next)`, sorted by index.
     pub errors: Vec<SweepError>,
+    /// The member's fold ([`super::PropertyCheck::fold`]): every key its
+    /// items claimed, with the lowest item that claimed it. Empty for a
+    /// member that keeps every partial.
+    pub(super) claims: Claims,
+}
+
+/// A record's fold claims: key → the lowest item that claimed it.
+pub(super) type Claims = HashMap<u64, usize, BuildHasherDefault<KeyHasher>>;
+
+/// The hasher of [`Claims`]: the SplitMix64 finalizer of the one `u64`
+/// key, a few multiplies where the default hasher runs SipHash.
+#[derive(Default)]
+pub(super) struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        let mut z = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
 }
 
 #[cfg(test)]

@@ -8,6 +8,10 @@
 //!   evidence (a violation, a scan of accepting views, a trial outcome).
 //!   Inspection must be a pure function of the item, which is what lets the
 //!   executor run items on worker threads in any order.
+//! * [`PropertyCheck::fold`] is the engine's per-item call. By default it
+//!   is `inspect`, and every partial is kept; a check that needs only
+//!   the lowest-index witness per key claims keys there instead, so each
+//!   worker's record keeps one entry per witnessing item.
 //! * [`PropertyCheck::short_circuits`] says whether a partial already
 //!   decides the sweep (e.g. a soundness violation). The executor then
 //!   stops at the *lowest-index* short-circuiting item, so every thread
@@ -50,6 +54,40 @@ pub trait PropertyCheck: Sync {
 
     /// Examines one item; `None` means "nothing to record".
     fn inspect(&self, item: &UniverseItem<'_>, ctx: &ItemCtx<'_>) -> Option<Self::Partial>;
+
+    /// Inspects one item into one worker's record of the walk: the engine
+    /// calls this rather than [`inspect`] and appends the partial it
+    /// returns. `claim(key)` folds the item into the record instead of
+    /// appending: it claims `key` for the item unless the worker's record
+    /// already holds it, and says whether the claim is new. The default
+    /// claims nothing and returns [`inspect`]'s partial, so a check that
+    /// keeps every partial needs nothing here.
+    ///
+    /// A check whose verdict reads only the lowest-index occurrence of
+    /// each key (one witness per key) claims every key the item holds and
+    /// returns a partial only when a claim was new, so an item that adds
+    /// no witness files nothing. A worker walks its items in index order,
+    /// so its first claim of a key is its lowest; after the join the engine
+    /// keeps, per key, the lowest claim over the workers and drops every
+    /// entry whose claims were all undercut, so the walk's record holds
+    /// exactly the items some key is first claimed at, at every thread
+    /// count. A surviving partial may still list a key a lower item also
+    /// holds: [`reduce`] must take each key from the lowest-index partial
+    /// that lists it. Every decoder call of an item must come before its
+    /// first claim, and the engine withdraws the claims of an item whose
+    /// inspection panics.
+    ///
+    /// [`inspect`]: PropertyCheck::inspect
+    /// [`reduce`]: PropertyCheck::reduce
+    fn fold(
+        &self,
+        item: &UniverseItem<'_>,
+        ctx: &ItemCtx<'_>,
+        claim: &mut dyn FnMut(u64) -> bool,
+    ) -> Option<Self::Partial> {
+        let _ = claim;
+        self.inspect(item, ctx)
+    }
 
     /// The decoder whose per-node verdicts this check's [`inspect`] reads
     /// through [`ItemCtx::verdicts`], if it has one. Returning `Some` opts
@@ -140,6 +178,15 @@ impl<C: PropertyCheck> PropertyCheck for &C {
         (**self).inspect(item, ctx)
     }
 
+    fn fold(
+        &self,
+        item: &UniverseItem<'_>,
+        ctx: &ItemCtx<'_>,
+        claim: &mut dyn FnMut(u64) -> bool,
+    ) -> Option<Self::Partial> {
+        (**self).fold(item, ctx, claim)
+    }
+
     fn verdict_decoder(&self) -> Option<&dyn Decoder> {
         (**self).verdict_decoder()
     }
@@ -191,6 +238,11 @@ pub struct SweepOutcome {
     pub universe_size: usize,
     /// Whether a short-circuiting partial ended the sweep early.
     pub short_circuited: bool,
+    /// How many universe items the member's panicked inspections stood
+    /// for: each errored item counted with its [`ItemCtx::multiplicity`],
+    /// so a check that counts the walked range in closed form can leave
+    /// them out.
+    pub errored: u64,
 }
 
 /// Execution evidence of one sweep (or one fused panel): everything the

@@ -88,6 +88,12 @@ impl PropertyTag {
 trait ErasedCheck: Sync {
     fn view_configs(&self) -> Vec<(usize, IdMode)>;
     fn inspect(&self, item: &UniverseItem<'_>, ctx: &ItemCtx<'_>) -> Option<ErasedPartial>;
+    fn fold(
+        &self,
+        item: &UniverseItem<'_>,
+        ctx: &ItemCtx<'_>,
+        claim: &mut dyn FnMut(u64) -> bool,
+    ) -> Option<ErasedPartial>;
     fn verdict_decoder(&self) -> Option<&dyn Decoder>;
     fn uses_verdicts(&self, block: usize) -> bool;
     fn short_circuits(&self, partial: &ErasedPartial) -> bool;
@@ -126,6 +132,17 @@ where
     fn inspect(&self, item: &UniverseItem<'_>, ctx: &ItemCtx<'_>) -> Option<ErasedPartial> {
         self.check
             .inspect(item, ctx)
+            .map(|p| Box::new(p) as ErasedPartial)
+    }
+
+    fn fold(
+        &self,
+        item: &UniverseItem<'_>,
+        ctx: &ItemCtx<'_>,
+        claim: &mut dyn FnMut(u64) -> bool,
+    ) -> Option<ErasedPartial> {
+        self.check
+            .fold(item, ctx, claim)
             .map(|p| Box::new(p) as ErasedPartial)
     }
 
@@ -288,6 +305,15 @@ impl PropertyCheck for DynPropertyCheck<'_> {
 
     fn inspect(&self, item: &UniverseItem<'_>, ctx: &ItemCtx<'_>) -> Option<ErasedPartial> {
         self.inner.inspect(item, ctx)
+    }
+
+    fn fold(
+        &self,
+        item: &UniverseItem<'_>,
+        ctx: &ItemCtx<'_>,
+        claim: &mut dyn FnMut(u64) -> bool,
+    ) -> Option<ErasedPartial> {
+        self.inner.fold(item, ctx, claim)
     }
 
     fn verdict_decoder(&self) -> Option<&dyn Decoder> {

@@ -73,7 +73,11 @@ fn default_shards() -> usize {
 /// "are shard locks the parallel bottleneck?".
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InternerReport {
-    /// Distinct views interned.
+    /// Distinct views interned. The Lemma 3.1 scan interns only the
+    /// views of accepting nodes when its id mode is as fine as its
+    /// decoder's (see [`crate::nbhd::NbhdSweep`]), so there this is the
+    /// view count of `V(D, n)`; otherwise it counts every view the scan
+    /// saw.
     pub distinct_views: usize,
     /// Front-cache lookups that found the view's id without stamping it.
     pub front_hits: usize,
@@ -194,7 +198,7 @@ impl ViewInterner {
     }
 
     /// The id of the view `slot` names, if the front cache holds it: one
-    /// `Relaxed` load. Counts nothing; [`ViewInterner::intern_views`]
+    /// `Relaxed` load. Counts nothing; [`ViewInterner::intern_nodes`]
     /// tallies its hits once per item.
     pub fn front(&self, slot: ViewSlot) -> Option<ViewId> {
         let id = self.entry(slot)?.load(Ordering::Relaxed);
@@ -242,26 +246,35 @@ impl ViewInterner {
         id
     }
 
-    /// The ids of every node's view of one item under `(radius, id_mode)`,
-    /// in node order. A node with a [`ViewSlot`]
-    /// ([`ItemCtx::view_slot`]) reads the front cache; on a miss its view
-    /// is stamped and [`fill`](ViewInterner::fill)s the entry, and the
-    /// stamp counts as a skeleton-cache hit only if this call filled it,
-    /// so the sweep's `cache_hits` counts each entry once however the
-    /// workers interleave. A node without one (the decode oracle, no
-    /// odometer digits, a class over the table cap) interns its stamped view
-    /// through the canonical map, every stamp counted. Front-cache hits
-    /// are tallied once per item.
-    pub fn intern_views(
+    /// Writes into `ids[v]` the id of node `v`'s view of one item under
+    /// `(radius, id_mode)` for every node `wanted` admits, and `None` for
+    /// the rest, which are neither stamped nor interned. A node with a
+    /// [`ViewSlot`] ([`ItemCtx::view_slot`]) reads the front cache; on a
+    /// miss its view is stamped and [`fill`](ViewInterner::fill)s the
+    /// entry, and the stamp counts as a skeleton-cache hit only if this
+    /// call filled it, so the sweep's `cache_hits` counts each entry once
+    /// however the workers interleave. A node without one (the decode
+    /// oracle, no odometer digits, a class over the table cap) interns its
+    /// stamped view through the canonical map, every stamp counted.
+    /// Front-cache hits are tallied once per item.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ids` is shorter than the item's node count.
+    pub fn intern_nodes(
         &self,
         item: &UniverseItem<'_>,
         ctx: &ItemCtx<'_>,
-        radius: usize,
-        id_mode: IdMode,
-    ) -> Vec<ViewId> {
+        (radius, id_mode): (usize, IdMode),
+        wanted: impl Fn(usize) -> bool,
+        ids: &mut [Option<ViewId>],
+    ) {
         let mut hits = 0;
-        let ids = (0..item.instance.graph().node_count())
-            .map(|v| {
+        for (v, id) in ids[..item.instance.graph().node_count()]
+            .iter_mut()
+            .enumerate()
+        {
+            *id = wanted(v).then(|| {
                 let Some(slot) = ctx.view_slot(item, v, radius, id_mode) else {
                     return self.intern(ctx.view(item, v, radius, id_mode));
                 };
@@ -274,12 +287,11 @@ impl ViewInterner {
                     ctx.count_stamp();
                 }
                 id
-            })
-            .collect();
+            });
+        }
         if hits > 0 {
             self.hits.fetch_add(hits, Ordering::Relaxed);
         }
-        ids
     }
 
     /// Number of distinct views interned so far.

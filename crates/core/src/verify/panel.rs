@@ -29,9 +29,13 @@
 //!
 //! [`walk_chunks`] is the only loop that claims chunks and steps items,
 //! at every thread count and under both strategies: the calling thread is
-//! its first worker, appending straight into the records, and
-//! `threads - 1` workers run beside it, so a one-thread walk spawns and
-//! copies nothing. Each item goes through the one per-item step,
+//! its first worker, filing straight into the records, and
+//! `threads - 1` workers run beside it, each into its own records, which
+//! are folded into the walk's after the join, so a one-thread walk spawns
+//! and copies nothing. A member that folds ([`PropertyCheck::fold`])
+//! keeps its fold state, the keys its items claimed, in each worker's
+//! record: no state is shared between workers and no lock is taken per
+//! item. Each item goes through the one per-item step,
 //! [`Engine::run_item`]. The decode oracle runs that same step with every
 //! shortcut off (no copy jump, verdict channel, quotient or dense table)
 //! and reaches each item by a full index decode instead of an odometer
@@ -67,8 +71,10 @@
 //!    minimum (`fetch_min`), never a "first to finish" race, with the walk
 //!    horizon being the *maximum* over member stops (an item is only
 //!    skippable when every member is past it);
-//! 3. after joining, discarding each member's partials above its final
-//!    stop and sorting the rest by index.
+//! 3. after joining, keeping each folded key's lowest claim over the
+//!    workers (and dropping the entries that no longer hold one),
+//!    discarding each member's partials above its final stop and sorting
+//!    the rest by index.
 //!
 //! Since [`PropertyCheck::inspect`] is a pure function of the item, the
 //! surviving set equals exactly what an in-order walk of one worker
@@ -81,16 +87,19 @@
 //! member, never a poisoned walk or a dead worker thread. A panic
 //! mid-patch leaves that channel's verdict scratch marked invalid, so the
 //! next item recomputes from the odometer state, which engine code alone
-//! maintains.
+//! maintains, and the engine withdraws the keys the panicked item claimed
+//! for a folding member.
 //!
 //! [`SweepSession::run`]: super::SweepSession::run
 //! [`SweepSession::run_panel`]: super::SweepSession::run_panel
 
+use std::collections::hash_map::Entry;
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use super::budget::{MemberFrontier, SweepBudget, SweepError};
+use super::budget::{Claims, MemberFrontier, SweepBudget, SweepError};
 use super::check::{ExecEvidence, PropertyCheck, SweepOutcome, VerificationReport};
 use super::erased::{DynPropertyCheck, ErasedPartial, ErasedVerdict, PanelVerdict, PropertyTag};
 use super::executor::{
@@ -255,23 +264,47 @@ impl Member for DynPropertyCheck<'_> {
 
 /// The engine's per-member walk record: its short-circuit index (`None`
 /// while it is still active) plus its partials and errors, each sorted by
-/// item index.
+/// item index, and its fold claims.
 impl<P> MemberFrontier<P> {
     pub(super) fn new() -> MemberFrontier<P> {
         MemberFrontier {
             stop_at: None,
             partials: Vec::new(),
             errors: Vec::new(),
+            claims: Claims::default(),
         }
     }
 
-    /// Files one guarded inspection of item `i`; returns whether its
-    /// partial short-circuits the member.
+    /// Item `i`'s member step ([`PropertyCheck::fold`]) under panic
+    /// isolation, claiming keys into this record.
+    #[inline]
+    fn fold_item(
+        &mut self,
+        i: usize,
+        fold: impl FnOnce(&mut dyn FnMut(u64) -> bool) -> Option<P>,
+    ) -> Result<Option<P>, SweepError> {
+        let claims = &mut self.claims;
+        guarded(i, || {
+            fold(&mut |key| match claims.entry(key) {
+                Entry::Vacant(slot) => {
+                    slot.insert(i);
+                    true
+                }
+                Entry::Occupied(_) => false,
+            })
+        })
+    }
+
+    /// Files one guarded inspection of item `i`, which stands for
+    /// `multiplicity` universe items; returns whether its partial
+    /// short-circuits the member. A panicked item's claims are withdrawn,
+    /// so it leaves the fold as it found it.
     #[inline]
     fn file<C: PropertyCheck<Partial = P>>(
         &mut self,
         check: &C,
         i: usize,
+        multiplicity: u64,
         result: Result<Option<P>, SweepError>,
     ) -> bool {
         match result {
@@ -282,7 +315,11 @@ impl<P> MemberFrontier<P> {
             }
             Ok(None) => false,
             Err(err) => {
-                self.errors.push(err);
+                self.claims.retain(|_, &mut at| at != i);
+                self.errors.push(SweepError {
+                    multiplicity,
+                    ..err
+                });
                 false
             }
         }
@@ -296,6 +333,42 @@ impl<P> MemberFrontier<P> {
         if let Some(s) = self.stop_at {
             self.partials.retain(|&(i, _)| i <= s);
             self.errors.retain(|e| e.item_index <= s);
+            self.claims.retain(|_, &mut at| at <= s);
+        }
+    }
+
+    /// Folds the helper workers' records into this one, the calling
+    /// worker's, after the join: each key keeps the lowest item any worker
+    /// claimed it at, and an entry whose claims another worker undercut on
+    /// every key goes, so the record holds what one worker walking the
+    /// same items in order would hold. Entries that claimed nothing (every
+    /// entry of a member that keeps all its partials) all stay. Leaves the
+    /// entries unsorted; [`MemberFrontier::settle`] sorts them.
+    fn join(&mut self, helpers: Vec<MemberFrontier<P>>) {
+        let claimed = |claims: &Claims| -> HashSet<usize> { claims.values().copied().collect() };
+        let mine = claimed(&self.claims);
+        for h in &helpers {
+            for (&key, &at) in &h.claims {
+                #[cfg(conformance_mutants)]
+                if crate::mutants::active("fold_join_keeps_caller")
+                    && self.claims.get(&key).is_some_and(|at| mine.contains(at))
+                {
+                    continue;
+                }
+                self.claims
+                    .entry(key)
+                    .and_modify(|kept| *kept = (*kept).min(at))
+                    .or_insert(at);
+            }
+        }
+        let kept = claimed(&self.claims);
+        let survives = |i: usize, own: &HashSet<usize>| kept.contains(&i) || !own.contains(&i);
+        self.partials.retain(|&(i, _)| survives(i, &mine));
+        for mut h in helpers {
+            let own = claimed(&h.claims);
+            let partials = h.partials.into_iter().filter(|&(i, _)| survives(i, &own));
+            self.partials.extend(partials);
+            self.errors.append(&mut h.errors);
         }
     }
 }
@@ -525,6 +598,7 @@ pub(super) fn reduce<C: PropertyCheck>(
                 checked: member_checked(f.stop_at, next),
                 universe_size: n,
                 short_circuited: f.stop_at.is_some(),
+                errored: f.errors.iter().map(|e| e.multiplicity).sum(),
             };
             let verdict = check.reduce(universe, f.partials, &outcome);
             (verdict, outcome, f.errors)
@@ -743,7 +817,7 @@ impl<C: PropertyCheck> Engine<'_, C> {
                     verdicts,
                 )
             };
-            let result = guarded(i, || match plan.channel[block] {
+            let result = record.fold_item(i, |claim| match plan.channel[block] {
                 Some(c) => {
                     let (scratch, memo) = &mut channels[c];
                     refresh_verdicts(
@@ -757,11 +831,11 @@ impl<C: PropertyCheck> Engine<'_, C> {
                         tally,
                         stepped,
                     );
-                    check.inspect(&item, &ctx(Some(&scratch.verdicts)))
+                    check.fold(&item, &ctx(Some(&scratch.verdicts)), claim)
                 }
-                None => check.inspect(&item, &ctx(None)),
+                None => check.fold(&item, &ctx(None), claim),
             });
-            if record.file(check, i, result) {
+            if record.file(check, i, multiplicity, result) {
                 stops[m].fetch_min(stop_index(i), Ordering::Relaxed);
             }
         }
@@ -970,10 +1044,11 @@ pub(super) fn replay<C: Member>(
 /// The one walk over `[begin, end)`: `threads` workers claim fixed-size
 /// chunks from one atomic cursor and step their items through
 /// [`Engine::run_item`]. The calling thread is the first worker and
-/// appends straight into `records`; the `threads - 1` workers spawned
-/// beside it keep their own and append them after joining, so a
-/// one-thread walk spawns and copies nothing. Settles every record at
-/// its member's final stop and returns the first index not visited.
+/// files straight into `records`; the `threads - 1` workers spawned
+/// beside it keep their own, which are folded in after joining
+/// ([`MemberFrontier::join`]), so a one-thread walk spawns and copies
+/// nothing. Settles every record at its member's final stop and returns
+/// the first index not visited.
 fn walk_chunks<C: PropertyCheck>(
     engine: &Engine<'_, C>,
     threads: usize,
@@ -1009,6 +1084,10 @@ fn walk_chunks<C: PropertyCheck>(
     };
     let claim_chunks = |records: &mut [MemberFrontier<C::Partial>]| {
         let mut worker = Worker::new(engine.drivers.len());
+        // The open `chunk:<start>` span and the end of its chunks: one
+        // span covers the chunks a worker claims back to back (a
+        // one-thread walk's all), and a new one opens where it resyncs.
+        let mut span: Option<(String, usize)> = None;
         loop {
             // The deadline is checked before claiming, and a claimed chunk
             // always runs to completion — so the visited set stays the
@@ -1030,17 +1109,27 @@ fn walk_chunks<C: PropertyCheck>(
             if start >= end || start > horizon() {
                 break;
             }
-            if let Some(r) = engine.recorder {
-                r.span_enter(&format!("chunk:{start}"));
-            }
             let stop = (start + chunk).min(end);
+            if let Some(r) = engine.recorder {
+                match &mut span {
+                    Some((_, until)) if *until == start => *until = stop,
+                    open => {
+                        if let Some((name, _)) = open.take() {
+                            r.span_exit(&name);
+                        }
+                        let name = format!("chunk:{start}");
+                        r.span_enter(&name);
+                        *open = Some((name, stop));
+                    }
+                }
+            }
             let mut i = start;
             while i < stop && i <= horizon() {
                 i = engine.run_item(&mut worker, i, stop, &stops, records);
             }
-            if let Some(r) = engine.recorder {
-                r.span_exit(&format!("chunk:{start}"));
-            }
+        }
+        if let (Some(r), Some((name, _))) = (engine.recorder, span) {
+            r.span_exit(&name);
         }
         worker.flush(engine);
     };
@@ -1059,14 +1148,18 @@ fn walk_chunks<C: PropertyCheck>(
             })
             .collect();
         claim_chunks(records);
+        let mut locals: Vec<Vec<MemberFrontier<C::Partial>>> =
+            records.iter().map(|_| Vec::new()).collect();
         for helper in helpers {
             // invariant: member panics are caught per item by `guarded`,
             // so a worker can only die of an engine bug — propagate.
             let local = helper.join().expect("sweep worker panicked");
-            for (record, mut l) in records.iter_mut().zip(local) {
-                record.partials.append(&mut l.partials);
-                record.errors.append(&mut l.errors);
+            for (per_member, l) in locals.iter_mut().zip(local) {
+                per_member.push(l);
             }
+        }
+        for (record, local) in records.iter_mut().zip(locals) {
+            record.join(local);
         }
     });
     // Settling restores each member's in-order invariants.
@@ -1152,11 +1245,8 @@ pub(super) fn draw<C: PropertyCheck>(
         };
         let ctx = ItemCtx::new(0, cache, &hits, &misses, true, 1, None);
         drawn += 1;
-        if record.file(
-            check,
-            item.index,
-            guarded(item.index, || check.inspect(&item, &ctx)),
-        ) {
+        let result = record.fold_item(item.index, |claim| check.fold(&item, &ctx, claim));
+        if record.file(check, item.index, 1, result) {
             record.stop_at = Some(item.index);
             break;
         }

@@ -39,16 +39,20 @@
 //! recorded a partial (`p <item>`) or caught a panic (`e <item>`); then
 //! the shard's stable `counter` lines. The trailer `end shardreport
 //! <checksum>` seals every preceding byte with its FNV-1a 64 hash, so a
-//! torn or corrupted report fails whole.
+//! torn or corrupted report fails whole. The Lemma 3.1 scan folds its
+//! records ([`PropertyCheck::fold`]), so its `p` lines are the range's
+//! witness items: those where some view, edge or self-loop of the range
+//! is first witnessed.
 //!
 //! A report ships item indices, never records. A partial is a pure
 //! function of its item, so [`AuditPlan::run_with_shards`] re-derives
-//! every record by replaying the listed items through the engine's own
-//! per-item step under the merging plan's strategy, and rejects a report
-//! whose replay differs from its listing: that catches any record the
-//! walk could not have made. A record the report leaves out is never
-//! replayed, so the merge cannot see it; the checksum catches an
-//! accidental omission.
+//! every record by replaying the listed items, in order, through the
+//! engine's own per-item step under the merging plan's strategy, and
+//! rejects a report whose replay differs from its listing: that catches
+//! any record the walk could not have made, a scan item that witnesses
+//! nothing its listed predecessors do not included. A record the report
+//! leaves out is never replayed, so the merge cannot see it; the checksum
+//! catches an accidental omission.
 
 use std::time::Duration;
 
@@ -75,7 +79,7 @@ use crate::verify::{
 use super::budget::MemberFrontier;
 use super::panel::PanelFragment;
 use super::session::SweepSession;
-use super::shard::{merge_panel_fragments, ShardSpec};
+use super::shard::{merge, ShardSpec};
 use super::telemetry::diff;
 use crate::view::IdMode;
 use rand::rngs::StdRng;
@@ -103,6 +107,17 @@ impl<C: PropertyCheck> PropertyCheck for BlockGated<C> {
     fn inspect(&self, item: &UniverseItem<'_>, ctx: &ItemCtx<'_>) -> Option<Self::Partial> {
         self.active[item.block]
             .then(|| self.check.inspect(item, ctx))
+            .flatten()
+    }
+
+    fn fold(
+        &self,
+        item: &UniverseItem<'_>,
+        ctx: &ItemCtx<'_>,
+        claim: &mut dyn FnMut(u64) -> bool,
+    ) -> Option<Self::Partial> {
+        self.active[item.block]
+            .then(|| self.check.fold(item, ctx, claim))
             .flatten()
     }
 
@@ -768,7 +783,14 @@ impl<'a> AuditPlan<'a> {
     /// per-item, so their shard sums equal a single process's counts. The
     /// recorder gains the sums of the [`STABLE_COUNTER_ALLOWLIST`]
     /// counters, so its stable section matches an unsharded run's there.
-    /// The replay runs unrecorded.
+    /// The replay runs unrecorded; one `merge` phase sample covers the
+    /// parse, the replay and the tiling check, and the reduce records its
+    /// own `reduce` sample.
+    ///
+    /// The replay re-folds each report's listed items in order, so a
+    /// listing the walk could not have made fails, but a witness item a
+    /// report omits merges undetected: its view, edge or self-loop then
+    /// takes a later witness or drops out of `V(D, n)`.
     pub fn run_with_shards(&self, shard_reports: &[String]) -> Result<AuditReport, String> {
         let mut report = self.fresh_report();
         if let Some(r) = self.attached() {
@@ -799,6 +821,7 @@ impl<'a> AuditPlan<'a> {
         if members.is_empty() {
             return Ok(());
         }
+        let begun = self.attached().map(|r| r.now_micros());
         let listings = shard_reports
             .iter()
             .map(|text| self.parse_shard_report(text, universe, &members))
@@ -820,8 +843,15 @@ impl<'a> AuditPlan<'a> {
             });
             per_shard_counters.push(listing.counters);
         }
-        let panel =
-            merge_panel_fragments(&members, universe, self.mode, fragments, self.attached())?;
+        let (merged, evidence) = merge(
+            &members,
+            universe,
+            self.mode,
+            fragments,
+            self.attached(),
+            begun,
+        )?;
+        let panel = PanelReport::assemble(&members, merged, evidence);
         report
             .panels
             .push(self.labelings_summary(&panel, scan, universe.coverage()));

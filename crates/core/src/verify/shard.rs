@@ -50,7 +50,7 @@ use super::check::{PropertyCheck, VerificationReport};
 use super::erased::DynPropertyCheck;
 use super::executor::{resolve_threads, ExecMode};
 use super::panel::{reduce, PanelFragment, PanelReport, Reduced, WalkStats};
-use super::telemetry::{SweepCounter, SweepRecorder};
+use super::telemetry::{SweepCounter, SweepPhase, SweepRecorder};
 use super::universe::Universe;
 use std::time::Instant;
 
@@ -294,16 +294,24 @@ fn validate_tiling<P>(
 /// (the global stop is the minimum over shards — exactly the `fetch_min`
 /// rule worker threads obey within one process), applies the walk's
 /// retention rule, and runs the reduce a single-process walk would have
-/// run. The walk counters (cache/memo hits) are reported as zero — they
-/// are observed, not stable, and the stable rendering never reads them.
-fn merge<C: PropertyCheck>(
+/// run. Records one [`SweepPhase::Merge`] sample from `begun` (the
+/// recorder's clock when the merge began, which the audit plan sets
+/// before its parse and replay; this call's start if `None`) up to the
+/// reduce. The walk counters (cache/memo hits) are reported as
+/// zero — they are observed, not stable, and the stable rendering never
+/// reads them. A member's records are concatenated, not re-folded: a
+/// folding member's reduce takes each key from its lowest-index partial
+/// ([`PropertyCheck::fold`]).
+pub(super) fn merge<C: PropertyCheck>(
     checks: &[C],
     universe: &Universe,
     mode: ExecMode,
     fragments: Vec<PanelFragment<C::Partial>>,
     recorder: Option<&dyn SweepRecorder>,
+    begun: Option<u64>,
 ) -> Result<Reduced<C::Verdict>, String> {
     let start = Instant::now();
+    let begun = recorder.map(|r| begun.unwrap_or_else(|| r.now_micros()));
     let n = universe.len();
     let fragments = validate_tiling(fragments, n, checks.len())?;
     if let Some(r) = recorder {
@@ -326,6 +334,9 @@ fn merge<C: PropertyCheck>(
     }
     for member in &mut members {
         member.settle();
+    }
+    if let (Some(r), Some(t0)) = (recorder, begun) {
+        r.record_phase(SweepPhase::Merge, r.now_micros().saturating_sub(t0));
     }
     let stats = WalkStats {
         threads: resolve_threads(mode, n),
@@ -366,6 +377,7 @@ pub fn merge_fragments<C: PropertyCheck>(
         mode,
         fragments,
         recorder,
+        None,
     )?;
     Ok(reports.pop().expect("one member, one report"))
 }
@@ -383,7 +395,7 @@ pub fn merge_panel_fragments(
     fragments: Vec<PanelFragment>,
     recorder: Option<&dyn SweepRecorder>,
 ) -> Result<PanelReport, String> {
-    let (reports, evidence) = merge(checks, universe, mode, fragments, recorder)?;
+    let (reports, evidence) = merge(checks, universe, mode, fragments, recorder, None)?;
     Ok(PanelReport::assemble(checks, reports, evidence))
 }
 

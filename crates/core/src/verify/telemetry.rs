@@ -177,18 +177,30 @@ pub enum SweepPhase {
     Walk = 1,
     /// The check's `reduce` over the surviving partials.
     Reduce = 2,
+    /// A shard merge's parse, replay and tiling check (its reduce is a
+    /// [`SweepPhase::Reduce`] sample of its own).
+    Merge = 3,
 }
 
 /// How many phases [`SweepPhase`] defines.
-pub const PHASE_SLOTS: usize = 3;
+pub const PHASE_SLOTS: usize = 4;
 
 impl SweepPhase {
+    /// Every phase, in slot order.
+    pub const ALL: [SweepPhase; PHASE_SLOTS] = [
+        SweepPhase::CacheBuild,
+        SweepPhase::Walk,
+        SweepPhase::Reduce,
+        SweepPhase::Merge,
+    ];
+
     /// The phase's wire name.
     pub fn name(self) -> &'static str {
         match self {
             SweepPhase::CacheBuild => "cache_build",
             SweepPhase::Walk => "walk",
             SweepPhase::Reduce => "reduce",
+            SweepPhase::Merge => "merge",
         }
     }
 }
@@ -287,15 +299,11 @@ impl MetricsRecorder {
     /// `audit --metrics-out` writes.
     pub fn metrics_json(&self) -> String {
         let mut phases = String::new();
-        for (i, hist) in self.phases.iter().enumerate() {
+        for (phase, hist) in SweepPhase::ALL.iter().zip(&self.phases) {
             if !phases.is_empty() {
                 phases.push_str(",\n    ");
             }
-            let name = match i {
-                0 => SweepPhase::CacheBuild.name(),
-                1 => SweepPhase::Walk.name(),
-                _ => SweepPhase::Reduce.name(),
-            };
+            let name = phase.name();
             phases.push_str(&format!("\"{name}\": {}", hist.snapshot().to_json()));
         }
         format!(

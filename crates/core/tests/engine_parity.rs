@@ -28,6 +28,7 @@
 //! [`SweepError`]: hiding_lcp_core::verify::SweepError
 
 use hiding_lcp_conformance::probes::{LocalDiff, VerdictTally};
+use hiding_lcp_core::decoder::Decoder;
 use hiding_lcp_core::instance::Instance;
 use hiding_lcp_core::label::{Certificate, Labeling};
 use hiding_lcp_core::language::KCol;
@@ -182,7 +183,9 @@ fn cycle_blocks_universe(max_n: usize) -> Universe {
 }
 
 /// Wraps a check so that inspecting item `panic_index` panics — the test
-/// double for a decoder crashing mid-sweep.
+/// double for a decoder crashing mid-sweep. Its fold panics only after
+/// the wrapped check has folded the item, so the engine must withdraw
+/// whatever the item claimed.
 struct PanicOn<'a, C> {
     inner: &'a C,
     panic_index: usize,
@@ -203,6 +206,21 @@ impl<C: PropertyCheck> PropertyCheck for PanicOn<'_, C> {
             self.panic_index
         );
         self.inner.inspect(item, ctx)
+    }
+
+    fn fold(
+        &self,
+        item: &UniverseItem<'_>,
+        ctx: &ItemCtx<'_>,
+        claim: &mut dyn FnMut(u64) -> bool,
+    ) -> Option<Self::Partial> {
+        let partial = self.inner.fold(item, ctx, claim);
+        assert!(
+            item.index != self.panic_index,
+            "rigged panic at {}",
+            self.panic_index
+        );
+        partial
     }
 
     fn short_circuits(&self, partial: &Self::Partial) -> bool {
@@ -370,6 +388,41 @@ proptest! {
         prop_assert_eq!(&seq.verdict, &par.verdict);
         prop_assert_eq!(seq.checked, par.checked);
         prop_assert_eq!(seq.short_circuited, par.short_circuited);
+
+        // The Lemma 3.1 scan folds the rigged item, claims and all, before
+        // it panics: the engine withdraws its claims, so V(D, n) is the
+        // graph of the universe without that item, retained count
+        // included, under every mode and strategy.
+        let c4 = Instance::canonical(hiding_lcp_graph::generators::cycle(4));
+        let universe = Universe::all_labelings_of(c4.clone(), bits(), Coverage::Exhaustive)
+            .expect("small universe fits");
+        let panic_index = panic_index % universe.len();
+        let rest = (0..universe.len())
+            .filter(|&i| i != panic_index)
+            .map(|i| universe.labeled_instance(i).labeling().clone())
+            .collect();
+        let rest = Universe::labelings_of(c4, rest, Coverage::Sampled).expect("small universe fits");
+        let without = SweepSession::over(&rest)
+            .run(&NbhdSweep::new(&LocalDiff, IdMode::Anonymous, &rest, bipartite::is_bipartite))
+            .verdict;
+        prop_assert_eq!(without.retained_count(), universe.len() - 1);
+        for (mode, strategy) in [
+            (ExecMode::Sequential, SweepStrategy::DecodeOracle),
+            (ExecMode::Sequential, SweepStrategy::DeltaStepping),
+            (ExecMode::Parallel(threads), SweepStrategy::DeltaStepping),
+        ] {
+            let inner = NbhdSweep::new(&LocalDiff, IdMode::Anonymous, &universe, bipartite::is_bipartite);
+            let check = PanicOn { inner: &inner, panic_index };
+            let report = quietly(|| {
+                SweepSession::over(&universe)
+                    .mode(mode)
+                    .strategy(strategy)
+                    .run(&check)
+            });
+            prop_assert_eq!(report.errors.len(), 1);
+            prop_assert_eq!(report.errors[0].item_index, panic_index);
+            assert_nbhd_eq(&report.verdict, &without)?;
+        }
     }
 
     #[test]
@@ -993,12 +1046,25 @@ fn over_cap_classes_intern_through_the_canonical_map() {
     // The center of K_{1,3} reads all four digits, so with 17 letters its
     // class would need a 17^4 = 83,521-entry front-cache table, over the
     // 2^16 cap; each leaf's class needs 17^2 and keeps its table. A budget
-    // walks the first 4,096 items, the same prefix in every mode.
+    // walks the first 4,096 items, the same prefix in every mode. The scan
+    // and `LocalDiff` are both anonymous, so the scan interns only the
+    // views of accepting nodes: a center's only where its letter differs
+    // from all three leaves'.
     let star = Instance::canonical(hiding_lcp_graph::generators::star(3));
     let alphabet = (0..17).map(Certificate::from_byte).collect();
     let universe =
         Universe::all_labelings_of(star, alphabet, Coverage::Exhaustive).expect("17^4 items fit");
     let prefix = 4096;
+    let accepting_centers = (0..prefix)
+        .filter(|&i| {
+            let center = universe.labeled_instance(i).view(0, 1, IdMode::Anonymous);
+            LocalDiff.decide(&center).is_accept()
+        })
+        .count();
+    assert!(
+        (1..prefix).contains(&accepting_centers),
+        "the prefix mixes accepting and rejecting centers"
+    );
     for mode in [ExecMode::Sequential, ExecMode::Parallel(2)] {
         let session = |strategy| {
             SweepSession::over(&universe)
@@ -1027,8 +1093,9 @@ fn over_cap_classes_intern_through_the_canonical_map() {
         // excludes 17^4 and this case stopped testing it.
         assert_eq!(
             misses(&again) - misses(&first),
-            prefix,
-            "{mode:?}: the second walk interns each center view through the map, nothing else"
+            accepting_centers,
+            "{mode:?}: the second walk interns each accepting center view through the map, \
+             nothing else"
         );
     }
 }

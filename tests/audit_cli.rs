@@ -347,6 +347,82 @@ fn shard_merge_rejects_forged_records() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The item indices a shard report lists for `member`'s partials.
+fn listed_partials(report: &str, member: &str) -> Vec<usize> {
+    report
+        .lines()
+        .skip_while(|l| !l.starts_with(member))
+        .skip(1)
+        .take_while(|l| l.starts_with("p ") || l.starts_with("e "))
+        .filter_map(|l| l.strip_prefix("p "))
+        .map(|i| i.parse().expect("an item index"))
+        .collect()
+}
+
+/// The Lemma 3.1 scan folds its records, so a shard report lists only the
+/// range's witness items: at most one per view, edge and self-loop of the
+/// unsharded `V(D, n)` (74 + 164 + 0 for degree-one at n <= 4), where a
+/// report that kept every partial listed all 3,335 yes-items of shard 0/2.
+#[test]
+fn scan_shard_records_are_witness_items() {
+    let out = audit(&["--decoder", "degree-one", "--max-n", "4", "--shard", "0/2"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let report = String::from_utf8(out.stdout).expect("a utf-8 report");
+    let scan = listed_partials(&report, "member 2 scan");
+    assert!(
+        (1..=74 + 164).contains(&scan.len()),
+        "{} scan records",
+        scan.len()
+    );
+    assert!(scan.windows(2).all(|w| w[0] < w[1]), "one line per item");
+}
+
+/// The merge replays a report's scan items in order and keeps what the
+/// fold keeps, so a re-sealed report that adds a yes-item witnessing
+/// nothing its listed predecessors do not fails its replay.
+#[test]
+fn shard_merge_rejects_a_scan_item_the_fold_would_not_keep() {
+    use hiding_lcp::certs::degree_one;
+    use hiding_lcp::core::verify::Universe;
+    let dir = fresh_dir("unkept");
+    let oracle = ["--strategy", "oracle"];
+    let (first, _) = write_shard_reports(&dir, &oracle);
+    let report = std::fs::read_to_string(&first).expect("shard report");
+    let listed = listed_partials(&report, "member 2 scan");
+    // The first bipartite (yes-instance) item past the first witness that
+    // the report does not list.
+    let universe = Universe::lemma31(3, degree_one::adversary_alphabet()).expect("n <= 3 fits");
+    let yes = |i: usize| {
+        let block = &universe.blocks()[universe.locate(i).0];
+        hiding_lcp::graph::algo::bipartite::is_bipartite(block.instance().graph())
+    };
+    let forged = (listed[0]..640)
+        .find(|&i| yes(i) && !listed.contains(&i))
+        .expect("a yes-item the fold does not keep");
+    reseal(&first, |lines| {
+        let before = listed.iter().filter(|&&i| i < forged).count();
+        let at = line_index(lines, "member 2 scan") + 1 + before;
+        lines.insert(at, format!("p {forged}"));
+    });
+    let out = audit(&[
+        "--decoder",
+        "degree-one",
+        "--max-n",
+        "3",
+        "--strategy",
+        "oracle",
+        "--stable",
+        "--shards-from",
+        dir.to_str().expect("utf-8 path"),
+    ]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    for name in ["fails its replay", "member 2", &format!("item {forged}")] {
+        assert!(err.contains(name), "the error must name `{name}`: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Item 700 lies in a triangle block that is a port-isomorphic copy of
 /// an earlier one, so the walk jumps over it and no report can list a
 /// record there. The merge must reject such a listing before replaying
@@ -516,6 +592,29 @@ fn sharded_metrics_carry_the_childrens_walk() {
             allowlisted(&["--shards", shards]),
             unsharded,
             "--shards {shards}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A sharded run records one `merge` phase (parse, replay and tiling
+/// check), and its merge still records the labelings panel's `reduce`, so
+/// both runs record one reduce per panel; an unsharded run merges nothing.
+#[test]
+fn only_a_sharded_run_records_a_merge_phase() {
+    let dir = fresh_dir("merge-phase");
+    let metrics = dir.join("metrics.json");
+    for (shards, merges) in [(&[][..], 0), (&["--shards", "2"][..], 1)] {
+        let args = ["--decoder", "degree-one", "--max-n", "3", "--metrics-out"];
+        let out = audit(&[&args[..], &[metrics.to_str().expect("utf-8 path")], shards].concat());
+        // At n <= 3 degree-one is not hiding yet: exit 1, a verdict.
+        assert_eq!(out.status.code(), Some(1), "{shards:?}: {}", stderr(&out));
+        let json = std::fs::read_to_string(&metrics).expect("metrics file");
+        let phase = format!("\"merge\": {{\"count\": {merges},");
+        assert!(json.contains(&phase), "{shards:?}: no `{phase}` in {json}");
+        assert!(
+            json.contains("\"reduce\": {\"count\": 4,"),
+            "{shards:?}: {json}"
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
