@@ -144,6 +144,12 @@ pub const MUTANTS: &[Mutant] = &[
         expected_killers: &["nbhd_fold_join_parity"],
     },
     Mutant {
+        name: "tally_join_keeps_caller",
+        host: "hiding-lcp-core",
+        site: "the walk's summed tally keeps only the calling worker's counts",
+        expected_killers: &["tally_join_parity"],
+    },
+    Mutant {
         name: "fault_salt_reuse",
         host: "hiding-lcp-core",
         site: "duplication decisions reuse the drop salt",

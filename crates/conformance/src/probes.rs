@@ -64,6 +64,7 @@ pub const ALL: &[(&str, fn())] = &[
     ("hiding_selfloop_walk", hiding_selfloop_walk),
     ("nbhd_witnesses_recheck", nbhd_witnesses_recheck),
     ("nbhd_fold_join_parity", nbhd_fold_join_parity),
+    ("tally_join_parity", tally_join_parity),
     ("invariance_checks_node0", invariance_checks_node0),
     ("erasure_counts_rejections", erasure_counts_rejections),
     (
@@ -845,6 +846,52 @@ pub fn nbhd_fold_join_parity() {
             .expect("three complete fragments tile the universe")
             .verdict;
         assert_same_witnesses(&format!("{name}, 3 fragments"), &reference, &merged);
+    }
+}
+
+/// A walk's counts are its workers' tallies summed once after the join:
+/// at `Parallel(2..=4)`, under both strategies, the recorder's stable
+/// section and the report's `cache_hits` and `cache_misses` equal a
+/// one-worker walk's. `Interleaved` makes a helper worker inspect items,
+/// so a join that left out any worker's tally shows here.
+pub fn tally_join_parity() {
+    fn counts<C: PropertyCheck>(
+        universe: &Universe,
+        mode: ExecMode,
+        strategy: SweepStrategy,
+        check: &C,
+    ) -> (String, usize, usize) {
+        let recorder = MetricsRecorder::new();
+        let report = SweepSession::over(universe)
+            .mode(mode)
+            .strategy(strategy)
+            .metrics(&recorder)
+            .run(check);
+        let stable = recorder.snapshot().stable_bytes();
+        (stable, report.cache_hits, report.cache_misses)
+    }
+    let decoder = revealing::RevealingDecoder::new(2);
+    let universe =
+        Universe::lemma31(3, revealing::adversary_alphabet(2)).expect("the n <= 3 family fits");
+    let scan = || {
+        NbhdSweep::new(
+            &decoder,
+            IdMode::Anonymous,
+            &universe,
+            bipartite::is_bipartite,
+        )
+    };
+    for strategy in [SweepStrategy::DeltaStepping, SweepStrategy::DecodeOracle] {
+        let one = counts(&universe, ExecMode::Sequential, strategy, &scan());
+        assert!(one.1 > 0, "{strategy:?}: the scan stamps views");
+        for threads in 2..=4 {
+            let check = Interleaved::new(scan());
+            let many = counts(&universe, ExecMode::Parallel(threads), strategy, &check);
+            assert_eq!(
+                many, one,
+                "{strategy:?}, {threads} threads: the summed tallies match one worker's"
+            );
+        }
     }
 }
 

@@ -146,7 +146,7 @@ pub trait PropertyCheck: Sync {
     /// A snapshot of the check's view-interner counters, if it owns one
     /// (e.g. the neighborhood scan). Collected by the executor after the
     /// sweep into [`ExecEvidence::interner`] so reports can quantify
-    /// shard occupancy and lock contention.
+    /// the interned views, the front-cache hit rate and lock contention.
     fn interner_report(&self) -> Option<InternerReport> {
         None
     }
@@ -284,7 +284,7 @@ pub struct ExecEvidence {
     pub elapsed: Duration,
     /// Worker threads used (1 = sequential).
     pub threads: usize,
-    /// The check's view-interner counters (shard occupancy, front-cache
+    /// The check's view-interner counters (distinct views, front-cache
     /// hit rate, lock contention), when the check owns an interner (see
     /// [`PropertyCheck::interner_report`]).
     pub interner: Option<InternerReport>,

@@ -63,14 +63,14 @@
 //! [`PropertyCheck::verdict_decoder`]: super::PropertyCheck::verdict_decoder
 
 use super::interner::ViewSlot;
-use super::telemetry::WorkerTally;
+use super::telemetry::{SweepCounter, WorkerTally};
 use super::universe::{LabelSource, Universe, UniverseItem};
 use crate::decoder::{Decoder, Verdict};
 use crate::label::{Certificate, Labeling};
 use crate::view::{IdMode, View, ViewSkeleton};
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 /// How many workers the sweep's one walk runs on. Every mode runs the
@@ -259,12 +259,13 @@ impl SkeletonCache {
 
 /// Handed to [`PropertyCheck::inspect`](super::PropertyCheck::inspect):
 /// view extraction for the item's block, backed by the shared skeleton
-/// cache, and the member's per-node verdicts.
+/// cache, and the member's per-node verdicts. The views it stamps and
+/// extracts are counted in the inspecting worker's own tally.
 pub struct ItemCtx<'a> {
     block: usize,
     cache: &'a SkeletonCache,
-    hits: &'a AtomicUsize,
-    misses: &'a AtomicUsize,
+    /// The inspecting worker's tally.
+    tally: &'a WorkerTally,
     /// Whether the dense per-class tables are on (delta stepping).
     dense: bool,
     multiplicity: u64,
@@ -280,8 +281,7 @@ impl<'a> ItemCtx<'a> {
     pub(super) fn new(
         block: usize,
         cache: &'a SkeletonCache,
-        hits: &'a AtomicUsize,
-        misses: &'a AtomicUsize,
+        tally: &'a WorkerTally,
         dense: bool,
         multiplicity: u64,
         verdicts: Option<&'a [Verdict]>,
@@ -289,8 +289,7 @@ impl<'a> ItemCtx<'a> {
         ItemCtx {
             block,
             cache,
-            hits,
-            misses,
+            tally,
             dense,
             multiplicity,
             verdicts,
@@ -317,10 +316,10 @@ impl<'a> ItemCtx<'a> {
         id_mode: IdMode,
     ) -> View {
         if let Some(c) = self.cache.config_index(radius, id_mode) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.count_stamp();
             return self.cache.per_block[self.block][c][v].stamp(labeling);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.tally.add(SweepCounter::CacheMisses, 1);
         View::extract(item.instance, labeling, v, radius, id_mode)
     }
 
@@ -341,9 +340,9 @@ impl<'a> ItemCtx<'a> {
         }
     }
 
-    /// Counts one [`ItemCtx::stamp_uncounted`] stamp as a cache hit.
+    /// Counts one stamp as a cache hit.
     pub(super) fn count_stamp(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.tally.add(SweepCounter::CacheHits, 1);
     }
 
     /// How many universe items this item stands for. An item of a block
@@ -614,14 +613,6 @@ pub(super) struct VerdictScratch {
     pending: Vec<usize>,
 }
 
-/// One worker's hit and miss counts on a channel's verdict memo. The
-/// tables themselves live in the channel's [`DeltaDriver`].
-#[derive(Default)]
-pub(super) struct VerdictMemo {
-    pub(super) hits: usize,
-    pub(super) misses: usize,
-}
-
 /// Reads the ball digits along a skeleton's canonical `order` as one
 /// base-`radix` number, slot 0 least significant: the index of the
 /// stamped view in its class's dense table, for the verdict memo and the
@@ -643,6 +634,7 @@ fn dense_index(order: &[usize], digits: &[usize], radix: usize) -> usize {
 
 /// One node's verdict: the class's dense memo table first (when the
 /// class is under the cap), decoder run on the stamped view otherwise.
+/// The memo hit or miss is counted in the worker's `tally`.
 fn node_verdict(
     driver: &DeltaDriver<'_>,
     cache: &SkeletonCache,
@@ -650,7 +642,7 @@ fn node_verdict(
     u: usize,
     labeling: &Labeling,
     digits: &[usize],
-    memo: &mut VerdictMemo,
+    tally: &WorkerTally,
 ) -> Verdict {
     let skel = &cache.per_block[block][driver.config][u];
     let slot = cache.slots[block][driver.config][u];
@@ -665,11 +657,11 @@ fn node_verdict(
         let entry = &driver.table(slot)[index];
         match entry.load(Ordering::Relaxed) {
             ACCEPTED => {
-                memo.hits += 1;
+                tally.add(SweepCounter::MemoHits, 1);
                 return Verdict::Accept;
             }
             REJECTED => {
-                memo.hits += 1;
+                tally.add(SweepCounter::MemoHits, 1);
                 return Verdict::Reject;
             }
             _ => {}
@@ -680,10 +672,10 @@ fn node_verdict(
             Verdict::Reject => REJECTED,
         };
         entry.store(code, Ordering::Relaxed);
-        memo.misses += 1;
+        tally.add(SweepCounter::MemoMisses, 1);
         return verdict;
     }
-    memo.misses += 1;
+    tally.add(SweepCounter::MemoMisses, 1);
     driver.decoder.decide(&skel.stamp(labeling))
 }
 
@@ -704,16 +696,15 @@ pub(super) fn refresh_verdicts(
     offset: usize,
     walker: &Walker,
     scratch: &mut VerdictScratch,
-    memo: &mut VerdictMemo,
-    tally: &mut WorkerTally,
+    tally: &WorkerTally,
     stepped: bool,
 ) {
     if scratch.pos == Some((block, offset)) {
         // Already current: a second panel member on the same channel.
-        tally.readback();
+        tally.add(SweepCounter::VerdictReadbacks, 1);
         return;
     }
-    tally.refresh();
+    tally.add(SweepCounter::VerdictRefreshes, 1);
     let can_patch = stepped && offset > 0 && scratch.pos == Some((block, offset - 1));
     #[cfg(conformance_mutants)]
     let can_patch = can_patch
@@ -735,17 +726,17 @@ pub(super) fn refresh_verdicts(
         ..
     } = *scratch;
     if !can_patch {
-        tally.decisions(n as u64);
+        tally.add(SweepCounter::VerdictDecisions, n as u64);
         verdicts.clear();
         verdicts
-            .extend((0..n).map(|u| node_verdict(driver, cache, block, u, labeling, digits, memo)));
+            .extend((0..n).map(|u| node_verdict(driver, cache, block, u, labeling, digits, tally)));
     } else if changed.len() == 1 {
         // The common case (probability (k-1)/k): one digit stepped, only
         // its ball re-decides.
         let ball = &driver.balls[block][changed[0]];
-        tally.decisions(ball.len() as u64);
+        tally.add(SweepCounter::VerdictDecisions, ball.len() as u64);
         for &u in ball {
-            verdicts[u] = node_verdict(driver, cache, block, u, labeling, digits, memo);
+            verdicts[u] = node_verdict(driver, cache, block, u, labeling, digits, tally);
         }
     } else {
         // Carry chain: re-decide the union of the changed digits' balls.
@@ -759,10 +750,10 @@ pub(super) fn refresh_verdicts(
                 }
             }
         }
-        tally.decisions(pending.len() as u64);
+        tally.add(SweepCounter::VerdictDecisions, pending.len() as u64);
         for &u in pending.iter() {
             touched[u] = false;
-            verdicts[u] = node_verdict(driver, cache, block, u, labeling, digits, memo);
+            verdicts[u] = node_verdict(driver, cache, block, u, labeling, digits, tally);
         }
     }
     scratch.pos = Some((block, offset));
@@ -807,9 +798,8 @@ mod tests {
         let driver = DeltaDriver::build(&decoder, &universe, &cache, |_| true);
         let mut walker = Walker::default();
         walker.advance_to(&universe, 0, 5);
-        let mut first = VerdictMemo::default();
-        let mut second = VerdictMemo::default();
-        for memo in [&mut first, &mut second] {
+        let (first, second) = (WorkerTally::default(), WorkerTally::default());
+        for tally in [&first, &second] {
             for u in 0..4 {
                 node_verdict(
                     &driver,
@@ -818,13 +808,19 @@ mod tests {
                     u,
                     &walker.labeling,
                     &walker.digits,
-                    memo,
+                    tally,
                 );
             }
         }
-        assert!(first.misses > 0, "the first worker fills the tables");
+        let memo = |tally: &WorkerTally| {
+            (
+                tally.get(SweepCounter::MemoHits),
+                tally.get(SweepCounter::MemoMisses),
+            )
+        };
+        assert!(memo(&first).1 > 0, "the first worker fills the tables");
         assert_eq!(
-            (second.hits, second.misses),
+            memo(&second),
             (4, 0),
             "a second worker reads every verdict the first one stored"
         );

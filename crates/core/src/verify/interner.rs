@@ -13,19 +13,23 @@
 //! base-`|alphabet|` number, the verdict memo's index), so a hit is one
 //! relaxed load — no lock, no hash, no write another worker shares.
 //!
+//! Behind the front cache sits one canonical `View → id` map under one
+//! lock. It sees only the front cache's misses and the views without a
+//! slot: the Lemma 3.1 scan interns only accepting views, so an audit's
+//! map takes tens to hundreds of lookups under delta stepping and a few
+//! tens of thousands under the decode oracle, and one lock serves them.
+//!
 //! Both layers keep one invariant: **distinct id ⟺ distinct view**.
-//! [`ViewInterner::intern`] get-or-inserts through the canonical
-//! `View → id` map (the one lock left), so concurrent threads racing on
-//! equal views converge on one id, and a front-cache entry only ever holds
-//! an id minted there. Ids are *not* deterministic across runs (they
-//! depend on thread interleaving) — consumers must treat them as opaque
-//! and derive any ordered output from item order, never id order.
+//! [`ViewInterner::intern`] get-or-inserts through the canonical map, so
+//! concurrent threads racing on equal views converge on one id, and a
+//! front-cache entry only ever holds an id minted there. Ids are *not*
+//! deterministic across runs (they depend on thread interleaving) —
+//! consumers must treat them as opaque and derive any ordered output from
+//! item order, never id order.
 
 use super::{ItemCtx, UniverseItem};
 use crate::view::{IdMode, View};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, TryLockError};
 
@@ -57,20 +61,9 @@ pub struct ViewSlot {
     pub index: usize,
 }
 
-/// Shard count for a fresh interner: scaled with the machine's available
-/// parallelism (each worker thread should rarely collide on a shard lock)
-/// rather than a compile-time constant, with a floor for key dispersion
-/// and a ceiling to bound the occupancy snapshot.
-fn default_shards() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| (p.get() * 4).next_power_of_two())
-        .unwrap_or(16)
-        .clamp(8, 128)
-}
-
-/// Counters and occupancy of one [`ViewInterner`], snapshot by
-/// [`ViewInterner::report`] into sweep evidence — the data answering
-/// "are shard locks the parallel bottleneck?".
+/// Counters of one [`ViewInterner`], snapshot by [`ViewInterner::report`]
+/// into sweep evidence: how many views the map holds, how often the front
+/// cache answered, and how often the map's lock made a worker wait.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InternerReport {
     /// Distinct views interned. The Lemma 3.1 scan interns only the
@@ -84,11 +77,7 @@ pub struct InternerReport {
     /// Views stamped and interned through the canonical map: front-cache
     /// misses plus the views with no [`ViewSlot`].
     pub front_misses: usize,
-    /// Number of shards (chosen from `available_parallelism`).
-    pub shards: usize,
-    /// Entries per shard of the canonical `View → id` map.
-    pub view_occupancy: Vec<usize>,
-    /// Lock acquisitions that found a shard lock already held (a failed
+    /// Lock acquisitions that found the map's lock already held (a failed
     /// `try_lock` before the blocking wait).
     pub contention: usize,
 }
@@ -117,8 +106,9 @@ impl InternerReport {
 /// one and interned it through the canonical map.
 #[derive(Debug)]
 pub struct ViewInterner {
-    /// Canonical `View → id` map, sharded by view hash.
-    shards: Vec<Mutex<HashMap<View, ViewId>>>,
+    /// The canonical `View → id` map. Ids are minted in insertion order,
+    /// so they are dense from 0 and the map's length is the next one.
+    map: Mutex<HashMap<View, ViewId>>,
     /// The front cache: `front[class][index]` = the id of the view a
     /// [`ViewSlot`] names, or [`EMPTY`]. The class vector is sized on the
     /// first lookup from the slot's class count and each class's table is
@@ -126,11 +116,9 @@ pub struct ViewInterner {
     /// Entries are read `Relaxed` and filled by `compare_exchange`: each
     /// holds a whole id and publishes no other data.
     front: OnceLock<Box<[ClassTable]>>,
-    /// `id → View`, in id order.
-    table: Mutex<Vec<View>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
-    /// Shard-lock acquisitions that had to wait (see [`InternerReport`]).
+    /// Map-lock acquisitions that had to wait (see [`InternerReport`]).
     contention: AtomicUsize,
 }
 
@@ -141,37 +129,28 @@ impl Default for ViewInterner {
 }
 
 impl ViewInterner {
-    /// An empty interner, sharded for this machine's parallelism.
+    /// An empty interner.
     pub fn new() -> Self {
         ViewInterner {
-            shards: (0..default_shards())
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            map: Mutex::new(HashMap::new()),
             front: OnceLock::new(),
-            table: Mutex::new(Vec::new()),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             contention: AtomicUsize::new(0),
         }
     }
 
-    /// Locks a shard, counting the acquisition as contended when another
+    /// Locks the map, counting the acquisition as contended when another
     /// thread currently holds it.
-    fn lock_counted<'m, T>(&self, mutex: &'m Mutex<T>) -> MutexGuard<'m, T> {
-        match mutex.try_lock() {
+    fn lock_counted(&self) -> MutexGuard<'_, HashMap<View, ViewId>> {
+        match self.map.try_lock() {
             Ok(guard) => guard,
             Err(TryLockError::WouldBlock) => {
                 self.contention.fetch_add(1, Ordering::Relaxed);
-                mutex.lock().expect("interner lock")
+                self.map.lock().expect("interner lock")
             }
             Err(TryLockError::Poisoned(_)) => panic!("interner lock poisoned"),
         }
-    }
-
-    fn view_shard(&self, view: &View) -> &Mutex<HashMap<View, ViewId>> {
-        let mut h = DefaultHasher::new();
-        view.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
     }
 
     /// The front-cache entry `slot` names, allocating its class's table on
@@ -224,8 +203,7 @@ impl ViewInterner {
     /// (existing or fresh). Counts one front-cache miss.
     pub fn intern(&self, view: View) -> ViewId {
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let shard = self.view_shard(&view);
-        let mut map = self.lock_counted(shard);
+        let mut map = self.lock_counted();
         #[cfg(conformance_mutants)]
         let probe_existing = !crate::mutants::active("interner_always_fresh");
         #[cfg(not(conformance_mutants))]
@@ -235,13 +213,10 @@ impl ViewInterner {
                 return id;
             }
         }
-        let mut table = self.table.lock().expect("interner lock");
-        let id = ViewId::try_from(table.len())
+        let id = ViewId::try_from(map.len())
             .ok()
             .filter(|&id| id != EMPTY)
-            .expect("view table fits u32");
-        table.push(view.clone());
-        drop(table);
+            .expect("view ids fit u32");
         map.insert(view, id);
         id
     }
@@ -296,7 +271,7 @@ impl ViewInterner {
 
     /// Number of distinct views interned so far.
     pub fn len(&self) -> usize {
-        self.table.lock().expect("interner lock").len()
+        self.map.lock().expect("interner lock").len()
     }
 
     /// Whether no view has been interned.
@@ -304,9 +279,17 @@ impl ViewInterner {
         self.len() == 0
     }
 
-    /// A snapshot of the id → view table (index = id).
+    /// Every interned view, in id order (index = id).
     pub fn snapshot(&self) -> Vec<View> {
-        self.table.lock().expect("interner lock").clone()
+        let mut views: Vec<(ViewId, View)> = self
+            .map
+            .lock()
+            .expect("interner lock")
+            .iter()
+            .map(|(view, &id)| (id, view.clone()))
+            .collect();
+        views.sort_unstable_by_key(|&(id, _)| id);
+        views.into_iter().map(|(_, view)| view).collect()
     }
 
     /// `(front-cache hits, front-cache misses)` so far.
@@ -317,20 +300,14 @@ impl ViewInterner {
         )
     }
 
-    /// Snapshots counters and per-shard occupancy (locks each shard
-    /// briefly; meant for after-sweep reporting, not the hot path).
+    /// Snapshots the counters (locks the map briefly; meant for
+    /// after-sweep reporting, not the hot path).
     pub fn report(&self) -> InternerReport {
         let (front_hits, front_misses) = self.stats();
         InternerReport {
             distinct_views: self.len(),
             front_hits,
             front_misses,
-            shards: self.shards.len(),
-            view_occupancy: self
-                .shards
-                .iter()
-                .map(|s| s.lock().expect("interner lock").len())
-                .collect(),
             contention: self.contention.load(Ordering::Relaxed),
         }
     }
@@ -408,6 +385,7 @@ mod tests {
     #[test]
     fn distinct_ball_digits_of_one_class_fill_distinct_entries() {
         use crate::verify::executor::{ItemCtx, SkeletonCache};
+        use crate::verify::telemetry::WorkerTally;
         use crate::verify::{Coverage, Universe, UniverseItem};
         // Every labeling of a 3-letter star: the center's ball holds all
         // four nodes (81 entries), each leaf's two.
@@ -417,8 +395,8 @@ mod tests {
             .expect("81 labelings fit");
         let config = (1, IdMode::Anonymous);
         let cache = SkeletonCache::build(&universe, vec![config], |_| true);
-        let (hits, misses) = (AtomicUsize::new(0), AtomicUsize::new(0));
-        let ctx = ItemCtx::new(0, &cache, &hits, &misses, true, 1, None);
+        let tally = WorkerTally::default();
+        let ctx = ItemCtx::new(0, &cache, &tally, true, 1, None);
         let interner = ViewInterner::new();
         let mut view_at: HashMap<ViewSlot, View> = HashMap::new();
         let (mut labeling, mut digits) = (Labeling::empty(4), Vec::new());
@@ -465,6 +443,7 @@ mod tests {
     #[test]
     fn a_class_over_the_cap_has_no_slot() {
         use crate::verify::executor::{ItemCtx, SkeletonCache};
+        use crate::verify::telemetry::WorkerTally;
         use crate::verify::{Coverage, Universe};
         // With 17 letters the star's center class would need 17^4 = 83,521
         // entries, over the 2^16 cap; a leaf's needs 17^2.
@@ -474,12 +453,11 @@ mod tests {
             .expect("17^4 labelings fit");
         let config = (1, IdMode::Anonymous);
         let cache = SkeletonCache::build(&universe, vec![config], |_| true);
-        let (hits, misses) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let tally = WorkerTally::default();
         let item = universe.item(5);
         let item = item.as_item();
         let slot = |dense: bool, v: usize| {
-            ItemCtx::new(0, &cache, &hits, &misses, dense, 1, None)
-                .view_slot(&item, v, config.0, config.1)
+            ItemCtx::new(0, &cache, &tally, dense, 1, None).view_slot(&item, v, config.0, config.1)
         };
         assert_eq!(slot(true, 0), None, "the center interns through the map");
         assert_eq!(slot(true, 1).map(|s| s.entries), Some(17 * 17));
@@ -501,12 +479,6 @@ mod tests {
         }
         let report = interner.report();
         assert_eq!(report.distinct_views, interner.len());
-        assert_eq!(report.shards, report.view_occupancy.len());
-        assert_eq!(
-            report.view_occupancy.iter().sum::<usize>(),
-            interner.len(),
-            "every distinct view lives in exactly one shard"
-        );
         assert_eq!(report.front_misses, views.len());
         assert_eq!(report.front_hits, 0);
         assert_eq!(report.contention, 0, "single-threaded use never blocks");

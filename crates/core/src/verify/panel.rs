@@ -104,7 +104,7 @@ use super::check::{ExecEvidence, PropertyCheck, SweepOutcome, VerificationReport
 use super::erased::{DynPropertyCheck, ErasedPartial, ErasedVerdict, PanelVerdict, PropertyTag};
 use super::executor::{
     refresh_verdicts, resolve_threads, DeltaDriver, ItemCtx, SkeletonCache, SweepStrategy,
-    VerdictMemo, VerdictScratch, Walker,
+    VerdictScratch, Walker,
 };
 use super::session::SweepSession;
 use super::shard::ShardSpec;
@@ -376,17 +376,14 @@ impl<P> MemberFrontier<P> {
 /// A reduce's output: one report per member plus the walk-level evidence.
 pub(super) type Reduced<V> = (Vec<VerificationReport<V>>, ExecEvidence);
 
-/// The walk counters the reduce copies into the evidence. A live walk
-/// loads them from its atomics; the shard merge and the lazy draw loop
-/// pass their own (the merge has no walk: zeros — those counters are
-/// observed, not stable, so the stable report rendering never reads them).
+/// The walk counters the reduce copies into the evidence: a live walk's
+/// workers' summed tally, or the lazy draw loop's one tally (the shard
+/// merge has no walk: zeros — those counters are observed, not stable,
+/// so the stable report rendering never reads them).
 #[derive(Default)]
 pub(super) struct WalkStats {
     pub(super) threads: usize,
-    pub(super) cache_hits: usize,
-    pub(super) cache_misses: usize,
-    pub(super) memo_hits: usize,
-    pub(super) memo_misses: usize,
+    pub(super) tally: WorkerTally,
 }
 
 /// Runs `checks` over the whole universe and reduces every member: the
@@ -491,35 +488,22 @@ fn walk<C: Member, R>(
         // lie past the ones they hold.
         let errors_before: usize = members.iter().map(|f| f.errors.len()).sum();
         let walk_start = recorder.map(|r| r.now_micros());
-        let next = walk_chunks(engine, threads, begin, end, deadline, &mut members);
+        let (next, tally) = walk_chunks(engine, threads, begin, end, deadline, &mut members);
         if let (Some(r), Some(t0)) = (recorder, walk_start) {
             r.record_phase(SweepPhase::Walk, r.now_micros().saturating_sub(t0));
         }
-        let stats = WalkStats {
-            threads,
-            cache_hits: engine.hits.load(Ordering::Relaxed),
-            cache_misses: engine.misses.load(Ordering::Relaxed),
-            memo_hits: engine.memo_hits.load(Ordering::Relaxed),
-            memo_misses: engine.memo_misses.load(Ordering::Relaxed),
-        };
-        if let Some(r) = recorder {
-            let errors: usize = members.iter().map(|f| f.errors.len()).sum();
-            r.add(SweepCounter::PanicsCaught, (errors - errors_before) as u64);
-            r.add(SweepCounter::CacheHits, stats.cache_hits as u64);
-            r.add(SweepCounter::CacheMisses, stats.cache_misses as u64);
-            r.add(SweepCounter::MemoHits, stats.memo_hits as u64);
-            r.add(SweepCounter::MemoMisses, stats.memo_misses as u64);
-            let quotient_blocks: u64 = engine
-                .plans
-                .iter()
-                .filter_map(|plan| plan.quotient.as_ref())
-                .map(|quotient| quotient.active_blocks())
-                .sum();
-            if quotient_blocks > 0 {
-                r.add(SweepCounter::QuotientBlocks, quotient_blocks);
-            }
-        }
-        (next, stats)
+        let errors: usize = members.iter().map(|f| f.errors.len()).sum();
+        tally.add(SweepCounter::PanicsCaught, (errors - errors_before) as u64);
+        tally.add(SweepCounter::CacheMisses, engine.cache.populated as u64);
+        let quotient_blocks: u64 = engine
+            .plans
+            .iter()
+            .filter_map(|plan| plan.quotient.as_ref())
+            .map(|quotient| quotient.active_blocks())
+            .sum();
+        tally.add(SweepCounter::QuotientBlocks, quotient_blocks);
+        tally.flush(recorder);
+        (next, WalkStats { threads, tally })
     });
     let walked = PanelFragment {
         lo,
@@ -619,10 +603,10 @@ pub(super) fn reduce<C: PropertyCheck>(
         interrupted,
         coverage: coverage(interrupted || !errors.is_empty()),
         errors,
-        cache_hits: stats.cache_hits,
-        cache_misses: stats.cache_misses,
-        memo_hits: stats.memo_hits,
-        memo_misses: stats.memo_misses,
+        cache_hits: stats.tally.get(SweepCounter::CacheHits) as usize,
+        cache_misses: stats.tally.get(SweepCounter::CacheMisses) as usize,
+        memo_hits: stats.tally.get(SweepCounter::MemoHits) as usize,
+        memo_misses: stats.tally.get(SweepCounter::MemoMisses) as usize,
         elapsed: start.elapsed(),
         threads: stats.threads,
         interner,
@@ -679,10 +663,6 @@ struct Engine<'e, C> {
     /// The between-block classes: which blocks the walk jumps over as
     /// port-isomorphic copies, and what each walked block weighs.
     classes: BlockClasses,
-    hits: &'e AtomicUsize,
-    misses: &'e AtomicUsize,
-    memo_hits: &'e AtomicUsize,
-    memo_misses: &'e AtomicUsize,
     /// Whether the walk is the decode oracle's: every item reached by a
     /// full decode, and no copy jump, verdict channel, quotient or dense
     /// table.
@@ -702,15 +682,15 @@ struct MemberPlan {
 }
 
 /// A worker thread's mutable state: one odometer walker feeding one
-/// verdict scratch + memo counters per channel (the memo tables live in
-/// the channel's `DeltaDriver`, shared by all workers), plus the thread's
-/// telemetry tally. Tallies count *member evaluations*: each (item, active member)
-/// pair is one walk, resolving to one inspect or one orbit skip — so
-/// `items_inspected + items_orbit_skipped == items_walked` holds
+/// verdict scratch per channel (the memo tables live in the channel's
+/// `DeltaDriver`, shared by all workers), plus the worker's own tally of
+/// the walk. Tallies count *member evaluations*: each (item, active
+/// member) pair is one walk, resolving to one inspect or one orbit skip
+/// — so `items_inspected + items_orbit_skipped == items_walked` holds
 /// member-summed, and a one-member walk tallies one walk per item.
 struct Worker {
     walker: Walker,
-    channels: Vec<(VerdictScratch, VerdictMemo)>,
+    channels: Vec<VerdictScratch>,
     tally: WorkerTally,
 }
 
@@ -718,21 +698,9 @@ impl Worker {
     fn new(channels: usize) -> Worker {
         Worker {
             walker: Walker::default(),
-            channels: (0..channels)
-                .map(|_| (VerdictScratch::default(), VerdictMemo::default()))
-                .collect(),
+            channels: (0..channels).map(|_| VerdictScratch::default()).collect(),
             tally: WorkerTally::default(),
         }
-    }
-
-    /// Folds the worker's memo counters into the walk totals and its
-    /// telemetry tally into the attached recorder (if any).
-    fn flush<C>(&self, engine: &Engine<'_, C>) {
-        for (_, memo) in &self.channels {
-            engine.memo_hits.fetch_add(memo.hits, Ordering::Relaxed);
-            engine.memo_misses.fetch_add(memo.misses, Ordering::Relaxed);
-        }
-        self.tally.flush(engine.recorder);
     }
 }
 
@@ -772,6 +740,7 @@ impl<C: PropertyCheck> Engine<'_, C> {
             channels,
             tally,
         } = worker;
+        let tally = &*tally;
         let stepped = if self.oracle {
             walker.decode(self.universe, block, offset);
             false
@@ -783,7 +752,7 @@ impl<C: PropertyCheck> Engine<'_, C> {
             if !active(m) {
                 continue;
             }
-            tally.walk();
+            tally.add(SweepCounter::ItemsWalked, 1);
             // A member whose quotient rejects this item as a non-canonical
             // orbit member skips it entirely; the odometer still stepped,
             // and its verdict channel refreshes lazily at its next
@@ -793,7 +762,7 @@ impl<C: PropertyCheck> Engine<'_, C> {
                 match quotient.classify(block, &walker.digits) {
                     Some(mult) => multiplicity = weight * mult,
                     None => {
-                        tally.orbit_skip();
+                        tally.add(SweepCounter::OrbitSkipped, 1);
                         continue;
                     }
                 }
@@ -810,8 +779,7 @@ impl<C: PropertyCheck> Engine<'_, C> {
                 ItemCtx::new(
                     block,
                     self.cache,
-                    self.hits,
-                    self.misses,
+                    tally,
                     !self.oracle,
                     multiplicity,
                     verdicts,
@@ -819,7 +787,7 @@ impl<C: PropertyCheck> Engine<'_, C> {
             };
             let result = record.fold_item(i, |claim| match plan.channel[block] {
                 Some(c) => {
-                    let (scratch, memo) = &mut channels[c];
+                    let scratch = &mut channels[c];
                     refresh_verdicts(
                         &self.drivers[c],
                         self.cache,
@@ -827,7 +795,6 @@ impl<C: PropertyCheck> Engine<'_, C> {
                         offset,
                         walker,
                         scratch,
-                        memo,
                         tally,
                         stepped,
                     );
@@ -969,10 +936,6 @@ fn with_engine<C: Member, R>(
             MemberPlan { channel, quotient }
         })
         .collect();
-    let hits = AtomicUsize::new(0);
-    let misses = AtomicUsize::new(cache.populated);
-    let memo_hits = AtomicUsize::new(0);
-    let memo_misses = AtomicUsize::new(0);
     body(&Engine {
         checks,
         universe,
@@ -980,10 +943,6 @@ fn with_engine<C: Member, R>(
         drivers,
         plans,
         classes,
-        hits: &hits,
-        misses: &misses,
-        memo_hits: &memo_hits,
-        memo_misses: &memo_misses,
         oracle,
         recorder,
     })
@@ -1044,11 +1003,12 @@ pub(super) fn replay<C: Member>(
 /// The one walk over `[begin, end)`: `threads` workers claim fixed-size
 /// chunks from one atomic cursor and step their items through
 /// [`Engine::run_item`]. The calling thread is the first worker and
-/// files straight into `records`; the `threads - 1` workers spawned
-/// beside it keep their own, which are folded in after joining
-/// ([`MemberFrontier::join`]), so a one-thread walk spawns and copies
-/// nothing. Settles every record at its member's final stop and returns
-/// the first index not visited.
+/// files straight into `records` and its tally; the `threads - 1`
+/// workers spawned beside it keep their own, which are folded in after
+/// joining ([`MemberFrontier::join`], [`WorkerTally::absorb`]), so a
+/// one-thread walk spawns and copies nothing. Settles every record at its
+/// member's final stop and returns the first index not visited with the
+/// workers' summed tally.
 fn walk_chunks<C: PropertyCheck>(
     engine: &Engine<'_, C>,
     threads: usize,
@@ -1056,7 +1016,7 @@ fn walk_chunks<C: PropertyCheck>(
     end: usize,
     deadline: Option<Instant>,
     records: &mut [MemberFrontier<C::Partial>],
-) -> usize {
+) -> (usize, WorkerTally) {
     // Chunks small enough that threads converge quickly on a low
     // short-circuit index, but with a floor: every chunk boundary costs
     // the claiming worker one odometer resync (a full decode plus, on the
@@ -1131,9 +1091,9 @@ fn walk_chunks<C: PropertyCheck>(
         if let (Some(r), Some((name, _))) = (engine.recorder, span) {
             r.span_exit(&name);
         }
-        worker.flush(engine);
+        worker.tally
     };
-    std::thread::scope(|scope| {
+    let tally = std::thread::scope(|scope| {
         let helpers: Vec<_> = (1..threads)
             .map(|_| {
                 scope.spawn(|| {
@@ -1142,25 +1102,31 @@ fn walk_chunks<C: PropertyCheck>(
                         .iter()
                         .map(|_| MemberFrontier::new())
                         .collect();
-                    claim_chunks(&mut local);
-                    local
+                    let tally = claim_chunks(&mut local);
+                    (local, tally)
                 })
             })
             .collect();
-        claim_chunks(records);
+        let tally = claim_chunks(records);
         let mut locals: Vec<Vec<MemberFrontier<C::Partial>>> =
             records.iter().map(|_| Vec::new()).collect();
         for helper in helpers {
             // invariant: member panics are caught per item by `guarded`,
             // so a worker can only die of an engine bug — propagate.
-            let local = helper.join().expect("sweep worker panicked");
+            let (local, helper_tally) = helper.join().expect("sweep worker panicked");
             for (per_member, l) in locals.iter_mut().zip(local) {
                 per_member.push(l);
             }
+            #[cfg(conformance_mutants)]
+            if crate::mutants::active("tally_join_keeps_caller") {
+                continue;
+            }
+            tally.absorb(&helper_tally);
         }
         for (record, local) in records.iter_mut().zip(locals) {
             record.join(local);
         }
+        tally
     });
     // Settling restores each member's in-order invariants.
     for (record, stop) in records.iter_mut().zip(stops) {
@@ -1171,11 +1137,12 @@ fn walk_chunks<C: PropertyCheck>(
     // Natural termination bumps the cursor past `end`; a deadline stop
     // leaves it at the first unclaimed index. Claimed chunks always
     // complete, so everything below this index was inspected.
-    if all_stopped(records) {
+    let next = if all_stopped(records) {
         end
     } else {
         cursor.into_inner().min(end)
-    }
+    };
+    (next, tally)
 }
 
 /// The lazy draw loop behind [`LazySweep`](super::LazySweep): pulls items
@@ -1212,8 +1179,10 @@ pub(super) fn draw<C: PropertyCheck>(
         (universe, cache)
     };
     let mut current = fixed.map(|instance| bare(instance.clone()));
-    let hits = AtomicUsize::new(0);
-    let misses = AtomicUsize::new(current.as_ref().map_or(0, |(_, cache)| cache.populated));
+    let tally = WorkerTally::default();
+    if let Some((_, cache)) = &current {
+        tally.add(SweepCounter::CacheMisses, cache.populated as u64);
+    }
     let mut record = MemberFrontier::new();
     let mut drawn = 0usize;
     let mut interrupted = false;
@@ -1230,7 +1199,7 @@ pub(super) fn draw<C: PropertyCheck>(
         };
         if let Some(instance) = instance {
             let (universe, cache) = bare(instance);
-            misses.fetch_add(cache.populated, Ordering::Relaxed);
+            tally.add(SweepCounter::CacheMisses, cache.populated as u64);
             current = Some((universe, cache));
         }
         let (universe, cache) = current
@@ -1243,7 +1212,7 @@ pub(super) fn draw<C: PropertyCheck>(
             labeling: &labeling,
             digits: None,
         };
-        let ctx = ItemCtx::new(0, cache, &hits, &misses, true, 1, None);
+        let ctx = ItemCtx::new(0, cache, &tally, true, 1, None);
         drawn += 1;
         let result = record.fold_item(item.index, |claim| check.fold(&item, &ctx, claim));
         if record.file(check, item.index, 1, result) {
@@ -1256,12 +1225,7 @@ pub(super) fn draw<C: PropertyCheck>(
         // invariant: zero blocks sum to zero items — overflow is impossible.
         _ => Universe::new(Vec::new(), coverage).expect("an empty universe cannot overflow"),
     };
-    let stats = WalkStats {
-        threads: 1,
-        cache_hits: hits.load(Ordering::Relaxed),
-        cache_misses: misses.load(Ordering::Relaxed),
-        ..WalkStats::default()
-    };
+    let stats = WalkStats { threads: 1, tally };
     let (mut reports, _) = reduce(
         std::slice::from_ref(check),
         &universe,

@@ -1498,21 +1498,7 @@ fn summarize_panel(shape: &str, panel: &PanelReport) -> AuditPanelReport {
 
 /// JSON string literal with the mandatory escapes.
 fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", hiding_lcp_telemetry::json_escape(s))
 }
 
 #[cfg(test)]

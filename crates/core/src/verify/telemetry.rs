@@ -8,8 +8,8 @@
 //!   [`SweepSession::recorder`](super::SweepSession::recorder)) or an
 //!   audit plan with one ([`AuditPlan::telemetry`](super::AuditPlan::telemetry))
 //!   threads it through the engine; every other call runs with no
-//!   recorder and pays nothing beyond per-item stack-local `u64`
-//!   increments (see [`WorkerTally`]).
+//!   recorder. Either way each worker counts its walk in its own
+//!   [`WorkerTally`], and the walk sums the tallies once after the join.
 //! * **No ambient time.** Every timestamp flows through the recorder's
 //!   injected [`Clock`] — `MonotonicClock` in production, `ManualClock`
 //!   in replays — and clocks are read at phase/block/chunk granularity
@@ -24,7 +24,9 @@
 //! * **Observationally free.** A recorded sweep returns the verdicts,
 //!   witnesses and reports of a plain one, bit for bit.
 
-use hiding_lcp_telemetry::{Clock, Histogram, MonotonicClock, ShardedCounters, SpanTrace};
+use hiding_lcp_telemetry::{Clock, Histogram, MonotonicClock, SpanTrace};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 pub use hiding_lcp_telemetry::{ManualClock, MetricsSnapshot};
@@ -76,7 +78,7 @@ pub enum SweepCounter {
     InternerFrontHits = 13,
     /// Check-side view-interner front-cache misses.
     InternerFrontMisses = 14,
-    /// Contended view-interner shard-lock acquisitions.
+    /// Contended view-interner lock acquisitions.
     InternerContention = 15,
     /// Universe blocks with an active in-block symmetry group, summed
     /// over the members that declare one.
@@ -229,10 +231,12 @@ pub trait SweepRecorder: Sync {
 /// overwrites the oldest events and is counted in the trace export.
 const DEFAULT_TRACE_CAPACITY: usize = 16_384;
 
-/// The concrete recorder: sharded counters, per-phase histograms and a
-/// bounded span ring, all behind one injected clock.
+/// The concrete recorder: one atomic per counter, per-phase histograms
+/// and a bounded span ring, all behind one injected clock. The engine
+/// adds each counter once per walk, from the workers' summed tallies, so
+/// the counters see a handful of adds per sweep.
 pub struct MetricsRecorder {
-    counters: ShardedCounters,
+    counters: [AtomicU64; COUNTER_SLOTS],
     phases: Vec<Histogram>,
     trace: SpanTrace,
     clock: Arc<dyn Clock>,
@@ -254,7 +258,7 @@ impl MetricsRecorder {
     /// [`ManualClock`] to make histograms and traces replayable.
     pub fn with_clock(clock: Arc<dyn Clock>) -> MetricsRecorder {
         MetricsRecorder {
-            counters: ShardedCounters::new(COUNTER_SLOTS),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
             phases: (0..PHASE_SLOTS).map(|_| Histogram::new()).collect(),
             trace: SpanTrace::new(DEFAULT_TRACE_CAPACITY),
             clock,
@@ -264,11 +268,11 @@ impl MetricsRecorder {
     /// A point-in-time counter snapshot, split per the determinism
     /// policy ([`SweepCounter::is_stable`]).
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let totals = self.counters.merged();
         let mut stable = Vec::new();
         let mut observed = Vec::new();
         for counter in SweepCounter::ALL {
-            let entry = (counter.name().to_string(), totals[counter as usize]);
+            let value = self.counters[counter as usize].load(Ordering::Relaxed);
+            let entry = (counter.name().to_string(), value);
             if counter.is_stable() {
                 stable.push(entry);
             } else {
@@ -321,7 +325,7 @@ impl SweepRecorder for MetricsRecorder {
         {
             return;
         }
-        self.counters.add(counter as usize, delta);
+        self.counters[counter as usize].fetch_add(delta, Ordering::Relaxed);
     }
 
     fn record_phase(&self, phase: SweepPhase, micros: u64) {
@@ -345,88 +349,70 @@ impl SweepRecorder for MetricsRecorder {
     }
 }
 
-/// A worker thread's stack-local counter tally.
+/// One worker's counts of one walk, one cell per [`SweepCounter`].
 ///
-/// The hot loop bumps plain `u64` fields — no atomics, no branches on
-/// "is a recorder attached" — and `WorkerTally::flush` folds the
-/// totals into the recorder once per worker, mirroring the verdict
-/// memo's flush.
+/// Every worker owns one and bumps it per item: plain cells no other
+/// thread reads, no atomics, no locks, no branch on "is a recorder
+/// attached". They are `Cell`s so the item's
+/// [`ItemCtx`](super::ItemCtx) can count the views it stamps through a
+/// shared reference. After the join the walk sums its workers' tallies
+/// once and hands the sum to its evidence and, when one is attached, to
+/// the recorder.
 #[derive(Debug, Default)]
 pub struct WorkerTally {
-    walked: u64,
-    inspected: u64,
-    orbit_skipped: u64,
-    orbit_multiplicity: u64,
-    decisions: u64,
-    refreshes: u64,
-    readbacks: u64,
+    counts: [Cell<u64>; COUNTER_SLOTS],
 }
 
 impl WorkerTally {
-    /// One universe index passed over.
+    /// Adds `n` to `counter`.
     #[inline]
-    pub(super) fn walk(&mut self) {
-        self.walked += 1;
+    pub(super) fn add(&self, counter: SweepCounter, n: u64) {
+        let count = &self.counts[counter as usize];
+        count.set(count.get() + n);
+    }
+
+    /// The tally's count of `counter`.
+    pub(super) fn get(&self, counter: SweepCounter) -> u64 {
+        self.counts[counter as usize].get()
     }
 
     /// One item handed to `inspect`, standing for `multiplicity` items.
     #[inline]
-    pub(super) fn inspect(&mut self, multiplicity: u64) {
-        self.inspected += 1;
-        self.orbit_multiplicity += multiplicity;
-    }
-
-    /// One item stepped over as non-canonical.
-    #[inline]
-    pub(super) fn orbit_skip(&mut self) {
-        self.orbit_skipped += 1;
+    pub(super) fn inspect(&self, multiplicity: u64) {
+        self.add(SweepCounter::ItemsInspected, 1);
+        self.add(SweepCounter::OrbitMultiplicity, multiplicity);
     }
 
     /// `n` items of a copy block jumped over: each counts as walked and
     /// orbit-skipped.
     #[inline]
-    pub(super) fn jump(&mut self, n: u64) {
-        self.walked += n;
-        self.orbit_skipped += n;
+    pub(super) fn jump(&self, n: u64) {
+        self.add(SweepCounter::ItemsWalked, n);
+        self.add(SweepCounter::OrbitSkipped, n);
     }
 
-    /// `n` node-verdict decisions requested from the delta driver.
-    #[inline]
-    pub(super) fn decisions(&mut self, n: u64) {
-        self.decisions += n;
+    /// Adds another worker's tally to this one.
+    pub(super) fn absorb(&self, other: &WorkerTally) {
+        for counter in SweepCounter::ALL {
+            self.add(counter, other.get(counter));
+        }
     }
 
-    /// One verdict-channel refresh (recompute or patch).
-    #[inline]
-    pub(super) fn refresh(&mut self) {
-        self.refreshes += 1;
-    }
-
-    /// One verdict-channel readback (scratch already current).
-    #[inline]
-    pub(super) fn readback(&mut self) {
-        self.readbacks += 1;
-    }
-
-    /// Folds the tally into `recorder`, if one is attached.
+    /// Adds the tally to `recorder`, if one is attached: once per walk,
+    /// on the workers' summed tally.
     pub(super) fn flush(&self, recorder: Option<&dyn SweepRecorder>) {
         let Some(r) = recorder else { return };
-        r.add(SweepCounter::ItemsWalked, self.walked);
-        r.add(SweepCounter::ItemsInspected, self.inspected);
-        r.add(SweepCounter::OrbitSkipped, self.orbit_skipped);
-        r.add(SweepCounter::OrbitMultiplicity, self.orbit_multiplicity);
-        r.add(SweepCounter::VerdictDecisions, self.decisions);
-        r.add(SweepCounter::VerdictRefreshes, self.refreshes);
-        r.add(SweepCounter::VerdictReadbacks, self.readbacks);
+        for counter in SweepCounter::ALL {
+            r.add(counter, self.get(counter));
+        }
     }
 }
 
 pub mod diff {
     //! Snapshot differencing: what a sweep (or a panel, or a whole
-    //! audit) added to each counter, rendered as a regression table or
-    //! JSON. The bench harness uses this to annotate `BENCH_*.json`
-    //! with counter deltas; the audit report uses it for per-panel
-    //! breakdowns.
+    //! audit) added to each counter. The audit report's per-panel
+    //! telemetry section and the engine-sweep bench's stable-counter
+    //! record in `BENCH_engine.json` list the changed rows.
 
     use super::MetricsSnapshot;
 
@@ -488,83 +474,10 @@ pub mod diff {
     }
 
     impl MetricsDelta {
-        /// Every row, sorted by counter name.
-        pub fn rows(&self) -> &[DeltaRow] {
-            &self.rows
-        }
-
-        /// Rows whose value actually moved.
+        /// Rows whose value actually moved, sorted by counter name.
         pub fn changed(&self) -> impl Iterator<Item = &DeltaRow> {
             self.rows.iter().filter(|r| r.delta() != 0)
         }
-
-        /// One counter's delta by name.
-        pub fn get(&self, name: &str) -> Option<i128> {
-            self.rows.iter().find(|r| r.name == name).map(|r| r.delta())
-        }
-
-        /// A plain-text regression table of the changed counters —
-        /// what the bench harness prints when counter deltas move
-        /// between baselines.
-        pub fn render_table(&self) -> String {
-            let changed: Vec<&DeltaRow> = self.changed().collect();
-            if changed.is_empty() {
-                return "no counter changes\n".to_string();
-            }
-            let name_w = changed
-                .iter()
-                .map(|r| r.name.len())
-                .max()
-                .unwrap_or(0)
-                .max("counter".len());
-            let mut out = format!(
-                "{:name_w$}  {:>12}  {:>12}  {:>13}\n",
-                "counter", "before", "after", "delta"
-            );
-            for row in changed {
-                out.push_str(&format!(
-                    "{:name_w$}  {:>12}  {:>12}  {:>+13}\n",
-                    row.name,
-                    row.before,
-                    row.after,
-                    row.delta()
-                ));
-            }
-            out
-        }
-
-        /// The changed rows as a JSON object keyed by counter name.
-        pub fn to_json(&self) -> String {
-            let mut body = String::new();
-            for row in self.changed() {
-                if !body.is_empty() {
-                    body.push_str(", ");
-                }
-                body.push_str(&format!(
-                    "\"{}\": {{\"before\": {}, \"after\": {}, \"delta\": {}}}",
-                    json_escape(&row.name),
-                    row.before,
-                    row.after,
-                    row.delta()
-                ));
-            }
-            format!("{{{body}}}")
-        }
-    }
-
-    /// Minimal JSON string escape (counter names are engine-chosen, but
-    /// the module is public).
-    pub(crate) fn json_escape(s: &str) -> String {
-        let mut out = String::with_capacity(s.len());
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
     }
 }
 
@@ -640,14 +553,16 @@ mod tests {
     #[test]
     fn tally_flush_lands_in_the_right_slots() {
         let recorder = MetricsRecorder::new();
-        let mut tally = WorkerTally::default();
-        tally.walk();
-        tally.walk();
-        tally.orbit_skip();
+        let tally = WorkerTally::default();
+        tally.add(SweepCounter::ItemsWalked, 2);
+        tally.add(SweepCounter::OrbitSkipped, 1);
         tally.inspect(6);
-        tally.decisions(4);
-        tally.refresh();
-        tally.readback();
+        tally.add(SweepCounter::VerdictDecisions, 4);
+        tally.add(SweepCounter::VerdictRefreshes, 1);
+        let helper = WorkerTally::default();
+        helper.add(SweepCounter::VerdictReadbacks, 1);
+        helper.add(SweepCounter::CacheHits, 9);
+        tally.absorb(&helper);
         tally.flush(Some(&recorder));
         let snap = recorder.snapshot();
         assert_eq!(snap.get("items_walked"), Some(2));
@@ -657,6 +572,34 @@ mod tests {
         assert_eq!(snap.get("verdict_decisions"), Some(4));
         assert_eq!(snap.get("verdict_refreshes"), Some(1));
         assert_eq!(snap.get("verdict_readbacks"), Some(1));
+        assert_eq!(snap.get("cache_hits"), Some(9));
+    }
+
+    #[test]
+    fn concurrent_adds_sum_exactly() {
+        let recorder = MetricsRecorder::new();
+        std::thread::scope(|scope| {
+            for t in 1..=4u64 {
+                let recorder = &recorder;
+                scope.spawn(move || {
+                    for _ in 0..100 {
+                        for counter in SweepCounter::ALL {
+                            recorder.add(counter, t + counter as u64);
+                        }
+                    }
+                });
+            }
+        });
+        let snap = recorder.snapshot();
+        for counter in SweepCounter::ALL {
+            let expected = (1..=4u64).map(|t| 100 * (t + counter as u64)).sum();
+            assert_eq!(
+                snap.get(counter.name()),
+                Some(expected),
+                "{}",
+                counter.name()
+            );
+        }
     }
 
     #[test]
@@ -668,15 +611,15 @@ mod tests {
         recorder.add(SweepCounter::MemoHits, 5);
         let after = recorder.snapshot();
         let delta = diff::diff(&before, &after);
-        assert_eq!(delta.get("items_walked"), Some(28));
-        assert_eq!(delta.get("memo_hits"), Some(5));
-        assert_eq!(delta.get("panics_caught"), Some(0));
-        assert_eq!(delta.changed().count(), 2);
-        let table = delta.render_table();
-        assert!(table.contains("items_walked"));
-        assert!(!table.contains("panics_caught"), "unchanged rows omitted");
-        let json = delta.to_json();
-        assert!(json.contains("\"items_walked\": {\"before\": 100, \"after\": 128, \"delta\": 28}"));
+        let moved: Vec<(&str, i128, bool)> = delta
+            .changed()
+            .map(|row| (row.name.as_str(), row.delta(), row.stable))
+            .collect();
+        assert_eq!(
+            moved,
+            [("items_walked", 28, true), ("memo_hits", 5, false)],
+            "unchanged rows omitted"
+        );
     }
 
     #[test]
@@ -684,7 +627,5 @@ mod tests {
         let snap = MetricsRecorder::new().snapshot();
         let delta = diff::diff(&snap, &snap);
         assert_eq!(delta.changed().count(), 0);
-        assert_eq!(delta.render_table(), "no counter changes\n");
-        assert_eq!(delta.to_json(), "{}");
     }
 }

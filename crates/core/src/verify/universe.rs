@@ -362,25 +362,9 @@ impl Universe {
 
     /// Decodes the labeling of item `offset` within `block`.
     pub fn labeling_at(&self, block: usize, offset: usize) -> Labeling {
-        let b = &self.blocks[block];
-        let n = b.instance.graph().node_count();
-        match &b.labels {
-            LabelSource::All { alphabet } => {
-                // Mixed-radix odometer, node 0 least significant — the exact
-                // enumeration order of `all_labelings`.
-                let k = alphabet.len();
-                let mut rest = offset;
-                (0..n)
-                    .map(|_| {
-                        let digit = rest % k;
-                        rest /= k;
-                        alphabet[digit].clone()
-                    })
-                    .collect()
-            }
-            LabelSource::Fixed(labelings) => labelings[offset].clone(),
-            LabelSource::Unlabeled => Labeling::empty(n),
-        }
+        let mut labeling = Labeling::default();
+        self.decode_into(block, offset, &mut labeling, &mut Vec::new());
+        labeling
     }
 
     /// The mixed-radix digits of item `offset` within an `All` block
@@ -389,18 +373,9 @@ impl Universe {
     pub fn digits_at(&self, block: usize, offset: usize) -> Option<Vec<usize>> {
         match &self.blocks[block].labels {
             LabelSource::All { alphabet } if !alphabet.is_empty() => {
-                let n = self.blocks[block].instance.graph().node_count();
-                let k = alphabet.len();
-                let mut rest = offset;
-                Some(
-                    (0..n)
-                        .map(|_| {
-                            let digit = rest % k;
-                            rest /= k;
-                            digit
-                        })
-                        .collect(),
-                )
+                let mut digits = Vec::new();
+                self.decode_into(block, offset, &mut Labeling::default(), &mut digits);
+                Some(digits)
             }
             _ => None,
         }
@@ -409,9 +384,12 @@ impl Universe {
     /// Decodes item `(block, offset)` into caller-owned scratch buffers,
     /// reusing their allocations: `labeling` is resized and overwritten
     /// certificate by certificate, and `digits` receives the mixed-radix
-    /// digit vector for `All` blocks (cleared otherwise). This is the
-    /// executor's resync path — the only full decode in the hot chunk loop;
-    /// all other items are reached by odometer stepping.
+    /// digit vector for `All` blocks (cleared otherwise), node 0 least
+    /// significant — the exact enumeration order of `all_labelings`. The
+    /// universe's one decode: [`Universe::labeling_at`] and
+    /// [`Universe::digits_at`] read it, and it is the executor's resync
+    /// path, the only full decode in the hot chunk loop; all other items
+    /// are reached by odometer stepping.
     pub fn decode_into(
         &self,
         block: usize,
@@ -606,17 +584,39 @@ mod tests {
 
     #[test]
     fn decode_into_matches_labeling_at_everywhere() {
+        // Expectations built without the decode, in flat order: every
+        // binary labeling of the triangle in `all_labelings`' order, the
+        // bare path's empty labeling, and the two listed labelings.
+        let alphabet = bits();
+        let listed = [
+            Labeling::uniform(3, Certificate::from_byte(7)),
+            Labeling::empty(3),
+        ];
+        let expected: Vec<(Labeling, bool)> = all_labelings(3, &alphabet)
+            .map(|labeling| (labeling, true))
+            .chain([(Labeling::empty(2), false)])
+            .chain(listed.map(|labeling| (labeling, false)))
+            .collect();
         let u = mixed_universe();
+        assert_eq!(u.len(), expected.len());
         let mut labeling = Labeling::empty(0);
         let mut digits = Vec::new();
-        for i in 0..u.len() {
+        for (i, (expect, odometer)) in expected.iter().enumerate() {
             let (block, offset) = u.locate(i);
             u.decode_into(block, offset, &mut labeling, &mut digits);
-            assert_eq!(labeling, u.labeling_at(block, offset), "item {i}");
-            match u.digits_at(block, offset) {
-                Some(expect) => assert_eq!(digits, expect, "item {i}"),
-                None => assert!(digits.is_empty(), "item {i}"),
-            }
+            assert_eq!(&labeling, expect, "item {i}");
+            assert_eq!(&u.labeling_at(block, offset), expect, "item {i}");
+            // An odometer item's digits name its certificates' letters.
+            let expect_digits = odometer.then(|| {
+                let letter = |c| alphabet.iter().position(|a| a == c).expect("a letter");
+                expect.as_slice().iter().map(letter).collect::<Vec<usize>>()
+            });
+            assert_eq!(
+                digits,
+                expect_digits.clone().unwrap_or_default(),
+                "item {i}"
+            );
+            assert_eq!(u.digits_at(block, offset), expect_digits, "item {i}");
         }
     }
 

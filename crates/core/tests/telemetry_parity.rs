@@ -176,32 +176,41 @@ mod enabled {
     use super::*;
 
     /// The stable counter section renders to the same bytes on every
-    /// run and in every execution mode. (The observed section may move:
-    /// chunk boundaries change how many full verdict recomputes happen.)
+    /// run and in every execution mode, under both strategies. (The
+    /// observed section may move: chunk boundaries change how many full
+    /// verdict recomputes happen.) The decode oracle stamps every view it
+    /// decides through the item's context, so its `cache_hits` counts
+    /// every stamp of every worker.
     #[test]
     fn stable_counters_are_byte_identical_across_runs_and_modes() {
         let decoder = full_walk_decoder();
         let universe = big_universe();
         let check = SoundnessCheck { decoder: &decoder };
-        let run = |mode: ExecMode| {
-            let recorder = MetricsRecorder::new();
-            SweepSession::over(&universe)
-                .mode(mode)
-                .metrics(&recorder)
-                .run(&check);
-            recorder.snapshot().stable_bytes()
-        };
-        let reference = run(ExecMode::Sequential);
-        assert!(!reference.is_empty());
-        assert!(reference.contains("items_walked=128\n"), "{reference}");
-        for _ in 0..2 {
-            assert_eq!(reference, run(ExecMode::Sequential), "sequential rerun");
-            assert_eq!(
-                reference,
-                run(ExecMode::Parallel(parity_threads())),
-                "parallel at {} threads",
-                parity_threads()
-            );
+        for strategy in [SweepStrategy::DeltaStepping, SweepStrategy::DecodeOracle] {
+            let run = |mode: ExecMode| {
+                let recorder = MetricsRecorder::new();
+                SweepSession::over(&universe)
+                    .mode(mode)
+                    .strategy(strategy)
+                    .metrics(&recorder)
+                    .run(&check);
+                recorder.snapshot().stable_bytes()
+            };
+            let reference = run(ExecMode::Sequential);
+            assert!(reference.contains("items_walked=128\n"), "{reference}");
+            if strategy == SweepStrategy::DecodeOracle {
+                // Seven nodes decided on each of the 128 items.
+                assert!(reference.contains("cache_hits=896\n"), "{reference}");
+            }
+            for _ in 0..2 {
+                assert_eq!(reference, run(ExecMode::Sequential), "{strategy:?} rerun");
+                assert_eq!(
+                    reference,
+                    run(ExecMode::Parallel(parity_threads())),
+                    "{strategy:?} at {} threads",
+                    parity_threads()
+                );
+            }
         }
     }
 

@@ -3,8 +3,10 @@
 //! tooling).
 //!
 //! The crate deliberately knows nothing about sweeps, universes or
-//! checks — it supplies the four mechanical pieces the engine-side
-//! recorder (`hiding-lcp-core::verify::telemetry`) composes:
+//! checks — it supplies the mechanical pieces the engine-side recorder
+//! (`hiding-lcp-core::verify::telemetry`) composes around its own
+//! counters (one `AtomicU64` per counter; the engine batches every add
+//! per walk):
 //!
 //! * [`Clock`] — an *injected* monotonic time source. Every timestamp
 //!   the telemetry layer ever records flows through a `Clock`, never
@@ -12,11 +14,6 @@
 //!   [`ManualClock`] is bit-deterministic while production uses
 //!   [`MonotonicClock`] (an `Instant` anchor, immune to wall-clock
 //!   adjustment).
-//! * [`ShardedCounters`] — a fixed family of `AtomicU64` counters,
-//!   sharded per-thread so concurrent workers never contend on a cache
-//!   line; [`ShardedCounters::merged`] folds the shards with plain
-//!   addition, which is commutative, so the merged totals are
-//!   independent of thread interleaving by construction.
 //! * [`Histogram`] — log2-bucketed value distribution (64 buckets
 //!   cover the full `u64` range) for per-phase durations.
 //! * [`SpanTrace`] — a bounded ring buffer of enter/exit span events,
@@ -27,22 +24,24 @@
 //!   split into a `stable` section (byte-identical across thread
 //!   counts for deterministic walks) and an `observed` section
 //!   (scheduling-dependent values like memo hit splits).
+//! * [`json_escape`] — the one JSON string escaper of the workspace,
+//!   which hand-rolls all its JSON.
 
 mod clock;
-mod counters;
 mod hist;
 mod snapshot;
 mod span;
 
 pub use clock::{Clock, ManualClock, MonotonicClock};
-pub use counters::ShardedCounters;
 pub use hist::{Histogram, HistogramSnapshot};
 pub use snapshot::MetricsSnapshot;
 pub use span::{SpanEvent, SpanPhase, SpanTrace};
 
-/// Escapes a string for embedding in a JSON string literal. Shared by
-/// the trace and snapshot renderers (the workspace hand-rolls all JSON).
-pub(crate) fn json_escape(s: &str) -> String {
+/// Escapes a string for embedding in a JSON string literal: `"`, `\`,
+/// `\n`, `\r` and `\t` get their short escapes, every other control
+/// character a `\u00XX` one. Shared by the trace and snapshot renderers
+/// and the audit report.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
