@@ -13,7 +13,7 @@ use hiding_lcp_core::decoder::{Decoder, Verdict};
 use hiding_lcp_core::instance::Instance;
 use hiding_lcp_core::label::{Certificate, Labeling};
 use hiding_lcp_core::prover::Prover;
-use hiding_lcp_core::view::{IdMode, View};
+use hiding_lcp_core::view::{IdMode, View, ViewArc};
 use hiding_lcp_graph::algo::bipartite;
 
 /// The four-letter label alphabet of Lemma 4.1.
@@ -89,41 +89,39 @@ impl Decoder for DegreeOneDecoder {
     fn id_mode(&self) -> IdMode {
         IdMode::Anonymous
     }
+    // The rules read the centre's arcs in place: a decision allocates
+    // nothing, so a memo miss of the engine's walk stays allocation-free.
     fn decide(&self, view: &View) -> Verdict {
         let Some(mine) = Letter::decode(view.center_label()) else {
             return Verdict::Reject;
         };
-        let neighbors: Option<Vec<Letter>> = view
-            .center_arcs()
-            .iter()
-            .map(|arc| Letter::decode(&view.node(arc.to).label))
-            .collect();
-        let Some(neighbors) = neighbors else {
+        let arcs = view.center_arcs();
+        let letter = |arc: &ViewArc| Letter::decode(&view.node(arc.to).label);
+        if arcs.iter().any(|arc| letter(arc).is_none()) {
             return Verdict::Reject;
-        };
+        }
+        let neighbors = arcs.iter().filter_map(letter);
+        let count = |l: Letter| neighbors.clone().filter(|&n| n == l).count();
         let accept = match mine {
             // Rule 1: ⊥ needs degree one and a ⊤ neighbor.
-            Letter::Bot => neighbors.len() == 1 && neighbors[0] == Letter::Top,
+            Letter::Bot => arcs.len() == 1 && count(Letter::Top) == 1,
             // Rule 2: ⊤ needs exactly one ⊥ neighbor; all the others must
             // share one color β.
             Letter::Top => {
-                let bots = neighbors.iter().filter(|&&l| l == Letter::Bot).count();
-                let colors: Option<Vec<u8>> = neighbors
-                    .iter()
-                    .filter(|&&l| l != Letter::Bot)
-                    .map(|l| l.color())
-                    .collect();
-                bots == 1 && colors.is_some_and(|cs| cs.windows(2).all(|w| w[0] == w[1]))
+                let mut beta = None;
+                count(Letter::Bot) == 1
+                    && neighbors
+                        .clone()
+                        .filter(|&l| l != Letter::Bot)
+                        .all(|l| l.color().is_some_and(|c| *beta.get_or_insert(c) == c))
             }
             // Rule 3: a colored node allows at most one ⊤ neighbor; every
             // other neighbor carries the opposite color.
             Letter::Zero | Letter::One => {
                 let my_color = mine.color().expect("colored letter");
-                let tops = neighbors.iter().filter(|&&l| l == Letter::Top).count();
-                tops <= 1
+                count(Letter::Top) <= 1
                     && neighbors
-                        .iter()
-                        .filter(|&&l| l != Letter::Top)
+                        .filter(|&l| l != Letter::Top)
                         .all(|l| l.color().is_some_and(|c| c != my_color))
             }
         };
@@ -350,6 +348,69 @@ mod tests {
         });
         assert!(nbhd.view_count() > 0);
         assert!(nbhd.odd_cycle().is_some());
+    }
+
+    /// The three rules as first written, collecting the neighbours'
+    /// letters and the ⊤ node's colours: the reference the in-place rules
+    /// must agree with.
+    fn collected_rules(view: &View) -> Verdict {
+        let Some(mine) = Letter::decode(view.center_label()) else {
+            return Verdict::Reject;
+        };
+        let neighbors: Option<Vec<Letter>> = view
+            .center_arcs()
+            .iter()
+            .map(|arc| Letter::decode(&view.node(arc.to).label))
+            .collect();
+        let Some(neighbors) = neighbors else {
+            return Verdict::Reject;
+        };
+        let accept = match mine {
+            Letter::Bot => neighbors.len() == 1 && neighbors[0] == Letter::Top,
+            Letter::Top => {
+                let bots = neighbors.iter().filter(|&&l| l == Letter::Bot).count();
+                let colors: Option<Vec<u8>> = neighbors
+                    .iter()
+                    .filter(|&&l| l != Letter::Bot)
+                    .map(|l| l.color())
+                    .collect();
+                bots == 1 && colors.is_some_and(|cs| cs.windows(2).all(|w| w[0] == w[1]))
+            }
+            Letter::Zero | Letter::One => {
+                let my_color = mine.color().expect("colored letter");
+                let tops = neighbors.iter().filter(|&&l| l == Letter::Top).count();
+                tops <= 1
+                    && neighbors
+                        .iter()
+                        .filter(|&&l| l != Letter::Top)
+                        .all(|l| l.color().is_some_and(|c| c != my_color))
+            }
+        };
+        Verdict::from(accept)
+    }
+
+    #[test]
+    fn in_place_rules_match_the_collected_rules() {
+        let alphabet = adversary_alphabet();
+        for g in [
+            generators::star(1),
+            generators::star(2),
+            generators::star(3),
+            generators::cycle(4),
+        ] {
+            let inst = Instance::canonical(g);
+            let n = inst.graph().node_count();
+            for labeling in hiding_lcp_core::prover::all_labelings(n, &alphabet) {
+                for v in 0..n {
+                    let view = inst.view(&labeling, v, 1, IdMode::Anonymous);
+                    assert_eq!(
+                        DegreeOneDecoder.decide(&view),
+                        collected_rules(&view),
+                        "node {v} of {labeling:?} on {n} nodes"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

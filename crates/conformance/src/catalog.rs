@@ -186,6 +186,18 @@ pub const MUTANTS: &[Mutant] = &[
         expected_killers: &["orbit_partition_weighted"],
     },
     Mutant {
+        name: "quotient_share_ignores_spec",
+        host: "hiding-lcp-core",
+        site: "every fused member shares the first member's orbit quotient, whatever it declares",
+        expected_killers: &["quotient_share_respects_spec"],
+    },
+    Mutant {
+        name: "stamp_into_keeps_stale_label",
+        host: "hiding-lcp-core",
+        site: "restamping a scratch view of the same length skips the certificate copy",
+        expected_killers: &["delta_oracle_parity_cycles"],
+    },
+    Mutant {
         name: "copy_keeps_last_block",
         host: "hiding-lcp-core",
         site: "a port-isomorphism class walks its last block and jumps the lower-index ones",
@@ -226,6 +238,12 @@ pub const MUTANTS: &[Mutant] = &[
         host: "hiding-lcp-graph",
         site: "Graph::induced silently omits one edge",
         expected_killers: &["induced_subgraph_exact"],
+    },
+    Mutant {
+        name: "bipartite_within_same_layer_edge",
+        host: "hiding-lcp-graph",
+        site: "the bitset bipartiteness search ignores an edge inside one layer",
+        expected_killers: &["bipartite_within_matches_oracle"],
     },
     Mutant {
         name: "telemetry_counter_drop",

@@ -30,7 +30,7 @@ use hiding_lcp_core::properties::hiding::{
 use hiding_lcp_core::properties::invariance::InvarianceCheck;
 use hiding_lcp_core::properties::soundness::{SoundnessCheck, SoundnessViolation};
 use hiding_lcp_core::properties::strong::{
-    check_strong_exhaustive, strong_member, StrongViolation,
+    check_strong_exhaustive, strong_member, StrongCheck, StrongViolation,
 };
 use hiding_lcp_core::prover::Prover;
 use hiding_lcp_core::verify::{
@@ -80,12 +80,17 @@ pub const ALL: &[(&str, fn())] = &[
     ("shard_counter_sums", shard_counter_sums),
     ("shard_forged_record_rejected", shard_forged_record_rejected),
     ("orbit_partition_weighted", orbit_partition_weighted),
+    ("quotient_share_respects_spec", quotient_share_respects_spec),
     ("copy_blocks_match_full_walk", copy_blocks_match_full_walk),
     ("telemetry_quotient_partition", telemetry_quotient_partition),
     ("telemetry_span_balance", telemetry_span_balance),
     ("coloring_matches_bruteforce", coloring_matches_bruteforce),
     ("isomorphism_beyond_degrees", isomorphism_beyond_degrees),
     ("induced_subgraph_exact", induced_subgraph_exact),
+    (
+        "bipartite_within_matches_oracle",
+        bipartite_within_matches_oracle,
+    ),
 ];
 
 /// The binary certificate alphabet used throughout.
@@ -1829,4 +1834,74 @@ pub fn induced_subgraph_exact() {
     let c5 = generators::cycle(5);
     let (path, _) = c5.induced(&[0, 1, 2]);
     assert_eq!(path.edge_count(), 2);
+}
+
+/// Members whose symmetry declarations differ keep their own orbit
+/// quotients in one fused walk. Strong declares port automorphisms plus
+/// revealing:2's label classes; the Lemma 3.1 scan, fused after it,
+/// declares automorphisms only, since a certificate swap changes the
+/// views it collects. Over the n ≤ 3 Lemma 3.1 family, V(D, n) and
+/// strong's `checked` must equal each member's solo walk.
+pub fn quotient_share_respects_spec() {
+    let decoder = revealing::RevealingDecoder::new(2);
+    let two_col = KCol::new(2);
+    let universe =
+        Universe::lemma31(3, revealing::adversary_alphabet(2)).expect("the n <= 3 family fits");
+    let scan = || {
+        NbhdSweep::new(
+            &decoder,
+            IdMode::Anonymous,
+            &universe,
+            bipartite::is_bipartite,
+        )
+    };
+    let members = [
+        strong_member(&decoder, &two_col),
+        DynPropertyCheck::new(PropertyTag::Custom, "scan", scan()).with_channel(&decoder),
+    ];
+    let session = SweepSession::over(&universe).mode(ExecMode::Sequential);
+    let fused = session.run_panel(&members);
+    let strong = session.run(&StrongCheck {
+        decoder: &decoder,
+        language: &two_col,
+    });
+    assert_eq!(fused.members[0].checked, strong.checked, "strong's checked");
+    assert_eq!(
+        fused.members[0]
+            .verdict
+            .get::<Result<usize, StrongViolation>>(),
+        Some(&strong.verdict)
+    );
+    let solo = session.run(&scan()).verdict;
+    let shared = fused.members[1]
+        .verdict
+        .get::<NbhdGraph>()
+        .expect("the scan's V(D, n)");
+    assert_same_witnesses("fused scan", shared, &solo);
+}
+
+/// The strong check's masked 2-colorability test against the brute-force
+/// oracle on induced subgraphs: every connected graph on at most 5 nodes,
+/// every node subset, k = 1..=3, and the bitset bipartiteness kernel at
+/// k = 2.
+pub fn bipartite_within_matches_oracle() {
+    for g in generators::connected_graphs_up_to(5) {
+        let n = g.node_count();
+        for mask in 0..1u64 << n {
+            let keep: Vec<usize> = (0..n).filter(|&v| mask >> v & 1 == 1).collect();
+            let induced = oracle::induced(&g, &keep);
+            assert_eq!(
+                bipartite::is_bipartite_within(&g, mask),
+                oracle::k_colorable(&induced, 2),
+                "bipartite kernel on {n} nodes, mask {mask:#b}"
+            );
+            for k in 1..=3 {
+                assert_eq!(
+                    KCol::new(k).is_yes_within(&g, mask),
+                    oracle::k_colorable(&induced, k),
+                    "k={k} on {n} nodes, mask {mask:#b}"
+                );
+            }
+        }
+    }
 }

@@ -1,6 +1,6 @@
 //! Distributed languages and promise classes (paper, Sections 2.1, 2.5).
 
-use hiding_lcp_graph::algo::coloring;
+use hiding_lcp_graph::algo::{bipartite, coloring};
 use hiding_lcp_graph::Graph;
 
 /// The distributed language `k-col`: pairs `(G, x)` where `x` is a proper
@@ -41,6 +41,36 @@ impl KCol {
     /// Whether `g ∈ G(k-col)`, i.e. `g` admits some witness.
     pub fn is_yes_graph(&self, g: &Graph) -> bool {
         coloring::is_k_colorable(g, self.k)
+    }
+
+    /// Whether the subgraph of `g` induced by the nodes in `mask` (bit `v`
+    /// set for node `v` of `g`) lies in `G(k-col)`: `is_yes_graph(&g.induced(..).0)`
+    /// without building the subgraph. At most k nodes, and k = 1 (no edge
+    /// inside the mask), are answered in closed form; k = 2 runs
+    /// [`bipartite::is_bipartite_within`]'s bitset search; none of these
+    /// allocate. A larger k colors the induced subgraph exactly, as
+    /// [`KCol::is_yes_graph`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` has more than 64 nodes, the mask's width.
+    pub fn is_yes_within(&self, g: &Graph, mask: u64) -> bool {
+        assert!(g.node_count() <= 64, "a u64 mask covers at most 64 nodes");
+        if mask.count_ones() as usize <= self.k {
+            return true;
+        }
+        match self.k {
+            1 => (0..g.node_count())
+                .filter(|&v| mask >> v & 1 == 1)
+                .all(|v| g.neighbors(v).iter().all(|&u| mask >> u & 1 == 0)),
+            2 => bipartite::is_bipartite_within(g, mask),
+            _ => {
+                let keep: Vec<usize> = (0..g.node_count())
+                    .filter(|&v| mask >> v & 1 == 1)
+                    .collect();
+                self.is_yes_graph(&g.induced(&keep).0)
+            }
+        }
     }
 
     /// Whether `x` is a valid witness (proper k-coloring) for `g`.
@@ -165,6 +195,28 @@ mod tests {
         assert!(l.is_yes_graph(&generators::petersen()));
         assert!(!KCol::new(2).is_yes_graph(&generators::petersen()));
         assert!(!l.is_witness(&generators::cycle(3), &[0, 1, 1]));
+    }
+
+    #[test]
+    fn masked_test_matches_the_induced_subgraph() {
+        // Every connected graph on at most 6 nodes, every node subset,
+        // k = 1..=4: the mask test agrees with coloring the induced
+        // subgraph.
+        for g in generators::connected_graphs_up_to(6) {
+            let n = g.node_count();
+            for mask in 0..1u64 << n {
+                let keep: Vec<usize> = (0..n).filter(|&v| mask >> v & 1 == 1).collect();
+                let (induced, _) = g.induced(&keep);
+                for k in 1..=4 {
+                    assert_eq!(
+                        KCol::new(k).is_yes_within(&g, mask),
+                        coloring::is_k_colorable(&induced, k),
+                        "k={k}, edges {:?}, mask {mask:#b}",
+                        g.edges().collect::<Vec<_>>()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -40,8 +40,9 @@
 //!   of rejecting node counts.
 //! * `completeness_bits_min` — the completeness report aggregates the
 //!   minimum certificate length instead of the maximum.
-//! * `strong_drops_last_acceptor` — strong soundness drops the highest
-//!   accepting node before inducing the subgraph.
+//! * `strong_drops_last_acceptor` — strong soundness clears the highest
+//!   bit of its accepting mask, so both the bitset test and the violation
+//!   it builds drop that node.
 //! * `nbhd_selfloop_dropped` — the neighborhood graph forgets self-loops
 //!   (equal adjacent accepting views), the length-1 odd walks.
 //! * `witness_remap_off_by_one` — the neighborhood graph renumbers each
@@ -61,6 +62,11 @@
 //!   nontrivial orbit by one member.
 //! * `orbit_reject_inverted` — the canonical-representative test keeps
 //!   the non-minimal orbit members and skips the minimum.
+//! * `quotient_share_ignores_spec` — every fused member after the first
+//!   shares the first member's orbit quotient, whatever it declares.
+//! * `stamp_into_keeps_stale_label` — restamping a scratch view that
+//!   already holds as many nodes skips the certificate copy, so a memo
+//!   miss decides on the previous view's labels.
 //! * `copy_keeps_last_block` — a port-isomorphism class of blocks walks
 //!   its last block instead of its first, jumping the lower-index ones.
 //! * `copy_weight_off_by_one` — a class's walked block weighs one block

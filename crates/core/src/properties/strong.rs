@@ -31,6 +31,13 @@ pub struct StrongViolation {
 /// The strong-soundness property as a sweepable check: an item violates
 /// iff its accepting set induces a graph outside `G(L)`. Short-circuits on
 /// the first (lowest-index) violation.
+///
+/// On a graph of at most 64 nodes the accepting set is a `u64` mask and
+/// [`KCol::is_yes_within`] decides it without building the induced
+/// subgraph, so a non-violating inspection allocates nothing when k ≤ 2
+/// (on the delta path, where the verdicts are the channel's); the
+/// accepting list and the [`StrongViolation`] are built only for a
+/// violating item. A wider graph induces the subgraph and colors it.
 pub struct StrongCheck<'a, D: ?Sized> {
     /// The decoder under test.
     pub decoder: &'a D,
@@ -47,25 +54,26 @@ impl<D: Decoder + ?Sized> PropertyCheck for StrongCheck<'_, D> {
     }
 
     fn inspect(&self, item: &UniverseItem<'_>, ctx: &ItemCtx<'_>) -> Option<StrongViolation> {
-        let accepting: Vec<usize> = ctx
-            .verdicts(item, self.decoder)
-            .iter()
-            .enumerate()
-            .filter_map(|(v, verdict)| verdict.is_accept().then_some(v))
-            .collect();
-        #[cfg(conformance_mutants)]
-        let accepting = {
-            let mut accepting = accepting;
-            if crate::mutants::active("strong_drops_last_acceptor") {
-                accepting.pop();
-            }
-            accepting
-        };
-        let (induced, _) = item.instance.graph().induced(&accepting);
-        (!self.language.is_yes_graph(&induced)).then(|| StrongViolation {
+        let verdicts = ctx.verdicts(item, self.decoder);
+        let accepts = verdicts.iter().enumerate().filter(|(_, v)| v.is_accept());
+        let graph = item.instance.graph();
+        let violation = |accepting| StrongViolation {
             labeling: item.labeling.clone(),
             accepting,
-        })
+        };
+        if graph.node_count() > 64 {
+            let accepting: Vec<usize> = accepts.map(|(v, _)| v).collect();
+            let (induced, _) = graph.induced(&accepting);
+            return (!self.language.is_yes_graph(&induced)).then(|| violation(accepting));
+        }
+        #[cfg_attr(not(conformance_mutants), allow(unused_mut))]
+        let mut mask = accepts.fold(0u64, |mask, (v, _)| mask | 1 << v);
+        #[cfg(conformance_mutants)]
+        if crate::mutants::active("strong_drops_last_acceptor") && mask != 0 {
+            mask &= !(1 << (63 - mask.leading_zeros()));
+        }
+        (!self.language.is_yes_within(graph, mask))
+            .then(|| violation((0..64).filter(|&v| mask >> v & 1 == 1).collect()))
     }
 
     fn verdict_decoder(&self) -> Option<&dyn Decoder> {
@@ -302,6 +310,27 @@ mod tests {
         let violation =
             check_strong_exhaustive(&YesMan, &two_col, &c3, &bits()).expect_err("violated");
         assert_eq!(violation.accepting, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn graphs_past_the_mask_width_induce_the_subgraph() {
+        // 65 nodes do not fit the accepting mask: the check builds the
+        // induced subgraph, and reports the same violation as the mask
+        // path does on a graph that fits.
+        let two_col = KCol::new(2);
+        let one = [Certificate::from_byte(0)];
+        for n in [63, 65] {
+            let cycle = Instance::canonical(generators::cycle(n));
+            let violation =
+                check_strong_exhaustive(&YesMan, &two_col, &cycle, &one).expect_err("odd cycle");
+            assert_eq!(violation.accepting, (0..n).collect::<Vec<_>>());
+            assert_eq!(violation.labeling, Labeling::uniform(n, one[0].clone()));
+            let even = Instance::canonical(generators::cycle(n + 1));
+            assert_eq!(
+                check_strong_exhaustive(&YesMan, &two_col, &even, &one),
+                Ok(1)
+            );
+        }
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //! its mixed-radix digit vector and steps it like an odometer — one full
 //! decode ([`Universe::decode_into`]) at a chunk that does not continue
 //! the worker's previous one, then one digit change per subsequent item,
-//! reusing every certificate allocation. Nothing is allocated per item.
+//! reusing every certificate allocation. Nothing is allocated per item:
+//! a verdict-memo miss and an over-cap class's decision stamp the view
+//! into the channel's scratch view ([`ViewSkeleton::stamp_into`]), never
+//! a fresh one.
 //!
 //! When the check opts in via [`PropertyCheck::verdict_decoder`], node
 //! verdicts are *delta-evaluated* on top, and the check reads them through
@@ -611,6 +614,8 @@ pub(super) struct VerdictScratch {
     touched: Vec<bool>,
     /// Node list scratch for multi-digit carry steps.
     pending: Vec<usize>,
+    /// The view a memo miss or an over-cap decision is stamped into.
+    view: View,
 }
 
 /// Reads the ball digits along a skeleton's canonical `order` as one
@@ -633,8 +638,11 @@ fn dense_index(order: &[usize], digits: &[usize], radix: usize) -> usize {
 }
 
 /// One node's verdict: the class's dense memo table first (when the
-/// class is under the cap), decoder run on the stamped view otherwise.
-/// The memo hit or miss is counted in the worker's `tally`.
+/// class is under the cap), otherwise the decoder run on the view stamped
+/// into the worker's `scratch` ([`ViewSkeleton::stamp_into`]), so neither
+/// a memo miss nor an over-cap class allocates a view. The memo hit or
+/// miss is counted in the worker's `tally`.
+#[allow(clippy::too_many_arguments)] // the args are the walk state, not a config
 fn node_verdict(
     driver: &DeltaDriver<'_>,
     cache: &SkeletonCache,
@@ -642,6 +650,7 @@ fn node_verdict(
     u: usize,
     labeling: &Labeling,
     digits: &[usize],
+    scratch: &mut View,
     tally: &WorkerTally,
 ) -> Verdict {
     let skel = &cache.per_block[block][driver.config][u];
@@ -651,6 +660,10 @@ fn node_verdict(
         MemoSlot { class: 0, ..slot }
     } else {
         slot
+    };
+    let mut decide = || {
+        skel.stamp_into(labeling, scratch);
+        driver.decoder.decide(scratch)
     };
     if slot.entries > 0 {
         let index = dense_index(skel.original_nodes(), digits, slot.radix);
@@ -666,7 +679,7 @@ fn node_verdict(
             }
             _ => {}
         }
-        let verdict = driver.decoder.decide(&skel.stamp(labeling));
+        let verdict = decide();
         let code = match verdict {
             Verdict::Accept => ACCEPTED,
             Verdict::Reject => REJECTED,
@@ -676,7 +689,7 @@ fn node_verdict(
         return verdict;
     }
     tally.add(SweepCounter::MemoMisses, 1);
-    driver.decoder.decide(&skel.stamp(labeling))
+    decide()
 }
 
 /// Brings one channel's [`VerdictScratch`] up to date for the item at
@@ -723,20 +736,22 @@ pub(super) fn refresh_verdicts(
         ref mut verdicts,
         ref mut touched,
         ref mut pending,
+        ref mut view,
         ..
     } = *scratch;
     if !can_patch {
         tally.add(SweepCounter::VerdictDecisions, n as u64);
         verdicts.clear();
-        verdicts
-            .extend((0..n).map(|u| node_verdict(driver, cache, block, u, labeling, digits, tally)));
+        verdicts.extend(
+            (0..n).map(|u| node_verdict(driver, cache, block, u, labeling, digits, view, tally)),
+        );
     } else if changed.len() == 1 {
         // The common case (probability (k-1)/k): one digit stepped, only
         // its ball re-decides.
         let ball = &driver.balls[block][changed[0]];
         tally.add(SweepCounter::VerdictDecisions, ball.len() as u64);
         for &u in ball {
-            verdicts[u] = node_verdict(driver, cache, block, u, labeling, digits, tally);
+            verdicts[u] = node_verdict(driver, cache, block, u, labeling, digits, view, tally);
         }
     } else {
         // Carry chain: re-decide the union of the changed digits' balls.
@@ -753,7 +768,7 @@ pub(super) fn refresh_verdicts(
         tally.add(SweepCounter::VerdictDecisions, pending.len() as u64);
         for &u in pending.iter() {
             touched[u] = false;
-            verdicts[u] = node_verdict(driver, cache, block, u, labeling, digits, tally);
+            verdicts[u] = node_verdict(driver, cache, block, u, labeling, digits, view, tally);
         }
     }
     scratch.pos = Some((block, offset));
@@ -799,6 +814,7 @@ mod tests {
         let mut walker = Walker::default();
         walker.advance_to(&universe, 0, 5);
         let (first, second) = (WorkerTally::default(), WorkerTally::default());
+        let mut scratch = View::default();
         for tally in [&first, &second] {
             for u in 0..4 {
                 node_verdict(
@@ -808,6 +824,7 @@ mod tests {
                     u,
                     &walker.labeling,
                     &walker.digits,
+                    &mut scratch,
                     tally,
                 );
             }

@@ -15,7 +15,10 @@
 //! * **verdict channels** — members that declared the same decoder via
 //!   [`DynPropertyCheck::with_channel`] share one delta-maintained
 //!   verdict vector and one verdict memo, so the decoder runs once per
-//!   changed ball per item instead of once per member.
+//!   changed ball per item instead of once per member;
+//! * **quotient plans** — members whose symmetry declarations agree share
+//!   one in-block orbit quotient, so an item is classified once per
+//!   distinct declaration instead of once per member.
 //!
 //! One body ([`walk`]: cache build, delta drivers, quotient plans, the
 //! chunk walk, the record settle) feeds three endings: a whole-universe
@@ -108,12 +111,12 @@ use super::executor::{
 };
 use super::session::SweepSession;
 use super::shard::ShardSpec;
-use super::symmetry::{BlockClasses, QuotientPlan};
+use super::symmetry::{BlockClasses, QuotientPlan, SymmetrySpec};
 use super::telemetry::{SweepCounter, SweepPhase, SweepRecorder, WorkerTally};
 use super::universe::{Block, Coverage, LabelSource, Universe, UniverseItem};
 use crate::decoder::Decoder;
 use crate::instance::Instance;
-use crate::label::Labeling;
+use crate::label::{Certificate, Labeling};
 use crate::view::IdMode;
 
 /// One member's slice of a [`PanelReport`].
@@ -498,8 +501,8 @@ fn walk<C: Member, R>(
         let quotient_blocks: u64 = engine
             .plans
             .iter()
-            .filter_map(|plan| plan.quotient.as_ref())
-            .map(|quotient| quotient.active_blocks())
+            .filter_map(|plan| plan.quotient)
+            .map(|q| engine.quotients[q].active_blocks())
             .sum();
         tally.add(SweepCounter::QuotientBlocks, quotient_blocks);
         tally.flush(recorder);
@@ -660,6 +663,9 @@ struct Engine<'e, C> {
     drivers: Vec<DeltaDriver<'e>>,
     /// One plan per member, in member order.
     plans: Vec<MemberPlan>,
+    /// The distinct in-block orbit quotients: members whose symmetry
+    /// declarations agree on every alphabet the walk visits share one.
+    quotients: Vec<QuotientPlan>,
     /// The between-block classes: which blocks the walk jumps over as
     /// port-isomorphic copies, and what each walked block weighs.
     classes: BlockClasses,
@@ -675,37 +681,63 @@ struct MemberPlan {
     /// `channel[b]`: the verdict channel the member reads on block `b`,
     /// `None` where it runs the plain `inspect`.
     channel: Vec<Option<usize>>,
-    /// The member's in-block orbit quotient, when the walk steps the
-    /// odometer and the member declares a symmetry some walked block
-    /// admits.
-    quotient: Option<QuotientPlan>,
+    /// The member's in-block orbit quotient (an index into
+    /// [`Engine::quotients`]), when the walk steps the odometer and the
+    /// member declares a symmetry some walked block admits.
+    quotient: Option<usize>,
 }
 
 /// A worker thread's mutable state: one odometer walker feeding one
 /// verdict scratch per channel (the memo tables live in the channel's
-/// `DeltaDriver`, shared by all workers), plus the worker's own tally of
-/// the walk. Tallies count *member evaluations*: each (item, active
-/// member) pair is one walk, resolving to one inspect or one orbit skip
-/// — so `items_inspected + items_orbit_skipped == items_walked` holds
+/// `DeltaDriver`, shared by all workers), the block span and orbit
+/// classifications of its last item, plus the worker's own tally of the
+/// walk. Tallies count *member evaluations*: each (item, active member)
+/// pair is one walk, resolving to one inspect or one orbit skip — so
+/// `items_inspected + items_orbit_skipped == items_walked` holds
 /// member-summed, and a one-member walk tallies one walk per item.
 struct Worker {
     walker: Walker,
     channels: Vec<VerdictScratch>,
+    /// `(lo, hi, block)`: the flat range `[lo, hi)` of the block the
+    /// worker's last item lay in, so an item inside it is located without
+    /// a search.
+    span: (usize, usize, usize),
+    /// `orbits[q]`: the item quotient `q` last classified and its
+    /// classification, so members sharing a quotient classify an item once.
+    orbits: Vec<(usize, Option<u64>)>,
     tally: WorkerTally,
 }
 
 impl Worker {
-    fn new(channels: usize) -> Worker {
+    fn new(channels: usize, quotients: usize) -> Worker {
         Worker {
             walker: Walker::default(),
             channels: (0..channels).map(|_| VerdictScratch::default()).collect(),
+            span: (0, 0, 0),
+            orbits: vec![(usize::MAX, None); quotients],
             tally: WorkerTally::default(),
         }
+    }
+
+    /// Item `i`'s `(block, offset)`: read off the worker's block span when
+    /// `i` lies in it, otherwise located by [`Universe::locate`] (a chunk
+    /// that does not continue the worker's last one, a block boundary, a
+    /// copy jump or a replayed item), which moves the span to `i`'s block.
+    fn locate(&mut self, universe: &Universe, i: usize) -> (usize, usize) {
+        let (lo, hi, block) = self.span;
+        if (lo..hi).contains(&i) {
+            return (block, i - lo);
+        }
+        let (block, offset) = universe.locate(i);
+        let lo = i - offset;
+        self.span = (lo, lo + universe.blocks()[block].len(), block);
+        (block, offset)
     }
 }
 
 impl<C: PropertyCheck> Engine<'_, C> {
-    /// Moves the walker to item `i` and inspects every member still
+    /// Moves the walker to item `i` (located off the worker's block span,
+    /// [`Worker::locate`]) and inspects every member still
     /// active at `i` (`i` at or below its stop in `stops`, where
     /// `usize::MAX` means none yet), filing each guarded result into the
     /// member's record and folding a short-circuit into its stop with
@@ -727,7 +759,7 @@ impl<C: PropertyCheck> Engine<'_, C> {
         records: &mut [MemberFrontier<C::Partial>],
     ) -> usize {
         let active = |m: usize| i <= stops[m].load(Ordering::Relaxed);
-        let (block, offset) = self.universe.locate(i);
+        let (block, offset) = worker.locate(self.universe, i);
         if self.classes.is_copy(block) {
             let next = (i - offset + self.universe.blocks()[block].len()).min(end);
             let active = (0..self.checks.len()).filter(|&m| active(m)).count();
@@ -738,7 +770,9 @@ impl<C: PropertyCheck> Engine<'_, C> {
         let Worker {
             walker,
             channels,
+            orbits,
             tally,
+            ..
         } = worker;
         let tally = &*tally;
         let stepped = if self.oracle {
@@ -756,10 +790,16 @@ impl<C: PropertyCheck> Engine<'_, C> {
             // A member whose quotient rejects this item as a non-canonical
             // orbit member skips it entirely; the odometer still stepped,
             // and its verdict channel refreshes lazily at its next
-            // canonical item.
+            // canonical item. The first member on a quotient classifies
+            // the item, the others read its classification back.
             let mut multiplicity = weight;
-            if let Some(quotient) = &plan.quotient {
-                match quotient.classify(block, &walker.digits) {
+            if let Some(q) = plan.quotient {
+                let (at, class) = &mut orbits[q];
+                if *at != i {
+                    *class = self.quotients[q].classify(block, &walker.digits);
+                    *at = i;
+                }
+                match *class {
                     Some(mult) => multiplicity = weight * mult,
                     None => {
                         tally.add(SweepCounter::OrbitSkipped, 1);
@@ -906,6 +946,41 @@ fn with_engine<C: Member, R>(
             })
         })
         .collect();
+    // In-block orbit quotients: every member that declares a symmetry
+    // gets one, and members whose declarations agree on every alphabet
+    // the walk visits share one plan, built once; the decode oracle stays
+    // the full walk.
+    let mut alphabets: Vec<&[Certificate]> = Vec::new();
+    for (b, block) in universe.blocks().iter().enumerate() {
+        if let LabelSource::All { alphabet } = block.labels() {
+            if !classes.is_copy(b) && !alphabets.contains(&alphabet.as_slice()) {
+                alphabets.push(alphabet);
+            }
+        }
+    }
+    let mut quotients: Vec<QuotientPlan> = Vec::new();
+    let mut declared: Vec<(Vec<Option<SymmetrySpec>>, Option<usize>)> = Vec::new();
+    let mut quotient_of = |check: &C| -> Option<usize> {
+        let specs: Vec<Option<SymmetrySpec>> =
+            alphabets.iter().map(|a| check.symmetry_class(a)).collect();
+        #[cfg(conformance_mutants)]
+        if crate::mutants::active("quotient_share_ignores_spec") && !declared.is_empty() {
+            return declared[0].1;
+        }
+        if let Some(&(_, q)) = declared.iter().find(|(d, _)| *d == specs) {
+            return q;
+        }
+        let q = QuotientPlan::build(universe, &classes, |alphabet| {
+            let a = alphabets.iter().position(|&a| a == alphabet)?;
+            specs[a].clone()
+        })
+        .map(|plan| {
+            quotients.push(plan);
+            quotients.len() - 1
+        });
+        declared.push((specs, q));
+        q
+    };
     let plans: Vec<MemberPlan> = checks
         .iter()
         .zip(member_channel.iter().zip(&reads_verdicts))
@@ -924,15 +999,7 @@ fn with_engine<C: Member, R>(
                 }
                 None => vec![None; blocks],
             };
-            // Every member that declares a symmetry gets its in-block
-            // orbit quotient; the decode oracle stays the full walk.
-            let quotient = (!oracle)
-                .then(|| {
-                    QuotientPlan::build(universe, &classes, |alphabet| {
-                        check.symmetry_class(alphabet)
-                    })
-                })
-                .flatten();
+            let quotient = (!oracle).then(|| quotient_of(check)).flatten();
             MemberPlan { channel, quotient }
         })
         .collect();
@@ -942,6 +1009,7 @@ fn with_engine<C: Member, R>(
         cache: &cache,
         drivers,
         plans,
+        quotients,
         classes,
         oracle,
         recorder,
@@ -979,7 +1047,7 @@ pub(super) fn replay<C: Member>(
         let replayed = lists
             .iter()
             .map(|items| {
-                let mut worker = Worker::new(engine.drivers.len());
+                let mut worker = Worker::new(engine.drivers.len(), engine.quotients.len());
                 let stops: Vec<AtomicUsize> = checks
                     .iter()
                     .map(|_| AtomicUsize::new(usize::MAX))
@@ -1043,7 +1111,7 @@ fn walk_chunks<C: PropertyCheck>(
         h
     };
     let claim_chunks = |records: &mut [MemberFrontier<C::Partial>]| {
-        let mut worker = Worker::new(engine.drivers.len());
+        let mut worker = Worker::new(engine.drivers.len(), engine.quotients.len());
         // The open `chunk:<start>` span and the end of its chunks: one
         // span covers the chunks a worker claims back to back (a
         // one-thread walk's all), and a new one opens where it resyncs.

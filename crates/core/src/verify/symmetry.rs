@@ -36,6 +36,12 @@
 //! quotient walk stops at the same index with the same witness and the
 //! same `checked` count.
 //!
+//! A plan depends only on what a check declares, so a fused walk builds
+//! one [`QuotientPlan`] per distinct declaration: members whose
+//! [`SymmetrySpec`]s agree on every alphabet the walk visits share it,
+//! and a worker classifies each item once per plan, while every member
+//! still counts its own walks, skips and multiplicities.
+//!
 //! # Between-block classes
 //!
 //! The same invariance also holds *between* blocks: a port-preserving

@@ -218,16 +218,59 @@ impl ViewSkeleton {
     ///
     /// Panics if the labeling does not cover the host graph.
     pub fn stamp(&self, labeling: &Labeling) -> View {
+        let mut view = View {
+            nodes: Vec::with_capacity(self.proto.nodes.len()),
+            ..View::default()
+        };
+        self.stamp_into(labeling, &mut view);
+        view
+    }
+
+    /// Overwrites `view` with the stamp of `labeling`: afterwards it equals
+    /// [`ViewSkeleton::stamp`]'s result (under `Eq` and `Hash`) whatever
+    /// it held before, a view of another skeleton, longer or shorter,
+    /// included. Reuses `view`'s node, arc and certificate allocations, so
+    /// restamping a scratch view allocates only where it grows: the
+    /// engine decides a memo miss on one scratch view per worker.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the labeling does not cover the host graph.
+    pub fn stamp_into(&self, labeling: &Labeling, view: &mut View) {
         assert_eq!(
             labeling.node_count(),
             self.host_nodes,
             "labeling must cover every node"
         );
-        let mut view = self.proto.clone();
-        for (node, &orig) in view.nodes.iter_mut().zip(&self.order) {
-            node.label = labeling.label(orig).clone();
+        #[cfg(conformance_mutants)]
+        let stale = crate::mutants::active("stamp_into_keeps_stale_label")
+            && view.nodes.len() == self.proto.nodes.len();
+        view.radius = self.proto.radius;
+        view.id_mode = self.proto.id_mode;
+        view.id_bound = self.proto.id_bound;
+        view.nodes.truncate(self.proto.nodes.len());
+        let reused = view.nodes.len();
+        for ((node, proto), &orig) in view
+            .nodes
+            .iter_mut()
+            .zip(&self.proto.nodes)
+            .zip(&self.order)
+        {
+            node.id = proto.id;
+            node.dist = proto.dist;
+            node.arcs.clone_from(&proto.arcs);
+            #[cfg(conformance_mutants)]
+            if stale {
+                continue;
+            }
+            node.label.copy_from(labeling.label(orig));
         }
-        view
+        for (proto, &orig) in self.proto.nodes.iter().zip(&self.order).skip(reused) {
+            view.nodes.push(ViewNode {
+                label: labeling.label(orig).clone(),
+                ..proto.clone()
+            });
+        }
     }
 
     /// The canonicalized view with empty (placeholder) certificates — the
@@ -247,6 +290,19 @@ impl ViewSkeleton {
     /// Number of nodes in the (stamped) view.
     pub fn node_count(&self) -> usize {
         self.proto.nodes.len()
+    }
+}
+
+/// The empty view: no nodes, radius 0, anonymous. A scratch for
+/// [`ViewSkeleton::stamp_into`] to overwrite.
+impl Default for View {
+    fn default() -> View {
+        View {
+            radius: 0,
+            id_mode: IdMode::Anonymous,
+            id_bound: 0,
+            nodes: Vec::new(),
+        }
     }
 }
 
@@ -884,5 +940,72 @@ mod tests {
         let (inst, labels) = labeled(generators::path(2));
         let v = inst.view(&labels, 0, 1, IdMode::Full);
         assert!(v.describe().contains("#1"));
+    }
+
+    /// Every skeleton of the n ≤ 4 Lemma 3.1 family at radius 1 and 2,
+    /// under both the anonymous and the full id mode; skeletons equal in
+    /// their proto, order and host size stamp alike and are listed once.
+    fn lemma31_skeletons() -> &'static [ViewSkeleton] {
+        static SKELETONS: std::sync::OnceLock<Vec<ViewSkeleton>> = std::sync::OnceLock::new();
+        SKELETONS.get_or_init(|| {
+            let universe =
+                crate::verify::Universe::lemma31(4, vec![Certificate::from_byte(0)]).unwrap();
+            let mut seen = std::collections::HashSet::new();
+            let mut skeletons = Vec::new();
+            for block in universe.blocks() {
+                let instance = block.instance();
+                for v in 0..instance.graph().node_count() {
+                    for radius in [1, 2] {
+                        for id_mode in [IdMode::Anonymous, IdMode::Full] {
+                            let s = ViewSkeleton::compute(instance, v, radius, id_mode);
+                            if seen.insert((s.proto.clone(), s.order.clone(), s.host_nodes)) {
+                                skeletons.push(s);
+                            }
+                        }
+                    }
+                }
+            }
+            skeletons
+        })
+    }
+
+    fn hash_of(view: &View) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        view.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn stamp_into_overwrites_any_previous_view(
+            letters in proptest::collection::vec(0u8..4, 4usize..5),
+            others in proptest::collection::vec(0u8..4, 4usize..5),
+        ) {
+            let skeletons = lemma31_skeletons();
+            let labeling = |letters: &[u8], n: usize| -> Labeling {
+                letters[..n].iter().map(|&b| Certificate::from_byte(b)).collect()
+            };
+            let longest = skeletons.iter().max_by_key(|s| s.node_count()).unwrap();
+            let shortest = skeletons.iter().min_by_key(|s| s.node_count()).unwrap();
+            for skeleton in skeletons {
+                let n = skeleton.host_nodes;
+                let want = skeleton.stamp(&labeling(&letters, n));
+                // A longer view, a shorter one, and this skeleton's own
+                // view under other letters: each is overwritten whole.
+                for (before, host) in [
+                    (longest, longest.host_nodes),
+                    (shortest, shortest.host_nodes),
+                    (skeleton, n),
+                ] {
+                    let mut scratch = before.stamp(&labeling(&others, host));
+                    skeleton.stamp_into(&labeling(&letters, n), &mut scratch);
+                    proptest::prop_assert_eq!(&scratch, &want);
+                    proptest::prop_assert_eq!(hash_of(&scratch), hash_of(&want));
+                }
+            }
+        }
     }
 }

@@ -1099,3 +1099,209 @@ fn over_cap_classes_intern_through_the_canonical_map() {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// Shared quotient plans: members whose symmetry declarations differ keep
+// their own orbit quotient inside one fused walk, and members that agree
+// share one.
+// ---------------------------------------------------------------------------
+
+use hiding_lcp_certs::revealing::{self, RevealingDecoder};
+use hiding_lcp_conformance::probes::assert_same_witnesses;
+use hiding_lcp_core::verify::{AuditPlan, InstanceSet, PanelReport};
+
+/// Symmetric-port cycles C3..=C6 and K4, then the paths P3 and P4, whose
+/// canonical ports admit no automorphism, so only the label classes
+/// quotient them. Labeled over revealing:2's adversary alphabet they give
+/// 27 + 81 + 243 + 729 + 81 + 27 + 81 = 1,269 items.
+fn symmetric_port_family() -> Vec<Instance> {
+    let mut family: Vec<Instance> = (3..=6).map(symmetric_cycle).collect();
+    let k4 = hiding_lcp_graph::generators::complete(4);
+    let ports = hiding_lcp_graph::ports::complete_symmetric(&k4);
+    family.push(
+        Instance::new(k4, ports, hiding_lcp_graph::IdAssignment::canonical(4))
+            .expect("symmetric K4 ports are valid"),
+    );
+    family.extend((3..=4).map(|n| Instance::canonical(hiding_lcp_graph::generators::path(n))));
+    family
+}
+
+fn symmetric_port_universe() -> Universe {
+    let blocks = symmetric_port_family()
+        .into_iter()
+        .map(|instance| {
+            Block::new(
+                instance,
+                LabelSource::All {
+                    alphabet: revealing::adversary_alphabet(2),
+                },
+            )
+        })
+        .collect();
+    Universe::new(blocks, Coverage::Sampled).expect("1,269 items fit")
+}
+
+/// Soundness and strong declare port automorphisms plus revealing:2's
+/// label classes, so they share one quotient; the Lemma 3.1 scan declares
+/// automorphisms only and gets its own.
+fn two_symmetry_members<'a>(
+    decoder: &'a RevealingDecoder,
+    two_col: &'a KCol,
+    universe: &Universe,
+) -> [DynPropertyCheck<'a>; 3] {
+    [
+        DynPropertyCheck::new(
+            PropertyTag::Soundness,
+            "soundness",
+            SoundnessCheck { decoder },
+        )
+        .with_channel(decoder),
+        DynPropertyCheck::new(
+            PropertyTag::Strong,
+            "strong",
+            StrongCheck {
+                decoder,
+                language: two_col,
+            },
+        )
+        .with_channel(decoder),
+        DynPropertyCheck::new(
+            PropertyTag::Custom,
+            "scan",
+            NbhdSweep::new(
+                decoder,
+                IdMode::Anonymous,
+                universe,
+                bipartite::is_bipartite,
+            ),
+        )
+        .with_channel(decoder),
+    ]
+}
+
+/// Asserts each member of `panel` reports what its own one-member walk
+/// reports: `checked`, short-circuit, verdict and, for the scan, V(D, n)
+/// witness for witness.
+fn assert_members_match_solo(
+    panel: &PanelReport,
+    universe: &Universe,
+    decoder: &RevealingDecoder,
+    two_col: &KCol,
+    context: &str,
+) {
+    let solo = SweepSession::over(universe).mode(ExecMode::Sequential);
+    let soundness = solo.run(&SoundnessCheck { decoder });
+    let strong = solo.run(&StrongCheck {
+        decoder,
+        language: two_col,
+    });
+    let scan = solo.run(&NbhdSweep::new(
+        decoder,
+        IdMode::Anonymous,
+        universe,
+        bipartite::is_bipartite,
+    ));
+    let members = &panel.members;
+    assert_eq!(
+        members[0].checked, soundness.checked,
+        "{context}: soundness"
+    );
+    assert_eq!(members[0].short_circuited, soundness.short_circuited);
+    assert_eq!(
+        members[0]
+            .verdict
+            .get::<Result<usize, SoundnessViolation>>(),
+        Some(&soundness.verdict),
+        "{context}: soundness"
+    );
+    assert_eq!(members[1].checked, strong.checked, "{context}: strong");
+    assert_eq!(
+        members[1].verdict.get::<Result<usize, StrongViolation>>(),
+        Some(&strong.verdict),
+        "{context}: strong"
+    );
+    assert_eq!(members[2].checked, scan.checked, "{context}: scan");
+    let fused = members[2]
+        .verdict
+        .get::<NbhdGraph>()
+        .expect("the scan's V(D, n)");
+    assert_same_witnesses(context, fused, &scan.verdict);
+}
+
+#[test]
+fn members_with_different_symmetries_keep_their_own_quotients() {
+    let decoder = RevealingDecoder::new(2);
+    let two_col = KCol::new(2);
+    let universe = symmetric_port_universe();
+    assert!(universe.len() > 8 * hiding_lcp_core::verify::PARALLEL_THRESHOLD);
+    let session = |strategy, mode| SweepSession::over(&universe).strategy(strategy).mode(mode);
+    for strategy in [SweepStrategy::DeltaStepping, SweepStrategy::DecodeOracle] {
+        for threads in [1, 2, parity_threads()] {
+            let members = two_symmetry_members(&decoder, &two_col, &universe);
+            let panel = session(strategy, ExecMode::Parallel(threads)).run_panel(&members);
+            let context = format!("{strategy:?} at {threads} threads");
+            assert_members_match_solo(&panel, &universe, &decoder, &two_col, &context);
+        }
+        // Budget-stopped chains of 37 and 250 items start and stop inside
+        // blocks; each shard's chain is walked on until complete and the
+        // fragments merge into the uninterrupted report.
+        for (step, shards) in [(37, 1), (37, 3), (250, 2)] {
+            let members = two_symmetry_members(&decoder, &two_col, &universe);
+            let chained = session(strategy, ExecMode::Parallel(parity_threads()))
+                .budget(SweepBudget::unlimited().with_max_items(step));
+            let fragments = ShardSpec::partition(shards)
+                .into_iter()
+                .map(|spec| {
+                    let mut fragment = chained.run_panel_fragment(&members, spec);
+                    while !fragment.is_complete() {
+                        fragment = chained.resume_panel_fragment(&members, fragment);
+                    }
+                    fragment
+                })
+                .collect();
+            let merged =
+                merge_panel_fragments(&members, &universe, ExecMode::Sequential, fragments, None)
+                    .expect("complete chains tile the universe");
+            let context = format!("{strategy:?}, {shards} shards of {step}-item slices");
+            assert_members_match_solo(&merged, &universe, &decoder, &two_col, &context);
+        }
+    }
+}
+
+#[test]
+fn a_shard_replay_across_block_boundaries_matches_the_walk() {
+    // Three shards of the 1,269 items end at 423 and 846, inside C6's
+    // [351, 1080): the first shard's listed items run through C3, C4 and
+    // C5 into C6, so its replay crosses three block boundaries.
+    let decoder = RevealingDecoder::new(2);
+    for strategy in [SweepStrategy::DeltaStepping, SweepStrategy::DecodeOracle] {
+        let plan = || {
+            AuditPlan::new(
+                &decoder,
+                2,
+                InstanceSet::Explicit {
+                    instances: symmetric_port_family(),
+                    coverage: Coverage::Sampled,
+                },
+                revealing::adversary_alphabet(2),
+            )
+            .mode(ExecMode::Parallel(parity_threads()))
+            .strategy(strategy)
+        };
+        let single = plan().run().to_stable_json();
+        for shards in [2, 3] {
+            let reports: Vec<String> = ShardSpec::partition(shards)
+                .into_iter()
+                .map(|spec| plan().run_shard(spec))
+                .collect();
+            let merged = plan()
+                .run_with_shards(&reports)
+                .expect("clean shard reports tile the universe");
+            assert_eq!(
+                single,
+                merged.to_stable_json(),
+                "{strategy:?}, {shards} shards"
+            );
+        }
+    }
+}

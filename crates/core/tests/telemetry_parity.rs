@@ -23,6 +23,7 @@ use hiding_lcp_core::verify::{
     Coverage, DynPropertyCheck, ExecMode, ItemCtx, MetricsRecorder, PropertyCheck, PropertyTag,
     SweepOutcome, SweepSession, SweepStrategy, SymmetrySpec, Universe, UniverseItem,
 };
+use hiding_lcp_core::view::IdMode;
 
 fn bits() -> Vec<Certificate> {
     vec![Certificate::from_byte(0), Certificate::from_byte(1)]
@@ -393,5 +394,111 @@ mod enabled {
                 == json.chars().filter(|&c| c == close).count()
         };
         assert!(balance('{', '}') && balance('[', ']'));
+    }
+}
+
+/// Members whose symmetry declarations agree share one orbit quotient,
+/// yet each tallies its own walk, skips and multiplicities: on a panel
+/// with a shared plan (soundness and strong under revealing:2) beside a
+/// plan of its own (the Lemma 3.1 scan, automorphisms only), the stable
+/// section is the one per-member plans produced, in every mode. Soundness
+/// is gated to the no-instances, where revealing:2 never short-circuits,
+/// so every mode walks the whole universe.
+mod shared_plans {
+    use super::*;
+    use hiding_lcp_certs::revealing::{self, RevealingDecoder};
+    use hiding_lcp_core::nbhd::NbhdSweep;
+    use hiding_lcp_core::verify::{Block, BlockGated, LabelSource};
+    use hiding_lcp_graph::algo::bipartite;
+
+    /// The stable section of the panel below, as recorded when every
+    /// member built its own quotient plan.
+    const PER_MEMBER_PLANS: &str = "\
+budget_interruptions=0
+cache_hits=2
+cache_misses=22
+items_inspected=496
+items_orbit_skipped=2987
+items_walked=3483
+orbit_multiplicity=3483
+panics_caught=0
+quotient_blocks=15
+verdict_readbacks=128
+verdict_refreshes=200
+";
+    fn symmetric_port_universe() -> Universe {
+        let mut family: Vec<Instance> = (3..=6).map(symmetric_cycle).collect();
+        let k4 = hiding_lcp_graph::generators::complete(4);
+        let ports = hiding_lcp_graph::ports::complete_symmetric(&k4);
+        family.push(
+            Instance::new(k4, ports, hiding_lcp_graph::IdAssignment::canonical(4))
+                .expect("symmetric K4 ports are valid"),
+        );
+        let blocks = family
+            .into_iter()
+            .map(|instance| {
+                Block::new(
+                    instance,
+                    LabelSource::All {
+                        alphabet: revealing::adversary_alphabet(2),
+                    },
+                )
+            })
+            .collect();
+        Universe::new(blocks, Coverage::Sampled).expect("1,161 items fit")
+    }
+
+    #[test]
+    fn shared_plans_keep_every_stable_counter() {
+        let decoder = RevealingDecoder::new(2);
+        let two_col = KCol::new(2);
+        let universe = symmetric_port_universe();
+        let no_instances: Vec<bool> = universe
+            .blocks()
+            .iter()
+            .map(|b| !bipartite::is_bipartite(b.instance().graph()))
+            .collect();
+        let run = |mode: ExecMode| {
+            let members = [
+                DynPropertyCheck::new(
+                    PropertyTag::Soundness,
+                    "soundness",
+                    BlockGated {
+                        check: SoundnessCheck { decoder: &decoder },
+                        active: no_instances.clone(),
+                    },
+                )
+                .with_channel(&decoder),
+                DynPropertyCheck::new(
+                    PropertyTag::Strong,
+                    "strong",
+                    StrongCheck {
+                        decoder: &decoder,
+                        language: &two_col,
+                    },
+                )
+                .with_channel(&decoder),
+                DynPropertyCheck::new(
+                    PropertyTag::Custom,
+                    "scan",
+                    NbhdSweep::new(
+                        &decoder,
+                        IdMode::Anonymous,
+                        &universe,
+                        bipartite::is_bipartite,
+                    ),
+                )
+                .with_channel(&decoder),
+            ];
+            let recorder = MetricsRecorder::new();
+            SweepSession::over(&universe)
+                .mode(mode)
+                .metrics(&recorder)
+                .run_panel(&members);
+            recorder.snapshot().stable_bytes()
+        };
+        for mode in [ExecMode::Sequential, ExecMode::Parallel(parity_threads())] {
+            assert_eq!(run(mode), PER_MEMBER_PLANS, "{mode:?}");
+        }
     }
 }

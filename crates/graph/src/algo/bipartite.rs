@@ -3,6 +3,9 @@
 //! `G ∈ G(2-col)` — the yes-instances of the paper's central language — iff
 //! [`bipartition`] returns `Ok`. On failure the returned odd cycle is the
 //! witness that strong soundness checkers look for in accepting subgraphs.
+//! [`is_bipartite_within`] answers the same question for the subgraph a
+//! node mask induces, in a few word operations per node: the strong
+//! check's per-item test at k = 2.
 
 use crate::graph::Graph;
 use std::collections::VecDeque;
@@ -39,6 +42,48 @@ pub fn bipartition(g: &Graph) -> Result<Vec<u8>, Vec<usize>> {
 /// Whether the graph is bipartite.
 pub fn is_bipartite(g: &Graph) -> bool {
     bipartition(g).is_ok()
+}
+
+/// Whether the subgraph of `g` induced by the nodes in `mask` (bit `v` set
+/// for node `v`) is bipartite: `is_bipartite(&g.induced(..).0)` without
+/// building the subgraph or allocating. A breadth-first search over the
+/// mask, one layer at a time as a bitset: the graph is bipartite iff no
+/// edge joins two nodes of one layer. Each node's neighbour row is read
+/// once, when its layer is expanded.
+///
+/// # Panics
+///
+/// Panics if `g` has more than 64 nodes, the mask's width.
+pub fn is_bipartite_within(g: &Graph, mask: u64) -> bool {
+    assert!(g.node_count() <= 64, "a u64 mask covers at most 64 nodes");
+    let row = |v: usize| g.neighbors(v).iter().fold(0u64, |row, &u| row | 1 << u) & mask;
+    let mut unseen = mask;
+    while unseen != 0 {
+        let mut layer = unseen & unseen.wrapping_neg();
+        unseen &= !layer;
+        while layer != 0 {
+            let mut next = 0u64;
+            let mut rest = layer;
+            while rest != 0 {
+                let v = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                let neighbours = row(v);
+                #[cfg(conformance_mutants)]
+                let neighbours = if crate::mutants::active("bipartite_within_same_layer_edge") {
+                    neighbours & !layer
+                } else {
+                    neighbours
+                };
+                if neighbours & layer != 0 {
+                    return false;
+                }
+                next |= neighbours & unseen;
+            }
+            unseen &= !next;
+            layer = next;
+        }
+    }
+    true
 }
 
 /// Reconstructs an odd cycle from a BFS-tree conflict edge `{v, u}` where
@@ -132,5 +177,35 @@ mod tests {
     fn empty_and_trivial() {
         assert!(is_bipartite(&Graph::new(0)));
         assert!(is_bipartite(&Graph::new(5)));
+        assert!(is_bipartite_within(&Graph::new(0), 0));
+        assert!(is_bipartite_within(&generators::complete(4), 0));
+    }
+
+    #[test]
+    fn bitset_kernel_matches_the_induced_subgraph() {
+        // Every connected graph on at most 6 nodes, every node subset: the
+        // bitset search agrees with 2-colorability of the induced subgraph.
+        for g in generators::connected_graphs_up_to(6) {
+            let n = g.node_count();
+            for mask in 0..1u64 << n {
+                let keep: Vec<usize> = (0..n).filter(|&v| mask >> v & 1 == 1).collect();
+                let (induced, _) = g.induced(&keep);
+                assert_eq!(
+                    is_bipartite_within(&g, mask),
+                    crate::algo::coloring::is_k_colorable(&induced, 2),
+                    "edges {:?}, mask {mask:#b}",
+                    g.edges().collect::<Vec<_>>()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bitset_kernel_spans_the_whole_word() {
+        let odd = generators::cycle(63);
+        assert!(!is_bipartite_within(&odd, (1 << 63) - 1));
+        assert!(is_bipartite_within(&odd, (1 << 62) - 1), "a path remains");
+        let even = generators::cycle(64);
+        assert!(is_bipartite_within(&even, u64::MAX));
     }
 }

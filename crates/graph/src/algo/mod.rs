@@ -4,7 +4,8 @@
 //!   and diameter (Lemma 2.1 checks);
 //! * [`components`] — connected components;
 //! * [`bipartite`] — 2-colorability with a two-sided certificate: a
-//!   bipartition on success, an odd cycle on failure;
+//!   bipartition on success, an odd cycle on failure; and an
+//!   allocation-free bitset test of the subgraph a node mask induces;
 //! * [`coloring`] — proper-coloring validation, exact k-coloring, the
 //!   *lexicographically first* proper coloring required by the extraction
 //!   decoder of Lemma 3.2, and chromatic numbers;

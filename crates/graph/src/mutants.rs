@@ -17,6 +17,9 @@
 //! * `iso_degree_sequence_only` — `are_isomorphic` degenerates to
 //!   comparing degree sequences.
 //! * `induced_drops_edge` — `Graph::induced` silently omits one edge.
+//! * `bipartite_within_same_layer_edge` —
+//!   `algo::bipartite::is_bipartite_within` ignores edges inside one
+//!   breadth-first layer, so an odd cycle reads bipartite.
 //! * `orbit_drop_generator` — `algo::automorphism::port_automorphisms`
 //!   silently loses one non-identity element, so the returned set is no
 //!   longer a group and quotient multiplicities stop summing to `|Σ|^n`.
