@@ -167,8 +167,9 @@ fn collect_telemetry(universe: &Universe, group: String) -> TelemetryStats {
     }
 }
 
-/// Per-size engine statistics: one delta sweep's memo traffic and the
-/// view interner's front-cache traffic.
+/// Per-size engine statistics: one delta sweep's memo traffic and its
+/// view-id tables' traffic in front of the view interner, read from an
+/// attached recorder.
 struct SweepStats {
     group: String,
     items: usize,
@@ -187,17 +188,20 @@ fn collect_stats(universe: &Universe, group: String) -> SweepStats {
         universe,
         bipartite::is_bipartite,
     );
+    let recorder = MetricsRecorder::new();
     let report = SweepSession::over(universe)
         .mode(ExecMode::Sequential)
+        .metrics(&recorder)
         .run(&check);
-    let (interner_hits, interner_misses) = check.interner_stats();
+    let snapshot = recorder.snapshot();
+    let counter = |name: &str| snapshot.get(name).expect("every counter is snapshot") as usize;
     SweepStats {
         group,
         items: universe.len(),
         memo_hits: report.memo_hits,
         memo_misses: report.memo_misses,
-        interner_hits,
-        interner_misses,
+        interner_hits: counter("interner_front_hits"),
+        interner_misses: counter("interner_front_misses"),
         distinct_views: report.verdict.view_count(),
     }
 }

@@ -62,7 +62,7 @@ pub const MUTANTS: &[Mutant] = &[
     Mutant {
         name: "digit_key_slot_alias",
         host: "hiding-lcp-core",
-        site: "the dense index shared by the verdict memo and the interner's front cache aliases digits past slot 2 onto slot 2",
+        site: "the dense index shared by the verdict memo and the view-id tables aliases digits past slot 2 onto slot 2",
         expected_killers: &["memo_digit_slots"],
     },
     Mutant {
@@ -80,7 +80,7 @@ pub const MUTANTS: &[Mutant] = &[
     Mutant {
         name: "front_cache_class_collision",
         host: "hiding-lcp-core",
-        site: "view interner's front cache reads every class's ids from class 0's table",
+        site: "the walk's view-id lookup reads every class's ids from class 0's table",
         expected_killers: &["nbhd_witnesses_recheck", "classes_respect_alphabet"],
     },
     Mutant {

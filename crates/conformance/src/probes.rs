@@ -37,7 +37,7 @@ use hiding_lcp_core::verify::{
     merge_fragments, sum_stable_counters, AuditPlan, Block, BlockGated, Coverage, DynPropertyCheck,
     ExecMode, InstanceSet, ItemCtx, LabelSource, LazySweep, MetricsRecorder, PanelFragment,
     PropertyCheck, PropertyTag, ShardSpec, SweepBudget, SweepOutcome, SweepSession, SweepStrategy,
-    SymmetrySpec, Universe, UniverseItem, ViewInterner, ViewSlot,
+    SymmetrySpec, Universe, UniverseItem, ViewInterner,
 };
 use hiding_lcp_core::view::{IdMode, View};
 use hiding_lcp_graph::algo::{bipartite, coloring};
@@ -437,7 +437,7 @@ pub fn delta_budget_resume_parity() {
 /// slots beyond 2 — aliased slots collide distinct labelings onto one
 /// entry. Three letters make the collisions verdict-relevant: the dense
 /// verdict table's tally drifts from the brute force, and the neighborhood
-/// scan's front-cached interner merges distinct views.
+/// scan's view-id table merges distinct views.
 pub fn memo_digit_slots() {
     let star = Instance::canonical(generators::star(3));
     let trits: Vec<Certificate> = (0..3).map(Certificate::from_byte).collect();
@@ -450,8 +450,8 @@ pub fn memo_digit_slots() {
 
 /// Skeleton classes are per alphabet: two blocks of one graph whose
 /// alphabets differ map equal ball digits to different certificates, so
-/// neither the verdict memo nor the interner's front cache may share a
-/// class between them.
+/// neither the verdict memo nor the view-id table may share a class
+/// between them.
 pub fn classes_respect_alphabet() {
     let c4 = Instance::canonical(generators::cycle(4));
     let two_blocks = |alphabets: [Vec<Certificate>; 2]| {
@@ -489,7 +489,7 @@ fn assert_nbhd_matches_unkeyed(universe: &Universe) {
     assert_eq!(
         swept.views(),
         built.views(),
-        "front-cached interning merged or split views"
+        "the view-id tables merged or split views"
     );
     assert_eq!(swept.edge_count(), built.edge_count());
 }
@@ -554,21 +554,6 @@ pub fn interner_identity() {
     assert_eq!(interner.len(), 1);
     let c = interner.intern(v1.clone());
     assert_ne!(a, c, "distinct views get distinct ids");
-    assert_eq!(interner.len(), 2);
-    let slot = ViewSlot {
-        class: 0,
-        classes: 1,
-        entries: 2,
-        index: 1,
-    };
-    let (front, filled) = interner.fill(slot, v0.clone());
-    assert_eq!(front, a, "the front cache converges on the canonical id");
-    assert!(filled, "the first fill fills the entry");
-    assert_eq!(
-        interner.front(slot),
-        Some(a),
-        "a front-cache hit is the canonical id"
-    );
     assert_eq!(interner.len(), 2);
     let snapshot = interner.snapshot();
     assert_eq!(snapshot[a as usize], v0);

@@ -882,12 +882,8 @@ fn the_scan_interns_only_accepting_views() {
             bipartite::is_bipartite,
         );
         let report = SweepSession::over(&universe).run(&scan);
-        let interned = report
-            .interner
-            .as_ref()
-            .expect("the scan reports its interner");
         assert_eq!(report.verdict.view_count(), views, "{}", decoder.name());
-        assert_eq!(interned.distinct_views, views, "{}", decoder.name());
+        assert_eq!(scan.interned_views(), views, "{}", decoder.name());
     }
 }
 
@@ -972,5 +968,108 @@ fn the_folded_scan_matches_a_one_worker_oracle_walk() {
                 same(format!("{shards} shards"), &merged.verdict);
             }
         }
+    }
+}
+
+/// A panel neighbor that asks for one anonymous view configuration and
+/// records nothing: beside the scan it adds skeleton classes, which
+/// renumbers the walk's classes.
+struct AsksFor(usize);
+
+impl PropertyCheck for AsksFor {
+    type Partial = ();
+    type Verdict = ();
+
+    fn view_configs(&self) -> Vec<(usize, IdMode)> {
+        vec![(self.0, IdMode::Anonymous)]
+    }
+
+    fn inspect(&self, _item: &UniverseItem<'_>, _ctx: &ItemCtx<'_>) -> Option<()> {
+        None
+    }
+
+    // It records nothing, so every symmetry holds, and the walk jumps the
+    // same copy blocks as the scan's solo walk.
+    fn symmetry_class(&self, _alphabet: &[Certificate]) -> Option<SymmetrySpec> {
+        Some(SymmetrySpec {
+            automorphisms: true,
+            alphabet_classes: None,
+        })
+    }
+
+    fn reduce(&self, _universe: &Universe, _partials: Vec<(usize, ())>, _outcome: &SweepOutcome) {}
+}
+
+/// One scan walked solo, then as a panel member beside a check that asks
+/// for radius-0 views and beside one that asks for radius-2 views, then
+/// through a budget chain whose first slices walk 1,000 items, builds a
+/// fresh scan's `V(D, n)`, witness for witness, every time: the view-id
+/// tables belong to each walk and are keyed by its classes, and only the
+/// scan's canonical map outlives a walk.
+#[test]
+fn one_scan_keeps_its_views_across_walks_of_different_panels() {
+    use hiding_lcp_certs::{degree_one, revealing};
+    let cases: [(Box<dyn Decoder>, Vec<Certificate>, usize); 3] = [
+        (
+            Box::new(degree_one::DegreeOneDecoder),
+            degree_one::adversary_alphabet(),
+            4,
+        ),
+        (
+            Box::new(revealing::RevealingDecoder::new(2)),
+            revealing::adversary_alphabet(2),
+            4,
+        ),
+        (
+            Box::new(revealing::RevealingDecoder::new(3)),
+            revealing::adversary_alphabet(3),
+            3,
+        ),
+    ];
+    for (decoder, alphabet, max_n) in cases {
+        let name = format!("{} at n <= {max_n}", decoder.name());
+        let universe = Universe::lemma31(max_n, alphabet).expect("the family fits");
+        let scan = || {
+            NbhdSweep::new(
+                &*decoder,
+                IdMode::Anonymous,
+                &universe,
+                bipartite::is_bipartite,
+            )
+        };
+        let session = SweepSession::over(&universe).mode(ExecMode::Parallel(parity_threads()));
+        let fresh = session.run(&scan()).verdict;
+        let same = |what: &str, nbhd: &NbhdGraph| {
+            probes::assert_same_witnesses(&format!("{name}, {what}"), &fresh, nbhd)
+        };
+        let check = scan();
+        same("solo", &session.run(&check).verdict);
+        for radius in [0, 2] {
+            let members = [
+                DynPropertyCheck::new(PropertyTag::Hiding, "scan", &check),
+                DynPropertyCheck::new(PropertyTag::Custom, "neighbor", AsksFor(radius)),
+            ];
+            let report = session.run_panel(&members);
+            let nbhd = report.members[0]
+                .verdict
+                .get::<NbhdGraph>()
+                .expect("the scan's verdict");
+            same(&format!("beside a radius-{radius} member"), nbhd);
+        }
+        let sliced = session.budget(SweepBudget::unlimited().with_max_items(1_000));
+        let mut fragment = sliced.run_fragment(&check, ShardSpec::new(0, 1));
+        for _ in 0..2 {
+            fragment = sliced.resume_fragment(&check, fragment);
+        }
+        let fragment = session.resume_fragment(&check, fragment);
+        let merged = merge_fragments(
+            &check,
+            &universe,
+            ExecMode::Sequential,
+            vec![fragment],
+            None,
+        )
+        .expect("a finished chain covers the universe");
+        same("a budget chain", &merged.verdict);
     }
 }

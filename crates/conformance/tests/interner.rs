@@ -1,14 +1,17 @@
 //! ViewInterner contract tests: dense id allocation, id stability under
-//! concurrent interning, `ViewId` → view round-trips, and the dense front
-//! cache's agreement with the canonical map.
+//! concurrent interning, `ViewId` → view round-trips, and the agreement of
+//! a walk's view-id tables ([`ItemCtx::view_id`]) with the canonical map.
 
 use hiding_lcp_conformance::oracle;
 use hiding_lcp_core::instance::Instance;
 use hiding_lcp_core::label::Certificate;
-use hiding_lcp_core::verify::{ViewInterner, ViewSlot};
+use hiding_lcp_core::verify::{
+    Coverage, ExecMode, ItemCtx, MetricsRecorder, PropertyCheck, SweepOutcome, SweepSession,
+    Universe, UniverseItem, ViewId, ViewInterner,
+};
 use hiding_lcp_core::view::{IdMode, View};
 use hiding_lcp_graph::generators;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Two bits of certificate alphabet.
 fn bits() -> Vec<Certificate> {
@@ -65,12 +68,6 @@ fn dense_ids_and_snapshot_round_trip() {
     for (view, &id) in &id_of {
         assert_eq!(&snapshot[id as usize], view, "snapshot[id] round-trips");
     }
-    // `intern` counts one front-cache miss per call (front-cache hits are
-    // tallied only by `intern_nodes`), so the miss counter equals the call
-    // count.
-    let (hits, misses) = interner.stats();
-    assert_eq!(misses, pool.len(), "one counted miss per intern call");
-    assert_eq!(hits, 0, "no front-cache lookups were tallied");
 }
 
 /// A larger distinct set, interned with many repeats, still gets every id
@@ -139,100 +136,133 @@ fn ids_stable_across_threads() {
     }
 }
 
-/// The star's center view under two binary digits (leaf 1's and the
-/// other leaves'), with its front-cache slot: class 7 of 8, the four ball
-/// digits read base 2 along the node order.
-fn center_view(instance: &Instance, bit1: usize, rest: usize) -> (ViewSlot, View) {
-    let labeling = (0..4)
-        .map(|v| Certificate::from_byte(if v == 1 { bit1 } else { rest } as u8))
-        .collect();
-    let slot = ViewSlot {
-        class: 7,
-        classes: 8,
-        entries: 16,
-        index: bit1 * 2 + rest * (4 + 8) + rest,
-    };
-    (slot, instance.view(&labeling, 0, 1, IdMode::Anonymous))
+/// The radius-1 anonymous configuration every view below is named in.
+const CONFIG: (usize, IdMode) = (1, IdMode::Anonymous);
+
+/// Names every node's view through the walk's view-id table into its own
+/// interner: the item's ids in node order.
+#[derive(Default)]
+struct IdScan {
+    interner: ViewInterner,
 }
 
-/// The front cache converges on the same ids as structural interning,
-/// and distinct ball digits of one class fill distinct entries.
+impl PropertyCheck for IdScan {
+    type Partial = Vec<ViewId>;
+    type Verdict = Vec<(usize, Vec<ViewId>)>;
+
+    fn view_configs(&self) -> Vec<(usize, IdMode)> {
+        vec![CONFIG]
+    }
+
+    fn inspect(&self, item: &UniverseItem<'_>, ctx: &ItemCtx<'_>) -> Option<Vec<ViewId>> {
+        let n = item.instance.graph().node_count();
+        Some(
+            (0..n)
+                .map(|v| ctx.view_id(item, v, CONFIG, &self.interner))
+                .collect(),
+        )
+    }
+
+    fn reduce(
+        &self,
+        _universe: &Universe,
+        partials: Vec<(usize, Vec<ViewId>)>,
+        _outcome: &SweepOutcome,
+    ) -> Self::Verdict {
+        partials
+    }
+}
+
+/// Every labeling of a 3-pointed star over `letters` letters.
+fn star_universe(letters: u8) -> Universe {
+    let star = Instance::canonical(generators::star(3));
+    let alphabet = (0..letters).map(Certificate::from_byte).collect();
+    Universe::all_labelings_of(star, alphabet, Coverage::Exhaustive).expect("the star fits")
+}
+
+/// What [`walk_ids`] returns: the scan (its interner), the walk's
+/// recorder and each item's ids.
+type IdWalk = (IdScan, MetricsRecorder, Vec<(usize, Vec<ViewId>)>);
+
+/// Walks an [`IdScan`] over `universe` in `mode` and checks every id it
+/// named against structural interning of the stamped view.
+fn walk_ids(universe: &Universe, mode: ExecMode) -> IdWalk {
+    let scan = IdScan::default();
+    let recorder = MetricsRecorder::new();
+    let report = SweepSession::over(universe)
+        .mode(mode)
+        .metrics(&recorder)
+        .run(&scan);
+    assert_eq!(report.verdict.len(), universe.len(), "{mode:?}");
+    for (i, ids) in &report.verdict {
+        let (instance, labeling) = universe.item_parts(*i);
+        for (v, &id) in ids.iter().enumerate() {
+            let view = instance.view(&labeling, v, CONFIG.0, CONFIG.1);
+            assert_eq!(
+                scan.interner.intern(view),
+                id,
+                "{mode:?}: table and structural ids agree"
+            );
+        }
+    }
+    (scan, recorder, report.verdict)
+}
+
+/// Reads one counter of a walk's recorder.
+fn counter(recorder: &MetricsRecorder, name: &str) -> u64 {
+    recorder
+        .snapshot()
+        .get(name)
+        .expect("every counter is snapshot")
+}
+
+/// A walk's view-id tables converge on the same ids as structural
+/// interning, and distinct ball digits of one class fill distinct
+/// entries: the center reads all four digits of a binary star, so its 16
+/// digit vectors name 16 views.
 #[test]
 fn front_cache_interning_matches_structural() {
-    let instance = Instance::canonical(generators::star(3));
-    let interner = ViewInterner::new();
-    for (digits_a, digits_b) in [((0, 0), (1, 0)), ((0, 1), (1, 1))] {
-        let (slot_a, va) = center_view(&instance, digits_a.0, digits_a.1);
-        let (slot_b, vb) = center_view(&instance, digits_b.0, digits_b.1);
-        assert_ne!(
-            slot_a.index, slot_b.index,
-            "distinct digits, distinct entries"
-        );
-        assert_eq!(interner.front(slot_a), None, "an unfilled entry misses");
-        let (a, filled_a) = interner.fill(slot_a, va.clone());
-        let (b, filled_b) = interner.fill(slot_b, vb.clone());
-        assert!(filled_a && filled_b, "each fill fills its own entry");
-        assert_eq!(interner.front(slot_a), Some(a));
-        assert_eq!(interner.front(slot_b), Some(b));
-        assert_eq!(
-            interner.intern(va),
-            a,
-            "front-cache and structural ids agree"
-        );
-        assert_eq!(
-            interner.intern(vb),
-            b,
-            "front-cache and structural ids agree"
-        );
-    }
-    assert_eq!(interner.len(), 4);
+    let universe = star_universe(2);
+    let (scan, recorder, ids) = walk_ids(&universe, ExecMode::Sequential);
+    let centers: HashSet<ViewId> = ids.iter().map(|(_, ids)| ids[0]).collect();
+    assert_eq!(centers.len(), 16, "distinct digits, distinct entries");
+    let distinct = scan.interner.len() as u64;
+    assert_eq!(
+        counter(&recorder, "interner_front_misses"),
+        distinct,
+        "one worker misses each entry once"
+    );
+    assert_eq!(
+        counter(&recorder, "interner_front_hits"),
+        4 * 16 - distinct,
+        "every other lookup is one load"
+    );
 }
 
-/// Threads racing to fill the same entries agree on every id with each
-/// other and with the canonical map, and each entry is filled exactly
-/// once: the fill count is what the sweep counts as stamps, so it may not
-/// depend on the interleaving.
+/// Workers racing to fill the same entries agree on every id with the
+/// canonical map, and each entry is filled exactly once: the fill count
+/// is what the walk counts as stamps (`cache_hits`), so it may not depend
+/// on the interleaving.
 #[test]
 fn concurrent_fills_agree_and_fill_each_entry_once() {
-    let instance = Instance::canonical(generators::star(3));
-    let pool: Vec<(ViewSlot, View)> = (0..4)
-        .map(|digits| center_view(&instance, digits & 1, digits >> 1))
-        .collect();
-    let interner = ViewInterner::new();
-    let threads = 4;
-    let runs: Vec<(Vec<u32>, usize)> = std::thread::scope(|scope| {
-        (0..threads)
-            .map(|t| {
-                let (pool, interner) = (&pool, &interner);
-                scope.spawn(move || {
-                    let mut ids = vec![u32::MAX; pool.len()];
-                    let mut fills = 0;
-                    for round in 0..64 {
-                        let i = (t + round) % pool.len();
-                        let (slot, view) = &pool[i];
-                        ids[i] = match interner.front(*slot) {
-                            Some(id) => id,
-                            None => {
-                                let (id, filled) = interner.fill(*slot, view.clone());
-                                fills += usize::from(filled);
-                                id
-                            }
-                        };
-                    }
-                    (ids, fills)
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|h| h.join().expect("interner thread panicked"))
-            .collect()
-    });
-    for (ids, _) in &runs[1..] {
-        assert_eq!(ids, &runs[0].0, "threads disagree on some view's id");
-    }
-    let fills: usize = runs.iter().map(|(_, fills)| fills).sum();
-    assert_eq!(fills, pool.len(), "each entry is filled exactly once");
-    for ((_, view), &id) in pool.iter().zip(&runs[0].0) {
-        assert_eq!(interner.intern(view.clone()), id);
+    let universe = star_universe(3);
+    let threads = hiding_lcp_conformance::parity_threads().max(2);
+    for mode in std::iter::once(ExecMode::Sequential)
+        .chain(std::iter::repeat_n(ExecMode::Parallel(threads), 8))
+    {
+        let (scan, recorder, _) = walk_ids(&universe, mode);
+        let distinct = scan.interner.len() as u64;
+        assert_eq!(
+            counter(&recorder, "cache_hits"),
+            distinct,
+            "{mode:?}: each entry's stamp counted once"
+        );
+        let misses = counter(&recorder, "interner_front_misses");
+        assert!(misses >= distinct, "{mode:?}: every entry missed once");
+        assert_eq!(
+            counter(&recorder, "interner_front_hits") + misses,
+            4 * 81,
+            "{mode:?}: one lookup per node per item"
+        );
     }
 }

@@ -20,15 +20,15 @@
 //! * `memo_key_class_collision` — the verdict memo keys every node with
 //!   skeleton class 0, colliding distinct local structures.
 //! * `digit_key_slot_alias` — the dense table index, shared by the
-//!   verdict memo and the interner's front cache, aliases every digit
-//!   past slot 2 onto slot 2.
+//!   verdict memo and the view-id tables, aliases every digit past slot 2
+//!   onto slot 2.
 //! * `class_ignores_alphabet` — skeleton classes are assigned by proto
 //!   alone, so blocks with different alphabets share memo entries.
 //! * `interner_always_fresh` — the view interner mints a fresh id on
 //!   every call, breaking "distinct id ⟺ distinct view".
-//! * `front_cache_class_collision` — the interner's front cache reads
-//!   every skeleton class's ids from class 0's table, so views of distinct
-//!   classes at one index share an id.
+//! * `front_cache_class_collision` — the walk's view-id lookup
+//!   (`ItemCtx::view_id`) reads every skeleton class's ids from class 0's
+//!   table, so views of distinct classes at one index share an id.
 //! * `checked_off_by_one` — a short-circuited sweep reports `stop_at`
 //!   instead of `stop_at + 1` items checked.
 //! * `chunk_claim_overlap` — parallel workers advance the shared cursor

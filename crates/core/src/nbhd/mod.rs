@@ -24,8 +24,8 @@ pub mod sources;
 use crate::decoder::Decoder;
 use crate::instance::LabeledInstance;
 use crate::verify::{
-    Coverage, InternerReport, ItemCtx, PropertyCheck, SweepOutcome, SweepSession, SymmetrySpec,
-    Universe, UniverseItem, VerificationReport, ViewId, ViewInterner,
+    Coverage, ItemCtx, PropertyCheck, SweepOutcome, SweepSession, SymmetrySpec, Universe,
+    UniverseItem, VerificationReport, ViewId, ViewInterner,
 };
 use crate::view::{IdMode, View};
 use hiding_lcp_graph::algo::{bipartite, coloring};
@@ -83,17 +83,17 @@ const INLINE_NODES: usize = 16;
 /// interned and an edge enters `V(D, n)` when both its views are accepted
 /// somewhere.
 ///
-/// Views are hash-consed through an owned [`ViewInterner`]: within one
-/// sweep every distinct view is stamped and stored once, and wherever the
-/// walk supplies odometer digits the interner's dense front cache resolves
-/// a repeat view with one relaxed load, without stamping it, locking or
-/// hashing. The interner is part of the check's state, so a
-/// budgeted/resumed chain must reuse the *same* check instance for its
-/// ids to stay meaningful (ids are opaque and run-specific; the reduce
-/// step derives all ordering from item order, never id order). A check
-/// instance is likewise tied to the universe it was built for, and to the
-/// member list it first walks in: the front cache is keyed by the engine's
-/// skeleton classes.
+/// Views are hash-consed through an owned [`ViewInterner`], one id per
+/// distinct view, and named through [`ItemCtx::view_id`]: wherever the
+/// walk supplies odometer digits, the walk's view-id table resolves a
+/// repeat view with one relaxed load, without stamping it, locking or
+/// hashing. The table belongs to the walk; the interner is part of the
+/// check's state, so a budgeted/resumed chain must reuse the *same* check
+/// instance for its ids to stay meaningful (ids are opaque and
+/// run-specific; the reduce step derives all ordering from item order,
+/// never id order), and one check may walk solo or beside any other
+/// members. A check instance is tied to the universe it was built for:
+/// it filters that universe's blocks once, at construction.
 pub struct NbhdSweep<'a, D: ?Sized> {
     decoder: &'a D,
     id_mode: IdMode,
@@ -129,11 +129,11 @@ impl<'a, D: Decoder + ?Sized> NbhdSweep<'a, D> {
         }
     }
 
-    /// `(front-cache hits, misses)` of the sweep's view interner so far: a
-    /// hit resolved a node's view id from its front-cache slot without
-    /// stamping the view.
-    pub fn interner_stats(&self) -> (usize, usize) {
-        self.interner.stats()
+    /// Distinct views interned so far, over every walk of this check.
+    /// Where the scan interns only accepting views, this is the view count
+    /// of `V(D, n)`.
+    pub fn interned_views(&self) -> usize {
+        self.interner.len()
     }
 
     /// Scans one item: every accepting node's view, then every edge whose
@@ -159,8 +159,10 @@ impl<'a, D: Decoder + ?Sized> NbhdSweep<'a, D> {
             &mut heap[..]
         };
         let config = (self.decoder.radius(), self.id_mode);
-        let wanted = |v: usize| !self.accepting_only || accepts(v);
-        self.interner.intern_nodes(item, ctx, config, wanted, ids);
+        for (v, id) in ids.iter_mut().enumerate() {
+            *id = (!self.accepting_only || accepts(v))
+                .then(|| ctx.view_id(item, v, config, &self.interner));
+        }
         let mut scan = NbhdScan {
             views: Vec::new(),
             edges: Vec::new(),
@@ -231,10 +233,6 @@ impl<D: Decoder + ?Sized> PropertyCheck for NbhdSweep<'_, D> {
                 automorphisms: true,
                 alphabet_classes: None,
             })
-    }
-
-    fn interner_report(&self) -> Option<InternerReport> {
-        Some(self.interner.report())
     }
 
     fn reduce(

@@ -27,7 +27,6 @@
 //! once and every strategy runs the same body.
 
 use super::budget::SweepError;
-use super::interner::InternerReport;
 use super::symmetry::SymmetrySpec;
 use super::universe::{Coverage, Universe, UniverseItem};
 use super::ItemCtx;
@@ -143,14 +142,6 @@ pub trait PropertyCheck: Sync {
         None
     }
 
-    /// A snapshot of the check's view-interner counters, if it owns one
-    /// (e.g. the neighborhood scan). Collected by the executor after the
-    /// sweep into [`ExecEvidence::interner`] so reports can quantify
-    /// the interned views, the front-cache hit rate and lock contention.
-    fn interner_report(&self) -> Option<InternerReport> {
-        None
-    }
-
     /// Folds the recorded partials (sorted by item index; truncated at the
     /// first short-circuiting one, if any) into the verdict.
     fn reduce(
@@ -201,10 +192,6 @@ impl<C: PropertyCheck> PropertyCheck for &C {
 
     fn symmetry_class(&self, alphabet: &[Certificate]) -> Option<SymmetrySpec> {
         (**self).symmetry_class(alphabet)
-    }
-
-    fn interner_report(&self) -> Option<InternerReport> {
-        (**self).interner_report()
     }
 
     fn reduce(
@@ -284,10 +271,6 @@ pub struct ExecEvidence {
     pub elapsed: Duration,
     /// Worker threads used (1 = sequential).
     pub threads: usize,
-    /// The check's view-interner counters (distinct views, front-cache
-    /// hit rate, lock contention), when the check owns an interner (see
-    /// [`PropertyCheck::interner_report`]).
-    pub interner: Option<InternerReport>,
 }
 
 /// The result of one sweep: the property verdict plus execution evidence.

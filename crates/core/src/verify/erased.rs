@@ -28,7 +28,6 @@
 //! the view.
 
 use super::check::{PropertyCheck, SweepOutcome};
-use super::interner::InternerReport;
 use super::symmetry::SymmetrySpec;
 use super::universe::{Coverage, Universe, UniverseItem};
 use super::ItemCtx;
@@ -98,7 +97,6 @@ trait ErasedCheck: Sync {
     fn uses_verdicts(&self, block: usize) -> bool;
     fn short_circuits(&self, partial: &ErasedPartial) -> bool;
     fn symmetry_class(&self, alphabet: &[Certificate]) -> Option<SymmetrySpec>;
-    fn interner_report(&self) -> Option<InternerReport>;
     fn reduce(
         &self,
         universe: &Universe,
@@ -163,10 +161,6 @@ where
 
     fn symmetry_class(&self, alphabet: &[Certificate]) -> Option<SymmetrySpec> {
         self.check.symmetry_class(alphabet)
-    }
-
-    fn interner_report(&self) -> Option<InternerReport> {
-        self.check.interner_report()
     }
 
     fn reduce(
@@ -330,10 +324,6 @@ impl PropertyCheck for DynPropertyCheck<'_> {
 
     fn symmetry_class(&self, alphabet: &[Certificate]) -> Option<SymmetrySpec> {
         self.inner.symmetry_class(alphabet)
-    }
-
-    fn interner_report(&self) -> Option<InternerReport> {
-        self.inner.interner_report()
     }
 
     fn reduce(

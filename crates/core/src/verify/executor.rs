@@ -34,12 +34,8 @@
 //! memo short-cuts repeated local configurations without even stamping
 //! the view: a node's `(skeleton class, ball digits)` identity indexes a
 //! dense one-byte-per-entry table of its class (the ball digits read as a
-//! base-`|alphabet|` number). The tables live in the channel's
-//! [`DeltaDriver`], so every worker reads and fills the same ones. Classes
-//! whose table would exceed [`MEMO_TABLE_CAP`] entries are not memoized.
-//! The view interner's front cache is indexed the same way: the skeleton
-//! cache computes each skeleton's slot (class, radix, table size) once,
-//! and both the verdict memo and [`ItemCtx::view_slot`] read it.
+//! base-`|alphabet|` number). Classes whose table would exceed
+//! [`MEMO_TABLE_CAP`] entries are not memoized.
 //!
 //! The index-decoded path survives as [`SweepStrategy::DecodeOracle`],
 //! the unmemoized full-walk reference: the same walk and per-item step,
@@ -49,6 +45,20 @@
 //! All of this is invisible to reports and fragments — the stepped
 //! labeling at index `i` equals the decoded labeling at index `i`
 //! exactly.
+//!
+//! # Dense per-class tables
+//!
+//! Every digit-indexed table is a [`ClassTables`]: one table per skeleton
+//! class, allocated on the class's first touch and sized by the slot the
+//! skeleton cache computed for it (class, radix, table size). The engine
+//! builds them per walk, and every worker reads and fills the same ones:
+//! each verdict channel's memo lives in its [`DeltaDriver`], and a member
+//! that names views gets view-id tables on its first lookup, which
+//! [`ItemCtx::view_id`] reads in front of the [`ViewInterner`] the member
+//! passes it. A table is keyed by the class numbering of the walk that
+//! built it, so none outlives that walk; the interner's canonical map
+//! does, since the ids it mints key a member's fold claims across the
+//! walks of a budget chain.
 //!
 //! # Skeleton cache
 //!
@@ -60,12 +70,11 @@
 //! `|alphabet|^n` BFS canonicalizations per node into one. Skeletons with
 //! equal protos in blocks with equal alphabets additionally share a *class
 //! id* (assigned in build order, hence deterministic), the anchor of every
-//! digit-indexed table: the verdict memo's and the view interner's front
-//! cache.
+//! digit-indexed table: the verdict memo's and the member's view ids.
 //!
 //! [`PropertyCheck::verdict_decoder`]: super::PropertyCheck::verdict_decoder
 
-use super::interner::ViewSlot;
+use super::interner::{ViewId, ViewInterner};
 use super::telemetry::{SweepCounter, WorkerTally};
 use super::universe::{LabelSource, Universe, UniverseItem};
 use crate::decoder::{Decoder, Verdict};
@@ -73,7 +82,7 @@ use crate::label::{Certificate, Labeling};
 use crate::view::{IdMode, View, ViewSkeleton};
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 /// How many workers the sweep's one walk runs on. Every mode runs the
@@ -102,14 +111,12 @@ pub enum ExecMode {
 pub const PARALLEL_THRESHOLD: usize = 64;
 
 /// Largest dense table allocated for one skeleton class, in entries: one
-/// byte each in the verdict memo, one [`ViewId`](super::ViewId) each in the
-/// view interner's front cache. A class whose `|alphabet|^|ball|` exceeds
-/// it runs the decoder on every verdict decision and interns every view
-/// through the canonical map.
+/// byte each in the verdict memo, one [`ViewId`] each in a member's view-id
+/// table. A class whose `|alphabet|^|ball|` exceeds it runs the decoder on
+/// every verdict decision and interns every view through the canonical
+/// map.
 const MEMO_TABLE_CAP: usize = 1 << 16;
 
-/// A verdict-table entry no worker has decided yet.
-const UNDECIDED: u8 = 0;
 /// A verdict-table entry holding [`Verdict::Accept`].
 const ACCEPTED: u8 = 1;
 /// A verdict-table entry holding [`Verdict::Reject`].
@@ -145,8 +152,7 @@ pub(super) struct SkeletonCache {
     /// configuration `c`; empty for a copy block the walk jumps over.
     pub(super) per_block: Vec<Vec<Vec<ViewSkeleton>>>,
     /// `slots[b][c][v]` = the dense-table slot of node `v`'s skeleton in
-    /// block `b` under configuration `c`, read by the verdict memo and the
-    /// interner's front cache alike.
+    /// block `b` under configuration `c`, read by every [`ClassTables`].
     slots: Vec<Vec<Vec<MemoSlot>>>,
     /// How many classes the build numbered: every slot's class is below it.
     classes: u32,
@@ -260,17 +266,50 @@ impl SkeletonCache {
     }
 }
 
+/// One dense table per skeleton class of a walk's [`SkeletonCache`], each
+/// allocated on its class's first touch by any worker, sized by the
+/// class's [`MemoSlot`], and shared by every worker. A verdict channel's
+/// memo holds one [`AtomicU8`] verdict code per entry, a member's view-id
+/// table one [`AtomicU32`] per entry; either way a zero entry is one no
+/// worker has filled yet. Entries are read and written `Relaxed`: each
+/// holds a whole value and publishes no other data (the `OnceLock`
+/// publishes the table itself). The tables are keyed by the cache's class
+/// numbering, so they live only as long as the walk that built them.
+pub(super) struct ClassTables<A> {
+    tables: Box<[OnceLock<Box<[A]>>]>,
+}
+
+impl<A: Default> ClassTables<A> {
+    /// One unallocated table per class of `cache`.
+    pub(super) fn new(cache: &SkeletonCache) -> ClassTables<A> {
+        ClassTables {
+            tables: (0..cache.classes).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// The table of `slot`'s class, allocated on first touch.
+    fn table(&self, slot: MemoSlot) -> &[A] {
+        self.tables[slot.class as usize].get_or_init(|| {
+            std::iter::repeat_with(A::default)
+                .take(slot.entries)
+                .collect()
+        })
+    }
+}
+
 /// Handed to [`PropertyCheck::inspect`](super::PropertyCheck::inspect):
 /// view extraction for the item's block, backed by the shared skeleton
-/// cache, and the member's per-node verdicts. The views it stamps and
-/// extracts are counted in the inspecting worker's own tally.
+/// cache, the member's view-id table, and the member's per-node verdicts.
+/// The views it stamps and extracts, and the view ids it looks up, are
+/// counted in the inspecting worker's own tally.
 pub struct ItemCtx<'a> {
     block: usize,
     cache: &'a SkeletonCache,
     /// The inspecting worker's tally.
     tally: &'a WorkerTally,
-    /// Whether the dense per-class tables are on (delta stepping).
-    dense: bool,
+    /// The member's view-id tables (delta stepping), each entry a view's
+    /// id plus one, built on the member's first lookup.
+    ids: Option<&'a OnceLock<ClassTables<AtomicU32>>>,
     multiplicity: u64,
     /// The member's delta channel vector, current for the item, where the
     /// walk keeps one.
@@ -285,7 +324,7 @@ impl<'a> ItemCtx<'a> {
         block: usize,
         cache: &'a SkeletonCache,
         tally: &'a WorkerTally,
-        dense: bool,
+        ids: Option<&'a OnceLock<ClassTables<AtomicU32>>>,
         multiplicity: u64,
         verdicts: Option<&'a [Verdict]>,
     ) -> ItemCtx<'a> {
@@ -293,7 +332,7 @@ impl<'a> ItemCtx<'a> {
             block,
             cache,
             tally,
-            dense,
+            ids,
             multiplicity,
             verdicts,
         }
@@ -319,33 +358,93 @@ impl<'a> ItemCtx<'a> {
         id_mode: IdMode,
     ) -> View {
         if let Some(c) = self.cache.config_index(radius, id_mode) {
-            self.count_stamp();
+            self.tally.add(SweepCounter::CacheHits, 1);
             return self.cache.per_block[self.block][c][v].stamp(labeling);
         }
         self.tally.add(SweepCounter::CacheMisses, 1);
         View::extract(item.instance, labeling, v, radius, id_mode)
     }
 
-    /// Like [`ItemCtx::view`] but counted by the caller: the view interner
-    /// counts a front-cache stamp only when it fills the entry
-    /// ([`ItemCtx::count_stamp`]), so two workers racing on one entry count
-    /// one stamp between them.
-    pub(super) fn stamp_uncounted(
+    /// The id of node `v`'s view under `(radius, id_mode)` in
+    /// `interner`'s canonical map. Where the member has a view-id table
+    /// and the item carries odometer digits, the node's skeleton slot
+    /// names one entry of its class's table (the ball digits read
+    /// base-|alphabet|, as the verdict memo reads them): a hit is one
+    /// `Relaxed` load; a miss stamps the view, interns it and publishes
+    /// the id, and of the workers racing on one empty entry only the one
+    /// whose exchange fills it counts its stamp, so `cache_hits` counts
+    /// each entry once however they interleave. A view without an entry
+    /// (the decode oracle, `Fixed` and `Unlabeled` blocks, a configuration
+    /// not requested via
+    /// [`PropertyCheck::view_configs`](super::PropertyCheck::view_configs),
+    /// a class over the table cap) is interned through the map. Hits,
+    /// misses and waits for the map's lock are counted in the worker's
+    /// tally as `interner_front_hits`, `interner_front_misses` and
+    /// `interner_contention`.
+    pub fn view_id(
+        &self,
+        item: &UniverseItem<'_>,
+        v: usize,
+        (radius, id_mode): (usize, IdMode),
+        interner: &ViewInterner,
+    ) -> ViewId {
+        let Some((entry, skeleton)) = self.id_entry(item, v, radius, id_mode) else {
+            return self.intern(interner, self.view(item, v, radius, id_mode));
+        };
+        match entry.load(Ordering::Relaxed) {
+            0 => {}
+            stored => {
+                self.tally.add(SweepCounter::InternerFrontHits, 1);
+                return stored - 1;
+            }
+        }
+        let id = self.intern(interner, skeleton.stamp(item.labeling));
+        if entry
+            .compare_exchange(0, id + 1, Ordering::Relaxed, Ordering::Relaxed)
+            .is_ok()
+        {
+            self.tally.add(SweepCounter::CacheHits, 1);
+        }
+        id
+    }
+
+    /// Node `v`'s entry in the member's view-id table under `(radius,
+    /// id_mode)`, with its cached skeleton, if it has one.
+    fn id_entry(
         &self,
         item: &UniverseItem<'_>,
         v: usize,
         radius: usize,
         id_mode: IdMode,
-    ) -> View {
-        match self.cache.config_index(radius, id_mode) {
-            Some(c) => self.cache.per_block[self.block][c][v].stamp(item.labeling),
-            None => View::extract(item.instance, item.labeling, v, radius, id_mode),
+    ) -> Option<(&'a AtomicU32, &'a ViewSkeleton)> {
+        let (ids, digits, cache) = (self.ids?, item.digits?, self.cache);
+        let c = cache.config_index(radius, id_mode)?;
+        let (skeleton, slot) = (
+            &cache.per_block[self.block][c][v],
+            cache.slots[self.block][c][v],
+        );
+        if slot.entries == 0 {
+            return None;
         }
+        let ids = ids.get_or_init(|| ClassTables::new(cache));
+        let index = dense_index(skeleton.original_nodes(), digits, slot.radix);
+        #[cfg(conformance_mutants)]
+        let slot = if crate::mutants::active("front_cache_class_collision") {
+            MemoSlot { class: 0, ..slot }
+        } else {
+            slot
+        };
+        Some((ids.table(slot).get(index)?, skeleton))
     }
 
-    /// Counts one stamp as a cache hit.
-    pub(super) fn count_stamp(&self) {
-        self.tally.add(SweepCounter::CacheHits, 1);
+    /// Interns `view` through `interner`'s canonical map, counting one
+    /// front-cache miss and, if the map's lock was held, one wait.
+    fn intern(&self, interner: &ViewInterner, view: View) -> ViewId {
+        let (id, waited) = interner.intern_waiting(view);
+        self.tally.add(SweepCounter::InternerFrontMisses, 1);
+        self.tally
+            .add(SweepCounter::InternerContention, u64::from(waited));
+        id
     }
 
     /// How many universe items this item stands for. An item of a block
@@ -359,44 +458,6 @@ impl<'a> ItemCtx<'a> {
     /// bit-exact against the full walk.
     pub fn multiplicity(&self) -> u64 {
         self.multiplicity
-    }
-
-    /// Where node `v`'s view under `(radius, id_mode)` lives in a dense
-    /// per-class table such as the view interner's front cache: the
-    /// skeleton's class, the engine's class count, the class's table size
-    /// and the entry the item's ball digits select (read base-|alphabet|
-    /// along the skeleton's canonical node order, as the verdict memo
-    /// reads them). Equal slots denote equal stamped views, and distinct
-    /// ball digits of one class select distinct entries. `None` under
-    /// [`SweepStrategy::DecodeOracle`], when the item carries no odometer
-    /// digits (`Fixed` and `Unlabeled` blocks),
-    /// the configuration was not requested via
-    /// [`PropertyCheck::view_configs`](super::PropertyCheck::view_configs),
-    /// or the class's table would exceed the engine's table cap: the
-    /// caller then interns the stamped view through the canonical map.
-    pub fn view_slot(
-        &self,
-        item: &UniverseItem<'_>,
-        v: usize,
-        radius: usize,
-        id_mode: IdMode,
-    ) -> Option<ViewSlot> {
-        if !self.dense {
-            return None;
-        }
-        let digits = item.digits?;
-        let c = self.cache.config_index(radius, id_mode)?;
-        let slot = self.cache.slots[self.block][c][v];
-        (slot.entries > 0).then(|| ViewSlot {
-            class: slot.class,
-            classes: self.cache.classes,
-            entries: slot.entries,
-            index: dense_index(
-                self.cache.per_block[self.block][c][v].original_nodes(),
-                digits,
-                slot.radix,
-            ),
-        })
     }
 
     /// Runs `decoder` on every node of the item, in node order.
@@ -462,13 +523,11 @@ pub(super) struct DeltaDriver<'a> {
     /// node `v`'s certificate (computed by inverting skeleton node
     /// orders). Empty for blocks outside the verdict fast path.
     balls: Vec<Vec<Vec<usize>>>,
-    /// `tables[class]` = the class's dense verdict table, allocated on the
-    /// class's first lookup by any worker and shared by all of them. Two
+    /// The channel's verdict memo: one code per entry, zero while no
+    /// worker has decided it, then [`ACCEPTED`] or [`REJECTED`]. Two
     /// workers racing on one entry both run the decoder on the same view
-    /// and store the same verdict, so the race is benign. Entries are read
-    /// and written `Relaxed`: each holds a whole verdict and publishes no
-    /// other data (the `OnceLock` publishes the table itself).
-    tables: Vec<OnceLock<Box<[AtomicU8]>>>,
+    /// and store the same verdict, so the race is benign.
+    memo: ClassTables<AtomicU8>,
     /// Whether block `b` gets the verdict fast path: an `All`-labeled
     /// block the check actually reads verdicts on.
     pub(super) verdict_blocks: Vec<bool>,
@@ -520,18 +579,9 @@ impl<'a> DeltaDriver<'a> {
             decoder,
             config,
             balls,
-            tables: (0..cache.classes).map(|_| OnceLock::new()).collect(),
+            memo: ClassTables::new(cache),
             verdict_blocks,
         }
-    }
-
-    /// The dense table of `slot`'s class, allocated on first touch.
-    fn table(&self, slot: MemoSlot) -> &[AtomicU8] {
-        self.tables[slot.class as usize].get_or_init(|| {
-            std::iter::repeat_with(|| AtomicU8::new(UNDECIDED))
-                .take(slot.entries)
-                .collect()
-        })
     }
 }
 
@@ -621,7 +671,7 @@ pub(super) struct VerdictScratch {
 /// Reads the ball digits along a skeleton's canonical `order` as one
 /// base-`radix` number, slot 0 least significant: the index of the
 /// stamped view in its class's dense table, for the verdict memo and the
-/// interner's front cache alike.
+/// view-id table alike.
 fn dense_index(order: &[usize], digits: &[usize], radix: usize) -> usize {
     #[cfg(conformance_mutants)]
     if crate::mutants::active("digit_key_slot_alias") {
@@ -667,7 +717,7 @@ fn node_verdict(
     };
     if slot.entries > 0 {
         let index = dense_index(skel.original_nodes(), digits, slot.radix);
-        let entry = &driver.table(slot)[index];
+        let entry = &driver.memo.table(slot)[index];
         match entry.load(Ordering::Relaxed) {
             ACCEPTED => {
                 tally.add(SweepCounter::MemoHits, 1);
@@ -780,6 +830,7 @@ mod tests {
     use crate::instance::Instance;
     use crate::verify::Coverage;
     use hiding_lcp_graph::generators;
+    use std::collections::HashSet;
 
     /// Accepts every view.
     struct AcceptAll;
@@ -841,5 +892,167 @@ mod tests {
             (4, 0),
             "a second worker reads every verdict the first one stored"
         );
+    }
+
+    /// Every labeling of a 3-pointed star over `letters` letters, with a
+    /// skeleton cache of its radius-1 anonymous views and a view-id table.
+    fn star_walk(letters: u8) -> (Universe, SkeletonCache) {
+        let star = Instance::canonical(generators::star(3));
+        let alphabet = (0..letters).map(Certificate::from_byte).collect();
+        let universe = Universe::all_labelings_of(star, alphabet, Coverage::Exhaustive)
+            .expect("the star's labelings fit");
+        let cache = SkeletonCache::build(&universe, vec![STAR_CONFIG], |_| true);
+        (universe, cache)
+    }
+
+    const STAR_CONFIG: (usize, IdMode) = (1, IdMode::Anonymous);
+
+    /// `(interner_front_hits, interner_front_misses, cache_hits)`.
+    fn lookups(tally: &WorkerTally) -> (u64, u64, u64) {
+        (
+            tally.get(SweepCounter::InternerFrontHits),
+            tally.get(SweepCounter::InternerFrontMisses),
+            tally.get(SweepCounter::CacheHits),
+        )
+    }
+
+    #[test]
+    fn a_front_cache_hit_returns_the_canonical_id() {
+        let (universe, cache) = star_walk(2);
+        let ids = OnceLock::new();
+        let interner = ViewInterner::new();
+        let item = universe.item(11);
+        let item = item.as_item();
+        let (first, second) = (WorkerTally::default(), WorkerTally::default());
+        let ctx = ItemCtx::new(0, &cache, &first, Some(&ids), 1, None);
+        let id = ctx.view_id(&item, 1, STAR_CONFIG, &interner);
+        assert_eq!(lookups(&first), (0, 1, 1), "a miss stamps and fills");
+        assert_eq!(ctx.view_id(&item, 1, STAR_CONFIG, &interner), id);
+        assert_eq!(lookups(&first), (1, 1, 1), "a hit stamps nothing");
+        let other = ItemCtx::new(0, &cache, &second, Some(&ids), 1, None);
+        assert_eq!(
+            other.view_id(&item, 1, STAR_CONFIG, &interner),
+            id,
+            "another worker reads the filled entry"
+        );
+        assert_eq!(lookups(&second), (1, 0, 0));
+        assert_eq!(
+            interner.intern(ctx.view(&item, 1, STAR_CONFIG.0, STAR_CONFIG.1)),
+            id,
+            "the canonical map agrees"
+        );
+        assert_eq!(interner.len(), 1);
+    }
+
+    #[test]
+    fn distinct_ball_digits_of_one_class_fill_distinct_entries() {
+        // Every labeling of a 3-letter star: the center's ball holds all
+        // four nodes (81 entries), each leaf's two.
+        let (universe, cache) = star_walk(3);
+        let ids = OnceLock::new();
+        let interner = ViewInterner::new();
+        let (tally, scratch) = (WorkerTally::default(), WorkerTally::default());
+        let ctx = ItemCtx::new(0, &cache, &tally, Some(&ids), 1, None);
+        let views = ItemCtx::new(0, &cache, &scratch, None, 1, None);
+        let mut centers = HashSet::new();
+        for i in 0..universe.len() {
+            let item = universe.item(i);
+            let item = item.as_item();
+            for v in 0..4 {
+                let id = ctx.view_id(&item, v, STAR_CONFIG, &interner);
+                let view = views.view(&item, v, STAR_CONFIG.0, STAR_CONFIG.1);
+                assert_eq!(interner.intern(view), id, "one entry, one view");
+                if v == 0 {
+                    centers.insert(id);
+                }
+            }
+        }
+        // The center reads all four digits: its 81 digit vectors fill 81
+        // entries of its class, and every distinct view fills one entry.
+        assert_eq!(centers.len(), 81);
+        let (hits, misses, filled) = lookups(&tally);
+        assert_eq!(
+            filled as usize,
+            interner.len(),
+            "distinct entries, distinct views"
+        );
+        assert_eq!(misses, filled, "one worker misses each entry once");
+        assert_eq!(hits + misses, 4 * 81);
+    }
+
+    #[test]
+    fn a_class_over_the_cap_has_no_slot() {
+        // With 17 letters the star's center class would need 17^4 = 83,521
+        // entries, over the 2^16 cap; a leaf's needs 17^2.
+        let (universe, cache) = star_walk(17);
+        let ids = OnceLock::new();
+        let interner = ViewInterner::new();
+        let item = universe.item(5);
+        let item = item.as_item();
+        let twice = |ids: Option<&OnceLock<ClassTables<AtomicU32>>>, v: usize| {
+            let tally = WorkerTally::default();
+            let ctx = ItemCtx::new(0, &cache, &tally, ids, 1, None);
+            let id = ctx.view_id(&item, v, STAR_CONFIG, &interner);
+            assert_eq!(ctx.view_id(&item, v, STAR_CONFIG, &interner), id);
+            let (hits, misses, _) = lookups(&tally);
+            (hits, misses)
+        };
+        assert_eq!(
+            twice(Some(&ids), 0),
+            (0, 2),
+            "the center interns through the map"
+        );
+        assert_eq!(twice(Some(&ids), 1), (1, 1), "a leaf keeps its table");
+        assert_eq!(twice(None, 1), (0, 2), "the decode oracle has no table");
+    }
+
+    #[test]
+    fn racing_workers_fill_each_entry_once() {
+        let (universe, cache) = star_walk(2);
+        let ids = OnceLock::new();
+        let interner = ViewInterner::new();
+        let threads = 4;
+        let runs: Vec<(Vec<ViewId>, u64)> = std::thread::scope(|scope| {
+            (0..threads)
+                .map(|t| {
+                    let (universe, cache, ids, interner) = (&universe, &cache, &ids, &interner);
+                    scope.spawn(move || {
+                        let tally = WorkerTally::default();
+                        let ctx = ItemCtx::new(0, cache, &tally, Some(ids), 1, None);
+                        let mut seen = vec![ViewId::MAX; universe.len() * 4];
+                        for round in 0..4 * universe.len() {
+                            let i = (t * 5 + round) % universe.len();
+                            let item = universe.item(i);
+                            for v in 0..4 {
+                                let id = ctx.view_id(&item.as_item(), v, STAR_CONFIG, interner);
+                                seen[i * 4 + v] = id;
+                            }
+                        }
+                        (seen, tally.get(SweepCounter::CacheHits))
+                    })
+                })
+                .collect::<Vec<_>>()
+                .into_iter()
+                .map(|h| h.join().expect("worker panicked"))
+                .collect()
+        });
+        for (seen, _) in &runs[1..] {
+            assert_eq!(seen, &runs[0].0, "workers disagree on some view's id");
+        }
+        let stamps: u64 = runs.iter().map(|&(_, stamps)| stamps).sum();
+        assert_eq!(
+            stamps as usize,
+            interner.len(),
+            "each entry is filled, and its stamp counted, once"
+        );
+        let views = WorkerTally::default();
+        let ctx = ItemCtx::new(0, &cache, &views, None, 1, None);
+        for (i, ids) in runs[0].0.chunks(4).enumerate() {
+            let item = universe.item(i);
+            for (v, &id) in ids.iter().enumerate() {
+                let view = ctx.view(&item.as_item(), v, STAR_CONFIG.0, STAR_CONFIG.1);
+                assert_eq!(interner.intern(view), id, "the canonical map agrees");
+            }
+        }
     }
 }

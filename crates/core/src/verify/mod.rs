@@ -84,7 +84,7 @@ pub use budget::{MemberFrontier, SweepBudget, SweepError};
 pub use check::{ExecEvidence, PropertyCheck, SweepOutcome, VerificationReport};
 pub use erased::{DynPropertyCheck, ErasedPartial, ErasedVerdict, PanelVerdict, PropertyTag};
 pub use executor::{ExecMode, ItemCtx, SweepStrategy, PARALLEL_THRESHOLD};
-pub use interner::{InternerReport, ViewId, ViewInterner, ViewSlot};
+pub use interner::{ViewId, ViewInterner};
 pub use panel::{PanelFragment, PanelMemberReport, PanelReport};
 pub use plan::{
     AuditMemberReport, AuditPanelReport, AuditPlan, AuditReport, BlockGated, FaultSpec,

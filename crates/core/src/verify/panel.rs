@@ -99,15 +99,16 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use super::budget::{Claims, MemberFrontier, SweepBudget, SweepError};
 use super::check::{ExecEvidence, PropertyCheck, SweepOutcome, VerificationReport};
 use super::erased::{DynPropertyCheck, ErasedPartial, ErasedVerdict, PanelVerdict, PropertyTag};
 use super::executor::{
-    refresh_verdicts, resolve_threads, DeltaDriver, ItemCtx, SkeletonCache, SweepStrategy,
-    VerdictScratch, Walker,
+    refresh_verdicts, resolve_threads, ClassTables, DeltaDriver, ItemCtx, SkeletonCache,
+    SweepStrategy, VerdictScratch, Walker,
 };
 use super::session::SweepSession;
 use super::shard::ShardSpec;
@@ -594,10 +595,6 @@ pub(super) fn reduce<C: PropertyCheck>(
     if let (Some(r), Some(t0)) = (recorder, reduce_start) {
         r.record_phase(SweepPhase::Reduce, r.now_micros().saturating_sub(t0));
     }
-    let interner = checks.iter().find_map(|check| check.interner_report());
-    if let (Some(r), Some(report)) = (recorder, &interner) {
-        report.record_into(r);
-    }
 
     let evidence = ExecEvidence {
         checked: walk_checked,
@@ -612,7 +609,6 @@ pub(super) fn reduce<C: PropertyCheck>(
         memo_misses: stats.tally.get(SweepCounter::MemoMisses) as usize,
         elapsed: start.elapsed(),
         threads: stats.threads,
-        interner,
     };
     let reports = verdicts
         .into_iter()
@@ -661,6 +657,9 @@ struct Engine<'e, C> {
     cache: &'e SkeletonCache,
     /// One delta driver per verdict channel.
     drivers: Vec<DeltaDriver<'e>>,
+    /// Each member's view-id tables, in member order, built on the
+    /// member's first lookup; none under the decode oracle.
+    ids: Vec<OnceLock<ClassTables<AtomicU32>>>,
     /// One plan per member, in member order.
     plans: Vec<MemberPlan>,
     /// The distinct in-block orbit quotients: members whose symmetry
@@ -820,7 +819,7 @@ impl<C: PropertyCheck> Engine<'_, C> {
                     block,
                     self.cache,
                     tally,
-                    !self.oracle,
+                    self.ids.get(m),
                     multiplicity,
                     verdicts,
                 )
@@ -852,7 +851,7 @@ impl<C: PropertyCheck> Engine<'_, C> {
 
 /// Builds the engine for `checks` over the session's universe
 /// (between-block classes, verdict channels, skeleton cache, delta
-/// drivers, quotient plans) and runs `body` on it. The one construction
+/// drivers, view-id tables, quotient plans) and runs `body` on it. The one construction
 /// site of [`Engine`]: the walk ([`walk`]) and the shard replay
 /// ([`replay`]) step items through the engine it builds. Records the
 /// cache-build phase when the session has a recorder.
@@ -946,6 +945,15 @@ fn with_engine<C: Member, R>(
             })
         })
         .collect();
+    // View-id tables: one set per member, keyed by this walk's classes
+    // and built by the member's first lookup, so only a member that names
+    // views (the Lemma 3.1 scan) allocates one; the decode oracle interns
+    // every view through the check's canonical map.
+    let ids: Vec<OnceLock<ClassTables<AtomicU32>>> = if oracle {
+        Vec::new()
+    } else {
+        checks.iter().map(|_| OnceLock::new()).collect()
+    };
     // In-block orbit quotients: every member that declares a symmetry
     // gets one, and members whose declarations agree on every alphabet
     // the walk visits share one plan, built once; the decode oracle stays
@@ -1008,6 +1016,7 @@ fn with_engine<C: Member, R>(
         universe,
         cache: &cache,
         drivers,
+        ids,
         plans,
         quotients,
         classes,
@@ -1280,7 +1289,7 @@ pub(super) fn draw<C: PropertyCheck>(
             labeling: &labeling,
             digits: None,
         };
-        let ctx = ItemCtx::new(0, cache, &tally, true, 1, None);
+        let ctx = ItemCtx::new(0, cache, &tally, None, 1, None);
         drawn += 1;
         let result = record.fold_item(item.index, |claim| check.fold(&item, &ctx, claim));
         if record.file(check, item.index, 1, result) {

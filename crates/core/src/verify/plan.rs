@@ -71,9 +71,9 @@ use crate::properties::soundness::{SoundnessCheck, SoundnessViolation};
 use crate::properties::strong::strong_member;
 use crate::prover::Prover;
 use crate::verify::{
-    Block, Coverage, DynPropertyCheck, ExecMode, InternerReport, ItemCtx, LabelSource,
-    MetricsRecorder, MetricsSnapshot, PanelReport, PropertyCheck, PropertyTag, SweepBudget,
-    SweepCounter, SweepOutcome, SweepRecorder, SweepStrategy, SymmetrySpec, Universe, UniverseItem,
+    Block, Coverage, DynPropertyCheck, ExecMode, ItemCtx, LabelSource, MetricsRecorder,
+    MetricsSnapshot, PanelReport, PropertyCheck, PropertyTag, SweepBudget, SweepCounter,
+    SweepOutcome, SweepRecorder, SweepStrategy, SymmetrySpec, Universe, UniverseItem,
 };
 
 use super::budget::MemberFrontier;
@@ -138,10 +138,6 @@ impl<C: PropertyCheck> PropertyCheck for BlockGated<C> {
     // invariance.
     fn symmetry_class(&self, alphabet: &[Certificate]) -> Option<SymmetrySpec> {
         self.check.symmetry_class(alphabet)
-    }
-
-    fn interner_report(&self) -> Option<InternerReport> {
-        self.check.interner_report()
     }
 
     fn reduce(

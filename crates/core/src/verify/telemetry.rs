@@ -68,17 +68,23 @@ pub enum SweepCounter {
     PanicsCaught = 9,
     /// Budget expiries that interrupted a sweep.
     BudgetInterruptions = 10,
-    /// Skeleton-cache stamp hits (view served from the cache). A view
-    /// interner front-cache miss counts its stamp only if it fills the
-    /// entry, so workers racing on one entry count it once.
+    /// Skeleton-cache stamp hits (view served from the cache). A view-id
+    /// table miss ([`ItemCtx::view_id`](super::ItemCtx::view_id)) counts
+    /// its stamp only if it fills the entry, so workers racing on one entry
+    /// count it once.
     CacheHits = 11,
     /// Skeleton-cache misses (cache population plus uncached extracts).
     CacheMisses = 12,
-    /// Check-side view-interner front-cache hits.
+    /// View ids read from a member's view-id table, the walk's front cache
+    /// of the view interner ([`ItemCtx::view_id`](super::ItemCtx::view_id)):
+    /// counted on the walk side, per walk, by the worker that looked up.
     InternerFrontHits = 13,
-    /// Check-side view-interner front-cache misses.
+    /// View ids interned through the view interner's canonical map: table
+    /// misses plus views without a table entry. Counted per walk, like the
+    /// hits.
     InternerFrontMisses = 14,
-    /// Contended view-interner lock acquisitions.
+    /// Interner map-lock acquisitions that found the lock held by another
+    /// worker. Counted per walk, like the hits.
     InternerContention = 15,
     /// Universe blocks with an active in-block symmetry group, summed
     /// over the members that declare one.

@@ -42,7 +42,6 @@ use hiding_lcp_core::verify::{
     merge_fragments, merge_panel_fragments, Block, Coverage, DynPropertyCheck, ExecMode, ItemCtx,
     LabelSource, LazySweep, MetricsRecorder, PanelFragment, PropertyCheck, PropertyTag, ShardSpec,
     SweepBudget, SweepOutcome, SweepSession, SweepStrategy, Universe, UniverseItem,
-    VerificationReport,
 };
 use hiding_lcp_core::view::IdMode;
 use hiding_lcp_graph::algo::bipartite;
@@ -1044,8 +1043,8 @@ fn over_cap_classes_run_unmemoized() {
 #[test]
 fn over_cap_classes_intern_through_the_canonical_map() {
     // The center of K_{1,3} reads all four digits, so with 17 letters its
-    // class would need a 17^4 = 83,521-entry front-cache table, over the
-    // 2^16 cap; each leaf's class needs 17^2 and keeps its table. A budget
+    // class would need a 17^4 = 83,521-entry view-id table, over the 2^16
+    // cap; each leaf's class needs 17^2 and keeps its table. A budget
     // walks the first 4,096 items, the same prefix in every mode. The scan
     // and `LocalDiff` are both anonymous, so the scan interns only the
     // views of accepting nodes: a center's only where its letter differs
@@ -1055,12 +1054,18 @@ fn over_cap_classes_intern_through_the_canonical_map() {
     let universe =
         Universe::all_labelings_of(star, alphabet, Coverage::Exhaustive).expect("17^4 items fit");
     let prefix = 4096;
-    let accepting_centers = (0..prefix)
-        .filter(|&i| {
-            let center = universe.labeled_instance(i).view(0, 1, IdMode::Anonymous);
-            LocalDiff.decide(&center).is_accept()
-        })
-        .count();
+    let mut accepting_centers = 0;
+    let mut leaf_views = std::collections::HashSet::new();
+    for i in 0..prefix {
+        let labeled = universe.labeled_instance(i);
+        let view = |v: usize| labeled.view(v, 1, IdMode::Anonymous);
+        accepting_centers += usize::from(LocalDiff.decide(&view(0)).is_accept());
+        leaf_views.extend(
+            (1..4)
+                .map(view)
+                .filter(|leaf| LocalDiff.decide(leaf).is_accept()),
+        );
+    }
     assert!(
         (1..prefix).contains(&accepting_centers),
         "the prefix mixes accepting and rejecting centers"
@@ -1074,29 +1079,27 @@ fn over_cap_classes_intern_through_the_canonical_map() {
         };
         let scan = || NbhdSweep::new(&LocalDiff, IdMode::Anonymous, &universe, |_| true);
         let plain = session(SweepStrategy::DecodeOracle).run(&scan());
-        // One check walked twice: the second walk finds every view the
-        // first one cached.
-        let check = scan();
-        let first = session(SweepStrategy::DeltaStepping).run(&check);
-        let again = session(SweepStrategy::DeltaStepping).run(&check);
-        assert_eq!(first.checked, prefix, "{mode:?}");
-        assert_nbhd_eq(&first.verdict, &plain.verdict).unwrap();
-        assert_nbhd_eq(&again.verdict, &plain.verdict).unwrap();
-        let misses = |report: &VerificationReport<NbhdGraph>| {
-            report
-                .interner
-                .as_ref()
-                .expect("the scan reports its interner")
-                .front_misses
-        };
-        // Fewer misses would mean the center got a slot: the cap no longer
-        // excludes 17^4 and this case stopped testing it.
-        assert_eq!(
-            misses(&again) - misses(&first),
-            accepting_centers,
-            "{mode:?}: the second walk interns each accepting center view through the map, \
-             nothing else"
-        );
+        let recorder = MetricsRecorder::new();
+        let walked = session(SweepStrategy::DeltaStepping)
+            .metrics(&recorder)
+            .run(&scan());
+        assert_eq!(walked.checked, prefix, "{mode:?}");
+        assert_nbhd_eq(&walked.verdict, &plain.verdict).unwrap();
+        let misses = recorder
+            .snapshot()
+            .get("interner_front_misses")
+            .expect("interner lookups are counted") as usize;
+        // One worker interns each accepting center view through the map
+        // and misses each distinct accepting leaf view once; two workers
+        // can both miss one leaf entry. Fewer misses would mean the center
+        // got a table entry: the cap no longer excludes 17^4 and this case
+        // stopped testing it.
+        let expected = accepting_centers + leaf_views.len();
+        if mode == ExecMode::Sequential {
+            assert_eq!(misses, expected, "{mode:?}");
+        } else {
+            assert!(misses >= expected, "{mode:?}: {misses} < {expected}");
+        }
     }
 }
 
