@@ -43,10 +43,10 @@ use hiding_lcp_bench::report::{self, ReportDoc};
 use hiding_lcp_certs::revealing::{adversary_alphabet, RevealingDecoder};
 use hiding_lcp_core::instance::Instance;
 use hiding_lcp_core::nbhd::{NbhdGraph, NbhdSweep};
-use hiding_lcp_core::verify::telemetry::diff;
+use hiding_lcp_core::verify::telemetry::WalkCounts;
 use hiding_lcp_core::verify::{
     merge_fragments, Block, Coverage, ExecMode, LabelSource, MetricsRecorder, ShardSpec,
-    SweepSession, SweepStrategy, Universe, PARALLEL_THRESHOLD,
+    SweepCounter, SweepSession, SweepStrategy, Universe, PARALLEL_THRESHOLD,
 };
 use hiding_lcp_core::view::IdMode;
 use hiding_lcp_graph::algo::bipartite;
@@ -140,43 +140,13 @@ fn sweep_nbhd_recorded(
         .verdict
 }
 
-/// One size's stable sweep counters (the deterministic subset of a
-/// recorded sequential sweep's delta; observed counters like memo traffic
-/// are already in `stats`).
-struct TelemetryStats {
-    group: String,
-    counters: Vec<(String, i128)>,
-}
-
-fn collect_telemetry(universe: &Universe, group: String) -> TelemetryStats {
-    let recorder = MetricsRecorder::new();
-    let before = recorder.snapshot();
-    drop(sweep_nbhd_recorded(
-        universe,
-        ExecMode::Sequential,
-        &recorder,
-    ));
-    let delta = diff::diff(&before, &recorder.snapshot());
-    TelemetryStats {
-        group,
-        counters: delta
-            .changed()
-            .filter(|row| row.stable)
-            .map(|row| (row.name.clone(), row.delta()))
-            .collect(),
-    }
-}
-
-/// Per-size engine statistics: one delta sweep's memo traffic and its
-/// view-id tables' traffic in front of the view interner, read from an
-/// attached recorder.
+/// Per-size engine statistics, read off one sequential delta sweep's
+/// report: its memo traffic, its view-id tables' traffic in front of the
+/// view interner, and the stable counters it moved.
 struct SweepStats {
     group: String,
     items: usize,
-    memo_hits: usize,
-    memo_misses: usize,
-    interner_hits: usize,
-    interner_misses: usize,
+    counts: WalkCounts,
     distinct_views: usize,
 }
 
@@ -188,20 +158,13 @@ fn collect_stats(universe: &Universe, group: String) -> SweepStats {
         universe,
         bipartite::is_bipartite,
     );
-    let recorder = MetricsRecorder::new();
     let report = SweepSession::over(universe)
         .mode(ExecMode::Sequential)
-        .metrics(&recorder)
         .run(&check);
-    let snapshot = recorder.snapshot();
-    let counter = |name: &str| snapshot.get(name).expect("every counter is snapshot") as usize;
     SweepStats {
         group,
         items: universe.len(),
-        memo_hits: report.memo_hits,
-        memo_misses: report.memo_misses,
-        interner_hits: counter("interner_front_hits"),
-        interner_misses: counter("interner_front_misses"),
+        counts: report.counts,
         distinct_views: report.verdict.view_count(),
     }
 }
@@ -218,12 +181,7 @@ fn thread_ladder(available: usize) -> Vec<usize> {
     ladder
 }
 
-fn bench_sizes(
-    c: &mut Criterion,
-    sizes: &[usize],
-    stats: &mut Vec<SweepStats>,
-    telemetry: &mut Vec<TelemetryStats>,
-) {
+fn bench_sizes(c: &mut Criterion, sizes: &[usize], stats: &mut Vec<SweepStats>) {
     let threads = std::thread::available_parallelism().map_or(1, usize::from);
     let ladder = thread_ladder(threads);
     let (delta, oracle) = (SweepStrategy::DeltaStepping, SweepStrategy::DecodeOracle);
@@ -249,10 +207,6 @@ fn bench_sizes(
             );
         }
         stats.push(collect_stats(&universe, format!("engine-sweep-n{max_n}")));
-        telemetry.push(collect_telemetry(
-            &universe,
-            format!("engine-sweep-n{max_n}"),
-        ));
 
         // Interleave samples across all configurations of a size: on a
         // host whose effective speed drifts under sustained load, taking
@@ -314,12 +268,7 @@ fn overhead_ratio(results: &[BenchResult], group: &str) -> Option<f64> {
     Some(recorded as f64 / plain as f64)
 }
 
-fn write_json(
-    results: &[BenchResult],
-    stats: &[SweepStats],
-    telemetry: &[TelemetryStats],
-    threads: usize,
-) {
+fn write_json(results: &[BenchResult], stats: &[SweepStats], threads: usize) {
     let groups: Vec<&str> = {
         let mut seen = Vec::new();
         for r in results {
@@ -359,19 +308,25 @@ fn write_json(
     doc.section("scaling_efficiency", &scaling);
     // Per-size recorder price plus the stable counters one sequential
     // sweep fires — deterministic, so diffs of this file are meaningful.
-    let telemetry_rows: Vec<String> = telemetry
+    let telemetry_rows: Vec<String> = stats
         .iter()
-        .map(|t| {
-            let overhead = overhead_ratio(results, &t.group)
+        .map(|s| {
+            let overhead = overhead_ratio(results, &s.group)
                 .map_or(String::new(), |r| format!(" \"overhead\": {r:.3},"));
-            let counters: Vec<String> = t
-                .counters
+            let mut stable: Vec<(&str, u64)> = SweepCounter::ALL
+                .into_iter()
+                .filter(|c| c.is_stable())
+                .map(|c| (c.name(), s.counts.get(c)))
+                .filter(|&(_, value)| value > 0)
+                .collect();
+            stable.sort_unstable();
+            let counters: Vec<String> = stable
                 .iter()
-                .map(|(name, delta)| format!("\"{name}\": {delta}"))
+                .map(|(name, value)| format!("\"{name}\": {value}"))
                 .collect();
             format!(
                 "    {{ \"group\": \"{}\",{overhead} \"counters\": {{ {} }} }}",
-                t.group,
+                s.group,
                 counters.join(", ")
             )
         })
@@ -385,10 +340,10 @@ fn write_json(
                  \"interner_hits\": {}, \"interner_misses\": {}, \"distinct_views\": {} }}",
                 s.group,
                 s.items,
-                s.memo_hits,
-                s.memo_misses,
-                s.interner_hits,
-                s.interner_misses,
+                s.counts.get(SweepCounter::MemoHits),
+                s.counts.get(SweepCounter::MemoMisses),
+                s.counts.get(SweepCounter::InternerFrontHits),
+                s.counts.get(SweepCounter::InternerFrontMisses),
                 s.distinct_views
             )
         })
@@ -403,8 +358,7 @@ fn write_json(
 fn smoke() -> i32 {
     let mut c = Criterion::new();
     let mut stats = Vec::new();
-    let mut telemetry = Vec::new();
-    bench_sizes(&mut c, &[6], &mut stats, &mut telemetry);
+    bench_sizes(&mut c, &[6], &mut stats);
     let baseline = match fs::read_to_string(report::repo_root_path("BENCH_engine.json")) {
         Ok(s) => s,
         Err(e) => {
@@ -479,8 +433,7 @@ fn main() {
     }
     let mut c = Criterion::new();
     let mut stats = Vec::new();
-    let mut telemetry = Vec::new();
-    bench_sizes(&mut c, &[4, 6, 8], &mut stats, &mut telemetry);
+    bench_sizes(&mut c, &[4, 6, 8], &mut stats);
     let threads = std::thread::available_parallelism().map_or(1, usize::from);
-    write_json(&c.results, &stats, &telemetry, threads);
+    write_json(&c.results, &stats, threads);
 }

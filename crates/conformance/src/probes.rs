@@ -36,8 +36,8 @@ use hiding_lcp_core::prover::Prover;
 use hiding_lcp_core::verify::{
     merge_fragments, sum_stable_counters, AuditPlan, Block, BlockGated, Coverage, DynPropertyCheck,
     ExecMode, InstanceSet, ItemCtx, LabelSource, LazySweep, MetricsRecorder, PanelFragment,
-    PropertyCheck, PropertyTag, ShardSpec, SweepBudget, SweepOutcome, SweepSession, SweepStrategy,
-    SymmetrySpec, Universe, UniverseItem, ViewInterner,
+    PropertyCheck, PropertyTag, ShardSpec, SweepBudget, SweepCounter, SweepOutcome, SweepSession,
+    SweepStrategy, SymmetrySpec, Universe, UniverseItem, ViewInterner,
 };
 use hiding_lcp_core::view::{IdMode, View};
 use hiding_lcp_graph::algo::{bipartite, coloring};
@@ -841,8 +841,8 @@ pub fn nbhd_fold_join_parity() {
 
 /// A walk's counts are its workers' tallies summed once after the join:
 /// at `Parallel(2..=4)`, under both strategies, the recorder's stable
-/// section and the report's `cache_hits` and `cache_misses` equal a
-/// one-worker walk's. `Interleaved` makes a helper worker inspect items,
+/// section and the report's `cache_hits` and `cache_misses` counts equal
+/// a one-worker walk's. `Interleaved` makes a helper worker inspect items,
 /// so a join that left out any worker's tally shows here.
 pub fn tally_join_parity() {
     fn counts<C: PropertyCheck>(
@@ -850,7 +850,7 @@ pub fn tally_join_parity() {
         mode: ExecMode,
         strategy: SweepStrategy,
         check: &C,
-    ) -> (String, usize, usize) {
+    ) -> (String, u64, u64) {
         let recorder = MetricsRecorder::new();
         let report = SweepSession::over(universe)
             .mode(mode)
@@ -858,7 +858,12 @@ pub fn tally_join_parity() {
             .metrics(&recorder)
             .run(check);
         let stable = recorder.snapshot().stable_bytes();
-        (stable, report.cache_hits, report.cache_misses)
+        let count = |counter| report.counts.get(counter);
+        (
+            stable,
+            count(SweepCounter::CacheHits),
+            count(SweepCounter::CacheMisses),
+        )
     }
     let decoder = revealing::RevealingDecoder::new(2);
     let universe =

@@ -648,10 +648,10 @@ fn recorded_panel_matches_plain_panel_with_invariants() {
                 .metrics(&recorder)
                 .run_panel(&members);
             for (a, b) in plain.members.iter().zip(&recorded.members) {
-                assert_eq!(a.checked, b.checked, "{}", a.label);
-                assert_eq!(a.short_circuited, b.short_circuited, "{}", a.label);
-                assert_eq!(a.verdict.passed, b.verdict.passed, "{}", a.label);
-                assert_eq!(a.verdict.detail, b.verdict.detail, "{}", a.label);
+                assert_eq!(a.checked, b.checked, "{}", a.verdict.label);
+                assert_eq!(a.short_circuited, b.short_circuited, "{}", a.verdict.label);
+                assert_eq!(a.verdict.passed, b.verdict.passed, "{}", a.verdict.label);
+                assert_eq!(a.verdict.detail, b.verdict.detail, "{}", a.verdict.label);
             }
             // The complete-walk pin only applies when every member rode
             // the walk to the end.
@@ -768,10 +768,10 @@ proptest! {
                     (&panel.members[1], solo_strong1.checked, solo_strong1.short_circuited, solo_strong1.coverage),
                     (&panel.members[2], solo_sound2.checked, solo_sound2.short_circuited, solo_sound2.coverage),
                 ] {
-                    prop_assert_eq!(member.checked, solo_checked, "{} under {:?}", member.label, mode);
-                    prop_assert_eq!(member.short_circuited, solo_sc, "{} under {:?}", member.label, mode);
-                    prop_assert_eq!(member.coverage, solo_cov, "{} under {:?}", member.label, mode);
-                    prop_assert!(member.errors.is_empty(), "{} erred under {:?}", member.label, mode);
+                    prop_assert_eq!(member.checked, solo_checked, "{} under {:?}", member.verdict.label, mode);
+                    prop_assert_eq!(member.short_circuited, solo_sc, "{} under {:?}", member.verdict.label, mode);
+                    prop_assert_eq!(member.coverage, solo_cov, "{} under {:?}", member.verdict.label, mode);
+                    prop_assert!(member.errors.is_empty(), "{} erred under {:?}", member.verdict.label, mode);
                 }
             }
         }
@@ -812,7 +812,7 @@ proptest! {
                 prop_assert_eq!(whole.evidence.short_circuited, resumed.evidence.short_circuited);
                 prop_assert!(!resumed.evidence.interrupted);
                 for (a, b) in whole.members.iter().zip(&resumed.members) {
-                    prop_assert_eq!(a.checked, b.checked, "{} under {:?}", &a.label, mode);
+                    prop_assert_eq!(a.checked, b.checked, "{} under {:?}", &a.verdict.label, mode);
                     prop_assert_eq!(a.short_circuited, b.short_circuited);
                     prop_assert_eq!(a.coverage, b.coverage);
                     prop_assert!(!b.interrupted);

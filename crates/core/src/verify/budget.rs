@@ -129,16 +129,6 @@ impl SweepBudget {
     pub fn is_unlimited(&self) -> bool {
         self.deadline.is_none() && self.max_items.is_none()
     }
-
-    /// Tells the attached telemetry recorder (if any) that this budget
-    /// interrupted a sweep. The engine calls this exactly once per
-    /// interrupted pass, so `budget_interruptions` counts interruptions,
-    /// not polls.
-    pub(super) fn note_interruption(&self, recorder: Option<&dyn super::SweepRecorder>) {
-        if let Some(r) = recorder {
-            r.add(super::SweepCounter::BudgetInterruptions, 1);
-        }
-    }
 }
 
 /// One member's walk record inside a [`super::PanelFragment`].

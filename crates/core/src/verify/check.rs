@@ -28,6 +28,7 @@
 
 use super::budget::SweepError;
 use super::symmetry::SymmetrySpec;
+use super::telemetry::WalkCounts;
 use super::universe::{Coverage, Universe, UniverseItem};
 use super::ItemCtx;
 use crate::decoder::Decoder;
@@ -257,16 +258,11 @@ pub struct ExecEvidence {
     /// Items whose inspection panicked (caught, not propagated), sorted
     /// by index.
     pub errors: Vec<SweepError>,
-    /// Views served from the shared skeleton cache.
-    pub cache_hits: usize,
-    /// Skeletons computed (cache population) plus uncached extractions.
-    pub cache_misses: usize,
-    /// Node verdicts served from the shared verdict memo (delta
-    /// path only; 0 for checks without a [`PropertyCheck::verdict_decoder`]).
-    pub memo_hits: usize,
-    /// Node verdicts computed by actually running the decoder on the delta
-    /// path (memo misses plus un-memoizable nodes).
-    pub memo_misses: usize,
+    /// The walk's counts, one per [`SweepCounter`](super::SweepCounter):
+    /// its workers' summed tallies (items walked and inspected, cache and
+    /// memo traffic, budget stops, …). Zero for a shard merge, which
+    /// walks nothing.
+    pub counts: WalkCounts,
     /// Wall-clock time of the sweep (cache build included).
     pub elapsed: Duration,
     /// Worker threads used (1 = sequential).

@@ -31,8 +31,8 @@
 //!   reduced), one chunk-claiming walk for every thread count and both
 //!   strategies, one per-item step, one reduce and one shard merge;
 //! * every sweep returns a [`VerificationReport`]: the verdict plus how
-//!   many instances were checked, cache hits/misses, wall-clock time and
-//!   thread count;
+//!   many instances were checked, the walk's counts
+//!   ([`telemetry::WalkCounts`]), wall-clock time and thread count;
 //! * execution is resilient ([`budget`]): a panicking check surfaces as a
 //!   structured [`SweepError`] naming the item instead of poisoning the
 //!   sweep, and a [`SweepBudget`] bounds a call by wall-clock deadline
@@ -85,7 +85,7 @@ pub use check::{ExecEvidence, PropertyCheck, SweepOutcome, VerificationReport};
 pub use erased::{DynPropertyCheck, ErasedPartial, ErasedVerdict, PanelVerdict, PropertyTag};
 pub use executor::{ExecMode, ItemCtx, SweepStrategy, PARALLEL_THRESHOLD};
 pub use interner::{ViewId, ViewInterner};
-pub use panel::{PanelFragment, PanelMemberReport, PanelReport};
+pub use panel::{PanelFragment, PanelReport};
 pub use plan::{
     AuditMemberReport, AuditPanelReport, AuditPlan, AuditReport, BlockGated, FaultSpec,
     InstanceSet, PanelTelemetry, ALL_PROPERTIES,
@@ -229,8 +229,8 @@ mod tests {
         let report = SweepSession::over(&universe).run(&ViewsMatchDirect);
         assert_eq!(report.verdict, 32);
         // 5 nodes * 32 labelings stamped from 5 skeletons.
-        assert_eq!(report.cache_hits, 160);
-        assert_eq!(report.cache_misses, 5);
+        assert_eq!(report.counts.get(SweepCounter::CacheHits), 160);
+        assert_eq!(report.counts.get(SweepCounter::CacheMisses), 5);
     }
 
     #[test]

@@ -105,7 +105,7 @@ use std::time::Instant;
 
 use super::budget::{Claims, MemberFrontier, SweepBudget, SweepError};
 use super::check::{ExecEvidence, PropertyCheck, SweepOutcome, VerificationReport};
-use super::erased::{DynPropertyCheck, ErasedPartial, ErasedVerdict, PanelVerdict, PropertyTag};
+use super::erased::{DynPropertyCheck, ErasedPartial, ErasedVerdict, PanelVerdict};
 use super::executor::{
     refresh_verdicts, resolve_threads, ClassTables, DeltaDriver, ItemCtx, SkeletonCache,
     SweepStrategy, VerdictScratch, Walker,
@@ -113,43 +113,25 @@ use super::executor::{
 use super::session::SweepSession;
 use super::shard::ShardSpec;
 use super::symmetry::{BlockClasses, QuotientPlan, SymmetrySpec};
-use super::telemetry::{SweepCounter, SweepPhase, SweepRecorder, WorkerTally};
+use super::telemetry::{SweepCounter, SweepPhase, SweepRecorder, WalkCounts, WorkerTally};
 use super::universe::{Block, Coverage, LabelSource, Universe, UniverseItem};
 use crate::decoder::Decoder;
 use crate::instance::Instance;
 use crate::label::{Certificate, Labeling};
 use crate::view::IdMode;
 
-/// One member's slice of a [`PanelReport`].
-#[derive(Debug)]
-pub struct PanelMemberReport {
-    /// The member's property tag.
-    pub tag: PropertyTag,
-    /// The member's label.
-    pub label: String,
-    /// The member's verdict (reduce output plus summary).
-    pub verdict: PanelVerdict,
-    /// Items this member inspected, with sequential semantics (see
-    /// [`SweepOutcome::checked`]'s panel paragraph).
-    pub checked: usize,
-    /// Whether this member short-circuited out of the walk.
-    pub short_circuited: bool,
-    /// Whether the budget ended the walk before this member was done
-    /// (a short-circuited member is complete, not interrupted).
-    pub interrupted: bool,
-    /// The member's own coverage: the universe's, downgraded to
-    /// [`Coverage::Sampled`] when this member was interrupted or errored.
-    pub coverage: Coverage,
-    /// This member's inspection errors, sorted by item index.
-    pub errors: Vec<SweepError>,
-}
-
 /// The result of one fused panel: per-member verdicts plus the shared
 /// execution evidence of the single walk.
 #[derive(Debug)]
 pub struct PanelReport {
-    /// Per-member results, in input member order.
-    pub members: Vec<PanelMemberReport>,
+    /// Per-member results, in input member order: each member's tagged
+    /// verdict and its own evidence. A member's `checked` has sequential
+    /// semantics (see [`SweepOutcome::checked`]'s panel paragraph); it is
+    /// `interrupted` only if the budget ended the walk before the member
+    /// was done (a short-circuited member is complete), and its coverage
+    /// is the universe's, downgraded to [`Coverage::Sampled`] when the
+    /// member was interrupted or errored.
+    pub members: Vec<VerificationReport<PanelVerdict>>,
     /// Evidence of the shared walk. `checked` is the walk's reach (how
     /// far the enumeration went before every member stopped, the budget
     /// fired, or the universe ended); `short_circuited` means *every*
@@ -169,18 +151,9 @@ impl PanelReport {
             .iter()
             .zip(members)
             .map(|(check, report)| {
-                let (passed, detail) = check.summarize(&*report.verdict, report.evidence.coverage);
+                let (passed, detail) = check.summarize(&*report.verdict, report.coverage);
                 let label = check.label().to_string();
-                PanelMemberReport {
-                    tag: check.tag(),
-                    label: label.clone(),
-                    verdict: PanelVerdict::new(check.tag(), label, passed, detail, report.verdict),
-                    checked: report.evidence.checked,
-                    short_circuited: report.evidence.short_circuited,
-                    interrupted: report.evidence.interrupted,
-                    coverage: report.evidence.coverage,
-                    errors: report.evidence.errors,
-                }
+                report.map(|value| PanelVerdict::new(check.tag(), label, passed, detail, value))
             })
             .collect();
         PanelReport { members, evidence }
@@ -380,16 +353,6 @@ impl<P> MemberFrontier<P> {
 /// A reduce's output: one report per member plus the walk-level evidence.
 pub(super) type Reduced<V> = (Vec<VerificationReport<V>>, ExecEvidence);
 
-/// The walk counters the reduce copies into the evidence: a live walk's
-/// workers' summed tally, or the lazy draw loop's one tally (the shard
-/// merge has no walk: zeros — those counters are observed, not stable,
-/// so the stable report rendering never reads them).
-#[derive(Default)]
-pub(super) struct WalkStats {
-    pub(super) threads: usize,
-    pub(super) tally: WorkerTally,
-}
-
 /// Runs `checks` over the whole universe and reduces every member: the
 /// fragment `[0, n)`, walked and then reduced. A budget stop reports the
 /// visited prefix as interrupted.
@@ -398,7 +361,7 @@ pub(super) fn run<C: Member>(session: &SweepSession<'_>, checks: &[C]) -> Reduce
     let universe = session.universe;
     let n = universe.len();
     let whole = PanelFragment::open(ShardSpec::new(0, 1), n, checks.len());
-    walk(session, checks, whole, start, |walked, stats| {
+    walk(session, checks, whole, start, |walked, threads, counts| {
         let interrupted = !walked.is_complete();
         reduce(
             checks,
@@ -407,7 +370,8 @@ pub(super) fn run<C: Member>(session: &SweepSession<'_>, checks: &[C]) -> Reduce
             walked.members,
             walked.next,
             interrupted,
-            stats,
+            threads,
+            counts,
             session.recorder,
             start,
         )
@@ -424,22 +388,22 @@ pub(super) fn fragment<C: Member>(
     checks: &[C],
     fragment: PanelFragment<C::Partial>,
 ) -> PanelFragment<C::Partial> {
-    walk(session, checks, fragment, Instant::now(), |walked, _| {
+    walk(session, checks, fragment, Instant::now(), |walked, _, _| {
         walked
     })
 }
 
 /// The one body of [`run`] and [`fragment`]: inside the call's span, the
 /// engine walks `fragment` on from its `next` to its `hi` (capped by the
-/// budget) and hands the walked fragment and the walk's counters to
-/// `finish`. Emits every recorder event of a call except the reduce
+/// budget) and hands the walked fragment, its thread count and its counts
+/// to `finish`. Emits every recorder event of a call except the reduce
 /// phase, which `finish` owns.
 fn walk<C: Member, R>(
     session: &SweepSession<'_>,
     checks: &[C],
     fragment: PanelFragment<C::Partial>,
     start: Instant,
-    finish: impl FnOnce(PanelFragment<C::Partial>, WalkStats) -> R,
+    finish: impl FnOnce(PanelFragment<C::Partial>, usize, WalkCounts) -> R,
 ) -> R {
     let SweepSession {
         universe,
@@ -456,19 +420,13 @@ fn walk<C: Member, R>(
     } = fragment;
     let hi = hi.min(universe.len());
     if checks.is_empty() {
-        let stats = WalkStats {
-            threads: 1,
-            ..WalkStats::default()
+        let walked = PanelFragment {
+            lo,
+            hi,
+            next: hi,
+            members,
         };
-        return finish(
-            PanelFragment {
-                lo,
-                hi,
-                next: hi,
-                members,
-            },
-            stats,
-        );
+        return finish(walked, 1, WalkCounts::default());
     }
     assert_eq!(
         members.len(),
@@ -486,7 +444,7 @@ fn walk<C: Member, R>(
         None => hi,
     };
     let deadline = budget.deadline.map(|d| start + d);
-    let (next, stats) = with_engine(session, checks, |engine| {
+    let (next, threads, tally) = with_engine(session, checks, |engine| {
         let threads = resolve_threads(mode, end - begin);
         // The walk extends the records in place: this call's items all
         // lie past the ones they hold.
@@ -506,8 +464,7 @@ fn walk<C: Member, R>(
             .map(|q| engine.quotients[q].active_blocks())
             .sum();
         tally.add(SweepCounter::QuotientBlocks, quotient_blocks);
-        tally.flush(recorder);
-        (next, WalkStats { threads, tally })
+        (next, threads, tally)
     });
     let walked = PanelFragment {
         lo,
@@ -516,9 +473,10 @@ fn walk<C: Member, R>(
         members,
     };
     if !walked.is_complete() {
-        budget.note_interruption(recorder);
+        tally.add(SweepCounter::BudgetInterruptions, 1);
     }
-    let finished = finish(walked, stats);
+    tally.flush(recorder);
+    let finished = finish(walked, threads, tally.counts());
     if let Some(r) = recorder {
         r.span_exit(C::SPAN);
     }
@@ -555,7 +513,8 @@ pub(super) fn reduce<C: PropertyCheck>(
     members: Vec<MemberFrontier<C::Partial>>,
     next: usize,
     interrupted: bool,
-    stats: WalkStats,
+    threads: usize,
+    counts: WalkCounts,
     recorder: Option<&dyn SweepRecorder>,
     start: Instant,
 ) -> Reduced<C::Verdict> {
@@ -603,12 +562,9 @@ pub(super) fn reduce<C: PropertyCheck>(
         interrupted,
         coverage: coverage(interrupted || !errors.is_empty()),
         errors,
-        cache_hits: stats.tally.get(SweepCounter::CacheHits) as usize,
-        cache_misses: stats.tally.get(SweepCounter::CacheMisses) as usize,
-        memo_hits: stats.tally.get(SweepCounter::MemoHits) as usize,
-        memo_misses: stats.tally.get(SweepCounter::MemoMisses) as usize,
+        counts,
         elapsed: start.elapsed(),
-        threads: stats.threads,
+        threads,
     };
     let reports = verdicts
         .into_iter()
@@ -1083,9 +1039,10 @@ pub(super) fn replay<C: Member>(
 /// files straight into `records` and its tally; the `threads - 1`
 /// workers spawned beside it keep their own, which are folded in after
 /// joining ([`MemberFrontier::join`], [`WorkerTally::absorb`]), so a
-/// one-thread walk spawns and copies nothing. Settles every record at its
-/// member's final stop and returns the first index not visited with the
-/// workers' summed tally.
+/// one-thread walk spawns and copies nothing. With a recorder attached,
+/// each worker records one `walk` span around its claims. Settles every
+/// record at its member's final stop and returns the first index not
+/// visited with the workers' summed tally.
 fn walk_chunks<C: PropertyCheck>(
     engine: &Engine<'_, C>,
     threads: usize,
@@ -1121,10 +1078,9 @@ fn walk_chunks<C: PropertyCheck>(
     };
     let claim_chunks = |records: &mut [MemberFrontier<C::Partial>]| {
         let mut worker = Worker::new(engine.drivers.len(), engine.quotients.len());
-        // The open `chunk:<start>` span and the end of its chunks: one
-        // span covers the chunks a worker claims back to back (a
-        // one-thread walk's all), and a new one opens where it resyncs.
-        let mut span: Option<(String, usize)> = None;
+        if let Some(r) = engine.recorder {
+            r.span_enter("walk");
+        }
         loop {
             // The deadline is checked before claiming, and a claimed chunk
             // always runs to completion — so the visited set stays the
@@ -1147,26 +1103,13 @@ fn walk_chunks<C: PropertyCheck>(
                 break;
             }
             let stop = (start + chunk).min(end);
-            if let Some(r) = engine.recorder {
-                match &mut span {
-                    Some((_, until)) if *until == start => *until = stop,
-                    open => {
-                        if let Some((name, _)) = open.take() {
-                            r.span_exit(&name);
-                        }
-                        let name = format!("chunk:{start}");
-                        r.span_enter(&name);
-                        *open = Some((name, stop));
-                    }
-                }
-            }
             let mut i = start;
             while i < stop && i <= horizon() {
                 i = engine.run_item(&mut worker, i, stop, &stops, records);
             }
         }
-        if let (Some(r), Some((name, _))) = (engine.recorder, span) {
-            r.span_exit(&name);
+        if let Some(r) = engine.recorder {
+            r.span_exit("walk");
         }
         worker.tally
     };
@@ -1302,7 +1245,6 @@ pub(super) fn draw<C: PropertyCheck>(
         // invariant: zero blocks sum to zero items — overflow is impossible.
         _ => Universe::new(Vec::new(), coverage).expect("an empty universe cannot overflow"),
     };
-    let stats = WalkStats { threads: 1, tally };
     let (mut reports, _) = reduce(
         std::slice::from_ref(check),
         &universe,
@@ -1310,7 +1252,8 @@ pub(super) fn draw<C: PropertyCheck>(
         vec![record],
         drawn,
         interrupted,
-        stats,
+        1,
+        tally.counts(),
         None,
         start,
     );

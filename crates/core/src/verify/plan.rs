@@ -72,15 +72,14 @@ use crate::properties::strong::strong_member;
 use crate::prover::Prover;
 use crate::verify::{
     Block, Coverage, DynPropertyCheck, ExecMode, ItemCtx, LabelSource, MetricsRecorder,
-    MetricsSnapshot, PanelReport, PropertyCheck, PropertyTag, SweepBudget, SweepCounter,
-    SweepOutcome, SweepRecorder, SweepStrategy, SymmetrySpec, Universe, UniverseItem,
+    PanelReport, PropertyCheck, PropertyTag, SweepBudget, SweepCounter, SweepOutcome,
+    SweepRecorder, SweepStrategy, SymmetrySpec, Universe, UniverseItem,
 };
 
 use super::budget::MemberFrontier;
 use super::panel::PanelFragment;
 use super::session::SweepSession;
 use super::shard::{merge, ShardSpec};
-use super::telemetry::diff;
 use crate::view::IdMode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -278,7 +277,7 @@ impl<'a> AuditPlan<'a> {
 
     /// Attaches a metrics recorder: every panel streams counters, phase
     /// timings and spans into it, and the report gains a `telemetry`
-    /// section with per-panel counter deltas.
+    /// section with the counts each panel's walk reports.
     pub fn telemetry(mut self, recorder: &'a MetricsRecorder) -> Self {
         self.telemetry = Some(recorder);
         self
@@ -306,30 +305,25 @@ impl<'a> AuditPlan<'a> {
         self.telemetry.map(|r| r as &dyn SweepRecorder)
     }
 
-    /// Snapshot taken just before a panel runs, when a recorder is live.
-    fn snapshot_before(&self) -> Option<MetricsSnapshot> {
-        self.telemetry.map(|r| r.snapshot())
-    }
-
-    /// Diffs the recorder against `before` and appends the panel's
-    /// counter movement to the report's telemetry section.
-    fn push_panel_telemetry(
-        &self,
-        shape: &str,
-        before: Option<MetricsSnapshot>,
-        report: &mut AuditReport,
-    ) {
-        if let (Some(recorder), Some(before)) = (self.telemetry, before) {
-            let delta = diff::diff(&before, &recorder.snapshot());
-            report.telemetry.push(PanelTelemetry {
-                shape: shape.into(),
-                strategy: strategy_name(self.strategy).into(),
-                counters: delta
-                    .changed()
-                    .map(|row| (row.name.clone(), row.delta().max(0) as u64, row.stable))
-                    .collect(),
-            });
+    /// Appends `panel`'s section to the report's telemetry when a
+    /// recorder is attached: every counter its walk moved, name-sorted,
+    /// read off the walk's evidence.
+    fn push_panel_telemetry(&self, shape: &str, panel: &PanelReport, report: &mut AuditReport) {
+        if self.telemetry.is_none() {
+            return;
         }
+        let counts = panel.evidence.counts;
+        let mut counters: Vec<(String, u64, bool)> = SweepCounter::ALL
+            .into_iter()
+            .map(|c| (c.name().to_string(), counts.get(c), c.is_stable()))
+            .filter(|&(_, value, _)| value > 0)
+            .collect();
+        counters.sort();
+        report.telemetry.push(PanelTelemetry {
+            shape: shape.into(),
+            strategy: strategy_name(self.strategy).into(),
+            counters,
+        });
     }
 
     /// A session over `universe` with the plan's mode, strategy and
@@ -455,7 +449,6 @@ impl<'a> AuditPlan<'a> {
         if members.is_empty() {
             return;
         }
-        let before = self.snapshot_before();
         let panel = match self.budget {
             Some(budget) => {
                 let panel = self.session(universe).budget(budget).run_panel(&members);
@@ -472,7 +465,7 @@ impl<'a> AuditPlan<'a> {
         report
             .panels
             .push(self.labelings_summary(&panel, scan, universe.coverage()));
-        self.push_panel_telemetry("labelings", before, report);
+        self.push_panel_telemetry("labelings", &panel, report);
     }
 
     /// The labelings panel: soundness gated onto no-instances, strong
@@ -613,10 +606,9 @@ impl<'a> AuditPlan<'a> {
         let universe = Universe::instances_only(yes_instances, Coverage::Sampled)
             .expect("one item per instance fits");
         let member = completeness_member(self.decoder, prover);
-        let before = self.snapshot_before();
         let panel = self.exec_panel(std::slice::from_ref(&member), &universe);
         report.panels.push(summarize_panel("instances", &panel));
-        self.push_panel_telemetry("instances", before, report);
+        self.push_panel_telemetry("instances", &panel, report);
     }
 
     /// The first yes-instance the prover certifies — the honest fixture
@@ -680,10 +672,9 @@ impl<'a> AuditPlan<'a> {
             Universe::labelings_of(honest.instance().clone(), labelings, Coverage::Sampled)
                 .expect("materialized labelings fit");
         let member = erasure_member(self.decoder, erased_counts);
-        let before = self.snapshot_before();
         let panel = self.exec_panel(std::slice::from_ref(&member), &universe);
         report.panels.push(summarize_panel("erasure", &panel));
-        self.push_panel_telemetry("erasure", before, report);
+        self.push_panel_telemetry("erasure", &panel, report);
     }
 
     fn run_invariance_panel(&self, honest: &LabeledInstance, report: &mut AuditReport) {
@@ -698,10 +689,9 @@ impl<'a> AuditPlan<'a> {
             &mut rng,
         );
         let member = invariance_member(self.decoder, honest.instance(), honest.labeling());
-        let before = self.snapshot_before();
         let panel = self.exec_panel(std::slice::from_ref(&member), &universe);
         report.panels.push(summarize_panel("invariance", &panel));
-        self.push_panel_telemetry("invariance", before, report);
+        self.push_panel_telemetry("invariance", &panel, report);
     }
 
     /// Runs this plan's labelings panel over one shard's index range and
@@ -823,9 +813,8 @@ impl<'a> AuditPlan<'a> {
             .map(|text| self.parse_shard_report(text, universe, &members))
             .collect::<Result<Vec<_>, _>>()?;
         let items: Vec<Vec<usize>> = listings.iter().map(ShardListing::items).collect();
-        let replayed = SweepSession::over(universe)
-            .strategy(self.strategy)
-            .replay_panel(&members, &items)
+        let session = SweepSession::over(universe).strategy(self.strategy);
+        let replayed = super::panel::replay(&session, &members, &items)
             .map_err(|i| copy_item_error(&listings, &members, universe, i))?;
         let mut fragments = Vec::with_capacity(listings.len());
         let mut per_shard_counters = Vec::with_capacity(listings.len());
@@ -1205,15 +1194,16 @@ pub struct AuditPanelReport {
     pub members: Vec<AuditMemberReport>,
 }
 
-/// One panel's counter movement under the plan's attached recorder:
-/// the before/after snapshot diff taken around that panel's walk.
+/// One panel's counter movement under the plan's attached recorder: the
+/// counts its walk's report carries (for a sharded labelings walk, the
+/// shard reports' summed stable counters).
 #[derive(Debug, Clone)]
 pub struct PanelTelemetry {
     /// The panel's shape (matches the [`AuditPanelReport`] shape).
     pub shape: String,
     /// The sweep strategy the panel ran under.
     pub strategy: String,
-    /// Counters the panel moved: `(wire name, delta, stable)`. Stable
+    /// Counters the panel moved: `(wire name, count, stable)`. Stable
     /// counters are deterministic for a fixed plan; the rest depend on
     /// scheduling (memo timing, interner contention).
     pub counters: Vec<(String, u64, bool)>,
@@ -1463,23 +1453,24 @@ impl AuditReport {
 }
 
 fn summarize_panel(shape: &str, panel: &PanelReport) -> AuditPanelReport {
+    let count = |counter| panel.evidence.counts.get(counter) as usize;
     AuditPanelReport {
         shape: shape.into(),
         universe_size: panel.evidence.universe_size,
         checked: panel.evidence.checked,
         threads: panel.evidence.threads,
         elapsed: panel.evidence.elapsed,
-        cache_hits: panel.evidence.cache_hits,
-        cache_misses: panel.evidence.cache_misses,
-        memo_hits: panel.evidence.memo_hits,
-        memo_misses: panel.evidence.memo_misses,
+        cache_hits: count(SweepCounter::CacheHits),
+        cache_misses: count(SweepCounter::CacheMisses),
+        memo_hits: count(SweepCounter::MemoHits),
+        memo_misses: count(SweepCounter::MemoMisses),
         interrupted: panel.evidence.interrupted,
         members: panel
             .members
             .iter()
             .map(|m| AuditMemberReport {
-                property: m.tag.as_str().into(),
-                label: m.label.clone(),
+                property: m.verdict.tag.as_str().into(),
+                label: m.verdict.label.clone(),
                 passed: m.verdict.passed,
                 detail: m.verdict.detail.clone(),
                 checked: m.checked,

@@ -43,7 +43,7 @@
 //! per process, not split across shards. Both are pinned by the
 //! `engine_parity` per-shard budget test and interrupted-shard property.
 
-use super::budget::{MemberFrontier, SweepBudget};
+use super::budget::SweepBudget;
 use super::check::{PropertyCheck, VerificationReport};
 use super::erased::DynPropertyCheck;
 use super::executor::{ExecMode, SweepStrategy};
@@ -165,19 +165,6 @@ impl<'a> SweepSession<'a> {
         fragment: PanelFragment,
     ) -> PanelFragment {
         panel::fragment(self, checks, fragment)
-    }
-
-    /// Re-derives the panel records a walk left at each ascending list of
-    /// items, under the session's strategy, with no recorder and no budget
-    /// (see [`panel::replay`]); fails with the first listed item the walk
-    /// jumps over as part of a copy block. The shard merge checks shard
-    /// reports against it.
-    pub(super) fn replay_panel(
-        &self,
-        checks: &[DynPropertyCheck<'_>],
-        lists: &[Vec<usize>],
-    ) -> Result<Vec<Vec<MemberFrontier>>, usize> {
-        panel::replay(self, checks, lists)
     }
 }
 

@@ -49,8 +49,8 @@ use super::budget::MemberFrontier;
 use super::check::{PropertyCheck, VerificationReport};
 use super::erased::DynPropertyCheck;
 use super::executor::{resolve_threads, ExecMode};
-use super::panel::{reduce, PanelFragment, PanelReport, Reduced, WalkStats};
-use super::telemetry::{SweepCounter, SweepPhase, SweepRecorder};
+use super::panel::{reduce, PanelFragment, PanelReport, Reduced};
+use super::telemetry::{SweepCounter, SweepPhase, SweepRecorder, WalkCounts};
 use super::universe::Universe;
 use std::time::Instant;
 
@@ -297,10 +297,9 @@ fn validate_tiling<P>(
 /// run. Records one [`SweepPhase::Merge`] sample from `begun` (the
 /// recorder's clock when the merge began, which the audit plan sets
 /// before its parse and replay; this call's start if `None`) up to the
-/// reduce. The walk counters (cache/memo hits) are reported as
-/// zero — they are observed, not stable, and the stable rendering never
-/// reads them. A member's records are concatenated, not re-folded: a
-/// folding member's reduce takes each key from its lowest-index partial
+/// reduce. The merge walks nothing, so its evidence's counts are zero. A
+/// member's records are concatenated, not re-folded: a folding member's
+/// reduce takes each key from its lowest-index partial
 /// ([`PropertyCheck::fold`]).
 pub(super) fn merge<C: PropertyCheck>(
     checks: &[C],
@@ -338,12 +337,9 @@ pub(super) fn merge<C: PropertyCheck>(
     if let (Some(r), Some(t0)) = (recorder, begun) {
         r.record_phase(SweepPhase::Merge, r.now_micros().saturating_sub(t0));
     }
-    let stats = WalkStats {
-        threads: resolve_threads(mode, n),
-        ..WalkStats::default()
-    };
+    let (threads, counts) = (resolve_threads(mode, n), WalkCounts::default());
     let merged = reduce(
-        checks, universe, n, members, n, false, stats, recorder, start,
+        checks, universe, n, members, n, false, threads, counts, recorder, start,
     );
     if let Some(r) = recorder {
         r.span_exit("merge");

@@ -9,10 +9,11 @@
 //!   audit plan with one ([`AuditPlan::telemetry`](super::AuditPlan::telemetry))
 //!   threads it through the engine; every other call runs with no
 //!   recorder. Either way each worker counts its walk in its own
-//!   [`WorkerTally`], and the walk sums the tallies once after the join.
+//!   [`WorkerTally`], and the walk sums the tallies once after the join
+//!   into the [`WalkCounts`] its report carries.
 //! * **No ambient time.** Every timestamp flows through the recorder's
 //!   injected [`Clock`] — `MonotonicClock` in production, `ManualClock`
-//!   in replays — and clocks are read at phase/block/chunk granularity
+//!   in replays — and clocks are read at phase and span granularity
 //!   only, never per item.
 //! * **Determinism policy.** Counters are split into a *stable* section
 //!   (a pure function of the sweep's inputs for complete,
@@ -33,7 +34,7 @@ pub use hiding_lcp_telemetry::{ManualClock, MetricsSnapshot};
 
 /// Every counter the engine records, with its wire name and determinism
 /// class. The enum is the schema: adding a counter here is all it takes
-/// for snapshots, diffs and the audit report to carry it.
+/// for snapshots, walk counts and the audit report to carry it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum SweepCounter {
@@ -126,7 +127,7 @@ impl SweepCounter {
         SweepCounter::ShardMerges,
     ];
 
-    /// The counter's wire name — the key in snapshots, diffs and JSON.
+    /// The counter's wire name — the key in snapshots and JSON.
     pub fn name(self) -> &'static str {
         match self {
             SweepCounter::ItemsWalked => "items_walked",
@@ -233,8 +234,9 @@ pub trait SweepRecorder: Sync {
 }
 
 /// Span-event ring capacity of a default recorder: plenty for an audit
-/// run's plan/panel/chunk spans while bounding memory; overflow
-/// overwrites the oldest events and is counted in the trace export.
+/// run's plan, call and per-worker walk spans while bounding memory;
+/// overflow overwrites the oldest events and is counted in the trace
+/// export.
 const DEFAULT_TRACE_CAPACITY: usize = 16_384;
 
 /// The concrete recorder: one atomic per counter, per-phase histograms
@@ -362,8 +364,8 @@ impl SweepRecorder for MetricsRecorder {
 /// attached". They are `Cell`s so the item's
 /// [`ItemCtx`](super::ItemCtx) can count the views it stamps through a
 /// shared reference. After the join the walk sums its workers' tallies
-/// once and hands the sum to its evidence and, when one is attached, to
-/// the recorder.
+/// once, freezes the sum into its evidence as [`WalkCounts`] and, when one
+/// is attached, adds it to the recorder.
 #[derive(Debug, Default)]
 pub struct WorkerTally {
     counts: [Cell<u64>; COUNTER_SLOTS],
@@ -404,6 +406,11 @@ impl WorkerTally {
         }
     }
 
+    /// The tally's counts, frozen.
+    pub(super) fn counts(&self) -> WalkCounts {
+        WalkCounts(SweepCounter::ALL.map(|counter| self.get(counter)))
+    }
+
     /// Adds the tally to `recorder`, if one is attached: once per walk,
     /// on the workers' summed tally.
     pub(super) fn flush(&self, recorder: Option<&dyn SweepRecorder>) {
@@ -414,76 +421,17 @@ impl WorkerTally {
     }
 }
 
-pub mod diff {
-    //! Snapshot differencing: what a sweep (or a panel, or a whole
-    //! audit) added to each counter. The audit report's per-panel
-    //! telemetry section and the engine-sweep bench's stable-counter
-    //! record in `BENCH_engine.json` list the changed rows.
+/// One walk's counts, one per [`SweepCounter`]: its workers' summed
+/// [`WorkerTally`], carried in the walk's
+/// [`ExecEvidence::counts`](super::ExecEvidence::counts). An attached
+/// recorder gets the same numbers from the walk's one flush.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WalkCounts([u64; COUNTER_SLOTS]);
 
-    use super::MetricsSnapshot;
-
-    /// One counter's before/after pair.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct DeltaRow {
-        /// Counter wire name.
-        pub name: String,
-        /// Value in the earlier snapshot (0 when absent).
-        pub before: u64,
-        /// Value in the later snapshot (0 when absent).
-        pub after: u64,
-        /// Whether the counter sits in the stable section.
-        pub stable: bool,
-    }
-
-    impl DeltaRow {
-        /// `after - before`, signed (a counter can only grow in one
-        /// recorder's lifetime, but diffs across recorders may shrink).
-        pub fn delta(&self) -> i128 {
-            self.after as i128 - self.before as i128
-        }
-    }
-
-    /// The difference between two snapshots, row per counter name.
-    #[derive(Debug, Clone, PartialEq, Eq, Default)]
-    pub struct MetricsDelta {
-        rows: Vec<DeltaRow>,
-    }
-
-    /// Diffs two snapshots over the union of their counter names
-    /// (sorted; a name missing on one side counts as 0 there).
-    pub fn diff(before: &MetricsSnapshot, after: &MetricsSnapshot) -> MetricsDelta {
-        let mut names: Vec<(String, bool)> = before
-            .stable
-            .iter()
-            .chain(&after.stable)
-            .map(|(n, _)| (n.clone(), true))
-            .chain(
-                before
-                    .observed
-                    .iter()
-                    .chain(&after.observed)
-                    .map(|(n, _)| (n.clone(), false)),
-            )
-            .collect();
-        names.sort();
-        names.dedup();
-        let rows = names
-            .into_iter()
-            .map(|(name, stable)| DeltaRow {
-                before: before.get(&name).unwrap_or(0),
-                after: after.get(&name).unwrap_or(0),
-                stable,
-                name,
-            })
-            .collect();
-        MetricsDelta { rows }
-    }
-
-    impl MetricsDelta {
-        /// Rows whose value actually moved, sorted by counter name.
-        pub fn changed(&self) -> impl Iterator<Item = &DeltaRow> {
-            self.rows.iter().filter(|r| r.delta() != 0)
-        }
+impl WalkCounts {
+    /// The walk's count of `counter`.
+    pub fn get(&self, counter: SweepCounter) -> u64 {
+        self.0[counter as usize]
     }
 }
 
@@ -606,32 +554,5 @@ mod tests {
                 counter.name()
             );
         }
-    }
-
-    #[test]
-    fn diff_renders_changed_rows_only() {
-        let recorder = MetricsRecorder::new();
-        recorder.add(SweepCounter::ItemsWalked, 100);
-        let before = recorder.snapshot();
-        recorder.add(SweepCounter::ItemsWalked, 28);
-        recorder.add(SweepCounter::MemoHits, 5);
-        let after = recorder.snapshot();
-        let delta = diff::diff(&before, &after);
-        let moved: Vec<(&str, i128, bool)> = delta
-            .changed()
-            .map(|row| (row.name.as_str(), row.delta(), row.stable))
-            .collect();
-        assert_eq!(
-            moved,
-            [("items_walked", 28, true), ("memo_hits", 5, false)],
-            "unchanged rows omitted"
-        );
-    }
-
-    #[test]
-    fn empty_diff_says_so() {
-        let snap = MetricsRecorder::new().snapshot();
-        let delta = diff::diff(&snap, &snap);
-        assert_eq!(delta.changed().count(), 0);
     }
 }

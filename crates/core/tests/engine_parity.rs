@@ -41,7 +41,7 @@ use hiding_lcp_core::prover::all_labelings;
 use hiding_lcp_core::verify::{
     merge_fragments, merge_panel_fragments, Block, Coverage, DynPropertyCheck, ExecMode, ItemCtx,
     LabelSource, LazySweep, MetricsRecorder, PanelFragment, PropertyCheck, PropertyTag, ShardSpec,
-    SweepBudget, SweepOutcome, SweepSession, SweepStrategy, Universe, UniverseItem,
+    SweepBudget, SweepCounter, SweepOutcome, SweepSession, SweepStrategy, Universe, UniverseItem,
 };
 use hiding_lcp_core::view::IdMode;
 use hiding_lcp_graph::algo::bipartite;
@@ -1018,23 +1018,18 @@ fn over_cap_classes_run_unmemoized() {
         Universe::all_labelings_of(k4, alphabet, Coverage::Exhaustive).expect("17^4 items fit");
     assert_strategy_parity(&tally, &universe).unwrap();
     for mode in [ExecMode::Sequential, ExecMode::Parallel(parity_threads())] {
-        let recorder = MetricsRecorder::new();
-        let delta = SweepSession::over(&universe)
-            .mode(mode)
-            .metrics(&recorder)
-            .run(&tally);
+        let delta = SweepSession::over(&universe).mode(mode).run(&tally);
+        let count = |counter| delta.counts.get(counter);
         // A hit would mean the class got a table: the cap no longer
         // excludes 17^4 and this case stopped testing it.
         assert_eq!(
-            delta.memo_hits, 0,
+            count(SweepCounter::MemoHits),
+            0,
             "{mode:?}: the over-cap class has no table"
         );
         assert_eq!(
-            (delta.memo_hits + delta.memo_misses) as u64,
-            recorder
-                .snapshot()
-                .get("verdict_decisions")
-                .expect("decisions are counted"),
+            count(SweepCounter::MemoHits) + count(SweepCounter::MemoMisses),
+            count(SweepCounter::VerdictDecisions),
             "{mode:?}: every decision consults the memo exactly once"
         );
     }

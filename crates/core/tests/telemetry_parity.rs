@@ -322,20 +322,28 @@ mod enabled {
     }
 
     /// One walk at every thread count: a one-worker sweep and a
-    /// two-worker panel record only their call span and the walk's
-    /// `chunk:<start>` spans, and every lane balances.
+    /// two-worker panel record their call span and exactly one `walk`
+    /// span per worker, each on its worker's lane, and every lane
+    /// balances.
     #[test]
-    fn every_thread_count_records_only_call_and_chunk_spans() {
+    fn every_thread_count_records_only_call_and_worker_spans() {
         let decoder = full_walk_decoder();
         let two_col = KCol::new(2);
         let universe = big_universe();
         let check = SoundnessCheck { decoder: &decoder };
         let members = panel_members(&decoder, &two_col);
-        let span_names = |recorder: &MetricsRecorder| -> Vec<String> {
+        // `(name, lane)` of every span entry in the exported trace.
+        let entries = |recorder: &MetricsRecorder| -> Vec<(String, u64)> {
             let json = recorder.trace_json();
-            json.split("\"name\": \"")
+            json.split("{\"name\": \"")
                 .skip(1)
-                .map(|rest| rest[..rest.find('"').expect("closing quote")].to_string())
+                .filter(|event| event.contains("\"ph\": \"B\""))
+                .map(|event| {
+                    let name = &event[..event.find('"').expect("closing quote")];
+                    let tid = event.split("\"tid\": ").nth(1).expect("a lane");
+                    let lane = tid[..tid.find('}').expect("event end")].parse();
+                    (name.to_string(), lane.expect("a numeric lane"))
+                })
                 .collect()
         };
         let sequential = MetricsRecorder::new();
@@ -348,25 +356,25 @@ mod enabled {
             .mode(ExecMode::Parallel(2))
             .metrics(&parallel)
             .run_panel(&members);
-        for (recorder, call) in [(&sequential, "sweep"), (&parallel, "panel")] {
+        for (recorder, call, workers) in [(&sequential, "sweep", 1), (&parallel, "panel", 2)] {
             assert!(recorder.trace_balanced(), "{call}: every lane balances");
             assert_eq!(recorder.trace_dropped(), 0);
-            let names = span_names(recorder);
-            assert!(
-                names.iter().any(|n| n == call),
-                "{call}: call span recorded"
+            let entries = entries(recorder);
+            let lanes = |span: &str| -> Vec<u64> {
+                let lanes = entries.iter().filter(|(name, _)| name == span);
+                lanes.map(|&(_, lane)| lane).collect()
+            };
+            assert_eq!(lanes(call).len(), 1, "{call}: one call span");
+            let mut walks = lanes("walk");
+            assert_eq!(walks.len(), workers, "{call}: one walk span per worker");
+            walks.sort_unstable();
+            walks.dedup();
+            assert_eq!(walks.len(), workers, "{call}: one walk span per lane");
+            assert_eq!(
+                entries.len(),
+                1 + workers,
+                "{call}: only call and walk spans, got {entries:?}"
             );
-            assert!(
-                names.iter().any(|n| n.starts_with("chunk:")),
-                "{call}: chunk spans recorded"
-            );
-            for name in &names {
-                let chunk_start = name.strip_prefix("chunk:").map(str::parse::<usize>);
-                assert!(
-                    name == call || matches!(chunk_start, Some(Ok(_))),
-                    "{call}: unexpected span {name}"
-                );
-            }
         }
     }
 
@@ -394,6 +402,92 @@ mod enabled {
                 == json.chars().filter(|&c| c == close).count()
         };
         assert!(balance('{', '}') && balance('[', ']'));
+    }
+
+    /// An audit plan's per-panel telemetry is its walks' own counts: a
+    /// second thread adding to the plan's recorder for as long as the plan
+    /// runs leaves the stable report exactly as a solo run's. The
+    /// decoder's first decision waits until that thread has added, so its
+    /// adds land inside the labelings panel's walk on every schedule.
+    #[test]
+    fn panel_sections_ignore_other_writers_to_the_recorder() {
+        use hiding_lcp_certs::degree_one::{self, DegreeOneDecoder, DegreeOneProver};
+        use hiding_lcp_core::decoder::{Decoder, Verdict};
+        use hiding_lcp_core::verify::{AuditPlan, InstanceSet, SweepCounter, SweepRecorder};
+        use hiding_lcp_core::view::View;
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        /// Degree-one's decoder, whose first decision waits until
+        /// `recorder`'s `items_walked` moves.
+        struct AwaitWriter<'r> {
+            recorder: &'r MetricsRecorder,
+            waited: AtomicBool,
+        }
+        impl Decoder for AwaitWriter<'_> {
+            fn name(&self) -> String {
+                DegreeOneDecoder.name()
+            }
+            fn radius(&self) -> usize {
+                DegreeOneDecoder.radius()
+            }
+            fn id_mode(&self) -> IdMode {
+                DegreeOneDecoder.id_mode()
+            }
+            fn decide(&self, view: &View) -> Verdict {
+                if !self.waited.swap(true, Ordering::Relaxed) {
+                    let walked = || self.recorder.snapshot().get("items_walked");
+                    let seen = walked();
+                    while walked() == seen {
+                        std::thread::yield_now();
+                    }
+                }
+                DegreeOneDecoder.decide(view)
+            }
+        }
+
+        let audit = |decoder: &dyn Decoder, recorder: &MetricsRecorder| {
+            AuditPlan::new(
+                decoder,
+                2,
+                InstanceSet::Lemma31 { max_n: 3 },
+                degree_one::adversary_alphabet(),
+            )
+            .prover(&DegreeOneProver)
+            .mode(ExecMode::Sequential)
+            .telemetry(recorder)
+            .run()
+        };
+        let solo = audit(&DegreeOneDecoder, &MetricsRecorder::new()).to_stable_json();
+        let shared = MetricsRecorder::new();
+        let decoder = AwaitWriter {
+            recorder: &shared,
+            waited: AtomicBool::new(false),
+        };
+        /// Stops the writer however the audit ends, so an audit that
+        /// panics fails the test instead of hanging it.
+        struct Stop<'a>(&'a AtomicBool);
+        impl Drop for Stop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Relaxed);
+            }
+        }
+        let done = AtomicBool::new(false);
+        let (report, outside) = std::thread::scope(|scope| {
+            let writer = scope.spawn(|| {
+                let mut adds = 0u64;
+                while !done.load(Ordering::Relaxed) {
+                    shared.add(SweepCounter::ItemsWalked, 1);
+                    adds += 1;
+                }
+                adds
+            });
+            let stop = Stop(&done);
+            let report = audit(&decoder, &shared);
+            drop(stop);
+            (report, writer.join().expect("the writer thread finishes"))
+        });
+        assert!(outside > 0, "the second thread wrote to the recorder");
+        assert_eq!(report.to_stable_json(), solo);
     }
 }
 

@@ -25,7 +25,7 @@ pub enum SpanPhase {
 /// One recorded span boundary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanEvent {
-    /// Span name, e.g. `plan`, `panel:labelings`, `chunk:128`.
+    /// Span name, e.g. `plan`, `panel`, `walk`.
     pub name: String,
     /// Enter or exit.
     pub phase: SpanPhase,
