@@ -47,7 +47,7 @@
 //!   [`SweepSession::resume_fragment`] walks on from there;
 //!   [`merge_fragments`] / [`merge_panel_fragments`] recombine complete
 //!   fragments into the exact single-process report, with [`run_shards`]
-//!   owning dispatch and retry;
+//!   owning concurrent dispatch and retry;
 //! * the hot path is allocation-free: within a chunk, labelings are
 //!   enumerated by *odometer stepping* (one digit of the mixed-radix
 //!   counter per item, into reused per-thread scratch) rather than per-item
@@ -92,8 +92,8 @@ pub use plan::{
 };
 pub use session::{LazySweep, SweepSession};
 pub use shard::{
-    merge_fragments, merge_panel_fragments, run_shards, sum_stable_counters, ShardRunReport,
-    ShardSpec,
+    merge_fragments, merge_panel_fragments, run_shards, sum_stable_counters, ShardAttempt,
+    ShardRunReport, ShardSpec,
 };
 pub use symmetry::SymmetrySpec;
 pub use telemetry::{MetricsRecorder, MetricsSnapshot, SweepCounter, SweepPhase, SweepRecorder};
@@ -276,6 +276,42 @@ mod tests {
         let full = session.run(&check);
         assert_eq!(merged.verdict, full.verdict);
         assert_eq!(merged.checked, full.checked);
+    }
+
+    #[test]
+    fn a_resumed_fragment_counts_its_whole_chain() {
+        let universe = small_universe();
+        let check = CountConstant {
+            stop_on_all_ones: false,
+        };
+        let session = SweepSession::over(&universe).mode(ExecMode::Sequential);
+        let whole = session.run_fragment(&check, WHOLE);
+        let stepped = session.budget(SweepBudget::unlimited().with_max_items(10));
+        let mut fragment = stepped.run_fragment(&check, WHOLE);
+        assert_eq!(fragment.counts.get(SweepCounter::ItemsWalked), 10);
+        let mut stops = 0;
+        while !fragment.is_complete() {
+            stops += 1;
+            fragment = stepped.resume_fragment(&check, fragment);
+        }
+        for counter in [SweepCounter::ItemsWalked, SweepCounter::ItemsInspected] {
+            let one = whole.counts.get(counter);
+            assert_eq!(fragment.counts.get(counter), one, "{}", counter.name());
+            assert_eq!(one, universe.len() as u64, "{}", counter.name());
+        }
+        let interruptions = fragment.counts.get(SweepCounter::BudgetInterruptions);
+        assert_eq!(interruptions, stops, "one per budget stop in the chain");
+        assert_eq!(whole.counts.get(SweepCounter::BudgetInterruptions), 0);
+        // The merge walks nothing: its evidence counts nothing.
+        let merged = merge_fragments(
+            &check,
+            &universe,
+            ExecMode::Sequential,
+            vec![fragment],
+            None,
+        )
+        .expect("a finished fragment covers the universe");
+        assert_eq!(merged.counts, telemetry::WalkCounts::default());
     }
 
     #[test]

@@ -190,6 +190,9 @@ pub struct PanelFragment<P = ErasedPartial> {
     /// Per-member frontiers, in member order: each member's local stop
     /// index, partials and errors.
     pub members: Vec<MemberFrontier<P>>,
+    /// What the walks that built this fragment counted, summed over a
+    /// resumed chain; zero for a fragment nothing has walked yet.
+    pub counts: WalkCounts,
 }
 
 impl<P> PanelFragment<P> {
@@ -202,6 +205,7 @@ impl<P> PanelFragment<P> {
             hi,
             next: lo,
             members: (0..members).map(|_| MemberFrontier::new()).collect(),
+            counts: WalkCounts::default(),
         }
     }
 
@@ -361,7 +365,7 @@ pub(super) fn run<C: Member>(session: &SweepSession<'_>, checks: &[C]) -> Reduce
     let universe = session.universe;
     let n = universe.len();
     let whole = PanelFragment::open(ShardSpec::new(0, 1), n, checks.len());
-    walk(session, checks, whole, start, |walked, threads, counts| {
+    walk(session, checks, whole, start, |walked, threads| {
         let interrupted = !walked.is_complete();
         reduce(
             checks,
@@ -371,7 +375,7 @@ pub(super) fn run<C: Member>(session: &SweepSession<'_>, checks: &[C]) -> Reduce
             walked.next,
             interrupted,
             threads,
-            counts,
+            walked.counts,
             session.recorder,
             start,
         )
@@ -379,31 +383,32 @@ pub(super) fn run<C: Member>(session: &SweepSession<'_>, checks: &[C]) -> Reduce
 }
 
 /// Walks `fragment` on from its `next` to its `hi` without reducing: the
-/// returned fragment carries everything the merge needs. A budget applies
-/// to this call alone (`max_items` caps the items it visits; `deadline`
-/// is wall-clock from this call), and a budget stop inside the range
-/// counts as a budget interruption.
+/// returned fragment carries everything the merge needs, and its counts
+/// add this walk's to the ones it came with. A budget applies to this
+/// call alone (`max_items` caps the items it visits; `deadline` is
+/// wall-clock from this call), and a budget stop inside the range counts
+/// as a budget interruption.
 pub(super) fn fragment<C: Member>(
     session: &SweepSession<'_>,
     checks: &[C],
     fragment: PanelFragment<C::Partial>,
 ) -> PanelFragment<C::Partial> {
-    walk(session, checks, fragment, Instant::now(), |walked, _, _| {
+    walk(session, checks, fragment, Instant::now(), |walked, _| {
         walked
     })
 }
 
 /// The one body of [`run`] and [`fragment`]: inside the call's span, the
 /// engine walks `fragment` on from its `next` to its `hi` (capped by the
-/// budget) and hands the walked fragment, its thread count and its counts
-/// to `finish`. Emits every recorder event of a call except the reduce
-/// phase, which `finish` owns.
+/// budget) and hands the walked fragment, its counts summed in, and the
+/// walk's thread count to `finish`. Emits every recorder event of a call
+/// except the reduce phase, which `finish` owns.
 fn walk<C: Member, R>(
     session: &SweepSession<'_>,
     checks: &[C],
     fragment: PanelFragment<C::Partial>,
     start: Instant,
-    finish: impl FnOnce(PanelFragment<C::Partial>, usize, WalkCounts) -> R,
+    finish: impl FnOnce(PanelFragment<C::Partial>, usize) -> R,
 ) -> R {
     let SweepSession {
         universe,
@@ -417,6 +422,7 @@ fn walk<C: Member, R>(
         hi,
         next,
         mut members,
+        counts,
     } = fragment;
     let hi = hi.min(universe.len());
     if checks.is_empty() {
@@ -425,8 +431,9 @@ fn walk<C: Member, R>(
             hi,
             next: hi,
             members,
+            counts,
         };
-        return finish(walked, 1, WalkCounts::default());
+        return finish(walked, 1);
     }
     assert_eq!(
         members.len(),
@@ -466,17 +473,19 @@ fn walk<C: Member, R>(
         tally.add(SweepCounter::QuotientBlocks, quotient_blocks);
         (next, threads, tally)
     });
-    let walked = PanelFragment {
+    let mut walked = PanelFragment {
         lo,
         hi,
         next,
         members,
+        counts,
     };
     if !walked.is_complete() {
         tally.add(SweepCounter::BudgetInterruptions, 1);
     }
     tally.flush(recorder);
-    let finished = finish(walked, threads, tally.counts());
+    walked.counts += tally.counts();
+    let finished = finish(walked, threads);
     if let Some(r) = recorder {
         r.span_exit(C::SPAN);
     }

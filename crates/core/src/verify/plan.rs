@@ -80,6 +80,7 @@ use super::budget::MemberFrontier;
 use super::panel::PanelFragment;
 use super::session::SweepSession;
 use super::shard::{merge, ShardSpec};
+use super::telemetry::WalkCounts;
 use crate::view::IdMode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -713,11 +714,9 @@ impl<'a> AuditPlan<'a> {
         let universe = self.labelings_universe();
         let is_yes = self.yes_mask(&universe);
         let (members, _) = self.labelings_members(&universe, &is_yes);
-        let recorder = MetricsRecorder::new();
         let mut session = SweepSession::over(&universe)
             .mode(self.mode)
-            .strategy(self.strategy)
-            .metrics(&recorder);
+            .strategy(self.strategy);
         if let Some(budget) = self.budget {
             session = session.budget(budget);
         }
@@ -741,11 +740,14 @@ impl<'a> AuditPlan<'a> {
                 out.push_str(&format!("e {}\n", e.item_index));
             }
         }
-        // The recorder is fresh, so its stable counters are the walk's.
-        for (name, value) in recorder.snapshot().stable {
-            if value > 0 {
-                out.push_str(&format!("counter {name} {value}\n"));
-            }
+        let mut counters: Vec<SweepCounter> = SweepCounter::ALL
+            .into_iter()
+            .filter(|c| c.is_stable() && fragment.counts.get(*c) > 0)
+            .collect();
+        counters.sort_by_key(|c| c.name());
+        for counter in counters {
+            let value = fragment.counts.get(counter);
+            out.push_str(&format!("counter {} {value}\n", counter.name()));
         }
         out.push_str(&format!(
             "end shardreport {:016x}\n",
@@ -825,6 +827,7 @@ impl<'a> AuditPlan<'a> {
                 hi: listing.hi,
                 next: listing.next,
                 members: records,
+                counts: WalkCounts::default(),
             });
             per_shard_counters.push(listing.counters);
         }

@@ -38,10 +38,12 @@
 //! # Coordinator
 //!
 //! [`run_shards`] owns dispatch and retry: each shard is handed to a
-//! caller-supplied closure (in-process for tests, a child `audit --shard`
-//! process for the CLI) and re-dispatched on failure up to a retry cap,
-//! with dispatch/retry counters and per-shard spans flowing into the
-//! attached [`SweepRecorder`].
+//! caller-supplied closure, which launches an attempt (a child `audit
+//! --shard` process for the CLI) or runs it in process (tests, benches),
+//! and is re-dispatched on failure up to a retry cap. Up to one attempt
+//! per core runs at once, and every attempt is collected before the
+//! coordinator returns. Dispatch/retry counters and per-shard spans flow
+//! into the attached [`SweepRecorder`].
 //!
 //! [`SweepStrategy`]: super::SweepStrategy
 
@@ -52,6 +54,8 @@ use super::executor::{resolve_threads, ExecMode};
 use super::panel::{reduce, PanelFragment, PanelReport, Reduced};
 use super::telemetry::{SweepCounter, SweepPhase, SweepRecorder, WalkCounts};
 use super::universe::Universe;
+use std::collections::VecDeque;
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 /// One of `of` contiguous shards of a universe's flat index space.
@@ -149,63 +153,158 @@ pub struct ShardRunReport<T> {
     pub retries: u64,
 }
 
+/// One launched attempt at a shard, as [`run_shards`]'s `dispatch`
+/// returns it.
+///
+/// The coordinator waits for every attempt on a thread of its own, so
+/// [`wait`](ShardAttempt::wait) may still be blocking when the
+/// coordinator's thread calls [`abort`](ShardAttempt::abort).
+pub trait ShardAttempt: Send + Sync {
+    /// What a successful attempt yields.
+    type Output;
+
+    /// Blocks until the attempt has ended.
+    fn wait(&self);
+
+    /// Ends the attempt early if it is still running, so that
+    /// [`wait`](ShardAttempt::wait) returns.
+    fn abort(&self);
+
+    /// The ended attempt's result; reaps whatever the attempt started.
+    fn finish(self) -> Result<Self::Output, String>;
+}
+
+/// An attempt run in process: `dispatch` did its work before returning,
+/// so the attempt has already ended.
+impl<T: Send + Sync> ShardAttempt for Result<T, String> {
+    type Output = T;
+
+    fn wait(&self) {}
+
+    fn abort(&self) {}
+
+    fn finish(self) -> Result<T, String> {
+        self
+    }
+}
+
 /// Dispatches every shard of an `of`-way partition through `dispatch`,
 /// re-dispatching failures up to `retry_cap` extra attempts per shard.
 ///
 /// `dispatch` receives the shard spec and the attempt number (0 = first
-/// try) and returns the shard's result or a failure description — a
-/// crashed child process, a torn report, a timeout; the coordinator does
-/// not care which. Each attempt bumps [`SweepCounter::ShardDispatches`]
-/// and runs under a `shard:i/N` span; each retry additionally bumps
-/// [`SweepCounter::ShardRetries`]. A shard that fails `retry_cap + 1`
-/// times fails the whole run with the last error.
-pub fn run_shards<T>(
+/// try), starts the attempt and returns it (a child process for the CLI);
+/// an in-process `dispatch` does the shard's work and returns its
+/// `Result`, an attempt that has already ended. Up to one attempt per
+/// core ([`std::thread::available_parallelism`]) runs at once: the
+/// coordinator launches attempts until that many are in flight, then
+/// collects whichever ends first and launches the next. Each attempt
+/// bumps [`SweepCounter::ShardDispatches`] and runs under a `shard:i/N`
+/// span on the lane of the thread that waits for it; each retry
+/// additionally bumps [`SweepCounter::ShardRetries`]. A failure — a
+/// crashed child, a torn report, a timeout; the coordinator does not care
+/// which — puts its shard back at the head of the queue. A shard that
+/// fails `retry_cap + 1` times fails the whole run with its last error,
+/// once every other attempt in flight has been aborted and finished.
+/// Results come back in shard order, whatever order the attempts end in.
+pub fn run_shards<A: ShardAttempt>(
     of: usize,
     retry_cap: usize,
     recorder: Option<&dyn SweepRecorder>,
-    mut dispatch: impl FnMut(ShardSpec, usize) -> Result<T, String>,
-) -> Result<ShardRunReport<T>, String> {
-    let mut results = Vec::with_capacity(of);
-    let mut dispatches = 0u64;
-    let mut retries = 0u64;
-    for spec in ShardSpec::partition(of) {
-        let label = spec.label();
-        let mut last_err = String::new();
-        let mut done = false;
-        for attempt in 0..=retry_cap {
-            dispatches += 1;
-            if let Some(r) = recorder {
-                r.add(SweepCounter::ShardDispatches, 1);
-                if attempt > 0 {
-                    r.add(SweepCounter::ShardRetries, 1);
-                }
-                r.span_enter(&format!("shard:{label}"));
-            }
-            if attempt > 0 {
-                retries += 1;
-            }
-            let outcome = dispatch(spec, attempt);
-            if let Some(r) = recorder {
-                r.span_exit(&format!("shard:{label}"));
-            }
-            match outcome {
-                Ok(value) => {
-                    results.push(value);
-                    done = true;
+    dispatch: impl FnMut(ShardSpec, usize) -> A,
+) -> Result<ShardRunReport<A::Output>, String> {
+    let window = std::thread::available_parallelism().map_or(1, |n| n.get());
+    run_window(of, retry_cap, window, recorder, dispatch)
+}
+
+/// [`run_shards`] with at most `window` (at least one) attempts in flight.
+fn run_window<A: ShardAttempt>(
+    of: usize,
+    retry_cap: usize,
+    window: usize,
+    recorder: Option<&dyn SweepRecorder>,
+    mut dispatch: impl FnMut(ShardSpec, usize) -> A,
+) -> Result<ShardRunReport<A::Output>, String> {
+    let specs = ShardSpec::partition(of);
+    let mut results: Vec<Option<A::Output>> = specs.iter().map(|_| None).collect();
+    let mut running: Vec<Option<Arc<A>>> = specs.iter().map(|_| None).collect();
+    let mut launched = vec![0usize; of];
+    let mut queue: VecDeque<usize> = (0..of).collect();
+    let (mut dispatches, mut retries) = (0u64, 0u64);
+    let mut failure: Option<String> = None;
+    let (ended, collect) = mpsc::channel::<usize>();
+    std::thread::scope(|scope| {
+        let mut in_flight = 0usize;
+        loop {
+            while failure.is_none() && in_flight < window {
+                let Some(index) = queue.pop_front() else {
                     break;
+                };
+                let (spec, attempt) = (specs[index], launched[index]);
+                launched[index] += 1;
+                dispatches += 1;
+                if attempt > 0 {
+                    retries += 1;
                 }
-                Err(e) => last_err = e,
+                if let Some(r) = recorder {
+                    r.add(SweepCounter::ShardDispatches, 1);
+                    if attempt > 0 {
+                        r.add(SweepCounter::ShardRetries, 1);
+                    }
+                }
+                let handle = Arc::new(dispatch(spec, attempt));
+                running[index] = Some(Arc::clone(&handle));
+                let ended = ended.clone();
+                scope.spawn(move || {
+                    let span = format!("shard:{}", spec.label());
+                    if let Some(r) = recorder {
+                        r.span_enter(&span);
+                    }
+                    handle.wait();
+                    // The coordinator finishes the attempt by value.
+                    drop(handle);
+                    if let Some(r) = recorder {
+                        r.span_exit(&span);
+                    }
+                    let _ = ended.send(index);
+                });
+                in_flight += 1;
+            }
+            if in_flight == 0 {
+                break;
+            }
+            let index = collect.recv().expect("every waiter reports its attempt");
+            in_flight -= 1;
+            let handle = running[index]
+                .take()
+                .expect("a reported attempt is running");
+            let outcome = Arc::into_inner(handle)
+                .expect("the waiter let go of its attempt")
+                .finish();
+            match outcome {
+                Ok(value) => results[index] = Some(value),
+                Err(_) if failure.is_some() => {}
+                Err(_) if launched[index] <= retry_cap => queue.push_front(index),
+                Err(e) => {
+                    failure = Some(format!(
+                        "shard {} failed after {} attempts: {e}",
+                        specs[index].label(),
+                        retry_cap + 1
+                    ));
+                    for attempt in running.iter().flatten() {
+                        attempt.abort();
+                    }
+                }
             }
         }
-        if !done {
-            return Err(format!(
-                "shard {label} failed after {} attempts: {last_err}",
-                retry_cap + 1
-            ));
-        }
+    });
+    if let Some(e) = failure {
+        return Err(e);
     }
     Ok(ShardRunReport {
-        results,
+        results: results
+            .into_iter()
+            .map(|r| r.expect("every shard succeeded"))
+            .collect(),
         dispatches,
         retries,
     })
@@ -434,6 +533,7 @@ pub fn sum_stable_counters(per_shard: &[Vec<(String, u64)>]) -> Vec<(String, u64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Condvar, Mutex};
 
     #[test]
     fn ranges_tile_the_index_space_exactly() {
@@ -510,6 +610,209 @@ mod tests {
         })
         .unwrap_err();
         assert!(err.contains("shard 0/2 failed after 2 attempts"), "{err}");
+    }
+
+    /// What happened to a mock attempt at shard `i`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Event {
+        Launch(usize),
+        Abort(usize),
+        Finish(usize),
+    }
+
+    /// What the mock attempts of one run share with their test.
+    #[derive(Default)]
+    struct Log {
+        events: Vec<Event>,
+        /// Shards whose attempts have ended, in the order they ended.
+        ended: Vec<usize>,
+        aborted: Vec<usize>,
+    }
+
+    struct Board {
+        log: Mutex<Log>,
+        changed: Condvar,
+        /// Whether shard `i`'s running attempt may end, given the log.
+        may_end: fn(&Log, usize) -> bool,
+    }
+
+    impl Board {
+        fn new(may_end: fn(&Log, usize) -> bool) -> Arc<Board> {
+            Arc::new(Board {
+                log: Mutex::new(Log::default()),
+                changed: Condvar::new(),
+                may_end,
+            })
+        }
+
+        /// Launches a mock attempt at `spec` that yields `outcome`.
+        fn launch(self: &Arc<Board>, spec: ShardSpec, outcome: Result<usize, String>) -> Mock {
+            let mut log = self.log.lock().unwrap();
+            log.events.push(Event::Launch(spec.index));
+            Mock {
+                index: spec.index,
+                outcome,
+                board: Arc::clone(self),
+            }
+        }
+
+        fn events(&self) -> Vec<Event> {
+            self.log.lock().unwrap().events.clone()
+        }
+    }
+
+    /// An attempt that ends when its board lets it or once aborted, and
+    /// logs its launch, abort and finish.
+    struct Mock {
+        index: usize,
+        outcome: Result<usize, String>,
+        board: Arc<Board>,
+    }
+
+    impl ShardAttempt for Mock {
+        type Output = usize;
+
+        fn wait(&self) {
+            let board = &self.board;
+            let mut log = board.log.lock().unwrap();
+            while !(board.may_end)(&log, self.index) && !log.aborted.contains(&self.index) {
+                log = board.changed.wait(log).unwrap();
+            }
+            log.ended.push(self.index);
+            board.changed.notify_all();
+        }
+
+        fn abort(&self) {
+            let mut log = self.board.log.lock().unwrap();
+            log.events.push(Event::Abort(self.index));
+            log.aborted.push(self.index);
+            self.board.changed.notify_all();
+        }
+
+        fn finish(self) -> Result<usize, String> {
+            let mut log = self.board.log.lock().unwrap();
+            log.events.push(Event::Finish(self.index));
+            self.outcome
+        }
+    }
+
+    #[test]
+    fn every_shard_launches_before_any_is_collected() {
+        let board = Board::new(|_, _| true);
+        let out = run_window(3, 0, 4, None, |spec, _| board.launch(spec, Ok(spec.index))).unwrap();
+        assert_eq!(out.results, vec![0, 1, 2]);
+        let events = board.events();
+        assert_eq!(
+            events[..3],
+            [Event::Launch(0), Event::Launch(1), Event::Launch(2)],
+            "{events:?}"
+        );
+    }
+
+    #[test]
+    fn results_come_in_shard_order_whatever_order_attempts_end_in() {
+        // Shard i ends only after every later shard has: 2, then 1, then 0.
+        let board = Board::new(|log, i| (i + 1..3).all(|j| log.ended.contains(&j)));
+        let recorder = crate::verify::MetricsRecorder::new();
+        let out = run_window(3, 0, 3, Some(&recorder), |spec, _| {
+            board.launch(spec, Ok(spec.index * 10))
+        })
+        .unwrap();
+        assert_eq!(out.results, vec![0, 10, 20]);
+        assert_eq!(board.log.lock().unwrap().ended, vec![2, 1, 0]);
+        // Three overlapping spans, each on its waiter's lane.
+        assert!(recorder.trace_balanced(), "{}", recorder.trace_json());
+        assert_eq!(recorder.snapshot().get("shard_dispatches"), Some(3));
+    }
+
+    #[test]
+    fn never_more_attempts_in_flight_than_the_window() {
+        for window in [1usize, 2, 3] {
+            let board = Board::new(|_, _| true);
+            // Shard 3 fails once, so a retry takes a slot too.
+            let out = run_window(5, 1, window, None, |spec, attempt| {
+                let outcome = if spec.index == 3 && attempt == 0 {
+                    Err("boom".to_string())
+                } else {
+                    Ok(spec.index)
+                };
+                board.launch(spec, outcome)
+            })
+            .unwrap();
+            assert_eq!(out.results, vec![0, 1, 2, 3, 4]);
+            assert_eq!((out.dispatches, out.retries), (6, 1));
+            let mut in_flight = 0usize;
+            let mut most = 0usize;
+            for event in board.events() {
+                match event {
+                    Event::Launch(_) => in_flight += 1,
+                    Event::Finish(_) => in_flight -= 1,
+                    Event::Abort(_) => {}
+                }
+                most = most.max(in_flight);
+            }
+            assert_eq!(most, window, "window {window}");
+        }
+    }
+
+    #[test]
+    fn a_failure_past_the_cap_returns_after_every_other_attempt_ended() {
+        // Shard 1 fails at once, every time; shards 0 and 2 run until
+        // they are aborted.
+        let board = Board::new(|_, i| i == 1);
+        let err = run_window(3, 1, 3, None, |spec, _| {
+            let outcome = if spec.index == 1 {
+                Err("boom".to_string())
+            } else {
+                Ok(spec.index)
+            };
+            board.launch(spec, outcome)
+        })
+        .unwrap_err();
+        assert!(
+            err.contains("shard 1/3 failed after 2 attempts: boom"),
+            "{err}"
+        );
+        let events = board.events();
+        for shard in 0..3 {
+            let launched = events
+                .iter()
+                .filter(|e| **e == Event::Launch(shard))
+                .count();
+            let finished = events
+                .iter()
+                .filter(|e| **e == Event::Finish(shard))
+                .count();
+            assert_eq!(launched, finished, "shard {shard}: {events:?}");
+        }
+        assert_eq!(events.iter().filter(|e| **e == Event::Launch(1)).count(), 2);
+        for shard in [0, 2] {
+            let abort = events.iter().position(|e| *e == Event::Abort(shard));
+            let finish = events.iter().position(|e| *e == Event::Finish(shard));
+            assert!(
+                abort.is_some() && abort < finish,
+                "shard {shard}: {events:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn retry_counts_do_not_depend_on_the_window() {
+        for window in [1usize, 2, 3, 4] {
+            // The `coordinator_retries_up_to_the_cap` schedule.
+            let mut failures_left = 2;
+            let out = run_window(3, 2, window, None, |spec, attempt| {
+                if spec.index == 1 && failures_left > 0 {
+                    failures_left -= 1;
+                    Err(format!("boom on attempt {attempt}"))
+                } else {
+                    Ok(spec.index * 10 + attempt)
+                }
+            })
+            .unwrap();
+            assert_eq!(out.results, vec![0, 12, 20], "window {window}");
+            assert_eq!((out.dispatches, out.retries), (5, 2), "window {window}");
+        }
     }
 
     #[test]

@@ -435,6 +435,15 @@ impl WalkCounts {
     }
 }
 
+/// Adds another walk's counts, as a resumed fragment sums its chain.
+impl std::ops::AddAssign for WalkCounts {
+    fn add_assign(&mut self, other: WalkCounts) {
+        for (count, add) in self.0.iter_mut().zip(other.0) {
+            *count += add;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

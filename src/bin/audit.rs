@@ -16,11 +16,17 @@
 //! ranges, re-invokes itself once per range (`--shard i/N --shard-out
 //! FILE`), retries crashed shards up to `--shard-retries`, and merges the
 //! reports — byte-identical stable JSON (`--stable`) to a single-process
-//! run. `--shards-from DIR` merges reports someone else produced (e.g. on
-//! other machines). A budget bounds each child's one walk; a child the
-//! budget stopped writes a torn report, which the merge rejects.
+//! run. The children run at once, up to one per core, and each keeps the
+//! coordinator's `--threads`, so `--shards N --threads T` may run up to
+//! min(N, cores) × T walk threads. `--shards-from DIR` merges reports
+//! someone else produced (e.g. on other machines). A budget bounds each
+//! child's one walk; a child the budget stopped writes a torn report,
+//! which the merge rejects.
 
-use std::process::ExitCode;
+use std::io::Write;
+use std::path::{Path, PathBuf};
+use std::process::{Child, ChildStdout, Command, ExitCode, Stdio};
+use std::sync::Mutex;
 
 use hiding_lcp_certs::{degree_one, even_cycle, revealing};
 use hiding_lcp_core::decoder::Decoder;
@@ -28,7 +34,8 @@ use hiding_lcp_core::label::Certificate;
 use hiding_lcp_core::prover::Prover;
 use hiding_lcp_core::verify::{
     run_shards, AuditPlan, AuditReport, ExecMode, FaultSpec, InstanceSet, MetricsRecorder,
-    PropertyTag, ShardSpec, SweepBudget, SweepRecorder, SweepStrategy, ALL_PROPERTIES,
+    PropertyTag, ShardAttempt, ShardSpec, SweepBudget, SweepRecorder, SweepStrategy,
+    ALL_PROPERTIES,
 };
 use std::time::Duration;
 
@@ -41,6 +48,10 @@ const MAX_N: usize = 4;
 /// stack, and far past the host's cores a thread count only costs memory
 /// (100,000 aborts the process when the stack guard pages run out).
 const MAX_THREADS: usize = 1024;
+
+/// The largest `--shards`: a coordinator launches one child process per
+/// shard, so a count far past any useful split only costs process starts.
+const MAX_SHARDS: usize = 1024;
 
 struct Args {
     decoder: String,
@@ -95,16 +106,18 @@ fn usage() -> ! {
          --metrics-out writes the counter/phase snapshot. --stable zeroes\n\
          scheduling-dependent fields so reports byte-compare across runs.\n\
          \n\
-         Sharding: --shards N re-invokes this binary once per contiguous\n\
-         range of the labelings universe, retries crashed children up to R\n\
-         times (default 2), and merges — the merged --stable report is\n\
-         byte-identical to an unsharded run. --shard i/N runs one child and\n\
-         writes its shard report to --shard-out (stdout without it);\n\
-         --shards-from DIR merges previously written reports. A budget\n\
-         bounds each child's walk, and the report of a child the budget\n\
-         stopped does not merge (exit 2). A flag that does nothing in the\n\
-         chosen mode is a usage error. Exit code 1 = some property was\n\
-         violated."
+         Sharding: --shards N (1 <= N <= {MAX_SHARDS}) re-invokes this binary\n\
+         once per contiguous range of the labelings universe, retries crashed\n\
+         children up to R times (default 2), and merges — the merged --stable\n\
+         report is byte-identical to an unsharded run. The children run at\n\
+         once, up to one per core, each with the coordinator's --threads, so\n\
+         --shards N --threads T may run up to min(N, cores) x T walk threads.\n\
+         --shard i/N runs one child and writes its shard report to\n\
+         --shard-out (stdout without it); --shards-from DIR merges\n\
+         previously written reports. A budget bounds each child's walk,\n\
+         and the report of a child the budget stopped does not merge\n\
+         (exit 2). A flag that does nothing in the chosen mode is a usage\n\
+         error. Exit code 1 = some property was violated."
     );
     std::process::exit(2)
 }
@@ -202,6 +215,14 @@ fn parse_args() -> Args {
         if !(1..=MAX_THREADS).contains(&t) {
             eprintln!(
                 "audit: --threads {t} is out of range: a thread count runs from 1 to {MAX_THREADS}"
+            );
+            usage()
+        }
+    }
+    if let Some(n) = args.shards {
+        if !(1..=MAX_SHARDS).contains(&n) {
+            eprintln!(
+                "audit: --shards {n} is out of range: a shard count runs from 1 to {MAX_SHARDS}"
             );
             usage()
         }
@@ -445,10 +466,12 @@ fn main() -> ExitCode {
 /// serialized shard report to `--shard-out` (or stdout).
 ///
 /// When `AUDIT_SHARD_CRASH` names a token file that does not exist yet,
-/// the first child to get here creates it, writes a deliberately torn
-/// report, and dies with exit code 17 — a crash-once hook so CI can
-/// prove the coordinator's retry path re-dispatches and still merges
-/// byte-identically. Subsequent children see the token and proceed.
+/// the child that creates it (exactly one: the file is created only if
+/// absent) writes a deliberately torn report and dies with exit code 17 —
+/// a crash-once hook so CI can prove the coordinator's retry path
+/// re-dispatches and still merges byte-identically. The children run at
+/// once, so which shard crashes is whichever reaches the hook first; every
+/// other child sees the token and proceeds.
 fn run_shard_child(plan: &AuditPlan<'_>, spec: &str, out: Option<&str>) -> ExitCode {
     let shard = match ShardSpec::parse(spec) {
         Ok(shard) => shard,
@@ -459,8 +482,12 @@ fn run_shard_child(plan: &AuditPlan<'_>, spec: &str, out: Option<&str>) -> ExitC
     };
     let report = plan.run_shard(shard);
     if let Ok(token) = std::env::var("AUDIT_SHARD_CRASH") {
-        if !token.is_empty() && !std::path::Path::new(&token).exists() {
-            let _ = std::fs::write(&token, b"crashed once\n");
+        let created = std::fs::OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(&token);
+        if let Ok(mut file) = created {
+            let _ = file.write_all(b"crashed once\n");
             if let Some(path) = out {
                 let torn = &report[..report.len() / 2];
                 let _ = std::fs::write(path, torn);
@@ -482,24 +509,70 @@ fn run_shard_child(plan: &AuditPlan<'_>, spec: &str, out: Option<&str>) -> ExitC
     ExitCode::SUCCESS
 }
 
-/// Coordinator mode: re-invoke this binary once per shard, retry crashed
-/// children, and merge the collected reports in-process. The children's
-/// reports go to a fresh temp directory, removed on every exit path.
+/// Coordinator mode: re-invoke this binary once per shard, up to one
+/// child per core at once, retry crashed children, and merge the
+/// collected reports in-process. The children's reports go to a fresh
+/// temp directory, removed on every exit path once every child has been
+/// waited for.
 fn run_sharded(
     plan: &AuditPlan<'_>,
     args: &Args,
     shards: usize,
     recorder: Option<&dyn SweepRecorder>,
 ) -> Result<AuditReport, String> {
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
     let exe = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
     let dir = std::env::temp_dir().join(format!("audit-shards-{}", std::process::id()));
     std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let merged = dispatch_and_merge(plan, args, shards, recorder, &exe, &dir);
     let _ = std::fs::remove_dir_all(&dir);
     merged
+}
+
+/// One launched `--shard` child. The child never writes to its standard
+/// output, a pipe to the coordinator that reaches end of file when the
+/// child exits: so one thread can wait for the exit while another may
+/// still kill the child.
+struct ShardChild {
+    label: String,
+    attempt: usize,
+    out: PathBuf,
+    /// The child and the read end of its standard output, or why it
+    /// could not be started.
+    launched: Result<(Mutex<Child>, Mutex<ChildStdout>), String>,
+}
+
+impl ShardAttempt for ShardChild {
+    type Output = String;
+
+    fn wait(&self) {
+        if let Ok((_, stdout)) = &self.launched {
+            let mut stdout = stdout.lock().expect("only the waiter reads the pipe");
+            let _ = std::io::copy(&mut *stdout, &mut std::io::sink());
+        }
+    }
+
+    fn abort(&self) {
+        if let Ok((child, _)) = &self.launched {
+            let _ = child.lock().expect("the child's lock").kill();
+        }
+    }
+
+    fn finish(self) -> Result<String, String> {
+        let (child, _) = self.launched?;
+        let label = self.label;
+        let status = child
+            .into_inner()
+            .expect("the child's lock")
+            .wait()
+            .map_err(|e| format!("cannot wait for shard {label}: {e}"))?;
+        if !status.success() {
+            return Err(format!(
+                "shard {label} (attempt {}) exited with {status}",
+                self.attempt
+            ));
+        }
+        std::fs::read_to_string(&self.out).map_err(|e| format!("shard {label} left no report: {e}"))
+    }
 }
 
 /// Runs the `shards` children, each writing its report into `dir`, and
@@ -509,30 +582,34 @@ fn dispatch_and_merge(
     args: &Args,
     shards: usize,
     recorder: Option<&dyn SweepRecorder>,
-    exe: &std::path::Path,
-    dir: &std::path::Path,
+    exe: &Path,
+    dir: &Path,
 ) -> Result<AuditReport, String> {
     let base = child_args(args);
     let retries = args.shard_retries.unwrap_or(2);
     let run = run_shards(shards, retries, recorder, |spec, attempt| {
+        let label = spec.label();
         let out = dir.join(format!("shard-{}-of-{}.txt", spec.index, spec.of));
         let _ = std::fs::remove_file(&out);
-        let status = std::process::Command::new(exe)
+        let launched = Command::new(exe)
             .args(&base)
             .arg("--shard")
-            .arg(spec.label())
+            .arg(&label)
             .arg("--shard-out")
             .arg(&out)
-            .status()
-            .map_err(|e| format!("cannot spawn shard {}: {e}", spec.label()))?;
-        if !status.success() {
-            return Err(format!(
-                "shard {} (attempt {attempt}) exited with {status}",
-                spec.label()
-            ));
+            .stdout(Stdio::piped())
+            .spawn()
+            .map(|mut child| {
+                let stdout = child.stdout.take().expect("the child's stdout is piped");
+                (Mutex::new(child), Mutex::new(stdout))
+            })
+            .map_err(|e| format!("cannot spawn shard {label}: {e}"));
+        ShardChild {
+            label,
+            attempt,
+            out,
+            launched,
         }
-        std::fs::read_to_string(&out)
-            .map_err(|e| format!("shard {} left no report: {e}", spec.label()))
     })?;
     let merged = plan.run_with_shards(&run.results)?;
     eprintln!(

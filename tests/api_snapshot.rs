@@ -59,6 +59,7 @@ blessed_surface![
     // Fragment and shard machinery for external coordinators.
     hiding_lcp::core::verify::MemberFrontier,
     hiding_lcp::core::verify::PanelFragment,
+    hiding_lcp::core::verify::ShardAttempt,
     hiding_lcp::core::verify::ShardRunReport,
     hiding_lcp::core::verify::merge_fragments,
     hiding_lcp::core::verify::merge_panel_fragments,

@@ -71,6 +71,7 @@ fn bad_flag_values_are_usage_errors() {
         &["--threads", "100000"],
         &["--shard", "2/2"],
         &["--shards", "0"],
+        &["--shards", "1025"],
     ];
     // A value that is not UTF-8 names itself instead of panicking.
     let raw = OsStr::from_bytes(b"\xff");
@@ -90,6 +91,7 @@ fn bad_flag_values_are_usage_errors() {
         ("--decoder", "revealing:0", "1 to 255"),
         ("--fault-rates", "nan", "0 to 1"),
         ("--threads", "0", "1 to 1024"),
+        ("--shards", "0", "1 to 1024"),
     ] {
         let err = stderr(&audit(&["--max-n", "1", flag, value]));
         assert!(
@@ -463,8 +465,8 @@ fn two_shards_merge_byte_identical_to_one_process() {
     let token = dir.join("crash.token");
     // The merge replays the listed items under the plan's strategy, so
     // both strategies must merge back to the unsharded bytes; so must a
-    // run whose first child crashes once (exit 17 after writing a torn
-    // report) and is retried.
+    // run one of whose children crashes once (exit 17 after writing a
+    // torn report) and is retried.
     let cases: [(&[&str], bool); 3] = [
         (&["--max-n", "4"], false),
         (&["--max-n", "3", "--strategy", "oracle"], false),
@@ -695,21 +697,79 @@ fn flags_idle_in_the_chosen_mode_are_usage_errors() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The coordinator waits for each child on a thread of its own, so each
+/// `shard:i/N` span sits on a lane of its own and the trace stays
+/// balanced while the children overlap.
+#[test]
+fn a_sharded_trace_keeps_each_child_on_its_own_lane() {
+    let dir = fresh_dir("shard-trace");
+    let trace = dir.join("trace.json");
+    let args = ["--decoder", "degree-one", "--max-n", "3", "--shards", "2"];
+    let out = audit(
+        &[
+            &args[..],
+            &["--trace-out", trace.to_str().expect("utf-8 path")],
+        ]
+        .concat(),
+    );
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    let json = std::fs::read_to_string(&trace).expect("trace file");
+    assert!(json.contains("\"droppedEvents\": 0"), "{json}");
+    // (name, phase, lane) of each event; the export writes one per line.
+    let events: Vec<(String, String, String)> = json
+        .lines()
+        .filter_map(|line| {
+            let field = |key: &str| {
+                let rest = line.split_once(&format!("\"{key}\": "))?.1;
+                let value = rest.split([',', '}']).next()?;
+                Some(value.trim_matches('"').to_string())
+            };
+            Some((field("name")?, field("ph")?, field("tid")?))
+        })
+        .collect();
+    let mut open: std::collections::HashMap<&str, Vec<&str>> = Default::default();
+    for (name, phase, lane) in &events {
+        let stack = open.entry(lane).or_default();
+        if phase == "B" {
+            stack.push(name);
+        } else {
+            assert_eq!(stack.pop(), Some(name.as_str()), "lane {lane}: {json}");
+        }
+    }
+    assert!(open.values().all(|stack| stack.is_empty()), "{json}");
+    let lanes = |span: &str| -> Vec<&str> {
+        events
+            .iter()
+            .filter(|(name, phase, _)| name == span && phase == "B")
+            .map(|(_, _, lane)| lane.as_str())
+            .collect()
+    };
+    let (first, second) = (lanes("shard:0/2"), lanes("shard:1/2"));
+    assert_eq!((first.len(), second.len()), (1, 1), "{json}");
+    assert_ne!(first, second, "the children share a lane: {json}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The coordinator's shard reports live in a temp directory of their
-/// own, which must go on every exit path, a failed merge included.
+/// own, which must go on every exit path, a failed merge and a child
+/// past its retry cap included.
 #[test]
 fn sharded_audits_leave_no_shard_files_behind() {
     let tmp = fresh_dir("tmpdir");
-    let sharded = |budget: &[&str]| {
+    let token = fresh_dir("tmpdir-token").join("crash.token");
+    let sharded = |extra: &[&str], crash: bool| {
         let args = ["--decoder", "degree-one", "--max-n", "3", "--shards", "2"];
-        Command::new(env!("CARGO_BIN_EXE_audit"))
-            .args([&args[..], budget].concat())
-            .env("TMPDIR", &tmp)
-            .output()
-            .expect("the audit binary runs")
+        let mut command = Command::new(env!("CARGO_BIN_EXE_audit"));
+        command
+            .args([&args[..], extra].concat())
+            .env("TMPDIR", &tmp);
+        if crash {
+            command.env("AUDIT_SHARD_CRASH", &token);
+        }
+        command.output().expect("the audit binary runs")
     };
     let leftovers = || std::fs::read_dir(&tmp).expect("temp dir").count();
-    let merged = sharded(&[]);
+    let merged = sharded(&[], false);
     assert!(
         matches!(merged.status.code(), Some(0 | 1)),
         "{}",
@@ -717,10 +777,17 @@ fn sharded_audits_leave_no_shard_files_behind() {
     );
     assert_eq!(leftovers(), 0, "a merged run left files behind");
     // A zero deadline stops both children before their first item.
-    let torn = sharded(&["--budget-ms", "0"]);
+    let torn = sharded(&["--budget-ms", "0"], false);
     assert_eq!(torn.status.code(), Some(2), "{}", stderr(&torn));
     assert_eq!(leftovers(), 0, "a failed merge left files behind");
+    // With no retries, the child that crashes fails the run.
+    let crashed = sharded(&["--shard-retries", "0"], true);
+    let err = stderr(&crashed);
+    assert_eq!(crashed.status.code(), Some(2), "{err}");
+    assert!(err.contains("failed after 1 attempts"), "{err}");
+    assert_eq!(leftovers(), 0, "a child past its cap left files behind");
     let _ = std::fs::remove_dir_all(&tmp);
+    let _ = std::fs::remove_dir_all(token.parent().expect("the token's dir"));
 }
 
 /// `--stable` stdout of the budgeted degree-one audit at `--max-n 4`,
