@@ -1,11 +1,11 @@
 //! Shared serialization for the repo-root `BENCH_*.json` reports.
 //!
-//! Every bench harness (`engine_sweep`, `panel`, `fault_sweep`) emits the
-//! same document shape — scalar header fields, a `benches` array of
-//! `{ "name", "median_ns" }` rows, then harness-specific sections — and
+//! Both bench harnesses that write a report (`engine_sweep`, `panel`)
+//! emit the same document shape — scalar header fields, a `benches` array
+//! of `{ "name", "median_ns" }` rows, then harness-specific sections — and
 //! the CI smoke gates read medians back out of the committed files. This
 //! module centralizes the hand-rolled writer and the needle parser so the
-//! three harnesses cannot drift apart: a document built here always
+//! harnesses cannot drift apart: a document built here always
 //! round-trips through [`median_in_json`].
 //!
 //! The JSON is hand-rolled (no serde anywhere in the workspace); the
@@ -161,7 +161,7 @@ mod tests {
         let results = results();
         let mut doc = ReportDoc::new();
         doc.scalar("threads", 4)
-            .scalar("fault_rate", 0.15)
+            .scalar("bound", 0.15)
             .section("benches", &bench_rows(&results))
             .section(
                 "stats",

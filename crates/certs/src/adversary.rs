@@ -42,11 +42,8 @@ pub fn swaps(base: &Labeling) -> Vec<Labeling> {
 }
 
 /// Single-bit flips: every one-bit perturbation of every certificate in
-/// `base` — `Σ_v bit_len(cert_v)` labelings. The at-rest twin of the
-/// in-flight corruption the fault injector
-/// (`hiding-lcp-core::network::faults`) applies to certificates on the
-/// wire, probing whether decoders validate certificate *contents* rather
-/// than just their shape.
+/// `base` — `Σ_v bit_len(cert_v)` labelings, probing whether decoders
+/// validate certificate *contents* rather than just their shape.
 pub fn bit_flips(base: &Labeling) -> Vec<Labeling> {
     let mut out = Vec::new();
     for v in 0..base.node_count() {

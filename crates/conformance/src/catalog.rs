@@ -150,18 +150,6 @@ pub const MUTANTS: &[Mutant] = &[
         expected_killers: &["tally_join_parity"],
     },
     Mutant {
-        name: "fault_salt_reuse",
-        host: "hiding-lcp-core",
-        site: "duplication decisions reuse the drop salt",
-        expected_killers: &["fault_salts_independent"],
-    },
-    Mutant {
-        name: "degradation_salt_swap",
-        host: "hiding-lcp-core",
-        site: "honest and adversarial trials swap plan-seed salts",
-        expected_killers: &["degradation_matches_oracle"],
-    },
-    Mutant {
         name: "panel_channel_swap",
         host: "hiding-lcp-core",
         site: "panel member reads the next member's verdict channel",

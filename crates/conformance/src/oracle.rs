@@ -12,19 +12,16 @@
 //!
 //! The one production surface the oracles do share is the data model
 //! itself ([`Instance`], [`Labeling`], [`View`] extraction via
-//! [`Instance::view`], and the faulty network simulation): that layer
-//! defines what a view *is*, so both sides must read it. Structural
-//! properties of view extraction get their own direct probes in
-//! [`crate::probes`] instead of differential ones.
+//! [`Instance::view`]): that layer defines what a view *is*, so both
+//! sides must read it. Structural properties of view extraction get
+//! their own direct probes in [`crate::probes`] instead of differential
+//! ones.
 //!
 //! [`Universe`]: hiding_lcp_core::verify::Universe
 
 use hiding_lcp_core::decoder::{Decoder, Verdict};
 use hiding_lcp_core::instance::{Instance, LabeledInstance};
 use hiding_lcp_core::label::{Certificate, Labeling};
-use hiding_lcp_core::language::KCol;
-use hiding_lcp_core::network::degradation::{DegradationPoint, DegradationReport};
-use hiding_lcp_core::network::{run_distributed_faulty, FaultPlan, FaultRates, FaultStats};
 use hiding_lcp_core::properties::completeness::{CompletenessFailure, CompletenessReport};
 use hiding_lcp_core::properties::erasure::ErasureOutcome;
 use hiding_lcp_core::properties::invariance::InvarianceViolation;
@@ -536,120 +533,4 @@ pub fn invariance<D: Decoder + ?Sized>(
         }
     }
     Ok(())
-}
-
-/// SplitMix64, re-derived from its published constants so the degradation
-/// oracle shares no code with the production fault layer.
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The documented honest-trial plan-seed salt (`b'h'`).
-pub const H_SALT: u64 = 0x68;
-/// The documented adversarial-trial plan-seed salt (`b'a'`).
-pub const A_SALT: u64 = 0x61;
-
-/// The documented per-trial plan seed: a pure function of the sweep seed,
-/// the rate's global index and the trial index.
-pub fn trial_seed(seed: u64, rate_idx: usize, trial: usize, salt: u64) -> u64 {
-    splitmix64(
-        seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ (rate_idx as u64) << 32
-            ^ (trial as u64) << 8
-            ^ salt,
-    )
-}
-
-/// The degradation sweep by definition: same trials, same documented seed
-/// derivation, but with the orchestration loop, salts, strong-soundness
-/// judgment (hand-built induced subgraph + brute-force colorability) and
-/// stat summation all reimplemented here. Shares only the faulty network
-/// simulation itself with production.
-pub fn degradation<D: Decoder + ?Sized>(
-    decoder: &D,
-    language: &KCol,
-    honest: &LabeledInstance,
-    adversarial: &[Labeling],
-    rates: &[f64],
-    trials: usize,
-    seed: u64,
-) -> DegradationReport {
-    let n = honest.graph().node_count();
-    let rejected: Vec<&Labeling> = adversarial
-        .iter()
-        .filter(|l| {
-            let li = honest.instance().clone().with_labeling((*l).clone());
-            !run_by_definition(decoder, li.instance(), li.labeling())
-                .iter()
-                .all(|v| v.is_accept())
-        })
-        .collect();
-    let points = rates
-        .iter()
-        .enumerate()
-        .map(|(ri, &rate)| {
-            let mut rejecting_total = 0usize;
-            let mut strong_violations = 0usize;
-            let mut false_accepts = 0usize;
-            let mut adversarial_trials = 0usize;
-            let mut stats = FaultStats::default();
-            for t in 0..trials {
-                let plan =
-                    FaultPlan::new(trial_seed(seed, ri, t, H_SALT), FaultRates::uniform(rate));
-                let (verdicts, s) = run_distributed_faulty(decoder, honest, &plan);
-                stats = add_stats(stats, s);
-                let accepting: Vec<usize> = verdicts
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(v, verdict)| verdict.is_accept().then_some(v))
-                    .collect();
-                rejecting_total += n - accepting.len();
-                if !k_colorable(&induced(honest.graph(), &accepting), language.k()) {
-                    strong_violations += 1;
-                }
-                if !rejected.is_empty() {
-                    let labeling = rejected[t % rejected.len()];
-                    let li = honest.instance().clone().with_labeling(labeling.clone());
-                    let adv_plan =
-                        FaultPlan::new(trial_seed(seed, ri, t, A_SALT), FaultRates::uniform(rate));
-                    let (verdicts, s) = run_distributed_faulty(decoder, &li, &adv_plan);
-                    stats = add_stats(stats, s);
-                    adversarial_trials += 1;
-                    if verdicts.iter().all(|v| v.is_accept()) {
-                        false_accepts += 1;
-                    }
-                }
-            }
-            DegradationPoint {
-                rate,
-                trials,
-                avg_rejecting: rejecting_total as f64 / trials.max(1) as f64,
-                strong_violations,
-                false_accepts,
-                adversarial_trials,
-                stats,
-            }
-        })
-        .collect();
-    DegradationReport {
-        decoder: decoder.name(),
-        nodes: n,
-        seed,
-        points,
-    }
-}
-
-fn add_stats(a: FaultStats, b: FaultStats) -> FaultStats {
-    FaultStats {
-        dropped: a.dropped + b.dropped,
-        duplicated: a.duplicated + b.duplicated,
-        corrupted: a.corrupted + b.corrupted,
-        delayed: a.delayed + b.delayed,
-        expired: a.expired + b.expired,
-        suppressed: a.suppressed + b.suppressed,
-        decode_panics: a.decode_panics + b.decode_panics,
-    }
 }

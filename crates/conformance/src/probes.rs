@@ -20,8 +20,6 @@ use hiding_lcp_core::label::{Certificate, Labeling};
 use hiding_lcp_core::language::KCol;
 use hiding_lcp_core::lower::PortObliviousCycleDecoder;
 use hiding_lcp_core::nbhd::{NbhdGraph, NbhdScan, NbhdSweep};
-use hiding_lcp_core::network::degradation::degradation_sweep;
-use hiding_lcp_core::network::{FaultPlan, FaultRates};
 use hiding_lcp_core::properties::completeness::check_completeness;
 use hiding_lcp_core::properties::erasure::{erase_and_run, random_erasure_trials};
 use hiding_lcp_core::properties::hiding::{
@@ -72,8 +70,6 @@ pub const ALL: &[(&str, fn())] = &[
         completeness_reports_max_bits,
     ),
     ("strong_keeps_all_acceptors", strong_keeps_all_acceptors),
-    ("fault_salts_independent", fault_salts_independent),
-    ("degradation_matches_oracle", degradation_matches_oracle),
     ("panel_channel_isolation", panel_channel_isolation),
     ("panel_member_frontiers", panel_member_frontiers),
     ("shard_merge_byte_identical", shard_merge_byte_identical),
@@ -1016,7 +1012,7 @@ pub fn invariance_checks_node0() {
     assert_eq!(oracle_violation.node, 0);
 }
 
-/// Erasure trials report *rejecting* node counts: zero faults mean zero
+/// Erasure trials report *rejecting* node counts: zero erasures mean zero
 /// rejections, and erasing two certificates on a strict 6-cycle wakes at
 /// least four verifiers. Explicit target sets must match the oracle
 /// exactly.
@@ -1107,55 +1103,6 @@ pub fn strong_keeps_all_acceptors() {
     let oracle_violation =
         oracle::strong(&YesMan, 2, &c3, &bits()).expect_err("oracle agrees it violates");
     assert_eq!(violation, oracle_violation);
-}
-
-/// Drop and duplication decisions must be independent coin flips: at
-/// equal rates the two decision streams cannot coincide everywhere.
-pub fn fault_salts_independent() {
-    let mut rates = FaultRates::none();
-    rates.drop = 0.5;
-    rates.duplicate = 0.5;
-    let plan = FaultPlan::new(0xDECAF, rates);
-    let mut drops = Vec::new();
-    let mut dups = Vec::new();
-    for round in 0..5 {
-        for u in 0..4 {
-            for v in 0..4 {
-                if u != v {
-                    drops.push(plan.drops(round, u, v));
-                    dups.push(plan.duplicates(round, u, v));
-                }
-            }
-        }
-    }
-    assert!(drops.iter().any(|&d| d), "a 50% drop rate fires sometimes");
-    assert!(dups.iter().any(|&d| d), "a 50% dup rate fires sometimes");
-    assert_ne!(
-        drops, dups,
-        "drop and duplication decisions share a salt — the streams are identical"
-    );
-}
-
-/// The degradation harness is a pure function of its documented seed
-/// derivation: the independent re-derivation must reproduce the report
-/// byte for byte.
-pub fn degradation_matches_oracle() {
-    let honest = Instance::canonical(generators::cycle(6)).with_labeling(
-        (0..6)
-            .map(|v| Certificate::from_byte((v % 2) as u8))
-            .collect(),
-    );
-    let adversarial = vec![Labeling::uniform(6, Certificate::from_byte(0))];
-    let language = KCol::new(2);
-    let rates = [0.1, 0.25, 0.5];
-    let report = degradation_sweep(&LocalDiff, &language, &honest, &adversarial, &rates, 6, 11);
-    let reference =
-        oracle::degradation(&LocalDiff, &language, &honest, &adversarial, &rates, 6, 11);
-    assert_eq!(report, reference);
-    assert!(
-        report.points[1].stats.total() > 0,
-        "a 25% fault rate must fire some events"
-    );
 }
 
 /// The two-channel fixture behind both panel probes: an all-accepting

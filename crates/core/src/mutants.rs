@@ -50,10 +50,6 @@
 //! * `fold_join_keeps_caller` — after a walk's join, a key the calling
 //!   worker claimed keeps the calling worker's item even where a helper
 //!   claimed it at a lower one, so a fold keeps a later witness.
-//! * `fault_salt_reuse` — duplication decisions reuse the drop salt, so
-//!   the two fault kinds fire on exactly the same messages.
-//! * `degradation_salt_swap` — honest and adversarial degradation trials
-//!   swap their plan-seed salts.
 //! * `panel_channel_swap` — fused-panel members read the *next* member's
 //!   verdict channel instead of their own (multi-channel panels only).
 //! * `panel_frontier_off_by_one` — a short-circuiting panel member

@@ -20,32 +20,12 @@
 //! the "no connections between nodes at r hops" clause of the view
 //! definition. The tests check [`simulate_views`] against
 //! [`crate::view::View::extract`] node-for-node.
-//!
-//! # Faults
-//!
-//! The broadcast need not be ideal. [`faults::FaultPlan`] describes a
-//! deterministic, seeded schedule of message drops, duplications,
-//! payload corruptions, delays, crashed nodes and Byzantine nodes;
-//! [`gather_knowledge_faulty`], [`simulate_views_faulty`] and
-//! [`run_distributed_faulty`] thread it through the simulation. The
-//! fault-free entry points are the `FaultPlan::none()` specialization.
-//! [`degradation`] sweeps fault rates over the paper's five LCPs and
-//! measures how the strong-soundness guarantee degrades.
-
-pub mod degradation;
-pub mod faults;
-
-pub use degradation::{
-    degradation_sweep, degradation_sweep_slice, DegradationPoint, DegradationReport,
-};
-pub use faults::{FaultPlan, FaultRates, FaultStats};
 
 use crate::decoder::{Decoder, Verdict};
 use crate::instance::LabeledInstance;
 use crate::label::Certificate;
 use crate::view::{IdMode, KnownEdge, View};
 use std::collections::{BTreeMap, BTreeSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Everything one node knows at some round.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -71,45 +51,19 @@ impl Knowledge {
     }
 }
 
-/// A message scheduled for late delivery: the payload (a send-time copy of
-/// the sender's knowledge, possibly corrupted) plus the edge resolution
-/// the receiver performs on arrival.
-struct Delayed {
-    to: usize,
-    payload: Knowledge,
-    edge_a: (u64, u16),
-    edge_b: (u64, u16),
-}
-
 /// Runs `rounds` rounds of full-information broadcast on the labeled
 /// instance, returning each node's final knowledge.
-pub fn gather_knowledge(li: &LabeledInstance, rounds: usize) -> Vec<Knowledge> {
-    gather_knowledge_faulty(li, rounds, &FaultPlan::none()).0
-}
-
-/// [`gather_knowledge`] under a [`FaultPlan`]: every message delivery
-/// consults the plan for drop/duplicate/corrupt/delay decisions, crashed
-/// nodes neither send nor receive, and Byzantine nodes corrupt everything
-/// they send (possibly spoofing the sending port). Returns each node's
-/// final knowledge plus a tally of the fault events that actually fired.
 ///
-/// Knowledge at round `t` is a pure function of knowledge at round `t-1`
-/// and the plan, so the result is byte-identical across runs (the plan's
-/// determinism contract, see [`faults`]). Rather than cloning the whole
-/// state vector per round to snapshot round `t-1`, the simulation
-/// double-buffers two vectors: knowledge accumulation is monotone with
-/// first-seen-wins merging, so re-merging a node's own newer state into
-/// its older buffered copy reconstructs the snapshot without fresh
-/// allocations.
-pub fn gather_knowledge_faulty(
-    li: &LabeledInstance,
-    rounds: usize,
-    plan: &FaultPlan,
-) -> (Vec<Knowledge>, FaultStats) {
+/// Knowledge at round `t` is a pure function of knowledge at round `t-1`.
+/// Rather than cloning the whole state vector per round to snapshot round
+/// `t-1`, the simulation double-buffers two vectors: knowledge
+/// accumulation is monotone with first-seen-wins merging, so re-merging a
+/// node's own newer state into its older buffered copy reconstructs the
+/// snapshot without fresh allocations.
+pub fn gather_knowledge(li: &LabeledInstance, rounds: usize) -> Vec<Knowledge> {
     let g = li.graph();
     let ids = li.instance().ids();
     let ports = li.instance().ports();
-    let mut stats = FaultStats::default();
     // Round 0: self-knowledge only.
     let mut state: Vec<Knowledge> = g
         .nodes()
@@ -122,9 +76,7 @@ pub fn gather_knowledge_faulty(
     // The double buffer. `state` holds round t-1; `scratch` holds round
     // t-2 and is rebuilt into round t in place, then the two swap.
     let mut scratch: Vec<Knowledge> = state.clone();
-    // Messages in flight, keyed by delivery round.
-    let mut pending: BTreeMap<usize, Vec<Delayed>> = BTreeMap::new();
-    for round in 1..=rounds {
+    for _ in 0..rounds {
         // Sync the scratch buffer from round t-2 up to round t-1.
         // Knowledge only ever grows by first-seen-wins merges, so each
         // entry of scratch[v] is already present in state[v] with the
@@ -132,163 +84,42 @@ pub fn gather_knowledge_faulty(
         for v in g.nodes() {
             scratch[v].merge(&state[v]);
         }
-        // Deliver messages whose delay expires this round.
-        for msg in pending.remove(&round).unwrap_or_default() {
-            scratch[msg.to].merge(&msg.payload);
-            scratch[msg.to].add_edge(msg.edge_a, msg.edge_b);
-        }
-        // Fresh sends: v receives u's round t-1 knowledge through its
-        // port p; u stamped the message with its own sending port.
+        // v receives u's round t-1 knowledge through its port p; u
+        // stamped the message with its own sending port.
         for v in g.nodes() {
-            if plan.is_crashed(v) {
-                // A crashed node receives nothing (every inbound message
-                // this round is suppressed).
-                stats.suppressed += g.degree(v);
-                continue;
-            }
             for p in 1..=g.degree(v) as u16 {
                 let u = ports.neighbor_at(v, p);
-                if plan.is_crashed(u) {
-                    stats.suppressed += 1;
-                    continue;
-                }
-                if plan.drops(round, u, v) {
-                    stats.dropped += 1;
-                    continue;
-                }
-                let sender_port = if plan.is_byzantine(u) {
-                    plan.spoofed_port(round, u, v, g.degree(u))
-                } else {
-                    ports.port_to(u, v)
-                };
-                let edge_a = (ids.id(v), p);
-                let edge_b = (ids.id(u), sender_port);
-                let copies = if plan.duplicates(round, u, v) {
-                    stats.duplicated += 1;
-                    2
-                } else {
-                    1
-                };
-                let delay = plan.delay_of(round, u, v);
-                if delay > 0 && round + delay > rounds {
-                    // Still in flight when the algorithm terminates.
-                    stats.expired += copies;
-                    continue;
-                }
-                if delay > 0 {
-                    stats.delayed += copies;
-                }
-                for copy in 0..copies {
-                    let corrupt = plan.is_byzantine(u) || plan.corrupts(round, u, v, copy);
-                    if corrupt {
-                        stats.corrupted += 1;
-                    }
-                    if delay == 0 && !corrupt {
-                        // The common case: deliver the sender's state
-                        // in place, no payload copy needed.
-                        scratch[v].merge(&state[u]);
-                        scratch[v].add_edge(edge_a, edge_b);
-                        continue;
-                    }
-                    let payload = if corrupt {
-                        corrupted_payload(&state[u], plan.corruption_shape(round, u, v, copy))
-                    } else {
-                        state[u].clone()
-                    };
-                    if delay == 0 {
-                        scratch[v].merge(&payload);
-                        scratch[v].add_edge(edge_a, edge_b);
-                    } else {
-                        pending.entry(round + delay).or_default().push(Delayed {
-                            to: v,
-                            payload,
-                            edge_a,
-                            edge_b,
-                        });
-                    }
-                }
+                scratch[v].merge(&state[u]);
+                scratch[v].add_edge((ids.id(v), p), (ids.id(u), ports.port_to(u, v)));
             }
         }
         std::mem::swap(&mut state, &mut scratch);
     }
-    // Anything still pending past the last round is lost.
-    stats.expired += pending.values().map(Vec::len).sum::<usize>();
-    (state, stats)
-}
-
-/// A send-time copy of `base` with one certificate corrupted in flight.
-/// Only certificate *values* are perturbed — the identifier key set and
-/// edge set pass through intact, so downstream view assembly never sees a
-/// dangling identifier (it sees a node vouched for with garbage instead).
-fn corrupted_payload(base: &Knowledge, shape: u64) -> Knowledge {
-    let mut k = base.clone();
-    let idx = (shape >> 32) as usize % k.labels.len();
-    // invariant: every Knowledge holds at least the sender's own label,
-    // so labels is non-empty and the nth key exists.
-    let id = *k.labels.keys().nth(idx).expect("non-empty label map");
-    let cert = k.labels.get_mut(&id).expect("key just read from the map");
-    *cert = faults::corrupt_certificate(cert, shape);
-    k
+    state
 }
 
 /// Simulates the r-round gathering phase and assembles every node's view,
 /// canonicalized for `id_mode`.
 pub fn simulate_views(li: &LabeledInstance, radius: usize, id_mode: IdMode) -> Vec<View> {
-    simulate_views_faulty(li, radius, id_mode, &FaultPlan::none()).0
-}
-
-/// [`simulate_views`] under a [`FaultPlan`]. Views are assembled from
-/// whatever (possibly mangled, possibly partial) knowledge survived the
-/// faulty broadcast.
-pub fn simulate_views_faulty(
-    li: &LabeledInstance,
-    radius: usize,
-    id_mode: IdMode,
-    plan: &FaultPlan,
-) -> (Vec<View>, FaultStats) {
-    let (knowledge, stats) = gather_knowledge_faulty(li, radius, plan);
+    let knowledge = gather_knowledge(li, radius);
     let ids = li.instance().ids();
-    let views = li
-        .graph()
+    li.graph()
         .nodes()
         .map(|v| {
             let k = &knowledge[v];
             View::from_local_knowledge(ids.id(v), &k.labels, &k.edges, radius, id_mode, ids.bound())
         })
-        .collect();
-    (views, stats)
+        .collect()
 }
 
 /// Runs `decoder` distributively: r rounds of broadcast, then the local
 /// decision at every node. Agrees with [`crate::decoder::run`] by the
 /// view-equality theorem exercised in this module's tests.
 pub fn run_distributed<D: Decoder + ?Sized>(decoder: &D, li: &LabeledInstance) -> Vec<Verdict> {
-    run_distributed_faulty(decoder, li, &FaultPlan::none()).0
-}
-
-/// [`run_distributed`] under a [`FaultPlan`]. A decoder that panics on
-/// fault-mangled knowledge is recorded as **rejecting** (the fail-safe
-/// reading of a crashed verifier) and counted in
-/// [`FaultStats::decode_panics`] rather than aborting the simulation.
-pub fn run_distributed_faulty<D: Decoder + ?Sized>(
-    decoder: &D,
-    li: &LabeledInstance,
-    plan: &FaultPlan,
-) -> (Vec<Verdict>, FaultStats) {
-    let (views, mut stats) = simulate_views_faulty(li, decoder.radius(), decoder.id_mode(), plan);
-    let verdicts = views
+    simulate_views(li, decoder.radius(), decoder.id_mode())
         .iter()
-        .map(
-            |view| match catch_unwind(AssertUnwindSafe(|| decoder.decide(view))) {
-                Ok(verdict) => verdict,
-                Err(_) => {
-                    stats.decode_panics += 1;
-                    Verdict::Reject
-                }
-            },
-        )
-        .collect();
-    (verdicts, stats)
+        .map(|view| decoder.decide(view))
+        .collect()
 }
 
 #[cfg(test)]
@@ -440,172 +271,5 @@ mod tests {
             assert_eq!(knowledge.labels.len(), 1);
             assert!(knowledge.edges.is_empty());
         }
-    }
-
-    #[test]
-    fn dropping_every_message_freezes_round_zero_knowledge() {
-        let li = labeled(generators::cycle(6), 11);
-        let plan = FaultPlan::new(
-            5,
-            FaultRates {
-                drop: 1.0,
-                ..FaultRates::none()
-            },
-        );
-        let (k, stats) = gather_knowledge_faulty(&li, 3, &plan);
-        for knowledge in &k {
-            assert_eq!(knowledge.labels.len(), 1);
-            assert!(knowledge.edges.is_empty());
-        }
-        // 6 nodes × degree 2 × 3 rounds, all dropped.
-        assert_eq!(stats.dropped, 36);
-    }
-
-    #[test]
-    fn crashed_nodes_neither_send_nor_receive() {
-        let li = labeled(generators::path(5), 2);
-        let plan = FaultPlan::none().with_crashed([2]);
-        let (k, stats) = gather_knowledge_faulty(&li, 4, &plan);
-        let ids = li.instance().ids();
-        // The crashed node keeps round-0 knowledge.
-        assert_eq!(k[2].labels.len(), 1);
-        assert!(k[2].edges.is_empty());
-        // The path is severed at node 2: node 0 never hears of node 4.
-        assert!(!k[0].labels.contains_key(&ids.id(4)));
-        assert!(!k[4].labels.contains_key(&ids.id(0)));
-        assert!(stats.suppressed > 0);
-    }
-
-    #[test]
-    fn faulty_gathering_is_deterministic() {
-        let li = labeled(generators::grid(3, 3), 8);
-        let plan = FaultPlan::new(42, FaultRates::uniform(0.3))
-            .with_max_delay(2)
-            .with_byzantine([1])
-            .with_crashed([7]);
-        let (k1, s1) = gather_knowledge_faulty(&li, 3, &plan);
-        let (k2, s2) = gather_knowledge_faulty(&li, 3, &plan);
-        assert_eq!(k1, k2, "same plan, byte-identical knowledge");
-        assert_eq!(s1, s2, "same plan, identical fault tallies");
-        // A different seed changes something.
-        let other = FaultPlan::new(43, FaultRates::uniform(0.3))
-            .with_max_delay(2)
-            .with_byzantine([1])
-            .with_crashed([7]);
-        let (k3, _) = gather_knowledge_faulty(&li, 3, &other);
-        assert_ne!(k1, k3, "different seed, different message stream");
-    }
-
-    #[test]
-    fn corruption_never_breaks_view_assembly() {
-        // Corrupt every delivered payload: views must still assemble
-        // (corruption mangles certificate values, never identifiers).
-        let graphs = [generators::cycle(6), generators::grid(3, 3)];
-        for (i, g) in graphs.into_iter().enumerate() {
-            let li = labeled(g, 20 + i as u64);
-            let plan = FaultPlan::new(
-                9,
-                FaultRates {
-                    corrupt: 1.0,
-                    ..FaultRates::none()
-                },
-            );
-            for mode in [IdMode::Full, IdMode::OrderOnly, IdMode::Anonymous] {
-                let (views, stats) = simulate_views_faulty(&li, 2, mode, &plan);
-                assert_eq!(views.len(), li.graph().node_count());
-                assert!(stats.corrupted > 0);
-            }
-        }
-    }
-
-    #[test]
-    fn byzantine_sender_corrupts_everything_it_sends() {
-        let li = labeled(generators::cycle(5), 13);
-        let plan = FaultPlan::new(1, FaultRates::none()).with_byzantine([0]);
-        let (_, stats) = gather_knowledge_faulty(&li, 2, &plan);
-        // Node 0 has degree 2 and sends each round: 2 × 2 corrupted sends.
-        assert_eq!(stats.corrupted, 4);
-    }
-
-    #[test]
-    fn delayed_messages_arrive_late_or_expire() {
-        let li = labeled(generators::path(4), 17);
-        // Delay everything by exactly one round.
-        let plan = FaultPlan::new(
-            2,
-            FaultRates {
-                delay: 1.0,
-                ..FaultRates::none()
-            },
-        )
-        .with_max_delay(1);
-        let (k, stats) = gather_knowledge_faulty(&li, 2, &plan);
-        // Round-1 sends arrive at round 2; round-2 sends expire.
-        assert!(stats.delayed > 0, "round-1 messages were delayed");
-        assert!(stats.expired > 0, "round-2 messages never arrived");
-        // With every message one round late, a node has heard only its
-        // direct neighbors' round-0 knowledge after 2 rounds.
-        let ids = li.instance().ids();
-        assert!(k[0].labels.contains_key(&ids.id(1)));
-        assert!(!k[0].labels.contains_key(&ids.id(2)));
-    }
-
-    #[test]
-    fn faulty_run_with_no_faults_matches_reference() {
-        use crate::view::View;
-
-        struct AllLabelsDistinct;
-        impl Decoder for AllLabelsDistinct {
-            fn name(&self) -> String {
-                "all-distinct".into()
-            }
-            fn radius(&self) -> usize {
-                1
-            }
-            fn id_mode(&self) -> IdMode {
-                IdMode::Anonymous
-            }
-            fn decide(&self, view: &View) -> Verdict {
-                let mut labels: Vec<_> = view.nodes().iter().map(|n| n.label.clone()).collect();
-                let total = labels.len();
-                labels.sort();
-                labels.dedup();
-                Verdict::from(labels.len() == total)
-            }
-        }
-
-        let li = labeled(generators::petersen(), 5);
-        let (verdicts, stats) = run_distributed_faulty(&AllLabelsDistinct, &li, &FaultPlan::none());
-        assert_eq!(verdicts, run(&AllLabelsDistinct, &li));
-        assert_eq!(stats, FaultStats::default());
-    }
-
-    #[test]
-    fn panicking_decoder_is_recorded_as_rejecting() {
-        use crate::view::View;
-
-        struct PanicsOnSight;
-        impl Decoder for PanicsOnSight {
-            fn name(&self) -> String {
-                "panics".into()
-            }
-            fn radius(&self) -> usize {
-                1
-            }
-            fn id_mode(&self) -> IdMode {
-                IdMode::Anonymous
-            }
-            fn decide(&self, _view: &View) -> Verdict {
-                panic!("decoder crash");
-            }
-        }
-
-        let li = labeled(generators::cycle(3), 1);
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let (verdicts, stats) = run_distributed_faulty(&PanicsOnSight, &li, &FaultPlan::none());
-        std::panic::set_hook(prev);
-        assert!(verdicts.iter().all(|v| *v == Verdict::Reject));
-        assert_eq!(stats.decode_panics, 3);
     }
 }

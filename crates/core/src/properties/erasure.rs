@@ -9,17 +9,10 @@
 //! how many nodes reject after erasing f certificates, and whether strong
 //! soundness survives arbitrary erasures (it must: an erased labeling is
 //! just another labeling).
-//!
-//! Static erasures mangle certificates *at rest*. The dynamic analogue —
-//! certificates mangled (or lost) *in flight* — lives in
-//! [`crate::network::faults`]; [`communication_fault_trials`] bridges the
-//! two, measuring the same rejection reaction when the broadcast itself
-//! misbehaves.
 
 use crate::decoder::{run, Decoder};
 use crate::instance::LabeledInstance;
 use crate::label::{Certificate, Labeling};
-use crate::network::{run_distributed_faulty, FaultPlan, FaultRates, FaultStats};
 use crate::verify::{
     Coverage, DynPropertyCheck, ItemCtx, PropertyCheck, PropertyTag, SweepOutcome, SweepSession,
     Universe, UniverseItem,
@@ -167,49 +160,6 @@ pub fn erased_labeling(li: &LabeledInstance, targets: &[usize]) -> Labeling {
     labeling
 }
 
-/// The outcome of one communication-fault trial — the dynamic analogue of
-/// an [`ErasureOutcome`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultTrialOutcome {
-    /// The fault-plan seed this trial ran under.
-    pub seed: u64,
-    /// How many nodes rejected.
-    pub rejecting: usize,
-    /// The fault events that actually fired.
-    pub stats: FaultStats,
-}
-
-/// Runs `trials` distributed executions of `decoder` on `li`, each under
-/// a fresh seeded [`FaultPlan`] at `rates`, and reports the rejection
-/// reaction per trial.
-///
-/// Where [`random_erasure_trials`] wipes certificates *at rest*, this
-/// drops, duplicates, corrupts and delays them *in flight* — the
-/// dimension the degradation harness
-/// ([`crate::network::degradation`]) sweeps systematically. Trial `t`
-/// uses plan seed `seed + t`, so the whole batch is a pure function of
-/// its arguments.
-pub fn communication_fault_trials<D: Decoder + ?Sized>(
-    decoder: &D,
-    li: &LabeledInstance,
-    rates: FaultRates,
-    trials: usize,
-    seed: u64,
-) -> Vec<FaultTrialOutcome> {
-    (0..trials)
-        .map(|t| {
-            let trial_seed = seed.wrapping_add(t as u64);
-            let plan = FaultPlan::new(trial_seed, rates);
-            let (verdicts, stats) = run_distributed_faulty(decoder, li, &plan);
-            FaultTrialOutcome {
-                seed: trial_seed,
-                rejecting: verdicts.iter().filter(|v| !v.is_accept()).count(),
-                stats,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,31 +232,6 @@ mod tests {
                 "each erasure rejects at least itself"
             );
         }
-    }
-
-    #[test]
-    fn fault_free_communication_trials_reject_nothing() {
-        let li = honest_c6();
-        let outcomes = communication_fault_trials(&LocalDiff, &li, FaultRates::none(), 5, 3);
-        assert_eq!(outcomes.len(), 5);
-        for o in &outcomes {
-            assert_eq!(o.rejecting, 0, "completeness holds on a clean channel");
-            assert_eq!(o.stats.total(), 0);
-        }
-    }
-
-    #[test]
-    fn communication_fault_trials_are_deterministic_and_disruptive() {
-        let li = honest_c6();
-        let rates = FaultRates::uniform(0.4);
-        let a = communication_fault_trials(&LocalDiff, &li, rates, 10, 7);
-        let b = communication_fault_trials(&LocalDiff, &li, rates, 10, 7);
-        assert_eq!(a, b, "same seed, identical trial batch");
-        assert!(
-            a.iter().any(|o| o.rejecting > 0),
-            "a 40% fault rate must disturb some trial"
-        );
-        assert!(a.iter().all(|o| o.stats.total() > 0 || o.rejecting == 0));
     }
 
     #[test]

@@ -87,8 +87,8 @@ pub use executor::{ExecMode, ItemCtx, SweepStrategy, PARALLEL_THRESHOLD};
 pub use interner::{ViewId, ViewInterner};
 pub use panel::{PanelFragment, PanelReport};
 pub use plan::{
-    AuditMemberReport, AuditPanelReport, AuditPlan, AuditReport, BlockGated, FaultSpec,
-    InstanceSet, PanelTelemetry, ALL_PROPERTIES,
+    AuditMemberReport, AuditPanelReport, AuditPlan, AuditReport, BlockGated, InstanceSet,
+    PanelTelemetry, ALL_PROPERTIES,
 };
 pub use session::{LazySweep, SweepSession};
 pub use shard::{

@@ -23,10 +23,9 @@
 //! * **invariance** — seeded identifier permutations of one honest
 //!   labeled instance ([`anonymity_universe`]).
 //!
-//! An optional fault plan appends a [`degradation_sweep`] (itself
-//! panel-backed per rate). The result is an [`AuditReport`] that renders
-//! to JSON via [`AuditReport::to_json`] — the `audit` binary is a thin
-//! CLI shell around this module.
+//! The result is an [`AuditReport`] that renders to JSON via
+//! [`AuditReport::to_json`] — the `audit` binary is a thin CLI shell
+//! around this module.
 //!
 //! # Shard reports
 //!
@@ -61,7 +60,6 @@ use crate::instance::{Instance, LabeledInstance};
 use crate::label::Certificate;
 use crate::language::KCol;
 use crate::nbhd::{NbhdGraph, NbhdSweep};
-use crate::network::{degradation_sweep, DegradationReport};
 use crate::properties::completeness::completeness_member;
 use crate::properties::erasure::{erased_labeling, erasure_member};
 use crate::properties::hiding::hiding_line;
@@ -170,15 +168,6 @@ pub enum InstanceSet {
     },
 }
 
-/// How many degradation trials to run and at which fault rates.
-#[derive(Debug, Clone)]
-pub struct FaultSpec {
-    /// The uniform per-message fault rates to sweep.
-    pub rates: Vec<f64>,
-    /// Trials per rate.
-    pub trials: usize,
-}
-
 /// A declarative audit: decoder + language + instance family + property
 /// subset, compiled by [`AuditPlan::run`] into fused panels grouped by
 /// universe shape.
@@ -193,7 +182,6 @@ pub struct AuditPlan<'a> {
     strategy: SweepStrategy,
     budget: Option<SweepBudget>,
     telemetry: Option<&'a MetricsRecorder>,
-    fault_plan: Option<FaultSpec>,
     seed: u64,
 }
 
@@ -236,7 +224,6 @@ impl<'a> AuditPlan<'a> {
             strategy: SweepStrategy::DeltaStepping,
             budget: None,
             telemetry: None,
-            fault_plan: None,
             seed: 0xA0D1_7E57,
         }
     }
@@ -284,14 +271,8 @@ impl<'a> AuditPlan<'a> {
         self
     }
 
-    /// Appends a degradation sweep under communication faults.
-    pub fn fault_plan(mut self, spec: FaultSpec) -> Self {
-        self.fault_plan = Some(spec);
-        self
-    }
-
     /// Seeds every sampled panel (erasure targets, invariance
-    /// permutations, fault plans). Same seed, same report.
+    /// permutations). Same seed, same report.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -366,7 +347,6 @@ impl<'a> AuditPlan<'a> {
             seed: self.seed,
             panels: Vec::new(),
             telemetry: Vec::new(),
-            degradation: None,
             notes: Vec::new(),
         }
     }
@@ -390,28 +370,6 @@ impl<'a> AuditPlan<'a> {
         if let Some(honest) = &honest {
             self.run_erasure_panel(honest, report);
             self.run_invariance_panel(honest, report);
-            if let Some(spec) = &self.fault_plan {
-                // Single-node erasures of the honest labeling are the
-                // adversarial battery: the fault-free verifier rejects
-                // them, so any unanimous accept under faults is false.
-                let n = honest.graph().node_count();
-                let adversarial: Vec<_> = (0..n.min(4))
-                    .map(|v| erased_labeling(honest, &[v]))
-                    .collect();
-                report.degradation = Some(degradation_sweep(
-                    self.decoder,
-                    &self.language,
-                    honest,
-                    &adversarial,
-                    &spec.rates,
-                    spec.trials,
-                    self.seed,
-                ));
-            }
-        } else if self.fault_plan.is_some() {
-            report
-                .notes
-                .push("degradation skipped: no certified yes-instance".into());
         }
 
         if let Some(r) = self.attached() {
@@ -613,23 +571,20 @@ impl<'a> AuditPlan<'a> {
     }
 
     /// The first yes-instance the prover certifies — the honest fixture
-    /// behind the erasure, invariance and degradation shapes.
+    /// behind the erasure and invariance shapes.
     fn honest_fixture(
         &self,
         labelings: &Universe,
         is_yes: &[bool],
         report: &mut AuditReport,
     ) -> Option<LabeledInstance> {
-        let needs = self.wants(PropertyTag::Erasure)
-            || self.wants(PropertyTag::Invariance)
-            || self.fault_plan.is_some();
-        if !needs {
+        if !self.wants(PropertyTag::Erasure) && !self.wants(PropertyTag::Invariance) {
             return None;
         }
         let Some(prover) = self.prover else {
             report
                 .notes
-                .push("erasure/invariance/degradation skipped: plan has no prover".into());
+                .push("erasure/invariance skipped: plan has no prover".into());
             return None;
         };
         let found = labelings
@@ -1226,8 +1181,6 @@ pub struct AuditReport {
     /// Per-panel telemetry breakdowns; empty unless the plan carried
     /// [`AuditPlan::telemetry`].
     pub telemetry: Vec<PanelTelemetry>,
-    /// The fault-degradation sweep, when a fault plan was given.
-    pub degradation: Option<DegradationReport>,
     /// Panels skipped or degraded, with reasons.
     pub notes: Vec<String>,
 }
@@ -1416,33 +1369,6 @@ impl AuditReport {
             out.push_str("\n  ");
         }
         out.push_str("],\n");
-        match &self.degradation {
-            Some(deg) => {
-                out.push_str("  \"degradation\": {\n");
-                out.push_str(&format!(
-                    "    \"decoder\": {},\n    \"nodes\": {},\n    \"seed\": {},\n",
-                    json_str(&deg.decoder),
-                    deg.nodes,
-                    deg.seed
-                ));
-                out.push_str("    \"points\": [");
-                for (i, p) in deg.points.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!(
-                        "\n      {{\"rate\": {}, \"trials\": {}, \"avg_rejecting\": {:.4}, \"strong_violations\": {}, \"adversarial_trials\": {}, \"false_accepts\": {}, \"fault_events\": {}}}",
-                        p.rate, p.trials, p.avg_rejecting, p.strong_violations,
-                        p.adversarial_trials, p.false_accepts, p.stats.total()
-                    ));
-                }
-                if !deg.points.is_empty() {
-                    out.push_str("\n    ");
-                }
-                out.push_str("]\n  },\n");
-            }
-            None => out.push_str("  \"degradation\": null,\n"),
-        }
         out.push_str("  \"notes\": [");
         for (i, note) in self.notes.iter().enumerate() {
             if i > 0 {
@@ -1906,22 +1832,18 @@ mod tests {
 
     #[test]
     fn json_renders_balanced_and_complete() {
-        let report = AuditPlan::new(&LocalDiff, 2, family(), bits())
-            .prover(&BipartiteProver)
-            .fault_plan(FaultSpec {
-                rates: vec![0.0, 0.3],
-                trials: 3,
-            })
-            .seed(7)
-            .run();
+        let plan = || {
+            AuditPlan::new(&LocalDiff, 2, family(), bits())
+                .prover(&BipartiteProver)
+                .seed(7)
+        };
+        let report = plan().run();
         let json = report.to_json();
         for key in [
             "\"decoder\": \"local-diff\"",
             "\"panels\"",
             "\"shape\": \"labelings\"",
             "\"property\": \"soundness\"",
-            "\"degradation\"",
-            "\"points\"",
             "\"notes\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
@@ -1931,20 +1853,8 @@ mod tests {
                 == json.chars().filter(|&c| c == close).count()
         };
         assert!(balance('{', '}') && balance('[', ']'));
-        // Determinism: the same plan renders the same report.
-        let again = AuditPlan::new(&LocalDiff, 2, family(), bits())
-            .prover(&BipartiteProver)
-            .fault_plan(FaultSpec {
-                rates: vec![0.0, 0.3],
-                trials: 3,
-            })
-            .seed(7)
-            .run();
-        // Compare everything but wall-clock.
-        assert_eq!(report.failures(), again.failures());
-        assert_eq!(
-            report.degradation.as_ref().map(|d| &d.points),
-            again.degradation.as_ref().map(|d| &d.points)
-        );
+        // Determinism: the same plan renders the same report, wall-clock
+        // aside.
+        assert_eq!(report.to_stable_json(), plan().run().to_stable_json());
     }
 }

@@ -255,6 +255,11 @@ fn run_window<A: ShardAttempt>(
                 running[index] = Some(Arc::clone(&handle));
                 let ended = ended.clone();
                 scope.spawn(move || {
+                    // Declared before the handle, so dropped after it:
+                    // the coordinator hears of the attempt once the
+                    // waiter let go of it, even when `wait` panics.
+                    let _ended = Ended(ended, index);
+                    let handle = handle;
                     let span = format!("shard:{}", spec.label());
                     if let Some(r) = recorder {
                         r.span_enter(&span);
@@ -265,7 +270,6 @@ fn run_window<A: ShardAttempt>(
                     if let Some(r) = recorder {
                         r.span_exit(&span);
                     }
-                    let _ = ended.send(index);
                 });
                 in_flight += 1;
             }
@@ -308,6 +312,17 @@ fn run_window<A: ShardAttempt>(
         dispatches,
         retries,
     })
+}
+
+/// Sends a waiter's shard index to the coordinator when the waiter ends,
+/// by return or by panic; a panic then reaches the coordinator's caller
+/// through [`std::thread::scope`].
+struct Ended(mpsc::Sender<usize>, usize);
+
+impl Drop for Ended {
+    fn drop(&mut self) {
+        let _ = self.0.send(self.1);
+    }
 }
 
 /// Checks that `fragments` (any order) tile `[0, n)` exactly, are all
@@ -813,6 +828,36 @@ mod tests {
             assert_eq!(out.results, vec![0, 12, 20], "window {window}");
             assert_eq!((out.dispatches, out.retries), (5, 2), "window {window}");
         }
+    }
+
+    #[test]
+    fn a_panicking_wait_reaches_the_coordinators_caller() {
+        struct Panics;
+        impl ShardAttempt for Panics {
+            type Output = ();
+
+            fn wait(&self) {
+                panic!("the attempt's wait panicked");
+            }
+
+            fn abort(&self) {}
+
+            fn finish(self) -> Result<(), String> {
+                Ok(())
+            }
+        }
+        // On a helper thread, so a coordinator that blocks for ever fails
+        // the test instead of hanging it.
+        let (done, outcome) = mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let run = std::panic::catch_unwind(|| run_window(2, 0, 2, None, |_, _| Panics));
+            let _ = done.send(run.is_err());
+        });
+        let panicked = outcome
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("the coordinator returns instead of blocking");
+        helper.join().expect("the helper caught the panic");
+        assert!(panicked, "the waiter's panic is re-raised");
     }
 
     #[test]

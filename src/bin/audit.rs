@@ -33,9 +33,8 @@ use hiding_lcp_core::decoder::Decoder;
 use hiding_lcp_core::label::Certificate;
 use hiding_lcp_core::prover::Prover;
 use hiding_lcp_core::verify::{
-    run_shards, AuditPlan, AuditReport, ExecMode, FaultSpec, InstanceSet, MetricsRecorder,
-    PropertyTag, ShardAttempt, ShardSpec, SweepBudget, SweepRecorder, SweepStrategy,
-    ALL_PROPERTIES,
+    run_shards, AuditPlan, AuditReport, ExecMode, InstanceSet, MetricsRecorder, PropertyTag,
+    ShardAttempt, ShardSpec, SweepBudget, SweepRecorder, SweepStrategy, ALL_PROPERTIES,
 };
 use std::time::Duration;
 
@@ -62,9 +61,6 @@ struct Args {
     /// `--strategy` as given, for re-invoking shard children.
     strategy_flag: String,
     budget: Option<SweepBudget>,
-    fault_rates: Vec<f64>,
-    /// Trials per fault rate (default 16).
-    fault_trials: Option<usize>,
     seed: u64,
     out: Option<String>,
     trace_out: Option<String>,
@@ -87,9 +83,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: audit [--decoder degree-one|even-cycle|revealing:<k>] [--max-n N]\n\
          \x20            [--properties p1,p2,...] [--threads T] [--budget-ms MS]\n\
-         \x20            [--budget-items N] [--fault-rates r1,r2,...] [--fault-trials T]\n\
-         \x20            [--strategy delta|oracle] [--seed S] [--out FILE]\n\
-         \x20            [--trace-out FILE] [--metrics-out FILE] [--stable]\n\
+         \x20            [--budget-items N] [--strategy delta|oracle] [--seed S]\n\
+         \x20            [--out FILE] [--trace-out FILE] [--metrics-out FILE] [--stable]\n\
          \x20            [--shards N] [--shard-retries R]\n\
          \x20            [--shard i/N] [--shard-out FILE] [--shards-from DIR]\n\
          \n\
@@ -100,8 +95,7 @@ fn usage() -> ! {
          strategy walks one block per port-isomorphism class of the family and\n\
          one labeling per orbit of each block's symmetries, each weighted by\n\
          what it stands for; oracle walks every labeling of every block (same\n\
-         report, ~10x the wall-clock at N=4). --fault-trials T runs T trials per\n\
-         --fault-rates rate (default 16). --trace-out writes a Chrome\n\
+         report, ~10x the wall-clock at N=4). --trace-out writes a Chrome\n\
          trace_event file (open in chrome://tracing or Perfetto);\n\
          --metrics-out writes the counter/phase snapshot. --stable zeroes\n\
          scheduling-dependent fields so reports byte-compare across runs.\n\
@@ -137,8 +131,6 @@ fn parse_args() -> Args {
         strategy: SweepStrategy::DeltaStepping,
         strategy_flag: "delta".into(),
         budget: None,
-        fault_rates: Vec::new(),
-        fault_trials: None,
         seed: 0xA0D1_7E57,
         out: None,
         trace_out: None,
@@ -182,13 +174,6 @@ fn parse_args() -> Args {
                 budget.deadline = Some(Duration::from_millis(parse_or_usage(&value("--budget-ms"))))
             }
             "--budget-items" => budget.max_items = Some(parse_or_usage(&value("--budget-items"))),
-            "--fault-rates" => {
-                args.fault_rates = value("--fault-rates")
-                    .split(',')
-                    .map(|r| parse_or_usage(r.trim()))
-                    .collect();
-            }
-            "--fault-trials" => args.fault_trials = Some(parse_or_usage(&value("--fault-trials"))),
             "--seed" => args.seed = parse_or_usage(&value("--seed")),
             "--out" => args.out = Some(value("--out")),
             "--trace-out" => args.trace_out = Some(value("--trace-out")),
@@ -242,11 +227,6 @@ fn parse_args() -> Args {
             usage()
         }
     }
-    // Also rejects NaN and the infinities, which JSON cannot carry.
-    if let Some(rate) = args.fault_rates.iter().find(|r| !(0.0..=1.0).contains(*r)) {
-        eprintln!("audit: --fault-rates {rate} is out of range: a rate runs from 0 to 1");
-        usage()
-    }
     // A flag that the chosen mode never reads would let a run do less
     // than its command line says.
     let merging = args.shards_from.is_some();
@@ -271,16 +251,6 @@ fn parse_args() -> Args {
             "--stable",
             args.stable && child,
             "a --shard child writes a shard report, not a JSON report",
-        ),
-        (
-            "--fault-rates",
-            !args.fault_rates.is_empty() && child,
-            "faults run on the merge side, not in a --shard child",
-        ),
-        (
-            "--fault-trials",
-            args.fault_trials.is_some() && args.fault_rates.is_empty(),
-            "only --fault-rates runs fault trials",
         ),
         (
             "--trace-out",
@@ -367,12 +337,6 @@ fn main() -> ExitCode {
     .seed(args.seed);
     if let Some(budget) = args.budget {
         plan = plan.budget(budget);
-    }
-    if !args.fault_rates.is_empty() {
-        plan = plan.fault_plan(FaultSpec {
-            rates: args.fault_rates.clone(),
-            trials: args.fault_trials.unwrap_or(16),
-        });
     }
     let recorder = MetricsRecorder::new();
     let recording = args.trace_out.is_some() || args.metrics_out.is_some();
@@ -621,8 +585,7 @@ fn dispatch_and_merge(
 
 /// The flags a shard child needs to rebuild the coordinator's plan with
 /// an identical fingerprint (decoder, k, seed, universe, strategy, mode,
-/// budget). Output/fault/shard flags are deliberately not forwarded:
-/// faults and degradation run only on the merge side.
+/// budget). Output and shard flags are deliberately not forwarded.
 fn child_args(args: &Args) -> Vec<String> {
     let mut v = vec![
         "--decoder".to_string(),

@@ -896,52 +896,6 @@ fn write_figures(dir: &str) {
     }
 }
 
-fn e20() {
-    header(
-        "E20",
-        "degradation under communication faults - strong soundness on a lossy channel",
-        "strong soundness is a graceful-degradation guarantee: whatever subset of nodes accepts must induce a yes-instance, even when the broadcast drops, delays, duplicates or corrupts messages",
-    );
-    use hiding_lcp::certs::adversary;
-    use hiding_lcp::core::network::degradation_sweep;
-    // Decoders that crash on fault-mangled certificates are recorded as
-    // rejecting (fail-safe); keep their panics off the console.
-    std::panic::set_hook(Box::new(|_| {}));
-    let two_col = KCol::new(2);
-    let rates = [0.0, 0.05, 0.15, 0.30];
-    println!(
-        "{:<12} {:>5} {:>9} {:>11} {:>11} {:>8}",
-        "LCP", "rate", "avg rej", "strong viol", "false acc", "faults"
-    );
-    for (name, decoder, li) in workloads::throughput_workloads(12) {
-        // Adversarial probes: small at-rest perturbations of the honest
-        // certificates (same shapes the fault injector applies in
-        // flight). The harness keeps those the clean verifier rejects.
-        let honest = li.labeling().clone();
-        let mut adversarial = adversary::bit_flips(&honest);
-        adversarial.extend(adversary::truncations(&honest));
-        adversarial.extend(adversary::swaps(&honest));
-        let report =
-            degradation_sweep(decoder.as_ref(), &two_col, &li, &adversarial, &rates, 8, 20);
-        for p in &report.points {
-            println!(
-                "{:<12} {:>5.2} {:>9.2} {:>11} {:>11} {:>8}",
-                name,
-                p.rate,
-                p.avg_rejecting,
-                format!("{}/{}", p.strong_violations, p.trials),
-                format!("{}/{}", p.false_accepts, p.adversarial_trials),
-                p.stats.total()
-            );
-        }
-    }
-    let _ = std::panic::take_hook();
-    println!("=> faults erode AVAILABILITY (honest nodes start rejecting) but never strong");
-    println!("   soundness: every surviving accepting set still induces a 2-colorable");
-    println!("   subgraph, and masked rejections (false accepts) require the channel to");
-    println!("   hide every rejecting view at once - rare, and vanishing as rates climb.");
-}
-
 fn main() {
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
     if let Some(pos) = raw.iter().position(|a| a == "--dot") {
@@ -977,7 +931,6 @@ fn main() {
         ("E17", e17),
         ("E18", e18),
         ("E19", e19),
-        ("E20", e20),
     ];
     let start = Instant::now();
     for (id, f) in all {

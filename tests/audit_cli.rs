@@ -51,18 +51,13 @@ fn max_n_outside_the_buildable_family_is_a_usage_error() {
 #[test]
 fn bad_flag_values_are_usage_errors() {
     // Each row must exit 2 with a message, never panic: revealing
-    // certificates are one-byte colors, and a fault rate is a
-    // probability that the JSON report has to carry.
+    // certificates are one-byte colors.
     let rows: &[&[&str]] = &[
         &["--decoder", "revealing:0"],
         &["--decoder", "revealing:300"],
         &["--decoder", "revealing:99999999999"],
         &["--decoder", "revealing:two"],
         &["--decoder", "nope"],
-        &["--fault-rates", "nan"],
-        &["--fault-rates", "inf"],
-        &["--fault-rates", "0.1,1.5"],
-        &["--fault-rates", "-0.5"],
         &["--strategy", "fastest"],
         &["--strategy", "quotient"],
         &["--sequential"],
@@ -89,7 +84,6 @@ fn bad_flag_values_are_usage_errors() {
     assert!(err.contains("\\xFF"), "the bad argument is named: {err}");
     for (flag, value, range) in [
         ("--decoder", "revealing:0", "1 to 255"),
-        ("--fault-rates", "nan", "0 to 1"),
         ("--threads", "0", "1 to 1024"),
         ("--shards", "0", "1 to 1024"),
     ] {
@@ -99,10 +93,21 @@ fn bad_flag_values_are_usage_errors() {
             "{flag} {value} must name the range: {err}"
         );
     }
+    // No flag injects communication faults: a command line that asks
+    // for them must fail rather than audit less than it says.
+    for (flag, value) in [("--fault-rates", "0.1"), ("--fault-trials", "4")] {
+        let out = audit(&["--max-n", "1", flag, value]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {err}");
+        assert!(
+            err.contains(&format!("audit: unknown flag {flag}")),
+            "{flag}: {err}"
+        );
+    }
 }
 
 /// The value-taking flags that name no output file.
-const VALUE_FLAGS: [&str; 14] = [
+const VALUE_FLAGS: [&str; 12] = [
     "--decoder",
     "--max-n",
     "--properties",
@@ -110,8 +115,6 @@ const VALUE_FLAGS: [&str; 14] = [
     "--strategy",
     "--budget-ms",
     "--budget-items",
-    "--fault-rates",
-    "--fault-trials",
     "--seed",
     "--shard",
     "--shards",
@@ -666,13 +669,11 @@ fn flags_idle_in_the_chosen_mode_are_usage_errors() {
     let reports = reports.to_str().expect("utf-8 path");
     let file = dir.join("unwritten.txt");
     let file = file.to_str().expect("utf-8 path");
-    let rows: [(&str, &[&str]); 10] = [
+    let rows: [(&str, &[&str]); 8] = [
         ("--shard-out", &["--shard-out", file]),
         ("--shard-retries", &["--shard-retries", "1"]),
         ("--out", &["--shard", "0/2", "--out", file]),
         ("--stable", &["--shard", "0/2", "--stable"]),
-        ("--fault-rates", &["--shard", "0/2", "--fault-rates", "0.1"]),
-        ("--fault-trials", &["--fault-trials", "4"]),
         ("--trace-out", &["--shard", "0/2", "--trace-out", file]),
         ("--metrics-out", &["--shard", "0/2", "--metrics-out", file]),
         (
@@ -818,7 +819,6 @@ const BUDGET_ITEMS_1000: &str = r#"{
     }
   ],
   "telemetry": [],
-  "degradation": null,
   "notes": ["labelings panel interrupted by budget; verdicts cover the visited prefix"]
 }
 "#;
@@ -850,7 +850,6 @@ const BUDGET_MS_0: &str = r#"{
     }
   ],
   "telemetry": [],
-  "degradation": null,
   "notes": ["labelings panel interrupted by budget; verdicts cover the visited prefix"]
 }
 "#;
