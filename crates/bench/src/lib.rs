@@ -11,6 +11,7 @@ use hiding_lcp_certs::{degree_one, even_cycle, revealing, shatter, watermelon};
 use hiding_lcp_core::instance::{Instance, LabeledInstance};
 use hiding_lcp_core::nbhd::NbhdGraph;
 use hiding_lcp_core::prover::Prover;
+use hiding_lcp_core::verify::Universe;
 use hiding_lcp_core::view::IdMode;
 use hiding_lcp_graph::algo::bipartite;
 use hiding_lcp_graph::{generators, IdAssignment};
@@ -120,13 +121,14 @@ pub fn watermelon_nbhd() -> NbhdGraph {
 /// `max_n` with the binary alphabet.
 pub fn revealing_nbhd(max_n: usize) -> NbhdGraph {
     let alphabet = revealing::adversary_alphabet(1); // bytes {0, 1}
-    let universe = hiding_lcp_core::nbhd::sources::exhaustive_universe(max_n, &alphabet);
-    NbhdGraph::build(
+    let universe = Universe::lemma31(max_n, alphabet).expect("small universe fits");
+    NbhdGraph::from_sweep(
         &revealing::RevealingDecoder::new(2),
         IdMode::Anonymous,
-        universe,
+        &universe,
         bipartite::is_bipartite,
     )
+    .verdict
 }
 
 /// E13: one honestly-labeled instance per LCP on a size-`n` workload,

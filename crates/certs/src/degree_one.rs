@@ -229,8 +229,9 @@ mod tests {
     use super::*;
     use hiding_lcp_core::decoder::accepts_all;
     use hiding_lcp_core::language::KCol;
-    use hiding_lcp_core::nbhd::{sources, NbhdGraph};
+    use hiding_lcp_core::nbhd::NbhdGraph;
     use hiding_lcp_core::properties::{completeness, strong};
+    use hiding_lcp_core::verify::Universe;
     use hiding_lcp_graph::generators;
 
     fn h1_instances() -> Vec<Instance> {
@@ -342,10 +343,11 @@ mod tests {
             Letter::Bot.encode(),
             Letter::Top.encode(),
         ];
-        let universe = sources::exhaustive_universe(4, &alphabet);
-        let nbhd = NbhdGraph::build(&DegreeOneDecoder, IdMode::Anonymous, universe, |g| {
+        let universe = Universe::lemma31(4, alphabet).expect("n <= 4 universe fits");
+        let nbhd = NbhdGraph::from_sweep(&DegreeOneDecoder, IdMode::Anonymous, &universe, |g| {
             bipartite::is_bipartite(g) && g.min_degree() == Some(1)
-        });
+        })
+        .verdict;
         assert!(nbhd.view_count() > 0);
         assert!(nbhd.odd_cycle().is_some());
     }

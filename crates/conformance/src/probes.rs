@@ -33,9 +33,9 @@ use hiding_lcp_core::properties::strong::{
 use hiding_lcp_core::prover::Prover;
 use hiding_lcp_core::verify::{
     merge_fragments, sum_stable_counters, AuditPlan, Block, BlockGated, Coverage, DynPropertyCheck,
-    ExecMode, InstanceSet, ItemCtx, LabelSource, LazySweep, MetricsRecorder, PanelFragment,
-    PropertyCheck, PropertyTag, ShardSpec, SweepBudget, SweepCounter, SweepOutcome, SweepSession,
-    SweepStrategy, SymmetrySpec, Universe, UniverseItem, ViewInterner,
+    ExecMode, InstanceSet, ItemCtx, LabelSource, MetricsRecorder, PanelFragment, PropertyCheck,
+    PropertyTag, ShardSpec, SweepBudget, SweepCounter, SweepOutcome, SweepSession, SweepStrategy,
+    SymmetrySpec, Universe, UniverseItem, ViewInterner,
 };
 use hiding_lcp_core::view::{IdMode, View};
 use hiding_lcp_graph::algo::{bipartite, coloring};
@@ -1002,9 +1002,8 @@ pub fn invariance_checks_node0() {
         instance.replace_ids(variant.clone()).expect("ids fit"),
         labeling.clone(),
     );
-    let verdict = LazySweep::labeled(Coverage::Sampled)
-        .run_labeled(&check, std::iter::once(variant_li))
-        .verdict;
+    let universe = Universe::from_labeled([variant_li], Coverage::Sampled).expect("one item fits");
+    let verdict = SweepSession::over(&universe).run(&check).verdict;
     let violation = verdict.expect_err("node 0's verdict changed");
     assert_eq!(violation.node, 0);
     let oracle_violation = oracle::invariance(&OddId, &instance, &labeling, &[variant])

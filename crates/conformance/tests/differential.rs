@@ -23,8 +23,8 @@ use hiding_lcp_core::properties::soundness::{SoundnessCheck, SoundnessViolation}
 use hiding_lcp_core::properties::strong::{StrongCheck, StrongViolation};
 use hiding_lcp_core::prover::Prover;
 use hiding_lcp_core::verify::{
-    merge_fragments, merge_panel_fragments, Coverage, DynPropertyCheck, ExecMode, LazySweep,
-    PropertyTag, ShardSpec, SweepBudget, SweepSession, SweepStrategy, Universe, VerificationReport,
+    merge_fragments, merge_panel_fragments, Coverage, DynPropertyCheck, ExecMode, PropertyTag,
+    ShardSpec, SweepBudget, SweepSession, SweepStrategy, Universe, VerificationReport,
 };
 use hiding_lcp_core::view::IdMode;
 use hiding_lcp_graph::algo::bipartite;
@@ -365,9 +365,8 @@ fn invariance_matches_oracle() {
                 )
             })
             .collect();
-        let verdict = LazySweep::labeled(Coverage::Sampled)
-            .run_labeled(&check, items)
-            .verdict;
+        let universe = Universe::from_labeled(items, Coverage::Sampled).expect("variants fit");
+        let verdict = SweepSession::over(&universe).run(&check).verdict;
         assert_eq!(verdict, expected, "{what}");
         if run == 0 {
             assert_eq!(verdict, Ok(()), "anonymous decoders are invariant");

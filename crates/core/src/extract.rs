@@ -96,7 +96,6 @@ mod tests {
     use crate::decoder::{Decoder, Verdict};
     use crate::instance::Instance;
     use crate::label::{Certificate, Labeling};
-    use crate::nbhd::sources;
     use crate::view::IdMode;
     use hiding_lcp_graph::algo::bipartite;
     use hiding_lcp_graph::generators;
@@ -128,11 +127,10 @@ mod tests {
     }
 
     fn exhaustive_extractor(max_n: usize) -> Extractor {
-        let universe = sources::exhaustive_universe(max_n, &binary_alphabet());
-        let nbhd = NbhdGraph::build(&LocalDiff, IdMode::Anonymous, universe, |g| {
-            bipartite::is_bipartite(g)
-        });
-        Extractor::from_nbhd(nbhd, 2).expect("revealing LCP is not hiding")
+        let universe = Universe::lemma31(max_n, binary_alphabet()).expect("small universe fits");
+        Extractor::from_universe(&LocalDiff, &universe, 2, bipartite::is_bipartite)
+            .verdict
+            .expect("revealing LCP is not hiding")
     }
 
     #[test]

@@ -82,8 +82,8 @@ pub mod prelude {
     pub use crate::nbhd::NbhdGraph;
     pub use crate::prover::Prover;
     pub use crate::verify::{
-        AuditPlan, Coverage, ExecMode, LazySweep, MetricsRecorder, PropertyCheck, SweepBudget,
-        SweepRecorder, SweepSession, SweepStrategy, Universe, VerificationReport,
+        AuditPlan, Coverage, ExecMode, MetricsRecorder, PropertyCheck, SweepBudget, SweepRecorder,
+        SweepSession, SweepStrategy, Universe, VerificationReport,
     };
     pub use crate::view::{IdMode, View};
 }

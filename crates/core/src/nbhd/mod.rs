@@ -4,10 +4,12 @@
 //! labeled yes-instance; `V(D, n)` connects two accepting views iff they
 //! are *yes-instance-compatible* (they occur at the two endpoints of an
 //! edge of some labeled yes-instance). Lemma 3.1 constructs `V(D, n)` by
-//! iterating over labeled yes-instances; [`NbhdGraph::build`] is that
-//! algorithm over a caller-supplied instance universe, and
-//! [`sources`] produces the universes (exhaustive for small n, or the
-//! paper's seeded figures). The one construction is the engine sweep
+//! iterating over labeled yes-instances; [`NbhdGraph::from_sweep`] is that
+//! algorithm over a [`Universe`]: the exhaustive family
+//! [`Universe::lemma31`] for small n, any other family of
+//! [`LabelSource::All`](crate::verify::LabelSource::All) blocks, or, through
+//! [`NbhdGraph::build`], a materialized list such as the paper's seeded
+//! figures ([`sources`]). The one construction is the engine sweep
 //! [`NbhdSweep`]. It keeps no per-item record: each worker keeps only the
 //! lowest witness of every accepting view, edge and self-loop it meets,
 //! and the reduce reads those witnesses, never the walked items. By
@@ -353,7 +355,9 @@ fn retained(universe: &Universe, block_yes: &[bool], outcome: &SweepOutcome) -> 
 /// edge and self-loop remembers a witnessing instance. Of the labeled
 /// yes-instances it swept, the graph keeps the witnessing ones
 /// ([`NbhdGraph::instances`]) and a count of all
-/// ([`NbhdGraph::retained_count`]).
+/// ([`NbhdGraph::retained_count`]). Two graphs are equal when they agree
+/// view for view in order, edge for edge, witness for witness, on the
+/// witnessing instances and on the retained count.
 ///
 /// # Example
 ///
@@ -381,7 +385,7 @@ fn retained(universe: &Universe, block_yes: &[bool], outcome: &SweepOutcome) -> 
 /// assert_eq!(nbhd.edge_count(), 2);
 /// assert!(nbhd.odd_cycle().is_none());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NbhdGraph {
     radius: usize,
     id_mode: IdMode,

@@ -1,23 +1,22 @@
-//! Instance universes for neighborhood-graph construction.
+//! Honest instance lists for neighborhood-graph construction.
 //!
-//! Lemma 3.1 iterates over *all* labeled yes-instances of size ≤ n. That
-//! iteration is realized here at three fidelities (see the substitution
-//! notes in `DESIGN.md`):
+//! Lemma 3.1 iterates over *all* labeled yes-instances of size ≤ n. The
+//! engine walks that family without materializing it:
+//! [`Universe::lemma31`](crate::verify::Universe::lemma31) is every
+//! connected graph on at most `n` nodes under every port assignment and
+//! every labeling from an alphabet, and any other exhaustive family (one
+//! instance, an identifier ordering per block, a chosen list of graphs) is
+//! a [`Universe::new`](crate::verify::Universe::new) of
+//! [`LabelSource::All`](crate::verify::LabelSource::All) blocks, which
+//! [`NbhdGraph::from_sweep`](super::NbhdGraph::from_sweep) sweeps.
 //!
-//! * [`prover_labeled`] — honest instances: a prover's labeling on each
-//!   instance of a family (the paper's hiding proofs only ever need two
-//!   seeded honest instances, e.g. Figs. 3 and 5);
-//! * [`with_all_labelings`] — one instance under **every** labeling from
-//!   a finite alphabet (exhaustive, for small n);
-//! * [`exhaustive_universe`] — every connected graph up to a size bound,
-//!   under canonical ports/ids, under every labeling from the alphabet —
-//!   the full Lemma 3.1 sweep for tiny parameters.
+//! What stays here is the honest end of the range, [`prover_labeled`]: a
+//! prover's labeling on each instance of a family (the paper's hiding
+//! proofs only ever need two seeded honest instances, e.g. Figs. 3 and 5),
+//! materialized for [`NbhdGraph::build`](super::NbhdGraph::build).
 
 use crate::instance::{Instance, LabeledInstance};
-use crate::label::Certificate;
 use crate::prover::Prover;
-use crate::verify::{Coverage, Universe};
-use hiding_lcp_graph::generators;
 
 /// Labels each instance with `prover`'s certificate assignment, skipping
 /// instances the prover declines.
@@ -34,110 +33,12 @@ pub fn prover_labeled<P: Prover + ?Sized>(
         .collect()
 }
 
-/// All labelings of one instance over `alphabet` (the `|alphabet|^n`
-/// exhaustive adversary), optionally truncated to `limit` labelings.
-///
-/// Materialized from a [`Universe`] — the same odometer enumeration the
-/// verification engine sweeps without materializing.
-pub fn with_all_labelings(
-    instance: &Instance,
-    alphabet: &[Certificate],
-    limit: Option<usize>,
-) -> Vec<LabeledInstance> {
-    let universe =
-        Universe::all_labelings_of(instance.clone(), alphabet.to_vec(), Coverage::Exhaustive)
-            .expect("universe size overflows usize; truncate with `limit`");
-    let cap = limit.unwrap_or(usize::MAX).min(universe.len());
-    (0..cap).map(|i| universe.labeled_instance(i)).collect()
-}
-
-/// The full Lemma 3.1 universe for tiny parameters: every connected graph
-/// on `1..=max_n` nodes (up to isomorphism), **every port assignment**,
-/// every labeling over `alphabet`, canonical identifiers.
-///
-/// This is exhaustive for *anonymous* extractor classes (whose views are
-/// identifier-free, making the canonical identifier assignment lossless).
-/// Full-identifier exhaustiveness would additionally require enumerating
-/// identifier assignments; use [`crate::enumerate`] variants for sampled
-/// coverage there.
-///
-/// Size: `Σ_G (∏_v d(v)!) · |alphabet|^{|G|}` — keep `max_n ≤ 4` and
-/// alphabets small.
-///
-/// # Panics
-///
-/// Panics if `max_n > 8` (inherited from the graph enumerator) or if a
-/// single graph admits more than 10⁵ port assignments.
-pub fn exhaustive_universe(max_n: usize, alphabet: &[Certificate]) -> Vec<LabeledInstance> {
-    let mut out = Vec::new();
-    for g in generators::connected_graphs_up_to(max_n) {
-        let ids = hiding_lcp_graph::IdAssignment::canonical(g.node_count());
-        for ports in hiding_lcp_graph::ports::all_port_assignments(&g, 100_000) {
-            let instance =
-                Instance::new(g.clone(), ports, ids.clone()).expect("enumerated assignments fit");
-            out.extend(with_all_labelings(&instance, alphabet, None));
-        }
-    }
-    out
-}
-
-/// The Lemma 3.1 universe for **order-invariant** extractor classes:
-/// like [`exhaustive_universe`], but additionally sweeping every
-/// identifier *ordering* (all `n!` permutations of the canonical
-/// identifiers). Order-only views depend on identifier ranks, so this
-/// closes the remaining quantifier for [`crate::view::IdMode::OrderOnly`]
-/// neighborhood graphs. (Full-identifier exhaustiveness would require all
-/// `N^n` value assignments and stays out of reach by design.)
-///
-/// Size: `Σ_G n! · (∏_v d(v)!) · |alphabet|^n` — keep `max_n ≤ 3`.
-///
-/// # Panics
-///
-/// Panics if `max_n > 8` or a graph exceeds the port-assignment guard.
-pub fn exhaustive_universe_ordered(max_n: usize, alphabet: &[Certificate]) -> Vec<LabeledInstance> {
-    let mut out = Vec::new();
-    for g in generators::connected_graphs_up_to(max_n) {
-        let n = g.node_count();
-        for perm in permutations_of(n) {
-            let ids = hiding_lcp_graph::IdAssignment::from_ids(
-                perm.iter().map(|&p| p as u64 + 1).collect(),
-                hiding_lcp_graph::ids::default_bound(n),
-            )
-            .expect("permutations are injective");
-            for ports in hiding_lcp_graph::ports::all_port_assignments(&g, 100_000) {
-                let instance = Instance::new(g.clone(), ports, ids.clone())
-                    .expect("enumerated assignments fit");
-                out.extend(with_all_labelings(&instance, alphabet, None));
-            }
-        }
-    }
-    out
-}
-
-fn permutations_of(n: usize) -> Vec<Vec<usize>> {
-    if n == 0 {
-        return vec![Vec::new()];
-    }
-    let mut out = Vec::new();
-    for rest in permutations_of(n - 1) {
-        for pos in 0..n {
-            let mut next = rest.clone();
-            next.insert(pos, n - 1);
-            out.push(next);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::label::Labeling;
     use crate::prover::FixedProver;
-
-    fn bits() -> Vec<Certificate> {
-        vec![Certificate::from_byte(0), Certificate::from_byte(1)]
-    }
+    use hiding_lcp_graph::generators;
 
     #[test]
     fn prover_labeled_skips_declined() {
@@ -148,27 +49,5 @@ mod tests {
         ];
         let labeled = prover_labeled(&prover, instances);
         assert_eq!(labeled.len(), 1);
-    }
-
-    #[test]
-    fn all_labelings_counts() {
-        let inst = Instance::canonical(generators::path(3));
-        assert_eq!(with_all_labelings(&inst, &bits(), None).len(), 8);
-        assert_eq!(with_all_labelings(&inst, &bits(), Some(3)).len(), 3);
-    }
-
-    #[test]
-    fn ordered_universe_size() {
-        // n=1: 1 perm * 1 ports * 2 = 2; n=2: 2 * 1 * 4 = 8;
-        // n=3 path: 6 * 2 * 8 = 96; triangle: 6 * 8 * 8 = 384. Total 490.
-        assert_eq!(exhaustive_universe_ordered(3, &bits()).len(), 490);
-    }
-
-    #[test]
-    fn exhaustive_universe_size() {
-        // Connected graphs: n=1 (1 graph, 1 port assignment), n=2 (1, 1),
-        // n=3: path (2 port assignments) and triangle (2^3 = 8).
-        // Universe = 1·2 + 1·4 + 2·8 + 8·8 = 86.
-        assert_eq!(exhaustive_universe(3, &bits()).len(), 86);
     }
 }

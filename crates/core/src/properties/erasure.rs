@@ -37,11 +37,7 @@ pub fn erase_and_run<D: Decoder + ?Sized>(
     li: &LabeledInstance,
     targets: &[usize],
 ) -> ErasureOutcome {
-    let mut labeling = li.labeling().clone();
-    for &v in targets {
-        labeling.set(v, Certificate::empty());
-    }
-    let erased_li = LabeledInstance::new(li.instance().clone(), labeling);
+    let erased_li = LabeledInstance::new(li.instance().clone(), erased_labeling(li, targets));
     let verdicts = run(decoder, &erased_li);
     ErasureOutcome {
         erased: targets.len(),

@@ -258,6 +258,57 @@ mod tests {
         assert_eq!(verdict, HidingVerdict::Hiding { odd_walk: vec![0] });
     }
 
+    /// Lemma 4.1's rules on one-byte letters 0 and 1 (colours), 2 (⊥) and
+    /// 3 (⊤), as the certs crate's degree-one decoder states them (that
+    /// crate builds on this one, so its types are not this crate's).
+    struct DegreeOne;
+    impl Decoder for DegreeOne {
+        fn name(&self) -> String {
+            "degree-one".into()
+        }
+        fn radius(&self) -> usize {
+            1
+        }
+        fn id_mode(&self) -> IdMode {
+            IdMode::Anonymous
+        }
+        fn decide(&self, view: &View) -> Verdict {
+            let letter = |c: &Certificate| match c.bytes() {
+                [b @ 0..=3] => Some(*b),
+                _ => None,
+            };
+            let neighbors: Option<Vec<u8>> = view
+                .center_arcs()
+                .iter()
+                .map(|arc| letter(&view.node(arc.to).label))
+                .collect();
+            let (Some(mine), Some(neighbors)) = (letter(view.center_label()), neighbors) else {
+                return Verdict::Reject;
+            };
+            let count = |l: u8| neighbors.iter().filter(|&&n| n == l).count();
+            Verdict::from(match mine {
+                2 => neighbors.len() == 1 && count(3) == 1,
+                3 => count(2) == 1 && count(3) == 0 && (count(0) == 0 || count(1) == 0),
+                color => count(3) <= 1 && count(2) == 0 && count(color) == 0,
+            })
+        }
+    }
+
+    /// `V(D, ·)` over `universe` materialized item by item, one `Fixed`
+    /// block per labeled instance: the reference for the engine's walk of
+    /// the indexed family, which jumps copy blocks and inspects one
+    /// labeling per orbit.
+    fn materialized<D: Decoder>(
+        decoder: &D,
+        universe: &Universe,
+        is_yes: impl Fn(&Graph) -> bool,
+    ) -> NbhdGraph {
+        let items = (0..universe.len())
+            .map(|i| universe.labeled_instance(i))
+            .collect();
+        NbhdGraph::build(decoder, IdMode::Anonymous, items, is_yes)
+    }
+
     #[test]
     fn revealing_lcp_is_not_hiding_over_exhaustive_universe() {
         let alphabet = vec![Certificate::from_byte(0), Certificate::from_byte(1)];
@@ -271,6 +322,17 @@ mod tests {
             }
             other => panic!("revealing LCP must not hide: {other:?}"),
         }
+        assert_eq!(
+            nbhd,
+            materialized(&LocalDiff, &universe, bipartite::is_bipartite)
+        );
+        // Degree-one over its four letters, on the promise class.
+        let letters = (0..4).map(Certificate::from_byte).collect();
+        let universe = Universe::lemma31(3, letters).expect("n <= 3 universe fits");
+        let promise = |g: &Graph| bipartite::is_bipartite(g) && g.min_degree() == Some(1);
+        let (nbhd, _) = verify_hiding(&DegreeOne, &universe, 2, promise).verdict;
+        assert!(nbhd.view_count() > 0);
+        assert_eq!(nbhd, materialized(&DegreeOne, &universe, promise));
     }
 
     #[test]
@@ -279,18 +341,14 @@ mod tests {
         // odometer labelings) and the materialized path must agree on the
         // graph and, thanks to the typed coverage, on the verdict.
         let alphabet = vec![Certificate::from_byte(0), Certificate::from_byte(1)];
-        let universe = Universe::lemma31(3, alphabet.clone()).expect("n <= 3 universe fits");
+        let universe = Universe::lemma31(3, alphabet).expect("n <= 3 universe fits");
         let report = verify_hiding(&LocalDiff, &universe, 2, bipartite::is_bipartite);
         assert_eq!(report.universe_size, 86);
         let (nbhd, verdict) = report.verdict;
-        let manual = crate::nbhd::NbhdGraph::build(
-            &LocalDiff,
-            IdMode::Anonymous,
-            crate::nbhd::sources::exhaustive_universe(3, &alphabet),
-            bipartite::is_bipartite,
+        assert_eq!(
+            nbhd,
+            materialized(&LocalDiff, &universe, bipartite::is_bipartite)
         );
-        assert_eq!(nbhd.view_count(), manual.view_count());
-        assert_eq!(nbhd.edge_count(), manual.edge_count());
         assert!(matches!(verdict, HidingVerdict::NotHiding { .. }));
     }
 

@@ -12,7 +12,7 @@ use crate::decoder::{run, Decoder, Verdict};
 use crate::instance::{Instance, LabeledInstance};
 use crate::label::Labeling;
 use crate::verify::{
-    Coverage, DynPropertyCheck, ItemCtx, LazySweep, PropertyCheck, PropertyTag, SweepOutcome,
+    Coverage, DynPropertyCheck, ItemCtx, PropertyCheck, PropertyTag, SweepOutcome, SweepSession,
     Universe, UniverseItem,
 };
 use crate::view::IdMode;
@@ -119,9 +119,8 @@ pub fn invariance_member<'a>(
 
 /// A materialized universe of `samples` random identifier permutations of
 /// `(instance, labeling)` — the anonymity condition's variants as flat
-/// universe items, for fused panels. Permutations are drawn up front from
-/// `rng` (one shuffle per variant), unlike the lazy [`check_anonymous`]
-/// stream which stops drawing at the first divergence.
+/// universe items, for fused panels and [`check_anonymous`].
+/// Permutations are drawn up front from `rng`, one shuffle per variant.
 pub fn anonymity_universe<R: Rng + ?Sized>(
     instance: &Instance,
     labeling: &Labeling,
@@ -150,13 +149,12 @@ fn id_variant(instance: &Instance, labeling: &Labeling, ids: IdAssignment) -> La
 }
 
 /// Checks that `decoder`'s verdicts on `(instance, labeling)` are
-/// unchanged under up to `samples` random identifier **permutations** (the
+/// unchanged under `samples` random identifier **permutations** (the
 /// anonymity condition of Section 2.2).
 ///
-/// Permutations are drawn from `rng` one at a time and drawing stops at
-/// the first divergence, so the RNG advances exactly once per variant
-/// actually checked — the same stream a caller observed from the
-/// pre-engine loop.
+/// The permutations are [`anonymity_universe`]'s: all `samples` are drawn
+/// from `rng` up front, so the RNG advances by `samples` shuffles whatever
+/// the verdict; a violation names the first diverging variant.
 pub fn check_anonymous<D: Decoder + ?Sized, R: Rng + ?Sized>(
     decoder: &D,
     instance: &Instance,
@@ -164,26 +162,19 @@ pub fn check_anonymous<D: Decoder + ?Sized, R: Rng + ?Sized>(
     samples: usize,
     rng: &mut R,
 ) -> Result<(), InvarianceViolation> {
-    let check = InvarianceCheck::new(decoder, instance, labeling);
-    let variants = (0..samples).map(|_| {
-        let mut perm: Vec<u64> = instance.ids().as_slice().to_vec();
-        perm.shuffle(rng);
-        let ids = IdAssignment::from_ids(perm, instance.ids().bound())
-            .expect("permutation stays injective and bounded");
-        id_variant(instance, labeling, ids)
-    });
-    LazySweep::labeled(Coverage::Sampled)
-        .run_labeled(&check, variants)
+    let universe = anonymity_universe(instance, labeling, samples, rng);
+    SweepSession::over(&universe)
+        .run(&InvarianceCheck::new(decoder, instance, labeling))
         .verdict
 }
 
-/// Checks that `decoder`'s verdicts are unchanged under up to `samples`
-/// random **order-preserving** identifier remappings (the order-invariance
+/// Checks that `decoder`'s verdicts are unchanged under `samples` random
+/// **order-preserving** identifier remappings (the order-invariance
 /// condition of Section 2.2).
 ///
-/// Remappings are drawn from `rng` one at a time and drawing stops at the
-/// first divergence, so the RNG advances exactly once per variant actually
-/// checked — the same stream a caller observed from the pre-engine loop.
+/// All `samples` remappings are drawn from `rng` up front and swept as one
+/// sampled universe, so the RNG advances by `samples` remappings whatever
+/// the verdict; a violation names the first diverging variant.
 pub fn check_order_invariant<D: Decoder + ?Sized, R: Rng + ?Sized>(
     decoder: &D,
     instance: &Instance,
@@ -191,30 +182,33 @@ pub fn check_order_invariant<D: Decoder + ?Sized, R: Rng + ?Sized>(
     samples: usize,
     rng: &mut R,
 ) -> Result<(), InvarianceViolation> {
-    let check = InvarianceCheck::new(decoder, instance, labeling);
-    let variants = (0..samples).map(|_| {
-        // Random strictly increasing map: add strictly positive random
-        // gaps in rank order.
-        let mut sorted: Vec<u64> = instance.ids().as_slice().to_vec();
-        sorted.sort_unstable();
-        let mut image = Vec::with_capacity(sorted.len());
-        let mut next = 0u64;
-        for _ in &sorted {
-            next += rng.random_range(1..=3u64);
-            image.push(next);
-        }
-        let remap = |id: u64| {
-            let rank = sorted.binary_search(&id).expect("id present");
-            image[rank]
-        };
-        id_variant(
-            instance,
-            labeling,
-            instance.ids().remap_order_preserving(remap),
-        )
-    });
-    LazySweep::labeled(Coverage::Sampled)
-        .run_labeled(&check, variants)
+    let mut sorted: Vec<u64> = instance.ids().as_slice().to_vec();
+    sorted.sort_unstable();
+    let variants: Vec<LabeledInstance> = (0..samples)
+        .map(|_| {
+            // Random strictly increasing map: add strictly positive random
+            // gaps in rank order.
+            let mut image = Vec::with_capacity(sorted.len());
+            let mut next = 0u64;
+            for _ in &sorted {
+                next += rng.random_range(1..=3u64);
+                image.push(next);
+            }
+            let remap = |id: u64| {
+                let rank = sorted.binary_search(&id).expect("id present");
+                image[rank]
+            };
+            id_variant(
+                instance,
+                labeling,
+                instance.ids().remap_order_preserving(remap),
+            )
+        })
+        .collect();
+    let universe = Universe::from_labeled(variants, Coverage::Sampled)
+        .expect("one item per materialized variant fits usize");
+    SweepSession::over(&universe)
+        .run(&InvarianceCheck::new(decoder, instance, labeling))
         .verdict
 }
 
@@ -284,6 +278,34 @@ mod tests {
         let violation = check_order_invariant(&EvenId, &inst, &labeling, 50, &mut rng)
             .expect_err("parity of ids is not order-invariant");
         assert!(violation.node < 4);
+    }
+
+    #[test]
+    fn check_anonymous_sweeps_the_anonymity_universe() {
+        use rand::RngCore;
+        let inst = Instance::canonical(generators::path(4));
+        let labeling = Labeling::empty(4);
+        let samples = 30;
+        let mut reference = StdRng::seed_from_u64(4);
+        let universe = anonymity_universe(&inst, &labeling, samples, &mut reference);
+        // The first variant whose verdicts differ from the canonical ids'.
+        let base = run(&LocalMax, &inst.clone().with_labeling(labeling.clone()));
+        let first = (0..universe.len()).find_map(|i| {
+            let variant = universe.labeled_instance(i);
+            let verdicts = run(&LocalMax, &variant);
+            (0..4)
+                .find(|&v| verdicts[v] != base[v])
+                .map(|node| InvarianceViolation {
+                    ids: variant.instance().ids().clone(),
+                    node,
+                })
+        });
+        assert!(first.is_some(), "local-max reads identifier values");
+        let mut used = StdRng::seed_from_u64(4);
+        let verdict = check_anonymous(&LocalMax, &inst, &labeling, samples, &mut used);
+        assert_eq!(verdict.err(), first);
+        // Both drew the same `samples` shuffles from the seed.
+        assert_eq!(used.next_u64(), reference.next_u64());
     }
 
     #[test]

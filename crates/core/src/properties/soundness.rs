@@ -9,11 +9,10 @@
 use crate::decoder::Decoder;
 use crate::instance::Instance;
 use crate::label::{Certificate, Labeling};
-use crate::prover::{all_labelings, random_labeling};
+use crate::prover::random_labeling;
 use crate::verify::{
-    Coverage, DynPropertyCheck, ExecMode, ItemCtx, LazySweep, PropertyCheck, PropertyTag,
-    SweepBudget, SweepOutcome, SweepSession, SymmetrySpec, Universe, UniverseItem,
-    VerificationReport,
+    Coverage, DynPropertyCheck, ExecMode, ItemCtx, PropertyCheck, PropertyTag, SweepBudget,
+    SweepOutcome, SweepSession, SymmetrySpec, Universe, UniverseItem, VerificationReport,
 };
 use crate::view::IdMode;
 use rand::Rng;
@@ -105,6 +104,11 @@ pub fn soundness_member(decoder: &dyn Decoder) -> DynPropertyCheck<'_> {
 /// labelings examined. The caller must ensure `instance` is a genuine
 /// no-instance (e.g. non-bipartite for 2-col); this function only hunts
 /// for unanimous acceptance.
+///
+/// # Panics
+///
+/// As [`check_soundness_exhaustive_with`]: when `|alphabet|^n` overflows
+/// `usize`.
 pub fn check_soundness_exhaustive<D: Decoder + ?Sized>(
     decoder: &D,
     instance: &Instance,
@@ -126,6 +130,12 @@ pub fn check_soundness_exhaustive<D: Decoder + ?Sized>(
 /// coverage, interruption status and any caught inspection panics. An
 /// exhausted budget yields a partial verdict with
 /// [`Coverage::Sampled`] — explicitly *not* a proof of soundness.
+///
+/// # Panics
+///
+/// Panics with "too many labelings for an exhaustive check" when
+/// `|alphabet|^n` overflows `usize`: the walk could not address every
+/// labeling, so it does not start.
 pub fn check_soundness_exhaustive_with<D: Decoder + ?Sized>(
     decoder: &D,
     instance: &Instance,
@@ -133,30 +143,21 @@ pub fn check_soundness_exhaustive_with<D: Decoder + ?Sized>(
     mode: ExecMode,
     budget: &SweepBudget,
 ) -> VerificationReport<Result<usize, SoundnessViolation>> {
-    let check = SoundnessCheck { decoder };
-    match Universe::all_labelings_of(instance.clone(), alphabet.to_vec(), Coverage::Exhaustive) {
-        Ok(universe) => SweepSession::over(&universe)
-            .mode(mode)
-            .budget(*budget)
-            .run(&check),
-        // |alphabet|^n overflows the flat index space; iterate lazily
-        // instead (necessarily sequential, still budgeted), which a
-        // violation can still end early.
-        Err(_) => LazySweep::of(instance, Coverage::Exhaustive)
-            .budget(*budget)
-            .run(
-                &check,
-                all_labelings(instance.graph().node_count(), alphabet),
-            ),
-    }
+    let universe =
+        Universe::all_labelings_of(instance.clone(), alphabet.to_vec(), Coverage::Exhaustive)
+            .expect("too many labelings for an exhaustive check");
+    SweepSession::over(&universe)
+        .mode(mode)
+        .budget(*budget)
+        .run(&SoundnessCheck { decoder })
 }
 
-/// Randomized soundness check: up to `samples` uniformly random labelings
-/// over `alphabet`.
+/// Randomized soundness check: `samples` uniformly random labelings over
+/// `alphabet`.
 ///
-/// Labelings are drawn from `rng` one at a time and drawing stops at the
-/// first violation, so the RNG advances exactly once per labeling actually
-/// checked — the same stream a caller observed from the pre-engine loop.
+/// All `samples` labelings are drawn from `rng` up front, in order, and
+/// swept as one sampled universe, so the RNG advances by `samples` draws
+/// whatever the verdict; a violation is the first violating draw.
 ///
 /// # Panics
 ///
@@ -169,11 +170,13 @@ pub fn check_soundness_random<D: Decoder + ?Sized, R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<usize, SoundnessViolation> {
     let n = instance.graph().node_count();
-    LazySweep::of(instance, Coverage::Sampled)
-        .run(
-            &SoundnessCheck { decoder },
-            (0..samples).map(|_| random_labeling(n, alphabet, rng)),
-        )
+    let labelings = (0..samples)
+        .map(|_| random_labeling(n, alphabet, rng))
+        .collect();
+    let universe = Universe::labelings_of(instance.clone(), labelings, Coverage::Sampled)
+        .expect("materialized labelings fit usize");
+    SweepSession::over(&universe)
+        .run(&SoundnessCheck { decoder })
         .verdict
 }
 
@@ -266,28 +269,38 @@ mod tests {
     }
 
     #[test]
-    fn oversized_exhaustive_check_still_short_circuits() {
-        // 2^65 labelings overflow the flat-indexed universe, but the lazy
-        // fallback still finds YesMan's violation at the very first one.
+    #[should_panic(expected = "too many labelings for an exhaustive check")]
+    fn oversized_exhaustive_check_does_not_start() {
+        // 2^65 labelings overflow the flat-indexed universe: the check
+        // refuses to start, even for a decoder whose first labeling
+        // violates.
         let c65 = Instance::canonical(generators::cycle(65));
-        let violation = check_soundness_exhaustive(&YesMan, &c65, &bits()).expect_err("unsound");
-        assert_eq!(
-            violation.labeling,
-            Labeling::uniform(65, Certificate::from_byte(0))
-        );
+        let _ = check_soundness_exhaustive(&YesMan, &c65, &bits());
     }
 
     #[test]
-    fn random_check_draws_stop_at_first_violation() {
+    fn random_check_draws_every_sample_and_reports_the_first_violation() {
+        use crate::decoder::accepts_all;
         use rand::RngCore;
+        // Over three letters local-diff accepts C3 unanimously exactly on
+        // its proper 3-colorings, 6 of the 27 labelings.
         let c3 = Instance::canonical(generators::cycle(3));
+        let letters: Vec<Certificate> = (0..3).map(Certificate::from_byte).collect();
+        let samples = 40;
         let mut used = StdRng::seed_from_u64(7);
-        check_soundness_random(&YesMan, &c3, &bits(), 10, &mut used)
-            .expect_err("violation at the first sample");
-        // The RNG advanced by exactly one drawn labeling, not ten — the
-        // pre-engine stream.
+        let violation = check_soundness_random(&LocalDiff, &c3, &letters, samples, &mut used)
+            .expect_err("a proper 3-coloring among the draws");
         let mut reference = StdRng::seed_from_u64(7);
-        let _ = random_labeling(3, &bits(), &mut reference);
+        let draws: Vec<Labeling> = (0..samples)
+            .map(|_| random_labeling(3, &letters, &mut reference))
+            .collect();
+        let first = draws
+            .iter()
+            .position(|l| accepts_all(&LocalDiff, &c3.clone().with_labeling(l.clone())))
+            .expect("the reference stream violates too");
+        assert!(first > 0, "the seed's first draw is not the violation");
+        assert_eq!(violation.labeling, draws[first]);
+        // The check drew all `samples` labelings, not `first + 1`.
         assert_eq!(used.next_u64(), reference.next_u64());
     }
 

@@ -9,11 +9,10 @@ use crate::decoder::Decoder;
 use crate::instance::Instance;
 use crate::label::{Certificate, Labeling};
 use crate::language::KCol;
-use crate::prover::{all_labelings, random_labeling};
+use crate::prover::random_labeling;
 use crate::verify::{
-    Coverage, DynPropertyCheck, ExecMode, ItemCtx, LazySweep, PropertyCheck, PropertyTag,
-    SweepBudget, SweepOutcome, SweepSession, SymmetrySpec, Universe, UniverseItem,
-    VerificationReport,
+    Coverage, DynPropertyCheck, ExecMode, ItemCtx, PropertyCheck, PropertyTag, SweepBudget,
+    SweepOutcome, SweepSession, SymmetrySpec, Universe, UniverseItem, VerificationReport,
 };
 use crate::view::IdMode;
 use rand::Rng;
@@ -162,6 +161,11 @@ pub fn strong_holds_for<D: Decoder + ?Sized>(
 /// Exhaustive strong-soundness check over all labelings from `alphabet`.
 /// Unlike plain soundness, strong soundness quantifies over **every**
 /// graph, so callers should feed both yes- and no-instances.
+///
+/// # Panics
+///
+/// As [`check_strong_exhaustive_with`]: when `|alphabet|^n` overflows
+/// `usize`.
 pub fn check_strong_exhaustive<D: Decoder + ?Sized>(
     decoder: &D,
     language: &KCol,
@@ -185,6 +189,12 @@ pub fn check_strong_exhaustive<D: Decoder + ?Sized>(
 /// and any caught inspection panics. An exhausted budget yields a partial
 /// verdict with [`Coverage::Sampled`] — explicitly *not* a proof of
 /// strong soundness.
+///
+/// # Panics
+///
+/// Panics with "too many labelings for an exhaustive check" when
+/// `|alphabet|^n` overflows `usize`: the walk could not address every
+/// labeling, so it does not start.
 pub fn check_strong_exhaustive_with<D: Decoder + ?Sized>(
     decoder: &D,
     language: &KCol,
@@ -193,30 +203,20 @@ pub fn check_strong_exhaustive_with<D: Decoder + ?Sized>(
     mode: ExecMode,
     budget: &SweepBudget,
 ) -> VerificationReport<Result<usize, StrongViolation>> {
-    let check = StrongCheck { decoder, language };
-    match Universe::all_labelings_of(instance.clone(), alphabet.to_vec(), Coverage::Exhaustive) {
-        Ok(universe) => SweepSession::over(&universe)
-            .mode(mode)
-            .budget(*budget)
-            .run(&check),
-        // |alphabet|^n overflows the flat index space; iterate lazily
-        // instead (necessarily sequential, still budgeted), which a
-        // violation can still end early.
-        Err(_) => LazySweep::of(instance, Coverage::Exhaustive)
-            .budget(*budget)
-            .run(
-                &check,
-                all_labelings(instance.graph().node_count(), alphabet),
-            ),
-    }
+    let universe =
+        Universe::all_labelings_of(instance.clone(), alphabet.to_vec(), Coverage::Exhaustive)
+            .expect("too many labelings for an exhaustive check");
+    SweepSession::over(&universe)
+        .mode(mode)
+        .budget(*budget)
+        .run(&StrongCheck { decoder, language })
 }
 
-/// Randomized strong-soundness check over up to `samples` random
-/// labelings.
+/// Randomized strong-soundness check over `samples` random labelings.
 ///
-/// Labelings are drawn from `rng` one at a time and drawing stops at the
-/// first violation, so the RNG advances exactly once per labeling actually
-/// checked — the same stream a caller observed from the pre-engine loop.
+/// All `samples` labelings are drawn from `rng` up front, in order, and
+/// swept as one sampled universe, so the RNG advances by `samples` draws
+/// whatever the verdict; a violation is the first violating draw.
 ///
 /// # Panics
 ///
@@ -230,11 +230,13 @@ pub fn check_strong_random<D: Decoder + ?Sized, R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<usize, StrongViolation> {
     let n = instance.graph().node_count();
-    LazySweep::of(instance, Coverage::Sampled)
-        .run(
-            &StrongCheck { decoder, language },
-            (0..samples).map(|_| random_labeling(n, alphabet, rng)),
-        )
+    let labelings = (0..samples)
+        .map(|_| random_labeling(n, alphabet, rng))
+        .collect();
+    let universe = Universe::labelings_of(instance.clone(), labelings, Coverage::Sampled)
+        .expect("materialized labelings fit usize");
+    SweepSession::over(&universe)
+        .run(&StrongCheck { decoder, language })
         .verdict
 }
 
@@ -358,6 +360,43 @@ mod tests {
         assert_eq!(partial.verdict, Ok(8));
         assert_eq!(partial.coverage, Coverage::Sampled);
         assert!(partial.interrupted);
+    }
+
+    #[test]
+    #[should_panic(expected = "too many labelings for an exhaustive check")]
+    fn oversized_exhaustive_check_does_not_start() {
+        let c65 = Instance::canonical(generators::cycle(65));
+        let _ = check_strong_exhaustive(&YesMan, &KCol::new(2), &c65, &bits());
+    }
+
+    #[test]
+    fn random_check_draws_every_sample_and_reports_the_first_violation() {
+        use rand::rngs::StdRng;
+        use rand::{RngCore, SeedableRng};
+        // Over three letters local-diff accepts all of C3, a triangle,
+        // exactly on its proper 3-colorings; a smaller accepting set
+        // induces a bipartite graph.
+        let two_col = KCol::new(2);
+        let c3 = Instance::canonical(generators::cycle(3));
+        let letters: Vec<Certificate> = (0..3).map(Certificate::from_byte).collect();
+        let samples = 40;
+        let mut used = StdRng::seed_from_u64(7);
+        let violation =
+            check_strong_random(&LocalDiff, &two_col, &c3, &letters, samples, &mut used)
+                .expect_err("a proper 3-coloring among the draws");
+        let mut reference = StdRng::seed_from_u64(7);
+        let draws: Vec<Labeling> = (0..samples)
+            .map(|_| random_labeling(3, &letters, &mut reference))
+            .collect();
+        let first = draws
+            .iter()
+            .position(|l| strong_holds_for(&LocalDiff, &two_col, &c3, l).is_err())
+            .expect("the reference stream violates too");
+        assert!(first > 0, "the seed's first draw is not the violation");
+        assert_eq!(violation.labeling, draws[first]);
+        assert_eq!(violation.accepting, vec![0, 1, 2]);
+        // The check drew all `samples` labelings, not `first + 1`.
+        assert_eq!(used.next_u64(), reference.next_u64());
     }
 
     #[test]

@@ -482,10 +482,10 @@ impl<'a> ItemCtx<'a> {
     /// which must be the check's
     /// [`PropertyCheck::verdict_decoder`]: the delta channel's vector where
     /// the walk keeps one, otherwise `decoder` run on the item's stamped
-    /// views (the decode oracle, `Fixed` and `Unlabeled` blocks, lazy
-    /// draws, a check that declares no verdict decoder). Either way they
-    /// are the decoder's verdicts on the item, so a check reads them
-    /// through this one call on every path.
+    /// views (the decode oracle, `Fixed` and `Unlabeled` blocks, a check
+    /// that declares no verdict decoder). Either way they are the
+    /// decoder's verdicts on the item, so a check reads them through this
+    /// one call on every path.
     ///
     /// [`PropertyCheck::verdict_decoder`]: super::PropertyCheck::verdict_decoder
     pub fn verdicts<D: Decoder + ?Sized>(

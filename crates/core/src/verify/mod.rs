@@ -22,8 +22,7 @@
 //!   bit-identical verdicts, witnesses and counts at every thread count,
 //!   and a shared
 //!   [`crate::view::ViewSkeleton`] cache so each node's view is
-//!   canonicalized once per block instead of once per labeling
-//!   ([`LazySweep`] is the streaming counterpart for iterator sources);
+//!   canonicalized once per block instead of once per labeling;
 //! * one engine walks the odometer for every entry point: a typed sweep
 //!   is the engine over its one check, a fused panel the engine over
 //!   type-erased [`DynPropertyCheck`] members, and both share one body
@@ -90,7 +89,7 @@ pub use plan::{
     AuditMemberReport, AuditPanelReport, AuditPlan, AuditReport, BlockGated, InstanceSet,
     PanelTelemetry, ALL_PROPERTIES,
 };
-pub use session::{LazySweep, SweepSession};
+pub use session::SweepSession;
 pub use shard::{
     merge_fragments, merge_panel_fragments, run_shards, sum_stable_counters, ShardAttempt,
     ShardRunReport, ShardSpec,
@@ -419,27 +418,6 @@ mod tests {
         )
         .expect_err("a walk that never started does not merge");
         assert!(err.contains("torn") && err.contains("item 0"), "{err}");
-    }
-
-    /// A budgeted lazy sweep checks its budget before each pull, so a
-    /// stateful source is never advanced past `max_items`.
-    #[test]
-    fn lazy_budget_never_pulls_past_max_items() {
-        let c3 = Instance::canonical(generators::cycle(3));
-        let check = CountConstant {
-            stop_on_all_ones: false,
-        };
-        let pulls = std::cell::Cell::new(0usize);
-        let source = (0..100).map(|_| {
-            pulls.set(pulls.get() + 1);
-            crate::label::Labeling::uniform(3, Certificate::from_byte(0))
-        });
-        let report = LazySweep::of(&c3, Coverage::Sampled)
-            .budget(SweepBudget::unlimited().with_max_items(10))
-            .run(&check, source);
-        assert_eq!(pulls.get(), 10, "exactly max_items pulls");
-        assert_eq!(report.checked, 10);
-        assert!(report.interrupted);
     }
 
     /// Records exactly one partial, at a fixed index, and stops there.

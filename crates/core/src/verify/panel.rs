@@ -25,8 +25,7 @@
 //! run is the fragment `[0, n)` walked and then reduced into reports, a
 //! fragment walk hands its fragment un-reduced to the shard merge, and
 //! the merge reduces a tiling of fragments. All three end in the same
-//! per-member reduce, which also closes the lazy draw loop behind
-//! [`super::LazySweep`].
+//! per-member reduce.
 //!
 //! # One walk at every thread count
 //!
@@ -53,9 +52,9 @@
 //! semantics per member (see [`SweepOutcome::checked`]): a member that
 //! stopped at its lowest deciding index `s` reports `checked = s + 1`.
 //!
-//! An expired [`SweepBudget`] ends the call: the deadline is checked at
-//! each chunk claim, and a claimed chunk runs to its end, so the visited
-//! set is always a contiguous prefix. A whole-universe run reports the
+//! An expired [`SweepBudget`](super::SweepBudget) ends the call: the
+//! deadline is checked at each chunk claim, and a claimed chunk runs to
+//! its end, so the visited set is always a contiguous prefix. A whole-universe run reports the
 //! prefix as interrupted; a fragment walk hands back a [`PanelFragment`]
 //! with `next < hi`, carrying the shared frontier plus every member's
 //! partials and stop index. Walking on from that fragment and merging
@@ -103,7 +102,7 @@ use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use super::budget::{Claims, MemberFrontier, SweepBudget, SweepError};
+use super::budget::{Claims, MemberFrontier, SweepError};
 use super::check::{ExecEvidence, PropertyCheck, SweepOutcome, VerificationReport};
 use super::erased::{DynPropertyCheck, ErasedPartial, ErasedVerdict, PanelVerdict};
 use super::executor::{
@@ -114,10 +113,9 @@ use super::session::SweepSession;
 use super::shard::ShardSpec;
 use super::symmetry::{BlockClasses, QuotientPlan, SymmetrySpec};
 use super::telemetry::{SweepCounter, SweepPhase, SweepRecorder, WalkCounts, WorkerTally};
-use super::universe::{Block, Coverage, LabelSource, Universe, UniverseItem};
+use super::universe::{Coverage, LabelSource, Universe, UniverseItem};
 use crate::decoder::Decoder;
-use crate::instance::Instance;
-use crate::label::{Certificate, Labeling};
+use crate::label::Certificate;
 use crate::view::IdMode;
 
 /// The result of one fused panel: per-member verdicts plus the shared
@@ -370,7 +368,6 @@ pub(super) fn run<C: Member>(session: &SweepSession<'_>, checks: &[C]) -> Reduce
         reduce(
             checks,
             universe,
-            n,
             walked.members,
             walked.next,
             interrupted,
@@ -509,16 +506,14 @@ fn member_checked(stop_at: Option<usize>, next: usize) -> usize {
     }
 }
 
-/// The per-member reduce shared by whole-range runs, the shard merge and
-/// the lazy draw loop: folds each member's records (sorted, retention
-/// filtered, `stop_at` the member's global stop) into its verdict, then
-/// assembles each member's report and the walk-level evidence. `n` is the
-/// universe size the reports state (the draw count for a lazy sweep).
+/// The per-member reduce shared by whole-range runs and the shard merge:
+/// folds each member's records (sorted, retention filtered, `stop_at` the
+/// member's global stop) into its verdict, then assembles each member's
+/// report and the walk-level evidence.
 #[allow(clippy::too_many_arguments)] // the args are the walk's state, not a config
 pub(super) fn reduce<C: PropertyCheck>(
     checks: &[C],
     universe: &Universe,
-    n: usize,
     members: Vec<MemberFrontier<C::Partial>>,
     next: usize,
     interrupted: bool,
@@ -552,7 +547,7 @@ pub(super) fn reduce<C: PropertyCheck>(
         .map(|(check, f)| {
             let outcome = SweepOutcome {
                 checked: member_checked(f.stop_at, next),
-                universe_size: n,
+                universe_size: universe.len(),
                 short_circuited: f.stop_at.is_some(),
                 errored: f.errors.iter().map(|e| e.multiplicity).sum(),
             };
@@ -566,7 +561,7 @@ pub(super) fn reduce<C: PropertyCheck>(
 
     let evidence = ExecEvidence {
         checked: walk_checked,
-        universe_size: n,
+        universe_size: universe.len(),
         short_circuited,
         interrupted,
         coverage: coverage(interrupted || !errors.is_empty()),
@@ -1172,99 +1167,4 @@ fn walk_chunks<C: PropertyCheck>(
         cursor.into_inner().min(end)
     };
     (next, tally)
-}
-
-/// The lazy draw loop behind [`LazySweep`](super::LazySweep): pulls items
-/// one at a time and inspects each with the engine's guarded step,
-/// stopping the pull at the first short-circuit or budget expiry — so a
-/// stateful source advances exactly `checked` times and memory stays
-/// `O(1)` in the stream length. The budget is checked before each pull,
-/// so a source is never advanced past `max_items`; a source cut at its
-/// limit reads interrupted even when it would have run dry next, since
-/// only a pull can tell.
-///
-/// Items whose instance is `None` are labelings of `fixed`, whose
-/// skeleton cache is built once; an item carrying its own instance gets a
-/// one-item cache on arrival. Because the stream length is unknown until
-/// exhausted, the report's `universe_size` is the draw count, and
-/// [`PropertyCheck::reduce`] receives a synthetic universe: the bare
-/// `fixed` instance, or an empty universe without one.
-pub(super) fn draw<C: PropertyCheck>(
-    check: &C,
-    fixed: Option<&Instance>,
-    items: impl IntoIterator<Item = (Option<Instance>, Labeling)>,
-    coverage: Coverage,
-    budget: &SweepBudget,
-) -> VerificationReport<C::Verdict> {
-    let start = Instant::now();
-    let deadline = budget.deadline.map(|d| start + d);
-    let configs = check.view_configs();
-    let bare = |instance: Instance| {
-        // invariant: one `Unlabeled` block contributes exactly one item,
-        // far from overflowing the flat index space.
-        let universe = Universe::new(vec![Block::new(instance, LabelSource::Unlabeled)], coverage)
-            .expect("a single bare instance cannot overflow");
-        let cache = SkeletonCache::build(&universe, configs.clone(), |_| true);
-        (universe, cache)
-    };
-    let mut current = fixed.map(|instance| bare(instance.clone()));
-    let tally = WorkerTally::default();
-    if let Some((_, cache)) = &current {
-        tally.add(SweepCounter::CacheMisses, cache.populated as u64);
-    }
-    let mut record = MemberFrontier::new();
-    let mut drawn = 0usize;
-    let mut interrupted = false;
-    let mut items = items.into_iter();
-    loop {
-        if budget.max_items.is_some_and(|m| drawn >= m)
-            || deadline.is_some_and(|d| Instant::now() >= d)
-        {
-            interrupted = true;
-            break;
-        }
-        let Some((instance, labeling)) = items.next() else {
-            break;
-        };
-        if let Some(instance) = instance {
-            let (universe, cache) = bare(instance);
-            tally.add(SweepCounter::CacheMisses, cache.populated as u64);
-            current = Some((universe, cache));
-        }
-        let (universe, cache) = current
-            .as_ref()
-            .expect("items without an instance are labelings of the fixed one");
-        let item = UniverseItem {
-            index: drawn,
-            block: 0,
-            instance: universe.blocks()[0].instance(),
-            labeling: &labeling,
-            digits: None,
-        };
-        let ctx = ItemCtx::new(0, cache, &tally, None, 1, None);
-        drawn += 1;
-        let result = record.fold_item(item.index, |claim| check.fold(&item, &ctx, claim));
-        if record.file(check, item.index, 1, result) {
-            record.stop_at = Some(item.index);
-            break;
-        }
-    }
-    let universe = match (fixed, current) {
-        (Some(_), Some((universe, _))) => universe,
-        // invariant: zero blocks sum to zero items — overflow is impossible.
-        _ => Universe::new(Vec::new(), coverage).expect("an empty universe cannot overflow"),
-    };
-    let (mut reports, _) = reduce(
-        std::slice::from_ref(check),
-        &universe,
-        drawn,
-        vec![record],
-        drawn,
-        interrupted,
-        1,
-        tally.counts(),
-        None,
-        start,
-    );
-    reports.pop().expect("one member, one report")
 }

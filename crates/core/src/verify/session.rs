@@ -14,8 +14,9 @@
 //!
 //! Every firing method is the one sweep engine ([`super::panel`]): the
 //! typed methods run it over the one check (its own type, no erasure),
-//! the panel methods over the [`DynPropertyCheck`] members.
-//! [`LazySweep`] is the streaming counterpart for iterator sources.
+//! the panel methods over the [`DynPropertyCheck`] members. A source
+//! that is not an indexed family (random draws, identifier variants) is
+//! drawn up front into a universe of `Fixed` blocks and swept here too.
 //!
 //! # Two run shapes
 //!
@@ -50,9 +51,7 @@ use super::executor::{ExecMode, SweepStrategy};
 use super::panel::{self, PanelFragment, PanelReport};
 use super::shard::ShardSpec;
 use super::telemetry::{MetricsRecorder, SweepRecorder};
-use super::universe::{Coverage, Universe};
-use crate::instance::{Instance, LabeledInstance};
-use crate::label::Labeling;
+use super::universe::Universe;
 
 /// A configured sweep over one universe: mode, strategy, budget and
 /// recorder, assembled by chaining and fired by a `run_*` or
@@ -165,91 +164,5 @@ impl<'a> SweepSession<'a> {
         fragment: PanelFragment,
     ) -> PanelFragment {
         panel::fragment(self, checks, fragment)
-    }
-}
-
-/// The streaming counterpart of [`SweepSession`]: sweeps a check over
-/// items pulled lazily from an iterator instead of an indexed universe.
-///
-/// Two sources exist:
-///
-/// * [`LazySweep::of`] fixes one instance and pulls *labelings* — the
-///   memory-bounded way to walk `|alphabet|^n` assignments, stopping the
-///   pull at the first short-circuit or budget expiry;
-/// * [`LazySweep::labeled`] pulls whole [`LabeledInstance`]s (one
-///   instance per item, e.g. identifier variants), each with its own
-///   one-item skeleton cache; fire with
-///   [`run_labeled`](LazySweep::run_labeled).
-///
-/// Lazy sweeps are always sequential and unsharded: the source is
-/// stateful, so there is no index space to partition.
-#[derive(Clone, Copy)]
-pub struct LazySweep<'a> {
-    instance: Option<&'a Instance>,
-    coverage: Coverage,
-    budget: SweepBudget,
-}
-
-impl<'a> LazySweep<'a> {
-    /// A lazy sweep drawing labelings of `instance`.
-    pub fn of(instance: &'a Instance, coverage: Coverage) -> LazySweep<'a> {
-        LazySweep {
-            instance: Some(instance),
-            coverage,
-            budget: SweepBudget::unlimited(),
-        }
-    }
-
-    /// A lazy sweep drawing whole labeled instances; fire with
-    /// [`run_labeled`](LazySweep::run_labeled).
-    pub fn labeled(coverage: Coverage) -> LazySweep<'static> {
-        LazySweep {
-            instance: None,
-            coverage,
-            budget: SweepBudget::unlimited(),
-        }
-    }
-
-    /// Sets the execution budget (default unlimited). The budget is
-    /// checked before each pull, so an expired budget stops *drawing* — a
-    /// stateful source is never advanced past the limit — and the report
-    /// says how many items were drawn. A source cut at its limit reads
-    /// interrupted even when it would have run dry next: only a pull can
-    /// tell.
-    pub fn budget(mut self, budget: SweepBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Sweeps `check` over `labelings` of the fixed instance.
-    ///
-    /// # Panics
-    ///
-    /// When the sweep was built with [`LazySweep::labeled`] — that source
-    /// has no fixed instance; use [`run_labeled`](LazySweep::run_labeled).
-    pub fn run<C: PropertyCheck>(
-        &self,
-        check: &C,
-        labelings: impl IntoIterator<Item = Labeling>,
-    ) -> VerificationReport<C::Verdict> {
-        let instance = self.instance.expect(
-            "LazySweep::run needs a fixed instance; build with LazySweep::of \
-             (LazySweep::labeled sources fire with run_labeled)",
-        );
-        let items = labelings.into_iter().map(|labeling| (None, labeling));
-        panel::draw(check, Some(instance), items, self.coverage, &self.budget)
-    }
-
-    /// Sweeps `check` over labeled instances pulled from `items`.
-    pub fn run_labeled<C: PropertyCheck>(
-        &self,
-        check: &C,
-        items: impl IntoIterator<Item = LabeledInstance>,
-    ) -> VerificationReport<C::Verdict> {
-        let items = items.into_iter().map(|li| {
-            let (instance, labeling) = li.into_parts();
-            (Some(instance), labeling)
-        });
-        panel::draw(check, None, items, self.coverage, &self.budget)
     }
 }

@@ -453,7 +453,7 @@ pub(super) fn merge<C: PropertyCheck>(
     }
     let (threads, counts) = (resolve_threads(mode, n), WalkCounts::default());
     let merged = reduce(
-        checks, universe, n, members, n, false, threads, counts, recorder, start,
+        checks, universe, members, n, false, threads, counts, recorder, start,
     );
     if let Some(r) = recorder {
         r.span_exit("merge");

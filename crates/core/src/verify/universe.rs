@@ -24,9 +24,9 @@ use std::fmt;
 /// space cannot address every item.
 ///
 /// Construction reports this instead of panicking: a sweep over `>= 2^64`
-/// items could never complete anyway, and callers (e.g. the exhaustive
-/// property checkers) can fall back to lazy per-labeling iteration, which
-/// may still terminate via a short-circuit.
+/// items could never complete anyway, so the caller decides what to do;
+/// the exhaustive property checkers panic with a message naming the
+/// overflow rather than start a walk they cannot address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UniverseOverflow {
     /// Index of the block at which the running item count overflowed.
@@ -173,9 +173,8 @@ pub struct UniverseItem<'u> {
     pub labeling: &'u Labeling,
     /// For [`LabelSource::All`] blocks, the mixed-radix digits of the
     /// labeling: `digits[v]` is the alphabet index of node `v`'s
-    /// certificate. `None` for `Fixed`/`Unlabeled` blocks (and for lazy
-    /// sweeps, whose labelings come from outside the universe). Checks use
-    /// this as a compact identity key for memoization.
+    /// certificate. `None` for `Fixed`/`Unlabeled` blocks. Checks use this
+    /// as a compact identity key for memoization.
     pub digits: Option<&'u [usize]>,
 }
 
@@ -296,9 +295,10 @@ impl Universe {
     /// The full Lemma 3.1 universe for tiny parameters: every connected
     /// graph on `1..=max_n` nodes (up to isomorphism), every port
     /// assignment, canonical identifiers, crossed with every labeling over
-    /// `alphabet`. Exhaustive by construction — the engine-native
-    /// counterpart of [`crate::nbhd::sources::exhaustive_universe`] (same
-    /// family, same order, without materializing the labelings).
+    /// `alphabet`. Exhaustive by construction; the labelings are decoded
+    /// on demand, never materialized. Graphs come in the enumerator's
+    /// order, each graph's port assignments in turn, and each block's
+    /// labelings in odometer order.
     ///
     /// # Panics
     ///

@@ -37,10 +37,9 @@ use hiding_lcp_core::nbhd::{NbhdGraph, NbhdSweep};
 use hiding_lcp_core::properties::hiding::check_hiding;
 use hiding_lcp_core::properties::soundness::{SoundnessCheck, SoundnessViolation};
 use hiding_lcp_core::properties::strong::{StrongCheck, StrongViolation};
-use hiding_lcp_core::prover::all_labelings;
 use hiding_lcp_core::verify::{
     merge_fragments, merge_panel_fragments, Block, Coverage, DynPropertyCheck, ExecMode, ItemCtx,
-    LabelSource, LazySweep, MetricsRecorder, PanelFragment, PropertyCheck, PropertyTag, ShardSpec,
+    LabelSource, MetricsRecorder, PanelFragment, PropertyCheck, PropertyTag, ShardSpec,
     SweepBudget, SweepCounter, SweepOutcome, SweepSession, SweepStrategy, Universe, UniverseItem,
 };
 use hiding_lcp_core::view::IdMode;
@@ -286,30 +285,6 @@ proptest! {
         let universe = Universe::new(blocks, Coverage::Sampled).expect("small universe fits");
         let check = SoundnessCheck { decoder: &decoder };
         assert_parity(&check, &universe)?;
-    }
-
-    #[test]
-    fn lazy_and_flat_sweeps_agree(code in 0u8..64, shape in 0u8..2, n in 3usize..7) {
-        // `LazySweep` over the mixed-radix enumeration must match a
-        // session sweep of the flat universe: same verdict, same witness,
-        // same checked count, same short-circuit flag.
-        let decoder = PortObliviousCycleDecoder::from_code(code);
-        let instance = cycle_or_path(shape, n);
-        let universe = Universe::all_labelings_of(instance.clone(), bits(), Coverage::Exhaustive)
-            .expect("small universe fits");
-        let check = SoundnessCheck { decoder: &decoder };
-        let flat = SweepSession::over(&universe)
-            .mode(ExecMode::Sequential)
-            .run(&check);
-        let alphabet = bits();
-        let lazy = LazySweep::of(&instance, Coverage::Exhaustive).run(
-            &check,
-            all_labelings(instance.graph().node_count(), &alphabet),
-        );
-        prop_assert_eq!(&flat.verdict, &lazy.verdict);
-        prop_assert_eq!(flat.checked, lazy.checked);
-        prop_assert_eq!(flat.short_circuited, lazy.short_circuited);
-        prop_assert_eq!(flat.coverage, lazy.coverage);
     }
 
     #[test]

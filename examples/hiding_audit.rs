@@ -9,8 +9,9 @@
 
 use hiding_lcp::core::extract::Extractor;
 use hiding_lcp::core::instance::Instance;
-use hiding_lcp::core::nbhd::{sources, NbhdGraph};
+use hiding_lcp::core::nbhd::NbhdGraph;
 use hiding_lcp::core::prover::Prover;
+use hiding_lcp::core::verify::Universe;
 use hiding_lcp::core::view::IdMode;
 use hiding_lcp::graph::algo::bipartite;
 use hiding_lcp::graph::generators;
@@ -99,13 +100,14 @@ fn main() {
     // exhaustive universe, the degree-one decoder's neighborhood graph is
     // NOT 2-colorable, so no extractor can exist.
     let alphabet = hiding_lcp::certs::degree_one::adversary_alphabet();
-    let universe = sources::exhaustive_universe(4, &alphabet[..4]);
-    let nbhd = NbhdGraph::build(
+    let universe = Universe::lemma31(4, alphabet[..4].to_vec()).expect("n <= 4 universe fits");
+    let nbhd = NbhdGraph::from_sweep(
         &hiding_lcp::certs::degree_one::DegreeOneDecoder,
         IdMode::Anonymous,
-        universe,
+        &universe,
         |g| bipartite::is_bipartite(g) && g.min_degree() == Some(1),
-    );
+    )
+    .verdict;
     println!(
         "degree-one over the exhaustive n<=4 universe: extractor exists: {}",
         Extractor::from_nbhd(nbhd, 2).is_some()

@@ -39,7 +39,6 @@ blessed_surface![
     hiding_lcp::prelude::KCol,
     hiding_lcp::prelude::LabeledInstance,
     hiding_lcp::prelude::Labeling,
-    hiding_lcp::prelude::LazySweep,
     hiding_lcp::prelude::MetricsRecorder,
     hiding_lcp::prelude::MetricsSnapshot,
     hiding_lcp::prelude::NbhdGraph,

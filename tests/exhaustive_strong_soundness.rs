@@ -228,21 +228,60 @@ fn strong_implies_plain_soundness_on_the_triangle() {
     assert_eq!(checked, 27);
 }
 
+/// Every ordering of the identifiers `1..=n`.
+fn orderings(n: u64) -> Vec<Vec<u64>> {
+    if n == 0 {
+        return vec![Vec::new()];
+    }
+    orderings(n - 1)
+        .into_iter()
+        .flat_map(|rest| {
+            (0..=rest.len()).map(move |pos| {
+                let mut next = rest.clone();
+                next.insert(pos, n);
+                next
+            })
+        })
+        .collect()
+}
+
 /// Order-invariant extractor classes: over the order-enumerated Lemma 3.1
-/// universe at n <= 3, the revealing LCP's OrderOnly neighborhood graph is
-/// still 2-colorable (not hiding from order-invariant decoders either).
+/// universe at n <= 3 (every connected graph under every identifier
+/// ordering, every port assignment and every binary labeling), the
+/// revealing LCP's OrderOnly neighborhood graph is still 2-colorable (not
+/// hiding from order-invariant decoders either).
 #[test]
 fn revealing_not_hiding_from_order_invariant_extractors() {
-    use hiding_lcp::core::nbhd::{sources, NbhdGraph};
+    use hiding_lcp::core::nbhd::NbhdGraph;
+    use hiding_lcp::core::verify::{Block, Coverage, LabelSource, Universe};
     use hiding_lcp::graph::algo::bipartite;
+    use hiding_lcp::graph::{ids, ports, IdAssignment};
     let alphabet = revealing::adversary_alphabet(1);
-    let universe = sources::exhaustive_universe_ordered(3, &alphabet);
-    let nbhd = NbhdGraph::build(
+    let mut blocks = Vec::new();
+    for g in generators::connected_graphs_up_to(3) {
+        let n = g.node_count();
+        for order in orderings(n as u64) {
+            let ids = IdAssignment::from_ids(order, ids::default_bound(n))
+                .expect("an ordering of 1..=n is injective");
+            for ports in ports::all_port_assignments(&g, 100_000) {
+                let instance = Instance::new(g.clone(), ports, ids.clone())
+                    .expect("enumerated assignments fit");
+                let alphabet = alphabet.clone();
+                blocks.push(Block::new(instance, LabelSource::All { alphabet }));
+            }
+        }
+    }
+    let universe = Universe::new(blocks, Coverage::Exhaustive).expect("490 items fit");
+    // n = 1: 1 ordering × 1 port assignment × 2 labelings; n = 2: 2 × 1 × 4;
+    // the path P3: 6 × 2 × 8; the triangle: 6 × 8 × 8.
+    assert_eq!(universe.len(), 490);
+    let nbhd = NbhdGraph::from_sweep(
         &revealing::RevealingDecoder::new(2),
         hiding_lcp::core::view::IdMode::OrderOnly,
-        universe,
+        &universe,
         bipartite::is_bipartite,
-    );
+    )
+    .verdict;
     assert!(nbhd.view_count() > 0);
     assert!(nbhd.k_colorable(2));
     assert!(

@@ -7,9 +7,10 @@ use hiding_lcp::core::decoder::accepts_all;
 use hiding_lcp::core::extract::Extractor;
 use hiding_lcp::core::instance::Instance;
 use hiding_lcp::core::language::KCol;
-use hiding_lcp::core::nbhd::{sources, NbhdGraph};
+use hiding_lcp::core::nbhd::NbhdGraph;
 use hiding_lcp::core::properties::strong;
 use hiding_lcp::core::prover::Prover;
+use hiding_lcp::core::verify::Universe;
 use hiding_lcp::core::view::IdMode;
 use hiding_lcp::graph::algo::coloring;
 use hiding_lcp::graph::generators;
@@ -52,11 +53,12 @@ fn three_col_neighborhood_graph_and_extraction() {
     // Exhaustive universe at n <= 3 over the 3-color alphabet (plus the
     // out-of-range letter), yes-filter = 3-colorable.
     let alphabet = adversary_alphabet(2); // bytes {0,1,2}: exactly 3 colors
-    let universe = sources::exhaustive_universe(3, &alphabet);
+    let universe = Universe::lemma31(3, alphabet).expect("n <= 3 universe fits");
     let decoder = RevealingDecoder::new(3);
-    let nbhd = NbhdGraph::build(&decoder, IdMode::Anonymous, universe, |g| {
+    let nbhd = NbhdGraph::from_sweep(&decoder, IdMode::Anonymous, &universe, |g| {
         coloring::is_k_colorable(g, 3)
-    });
+    })
+    .verdict;
     assert!(nbhd.view_count() > 0);
     // Lemma 3.2 at k = 3: the revealing LCP is not hiding.
     assert!(nbhd.k_colorable(3));

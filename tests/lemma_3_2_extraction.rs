@@ -10,7 +10,7 @@ use hiding_lcp::certs::{degree_one, even_cycle, revealing, shatter, watermelon};
 use hiding_lcp::core::decoder::{accepts_all, Decoder};
 use hiding_lcp::core::extract::Extractor;
 use hiding_lcp::core::instance::{Instance, LabeledInstance};
-use hiding_lcp::core::nbhd::{sources, NbhdGraph};
+use hiding_lcp::core::nbhd::NbhdGraph;
 use hiding_lcp::core::properties::hiding::{check_hiding, verify_hiding, HidingVerdict};
 use hiding_lcp::core::prover::Prover;
 use hiding_lcp::core::verify::{Coverage, Universe};
@@ -146,13 +146,17 @@ fn extraction_respects_the_single_node_rule() {
     // Section 2.4: extraction already fails if a SINGLE node outputs no
     // color. Demonstrate with a shrunken universe that misses one view.
     let alphabet = revealing::adversary_alphabet(1);
-    let universe = sources::exhaustive_universe(3, &alphabet);
-    let nbhd = NbhdGraph::build(
+    // 1·2 + 1·4 items at n = 1, 2; at n = 3 the path's 2 port assignments
+    // and the triangle's 8, each under 8 labelings.
+    let universe = Universe::lemma31(3, alphabet).expect("n <= 3 universe fits");
+    assert_eq!(universe.len(), 86);
+    let nbhd = NbhdGraph::from_sweep(
         &revealing::RevealingDecoder::new(2),
         IdMode::Anonymous,
-        universe,
+        &universe,
         bipartite::is_bipartite,
-    );
+    )
+    .verdict;
     let extractor = Extractor::from_nbhd(nbhd, 2).expect("colorable");
     // The degree-4 star center view never occurs at n <= 3.
     let inst = Instance::canonical(generators::star(4));

@@ -1,4 +1,5 @@
-//! Heavy sweeps, ignored by default. Run with:
+//! Heavy sweeps. The n = 5 Lemma 3.1 tree sweep runs by default; the
+//! others are ignored by default. Run those with:
 //!
 //! ```text
 //! cargo test --release --test stress -- --ignored
@@ -11,10 +12,11 @@ use hiding_lcp::certs::{degree_one, even_cycle, shatter, watermelon};
 use hiding_lcp::core::decoder::accepts_all;
 use hiding_lcp::core::instance::Instance;
 use hiding_lcp::core::language::KCol;
-use hiding_lcp::core::nbhd::{sources, NbhdGraph};
+use hiding_lcp::core::nbhd::NbhdGraph;
 use hiding_lcp::core::network::run_distributed;
 use hiding_lcp::core::properties::strong;
 use hiding_lcp::core::prover::Prover;
+use hiding_lcp::core::verify::{Block, Coverage, LabelSource, Universe};
 use hiding_lcp::core::view::IdMode;
 use hiding_lcp::graph::algo::bipartite;
 use hiding_lcp::graph::generators;
@@ -23,9 +25,9 @@ use rand::SeedableRng;
 
 /// The Lemma 3.1 sweep over every 5-node tree (the H1 members at n = 5:
 /// the path, the star and the spider), every port assignment, every
-/// 4-letter labeling (~45k labeled instances).
+/// 4-letter labeling: 45,056 labeled instances (44 port-labeled trees ×
+/// 4^5 labelings), walked by the engine without materializing them.
 #[test]
-#[ignore = "minutes-scale exhaustive sweep"]
 fn degree_one_exhaustive_trees_n5() {
     use hiding_lcp::graph::Graph;
     let alphabet = vec![
@@ -40,7 +42,7 @@ fn degree_one_exhaustive_trees_n5() {
         // The "chair": a path of 4 with one extra leaf at position 1.
         Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (1, 4)]).unwrap(),
     ];
-    let mut universe = Vec::new();
+    let mut blocks = Vec::new();
     for g in trees {
         for ports in hiding_lcp::graph::ports::all_port_assignments(&g, 1_000) {
             let inst = Instance::new(
@@ -49,15 +51,19 @@ fn degree_one_exhaustive_trees_n5() {
                 hiding_lcp::graph::IdAssignment::canonical(5),
             )
             .unwrap();
-            universe.extend(sources::with_all_labelings(&inst, &alphabet, None));
+            let alphabet = alphabet.clone();
+            blocks.push(Block::new(inst, LabelSource::All { alphabet }));
         }
     }
-    let nbhd = NbhdGraph::build(
+    let universe = Universe::new(blocks, Coverage::Exhaustive).expect("45,056 items fit");
+    assert_eq!(universe.len(), 45_056);
+    let nbhd = NbhdGraph::from_sweep(
         &degree_one::DegreeOneDecoder,
         IdMode::Anonymous,
-        universe,
+        &universe,
         |g| bipartite::is_bipartite(g) && g.min_degree() == Some(1),
-    );
+    )
+    .verdict;
     assert!(
         nbhd.odd_cycle().is_some(),
         "hiding survives the n = 5 tree sweep"
